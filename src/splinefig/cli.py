@@ -75,12 +75,6 @@ def _num_pair(text: str) -> tuple[float, float]:
     return _num(parts[0]), _num(parts[1])
 
 
-def _num_list(text: str) -> tuple[float, ...]:
-    if not text.strip():
-        return ()
-    return tuple(_num(part) for part in text.split(","))
-
-
 def _write_out(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -319,8 +313,8 @@ def _read_surface_file(path: str) -> dict[str, str]:
     desc: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            line = raw.partition("#")[0].strip()
+            if not line:
                 continue
             if "=" not in line:
                 raise SurfaceError(f"{path}:{lineno}: expected key = value")

@@ -25,12 +25,14 @@ and run through a thread pool.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from itertools import count
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,14 +40,21 @@ from .expr import (
     BinOp,
     Const,
     DomainError,
-    ExprError,
     ExprNode,
     compile_fn,
     diff,
     free_vars,
     parse,
 )
-from .geom import Point2, Point3, Polyline, closest_approach
+from .geom import (
+    Point2,
+    Point3,
+    Polyline,
+    _lerp,
+    bezier_bbox,
+    bezier_subdivide,
+    closest_approach,
+)
 from .implicit import TraceConfig, trace_zero_set
 from .render import DrawItem, Label, Scene, Style, scene_from_items
 from .spline import SplineMethod, build_spline
@@ -57,6 +66,10 @@ NEWTON_TOL = 1e-10
 SELF_OCCLUSION_UV_TOL = 1e-4
 OCCLUSION_EPS_FACTOR = 1e-6
 CROSSING_DEDUP_TOL = 1e-9
+OCCLUSION_SEEDS = 32  # seed grid cells per parameter direction
+CONTACT_TOL = 0.02  # closest approach that flags a contact site
+REFINE_WINDOW = 6  # vertices each side of a contact site in its spline fit
+REFINE_TOL = 1e-7  # box diagonal at which refinement accepts a point
 
 
 class SurfaceError(ValueError):
@@ -164,36 +177,43 @@ def _projected_exprs(s: ParametricSurface, proj: Projection) -> tuple[ExprNode, 
     return x_expr, y_expr
 
 
+def _projected_partials(
+    s: ParametricSurface, proj: Projection
+) -> tuple[Callable, Callable, Callable, Callable]:
+    """Compiled symbolic partials X_u, X_v, Y_u, Y_v of the projection."""
+    x_expr, y_expr = _projected_exprs(s, proj)
+    return tuple(
+        compile_fn(diff(e, var), ("u", "v"))
+        for e in (x_expr, y_expr)
+        for var in ("u", "v")
+    )
+
+
 def _jacobian_fn(
     s: ParametricSurface, proj: Projection
 ) -> Callable[[float, float], float]:
-    """J(u,v) = X_u Y_v - X_v Y_u, symbolic when possible."""
-    x_expr, y_expr = _projected_exprs(s, proj)
-    try:
-        xu = compile_fn(diff(x_expr, "u"), ("u", "v"))
-        xv = compile_fn(diff(x_expr, "v"), ("u", "v"))
-        yu = compile_fn(diff(y_expr, "u"), ("u", "v"))
-        yv = compile_fn(diff(y_expr, "v"), ("u", "v"))
+    """J(u,v) = X_u Y_v - X_v Y_u."""
+    xu, xv, yu, yv = _projected_partials(s, proj)
 
-        def jac(u: float, v: float) -> float:
-            return xu(u, v) * yv(u, v) - xv(u, v) * yu(u, v)
+    def jac(u: float, v: float) -> float:
+        return xu(u, v) * yv(u, v) - xv(u, v) * yu(u, v)
 
-        return jac
-    except ExprError:
-        # non-differentiable expression: central finite differences
-        fx = compile_fn(x_expr, ("u", "v"))
-        fy = compile_fn(y_expr, ("u", "v"))
-        hu = 1e-6 * (s.u_range[1] - s.u_range[0])
-        hv = 1e-6 * (s.v_range[1] - s.v_range[0])
+    return jac
 
-        def jac_fd(u: float, v: float) -> float:
-            xu = (fx(u + hu, v) - fx(u - hu, v)) / (2 * hu)
-            xv = (fx(u, v + hv) - fx(u, v - hv)) / (2 * hv)
-            yu = (fy(u + hu, v) - fy(u - hu, v)) / (2 * hu)
-            yv = (fy(u, v + hv) - fy(u, v - hv)) / (2 * hv)
-            return xu * yv - xv * yu
 
-        return jac_fd
+def _on_surface(
+    s: ParametricSurface, params: Iterable[tuple[float, float]]
+) -> tuple[list[Point3], list[tuple[float, float]]]:
+    """Surface points at the (u, v) params, skipping undefined ones."""
+    pts: list[Point3] = []
+    uv: list[tuple[float, float]] = []
+    for u, v in params:
+        try:
+            pts.append(s.point(u, v))
+        except DomainError:
+            continue
+        uv.append((u, v))
+    return pts, uv
 
 
 def silhouette(
@@ -207,14 +227,7 @@ def silhouette(
     jac = _jacobian_fn(s, proj)
     curves: list[SpaceCurve] = []
     for poly in trace_zero_set(jac, cfg):
-        pts = []
-        uv = []
-        for p in poly.points:
-            try:
-                pts.append(s.point(p.x, p.y))
-            except DomainError:
-                continue
-            uv.append((p.x, p.y))
+        pts, uv = _on_surface(s, ((p.x, p.y) for p in poly.points))
         if len(pts) < 2:
             continue
         curve = SpaceCurve(tuple(pts), tuple(uv), f"silhouette:{len(curves)}")
@@ -230,16 +243,10 @@ def _edge_curve(
     s: ParametricSurface, fixed: str, value: float, samples: int
 ) -> SpaceCurve | None:
     lo, hi = s.v_range if fixed == "u" else s.u_range
-    pts = []
-    uv = []
-    for k in range(samples + 1):
-        t = lo + (hi - lo) * (k / samples)
-        u, v = (value, t) if fixed == "u" else (t, value)
-        try:
-            pts.append(s.point(u, v))
-        except DomainError:
-            continue
-        uv.append((u, v))
+    ts = (lo + (hi - lo) * (k / samples) for k in range(samples + 1))
+    pts, uv = _on_surface(
+        s, ((value, t) if fixed == "u" else (t, value) for t in ts)
+    )
     if len(pts) < 2:
         return None
     return SpaceCurve(tuple(pts), tuple(uv), f"boundary:{fixed}={value:g}")
@@ -277,20 +284,12 @@ def boundary_curves(s: ParametricSurface, samples: int = 100) -> list[SpaceCurve
     are pairs of opposite edges that coincide pointwise (the seam of a
     closed surface of revolution is not a boundary).
     """
-    u_lo = _edge_curve(s, "u", s.u_range[0], samples)
-    u_hi = _edge_curve(s, "u", s.u_range[1], samples)
-    v_lo = _edge_curve(s, "v", s.v_range[0], samples)
-    v_hi = _edge_curve(s, "v", s.v_range[1], samples)
-    for pair in ((u_lo, u_hi), (v_lo, v_hi)):
-        if pair[0] is not None and pair[1] is not None and _is_seam(*pair):
-            if pair is (u_lo, u_hi):
-                u_lo = u_hi = None
-            else:
-                v_lo = v_hi = None
     result = []
-    for edge in (u_lo, u_hi, v_lo, v_hi):
-        if edge is not None and not _collapsed(edge):
-            result.append(edge)
+    for fixed, rng in (("u", s.u_range), ("v", s.v_range)):
+        pair = [_edge_curve(s, fixed, value, samples) for value in rng]
+        if None not in pair and _is_seam(*pair):
+            continue
+        result.extend(e for e in pair if e is not None and not _collapsed(e))
     return result
 
 
@@ -302,18 +301,13 @@ def wires(
 ) -> list[SpaceCurve]:
     """Iso-parameter curves at the given u values, then the given v values."""
     out: list[SpaceCurve] = []
-    for value in fixed_u:
-        if not s.u_range[0] <= value <= s.u_range[1]:
-            raise SurfaceError(f"wire u={value!r} outside {s.u_range}")
-        curve = _edge_curve(s, "u", value, samples)
-        if curve is not None and not _collapsed(curve):
-            out.append(replace(curve, label=f"wire:u={value:g}"))
-    for value in fixed_v:
-        if not s.v_range[0] <= value <= s.v_range[1]:
-            raise SurfaceError(f"wire v={value!r} outside {s.v_range}")
-        curve = _edge_curve(s, "v", value, samples)
-        if curve is not None and not _collapsed(curve):
-            out.append(replace(curve, label=f"wire:v={value:g}"))
+    for fixed, values, rng in (("u", fixed_u, s.u_range), ("v", fixed_v, s.v_range)):
+        for value in values:
+            if not rng[0] <= value <= rng[1]:
+                raise SurfaceError(f"wire {fixed}={value!r} outside {rng}")
+            curve = _edge_curve(s, fixed, value, samples)
+            if curve is not None and not _collapsed(curve):
+                out.append(replace(curve, label=f"wire:{fixed}={value:g}"))
     return out
 
 
@@ -362,6 +356,26 @@ class ContactSite:
 class IntersectionResult:
     crossings: tuple[Crossing, ...]
     contacts: tuple[ContactSite, ...]
+
+
+def _segment_feet(
+    points: np.ndarray, chain: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feet of points (n, 2) on the segments of chain (m, 2).
+
+    Returns the clamped segment fractions t and the distances to the
+    feet, both of shape (n, m - 1); a zero-length segment has t = 0.
+    """
+    b0 = chain[:-1]
+    seg = chain[1:] - b0
+    seg_len2 = (seg * seg).sum(axis=1)
+    seg_len2[seg_len2 == 0.0] = 1.0
+    dp = points[:, None, :] - b0[None, :, :]
+    t = (dp * seg[None, :, :]).sum(axis=2) / seg_len2[None, :]
+    t = np.clip(t, 0.0, 1.0)
+    foot = b0[None, :, :] + t[:, :, None] * seg[None, :, :]
+    dist = np.sqrt(((points[:, None, :] - foot) ** 2).sum(axis=2))
+    return t, dist
 
 
 def intersect_projected(
@@ -435,14 +449,7 @@ def intersect_projected(
         # every local minimum of the vertex-to-segment distance below tol
         # is a candidate tangency (curves can brush the outline more than
         # once, so the single global closest approach is not enough)
-        seg = b1 - b0
-        seg_len2 = (seg * seg).sum(axis=1)
-        seg_len2[seg_len2 == 0.0] = 1.0
-        dp = pa[:, None, :] - b0[None, :, :]
-        tt = (dp * seg[None, :, :]).sum(axis=2) / seg_len2[None, :]
-        tt = np.clip(tt, 0.0, 1.0)
-        foot = b0[None, :, :] + tt[:, :, None] * seg[None, :, :]
-        dist = np.sqrt(((pa[:, None, :] - foot) ** 2).sum(axis=2))
+        tt, dist = _segment_feet(pa, pb)
         below = np.argwhere(dist < tol)
         sites: list[tuple[float, int, int]] = []
         for i, j in below.tolist():
@@ -459,7 +466,7 @@ def intersect_projected(
             if any(abs(c.ia - i) <= 5 and abs(c.ib - j) <= 5 for c in crossings):
                 continue
             kept.append((i, j))
-            fx, fy = foot[i, j]
+            fx, fy = b0[j] + tt[i, j] * (b1[j] - b0[j])
             mid = Point2(
                 0.5 * (pa[i, 0] + float(fx)), 0.5 * (pa[i, 1] + float(fy))
             )
@@ -482,18 +489,6 @@ def _window_spline(poly: Polyline, center: int, window: int):
     return build_spline(pts, method=SplineMethod.OSHIMA, closed=False)
 
 
-def _dist_to_chain(p: Point2, chain: Sequence[Point2]) -> float:
-    best = p.dist(chain[0])
-    for q0, q1 in zip(chain, chain[1:]):
-        dx, dy = q1.x - q0.x, q1.y - q0.y
-        den = dx * dx + dy * dy
-        t = 0.0 if den == 0.0 else min(
-            1.0, max(0.0, ((p.x - q0.x) * dx + (p.y - q0.y) * dy) / den)
-        )
-        best = min(best, math.hypot(p.x - q0.x - t * dx, p.y - q0.y - t * dy))
-    return best
-
-
 def _closest_fit_point(sp_a, sp_b, seed: Point2, tol: float):
     """Best-first closest approach of two spline fits.
 
@@ -502,10 +497,6 @@ def _closest_fit_point(sp_a, sp_b, seed: Point2, tol: float):
     is the contact estimate.  A pair further apart than a percent of
     the window size is no contact at all.
     """
-    import heapq
-    from itertools import count
-
-    from .geom import bezier_bbox, bezier_subdivide
 
     def box_gap(ba, bb) -> float:
         dx = max(ba[0] - bb[2], bb[0] - ba[2], 0.0)
@@ -558,8 +549,8 @@ def refine_contact(
     b: Polyline,
     center_a: int,
     center_b: int,
-    window: int = 6,
-    tol: float = 1e-7,
+    window: int = REFINE_WINDOW,
+    tol: float = REFINE_TOL,
 ) -> RefinedContact:
     """Intersection of local spline fits around a contact site.
 
@@ -570,8 +561,6 @@ def refine_contact(
     their centroid; with several candidates the one nearest the
     original site wins; with none the site is returned unrefined.
     """
-    from .geom import bezier_bbox, bezier_subdivide
-
     seed = (a.points[center_a] + b.points[center_b]) * 0.5
     sp_a = _window_spline(a, center_a, window)
     sp_b = _window_spline(b, center_b, window)
@@ -580,9 +569,9 @@ def refine_contact(
 
     # overlapping windows (a curve drawn twice, grazing duplicates)
     # never separate under subdivision; bail before burning the budget
-    win_a = a.points[max(0, center_a - window) : center_a + window + 1]
-    win_b = b.points[max(0, center_b - window) : center_b + window + 1]
-    if all(_dist_to_chain(p, win_b) <= 10.0 * tol for p in win_a):
+    win_a = a.as_array()[max(0, center_a - window) : center_a + window + 1]
+    win_b = b.as_array()[max(0, center_b - window) : center_b + window + 1]
+    if (_segment_feet(win_a, win_b)[1].min(axis=1) <= 10.0 * tol).all():
         return RefinedContact(seed, False)
 
     candidates: list[Point2] = []
@@ -673,11 +662,7 @@ class VisibilityTaggedCurve:
 def _param_point(poly: Polyline, param: float) -> Point2:
     i = min(int(param), len(poly.points) - 2)
     t = param - i
-    return _lerp2(poly.points[i], poly.points[i + 1], t)
-
-
-def _lerp2(a: Point2, b: Point2, t: float) -> Point2:
-    return Point2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
+    return _lerp(poly.points[i], poly.points[i + 1], t)
 
 
 def _sub_polyline(poly: Polyline, p0: float, p1: float) -> Polyline | None:
@@ -703,45 +688,23 @@ def _sub_polyline(poly: Polyline, p0: float, p1: float) -> Polyline | None:
 
 def _locate_param(poly: Polyline, q: Point2) -> tuple[float, float]:
     """Nearest (param, distance) of a point on the polyline."""
-    best = (0.0, math.inf)
-    pts = poly.points
-    for i in range(len(pts) - 1):
-        a, b = pts[i], pts[i + 1]
-        vx, vy = b.x - a.x, b.y - a.y
-        L2 = vx * vx + vy * vy
-        t = 0.0 if L2 == 0.0 else ((q.x - a.x) * vx + (q.y - a.y) * vy) / L2
-        t = max(0.0, min(1.0, t))
-        p = Point2(a.x + vx * t, a.y + vy * t)
-        d = p.dist(q)
-        if d < best[1]:
-            best = (i + t, d)
-    return best
+    t, dist = _segment_feet(np.array([[q.x, q.y]]), poly.as_array())
+    i = int(np.argmin(dist[0]))
+    return i + float(t[0, i]), float(dist[0, i])
 
 
 class OcclusionTester:
     """Finds surface points covering a screen position by damped Newton."""
 
-    def __init__(self, s: ParametricSurface, proj: Projection, seeds: int = 32):
+    def __init__(self, s: ParametricSurface, proj: Projection):
         self.surface = s
         self.proj = proj
-        self.seeds = seeds
         x_expr, y_expr = _projected_exprs(s, proj)
         self.fx = compile_fn(x_expr, ("u", "v"))
         self.fy = compile_fn(y_expr, ("u", "v"))
-        try:
-            self.fxu = compile_fn(diff(x_expr, "u"), ("u", "v"))
-            self.fxv = compile_fn(diff(x_expr, "v"), ("u", "v"))
-            self.fyu = compile_fn(diff(y_expr, "u"), ("u", "v"))
-            self.fyv = compile_fn(diff(y_expr, "v"), ("u", "v"))
-        except ExprError:
-            hu = 1e-7 * (s.u_range[1] - s.u_range[0])
-            hv = 1e-7 * (s.v_range[1] - s.v_range[0])
-            self.fxu = lambda u, v: (self.fx(u + hu, v) - self.fx(u - hu, v)) / (2 * hu)
-            self.fxv = lambda u, v: (self.fx(u, v + hv) - self.fx(u, v - hv)) / (2 * hv)
-            self.fyu = lambda u, v: (self.fy(u + hu, v) - self.fy(u - hu, v)) / (2 * hu)
-            self.fyv = lambda u, v: (self.fy(u, v + hv) - self.fy(u, v - hv)) / (2 * hv)
+        self.fxu, self.fxv, self.fyu, self.fyv = _projected_partials(s, proj)
 
-        n = seeds
+        n = OCCLUSION_SEEDS
         ulo, uhi = s.u_range
         vlo, vhi = s.v_range
         us = np.array([ulo + (uhi - ulo) * (i / n) for i in range(n + 1)])
@@ -938,16 +901,11 @@ def classify_visibility(
             ub, vb = poly.params[i + 1]
             own_uv = (ua + (ub - ua) * t, va + (vb - va) * t)
             p3 = s.point(*own_uv)
-            q, d = project(p3, proj)
         else:
             own_uv = None
             a3, b3 = poly.space[i], poly.space[i + 1]
-            p3 = Point3(
-                a3.x + (b3.x - a3.x) * t,
-                a3.y + (b3.y - a3.y) * t,
-                a3.z + (b3.z - a3.z) * t,
-            )
-            q, d = project(p3, proj)
+            p3 = a3 + (b3 - a3) * t
+        q, d = project(p3, proj)
         flag, bad = tester.hidden(q, d, own_uv, eps)
         hidden_flags.append(flag)
         trouble = trouble or bad
@@ -967,14 +925,19 @@ def classify_visibility(
 
 @dataclass(frozen=True)
 class SceneConfig:
+    """Scene settings; `splinefig surface` reads each from a `.surf` key.
+
+    wires_u, wires_v  iso-parameter wire values (keys `wires_u`, `wires_v`)
+    grid              silhouette trace resolution (key `grid`)
+    samples           points per drawn curve (key `samples`)
+    hidden_style      "dashed" or "omit" for hidden intervals (key `hidden`)
+    axes              draw the coordinate axes (key `axes`, on or off)
+    """
+
     wires_u: tuple[float, ...] = ()
     wires_v: tuple[float, ...] = ()
     grid: int = 200
     samples: int = 100
-    seeds: int = 32
-    contact_tol: float = 0.02
-    refine_tol: float = 1e-7
-    window: int = 6
     hidden_style: str = "dashed"  # or "omit"
     axes: bool = True
 
@@ -995,15 +958,13 @@ class SceneReport:
 
 def _axis_curves(s: ParametricSurface, samples: int) -> list[SpaceCurve]:
     n = 8
-    pts = []
-    for i in range(n + 1):
-        u = s.u_range[0] + (s.u_range[1] - s.u_range[0]) * (i / n)
-        for j in range(n + 1):
-            v = s.v_range[0] + (s.v_range[1] - s.v_range[0]) * (j / n)
-            try:
-                pts.append(s.point(u, v))
-            except DomainError:
-                continue
+    (ulo, uhi), (vlo, vhi) = s.u_range, s.v_range
+    grid = (
+        (ulo + (uhi - ulo) * (i / n), vlo + (vhi - vlo) * (j / n))
+        for i in range(n + 1)
+        for j in range(n + 1)
+    )
+    pts, _ = _on_surface(s, grid)
     if not pts:
         raise SurfaceError("surface undefined everywhere")
     los = [min(p.x for p in pts), min(p.y for p in pts), min(p.z for p in pts)]
@@ -1055,25 +1016,19 @@ def build_surface_scene(
             continue
         projected.append((role, curve, poly))
     outline_polys = [
-        (c, p) for role, c, p in projected if role in ("boundary", "silhouette")
+        p for role, _, p in projected if role in ("boundary", "silhouette")
     ]
 
-    tester = OcclusionTester(s, proj, seeds=cfg.seeds)
+    tester = OcclusionTester(s, proj)
 
     def cut_points(poly: Polyline) -> list[Point2]:
         pts: list[Point2] = []
-        for oc, op in outline_polys:
-            if op is poly:
-                res = intersect_projected(poly, poly, tol=cfg.contact_tol)
-            else:
-                res = intersect_projected(poly, op, tol=cfg.contact_tol)
+        for op in outline_polys:
+            # op is poly when an outline curve meets itself
+            res = intersect_projected(poly, op, tol=CONTACT_TOL)
             pts.extend(c.point for c in res.crossings)
             for site in res.contacts:
-                other = poly if op is poly else op
-                rc = refine_contact(
-                    poly, other, site.ia, site.ib, cfg.window, cfg.refine_tol
-                )
-                pts.append(rc.point)
+                pts.append(refine_contact(poly, op, site.ia, site.ib).point)
         return pts
 
     def work(item: tuple[str, SpaceCurve, Polyline]) -> VisibilityTaggedCurve:
@@ -1082,15 +1037,6 @@ def build_surface_scene(
 
     with ThreadPoolExecutor() as pool:
         tagged = list(pool.map(work, projected))
-
-    by_role: dict[str, list[VisibilityTaggedCurve]] = {
-        "boundary": [],
-        "silhouette": [],
-        "wire": [],
-        "extra": [],
-    }
-    for (role, _, _), tc in zip(projected, tagged):
-        by_role[role].append(tc)
 
     items: list[DrawItem] = []
     for tc in tagged:
@@ -1110,10 +1056,10 @@ def build_surface_scene(
         items.extend(drawn)
     scene = scene_from_items(items)
     report = SceneReport(
-        tuple(by_role["silhouette"]),
-        tuple(by_role["boundary"]),
-        tuple(by_role["wire"]),
-        tuple(by_role["extra"]),
+        *(
+            tuple(tc for (r, _, _), tc in zip(projected, tagged) if r == role)
+            for role in ("silhouette", "boundary", "wire", "extra")
+        )
     )
     return scene, report
 
@@ -1153,8 +1099,8 @@ def contact_demo(
     phi: float = math.radians(25.0),
     grid: int = 200,
     samples: int = 100,
-    window: int = 6,
-    tol: float = 1e-7,
+    window: int = REFINE_WINDOW,
+    tol: float = REFINE_TOL,
 ) -> ContactDemoResult:
     """Refine the y-axis / silhouette crossing of the standard paraboloid.
 

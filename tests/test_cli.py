@@ -1,6 +1,7 @@
 """End-to-end runs of the command line through main(argv)."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -242,6 +243,23 @@ class TestSurface:
     def test_missing_file(self, capsys):
         assert main(["surface", "/no/such/file.surf"]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_readme_file_with_inline_comments(self, capsys, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("with `paraboloid.surf`:\n\n```\n", 1)[1]
+        commented = tmp_path / "paraboloid.surf"
+        commented.write_text(block.split("```", 1)[0])
+        plain = tmp_path / "plain.surf"
+        plain.write_text(
+            "x = u*cos(v)\ny = u*sin(v)\nz = 4 - u^2\nu = 0, 2\nv = 0, 2*pi\n"
+            "wires_v = 0, pi/3, 2*pi/3, pi, 4*pi/3, 5*pi/3\n"
+            "theta = 60\nphi = 25\ngrid = 200\nsamples = 100\n"
+            "hidden = dashed\naxes = on\n"
+        )
+        assert main(["surface", str(commented)]) == 0
+        with_comments = capsys.readouterr().out
+        assert main(["surface", str(plain)]) == 0
+        assert with_comments == capsys.readouterr().out
 
 
 class TestContactDemo:

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from splinefig.geom import Point2, Point3, Polyline, closest_approach
 from splinefig.render import Style, emit_latex
 from splinefig.surface import (
+    _locate_param,
     OcclusionTester,
     ParametricSurface,
     Projection,
@@ -158,6 +160,20 @@ class TestBoundaries:
         s = ParametricSurface.from_strings("u", "v", "u*v", (0, 1), (0, 1))
         assert len(boundary_curves(s)) == 4
 
+    def test_seam_along_u_drops_only_the_seam(self):
+        # the paraboloid with u and v swapped: the seam is u = 0 ~ u = 2 pi
+        s = ParametricSurface.from_strings(
+            "v*cos(u)", "v*sin(u)", "4-v^2", (0.0, 2 * math.pi), (0.0, 2.0)
+        )
+        assert [c.label for c in boundary_curves(s)] == ["boundary:v=2"]
+
+    def test_swapped_cylinder_has_two_rims(self):
+        s = ParametricSurface.from_strings(
+            "cos(u)", "sin(u)", "v", (0.0, 2 * math.pi), (0.0, 1.0)
+        )
+        labels = [c.label for c in boundary_curves(s)]
+        assert labels == ["boundary:v=0", "boundary:v=1"]
+
 
 class TestWires:
     def test_count_and_labels(self):
@@ -289,6 +305,54 @@ class TestRefineContact:
         b = dense_line((0, 5), (1, 5), 40)
         rc = refine_contact(a, b, 20, 20)
         assert not rc.refined
+
+
+def _segment_dists_loop(poly: Polyline, q: Point2) -> list[tuple[float, float]]:
+    """Reference: (param, distance) of q's foot on each segment, one at a time."""
+    out = []
+    pts = poly.points
+    for i in range(len(pts) - 1):
+        a, b = pts[i], pts[i + 1]
+        vx, vy = b.x - a.x, b.y - a.y
+        L2 = vx * vx + vy * vy
+        t = 0.0 if L2 == 0.0 else ((q.x - a.x) * vx + (q.y - a.y) * vy) / L2
+        t = max(0.0, min(1.0, t))
+        p = Point2(a.x + vx * t, a.y + vy * t)
+        out.append((i + t, p.dist(q)))
+    return out
+
+
+def _locate_param_loop(poly: Polyline, q: Point2) -> tuple[float, float]:
+    """Reference: the scalar nearest-point loop (first strict minimum)."""
+    best = (0.0, math.inf)
+    for param, d in _segment_dists_loop(poly, q):
+        if d < best[1]:
+            best = (param, d)
+    return best
+
+
+# figure coordinates: [-10, 10] cm at a 1e-5 resolution.  (The vectorised
+# form squares differences, which underflow below about 1e-154.)
+coord = st.integers(-10**6, 10**6).map(lambda k: k / 1e5)
+point = st.builds(Point2, coord, coord)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(point, min_size=2, max_size=30), point)
+def test_locate_param_matches_the_scalar_loop(chain, q):
+    chain = [p for k, p in enumerate(chain) if k == 0 or p != chain[k - 1]]
+    assume(len(chain) >= 2)
+    poly = Polyline(tuple(chain))
+    param, dist = _locate_param(poly, q)
+    ref_param, ref_dist = _locate_param_loop(poly, q)
+    assert math.isclose(dist, ref_dist, rel_tol=1e-12)
+    if param != ref_param:
+        # only a tie may differ: a chain that passes the nearest point
+        # twice, where hypot and sqrt round the two distances apart
+        seg = min(int(param), len(chain) - 2)
+        seg_param, seg_dist = _segment_dists_loop(poly, q)[seg]
+        assert seg_param == param
+        assert math.isclose(seg_dist, ref_dist, rel_tol=1e-12)
 
 
 class TestVisibility:
