@@ -78,12 +78,12 @@ class IntegrationRequest:
     def __post_init__(self):
         object.__setattr__(self, "data", tuple(self.data))
         if len(self.data) < 4:
-            raise ValueError("integration needs at least 4 data points")
+            raise CalculusError("integration needs at least 4 data points")
         a, b = self.interval
         if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("interval bounds must be finite")
+            raise CalculusError("interval bounds must be finite")
         if a > b:
-            raise ValueError(f"empty interval [{a!r}, {b!r}]")
+            raise CalculusError(f"empty interval [{a!r}, {b!r}]")
 
 
 def _solve_segment_x(seg: CubicBezier, bound: float) -> float:
@@ -192,15 +192,10 @@ def derivative_at(
     method: SplineMethod = SplineMethod.OSHIMA,
 ) -> float:
     """Slope dy/dx of the spline fit at x = x0."""
-    pts = _oriented(data)
-    if len(pts) < 2:
-        raise ValueError("need at least 2 data points")
-    curve = build_spline(pts, method=method, closed=False)
-    seg, t = _locate_segment(curve, x0)
-    d = bezier_derivative(seg, t)
-    if abs(d.x) < VERTICAL_EPS:
+    line = tangent_line(data, x0, method)
+    if line.vertical:
         raise VerticalTangentError(f"vertical tangent at x = {x0!r}")
-    return d.y / d.x
+    return line.slope
 
 
 def curve_y_at(
@@ -209,10 +204,7 @@ def curve_y_at(
     method: SplineMethod = SplineMethod.OSHIMA,
 ) -> float:
     """y value of the spline fit at x = x0 (same fit derivative_at uses)."""
-    pts = _oriented(data)
-    curve = build_spline(pts, method=method, closed=False)
-    seg, t = _locate_segment(curve, x0)
-    return bezier_eval(seg, t).y
+    return tangent_line(data, x0, method).point.y
 
 
 @dataclass(frozen=True)
@@ -234,10 +226,13 @@ def tangent_line(
     x0: float,
     method: SplineMethod = SplineMethod.OSHIMA,
 ) -> TangentLine:
-    """Tangent line of the spline fit at x = x0."""
-    y0 = curve_y_at(data, x0, method)
-    try:
-        m = derivative_at(data, x0, method)
-    except VerticalTangentError:
+    """Tangent line of the spline fit at x = x0; one fit gives point and slope."""
+    pts = _oriented(data)
+    if len(pts) < 2:
+        raise ValueError("need at least 2 data points")
+    seg, t = _locate_segment(build_spline(pts, method=method, closed=False), x0)
+    y0 = bezier_eval(seg, t).y
+    d = bezier_derivative(seg, t)
+    if abs(d.x) < VERTICAL_EPS:
         return TangentLine(Point2(x0, y0), None, vertical=True)
-    return TangentLine(Point2(x0, y0), m, vertical=False)
+    return TangentLine(Point2(x0, y0), d.y / d.x, vertical=False)

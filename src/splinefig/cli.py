@@ -1,10 +1,14 @@
 """Command line front end.
 
 Numeric options go through the expression parser, so --interval 0,pi
-or --at pi/4 work anywhere a number is expected.  Figures are written
-as LaTeX picture environments by default (--format svg or csv for the
-alternatives), to --out or stdout.  Exit status: 0 on success, 1 when
-the computation fails, 2 on usage errors.
+or --at pi/4 work anywhere a number is expected; counts and the
+elevation are checked as they are parsed, on argv and in `.surf` files
+alike.  Figures are written as LaTeX picture environments by default,
+to --out or stdout; --format svg is the alternative, and `spline` and
+`implicit` also write csv.  --show-config prints every parsed option,
+then the values the command resolved (spline: `closed`; surface: the
+`.surf` keys), and exits.  Exit status: 0 on success, 1 when the
+computation fails, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
-from . import __version__
+from . import __version__, surface
 from .calculus import (
     CalculusError,
     IntegrationRequest,
@@ -22,8 +26,8 @@ from .calculus import (
     integrate,
     tangent_line,
 )
-from .expr import DomainError, ExprError, compile_fn, evaluate, free_vars, parse
-from .geom import Point2, Polyline, load_points
+from .expr import ExprError, compile_fn, evaluate, free_vars, parse
+from .geom import Point2, PointFileError, Polyline, load_points
 from .implicit import TraceConfig, TraceError, parse_equation, trace_implicit
 from .render import (
     DrawItem,
@@ -42,37 +46,78 @@ from .surface import (
     SurfaceError,
     contact_demo,
     paraboloid_surface,
-    render_surface_scene,
 )
 
 _ERRORS = (
-    ExprError,
-    DomainError,
+    ExprError,  # DomainError included
     CalculusError,
     TraceError,
     SurfaceError,
     DegenerateGeometryError,
     RenderError,
+    PointFileError,
     OSError,
 )
 
-
-def _num(text: str) -> float:
-    """A numeric argument; pi, e and arithmetic are fine."""
-    try:
-        node = parse(text)
-        if free_vars(node):
-            raise ExprError(f"{text!r} is not a constant")
-        return evaluate(node, {})
-    except ExprError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+# ---------------------------------------------------------------------------
+# value converters: text in, value out, ExprError on bad text
 
 
-def _num_pair(text: str) -> tuple[float, float]:
+def _const(text: str) -> float:
+    """A constant; pi, e and arithmetic are fine."""
+    node = parse(text)
+    if free_vars(node):
+        raise ExprError(f"{text!r} is not a constant")
+    return evaluate(node, {})
+
+
+def _const_pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'a,b', got {text!r}")
-    return _num(parts[0]), _num(parts[1])
+        raise ExprError(f"expected 'a,b', got {text!r}")
+    return _const(parts[0]), _const(parts[1])
+
+
+def _const_list(text: str) -> tuple[float, ...]:
+    return tuple(_const(p) for p in text.split(",") if p.strip())
+
+
+def _elevation(text: str) -> float:
+    """An elevation in degrees, strictly between -90 and 90.
+
+    Tested in radians, as Projection tests it, so the two never disagree.
+    """
+    phi = _const(text)
+    if not -math.pi / 2 < math.radians(phi) < math.pi / 2:
+        raise ExprError(f"elevation must lie in (-90, 90) degrees, got {text!r}")
+    return phi
+
+
+def _count(minimum: int) -> Callable[[str], int]:
+    """A converter for an integer of at least `minimum`."""
+
+    def count(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            n = None
+        if n is None or n < minimum:
+            raise ExprError(f"expected an integer >= {minimum}, got {text!r}")
+        return n
+
+    return count
+
+
+def _arg(convert: Callable[[str], object]) -> Callable[[str], object]:
+    """The argparse type for a converter: bad text is a usage error."""
+
+    def arg_type(text: str) -> object:
+        try:
+            return convert(text)
+        except ExprError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+
+    return arg_type
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -96,49 +141,54 @@ def _polyline_csv(polys: Sequence[Polyline]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _show_config(pairs: list[tuple[str, object]]) -> int:
-    for key, value in pairs:
+def _show_config(args, **resolved: object) -> int:
+    """Print every parsed option in parser order, then the resolved values.
+
+    A resolved value replaces the parsed option of the same name.
+    """
+    skip = {"command", "func", "show_config", *resolved}
+    shown = {k: v for k, v in vars(args).items() if k not in skip}
+    for key, value in {**shown, **resolved}.items():
         print(f"{key} = {value}")
     return 0
 
 
-def _sample_fn(expr_text: str, lo: float, hi: float, num: int) -> list[Point2]:
-    node = parse(expr_text)
-    extra = free_vars(node) - {"x"}
-    if extra:
-        raise ExprError(f"unexpected variables {sorted(extra)} in --fn")
-    f = compile_fn(node, ("x",))
-    return [
-        Point2(lo + (hi - lo) * (k / num), f(lo + (hi - lo) * (k / num)))
-        for k in range(num + 1)
-    ]
-
-
-def _sample_param(
-    fx_text: str, fy_text: str, lo: float, hi: float, num: int
+def _sample(
+    flag: str, var: str, exprs: Sequence[str], rng: tuple[float, float], num: int
 ) -> list[Point2]:
-    nx, ny = parse(fx_text), parse(fy_text)
-    extra = (free_vars(nx) | free_vars(ny)) - {"t"}
+    """Points at num + 1 even steps of `var` over rng.
+
+    One expression f gives the graph (var, f); two give (f, g).
+    """
+    nodes = [parse(text) for text in exprs]
+    extra = set().union(*map(free_vars, nodes)) - {var}
     if extra:
-        raise ExprError(f"unexpected variables {sorted(extra)} in --fx/--fy")
-    fx = compile_fn(nx, ("t",))
-    fy = compile_fn(ny, ("t",))
+        raise ExprError(f"unexpected variables {sorted(extra)} in {flag}")
+    fns = [compile_fn(node, (var,)) for node in nodes]
+    fx, fy = fns if len(fns) == 2 else (lambda v: v, fns[0])
+    lo, hi = rng
     out = []
     for k in range(num + 1):
-        t = lo + (hi - lo) * (k / num)
-        out.append(Point2(fx(t), fy(t)))
+        v = lo + (hi - lo) * (k / num)
+        out.append(Point2(fx(v), fy(v)))
     return out
 
 
 def _data_points(args) -> list[Point2]:
+    """Points from --points, else sampled from --fn on x or --fx/--fy on t."""
     if args.points:
         return load_points(args.points)
-    if args.fn:
+    if "fn" in vars(args):
+        if not args.fn:
+            raise ExprError("need --points or --fn")
         if args.sample_range is None:
             raise ExprError("--fn needs --sample-range")
-        lo, hi = args.sample_range
-        return _sample_fn(args.fn, lo, hi, args.num)
-    raise ExprError("need --points or --fn")
+        return _sample("--fn", "x", (args.fn,), args.sample_range, args.num)
+    if not (args.fx and args.fy):
+        raise ExprError("need --points or --fx and --fy")
+    if args.range is None:
+        raise ExprError("--fx/--fy need --range")
+    return _sample("--fx/--fy", "t", (args.fx, args.fy), args.range, args.num)
 
 
 def _method(args) -> SplineMethod:
@@ -151,21 +201,9 @@ def _method(args) -> SplineMethod:
 
 def _cmd_spline(args) -> int:
     pts = load_points(args.points)
-    closed = None
-    if args.closed:
-        closed = True
-    elif args.open:
-        closed = False
+    closed = True if args.closed else (False if args.open else None)
     if args.show_config:
-        return _show_config(
-            [
-                ("points", args.points),
-                ("method", args.method),
-                ("closed", "auto" if closed is None else closed),
-                ("samples", args.samples),
-                ("format", args.format),
-            ]
-        )
+        return _show_config(args, closed="auto" if closed is None else closed)
     curve = build_spline(pts, method=_method(args), closed=closed)
     poly = curve.sample(args.samples)
     if args.format == "csv":
@@ -180,21 +218,10 @@ def _cmd_spline(args) -> int:
 
 def _cmd_integrate(args) -> int:
     if args.show_config:
-        return _show_config(
-            [
-                ("points", args.points),
-                ("fn", args.fn),
-                ("sample_range", args.sample_range),
-                ("num", args.num),
-                ("interval", args.interval),
-                ("method", args.method),
-            ]
-        )
+        return _show_config(args)
     pts = _data_points(args)
-    interval = args.interval
-    if interval is None:
-        xs = [p.x for p in pts]
-        interval = (min(xs), max(xs))
+    xs = [p.x for p in pts]
+    interval = args.interval or (min(xs, default=0.0), max(xs, default=0.0))
     req = IntegrationRequest(tuple(pts), interval, _method(args))
     print(f"{integrate(req):.6f}")
     return 0
@@ -202,68 +229,32 @@ def _cmd_integrate(args) -> int:
 
 def _cmd_area(args) -> int:
     if args.show_config:
-        return _show_config(
-            [
-                ("points", args.points),
-                ("fx", args.fx),
-                ("fy", args.fy),
-                ("range", args.range),
-                ("num", args.num),
-                ("method", args.method),
-            ]
-        )
-    if args.points:
-        pts = load_points(args.points)
-    elif args.fx and args.fy:
-        if args.range is None:
-            raise ExprError("--fx/--fy need --range")
-        lo, hi = args.range
-        pts = _sample_param(args.fx, args.fy, lo, hi, args.num)
-    else:
-        raise ExprError("need --points or --fx and --fy")
+        return _show_config(args)
+    pts = _data_points(args)
     print(f"{abs(closed_area(pts, _method(args))):.6f}")
     return 0
 
 
 def _cmd_tangent(args) -> int:
     if args.show_config:
-        return _show_config(
-            [
-                ("points", args.points),
-                ("fn", args.fn),
-                ("at", args.at),
-                ("method", args.method),
-            ]
-        )
+        return _show_config(args)
     pts = _data_points(args)
     line = tangent_line(tuple(pts), args.at, _method(args))
-    if line.vertical:
-        print(f"point ({line.point.x:.6f},{line.point.y:.6f}) tangent vertical")
-    else:
-        print(
-            f"point ({line.point.x:.6f},{line.point.y:.6f}) "
-            f"slope {line.slope:.6f}"
-        )
+    x0, y0 = line.point.x, line.point.y
+    what = "tangent vertical" if line.vertical else f"slope {line.slope:.6f}"
+    print(f"point ({x0:.6f},{y0:.6f}) {what}")
     if args.out:
         curve = build_spline(pts, method=_method(args), closed=False).sample(10)
         xs = [p.x for p in pts]
         half = 0.25 * (max(xs) - min(xs))
-        a = line.point.x - half
-        b = line.point.x + half
         if line.vertical:
-            tang = Polyline(
-                (
-                    Point2(line.point.x, line.point.y - half),
-                    Point2(line.point.x, line.point.y + half),
-                )
-            )
+            ends = (Point2(x0, y0 - half), Point2(x0, y0 + half))
         else:
-            tang = Polyline(
-                (Point2(a, line.y_at(a)), Point2(b, line.y_at(b)))
-            )
+            a, b = x0 - half, x0 + half
+            ends = (Point2(a, line.y_at(a)), Point2(b, line.y_at(b)))
         items = [
             DrawItem(curve),
-            DrawItem(tang, style=Style.DASHED),
+            DrawItem(Polyline(ends), style=Style.DASHED),
             DrawItem(Polyline(tuple(pts)), style=Style.DOTTED_DISC),
         ]
         _emit(scene_from_items(items), args.format, args.out)
@@ -272,16 +263,7 @@ def _cmd_tangent(args) -> int:
 
 def _cmd_implicit(args) -> int:
     if args.show_config:
-        return _show_config(
-            [
-                ("fn", args.fn),
-                ("xrange", args.xrange),
-                ("yrange", args.yrange),
-                ("grid", args.grid),
-                ("method", args.method),
-                ("format", args.format),
-            ]
-        )
+        return _show_config(args)
     node = parse_equation(args.fn)
     cfg = TraceConfig(args.xrange, args.yrange, grid=args.grid)
     comps = trace_implicit(node, cfg)
@@ -290,10 +272,8 @@ def _cmd_implicit(args) -> int:
         if not open_comps:
             raise TraceError("no open component to integrate")
         branch = open_comps[0]
-        lo, hi = branch.pt_end.x, branch.pt_start.x
-        if lo > hi:
-            lo, hi = hi, lo
-        req = IntegrationRequest(branch.points, (lo, hi), _method(args))
+        interval = sorted((branch.pt_end.x, branch.pt_start.x))
+        req = IntegrationRequest(branch.points, tuple(interval), _method(args))
         print(f"{integrate(req):.6f}")
         return 0
     if not comps:
@@ -301,11 +281,7 @@ def _cmd_implicit(args) -> int:
     if args.format == "csv":
         _write_out(_polyline_csv(comps), args.out)
         return 0
-    _emit(
-        scene_from_items([DrawItem(c) for c in comps]),
-        args.format,
-        args.out,
-    )
+    _emit(scene_from_items([DrawItem(c) for c in comps]), args.format, args.out)
     return 0
 
 
@@ -323,80 +299,53 @@ def _read_surface_file(path: str) -> dict[str, str]:
     return desc
 
 
+def _setting(
+    desc: dict[str, str], key: str, convert: Callable[[str], object], default: str = ""
+) -> object:
+    """A `.surf` value through its converter; a bad one names its key."""
+    try:
+        return convert(desc.get(key, default))
+    except ExprError as exc:
+        raise SurfaceError(f"{key}: {exc}") from exc
+
+
 def _cmd_surface(args) -> int:
     desc = _read_surface_file(args.file)
     missing = {"x", "y", "z", "u", "v"} - desc.keys()
     if missing:
         raise SurfaceError(f"surface file lacks {sorted(missing)}")
-
-    def pair(key: str) -> tuple[float, float]:
-        parts = desc[key].split(",")
-        if len(parts) != 2:
-            raise SurfaceError(f"{key} must be 'lo, hi'")
-        return _const(parts[0]), _const(parts[1])
-
-    def _const(text: str) -> float:
-        node = parse(text)
-        if free_vars(node):
-            raise SurfaceError(f"{text!r} is not a constant")
-        return evaluate(node, {})
-
-    surf = ParametricSurface.from_strings(
-        desc["x"], desc["y"], desc["z"], pair("u"), pair("v")
-    )
-    theta = args.theta if args.theta is not None else _const(desc.get("theta", "60"))
-    phi = args.phi if args.phi is not None else _const(desc.get("phi", "25"))
+    u, v = _setting(desc, "u", _const_pair), _setting(desc, "v", _const_pair)
+    surf = ParametricSurface.from_strings(desc["x"], desc["y"], desc["z"], u, v)
+    theta = args.theta
+    if theta is None:
+        theta = _setting(desc, "theta", _const, "60")
+    phi = args.phi
+    if phi is None:
+        phi = _setting(desc, "phi", _elevation, "25")
     proj = Projection(math.radians(theta), math.radians(phi))
-    wires_u = tuple(
-        _const(p) for p in desc.get("wires_u", "").split(",") if p.strip()
-    )
-    wires_v = tuple(
-        _const(p) for p in desc.get("wires_v", "").split(",") if p.strip()
-    )
     cfg = SceneConfig(
-        wires_u=wires_u,
-        wires_v=wires_v,
-        grid=int(desc.get("grid", "200")),
-        samples=int(desc.get("samples", "100")),
+        wires_u=_setting(desc, "wires_u", _const_list),
+        wires_v=_setting(desc, "wires_v", _const_list),
+        grid=_setting(desc, "grid", _count(8), "200"),
+        samples=_setting(desc, "samples", _count(1), "100"),
         hidden_style=desc.get("hidden", "dashed"),
         axes=desc.get("axes", "on") != "off",
     )
     if args.show_config:
         return _show_config(
-            [
-                ("x", desc["x"]),
-                ("y", desc["y"]),
-                ("z", desc["z"]),
-                ("u", pair("u")),
-                ("v", pair("v")),
-                ("theta", theta),
-                ("phi", phi),
-                ("wires_u", wires_u),
-                ("wires_v", wires_v),
-                ("grid", cfg.grid),
-                ("samples", cfg.samples),
-                ("hidden", cfg.hidden_style),
-                ("axes", cfg.axes),
-                ("format", args.format),
-            ]
+            args, x=desc["x"], y=desc["y"], z=desc["z"], u=u, v=v,
+            theta=theta, phi=phi, wires_u=cfg.wires_u, wires_v=cfg.wires_v,
+            grid=cfg.grid, samples=cfg.samples, hidden=cfg.hidden_style,
+            axes=cfg.axes,
         )
-    scene = render_surface_scene(surf, proj, cfg)
+    scene, _ = surface.build_surface_scene(surf, proj, cfg)
     _emit(scene, args.format, args.out)
     return 0
 
 
 def _cmd_contact_demo(args) -> int:
     if args.show_config:
-        return _show_config(
-            [
-                ("theta", args.theta),
-                ("phi", args.phi),
-                ("grid", args.grid),
-                ("samples", args.samples),
-                ("window", args.window),
-                ("tol", args.tol),
-            ]
-        )
+        return _show_config(args)
     result = contact_demo(
         math.radians(args.theta),
         math.radians(args.phi),
@@ -405,32 +354,27 @@ def _cmd_contact_demo(args) -> int:
         window=args.window,
         tol=args.tol,
     )
-    dist = result.refined.dist(result.analytic)
-    print(f"crossings: {result.crossings}")
-    print(
-        f"cluster: {len(result.cluster)} candidate midpoints, "
-        f"spread {result.cluster_spread:.6f}"
-    )
+    r, a = result.refined, result.analytic
     tag = "refined" if result.refined_ok else "unrefined (closest approach)"
     print(
-        f"contact: ({result.refined.x:.6f},{result.refined.y:.6f}) [{tag}]"
+        f"crossings: {result.crossings}\n"
+        f"cluster: {len(result.cluster)} candidate midpoints, "
+        f"spread {result.cluster_spread:.6f}\n"
+        f"contact: ({r.x:.6f},{r.y:.6f}) [{tag}]\n"
+        f"analytic: ({a.x:.6f},{a.y:.6f})\n"
+        f"distance: {r.dist(a):.6f}"
     )
-    print(
-        f"analytic: ({result.analytic.x:.6f},{result.analytic.y:.6f})"
-    )
-    print(f"distance: {dist:.6f}")
     if args.out:
         proj = Projection(math.radians(args.theta), math.radians(args.phi))
-        scene = render_surface_scene(
+        scene, _ = surface.build_surface_scene(
             paraboloid_surface(),
             proj,
             SceneConfig(grid=args.grid, samples=args.samples),
         )
         m = 0.08
-        p = result.refined
         cross = [
-            DrawItem(Polyline((Point2(p.x - m, p.y - m), Point2(p.x + m, p.y + m)))),
-            DrawItem(Polyline((Point2(p.x - m, p.y + m), Point2(p.x + m, p.y - m)))),
+            DrawItem(Polyline((Point2(r.x - m, r.y - m), Point2(r.x + m, r.y + m)))),
+            DrawItem(Polyline((Point2(r.x - m, r.y + m), Point2(r.x + m, r.y - m)))),
         ]
         scene = scene_from_items(list(scene.items) + cross)
         _emit(scene, args.format, args.out)
@@ -441,11 +385,12 @@ def _cmd_contact_demo(args) -> int:
 # parser
 
 
-def _add_common_figure(p: argparse.ArgumentParser) -> None:
+def _add_common_figure(
+    p: argparse.ArgumentParser, formats: tuple[str, ...] = ("tex", "svg")
+) -> None:
     p.add_argument("--out", help="output file (default: stdout)")
     p.add_argument(
-        "--format", choices=("tex", "svg", "csv"), default="tex",
-        help="figure format",
+        "--format", choices=formats, default="tex", help="figure format"
     )
 
 
@@ -456,14 +401,8 @@ def _add_method(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_show_config(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--show-config", action="store_true",
-        help="print the resolved settings and exit",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
+    num, pair = _arg(_const), _arg(_const_pair)
     ap = argparse.ArgumentParser(
         prog="splinefig",
         description="spline figures, spline calculus and hidden-line drawings",
@@ -473,82 +412,84 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spline", help="interpolate sampled points")
     p.add_argument("--points", required=True, help="csv file of x,y rows")
-    p.add_argument("--samples", type=int, default=10, help="samples per segment")
+    p.add_argument(
+        "--samples", type=_arg(_count(1)), default=10, help="samples per segment"
+    )
     group = p.add_mutually_exclusive_group()
     group.add_argument("--closed", action="store_true")
     group.add_argument("--open", action="store_true")
     _add_method(p)
-    _add_common_figure(p)
-    _add_show_config(p)
+    _add_common_figure(p, ("tex", "svg", "csv"))
     p.set_defaults(func=_cmd_spline)
 
     p = sub.add_parser("integrate", help="integral under an interpolated curve")
     p.add_argument("--points", help="csv file of x,y rows")
     p.add_argument("--fn", help="sample y = f(x) instead of reading a file")
-    p.add_argument("--sample-range", type=_num_pair, metavar="A,B")
-    p.add_argument("--num", type=int, default=50, help="subdivision count")
-    p.add_argument("--interval", type=_num_pair, metavar="A,B")
+    p.add_argument("--sample-range", type=pair, metavar="A,B")
+    p.add_argument("--num", type=_arg(_count(1)), default=50, help="subdivision count")
+    p.add_argument("--interval", type=pair, metavar="A,B")
     _add_method(p)
-    _add_show_config(p)
     p.set_defaults(func=_cmd_integrate)
 
     p = sub.add_parser("area", help="area enclosed by a closed curve")
     p.add_argument("--points", help="csv file of x,y rows")
     p.add_argument("--fx", help="x(t) for parametric sampling")
     p.add_argument("--fy", help="y(t) for parametric sampling")
-    p.add_argument("--range", type=_num_pair, metavar="A,B")
-    p.add_argument("--num", type=int, default=50)
+    p.add_argument("--range", type=pair, metavar="A,B")
+    p.add_argument("--num", type=_arg(_count(1)), default=50)
     _add_method(p)
-    _add_show_config(p)
     p.set_defaults(func=_cmd_area)
 
     p = sub.add_parser("tangent", help="tangent line of the interpolated curve")
     p.add_argument("--points", help="csv file of x,y rows")
     p.add_argument("--fn", help="sample y = f(x) instead of reading a file")
-    p.add_argument("--sample-range", type=_num_pair, metavar="A,B")
-    p.add_argument("--num", type=int, default=50)
-    p.add_argument("--at", type=_num, required=True, metavar="X")
+    p.add_argument("--sample-range", type=pair, metavar="A,B")
+    p.add_argument("--num", type=_arg(_count(1)), default=50)
+    p.add_argument("--at", type=num, required=True, metavar="X")
     _add_method(p)
     _add_common_figure(p)
-    _add_show_config(p)
     p.set_defaults(func=_cmd_tangent)
 
     p = sub.add_parser("implicit", help="trace F(x,y) = G(x,y) in a window")
     p.add_argument("--fn", required=True, help="equation, e.g. 'x^2+y^2=1'")
-    p.add_argument("--xrange", type=_num_pair, required=True, metavar="A,B")
-    p.add_argument("--yrange", type=_num_pair, required=True, metavar="A,B")
-    p.add_argument("--grid", type=int, default=200)
+    p.add_argument("--xrange", type=pair, required=True, metavar="A,B")
+    p.add_argument("--yrange", type=pair, required=True, metavar="A,B")
+    p.add_argument("--grid", type=_arg(_count(8)), default=200)
     p.add_argument(
         "--integrate-endpoints", action="store_true",
         help="integrate the open branch between its endpoint abscissae",
     )
     _add_method(p)
-    _add_common_figure(p)
-    _add_show_config(p)
+    _add_common_figure(p, ("tex", "svg", "csv"))
     p.set_defaults(func=_cmd_implicit)
 
     p = sub.add_parser("surface", help="hidden-line drawing of a surface")
     p.add_argument("file", help="key = value surface description file")
-    p.add_argument("--theta", type=_num, help="azimuth in degrees")
-    p.add_argument("--phi", type=_num, help="elevation in degrees")
+    p.add_argument("--theta", type=num, help="azimuth in degrees")
+    p.add_argument("--phi", type=_arg(_elevation), help="elevation in degrees")
     _add_common_figure(p)
-    _add_show_config(p)
     p.set_defaults(func=_cmd_surface)
 
     p = sub.add_parser(
         "contact-demo",
         help="refine the paraboloid silhouette / y-axis contact",
     )
-    p.add_argument("--theta", type=_num, default=60.0, help="azimuth in degrees")
-    p.add_argument("--phi", type=_num, default=25.0, help="elevation in degrees")
-    p.add_argument("--grid", type=int, default=200)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--window", type=int, default=6)
-    p.add_argument("--tol", type=_num, default=1e-7)
+    p.add_argument("--theta", type=num, default=60.0, help="azimuth in degrees")
+    p.add_argument(
+        "--phi", type=_arg(_elevation), default=25.0, help="elevation in degrees"
+    )
+    p.add_argument("--grid", type=_arg(_count(8)), default=200)
+    p.add_argument("--samples", type=_arg(_count(1)), default=100)
+    p.add_argument("--window", type=_arg(_count(0)), default=6)
+    p.add_argument("--tol", type=num, default=1e-7)
     _add_common_figure(p)
-    _add_show_config(p)
     p.set_defaults(func=_cmd_contact_demo)
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--show-config", action="store_true",
+            help="print every option and the resolved settings, and exit",
+        )
     return ap
 
 

@@ -17,6 +17,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+class PointFileError(ValueError):
+    """A point file line that is not an 'x,y' pair of numbers."""
+
+
 @dataclass(frozen=True, slots=True)
 class Point2:
     x: float
@@ -283,11 +287,11 @@ def load_points(path: str | Path) -> list[Point2]:
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'x,y', got {raw!r}")
+            raise PointFileError(f"{path}:{lineno}: expected 'x,y', got {raw!r}")
         try:
             x, y = float(parts[0]), float(parts[1])
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad number in {raw!r}") from exc
+            raise PointFileError(f"{path}:{lineno}: bad number in {raw!r}") from exc
         pts.append(Point2(x, y))
     return pts
 

@@ -59,13 +59,13 @@ class TraceConfig:
 
     def __post_init__(self):
         if self.grid < 8:
-            raise ValueError("grid must be at least 8")
+            raise TraceError("grid must be at least 8")
         if not self.xrange[0] < self.xrange[1]:
-            raise ValueError("degenerate x range")
+            raise TraceError("degenerate x range")
         if not self.yrange[0] < self.yrange[1]:
-            raise ValueError("degenerate y range")
+            raise TraceError("degenerate y range")
         if self.join_tol <= 0.0:
-            raise ValueError("join_tol must be positive")
+            raise TraceError("join_tol must be positive")
 
 
 def trace_implicit(

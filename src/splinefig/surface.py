@@ -85,7 +85,7 @@ class Projection:
 
     def __post_init__(self):
         if not -math.pi / 2 < self.elevation < math.pi / 2:
-            raise ValueError("elevation must lie in (-pi/2, pi/2)")
+            raise SurfaceError("elevation must lie in (-pi/2, pi/2)")
 
 
 def project(p: Point3, proj: Projection) -> tuple[Point2, float]:
@@ -110,9 +110,9 @@ class ParametricSurface:
 
     def __post_init__(self):
         if not self.u_range[0] < self.u_range[1]:
-            raise ValueError("degenerate u range")
+            raise SurfaceError("degenerate u range")
         if not self.v_range[0] < self.v_range[1]:
-            raise ValueError("degenerate v range")
+            raise SurfaceError("degenerate v range")
         extra = (
             free_vars(self.x) | free_vars(self.y) | free_vars(self.z)
         ) - {"u", "v"}
@@ -943,7 +943,11 @@ class SceneConfig:
 
     def __post_init__(self):
         if self.hidden_style not in ("dashed", "omit"):
-            raise ValueError("hidden_style must be 'dashed' or 'omit'")
+            raise SurfaceError(
+                f"hidden style must be 'dashed' or 'omit', got {self.hidden_style!r}"
+            )
+        if self.samples < 1:
+            raise SurfaceError(f"samples must be at least 1, got {self.samples!r}")
 
 
 @dataclass(frozen=True)
@@ -1062,16 +1066,6 @@ def build_surface_scene(
         )
     )
     return scene, report
-
-
-def render_surface_scene(
-    s: ParametricSurface,
-    proj: Projection | None = None,
-    config: SceneConfig | None = None,
-    extra_curves: Sequence[SpaceCurve] = (),
-) -> Scene:
-    """The assembled Scene (see build_surface_scene for the report too)."""
-    return build_surface_scene(s, proj, config, extra_curves)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -282,7 +282,7 @@ def test_criterion_7_scene_structure():
     per_wire = [len(w.intervals()) for w in report.wires]
     any_hidden = any(h for w in report.wires for _, h in w.intervals())
 
-    from splinefig.surface import ParametricSurface, render_surface_scene
+    from splinefig.surface import ParametricSurface
 
     band = ParametricSurface.from_strings(
         "2*cos(v)*(2+u*cos(v/2))",

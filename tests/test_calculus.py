@@ -3,7 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from splinefig import calculus
 from splinefig.calculus import (
+    CalculusError,
     IntegrationRequest,
     NonMonotoneError,
     RangeError,
@@ -16,7 +18,7 @@ from splinefig.calculus import (
     tangent_line,
 )
 from splinefig.geom import CubicBezier, Point2, bezier_derivative, bezier_eval
-from splinefig.spline import SplineMethod
+from splinefig.spline import SplineMethod, build_spline
 
 EXACT_X2SINX = math.pi ** 2 - 4.0  # int_0^pi x^2 sin x dx
 
@@ -120,6 +122,13 @@ class TestIntegrate:
             )
             assert i2 == pytest.approx(s * s * i1, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "n, interval", [(2, (0.0, 1.0)), (16, (0.9, 0.1)), (16, (0.0, math.inf))]
+    )
+    def test_bad_request_is_calculus_error(self, n, interval):
+        with pytest.raises(CalculusError):
+            IntegrationRequest(fn_samples(math.exp, 0.0, 1.0, n), interval)
+
     def test_backwards_interval_rejected(self):
         data = fn_samples(math.exp, 0.0, 1.0, 16)
         with pytest.raises(ValueError):
@@ -208,6 +217,17 @@ class TestTangent:
         for h in (0.05, 0.01):
             gap = abs(line.y_at(0.5 + h) - curve_y_at(data, 0.5 + h))
             assert gap < 2 * h * h + 1e-6
+
+    def test_one_fit_per_tangent(self, monkeypatch):
+        fits = []
+
+        def counted(*args, **kwargs):
+            fits.append(args)
+            return build_spline(*args, **kwargs)
+
+        monkeypatch.setattr(calculus, "build_spline", counted)
+        tangent_line(fn_samples(math.sin, 0.0, 3.0, 30), 1.0)
+        assert len(fits) == 1
 
     def test_curve_y_between_samples(self):
         data = fn_samples(math.exp, 0.0, 1.0, 25)

@@ -298,3 +298,104 @@ class TestErrors:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip()
+
+
+class TestRefusals:
+    """Bad input ends in `error: ...` (exit 1) or a usage error (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("grid = abc", "grid"),
+            ("samples = 0", "samples"),
+            ("grid = 4", "grid"),
+            ("hidden = dotted", "hidden"),
+            ("phi = 90", "phi"),
+        ],
+    )
+    def test_bad_surface_value(self, capsys, tmp_path, line, key):
+        desc = tmp_path / "bad.surf"
+        desc.write_text(PARABOLOID_FILE + line + "\n")
+        assert main(["surface", str(desc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert key in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "spline --points DIAMOND --samples 0",
+            "integrate --fn x --sample-range 0,1 --num 0",
+            "area --fx cos(t) --fy sin(t) --range 0,1 --num 0",
+            "tangent --fn x --sample-range 0,1 --at 0 --num 0",
+            "implicit --fn x=y --xrange 0,1 --yrange 0,1 --grid 4",
+            "contact-demo --grid 4",
+            "contact-demo --samples 0",
+            "surface SURF --phi 90",
+            "contact-demo --phi 90",
+            "surface SURF --format csv",
+            "tangent --fn x --sample-range 0,1 --at 0 --format csv",
+            "contact-demo --format csv",
+        ],
+    )
+    def test_usage_error(self, capsys, tmp_path, diamond, argv):
+        desc = tmp_path / "par.surf"
+        desc.write_text(PARABOLOID_FILE)
+        files = {"DIAMOND": diamond, "SURF": str(desc)}
+        assert main([files.get(a, a) for a in argv.split()]) == 2
+        assert "error: argument --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "rows, extra",
+        [
+            ("0,0\n1,1\n2,4\n", []),
+            ("0,0\n1,1\n2,4\n3,9\n", ["--interval", "1,0"]),
+            ("0,0\n1,x\n2,4\n3,9\n", []),
+        ],
+        ids=["three-rows", "backwards-interval", "bad-number"],
+    )
+    def test_data_error(self, capsys, tmp_path, rows, extra):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(rows)
+        assert main(["integrate", "--points", str(pts), *extra]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestShowConfig:
+    """--show-config prints every option in parser order, then resolved values."""
+
+    @pytest.mark.parametrize(
+        "argv, keys",
+        [
+            (
+                ["spline", "--points", "DIAMOND"],
+                "points samples open method out format closed",
+            ),
+            (["integrate"], "points fn sample_range num interval method"),
+            (["area"], "points fx fy range num method"),
+            (
+                ["tangent", "--at", "1"],
+                "points fn sample_range num at method out format",
+            ),
+            (
+                ["implicit", "--fn", "x=y", "--xrange", "0,1", "--yrange", "0,1"],
+                "fn xrange yrange grid integrate_endpoints method out format",
+            ),
+            (
+                ["surface", "SURF"],
+                "file out format x y z u v theta phi wires_u wires_v grid "
+                "samples hidden axes",
+            ),
+            (
+                ["contact-demo"],
+                "theta phi grid samples window tol out format",
+            ),
+        ],
+    )
+    def test_every_option(self, capsys, tmp_path, diamond, argv, keys):
+        desc = tmp_path / "par.surf"
+        desc.write_text(PARABOLOID_FILE)
+        argv = [{"DIAMOND": diamond, "SURF": str(desc)}.get(a, a) for a in argv]
+        assert main([*argv, "--show-config"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" = ", 1)[0] for line in lines] == keys.split()

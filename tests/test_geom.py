@@ -8,6 +8,7 @@ from splinefig.geom import (
     CubicBezier,
     Point2,
     Point3,
+    PointFileError,
     Polyline,
     bezier_bbox,
     bezier_derivative,
@@ -134,6 +135,14 @@ def test_load_points_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,2\nfoo,bar\n")
     with pytest.raises(ValueError):
+        load_points(path)
+
+
+@pytest.mark.parametrize("row", ["1,x", "1,2,3"])
+def test_load_points_error_names_the_line(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"0,0\n{row}\n")
+    with pytest.raises(PointFileError, match=":2: "):
         load_points(path)
 
 

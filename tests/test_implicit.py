@@ -141,3 +141,11 @@ class TestEdgeCases:
             TraceConfig((-1, 1), (-1, 1), grid=1)
         with pytest.raises((TraceError, ValueError)):
             TraceConfig((1, -1), (-1, 1))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"grid": 4}, {"xrange": (1, -1)}, {"yrange": (0, 0)}, {"join_tol": 0.0}],
+    )
+    def test_bad_config_is_trace_error(self, kwargs):
+        with pytest.raises(TraceError):
+            TraceConfig(**{"xrange": (-1, 1), "yrange": (-1, 1), **kwargs})

@@ -60,6 +60,20 @@ class TestProjection:
         with pytest.raises(ValueError):
             Projection(0.0, -math.pi / 2)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Projection(0.0, math.pi / 2),
+            lambda: SceneConfig(samples=0),
+            lambda: SceneConfig(hidden_style="dotted"),
+            lambda: ParametricSurface.from_strings("u", "v", "0", (1, 1), (0, 1)),
+        ],
+        ids=["elevation", "samples", "hidden", "u-range"],
+    )
+    def test_bad_values_raise_surface_error(self, make):
+        with pytest.raises(SurfaceError):
+            make()
+
     def test_topdown_degeneracy_rejected(self):
         # looking straight down would collapse the drawing plane
         Projection(0.0, 0.0)  # grazing view is fine
