@@ -2,147 +2,4 @@
 traces, and hidden-line drawings of parametric surfaces, written out as
 LaTeX picture environments or SVG."""
 
-from .calculus import (
-    CalculusError,
-    IntegrationRequest,
-    NonMonotoneError,
-    RangeError,
-    TangentLine,
-    VerticalTangentError,
-    closed_area,
-    derivative_at,
-    integrate,
-    segment_integral,
-    tangent_line,
-)
-from .expr import (
-    DomainError,
-    EvalError,
-    ExprError,
-    ParseError,
-    compile_fn,
-    diff,
-    evaluate,
-    free_vars,
-    parse,
-)
-from .geom import (
-    CubicBezier,
-    Point2,
-    Point3,
-    PointFileError,
-    Polyline,
-    SplineCurve,
-    bezier_eval,
-    closest_approach,
-    load_points,
-    save_points,
-)
-from .implicit import TraceConfig, TraceError, parse_equation, trace_implicit
-from .render import (
-    DrawItem,
-    Label,
-    RenderError,
-    Scene,
-    Style,
-    emit_latex,
-    emit_svg,
-    fmt5,
-    scene_from_items,
-)
-from .spline import (
-    DegenerateGeometryError,
-    SplineMethod,
-    build_spline,
-    control_points_cr,
-    control_points_oshima,
-    oshima_coefficient,
-)
-from .surface import (
-    OcclusionTester,
-    ParametricSurface,
-    Projection,
-    SceneConfig,
-    SpaceCurve,
-    SurfaceError,
-    boundary_curves,
-    build_surface_scene,
-    classify_visibility,
-    contact_demo,
-    intersect_projected,
-    project,
-    project_curve,
-    refine_contact,
-    silhouette,
-    wires,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CalculusError",
-    "CubicBezier",
-    "DegenerateGeometryError",
-    "DomainError",
-    "DrawItem",
-    "EvalError",
-    "ExprError",
-    "IntegrationRequest",
-    "Label",
-    "NonMonotoneError",
-    "OcclusionTester",
-    "ParametricSurface",
-    "ParseError",
-    "Point2",
-    "Point3",
-    "PointFileError",
-    "Polyline",
-    "Projection",
-    "RangeError",
-    "RenderError",
-    "Scene",
-    "SceneConfig",
-    "SpaceCurve",
-    "SplineCurve",
-    "SplineMethod",
-    "Style",
-    "SurfaceError",
-    "TangentLine",
-    "TraceConfig",
-    "TraceError",
-    "VerticalTangentError",
-    "bezier_eval",
-    "boundary_curves",
-    "build_spline",
-    "build_surface_scene",
-    "classify_visibility",
-    "closed_area",
-    "closest_approach",
-    "compile_fn",
-    "contact_demo",
-    "control_points_cr",
-    "control_points_oshima",
-    "derivative_at",
-    "diff",
-    "emit_latex",
-    "emit_svg",
-    "evaluate",
-    "fmt5",
-    "free_vars",
-    "integrate",
-    "intersect_projected",
-    "load_points",
-    "oshima_coefficient",
-    "parse",
-    "parse_equation",
-    "project",
-    "project_curve",
-    "refine_contact",
-    "save_points",
-    "scene_from_items",
-    "segment_integral",
-    "silhouette",
-    "tangent_line",
-    "trace_implicit",
-    "wires",
-]

@@ -227,9 +227,9 @@ def tangent_line(
     method: SplineMethod = SplineMethod.OSHIMA,
 ) -> TangentLine:
     """Tangent line of the spline fit at x = x0; one fit gives point and slope."""
+    if len(data) < 2:
+        raise CalculusError(f"need at least 2 data points, got {len(data)}")
     pts = _oriented(data)
-    if len(pts) < 2:
-        raise ValueError("need at least 2 data points")
     seg, t = _locate_segment(build_spline(pts, method=method, closed=False), x0)
     y0 = bezier_eval(seg, t).y
     d = bezier_derivative(seg, t)

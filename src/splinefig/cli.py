@@ -26,8 +26,8 @@ from .calculus import (
     integrate,
     tangent_line,
 )
-from .expr import ExprError, compile_fn, evaluate, free_vars, parse
-from .geom import Point2, PointFileError, Polyline, load_points
+from .expr import ExprError, compile_fn, evaluate, free_vars, parse, steps
+from .geom import Point2, PointFileError, Polyline, drop_repeats, load_points
 from .implicit import TraceConfig, TraceError, parse_equation, trace_implicit
 from .render import (
     DrawItem,
@@ -166,12 +166,7 @@ def _sample(
         raise ExprError(f"unexpected variables {sorted(extra)} in {flag}")
     fns = [compile_fn(node, (var,)) for node in nodes]
     fx, fy = fns if len(fns) == 2 else (lambda v: v, fns[0])
-    lo, hi = rng
-    out = []
-    for k in range(num + 1):
-        v = lo + (hi - lo) * (k / num)
-        out.append(Point2(fx(v), fy(v)))
-    return out
+    return [Point2(fx(v), fy(v)) for v in steps(*rng, num)]
 
 
 def _data_points(args) -> list[Point2]:
@@ -209,10 +204,9 @@ def _cmd_spline(args) -> int:
     if args.format == "csv":
         _write_out(_polyline_csv([poly]), args.out)
         return 0
-    items = [DrawItem(poly)]
-    if len(pts) >= 2:
-        items.append(DrawItem(Polyline(tuple(pts)), style=Style.DOTTED_DISC))
-    _emit(scene_from_items(items), args.format, args.out)
+    # data markers: a repeated row is drawn once
+    markers = DrawItem(Polyline(drop_repeats(pts)), style=Style.DOTTED_DISC)
+    _emit(scene_from_items([DrawItem(poly), markers]), args.format, args.out)
     return 0
 
 
@@ -246,7 +240,9 @@ def _cmd_tangent(args) -> int:
     if args.out:
         curve = build_spline(pts, method=_method(args), closed=False).sample(10)
         xs = [p.x for p in pts]
-        half = 0.25 * (max(xs) - min(xs))
+        ys = [p.y for p in pts]
+        # half the data's width, or its height when every row has one x
+        half = 0.25 * ((max(xs) - min(xs)) or (max(ys) - min(ys)))
         if line.vertical:
             ends = (Point2(x0, y0 - half), Point2(x0, y0 + half))
         else:
@@ -255,7 +251,7 @@ def _cmd_tangent(args) -> int:
         items = [
             DrawItem(curve),
             DrawItem(Polyline(ends), style=Style.DASHED),
-            DrawItem(Polyline(tuple(pts)), style=Style.DOTTED_DISC),
+            DrawItem(Polyline(drop_repeats(pts)), style=Style.DOTTED_DISC),
         ]
         _emit(scene_from_items(items), args.format, args.out)
     return 0

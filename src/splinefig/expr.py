@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sin": math.sin,
@@ -476,3 +476,29 @@ def compile_fn(node: ExprNode, params: tuple[str, ...]) -> Callable[..., float]:
         return value
 
     return call
+
+
+# ---------------------------------------------------------------------------
+# sampling: the one rule for even parameter steps and for grid scans
+
+def steps(lo: float, hi: float, n: int) -> list[float]:
+    """The n + 1 evenly spaced values from lo to hi, both ends included."""
+    return [lo + (hi - lo) * (k / n) for k in range(n + 1)]
+
+
+def grid_values(
+    f: Callable[[float, float], float], xs: Sequence[float], ys: Sequence[float]
+) -> list[list[float]]:
+    """f(x, y) at every node as [i][j]; NaN where f raises DomainError."""
+    nan = math.nan
+    vals: list[list[float]] = []
+    for x in xs:
+        col: list[float] = []
+        append = col.append
+        for y in ys:
+            try:
+                append(f(x, y))
+            except DomainError:
+                append(nan)
+        vals.append(col)
+    return vals

@@ -219,6 +219,14 @@ class Polyline:
         )
 
 
+def drop_repeats(points: Iterable[Point2]) -> tuple[Point2, ...]:
+    """The points with every run of equal consecutive points kept once."""
+    pts = tuple(points)
+    return pts[:1] + tuple(
+        b for a, b in zip(pts, pts[1:]) if a.x != b.x or a.y != b.y
+    )
+
+
 @dataclass(frozen=True)
 class SplineCurve:
     """A chain of cubic segments joining end to start, maybe closed."""
@@ -249,12 +257,14 @@ class SplineCurve:
         """Polyline with per_segment subdivisions for each cubic piece."""
         if per_segment < 1:
             raise ValueError("per_segment must be >= 1")
-        pts: list[Point2] = []
-        for seg in self.segments:
-            for i in range(per_segment):
-                pts.append(bezier_eval(seg, i / per_segment))
+        pts = [
+            bezier_eval(seg, i / per_segment)
+            for seg in self.segments
+            for i in range(per_segment)
+        ]
         pts.append(bezier_eval(self.segments[-1], 1.0))
-        return Polyline(tuple(pts))
+        # a repeated data row gives a segment that is a single point
+        return Polyline(drop_repeats(pts))
 
 
 def closest_approach(a: Polyline, b: Polyline) -> tuple[int, int, float]:

@@ -19,7 +19,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .expr import DomainError, ExprNode, compile_fn, free_vars, parse
+from .expr import (
+    DomainError,
+    ExprNode,
+    compile_fn,
+    free_vars,
+    grid_values,
+    parse,
+    steps,
+)
 from .geom import Point2, Polyline
 
 log = logging.getLogger(__name__)
@@ -96,22 +104,9 @@ def trace_zero_set(
 ) -> list[Polyline]:
     """Marching-squares trace of f(x, y) = 0; f may raise DomainError."""
     n = cfg.grid
-    xlo, xhi = cfg.xrange
-    ylo, yhi = cfg.yrange
-    xs = [xlo + (xhi - xlo) * (i / n) for i in range(n + 1)]
-    ys = [ylo + (yhi - ylo) * (j / n) for j in range(n + 1)]
-
-    nan = math.nan
-    vals: list[list[float]] = []
-    for i in range(n + 1):
-        col = []
-        xi = xs[i]
-        for j in range(n + 1):
-            try:
-                col.append(f(xi, ys[j]))
-            except DomainError:
-                col.append(nan)
-        vals.append(col)
+    xs = steps(*cfg.xrange, n)
+    ys = steps(*cfg.yrange, n)
+    vals = grid_values(f, xs, ys)
 
     def crossing(i1: int, j1: int, i2: int, j2: int) -> Point2:
         f1 = vals[i1][j1]

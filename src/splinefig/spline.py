@@ -114,17 +114,17 @@ def build_spline(
     """
     pts = [Point2(float(p.x), float(p.y)) for p in points]
     if len(pts) < 2:
-        raise ValueError("need at least 2 points")
+        raise DegenerateGeometryError(f"need at least 2 points, got {len(pts)}")
     coincide = pts[0].dist(pts[-1]) <= CLOSE_TOL
     if closed is None:
         closed = len(pts) >= 4 and coincide
-    if closed and coincide and len(pts) >= 2:
+    if closed and coincide:
         pts = pts[:-1]
     n = len(pts)
     if closed and n < 3:
-        raise ValueError("a closed spline needs at least 3 distinct points")
-    if not closed and n < 2:
-        raise ValueError("an open spline needs at least 2 points")
+        raise DegenerateGeometryError(
+            "a closed spline needs at least 3 distinct points"
+        )
     if all(p.x == pts[0].x and p.y == pts[0].y for p in pts[1:]):
         raise DegenerateGeometryError("all input points coincide")
 

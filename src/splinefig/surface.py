@@ -31,7 +31,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import count
+from itertools import count, product
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -44,7 +44,9 @@ from .expr import (
     compile_fn,
     diff,
     free_vars,
+    grid_values,
     parse,
+    steps,
 )
 from .geom import (
     Point2,
@@ -243,7 +245,7 @@ def _edge_curve(
     s: ParametricSurface, fixed: str, value: float, samples: int
 ) -> SpaceCurve | None:
     lo, hi = s.v_range if fixed == "u" else s.u_range
-    ts = (lo + (hi - lo) * (k / samples) for k in range(samples + 1))
+    ts = steps(lo, hi, samples)
     pts, uv = _on_surface(
         s, ((value, t) if fixed == "u" else (t, value) for t in ts)
     )
@@ -704,20 +706,11 @@ class OcclusionTester:
         self.fy = compile_fn(y_expr, ("u", "v"))
         self.fxu, self.fxv, self.fyu, self.fyv = _projected_partials(s, proj)
 
-        n = OCCLUSION_SEEDS
-        ulo, uhi = s.u_range
-        vlo, vhi = s.v_range
-        us = np.array([ulo + (uhi - ulo) * (i / n) for i in range(n + 1)])
-        vs = np.array([vlo + (vhi - vlo) * (j / n) for j in range(n + 1)])
-        gx = np.full((n + 1, n + 1), np.nan)
-        gy = np.full((n + 1, n + 1), np.nan)
-        for i in range(n + 1):
-            for j in range(n + 1):
-                try:
-                    gx[i, j] = self.fx(us[i], vs[j])
-                    gy[i, j] = self.fy(us[i], vs[j])
-                except DomainError:
-                    pass
+        us = np.array(steps(*s.u_range, OCCLUSION_SEEDS))
+        vs = np.array(steps(*s.v_range, OCCLUSION_SEEDS))
+        gx = np.array(grid_values(self.fx, us, vs), dtype=float)
+        gy = np.array(grid_values(self.fy, us, vs), dtype=float)
+        gy[np.isnan(gx)] = np.nan  # a node is undefined when either is
         self.us, self.vs = us, vs
         cx = np.stack([gx[:-1, :-1], gx[1:, :-1], gx[1:, 1:], gx[:-1, 1:]])
         cy = np.stack([gy[:-1, :-1], gy[1:, :-1], gy[1:, 1:], gy[:-1, 1:]])
@@ -961,14 +954,8 @@ class SceneReport:
 
 
 def _axis_curves(s: ParametricSurface, samples: int) -> list[SpaceCurve]:
-    n = 8
-    (ulo, uhi), (vlo, vhi) = s.u_range, s.v_range
-    grid = (
-        (ulo + (uhi - ulo) * (i / n), vlo + (vhi - vlo) * (j / n))
-        for i in range(n + 1)
-        for j in range(n + 1)
-    )
-    pts, _ = _on_surface(s, grid)
+    # the surface's extent, from an 8 x 8 cell parameter grid
+    pts, _ = _on_surface(s, product(steps(*s.u_range, 8), steps(*s.v_range, 8)))
     if not pts:
         raise SurfaceError("surface undefined everywhere")
     los = [min(p.x for p in pts), min(p.y for p in pts), min(p.z for p in pts)]
@@ -979,8 +966,7 @@ def _axis_curves(s: ParametricSurface, samples: int) -> list[SpaceCurve]:
         lo = min(los[axis], 0.0) - 0.35 * span
         hi = max(his[axis], 0.0) + 0.35 * span
         coords = []
-        for k in range(samples + 1):
-            t = lo + (hi - lo) * (k / samples)
+        for t in steps(lo, hi, samples):
             vec = [0.0, 0.0, 0.0]
             vec[axis] = t
             coords.append(Point3(*vec))
@@ -1112,9 +1098,7 @@ def contact_demo(
     sil_curve = max(sil, key=lambda c: len(c.points))
     sil_poly = project_curve(sil_curve, proj)
 
-    axis_pts = tuple(
-        Point3(0.0, -4.0 + 8.0 * (k / samples), 0.0) for k in range(samples + 1)
-    )
+    axis_pts = tuple(Point3(0.0, y, 0.0) for y in steps(-4.0, 4.0, samples))
     axis_poly = project_curve(SpaceCurve(axis_pts, None, "axis:y"), proj)
 
     res = intersect_projected(axis_poly, sil_poly, tol=0.02)

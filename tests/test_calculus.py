@@ -218,6 +218,11 @@ class TestTangent:
             gap = abs(line.y_at(0.5 + h) - curve_y_at(data, 0.5 + h))
             assert gap < 2 * h * h + 1e-6
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_too_few_points_is_calculus_error(self, n):
+        with pytest.raises(CalculusError, match="at least 2"):
+            tangent_line([Point2(0, 0)] * n, 0.0)
+
     def test_one_fit_per_tangent(self, monkeypatch):
         fits = []
 

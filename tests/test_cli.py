@@ -1,9 +1,14 @@
 """End-to-end runs of the command line through main(argv)."""
 
+import contextlib
+import io
 import math
+import re
+import shlex
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from splinefig.cli import main
 
@@ -137,6 +142,35 @@ class TestTangent:
             line.count("\\polyline") == 2 for line in tex.splitlines()
         )
         assert "\\circle*{0.12}" in tex
+
+    def test_figure_of_rows_sharing_one_x(self, capsys, tmp_path):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("1,1\n1,3\n")
+        out = tmp_path / "fig.tex"
+        argv = ["tangent", "--points", str(pts), "--at", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert "tangent vertical" in capsys.readouterr().out
+        assert "\\circle*{0.12}" in out.read_text()
+
+
+class TestRepeatedRows:
+    """A row equal to the one before it is drawn once, not refused."""
+
+    @pytest.mark.parametrize(
+        "cmd",
+        [
+            "spline --points PTS --out OUT",
+            "spline --points PTS --method catmull-rom --out OUT",
+            "tangent --points PTS --at 1 --out OUT",
+        ],
+    )
+    def test_drawn_once(self, capsys, tmp_path, cmd):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0,0\n0,0\n1,1\n2,0\n")
+        out = tmp_path / "fig.tex"
+        files = {"PTS": str(pts), "OUT": str(out)}
+        assert main([files.get(a, a) for a in cmd.split()]) == 0
+        assert out.read_text().count("\\circle*{0.12}") == 3
 
 
 class TestSpline:
@@ -275,6 +309,52 @@ class TestContactDemo:
         ]
 
 
+def _readme_examples() -> list[tuple[str, list[str]]]:
+    """Each README `splinefig` command followed by `# <output>` lines.
+
+    Lines continued with a backslash are joined; an output line is read
+    up to its first run of two spaces, where a remark may follow.
+    """
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    examples = []
+    k = 0
+    while k < len(lines):
+        cmd = lines[k]
+        k += 1
+        if not cmd.startswith("splinefig "):
+            continue
+        while cmd.endswith("\\"):
+            cmd = cmd[:-1] + lines[k]
+            k += 1
+        expected = []
+        while k < len(lines) and lines[k].startswith("# "):
+            expected.append(re.split(r"  +", lines[k][2:], maxsplit=1)[0])
+            k += 1
+        if expected:
+            examples.append((cmd, expected))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+class TestReadmeExamples:
+    def test_found(self):
+        commands = [cmd.split()[1] for cmd, _ in README_EXAMPLES]
+        assert commands == [
+            "integrate", "area", "tangent", "implicit", "contact-demo"
+        ]
+
+    @pytest.mark.parametrize(
+        "cmd, expected",
+        README_EXAMPLES,
+        ids=[cmd.split()[1] for cmd, _ in README_EXAMPLES],
+    )
+    def test_prints_as_documented(self, capsys, cmd, expected):
+        assert main(shlex.split(cmd, comments=True)[1:]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+
+
 class TestErrors:
     def test_usage_error_is_exit_2(self, capsys):
         assert main(["implicit"]) == 2  # --fn et al. required
@@ -360,6 +440,29 @@ class TestRefusals:
         assert main(["integrate", "--points", str(pts), *extra]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "cmd, rows",
+        [
+            ("spline", ""),
+            ("spline", "0,0\n"),
+            ("area", ""),
+            ("area", "0,0\n"),
+            ("tangent --at 0", ""),
+            ("tangent --at 0", "0,0\n"),
+            ("spline --closed", "0,0\n1,1\n"),
+            ("area", "0,0\n1,1\n"),
+        ],
+        ids=[
+            "spline-0", "spline-1", "area-0", "area-1", "tangent-0",
+            "tangent-1", "closed-spline-2", "area-2",
+        ],
+    )
+    def test_too_few_rows(self, capsys, tmp_path, cmd, rows):
+        pts = tmp_path / "pts.csv"
+        pts.write_text(rows)
+        assert main([*cmd.split(), "--points", str(pts)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestShowConfig:
     """--show-config prints every option in parser order, then resolved values."""
@@ -399,3 +502,39 @@ class TestShowConfig:
         assert main([*argv, "--show-config"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(" = ", 1)[0] for line in lines] == keys.split()
+
+
+POINT_COMMANDS = [
+    "spline",
+    "spline --open",
+    "spline --closed",
+    "integrate",
+    "area",
+    "tangent AT",
+    "tangent AT --out OUT",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=8),
+    in_order=st.booleans(),
+    cmd=st.sampled_from(POINT_COMMANDS),
+    half_steps=st.integers(-6, 6),
+)
+def test_property_point_files_never_raise(
+    tmp_path_factory, rows, in_order, cmd, half_steps
+):
+    """Any small point file ends in exit 0, 1 or 2, never in a traceback."""
+    base = tmp_path_factory.getbasetemp()
+    pts = base / "rows.csv"
+    rows = sorted(rows) if in_order else rows
+    pts.write_text("".join(f"{x},{y}\n" for x, y in rows))
+    files = {"AT": f"--at={half_steps / 2}", "OUT": str(base / "fig.tex")}
+    argv = [files.get(a, a) for a in [*cmd.split(), "--points", str(pts)]]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().startswith("error: ")

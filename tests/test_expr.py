@@ -12,7 +12,9 @@ from splinefig.expr import (
     diff,
     evaluate,
     free_vars,
+    grid_values,
     parse,
+    steps,
 )
 
 
@@ -138,3 +140,21 @@ class TestCompile:
     def test_missing_param_rejected(self):
         with pytest.raises(Exception):
             compile_fn(parse("x+z"), ("x",))
+
+
+class TestSampling:
+    def test_steps_include_both_ends(self):
+        assert steps(-4.0, 4.0, 4) == [-4.0, -2.0, 0.0, 2.0, 4.0]
+        assert steps(0.0, 1.0, 3)[-1] == 1.0
+
+    @given(
+        st.floats(-100, 100), st.floats(-100, 100), st.integers(1, 50)
+    )
+    def test_steps_follow_the_one_rule(self, lo, hi, n):
+        assert steps(lo, hi, n) == [lo + (hi - lo) * (k / n) for k in range(n + 1)]
+
+    def test_grid_values_mark_undefined_nodes(self):
+        f = compile_fn(parse("sqrt(x) + y"), ("x", "y"))
+        vals = grid_values(f, [-1.0, 0.0, 4.0], [0.0, 1.0])
+        assert math.isnan(vals[0][0]) and math.isnan(vals[0][1])
+        assert vals[1:] == [[0.0, 1.0], [2.0, 3.0]]

@@ -10,12 +10,14 @@ from splinefig.geom import (
     Point3,
     PointFileError,
     Polyline,
+    SplineCurve,
     bezier_bbox,
     bezier_derivative,
     bezier_eval,
     bezier_slice,
     bezier_subdivide,
     closest_approach,
+    drop_repeats,
     load_points,
     points_from_pairs,
     save_points,
@@ -109,6 +111,21 @@ class TestPolyline:
     def test_too_short(self):
         with pytest.raises(ValueError):
             Polyline((Point2(0, 0),))
+
+
+def test_drop_repeats():
+    pts = [Point2(0, 0), Point2(0, 0), Point2(1, 0), Point2(1, 0), Point2(0, 0)]
+    assert drop_repeats(pts) == (Point2(0, 0), Point2(1, 0), Point2(0, 0))
+    assert drop_repeats([]) == ()
+
+
+def test_sample_skips_a_point_segment():
+    p, q = Point2(0, 0), Point2(1, 1)
+    point_seg = CubicBezier(p, p, p, p)
+    curve = SplineCurve((point_seg, CubicBezier(p, p, q, q)))
+    poly = curve.sample(4)
+    assert poly.points[0] == p
+    assert len(poly) == 5  # the point segment adds one vertex, not four
 
 
 def test_closest_approach():

@@ -40,7 +40,12 @@ GOLDEN = {
     "paraboloid.svg": "598f494ca72fd5e72ec51b231abe7fcdf66abab1a4f3ea9a323cffe5dfa8b732",
     "mobius.tex": "44f47feb8f57d337eb24c85f3e3c012a7c47dfcc4ae3099446bf1858190647d8",
     "contact-demo": "5ac5d5f9b30876964456a50892b54c7f9cda41844f926ee1d57ab30f3378d988",
+    "circle.tex": "ff2f795f1e9ca1e0ddf1fc9197cd2fff9e05a9e3dc487c9c220462987c909066",
+    "conic-800.csv": "170d5918a866d9520d7b0b2b588f83da4349bc7921b964b7f7d329371d502594",
+    "tangent.tex": "3c9836b1abf1c8089431117eb7f456678146d1833847ede072412e853f1d8871",
 }
+
+CONIC = "8*x^2-4*sqrt(2)*x*y+y^2-3*x-6*sqrt(2)*y+2=0"
 
 
 def _digest(argv, capsys) -> str:
@@ -64,3 +69,31 @@ def test_surface_figure_digest(name, text, fmt, tmp_path, capsys):
 
 def test_contact_demo_digest(capsys):
     assert _digest(["contact-demo"], capsys) == GOLDEN["contact-demo"]
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("circle.tex", ["--fn", "x^2+y^2=1", "--xrange=-2,2", "--yrange=-2,2"]),
+        (
+            "conic-800.csv",
+            [
+                "--fn", CONIC, "--xrange=-2,2", "--yrange=-2,2.5",
+                "--grid", "800", "--format", "csv",
+            ],
+        ),
+    ],
+)
+def test_implicit_digest(name, argv, capsys):
+    assert _digest(["implicit", *argv], capsys) == GOLDEN[name]
+
+
+def test_tangent_figure_file_digest(tmp_path, capsys):
+    out = tmp_path / "fig.tex"
+    argv = [
+        "tangent", "--fn", "sin(x)", "--sample-range", "0,3", "--num", "30",
+        "--at", "1", "--out", str(out),
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["tangent.tex"]

@@ -121,6 +121,19 @@ class TestBuildSpline:
         with pytest.raises(ValueError):
             build_spline([Point2(0, 0)])
 
+    @pytest.mark.parametrize(
+        "pts, closed",
+        [
+            ([], None),
+            ([Point2(0, 0)], False),
+            ([Point2(0, 0), Point2(1, 1)], True),
+            ([Point2(0, 0), Point2(1, 1), Point2(0, 0)], True),
+        ],
+    )
+    def test_too_few_points_is_degenerate(self, pts, closed):
+        with pytest.raises(DegenerateGeometryError):
+            build_spline(pts, closed=closed)
+
     def test_cr_quad_samples(self):
         # closed diamond, first segment, pinned dense-sample values
         sp = build_spline(QUAD, method=SplineMethod.CATMULL_ROM, closed=True)
