@@ -29,6 +29,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
+import numpy as np
+
 FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sin": math.sin,
     "cos": math.cos,
@@ -424,8 +426,11 @@ def diff(node: ExprNode, var: str) -> ExprNode:
 
 
 # ---------------------------------------------------------------------------
-# code generation: hot loops (grid scans, Newton solves) call expressions
-# tens of thousands of times, where the tree walker is too slow
+# code generation: Newton solves and bisection call expressions point by
+# point, where the tree walker is too slow, so the tree becomes a Python
+# lambda.  Grid scans instead evaluate the tree once over whole arrays
+# (`grid` on the compiled callable), with the same IEEE operations and
+# the same libm routines, so each node gets the bits the lambda gives.
 
 def _mangle(name: str) -> str:
     return "_v_" + name
@@ -455,11 +460,15 @@ def compile_fn(node: ExprNode, params: tuple[str, ...]) -> Callable[..., float]:
     """Compile a tree to a fast positional callable.
 
     The callable takes len(params) floats and raises DomainError exactly
-    where evaluate() would.
+    where evaluate() would.  For two parameters (x, y) it also has
+    `grid(xs, ys)`: the ndarray of its values at every (xs[i], ys[j]),
+    bit for bit, with NaN exactly where the call raises DomainError.
     """
     body = _emit(node, params)
     args = ", ".join(_mangle(p) for p in params)
-    env = {"_pow": _pow}
+    # repr() of an infinite or NaN constant (a literal like 1e400, or a
+    # folded derivative coefficient) is a bare name
+    env = {"_pow": _pow, "inf": math.inf, "nan": math.nan}
     for fname, fobj in FUNCTIONS.items():
         env["_f_" + fname] = fobj
     raw = eval(f"lambda {args}: {body}", env)  # noqa: S307 - source is generated
@@ -475,7 +484,80 @@ def compile_fn(node: ExprNode, params: tuple[str, ...]) -> Callable[..., float]:
             raise DomainError(f"expression evaluated to {value!r}")
         return value
 
+    def grid(xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:
+        if len(params) != 2:
+            raise TypeError(f"grid needs two parameters, not {params}")
+        # x varies down a column and y along a row: a subtree in one
+        # variable costs one value per node of its axis, not per node
+        x = np.asarray(xs, dtype=float)[:, None]
+        y = np.asarray(ys, dtype=float)[None, :]
+        with np.errstate(all="ignore"):
+            value, raised = _grid_eval(node, dict(zip(params, (x, y))))
+            value = np.where(raised | ~np.isfinite(value), np.nan, value)
+        shape = (x.shape[0], y.shape[1])
+        if value.shape != shape:  # a subtree without both variables
+            value = np.broadcast_to(value, shape).copy()
+        return value
+
+    call.grid = grid
     return call
+
+
+def _grid_eval(node: ExprNode, env: Mapping[str, np.ndarray]):
+    """(values, raised) of a tree over broadcast arrays.
+
+    raised marks the elements where the lambda would raise; the value
+    there is meaningless.  + - * / negation, abs and sqrt are correctly
+    rounded, so numpy gives the lambda's bits; numpy's own sin cos tan
+    exp log and power round differently from libm on some inputs, so
+    those call the math routines element by element.
+    """
+    if type(node) is Const:
+        return np.float64(node.value), False
+    if type(node) is Var:
+        return env[node.name], False
+    if type(node) is Neg:
+        value, raised = _grid_eval(node.arg, env)
+        return np.negative(value), raised
+    if type(node) is Call:
+        value, raised = _grid_eval(node.arg, env)
+        if node.func == "abs":
+            return np.abs(value), raised
+        if node.func == "sqrt":
+            return np.sqrt(value), raised | (value < 0.0)
+        out, bad = _each(FUNCTIONS[node.func], value)
+        return out, raised | bad
+    left, raised_l = _grid_eval(node.left, env)
+    right, raised_r = _grid_eval(node.right, env)
+    raised = raised_l | raised_r
+    op = node.op
+    if op == "+":
+        return np.add(left, right), raised
+    if op == "-":
+        return np.subtract(left, right), raised
+    if op == "*":
+        return np.multiply(left, right), raised
+    if op == "/":
+        return np.divide(left, right), raised | (right == 0.0)
+    out, bad = _each(math.pow, left, right)
+    return out, raised | bad
+
+
+def _each(fn: Callable[..., float], *args) -> tuple[np.ndarray, np.ndarray]:
+    """fn over the broadcast args one element at a time, and where it raised."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    columns = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
+    out: list[float] = []
+    bad: list[int] = []
+    for k, xs in enumerate(zip(*columns)):
+        try:
+            out.append(fn(*xs))
+        except (ArithmeticError, ValueError):
+            out.append(math.nan)
+            bad.append(k)
+    raised = np.zeros(len(out), dtype=bool)
+    raised[bad] = True
+    return np.array(out).reshape(shape), raised.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -485,20 +567,3 @@ def steps(lo: float, hi: float, n: int) -> list[float]:
     """The n + 1 evenly spaced values from lo to hi, both ends included."""
     return [lo + (hi - lo) * (k / n) for k in range(n + 1)]
 
-
-def grid_values(
-    f: Callable[[float, float], float], xs: Sequence[float], ys: Sequence[float]
-) -> list[list[float]]:
-    """f(x, y) at every node as [i][j]; NaN where f raises DomainError."""
-    nan = math.nan
-    vals: list[list[float]] = []
-    for x in xs:
-        col: list[float] = []
-        append = col.append
-        for y in ys:
-            try:
-                append(f(x, y))
-            except DomainError:
-                append(nan)
-        vals.append(col)
-    return vals

@@ -6,6 +6,12 @@ per-cell segments into polylines.  Saddle cells (two opposite positive
 corners) are disambiguated by the sign of F at the cell center.  The
 output is deterministic: same F, same window, same grid, same bytes.
 
+F is evaluated at the (n + 1)^2 nodes in one array pass (`f.grid`,
+bit for bit the values of the scalar F), and the cells are classified
+as arrays; the Python loop visits only the cells the curve crosses, in
+row order (j, then i), and calls the scalar F for bisection and saddle
+centers.
+
 Closed components come back counterclockwise with the first vertex
 repeated at the end; open components terminate on the rectangle
 boundary (or at the edge of an undefined region) and are oriented so
@@ -19,15 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .expr import (
-    DomainError,
-    ExprNode,
-    compile_fn,
-    free_vars,
-    grid_values,
-    parse,
-    steps,
-)
+import numpy as np
+
+from .expr import DomainError, ExprNode, compile_fn, free_vars, parse, steps
 from .geom import Point2, Polyline
 
 log = logging.getLogger(__name__)
@@ -102,15 +102,20 @@ def parse_equation(text: str) -> ExprNode:
 def trace_zero_set(
     f: Callable[[float, float], float], cfg: TraceConfig
 ) -> list[Polyline]:
-    """Marching-squares trace of f(x, y) = 0; f may raise DomainError."""
+    """Marching-squares trace of f(x, y) = 0.
+
+    f is compiled (see `expr.compile_fn`): `f.grid` gives the node
+    values, NaN where f raises DomainError, and the scalar f refines
+    crossings and resolves saddles.
+    """
     n = cfg.grid
     xs = steps(*cfg.xrange, n)
     ys = steps(*cfg.yrange, n)
-    vals = grid_values(f, xs, ys)
+    vals = f.grid(xs, ys)
 
     def crossing(i1: int, j1: int, i2: int, j2: int) -> Point2:
-        f1 = vals[i1][j1]
-        f2 = vals[i2][j2]
+        f1 = float(vals[i1, j1])
+        f2 = float(vals[i2, j2])
         p1 = (xs[i1], ys[j1])
         p2 = (xs[i2], ys[j2])
         if f1 == 0.0:
@@ -154,8 +159,6 @@ def trace_zero_set(
     points: dict[tuple, Point2] = {}
     adjacency: dict[tuple, list[tuple]] = {}
     segments: list[tuple[tuple, tuple]] = []
-    skipped = 0
-    valid_cells = 0
 
     def edge_point(key: tuple) -> Point2:
         pt = points.get(key)
@@ -168,63 +171,55 @@ def trace_zero_set(
             points[key] = pt
         return pt
 
-    for j in range(n):
-        for i in range(n):
-            fsw = vals[i][j]
-            fse = vals[i + 1][j]
-            fne = vals[i + 1][j + 1]
-            fnw = vals[i][j + 1]
-            if not (
-                math.isfinite(fsw)
-                and math.isfinite(fse)
-                and math.isfinite(fne)
-                and math.isfinite(fnw)
-            ):
-                skipped += 1
-                continue
-            valid_cells += 1
-            case = (
-                (fsw > 0.0)
-                | (fse > 0.0) << 1
-                | (fne > 0.0) << 2
-                | (fnw > 0.0) << 3
-            )
-            if case in (0, 15):
-                continue
-            if case in (5, 10):
-                try:
-                    fc = f(
-                        0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])
-                    )
-                except DomainError:
-                    fc = 0.0
-                center_pos = fc > 0.0
-                if case == 5:
-                    pairs = (
-                        (("S", "E"), ("W", "N"))
-                        if center_pos
-                        else (("S", "W"), ("E", "N"))
-                    )
-                else:
-                    pairs = (
-                        (("S", "W"), ("E", "N"))
-                        if center_pos
-                        else (("S", "E"), ("W", "N"))
-                    )
+    # cells as [i, j] arrays over the corners SW, SE, NE, NW; a cell with
+    # a non-finite corner is skipped, one with all corners on one side
+    # holds no segment
+    valid = np.ones((n, n), dtype=bool)
+    case = np.zeros((n, n), dtype=np.uint8)
+    for bit, corner in enumerate(
+        (vals[:-1, :-1], vals[1:, :-1], vals[1:, 1:], vals[:-1, 1:])
+    ):
+        valid &= np.isfinite(corner)
+        case |= (corner > 0.0).astype(np.uint8) << bit
+    valid_cells = int(np.count_nonzero(valid))
+    skipped = n * n - valid_cells
+    # transposed, so the crossed cells come j-major, i-minor: the
+    # segment order the chains are built from
+    crossed = (valid & (case != 0) & (case != 15)).T
+    jj, ii = np.nonzero(crossed)
+    for i, j, case_ij in zip(ii.tolist(), jj.tolist(), case.T[crossed].tolist()):
+        if case_ij in (5, 10):
+            try:
+                fc = f(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
+            except DomainError:
+                fc = 0.0
+            center_pos = fc > 0.0
+            if case_ij == 5:
+                pairs = (
+                    (("S", "E"), ("W", "N"))
+                    if center_pos
+                    else (("S", "W"), ("E", "N"))
+                )
             else:
-                pairs = _SEGMENT_TABLE[case]
-            names = {
-                "S": ("h", i, j),
-                "N": ("h", i, j + 1),
-                "W": ("v", i, j),
-                "E": ("v", i + 1, j),
-            }
-            for ea, eb in pairs:
-                ka, kb = names[ea], names[eb]
-                seg_id = len(segments)
-                segments.append((ka, kb))
-                adjacency.setdefault(ka, []).append((kb, seg_id))
-                adjacency.setdefault(kb, []).append((ka, seg_id))
+                pairs = (
+                    (("S", "W"), ("E", "N"))
+                    if center_pos
+                    else (("S", "E"), ("W", "N"))
+                )
+        else:
+            pairs = _SEGMENT_TABLE[case_ij]
+        names = {
+            "S": ("h", i, j),
+            "N": ("h", i, j + 1),
+            "W": ("v", i, j),
+            "E": ("v", i + 1, j),
+        }
+        for ea, eb in pairs:
+            ka, kb = names[ea], names[eb]
+            seg_id = len(segments)
+            segments.append((ka, kb))
+            adjacency.setdefault(ka, []).append((kb, seg_id))
+            adjacency.setdefault(kb, []).append((ka, seg_id))
 
     if valid_cells == 0:
         raise TraceError("function undefined on the whole window")

@@ -44,7 +44,6 @@ from .expr import (
     compile_fn,
     diff,
     free_vars,
-    grid_values,
     parse,
     steps,
 )
@@ -194,12 +193,19 @@ def _projected_partials(
 def _jacobian_fn(
     s: ParametricSurface, proj: Projection
 ) -> Callable[[float, float], float]:
-    """J(u,v) = X_u Y_v - X_v Y_u."""
+    """J(u,v) = X_u Y_v - X_v Y_u, with `grid` as on a compiled function."""
     xu, xv, yu, yv = _projected_partials(s, proj)
 
     def jac(u: float, v: float) -> float:
         return xu(u, v) * yv(u, v) - xv(u, v) * yu(u, v)
 
+    def grid(us: Sequence[float], vs: Sequence[float]) -> np.ndarray:
+        # NaN in any partial stays NaN, as a raising partial raises in jac
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b, c, d = (g.grid(us, vs) for g in (xu, yv, xv, yu))
+            return a * b - c * d
+
+    jac.grid = grid
     return jac
 
 
@@ -644,12 +650,15 @@ class VisibilityTaggedCurve:
 
     Cut parameters are vertex index + fraction along the polyline; the
     hidden tuple has one flag per interval (len(cuts) + 1).
+    newton_failed is set when some interval was left visible because
+    its occlusion solves all failed.
     """
 
     polyline: Polyline
     cuts: tuple[float, ...]
     hidden: tuple[bool, ...]
     label: str = ""
+    newton_failed: bool = False
 
     def intervals(self) -> list[tuple[Polyline, bool]]:
         bounds = [0.0, *self.cuts, float(len(self.polyline.points) - 1)]
@@ -708,18 +717,19 @@ class OcclusionTester:
 
         us = np.array(steps(*s.u_range, OCCLUSION_SEEDS))
         vs = np.array(steps(*s.v_range, OCCLUSION_SEEDS))
-        gx = np.array(grid_values(self.fx, us, vs), dtype=float)
-        gy = np.array(grid_values(self.fy, us, vs), dtype=float)
+        gx = self.fx.grid(us, vs)
+        gy = self.fy.grid(us, vs)
         gy[np.isnan(gx)] = np.nan  # a node is undefined when either is
         self.us, self.vs = us, vs
         cx = np.stack([gx[:-1, :-1], gx[1:, :-1], gx[1:, 1:], gx[:-1, 1:]])
         cy = np.stack([gy[:-1, :-1], gy[1:, :-1], gy[1:, 1:], gy[:-1, 1:]])
-        with np.errstate(invalid="ignore"):
-            self.cell_ok = ~np.isnan(cx).any(axis=0) & ~np.isnan(cy).any(axis=0)
-            self.xmin = np.nanmin(cx, axis=0)
-            self.xmax = np.nanmax(cx, axis=0)
-            self.ymin = np.nanmin(cy, axis=0)
-            self.ymax = np.nanmax(cy, axis=0)
+        self.cell_ok = ~np.isnan(cx).any(axis=0) & ~np.isnan(cy).any(axis=0)
+        # fmin/fmax skip NaN corners like nanmin/nanmax, and give NaN for
+        # an all-NaN cell without warning about it
+        self.xmin = np.fmin.reduce(cx, axis=0)
+        self.xmax = np.fmax.reduce(cx, axis=0)
+        self.ymin = np.fmin.reduce(cy, axis=0)
+        self.ymax = np.fmax.reduce(cy, axis=0)
         # the projected cell can poke out of its corner box; inflate
         finite_x = gx[np.isfinite(gx)]
         finite_y = gy[np.isfinite(gy)]
@@ -857,8 +867,8 @@ def classify_visibility(
     hidden when some surface point projects there with strictly larger
     depth (beyond a small epsilon).  Points within parameter distance
     1e-4 of the curve's own preimage never count as occluders.  When
-    the Newton solves all fail the interval stays visible and a warning
-    is logged.
+    the Newton solves all fail the interval stays visible and the
+    result's newton_failed is set.
     """
     if tester is None:
         tester = OcclusionTester(s, proj)
@@ -902,13 +912,8 @@ def classify_visibility(
         flag, bad = tester.hidden(q, d, own_uv, eps)
         hidden_flags.append(flag)
         trouble = trouble or bad
-    if trouble:
-        log.warning(
-            "newton occlusion solve failed for %r; leaving interval visible",
-            curve.label,
-        )
     return VisibilityTaggedCurve(
-        poly, tuple(cleaned), tuple(hidden_flags), curve.label
+        poly, tuple(cleaned), tuple(hidden_flags), curve.label, trouble
     )
 
 
@@ -1030,6 +1035,12 @@ def build_surface_scene(
 
     items: list[DrawItem] = []
     for tc in tagged:
+        # logged here, in curve order, not from the pool's threads
+        if tc.newton_failed:
+            log.warning(
+                "newton occlusion solve failed for %r; leaving interval visible",
+                tc.label,
+            )
         drawn: list[DrawItem] = []
         for sub, hidden_flag in tc.intervals():
             if hidden_flag and cfg.hidden_style == "omit":

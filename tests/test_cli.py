@@ -3,13 +3,17 @@
 import contextlib
 import io
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import splinefig
 from splinefig.cli import main
 
 CONIC = "8*x^2-4*sqrt(2)*x*y+y^2-3*x-6*sqrt(2)*y+2=0"
@@ -296,6 +300,26 @@ class TestSurface:
         assert with_comments == capsys.readouterr().out
 
 
+    def test_undefined_seed_cells_print_no_numpy_warning(self, tmp_path):
+        # z is undefined for v < 0.5, so some occlusion seed cells have
+        # no defined corner at all; run as a user would, so numpy's
+        # warnings reach stderr as they would in a shell
+        desc = tmp_path / "partial.surf"
+        desc.write_text(
+            "x = u\ny = v\nz = sqrt(v - 0.5) + u^2\nu = -1, 1\nv = 0, 2\n"
+            "grid = 40\nsamples = 30\n"
+        )
+        src = Path(splinefig.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        run = subprocess.run(
+            [sys.executable, "-m", "splinefig.cli", "surface", str(desc)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("{\\unitlength=1cm%")
+        assert "RuntimeWarning" not in run.stderr
+
+
 class TestContactDemo:
     def test_report(self, capsys):
         assert main(["contact-demo"]) == 0
@@ -374,6 +398,12 @@ class TestErrors:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_literal_beyond_double_range_is_exit_1(self, capsys):
+        # 1e400 reads as inf: every node is undefined, no NameError
+        argv = ["implicit", "--fn", "x-1e400*y", "--xrange=-1,1", "--yrange=-1,1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_version(self, capsys):
         assert main(["--version"]) == 0

@@ -104,7 +104,8 @@ class TestConic:
 class TestEdgeCases:
     def test_empty_zero_set(self):
         comps = trace_zero_set(
-            lambda x, y: x * x + y * y + 1.0, TraceConfig((-2, 2), (-2, 2), grid=40)
+            compile_fn(parse_equation("x*x + y*y + 1.0"), ("x", "y")),
+            TraceConfig((-2, 2), (-2, 2), grid=40),
         )
         assert comps == []
 

@@ -1,12 +1,17 @@
+import logging
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from splinefig.geom import Point2, Point3, Polyline, closest_approach
+from splinefig import surface
 from splinefig.render import Style, emit_latex
+from splinefig.expr import DomainError
 from splinefig.surface import (
+    _jacobian_fn,
     _locate_param,
     OcclusionTester,
     ParametricSurface,
@@ -152,6 +157,33 @@ class TestSilhouette:
         comps = silhouette(paraboloid_surface(), VIEW)
         assert comps[0].uv is not None
         assert len(comps[0].uv) == len(comps[0].points)
+
+
+    @pytest.mark.parametrize(
+        "surf",
+        [
+            mobius(),
+            # the partials of z are undefined for v <= 0.5
+            ParametricSurface.from_strings(
+                "u", "v", "sqrt(v - 0.5) + u^2", (-1.0, 1.0), (0.0, 2.0)
+            ),
+        ],
+        ids=["mobius", "partial"],
+    )
+    def test_jacobian_grid_matches_the_scalar_jacobian(self, surf):
+        jac = _jacobian_fn(surf, VIEW)
+        us = np.linspace(*surf.u_range, 23).tolist()
+        vs = np.linspace(*surf.v_range, 29).tolist()
+        grid = jac.grid(us, vs)
+        for i, u in enumerate(us):
+            for j, v in enumerate(vs):
+                try:
+                    expected = jac(u, v)
+                except DomainError:
+                    assert np.isnan(grid[i, j])
+                    continue
+                assert grid[i, j] == expected
+                assert math.copysign(1.0, grid[i, j]) == math.copysign(1.0, expected)
 
 
 class TestBoundaries:
@@ -443,6 +475,30 @@ class TestSceneStructure:
         assert any(t.label.startswith("axis:") for t in rep_on.extras)
         assert not rep_off.extras
         assert any(item.label is not None for item in scene_on.items)
+
+    def test_newton_warnings_come_in_curve_order(self, monkeypatch, caplog):
+        # the axes finish in reverse order on the scene's pool: the later
+        # axis sleeps less, so a warning logged by the worker itself
+        # would come out of order
+        delay = {"axis:x": 0.3, "axis:y": 0.2, "axis:z": 0.1}
+        real = surface.classify_visibility
+
+        def reversed_finish(curve, *args):
+            time.sleep(delay.get(curve.label, 0.0))
+            return real(curve, *args)
+
+        monkeypatch.setattr(surface, "classify_visibility", reversed_finish)
+        cfg = SceneConfig(wires_v=(0.0, math.pi), grid=80, samples=60)
+        with caplog.at_level(logging.WARNING, logger="splinefig.surface"):
+            _, report = build_surface_scene(paraboloid_surface(), VIEW, cfg)
+        # the scene draws boundaries, silhouettes, wires, then extras
+        drawn = (report.boundaries, report.silhouettes, report.wires, report.extras)
+        failed = [tc.label for part in drawn for tc in part if tc.newton_failed]
+        logged = [
+            r.args[0] for r in caplog.records if "newton occlusion" in r.getMessage()
+        ]
+        assert len(failed) >= 2
+        assert logged == failed
 
     def test_mobius_full_band_renders(self):
         scene, report = build_surface_scene(mobius(), VIEW, SceneConfig())
