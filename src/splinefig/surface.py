@@ -52,8 +52,6 @@ from .geom import (
     Point3,
     Polyline,
     _lerp,
-    bezier_bbox,
-    bezier_subdivide,
     closest_approach,
 )
 from .implicit import TraceConfig, trace_zero_set
@@ -366,6 +364,11 @@ class IntersectionResult:
     contacts: tuple[ContactSite, ...]
 
 
+def _pow2_scale(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Powers of two s with max(|x|, |y|) / s in [1, 2) (1/2 where both are 0)."""
+    return np.ldexp(1.0, np.frexp(np.maximum(np.abs(x), np.abs(y)))[1] - 1)
+
+
 def _segment_feet(
     points: np.ndarray, chain: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -373,17 +376,28 @@ def _segment_feet(
 
     Returns the clamped segment fractions t and the distances to the
     feet, both of shape (n, m - 1); a zero-length segment has t = 0.
+    Each segment, and each point's offset from its foot, is divided by
+    a power of two (exactly) before it is squared, so no square under-
+    or overflows; where none did unscaled, t and the distance are bit
+    for bit those of the unscaled formulas.
     """
-    b0 = chain[:-1]
-    seg = chain[1:] - b0
-    seg_len2 = (seg * seg).sum(axis=1)
-    seg_len2[seg_len2 == 0.0] = 1.0
-    dp = points[:, None, :] - b0[None, :, :]
-    t = (dp * seg[None, :, :]).sum(axis=2) / seg_len2[None, :]
+    bx, by = chain[:-1, 0], chain[:-1, 1]
+    sx, sy = chain[1:, 0] - bx, chain[1:, 1] - by
+    scale = _pow2_scale(sx, sy)
+    ux, uy = sx / scale, sy / scale
+    unit_len2 = ux * ux + uy * uy
+    unit_len2[unit_len2 == 0.0] = 1.0
+    px, py = points[:, :1], points[:, 1:]
+    # (d . seg) / |seg|^2 = (d . u) / |u|^2 / scale; a ratio past the
+    # double range lies far outside [0, 1] and clips like one inside
+    with np.errstate(over="ignore"):
+        t = ((px - bx) * ux + (py - by) * uy) / unit_len2 / scale
     t = np.clip(t, 0.0, 1.0)
-    foot = b0[None, :, :] + t[:, :, None] * seg[None, :, :]
-    dist = np.sqrt(((points[:, None, :] - foot) ** 2).sum(axis=2))
-    return t, dist
+    ox = px - (bx + t * sx)
+    oy = py - (by + t * sy)
+    r = _pow2_scale(ox, oy)
+    ox, oy = ox / r, oy / r
+    return t, np.sqrt(ox * ox + oy * oy) * r
 
 
 def intersect_projected(
@@ -488,67 +502,110 @@ class RefinedContact:
     refined: bool  # False: tangential site left at the closest-approach midpoint
 
 
-def _window_spline(poly: Polyline, center: int, window: int):
+def _piece(x0, y0, x1, y1, x2, y2, x3, y3) -> tuple[float, ...]:
+    """A cubic as a flat tuple: its control coordinates, then its box.
+
+    The box p[8:] = (xmin, ymin, xmax, ymax) is geom.bezier_bbox's,
+    taken once when the piece is made; min and max see the coordinates
+    in the same order, so even a signed zero comes out the same.
+    """
+    return (
+        x0, y0, x1, y1, x2, y2, x3, y3,
+        min(x0, x1, x2, x3),
+        min(y0, y1, y2, y3),
+        max(x0, x1, x2, x3),
+        max(y0, y1, y2, y3),
+    )
+
+
+def _halves(p: tuple[float, ...]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The pieces of p split at t = 1/2, each carrying its own box.
+
+    These are geom.bezier_subdivide(b, 0.5)'s float operations, the
+    one-sided a + (b - a) * t in the same order, so every control
+    coordinate and box is bit-identical to the CubicBezier route.
+    """
+    x0, y0, x1, y1, x2, y2, x3, y3 = p[:8]
+    qx0 = x0 + (x1 - x0) * 0.5
+    qy0 = y0 + (y1 - y0) * 0.5
+    qx1 = x1 + (x2 - x1) * 0.5
+    qy1 = y1 + (y2 - y1) * 0.5
+    qx2 = x2 + (x3 - x2) * 0.5
+    qy2 = y2 + (y3 - y2) * 0.5
+    rx0 = qx0 + (qx1 - qx0) * 0.5
+    ry0 = qy0 + (qy1 - qy0) * 0.5
+    rx1 = qx1 + (qx2 - qx1) * 0.5
+    ry1 = qy1 + (qy2 - qy1) * 0.5
+    sx = rx0 + (rx1 - rx0) * 0.5
+    sy = ry0 + (ry1 - ry0) * 0.5
+    return (
+        _piece(x0, y0, qx0, qy0, rx0, ry0, sx, sy),
+        _piece(sx, sy, rx1, ry1, qx2, qy2, x3, y3),
+    )
+
+
+def _box_gap(pa: tuple[float, ...], pb: tuple[float, ...]) -> float:
+    """Least distance between the boxes of two pieces."""
+    dx = max(pa[8] - pb[10], pb[8] - pa[10], 0.0)
+    dy = max(pa[9] - pb[11], pb[9] - pa[11], 0.0)
+    return math.hypot(dx, dy)
+
+
+def _window_pieces(poly: Polyline, center: int, window: int):
+    """Flat pieces of the open Oshima fit through the window around center."""
     lo = max(0, center - window)
     hi = min(len(poly.points) - 1, center + window)
     pts = poly.points[lo : hi + 1]
     if len(pts) < 2:
         return None
-    return build_spline(pts, method=SplineMethod.OSHIMA, closed=False)
+    sp = build_spline(pts, method=SplineMethod.OSHIMA, closed=False)
+    return [
+        _piece(s.p0.x, s.p0.y, s.c0.x, s.c0.y, s.c1.x, s.c1.y, s.p1.x, s.p1.y)
+        for s in sp.segments
+    ]
 
 
-def _closest_fit_point(sp_a, sp_b, seed: Point2, tol: float):
-    """Best-first closest approach of two spline fits.
+def _closest_fit_point(pieces_a, pieces_b, seed: Point2, tol: float):
+    """Best-first closest approach of two spline fits given as flat pieces.
 
     Boxes are popped by their minimum possible separation and split
     until both are smaller than tol; the midpoint of the winning pair
     is the contact estimate.  A pair further apart than a percent of
-    the window size is no contact at all.
+    the window size is no contact at all.  Pieces are flat float tuples
+    split by _halves, which repeats geom.bezier_subdivide's exact
+    operations, so the search pops the same boxes the CubicBezier form
+    would.
     """
-
-    def box_gap(ba, bb) -> float:
-        dx = max(ba[0] - bb[2], bb[0] - ba[2], 0.0)
-        dy = max(ba[1] - bb[3], bb[1] - ba[3], 0.0)
-        return math.hypot(dx, dy)
-
     tick = count()
     heap = []
     span = 1e-12
-    for sa in sp_a.segments:
-        ba = bezier_bbox(sa)
-        span = max(span, ba[2] - ba[0], ba[3] - ba[1])
-        for sb in sp_b.segments:
-            bb = bezier_bbox(sb)
-            heapq.heappush(heap, (box_gap(ba, bb), next(tick), sa, ba, sb, bb))
+    for pa in pieces_a:
+        span = max(span, pa[10] - pa[8], pa[11] - pa[9])
+        for pb in pieces_b:
+            heapq.heappush(heap, (_box_gap(pa, pb), next(tick), pa, pb))
 
     for _ in range(5000):
         if not heap:
             break
-        gap, _, sa, ba, sb, bb = heapq.heappop(heap)
-        da = math.hypot(ba[2] - ba[0], ba[3] - ba[1])
-        db = math.hypot(bb[2] - bb[0], bb[3] - bb[1])
+        gap, _, pa, pb = heapq.heappop(heap)
+        da = math.hypot(pa[10] - pa[8], pa[11] - pa[9])
+        db = math.hypot(pb[10] - pb[8], pb[11] - pb[9])
         if da < tol and db < tol:
             if gap > 0.01 * (1.0 + span):
                 break
             return RefinedContact(
                 Point2(
-                    0.25 * (ba[0] + ba[2] + bb[0] + bb[2]),
-                    0.25 * (ba[1] + ba[3] + bb[1] + bb[3]),
+                    0.25 * (pa[8] + pa[10] + pb[8] + pb[10]),
+                    0.25 * (pa[9] + pa[11] + pb[9] + pb[11]),
                 ),
                 True,
             )
         if da >= db:
-            for piece in bezier_subdivide(sa, 0.5):
-                bp = bezier_bbox(piece)
-                heapq.heappush(
-                    heap, (box_gap(bp, bb), next(tick), piece, bp, sb, bb)
-                )
+            for piece in _halves(pa):
+                heapq.heappush(heap, (_box_gap(piece, pb), next(tick), piece, pb))
         else:
-            for piece in bezier_subdivide(sb, 0.5):
-                bp = bezier_bbox(piece)
-                heapq.heappush(
-                    heap, (box_gap(ba, bp), next(tick), sa, ba, piece, bp)
-                )
+            for piece in _halves(pb):
+                heapq.heappush(heap, (_box_gap(pa, piece), next(tick), pa, piece))
     return RefinedContact(seed, False)
 
 
@@ -568,11 +625,16 @@ def refine_contact(
     diagonals drop under tol).  Candidates within 10*tol collapse to
     their centroid; with several candidates the one nearest the
     original site wins; with none the site is returned unrefined.
+
+    Both searches run on flat float tuples (_piece, _halves) with
+    geom.bezier_subdivide's exact operations: the same control points,
+    boxes and candidates as splitting CubicBezier objects, without
+    building one per split.
     """
     seed = (a.points[center_a] + b.points[center_b]) * 0.5
-    sp_a = _window_spline(a, center_a, window)
-    sp_b = _window_spline(b, center_b, window)
-    if sp_a is None or sp_b is None:
+    pieces_a = _window_pieces(a, center_a, window)
+    pieces_b = _window_pieces(b, center_b, window)
+    if pieces_a is None or pieces_b is None:
         return RefinedContact(seed, False)
 
     # overlapping windows (a curve drawn twice, grazing duplicates)
@@ -583,16 +645,17 @@ def refine_contact(
         return RefinedContact(seed, False)
 
     candidates: list[Point2] = []
-    budget = [20_000]
-
-    def recurse(sa, sb, depth: int) -> None:
-        if budget[0] <= 0:
-            return
-        budget[0] -= 1
-        xa0, ya0, xa1, ya1 = bezier_bbox(sa)
-        xb0, yb0, xb1, yb1 = bezier_bbox(sb)
+    # depth first, in the preorder of the recursive form: children go
+    # on the stack reversed, and every pop spends one unit of budget
+    stack = [(pa, pb, 0) for pa in pieces_a[::-1] for pb in pieces_b[::-1]]
+    for _ in range(20_000):
+        if not stack:
+            break
+        pa, pb, depth = stack.pop()
+        xa0, ya0, xa1, ya1 = pa[8:]
+        xb0, yb0, xb1, yb1 = pb[8:]
         if xa1 < xb0 or xb1 < xa0 or ya1 < yb0 or yb1 < ya0:
-            return
+            continue
         da = math.hypot(xa1 - xa0, ya1 - ya0)
         db = math.hypot(xb1 - xb0, yb1 - yb0)
         if da < tol and db < tol:
@@ -602,28 +665,20 @@ def refine_contact(
                     0.25 * (ya0 + ya1 + yb0 + yb1),
                 )
             )
-            return
+            continue
         if depth > 60:
-            return
-        left_a, right_a = bezier_subdivide(sa, 0.5) if da >= tol else (sa, None)
-        left_b, right_b = bezier_subdivide(sb, 0.5) if db >= tol else (sb, None)
-        for pa in (left_a, right_a):
-            if pa is None:
-                continue
-            for pb in (left_b, right_b):
-                if pb is None:
-                    continue
-                recurse(pa, pb, depth + 1)
-
-    for sa in sp_a.segments:
-        for sb in sp_b.segments:
-            recurse(sa, sb, 0)
+            continue
+        halves_a = _halves(pa) if da >= tol else (pa,)
+        halves_b = _halves(pb) if db >= tol else (pb,)
+        stack.extend(
+            (ha, hb, depth + 1) for ha in halves_a[::-1] for hb in halves_b[::-1]
+        )
 
     if not candidates:
         # the fits never cross: a grazing contact.  The touch point is
         # then the closest approach of the two fits, found best-first
         # on bounding-box distance.
-        return _closest_fit_point(sp_a, sp_b, seed, tol)
+        return _closest_fit_point(pieces_a, pieces_b, seed, tol)
     clusters: list[list[Point2]] = []
     for p in candidates:
         for cluster in clusters:

@@ -1,18 +1,30 @@
 import logging
 import math
+import struct
 import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from splinefig.geom import Point2, Point3, Polyline, closest_approach
+from splinefig.geom import (
+    CubicBezier,
+    Point2,
+    Point3,
+    Polyline,
+    bezier_bbox,
+    bezier_subdivide,
+    closest_approach,
+)
 from splinefig import surface
 from splinefig.render import Style, emit_latex
 from splinefig.expr import DomainError
 from splinefig.surface import (
+    _halves,
     _jacobian_fn,
     _locate_param,
+    _piece,
+    _segment_feet,
     OcclusionTester,
     ParametricSurface,
     Projection,
@@ -353,15 +365,53 @@ class TestRefineContact:
         assert not rc.refined
 
 
+def _bits(xs) -> list[bytes]:
+    return [struct.pack("<d", x) for x in xs]
+
+
+def _flat(b: CubicBezier) -> tuple[float, ...]:
+    return (b.p0.x, b.p0.y, b.c0.x, b.c0.y, b.c1.x, b.c1.y, b.p1.x, b.p1.y)
+
+
+# control coordinates: the extremes the kernel must carry through
+# unchanged, signed zeros included, and ordinary floats
+control = st.sampled_from(
+    [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]
+) | st.floats(-1e300, 1e300)
+cubic = st.builds(
+    CubicBezier, *(st.builds(Point2, control, control) for _ in range(4))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cubic)
+def test_flat_kernel_matches_bezier_subdivide_bit_for_bit(b):
+    piece = _piece(*_flat(b))
+    assert _bits(piece) == _bits(_flat(b) + bezier_bbox(b))
+    halves = _halves(piece)
+    for half, ref in zip(halves, bezier_subdivide(b, 0.5)):
+        assert _bits(half) == _bits(_flat(ref) + bezier_bbox(ref))
+
+
 def _segment_dists_loop(poly: Polyline, q: Point2) -> list[tuple[float, float]]:
-    """Reference: (param, distance) of q's foot on each segment, one at a time."""
+    """Reference: (param, distance) of q's foot on each segment, one at a time.
+
+    The fraction is the textbook projection on the segment divided by
+    2**e, its larger component's binary exponent (exact), so that its
+    squares neither under- nor overflow; the distance is math.hypot's.
+    """
     out = []
     pts = poly.points
     for i in range(len(pts) - 1):
         a, b = pts[i], pts[i + 1]
         vx, vy = b.x - a.x, b.y - a.y
-        L2 = vx * vx + vy * vy
-        t = 0.0 if L2 == 0.0 else ((q.x - a.x) * vx + (q.y - a.y) * vy) / L2
+        e = math.frexp(max(abs(vx), abs(vy)))[1]
+        ux, uy = math.ldexp(vx, -e), math.ldexp(vy, -e)
+        L2 = ux * ux + uy * uy
+        if L2 == 0.0:
+            t = 0.0
+        else:
+            t = math.ldexp(((q.x - a.x) * ux + (q.y - a.y) * uy) / L2, -e)
         t = max(0.0, min(1.0, t))
         p = Point2(a.x + vx * t, a.y + vy * t)
         out.append((i + t, p.dist(q)))
@@ -377,14 +427,22 @@ def _locate_param_loop(poly: Polyline, q: Point2) -> tuple[float, float]:
     return best
 
 
-# figure coordinates: [-10, 10] cm at a 1e-5 resolution.  (The vectorised
-# form squares differences, which underflow below about 1e-154.)
-coord = st.integers(-10**6, 10**6).map(lambda k: k / 1e5)
+# figure coordinates: [-10, 10] cm at a 1e-5 resolution, and the same
+# grid scaled down to where squares of differences underflow
+coord = st.builds(
+    lambda k, scale: k * scale,
+    st.integers(-10**6, 10**6),
+    st.sampled_from([1e-5, 2.0**-500, 2.0**-700, 2.0**-900]),
+)
 point = st.builds(Point2, coord, coord)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(point, min_size=2, max_size=30), point)
+# a point 3e-168 off a segment, whose squared distance underflows
+@example([Point2(0.0, 0.0), Point2(1.0, 0.0)], Point2(0.5, 3e-168))
+# a segment 1.6e-208 long, whose squared length underflows
+@example([Point2(0.0, 0.0), Point2(1.6e-208, 0.0)], Point2(1.0, 0.0))
 def test_locate_param_matches_the_scalar_loop(chain, q):
     chain = [p for k, p in enumerate(chain) if k == 0 or p != chain[k - 1]]
     assume(len(chain) >= 2)
@@ -399,6 +457,24 @@ def test_locate_param_matches_the_scalar_loop(chain, q):
         seg_param, seg_dist = _segment_dists_loop(poly, q)[seg]
         assert seg_param == param
         assert math.isclose(seg_dist, ref_dist, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "chain, q, t, dist",
+    [
+        # the two underflow cases above, with their exact answers
+        ([(0.0, 0.0), (1.0, 0.0)], (0.5, 3e-168), 0.5, 3e-168),
+        ([(0.0, 0.0), (1.6e-208, 0.0)], (1.0, 0.0), 1.0, 1.0),
+        ([(0.0, 0.0), (1.6e-208, 0.0)], (0.8e-208, 1e-208), 0.5, 1e-208),
+        # a zero-length segment keeps t = 0
+        ([(2.0, 3.0), (2.0, 3.0)], (5.0, 7.0), 0.0, 5.0),
+        # past the double range on the far side of a subnormal segment
+        ([(0.0, 0.0), (1e-310, 0.0)], (1e300, 0.0), 1.0, 1e300),
+    ],
+)
+def test_segment_feet_scale_exactly(chain, q, t, dist):
+    got_t, got_dist = _segment_feet(np.array([q]), np.array(chain))
+    assert (float(got_t[0, 0]), float(got_dist[0, 0])) == (t, dist)
 
 
 class TestVisibility:
