@@ -27,13 +27,14 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import DomainError, ExprNode, compile_fn, free_vars, parse, steps
+from .expr import BinOp, DomainError, ExprNode, compile_fn, free_vars, parse, steps
 from .geom import Point2, Polyline
 
 log = logging.getLogger(__name__)
 
 RESIDUAL_FACTOR = 1e-10
 MAX_BISECT = 30
+JOIN_TOL = 1e-9  # chained crossing points closer than this are one vertex
 
 # cell corner order: SW, SE, NE, NW; case bit k set when corner k has F > 0
 _SEGMENT_TABLE: dict[int, tuple[tuple[str, str], ...]] = {
@@ -63,7 +64,6 @@ class TraceConfig:
     xrange: tuple[float, float]
     yrange: tuple[float, float]
     grid: int = 200
-    join_tol: float = 1e-9
 
     def __post_init__(self):
         if self.grid < 8:
@@ -72,29 +72,21 @@ class TraceConfig:
             raise TraceError("degenerate x range")
         if not self.yrange[0] < self.yrange[1]:
             raise TraceError("degenerate y range")
-        if self.join_tol <= 0.0:
-            raise TraceError("join_tol must be positive")
 
 
-def trace_implicit(
-    f: ExprNode | str,
-    cfg: TraceConfig,
-    variables: tuple[str, str] = ("x", "y"),
-) -> list[Polyline]:
-    """Trace F = 0 where F is an expression in the two given variables."""
+def trace_implicit(f: ExprNode | str, cfg: TraceConfig) -> list[Polyline]:
+    """Trace F = 0 where F is an expression in x and y."""
     node = parse(f) if isinstance(f, str) else f
-    extra = free_vars(node) - set(variables)
+    extra = free_vars(node) - {"x", "y"}
     if extra:
         raise TraceError(f"unexpected free variables {sorted(extra)}")
-    return trace_zero_set(compile_fn(node, variables), cfg)
+    return trace_zero_set(compile_fn(node, ("x", "y")), cfg)
 
 
 def parse_equation(text: str) -> ExprNode:
     """Parse "F" or "F=G" (the latter becomes F - G)."""
     if "=" in text:
         lhs, rhs = text.split("=", 1)
-        from .expr import BinOp
-
         return BinOp("-", parse(lhs), parse(rhs))
     return parse(text)
 
@@ -258,10 +250,10 @@ def trace_zero_set(
         pts: list[Point2] = []
         for key in chain:
             p = edge_point(key)
-            if pts and pts[-1].dist(p) <= cfg.join_tol:
+            if pts and pts[-1].dist(p) <= JOIN_TOL:
                 continue
             pts.append(p)
-        if closed and len(pts) > 1 and pts[0].dist(pts[-1]) <= cfg.join_tol:
+        if closed and len(pts) > 1 and pts[0].dist(pts[-1]) <= JOIN_TOL:
             pts.pop()
         if closed:
             if len(pts) < 3:

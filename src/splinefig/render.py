@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -26,6 +26,7 @@ DASH_STEP = 0.1  # cm of pen-down (and pen-up) per dash
 DOT_STEP = 0.1  # cm between dot centres
 DOT_DIAMETER = 0.04064  # cm, the classic 0.016in plotter dot
 DISC_DIAMETER = 0.12  # cm, for vertex markers
+SCENE_PAD = 0.05  # margin round a fitted scene, as a share of its larger side
 
 _ALIGN_TO_MAKEBOX = {"n": "b", "s": "t", "e": "l", "w": "r", "c": ""}
 
@@ -88,7 +89,7 @@ class Scene:
                     )
 
 
-def scene_from_items(items: Sequence[DrawItem], pad: float = 0.05) -> Scene:
+def scene_from_items(items: Sequence[DrawItem]) -> Scene:
     """Scene with a bounding box fitted around everything plus a margin."""
     xs: list[float] = []
     ys: list[float] = []
@@ -103,7 +104,7 @@ def scene_from_items(items: Sequence[DrawItem], pad: float = 0.05) -> Scene:
         return Scene((), (1.0, 1.0, 0.0, 0.0))
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
-    margin = pad * max(x1 - x0, y1 - y0, 1.0)
+    margin = SCENE_PAD * max(x1 - x0, y1 - y0, 1.0)
     return Scene(
         tuple(items),
         ((x1 - x0) + 2 * margin, (y1 - y0) + 2 * margin, x0 - margin, y0 - margin),
@@ -117,7 +118,10 @@ def fmt5(x: float) -> str:
     """Fixed five decimals, halves rounded away from zero."""
     if not math.isfinite(x):
         raise RenderError(f"cannot format {x!r}")
-    q = Decimal(repr(x)).quantize(_FIVE, rounding=ROUND_HALF_UP)
+    try:
+        q = Decimal(repr(x)).quantize(_FIVE, rounding=ROUND_HALF_UP)
+    except InvalidOperation:  # more digits than the decimal context holds
+        raise RenderError(f"cannot format {x!r} with five decimals") from None
     if q.is_zero():
         q = abs(q)  # roundoff must not leak "-0.00000" into the output
     return str(q)
@@ -194,29 +198,21 @@ def emit_latex(scene: Scene) -> str:
         elif item.style is Style.DASHED:
             runs = _dash_runs(pts)
             chunks = [f"\\polyline{_pair(a)}{_pair(b)}" for a, b in runs]
-            for k in range(0, len(chunks), 2):
-                out.append("".join(chunks[k : k + 2]) + "%")
+            out.extend(_wrap_pairs("", chunks, 2))
         elif item.style is Style.DOTTED:
             dots = _arc_length_points(pts, DOT_STEP)
             chunks = [
                 f"\\put{_pair(p)}{{\\circle*{{{DOT_DIAMETER:g}}}}}" for p in dots
             ]
-            for k in range(0, len(chunks), 2):
-                out.append("".join(chunks[k : k + 2]) + "%")
+            out.extend(_wrap_pairs("", chunks, 2))
         elif item.style is Style.DOTTED_DISC:
             chunks = [
                 f"\\put{_pair(p)}{{\\circle*{{{DISC_DIAMETER:g}}}}}" for p in pts
             ]
-            for k in range(0, len(chunks), 2):
-                out.append("".join(chunks[k : k + 2]) + "%")
+            out.extend(_wrap_pairs("", chunks, 2))
         if item.label is not None:
             lab = item.label
-            box = _ALIGN_TO_MAKEBOX.get(lab.align)
-            if box is None:
-                box = (
-                    _ALIGN_TO_MAKEBOX[lab.align[0]]
-                    + _ALIGN_TO_MAKEBOX[lab.align[1]]
-                )
+            box = "".join(_ALIGN_TO_MAKEBOX[c] for c in lab.align)
             opt = f"[{box}]" if box else ""
             out.append(
                 f"\\put{_pair(lab.anchor)}{{\\makebox(0,0){opt}{{{lab.text}}}}}%"

@@ -79,7 +79,11 @@ def oshima_coefficient(
     if n1 == 0.0 or n2 == 0.0:
         cos_theta = 1.0
     else:
-        cos_theta = chord1.dot(chord2) / (n1 * n2)
+        norms = n1 * n2
+        if norms == 0.0:  # tiny chords: the product underflows, unit ones do not
+            cos_theta = (chord1 / n1).dot(chord2 / n2)
+        else:
+            cos_theta = chord1.dot(chord2) / norms
         cos_theta = max(-1.0, min(1.0, cos_theta))
     ratio = 4.0 * span / (3.0 * (n1 + n2))
     return ratio / (1.0 + math.sqrt((1.0 + cos_theta) / 2.0))

@@ -53,9 +53,10 @@ from .geom import (
     Polyline,
     _lerp,
     closest_approach,
+    drop_repeats,
 )
 from .implicit import TraceConfig, trace_zero_set
-from .render import DrawItem, Label, Scene, Style, scene_from_items
+from .render import DrawItem, Label, Scene, Style, fmt5, scene_from_items
 from .spline import SplineMethod, build_spline
 
 log = logging.getLogger(__name__)
@@ -86,11 +87,16 @@ class Projection:
         if not -math.pi / 2 < self.elevation < math.pi / 2:
             raise SurfaceError("elevation must lie in (-pi/2, pi/2)")
 
+    @cached_property
+    def trig(self) -> tuple[float, float, float, float]:
+        """sin and cos of the azimuth, then sin and cos of the elevation."""
+        a, e = self.azimuth, self.elevation
+        return math.sin(a), math.cos(a), math.sin(e), math.cos(e)
+
 
 def project(p: Point3, proj: Projection) -> tuple[Point2, float]:
     """Screen position and depth (larger depth = nearer the eye)."""
-    st, ct = math.sin(proj.azimuth), math.cos(proj.azimuth)
-    sf, cf = math.sin(proj.elevation), math.cos(proj.elevation)
+    st, ct, sf, cf = proj.trig
     sx = -p.x * st + p.y * ct
     sy = -p.x * ct * sf - p.y * st * sf + p.z * cf
     d = p.x * ct * cf + p.y * st * cf + p.z * sf
@@ -161,8 +167,7 @@ class SpaceCurve:
 
 
 def _projected_exprs(s: ParametricSurface, proj: Projection) -> tuple[ExprNode, ExprNode]:
-    st, ct = math.sin(proj.azimuth), math.cos(proj.azimuth)
-    sf, cf = math.sin(proj.elevation), math.cos(proj.elevation)
+    st, ct, sf, cf = proj.trig
     x_expr = BinOp("+", BinOp("*", Const(-st), s.x), BinOp("*", Const(ct), s.y))
     y_expr = BinOp(
         "+",
@@ -178,33 +183,19 @@ def _projected_exprs(s: ParametricSurface, proj: Projection) -> tuple[ExprNode, 
 
 def _projected_partials(
     s: ParametricSurface, proj: Projection
-) -> tuple[Callable, Callable, Callable, Callable]:
-    """Compiled symbolic partials X_u, X_v, Y_u, Y_v of the projection."""
+) -> tuple[ExprNode, ExprNode, ExprNode, ExprNode]:
+    """Symbolic partials X_u, X_v, Y_u, Y_v of the projection."""
     x_expr, y_expr = _projected_exprs(s, proj)
-    return tuple(
-        compile_fn(diff(e, var), ("u", "v"))
-        for e in (x_expr, y_expr)
-        for var in ("u", "v")
-    )
+    return tuple(diff(e, var) for e in (x_expr, y_expr) for var in ("u", "v"))
 
 
 def _jacobian_fn(
     s: ParametricSurface, proj: Projection
 ) -> Callable[[float, float], float]:
-    """J(u,v) = X_u Y_v - X_v Y_u, with `grid` as on a compiled function."""
+    """J(u,v) = X_u Y_v - X_v Y_u, compiled (so with `grid`)."""
     xu, xv, yu, yv = _projected_partials(s, proj)
-
-    def jac(u: float, v: float) -> float:
-        return xu(u, v) * yv(u, v) - xv(u, v) * yu(u, v)
-
-    def grid(us: Sequence[float], vs: Sequence[float]) -> np.ndarray:
-        # NaN in any partial stays NaN, as a raising partial raises in jac
-        with np.errstate(over="ignore", invalid="ignore"):
-            a, b, c, d = (g.grid(us, vs) for g in (xu, yv, xv, yu))
-            return a * b - c * d
-
-    jac.grid = grid
-    return jac
+    jac = BinOp("-", BinOp("*", xu, yv), BinOp("*", xv, yu))
+    return compile_fn(jac, ("u", "v"))
 
 
 def _on_surface(
@@ -258,10 +249,16 @@ def _edge_curve(
     return SpaceCurve(tuple(pts), tuple(uv), f"boundary:{fixed}={value:g}")
 
 
+def _same_point_tol(points: Sequence[Point3]) -> float:
+    """Distance under which two of these points count as one."""
+    scale = max(max(abs(p.x), abs(p.y), abs(p.z)) for p in points)
+    return 1e-9 * max(1.0, scale)
+
+
 def _collapsed(curve: SpaceCurve) -> bool:
     first = curve.points[0]
-    scale = max(1.0, max(max(abs(p.x), abs(p.y), abs(p.z)) for p in curve.points))
-    return all(p.dist(first) <= 1e-9 * scale for p in curve.points)
+    tol = _same_point_tol(curve.points)
+    return all(p.dist(first) <= tol for p in curve.points)
 
 
 def _is_seam(a: SpaceCurve, b: SpaceCurve) -> bool:
@@ -272,10 +269,7 @@ def _is_seam(a: SpaceCurve, b: SpaceCurve) -> bool:
     """
     if len(a.points) != len(b.points):
         return False
-    scale = max(
-        1.0, max(max(abs(p.x), abs(p.y), abs(p.z)) for p in a.points)
-    )
-    tol = 1e-9 * scale
+    tol = _same_point_tol(a.points)
     if all(p.dist(q) <= tol for p, q in zip(a.points, b.points)):
         return True
     return all(
@@ -355,7 +349,6 @@ class ContactSite:
     point: Point2
     ia: int
     ib: int
-    tangential: bool
 
 
 @dataclass(frozen=True)
@@ -466,7 +459,7 @@ def intersect_projected(
             used.update(group)
             mid = group[len(group) // 2]
             g = crossings[mid]
-            contacts.append(ContactSite(g.point, g.ia, g.ib, tangential=False))
+            contacts.append(ContactSite(g.point, g.ia, g.ib))
     if not self_mode:
         # every local minimum of the vertex-to-segment distance below tol
         # is a candidate tangency (curves can brush the outline more than
@@ -492,7 +485,7 @@ def intersect_projected(
             mid = Point2(
                 0.5 * (pa[i, 0] + float(fx)), 0.5 * (pa[i, 1] + float(fy))
             )
-            contacts.append(ContactSite(mid, i, j, tangential=True))
+            contacts.append(ContactSite(mid, i, j))
     return IntersectionResult(tuple(crossings), tuple(contacts))
 
 
@@ -725,9 +718,14 @@ class VisibilityTaggedCurve:
         return out
 
 
-def _param_point(poly: Polyline, param: float) -> Point2:
+def _split_param(poly: Polyline, param: float) -> tuple[int, float]:
+    """A cut parameter as (segment index, fraction along that segment)."""
     i = min(int(param), len(poly.points) - 2)
-    t = param - i
+    return i, param - i
+
+
+def _param_point(poly: Polyline, param: float) -> Point2:
+    i, t = _split_param(poly, param)
     return _lerp(poly.points[i], poly.points[i + 1], t)
 
 
@@ -740,16 +738,11 @@ def _sub_polyline(poly: Polyline, p0: float, p1: float) -> Polyline | None:
     for k in range(i0, min(i1, len(poly.points) - 1) + 1):
         if k <= p1:
             pts.append(poly.points[k])
-    end = _param_point(poly, p1)
-    if pts and pts[-1].dist(end) > 0.0:
-        pts.append(end)
-    dedup = [pts[0]]
-    for p in pts[1:]:
-        if p.dist(dedup[-1]) > 0.0:
-            dedup.append(p)
-    if len(dedup) < 2:
+    pts.append(_param_point(poly, p1))
+    pts = drop_repeats(pts)
+    if len(pts) < 2:
         return None
-    return Polyline(tuple(dedup))
+    return Polyline(pts)
 
 
 def _locate_param(poly: Polyline, q: Point2) -> tuple[float, float]:
@@ -768,10 +761,13 @@ class OcclusionTester:
         x_expr, y_expr = _projected_exprs(s, proj)
         self.fx = compile_fn(x_expr, ("u", "v"))
         self.fy = compile_fn(y_expr, ("u", "v"))
-        self.fxu, self.fxv, self.fyu, self.fyv = _projected_partials(s, proj)
+        self.fxu, self.fxv, self.fyu, self.fyv = (
+            compile_fn(e, ("u", "v")) for e in _projected_partials(s, proj)
+        )
 
-        us = np.array(steps(*s.u_range, OCCLUSION_SEEDS))
-        vs = np.array(steps(*s.v_range, OCCLUSION_SEEDS))
+        # lists: Newton starts from floats, not numpy scalars that warn on overflow
+        us = steps(*s.u_range, OCCLUSION_SEEDS)
+        vs = steps(*s.v_range, OCCLUSION_SEEDS)
         gx = self.fx.grid(us, vs)
         gy = self.fy.grid(us, vs)
         gy[np.isnan(gx)] = np.nan  # a node is undefined when either is
@@ -788,7 +784,7 @@ class OcclusionTester:
         # the projected cell can poke out of its corner box; inflate
         finite_x = gx[np.isfinite(gx)]
         finite_y = gy[np.isfinite(gy)]
-        if finite_x.size == 0:
+        if finite_y.size == 0:  # y is NaN wherever x is
             raise SurfaceError("surface projects nowhere")
         span = max(
             float(finite_x.max() - finite_x.min()),
@@ -910,13 +906,15 @@ class OcclusionTester:
 
 
 def classify_visibility(
-    curve: SpaceCurve,
+    poly: Polyline,
+    label: str,
     s: ParametricSurface,
     proj: Projection,
     cuts: Sequence[Point2],
     tester: OcclusionTester | None = None,
 ) -> VisibilityTaggedCurve:
-    """Split the projected curve at the cut points and tag each interval.
+    """Split poly, a `project_curve` result, at the cut points and tag
+    each interval; label names the result.
 
     Visibility is decided at the interval midpoint: the interval is
     hidden when some surface point projects there with strictly larger
@@ -927,9 +925,6 @@ def classify_visibility(
     """
     if tester is None:
         tester = OcclusionTester(s, proj)
-    poly = project_curve(curve, proj)
-    if poly is None:
-        raise SurfaceError(f"curve {curve.label!r} projects to a point")
     n_last = float(len(poly.points) - 1)
     params: list[float] = []
     for q in cuts:
@@ -951,9 +946,7 @@ def classify_visibility(
     hidden_flags: list[bool] = []
     trouble = False
     for k in range(len(bounds) - 1):
-        mid = 0.5 * (bounds[k] + bounds[k + 1])
-        i = min(int(mid), len(poly.points) - 2)
-        t = mid - i
+        i, t = _split_param(poly, 0.5 * (bounds[k] + bounds[k + 1]))
         if poly.params is not None:
             ua, va = poly.params[i]
             ub, vb = poly.params[i + 1]
@@ -968,7 +961,7 @@ def classify_visibility(
         hidden_flags.append(flag)
         trouble = trouble or bad
     return VisibilityTaggedCurve(
-        poly, tuple(cleaned), tuple(hidden_flags), curve.label, trouble
+        poly, tuple(cleaned), tuple(hidden_flags), label, trouble
     )
 
 
@@ -1058,13 +1051,20 @@ def build_surface_scene(
         + [("wire", c) for c in wire_curves]
         + [("extra", c) for c in extras]
     )
-    projected: list[tuple[str, SpaceCurve, Polyline]] = []
+    projected: list[tuple[str, str, Polyline]] = []
     for role, curve in drawn:
         poly = project_curve(curve, proj)
         if poly is None:
             log.warning("dropping curve %r: degenerate projection", curve.label)
             continue
-        projected.append((role, curve, poly))
+        projected.append((role, curve.label, poly))
+    # the emitters refuse a coordinate fmt5 cannot write; refuse it before
+    # the scene's work, which overflows and crawls at such sizes
+    extent = max(
+        (abs(c) for _, _, p in projected for q in p.points for c in (q.x, q.y)),
+        default=0.0,
+    )
+    fmt5(extent)
     outline_polys = [
         p for role, _, p in projected if role in ("boundary", "silhouette")
     ]
@@ -1081,9 +1081,9 @@ def build_surface_scene(
                 pts.append(refine_contact(poly, op, site.ia, site.ib).point)
         return pts
 
-    def work(item: tuple[str, SpaceCurve, Polyline]) -> VisibilityTaggedCurve:
-        role, curve, poly = item
-        return classify_visibility(curve, s, proj, cut_points(poly), tester)
+    def work(item: tuple[str, str, Polyline]) -> VisibilityTaggedCurve:
+        _, label, poly = item
+        return classify_visibility(poly, label, s, proj, cut_points(poly), tester)
 
     with ThreadPoolExecutor() as pool:
         tagged = list(pool.map(work, projected))

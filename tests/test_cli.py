@@ -300,6 +300,26 @@ class TestSurface:
         assert with_comments == capsys.readouterr().out
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a drawing about 1e-295 cm across: spline fits of its windows
+            # see chords whose norms multiply to below the double range
+            "x = u^v\ny = 0\nz = 0\nu = 0, 2*pi\nv = 0, 2*pi\n"
+            "theta = 1e-300\nphi = 1e-300\ngrid = 8\nsamples = 3\naxes = off\n",
+            # occlusion Newton steps where exp overflows
+            "x = exp(u*v*1e3)\ny = exp(u*v*1e3)\nz = exp(u*v*1e3)\n"
+            "u = -1e300, 1e300\nv = -1e300, 1e300\nphi = 1e-300\n"
+            "grid = 12\nsamples = 6\n",
+        ],
+        ids=["norms-underflow", "newton-overflows"],
+    )
+    def test_extreme_values_are_drawn(self, capsys, tmp_path, text):
+        desc = tmp_path / "extreme.surf"
+        desc.write_text(text)
+        assert main(["surface", str(desc)]) == 0
+        assert capsys.readouterr().out.startswith("{\\unitlength=1cm%")
+
     def test_undefined_seed_cells_print_no_numpy_warning(self, tmp_path):
         # z is undefined for v < 0.5, so some occlusion seed cells have
         # no defined corner at all; run as a user would, so numpy's
@@ -430,6 +450,26 @@ class TestRefusals:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert key in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (PARABOLOID_FILE + "x = 1e30*u*cos(v)\n", "cannot format"),
+            (
+                "x = u\ny = u^2 - v^2\nz = 1/u\nu = 0, 1e300\nv = 0, 1\n"
+                "grid = 8\nsamples = 2\naxes = off\n",
+                "surface projects nowhere",
+            ),
+        ],
+        ids=["coordinates-past-five-decimals", "y-undefined-where-x-is-defined"],
+    )
+    def test_bad_surface(self, capsys, tmp_path, text, message):
+        desc = tmp_path / "bad.surf"
+        desc.write_text(text)
+        assert main(["surface", str(desc)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -568,3 +608,70 @@ def test_property_point_files_never_raise(
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().startswith("error: ")
+
+
+# `.surf` fuzzing: a file with a good value for every key, then a few
+# corruptions (a value from anywhere, a dropped key, a junk key or line)
+EXPRESSIONS = (
+    "u", "v", "u*v", "u^2 - v^2", "cos(v)*u", "sqrt(u)", "1/u", "log(v)",
+    "u^v", "exp(u*v*1e3)", "abs(u)", "1e300*u", "0",
+)
+RANGES = ("0, 1", "-1, 1", "0, 2*pi", "0, 1e300", "-1e300, 1e300", "1e-300, 2e-300")
+NUMBERS = ("0", "60", "-30", "89.9", "1e-300", "1e300")
+WIRES = ("", "0", "0.5", "0, 0.5, 1", "-1", "7", "1e300")
+GOOD_SURF_VALUES = {
+    "x": EXPRESSIONS,
+    "y": EXPRESSIONS,
+    "z": EXPRESSIONS,
+    "u": RANGES,
+    "v": RANGES,
+    "theta": NUMBERS,
+    "phi": ("25", "0", "-89", "1e-300"),
+    "wires_u": WIRES,
+    "wires_v": WIRES,
+    "grid": tuple(str(n) for n in range(8, 13)),
+    "samples": tuple(str(n) for n in range(2, 7)),
+    "hidden": ("dashed", "omit"),
+    "axes": ("on", "off"),
+}
+BAD_TEXT = (
+    "", "abc", "(", "1,", ",", "u*", "sinn(u)", "w", "1 2", "nan", "inf",
+    "1e400", "-1e400", "1, 0", "0, 0", "0, 1, 2", "90", "4", "-3", "dotted",
+)
+ANY_SURF_VALUE = st.sampled_from(
+    sorted({v for vs in GOOD_SURF_VALUES.values() for v in vs} | set(BAD_TEXT))
+)
+
+
+@st.composite
+def surf_files(draw) -> str:
+    desc = {key: draw(st.sampled_from(vs)) for key, vs in GOOD_SURF_VALUES.items()}
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("value", "drop", "junk key", "junk line")))
+        key = draw(st.sampled_from(sorted(GOOD_SURF_VALUES)))
+        if kind == "value":
+            desc[key] = draw(ANY_SURF_VALUE)
+        elif kind == "drop":
+            desc.pop(key, None)
+        elif kind == "junk key":
+            junk = draw(st.sampled_from(("colour", "X", "grid2", "", "=")))
+            lines.append(f"{junk} = {draw(ANY_SURF_VALUE)}")
+        else:
+            lines.append(draw(st.sampled_from(("no equals sign", "# note", "="))))
+    lines.extend(f"{key} = {value}" for key, value in desc.items())
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=surf_files(), flags=st.sampled_from(((), ("--theta=30",), ("--phi=1e-300",))))
+def test_property_surface_files_never_raise(tmp_path_factory, text, flags):
+    """Any `.surf` file ends in exit 0, 1 or 2, never in a traceback."""
+    desc = tmp_path_factory.getbasetemp() / "fuzz.surf"
+    desc.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["surface", str(desc), *flags])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().splitlines()[-1].startswith("error: ")

@@ -145,7 +145,7 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"grid": 4}, {"xrange": (1, -1)}, {"yrange": (0, 0)}, {"join_tol": 0.0}],
+        [{"grid": 4}, {"xrange": (1, -1)}, {"yrange": (0, 0)}],
     )
     def test_bad_config_is_trace_error(self, kwargs):
         with pytest.raises(TraceError):

@@ -47,6 +47,11 @@ class TestFmt5:
         assert fmt5(-0.0) == "0.00000"
         assert fmt5(-1e-9) == "0.00000"
 
+    def test_more_digits_than_the_decimal_context_rejected(self):
+        assert fmt5(9e22) == "90000000000000000000000.00000"
+        with pytest.raises(RenderError):
+            fmt5(1e24)
+
     def test_nonfinite_rejected(self):
         with pytest.raises(RenderError):
             fmt5(float("nan"))

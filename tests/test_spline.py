@@ -45,6 +45,14 @@ class TestControlPoints:
         )
         assert c == 1 / 6
 
+    def test_coefficient_of_chords_whose_norms_underflow(self):
+        # |chord1| * |chord2| = 2^-1198 is below the double range
+        h = 2.0**-600
+        c = oshima_coefficient(
+            Point2(0, 0), Point2(h, 0), Point2(2 * h, 0), Point2(3 * h, 0)
+        )
+        assert c == 1 / 6
+
     def test_oshima_quad_anchor(self):
         # first arc of the closed diamond, pinned once
         q, r = control_points_oshima(QUAD[3], QUAD[0], QUAD[1], QUAD[2])

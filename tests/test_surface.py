@@ -18,7 +18,7 @@ from splinefig.geom import (
 )
 from splinefig import surface
 from splinefig.render import Style, emit_latex
-from splinefig.expr import DomainError
+from splinefig.expr import DomainError, compile_fn
 from splinefig.surface import (
     _halves,
     _jacobian_fn,
@@ -196,6 +196,49 @@ class TestSilhouette:
                     continue
                 assert grid[i, j] == expected
                 assert math.copysign(1.0, grid[i, j]) == math.copysign(1.0, expected)
+
+    @pytest.mark.parametrize(
+        "surf",
+        [
+            paraboloid_surface(),
+            mobius(),
+            ParametricSurface.from_strings(
+                "u", "v", "sqrt(v - 0.5) + u^2", (-1.0, 1.0), (0.0, 2.0)
+            ),
+        ],
+        ids=["paraboloid", "mobius", "partial"],
+    )
+    def test_compiled_jacobian_matches_the_product_of_partials(self, surf):
+        # The reference is J = xu*yv - xv*yu from the four partials
+        # compiled one by one, NaN where a partial is undefined.  The
+        # compiled J may differ from it in one case only: when each
+        # partial is finite but J overflows, the compiled J raises
+        # DomainError (as every compiled function does) where the
+        # reference gives an infinity.  None of these surfaces overflows.
+        xu, xv, yu, yv = (
+            compile_fn(e, ("u", "v"))
+            for e in surface._projected_partials(surf, VIEW)
+        )
+        us = np.linspace(*surf.u_range, 23).tolist()
+        vs = np.linspace(*surf.v_range, 29).tolist()
+        a, b, c, d = (g.grid(us, vs) for g in (xu, yv, xv, yu))
+        ref_grid = a * b - c * d
+        jac = _jacobian_fn(surf, VIEW)
+        grid = jac.grid(us, vs)
+        assert np.array_equal(np.isnan(grid), np.isnan(ref_grid))
+        assert _bits(grid[~np.isnan(grid)]) == _bits(ref_grid[~np.isnan(ref_grid)])
+        for i, u in enumerate(us):
+            for j, v in enumerate(vs):
+                try:
+                    ref = xu(u, v) * yv(u, v) - xv(u, v) * yu(u, v)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        jac(u, v)
+                    assert np.isnan(ref_grid[i, j])
+                    continue
+                assert math.isfinite(ref)
+                assert _bits([jac(u, v)]) == _bits([ref])
+                assert _bits([ref_grid[i, j]]) == _bits([ref])
 
 
 class TestBoundaries:
@@ -483,7 +526,7 @@ class TestVisibility:
         c = SpaceCurve(
             (Point3(0, 0, 0), Point3(0, 0, 0.5)), label="probe"
         )
-        tagged = classify_visibility(c, s, VIEW, [])
+        tagged = classify_visibility(project_curve(c, VIEW), c.label, s, VIEW, [])
         ivs = tagged.intervals()
         assert len(ivs) == 1
         assert ivs[0][1] is True
@@ -491,7 +534,7 @@ class TestVisibility:
     def test_distant_segment_is_visible(self):
         s = paraboloid_surface()
         c = SpaceCurve((Point3(10, 10, 0), Point3(11, 11, 0)), label="far")
-        tagged = classify_visibility(c, s, VIEW, [])
+        tagged = classify_visibility(project_curve(c, VIEW), c.label, s, VIEW, [])
         assert tagged.intervals()[0][1] is False
 
     def test_cut_splits_intervals(self):
@@ -502,7 +545,7 @@ class TestVisibility:
         )
         poly = project_curve(c, VIEW)
         mid = poly.points[30]
-        tagged = classify_visibility(c, s, VIEW, [mid])
+        tagged = classify_visibility(poly, c.label, s, VIEW, [mid])
         assert len(tagged.intervals()) == 2
 
     def test_occlusion_tester_covers(self):
@@ -529,6 +572,26 @@ class TestSceneStructure:
             1 for w in report.wires for _, h in w.intervals() if h
         )
         assert hidden >= 1
+
+    def test_each_curve_projected_and_each_function_compiled_once(self, monkeypatch):
+        # the README paraboloid draws 11 curves (rim, silhouette, 6 wires,
+        # 3 axes); it compiles x, y, z, J, X, Y and the 4 partials of X, Y
+        calls = {"project_curve": 0, "compile_fn": 0}
+
+        def counted(name):
+            real = getattr(surface, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(surface, name, counted(name))
+        cfg = SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6)))
+        build_surface_scene(paraboloid_surface(), VIEW, cfg)
+        assert calls == {"project_curve": 11, "compile_fn": 10}
 
     def test_scene_is_deterministic(self):
         cfg = SceneConfig(wires_v=(0.0, math.pi))
@@ -559,9 +622,9 @@ class TestSceneStructure:
         delay = {"axis:x": 0.3, "axis:y": 0.2, "axis:z": 0.1}
         real = surface.classify_visibility
 
-        def reversed_finish(curve, *args):
-            time.sleep(delay.get(curve.label, 0.0))
-            return real(curve, *args)
+        def reversed_finish(poly, label, *args):
+            time.sleep(delay.get(label, 0.0))
+            return real(poly, label, *args)
 
         monkeypatch.setattr(surface, "classify_visibility", reversed_finish)
         cfg = SceneConfig(wires_v=(0.0, math.pi), grid=80, samples=60)
