@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
@@ -426,11 +427,12 @@ def diff(node: ExprNode, var: str) -> ExprNode:
 
 
 # ---------------------------------------------------------------------------
-# code generation: Newton solves and bisection call expressions point by
-# point, where the tree walker is too slow, so the tree becomes a Python
-# lambda.  Grid scans instead evaluate the tree once over whole arrays
-# (`grid` on the compiled callable), with the same IEEE operations and
-# the same libm routines, so each node gets the bits the lambda gives.
+# code generation: Newton solves call expressions point by point, where
+# the tree walker is too slow, so the tree becomes a Python lambda.  Grid
+# scans and batched bisection instead evaluate the tree once over whole
+# arrays (`at` and `grid` on the compiled callable), with the same IEEE
+# operations and the same libm routines, so each node gets the bits the
+# lambda gives.
 
 def _mangle(name: str) -> str:
     return "_v_" + name
@@ -460,9 +462,13 @@ def compile_fn(node: ExprNode, params: tuple[str, ...]) -> Callable[..., float]:
     """Compile a tree to a fast positional callable.
 
     The callable takes len(params) floats and raises DomainError exactly
-    where evaluate() would.  For two parameters (x, y) it also has
-    `grid(xs, ys)`: the ndarray of its values at every (xs[i], ys[j]),
-    bit for bit, with NaN exactly where the call raises DomainError.
+    where evaluate() would.  Its `at(*arrays)` takes one array per
+    parameter, all of one shape (or broadcast to one), and gives the
+    call's value at every element, bit for bit, with NaN exactly where
+    the call raises DomainError; callers that batch their points, such
+    as the zero-set tracer, never need the scalar call.  For two
+    parameters (x, y), `grid(xs, ys)` is `at` on xs as a column and ys
+    as a row: the ndarray of the values at every (xs[i], ys[j]).
     """
     body = _emit(node, params)
     args = ", ".join(_mangle(p) for p in params)
@@ -484,51 +490,115 @@ def compile_fn(node: ExprNode, params: tuple[str, ...]) -> Callable[..., float]:
             raise DomainError(f"expression evaluated to {value!r}")
         return value
 
+    table: dict = {}
+    shared = _shared(node, table)
+    # how many parents ask for each node that has more than one
+    parents = Counter(id(c) for n in table.values() for c in _children(n))
+    asks = {k: count for k, count in parents.items() if count > 1}
+
+    def at(*arrays: np.ndarray) -> np.ndarray:
+        if len(arrays) != len(params):
+            raise TypeError(f"at needs one array per parameter {params}")
+        arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+        memo = {k: [None, count] for k, count in asks.items()}
+        with np.errstate(all="ignore"):
+            value, raised = _grid_eval(shared, dict(zip(params, arrays)), memo)
+            value = np.where(raised | ~np.isfinite(value), np.nan, value)
+        if value.shape != shape:  # a subtree without every variable
+            value = np.broadcast_to(value, shape).copy()
+        return value
+
     def grid(xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:
         if len(params) != 2:
             raise TypeError(f"grid needs two parameters, not {params}")
         # x varies down a column and y along a row: a subtree in one
         # variable costs one value per node of its axis, not per node
-        x = np.asarray(xs, dtype=float)[:, None]
-        y = np.asarray(ys, dtype=float)[None, :]
-        with np.errstate(all="ignore"):
-            value, raised = _grid_eval(node, dict(zip(params, (x, y))))
-            value = np.where(raised | ~np.isfinite(value), np.nan, value)
-        shape = (x.shape[0], y.shape[1])
-        if value.shape != shape:  # a subtree without both variables
-            value = np.broadcast_to(value, shape).copy()
-        return value
+        return at(
+            np.asarray(xs, dtype=float)[:, None], np.asarray(ys, dtype=float)[None, :]
+        )
 
+    call.at = at
     call.grid = grid
     return call
 
 
-def _grid_eval(node: ExprNode, env: Mapping[str, np.ndarray]):
+def _shared(node: ExprNode, table: dict) -> ExprNode:
+    """The tree with each set of equal subtrees made one object.
+
+    Derivatives repeat subtrees: the Mobius band's silhouette Jacobian
+    (theta 75, phi 20) has 195 nodes, 54 of them distinct, and 26 libm
+    calls, 4 of them distinct.  An array walk that remembers each
+    object's values evaluates each distinct subtree once, with the
+    same bits.  Constants are told apart by repr, so 0.0 and -0.0 stay
+    distinct.
+    """
+    t = type(node)
+    if t is Const:
+        key: tuple = (t, repr(node.value))
+    elif t is Var:
+        key = (t, node.name)
+    elif t is Neg:
+        node = Neg(_shared(node.arg, table))
+        key = (t, id(node.arg))
+    elif t is Call:
+        node = Call(node.func, _shared(node.arg, table))
+        key = (t, node.func, id(node.arg))
+    else:
+        node = BinOp(node.op, _shared(node.left, table), _shared(node.right, table))
+        key = (t, node.op, id(node.left), id(node.right))
+    return table.setdefault(key, node)
+
+
+def _children(node: ExprNode) -> tuple[ExprNode, ...]:
+    if type(node) is BinOp:
+        return (node.left, node.right)
+    if type(node) is Neg or type(node) is Call:
+        return (node.arg,)
+    return ()
+
+
+def _grid_eval(node: ExprNode, env: Mapping[str, np.ndarray], memo: dict):
     """(values, raised) of a tree over broadcast arrays.
 
     raised marks the elements where the lambda would raise; the value
     there is meaningless.  + - * / negation, abs and sqrt are correctly
     rounded, so numpy gives the lambda's bits; numpy's own sin cos tan
     exp log and power round differently from libm on some inputs, so
-    those call the math routines element by element.
+    those call the math routines element by element.  memo maps the id
+    of each node with more than one parent (see `_shared`) to [its
+    result or None, the parents still to ask]: the node is walked once,
+    and its arrays are let go once the last parent has them.
     """
+    entry = memo.get(id(node))
+    if entry is None:
+        return _grid_node(node, env, memo)
+    result = entry[0]
+    if result is None:
+        result = _grid_node(node, env, memo)
+    entry[1] -= 1
+    entry[0] = result if entry[1] else None
+    return result
+
+
+def _grid_node(node: ExprNode, env: Mapping[str, np.ndarray], memo: dict):
     if type(node) is Const:
         return np.float64(node.value), False
     if type(node) is Var:
         return env[node.name], False
     if type(node) is Neg:
-        value, raised = _grid_eval(node.arg, env)
+        value, raised = _grid_eval(node.arg, env, memo)
         return np.negative(value), raised
     if type(node) is Call:
-        value, raised = _grid_eval(node.arg, env)
+        value, raised = _grid_eval(node.arg, env, memo)
         if node.func == "abs":
             return np.abs(value), raised
         if node.func == "sqrt":
             return np.sqrt(value), raised | (value < 0.0)
         out, bad = _each(FUNCTIONS[node.func], value)
         return out, raised | bad
-    left, raised_l = _grid_eval(node.left, env)
-    right, raised_r = _grid_eval(node.right, env)
+    left, raised_l = _grid_eval(node.left, env, memo)
+    right, raised_r = _grid_eval(node.right, env, memo)
     raised = raised_l | raised_r
     op = node.op
     if op == "+":
@@ -543,10 +613,19 @@ def _grid_eval(node: ExprNode, env: Mapping[str, np.ndarray]):
     return out, raised | bad
 
 
-def _each(fn: Callable[..., float], *args) -> tuple[np.ndarray, np.ndarray]:
-    """fn over the broadcast args one element at a time, and where it raised."""
+def _each(fn: Callable[..., float], *args) -> tuple[np.ndarray, np.ndarray | bool]:
+    """fn over the broadcast args one element at a time, and where it raised.
+
+    One `map` pass serves the common case where no call raises; when
+    one does, a loop makes the calls again and catches each error.  Both
+    make the same calls on the same floats, so the values are the same.
+    """
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     columns = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
+    try:
+        return np.array(list(map(fn, *columns))).reshape(shape), False
+    except (ArithmeticError, ValueError):
+        pass
     out: list[float] = []
     bad: list[int] = []
     for k, xs in enumerate(zip(*columns)):

@@ -6,11 +6,12 @@ per-cell segments into polylines.  Saddle cells (two opposite positive
 corners) are disambiguated by the sign of F at the cell center.  The
 output is deterministic: same F, same window, same grid, same bytes.
 
-F is evaluated at the (n + 1)^2 nodes in one array pass (`f.grid`,
-bit for bit the values of the scalar F), and the cells are classified
-as arrays; the Python loop visits only the cells the curve crosses, in
-row order (j, then i), and calls the scalar F for bisection and saddle
-centers.
+F is evaluated only in array passes, bit for bit the values of the
+scalar F: once at the (n + 1)^2 nodes (`f.grid`), once at the centers
+of the saddle cells, and once per bisection step over every crossing
+still being refined (`f.at`).  Cells are classified and their segments
+read from a case table as arrays, in row order (j, then i); Python
+loops remain only where the segments are chained.
 
 Closed components come back counterclockwise with the first vertex
 repeated at the end; open components terminate on the rectangle
@@ -27,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import BinOp, DomainError, ExprNode, compile_fn, free_vars, parse, steps
+from .expr import BinOp, ExprNode, compile_fn, free_vars, parse, steps
 from .geom import Point2, Polyline
 
 log = logging.getLogger(__name__)
@@ -36,23 +37,32 @@ RESIDUAL_FACTOR = 1e-10
 MAX_BISECT = 30
 JOIN_TOL = 1e-9  # chained crossing points closer than this are one vertex
 
-# cell corner order: SW, SE, NE, NW; case bit k set when corner k has F > 0
-_SEGMENT_TABLE: dict[int, tuple[tuple[str, str], ...]] = {
-    0: (),
-    1: (("W", "S"),),
-    2: (("S", "E"),),
-    3: (("W", "E"),),
-    4: (("E", "N"),),
-    6: (("S", "N"),),
-    7: (("W", "N"),),
-    8: (("W", "N"),),
-    9: (("S", "N"),),
-    11: (("E", "N"),),
-    12: (("W", "E"),),
-    13: (("S", "E"),),
-    14: (("S", "W"),),
-    15: (),
-}
+# cell corner order: SW, SE, NE, NW; case bit k set when corner k has F > 0.
+# Each case lists its segments as pairs of cell edges, -1 for none; the
+# saddles 5 and 10 are listed for a positive center, and a saddle cell
+# whose center is not positive takes the other saddle's row.
+_S, _N, _W, _E = range(4)
+_SEGMENT_TABLE = np.array(
+    [
+        [(-1, -1), (-1, -1)],  # 0
+        [(_W, _S), (-1, -1)],  # 1
+        [(_S, _E), (-1, -1)],  # 2
+        [(_W, _E), (-1, -1)],  # 3
+        [(_E, _N), (-1, -1)],  # 4
+        [(_S, _E), (_W, _N)],  # 5
+        [(_S, _N), (-1, -1)],  # 6
+        [(_W, _N), (-1, -1)],  # 7
+        [(_W, _N), (-1, -1)],  # 8
+        [(_S, _N), (-1, -1)],  # 9
+        [(_S, _W), (_E, _N)],  # 10
+        [(_E, _N), (-1, -1)],  # 11
+        [(_W, _E), (-1, -1)],  # 12
+        [(_S, _E), (-1, -1)],  # 13
+        [(_S, _W), (-1, -1)],  # 14
+        [(-1, -1), (-1, -1)],  # 15
+    ],
+    dtype=np.int64,
+)
 
 
 class TraceError(ValueError):
@@ -68,10 +78,11 @@ class TraceConfig:
     def __post_init__(self):
         if self.grid < 8:
             raise TraceError("grid must be at least 8")
-        if not self.xrange[0] < self.xrange[1]:
-            raise TraceError("degenerate x range")
-        if not self.yrange[0] < self.yrange[1]:
-            raise TraceError("degenerate y range")
+        for name, (lo, hi) in (("x", self.xrange), ("y", self.yrange)):
+            if not lo < hi:
+                raise TraceError(f"degenerate {name} range")
+            if hi - lo == math.inf:  # the grid steps would be NaN
+                raise TraceError(f"{name} range is wider than the largest float")
 
 
 def trace_implicit(f: ExprNode | str, cfg: TraceConfig) -> list[Polyline]:
@@ -91,136 +102,76 @@ def parse_equation(text: str) -> ExprNode:
     return parse(text)
 
 
-def trace_zero_set(
-    f: Callable[[float, float], float], cfg: TraceConfig
-) -> list[Polyline]:
+def trace_zero_set(f: Callable[..., float], cfg: TraceConfig) -> list[Polyline]:
     """Marching-squares trace of f(x, y) = 0.
 
-    f is compiled (see `expr.compile_fn`): `f.grid` gives the node
-    values, NaN where f raises DomainError, and the scalar f refines
-    crossings and resolves saddles.
+    f is compiled (see `expr.compile_fn`); the trace evaluates it only
+    in array passes, NaN where f raises DomainError: `f.grid` for the
+    nodes, one `f.at` for the saddle centers, and one `f.at` per
+    bisection step over every crossing still being refined.  It never
+    calls the scalar f.
     """
     n = cfg.grid
-    xs = steps(*cfg.xrange, n)
-    ys = steps(*cfg.yrange, n)
+    xs = np.array(steps(*cfg.xrange, n))
+    ys = np.array(steps(*cfg.yrange, n))
     vals = f.grid(xs, ys)
-
-    def crossing(i1: int, j1: int, i2: int, j2: int) -> Point2:
-        f1 = float(vals[i1, j1])
-        f2 = float(vals[i2, j2])
-        p1 = (xs[i1], ys[j1])
-        p2 = (xs[i2], ys[j2])
-        if f1 == 0.0:
-            return Point2(*p1)
-        if f2 == 0.0:
-            return Point2(*p2)
-        tol = RESIDUAL_FACTOR * (1.0 + max(abs(f1), abs(f2)))
-
-        def at(t: float) -> tuple[float, float]:
-            return (p1[0] + (p2[0] - p1[0]) * t, p1[1] + (p2[1] - p1[1]) * t)
-
-        # linear interpolation first, then bisection; keep the best seen
-        t_best = f1 / (f1 - f2)
-        try:
-            f_best = abs(f(*at(t_best)))
-        except DomainError:
-            t_best, f_best = 0.5, math.inf
-        if f_best <= tol:
-            return Point2(*at(t_best))
-        ta, fa = 0.0, f1
-        tb = 1.0
-        for _ in range(MAX_BISECT):
-            tm = 0.5 * (ta + tb)
-            try:
-                fm = f(*at(tm))
-            except DomainError:
-                break
-            if abs(fm) < f_best:
-                t_best, f_best = tm, abs(fm)
-            if f_best <= tol:
-                break
-            if fa * fm < 0.0:
-                tb = tm
-            else:
-                ta, fa = tm, fm
-        return Point2(*at(t_best))
-
-    # edge keys: ("h", i, j) joins node (i,j)-(i+1,j); ("v", i, j) joins
-    # (i,j)-(i,j+1).  every crossing is computed once and shared by the
-    # two adjacent cells, which is what makes the chains join exactly.
-    points: dict[tuple, Point2] = {}
-    adjacency: dict[tuple, list[tuple]] = {}
-    segments: list[tuple[tuple, tuple]] = []
-
-    def edge_point(key: tuple) -> Point2:
-        pt = points.get(key)
-        if pt is None:
-            kind, i, j = key
-            if kind == "h":
-                pt = crossing(i, j, i + 1, j)
-            else:
-                pt = crossing(i, j, i, j + 1)
-            points[key] = pt
-        return pt
 
     # cells as [i, j] arrays over the corners SW, SE, NE, NW; a cell with
     # a non-finite corner is skipped, one with all corners on one side
     # holds no segment
-    valid = np.ones((n, n), dtype=bool)
-    case = np.zeros((n, n), dtype=np.uint8)
-    for bit, corner in enumerate(
-        (vals[:-1, :-1], vals[1:, :-1], vals[1:, 1:], vals[:-1, 1:])
-    ):
-        valid &= np.isfinite(corner)
-        case |= (corner > 0.0).astype(np.uint8) << bit
+    defined = np.isfinite(vals)
+    valid = defined[:-1, :-1] & defined[1:, :-1] & defined[1:, 1:] & defined[:-1, 1:]
+    pos = (vals > 0.0).view(np.uint8)
+    case = (
+        pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
+    )
     valid_cells = int(np.count_nonzero(valid))
-    skipped = n * n - valid_cells
+    if valid_cells == 0:
+        raise TraceError("function undefined on the whole window")
+    if valid_cells < n * n:
+        log.warning("skipped %d cells with undefined corners", n * n - valid_cells)
+
     # transposed, so the crossed cells come j-major, i-minor: the
     # segment order the chains are built from
     crossed = (valid & (case != 0) & (case != 15)).T
     jj, ii = np.nonzero(crossed)
-    for i, j, case_ij in zip(ii.tolist(), jj.tolist(), case.T[crossed].tolist()):
-        if case_ij in (5, 10):
-            try:
-                fc = f(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
-            except DomainError:
-                fc = 0.0
-            center_pos = fc > 0.0
-            if case_ij == 5:
-                pairs = (
-                    (("S", "E"), ("W", "N"))
-                    if center_pos
-                    else (("S", "W"), ("E", "N"))
-                )
-            else:
-                pairs = (
-                    (("S", "W"), ("E", "N"))
-                    if center_pos
-                    else (("S", "E"), ("W", "N"))
-                )
-        else:
-            pairs = _SEGMENT_TABLE[case_ij]
-        names = {
-            "S": ("h", i, j),
-            "N": ("h", i, j + 1),
-            "W": ("v", i, j),
-            "E": ("v", i + 1, j),
-        }
-        for ea, eb in pairs:
-            ka, kb = names[ea], names[eb]
-            seg_id = len(segments)
-            segments.append((ka, kb))
-            adjacency.setdefault(ka, []).append((kb, seg_id))
-            adjacency.setdefault(kb, []).append((ka, seg_id))
+    cell_case = case.T[crossed]
+    saddle = np.flatnonzero((cell_case == 5) | (cell_case == 10))
+    si, sj = ii[saddle], jj[saddle]
+    center = f.at(0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1]))
+    # a center where f is undefined counts as not positive
+    cell_case[saddle[~(center > 0.0)]] ^= 15
 
-    if valid_cells == 0:
-        raise TraceError("function undefined on the whole window")
-    if skipped:
-        log.warning("skipped %d cells with undefined corners", skipped)
+    # an edge is an int key: i*m + j for the edge from node (i, j) to
+    # (i + 1, j), m*m + i*m + j for the one from (i, j) to (i, j + 1), so
+    # sorted keys list the first kind before the second, each by i then
+    # j.  every crossing is computed once and shared by the two adjacent
+    # cells, which is what makes the chains join exactly.
+    m = n + 1
+    offsets = np.array([0, 1, m * m, m * m + m])  # S, N, W, E of cell (0, 0)
+    pairs = _SEGMENT_TABLE[cell_case]
+    has = pairs[:, :, 0] >= 0
+    base = (ii * m + jj)[:, None]
+    seg_a = (base + offsets[pairs[:, :, 0]])[has].tolist()
+    seg_b = (base + offsets[pairs[:, :, 1]])[has].tolist()
+    adjacency: dict[int, list[tuple[int, int]]] = {}
+    for seg_id, (ka, kb) in enumerate(zip(seg_a, seg_b)):
+        adjacency.setdefault(ka, []).append((kb, seg_id))
+        adjacency.setdefault(kb, []).append((ka, seg_id))
 
-    visited = [False] * len(segments)
+    keys = sorted(adjacency)
+    codes = np.array(keys, dtype=np.int64)
+    vertical = codes >= m * m
+    i1, j1 = np.divmod(codes - vertical * (m * m), m)
+    i2, j2 = i1 + ~vertical, j1 + vertical
+    px, py = _refine_crossings(
+        f, xs[i1], ys[j1], xs[i2], ys[j2], vals[i1, j1], vals[i2, j2]
+    )
+    points = dict(zip(keys, map(Point2, px.tolist(), py.tolist())))
 
-    def walk(start: tuple) -> list[tuple]:
+    visited = [False] * len(seg_a)
+
+    def walk(start: int) -> list[int]:
         chain = [start]
         current = start
         while True:
@@ -235,11 +186,11 @@ def trace_zero_set(
             current = step[0]
             chain.append(current)
 
-    chains: list[tuple[list[tuple], bool]] = []
-    for key in sorted(adjacency):
+    chains: list[tuple[list[int], bool]] = []
+    for key in keys:
         if len(adjacency[key]) == 1 and not visited[adjacency[key][0][1]]:
             chains.append((walk(key), False))
-    for key in sorted(adjacency):
+    for key in keys:
         if any(not visited[s] for _, s in adjacency[key]):
             chain = walk(key)
             closed = chain[0] == chain[-1] if len(chain) > 2 else False
@@ -249,7 +200,7 @@ def trace_zero_set(
     for chain, closed in chains:
         pts: list[Point2] = []
         for key in chain:
-            p = edge_point(key)
+            p = points[key]
             if pts and pts[-1].dist(p) <= JOIN_TOL:
                 continue
             pts.append(p)
@@ -270,6 +221,57 @@ def trace_zero_set(
                 pts.reverse()
         result.append(Polyline(tuple(pts)))
     return result
+
+
+def _refine_crossings(
+    f: Callable[..., float],
+    x1: np.ndarray,
+    y1: np.ndarray,
+    x2: np.ndarray,
+    y2: np.ndarray,
+    f1: np.ndarray,
+    f2: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The crossing points on the edges (x1, y1)-(x2, y2), all at once.
+
+    f1 and f2 are f at the ends, finite and of opposite signs or zero.
+    An end where f is 0 is the crossing.  Otherwise the linear
+    interpolation guess comes first, then up to MAX_BISECT halvings of
+    the bracket; an edge stops when |f| <= tol or f is undefined at its
+    midpoint, and keeps the best point seen.  Each edge makes exactly
+    the float operations of a scalar bisection, so the bits match it;
+    each step is one `f.at` over the edges still going.
+    """
+    dx, dy = x2 - x1, y2 - y1
+    # Python floats overflow to inf silently; numpy would warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        tol = RESIDUAL_FACTOR * (1.0 + np.maximum(np.abs(f1), np.abs(f2)))
+        t_best = f1 / (f1 - f2)
+        f_best = np.abs(f.at(x1 + dx * t_best, y1 + dy * t_best))
+        undefined = np.isnan(f_best)
+        t_best[undefined] = 0.5
+        f_best[undefined] = math.inf
+        ta, fa, tb = np.zeros_like(f1), f1.copy(), np.ones_like(f1)
+        live = np.flatnonzero((f_best > tol) & (f1 != 0.0) & (f2 != 0.0))
+        for _ in range(MAX_BISECT):
+            if live.size == 0:
+                break
+            tm = 0.5 * (ta[live] + tb[live])
+            fm = f.at(x1[live] + dx[live] * tm, y1[live] + dy[live] * tm)
+            defined = ~np.isnan(fm)
+            live, tm, fm = live[defined], tm[defined], fm[defined]
+            better = np.abs(fm) < f_best[live]
+            t_best[live[better]] = tm[better]
+            f_best[live[better]] = np.abs(fm[better])
+            going = f_best[live] > tol[live]
+            live, tm, fm = live[going], tm[going], fm[going]
+            lower = fa[live] * fm < 0.0
+            tb[live[lower]] = tm[lower]
+            ta[live[~lower]] = tm[~lower]
+            fa[live[~lower]] = fm[~lower]
+        x = np.where(f1 == 0.0, x1, np.where(f2 == 0.0, x2, x1 + dx * t_best))
+        y = np.where(f1 == 0.0, y1, np.where(f2 == 0.0, y2, y1 + dy * t_best))
+    return x, y
 
 
 def _shoelace(pts: list[Point2]) -> float:

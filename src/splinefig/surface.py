@@ -114,10 +114,11 @@ class ParametricSurface:
     v_range: tuple[float, float]
 
     def __post_init__(self):
-        if not self.u_range[0] < self.u_range[1]:
-            raise SurfaceError("degenerate u range")
-        if not self.v_range[0] < self.v_range[1]:
-            raise SurfaceError("degenerate v range")
+        for name, (lo, hi) in (("u", self.u_range), ("v", self.v_range)):
+            if not lo < hi:
+                raise SurfaceError(f"degenerate {name} range")
+            if hi - lo == math.inf:  # the grid steps would be NaN
+                raise SurfaceError(f"{name} range is wider than the largest float")
         extra = (
             free_vars(self.x) | free_vars(self.y) | free_vars(self.z)
         ) - {"u", "v"}
@@ -426,23 +427,33 @@ def intersect_projected(
         overlap &= idx[:, None] < idx[None, :]
     cand_i, cand_j = np.nonzero(overlap)
 
+    # the crossing arithmetic runs on Python floats.  Each candidate's
+    # three vectors are divided by one power of two that brings their
+    # largest component into [1/2, 1), so no cross product overflows;
+    # t and s are ratios, bit for bit the unscaled ones wherever no
+    # value under- or overflowed
+    va, vb = pa.tolist(), pb.tolist()
     crossings: list[Crossing] = []
     for i, j in zip(cand_i.tolist(), cand_j.tolist()):
-        p = a0[i]
-        r = a1[i] - p
-        q = b0[j]
-        w = b1[j] - q
-        denom = r[0] * w[1] - r[1] * w[0]
+        (px, py), (ax, ay) = va[i], va[i + 1]
+        (qx, qy), (bx, by) = vb[j], vb[j + 1]
+        rx, ry, wx, wy = ax - px, ay - py, bx - qx, by - qy
+        dx, dy = qx - px, qy - py
+        big = max(abs(rx), abs(ry), abs(wx), abs(wy), abs(dx), abs(dy))
+        e = -math.frexp(big)[1]
+        sx, sy = math.ldexp(rx, e), math.ldexp(ry, e)
+        ux, uy = math.ldexp(wx, e), math.ldexp(wy, e)
+        ex, ey = math.ldexp(dx, e), math.ldexp(dy, e)
+        denom = sx * uy - sy * ux
         if denom == 0.0:
             continue
-        dq = q - p
-        t = (dq[0] * w[1] - dq[1] * w[0]) / denom
-        s = (dq[0] * r[1] - dq[1] * r[0]) / denom
+        t = (ex * uy - ey * ux) / denom
+        s = (ex * sy - ey * sx) / denom
         if 0.0 <= t <= 1.0 and 0.0 <= s <= 1.0:
-            pt = Point2(float(p[0] + t * r[0]), float(p[1] + t * r[1]))
+            pt = Point2(px + t * rx, py + t * ry)
             if any(pt.dist(c.point) <= CROSSING_DEDUP_TOL for c in crossings):
                 continue
-            crossings.append(Crossing(pt, int(i), int(j)))
+            crossings.append(Crossing(pt, i, j))
 
     contacts: list[ContactSite] = []
     # crossings bunched along a few vertices signal a tangential wiggle
@@ -481,10 +492,9 @@ def intersect_projected(
             if any(abs(c.ia - i) <= 5 and abs(c.ib - j) <= 5 for c in crossings):
                 continue
             kept.append((i, j))
-            fx, fy = b0[j] + tt[i, j] * (b1[j] - b0[j])
-            mid = Point2(
-                0.5 * (pa[i, 0] + float(fx)), 0.5 * (pa[i, 1] + float(fy))
-            )
+            (qx, qy), (bx, by), t = vb[j], vb[j + 1], float(tt[i, j])
+            fx, fy = qx + t * (bx - qx), qy + t * (by - qy)
+            mid = Point2(0.5 * (va[i][0] + fx), 0.5 * (va[i][1] + fy))
             contacts.append(ContactSite(mid, i, j))
     return IntersectionResult(tuple(crossings), tuple(contacts))
 

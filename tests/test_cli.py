@@ -455,13 +455,18 @@ class TestRefusals:
         "text, message",
         [
             (PARABOLOID_FILE + "x = 1e30*u*cos(v)\n", "cannot format"),
+            (PARABOLOID_FILE + "u = -1e308, 1e308\n", "u range is wider"),
             (
                 "x = u\ny = u^2 - v^2\nz = 1/u\nu = 0, 1e300\nv = 0, 1\n"
                 "grid = 8\nsamples = 2\naxes = off\n",
                 "surface projects nowhere",
             ),
         ],
-        ids=["coordinates-past-five-decimals", "y-undefined-where-x-is-defined"],
+        ids=[
+            "coordinates-past-five-decimals",
+            "u-range-wider-than-a-float",
+            "y-undefined-where-x-is-defined",
+        ],
     )
     def test_bad_surface(self, capsys, tmp_path, text, message):
         desc = tmp_path / "bad.surf"
@@ -494,6 +499,20 @@ class TestRefusals:
         files = {"DIAMOND": diamond, "SURF": str(desc)}
         assert main([files.get(a, a) for a in argv.split()]) == 2
         assert "error: argument --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "window, message",
+        [
+            ("--xrange=-1e308,1e308 --yrange=0,1", "x range is wider"),
+            ("--xrange=0,1 --yrange=-1.5e308,1e308", "y range is wider"),
+        ],
+        ids=["x-range-wider-than-a-float", "y-range-wider-than-a-float"],
+    )
+    def test_bad_window(self, capsys, window, message):
+        assert main(["implicit", "--fn=x-y", *window.split()]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert message in err
 
     @pytest.mark.parametrize(
         "rows, extra",
@@ -672,6 +691,55 @@ def test_property_surface_files_never_raise(tmp_path_factory, text, flags):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["surface", str(desc), *flags])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().splitlines()[-1].startswith("error: ")
+
+
+# `implicit` argv fuzzing: equations from a small grammar, windows that
+# may be reversed, degenerate or huge, every format
+FN_CONSTANTS = ("0", "1", "2", "0.5", "3.75", "1e-300", "1e-5", "1e5", "1e300", "pi")
+FN_LEAVES = ("x", "y", "(x-y)", "(x*y)", "(x^2+y^2-1)", *FN_CONSTANTS)
+EXPONENTS = ("2", "3", "-1", "-2", "0.5", "-0.5", "1.5", "0")
+fn_texts = st.recursive(
+    st.sampled_from(FN_LEAVES),
+    lambda sub: st.one_of(
+        st.tuples(sub, st.sampled_from("+-*/"), sub).map("({0[0]}{0[1]}{0[2]})".format),
+        st.tuples(sub, st.sampled_from(EXPONENTS)).map("({0[0]})^{0[1]}".format),
+        st.tuples(st.sampled_from(("sqrt", "log", "exp", "tan", "-")), sub).map(
+            "{0[0]}({0[1]})".format
+        ),
+    ),
+    max_leaves=8,
+)
+WINDOWS = (
+    "-2,2", "-1,1", "0,1", "-pi,pi", "-1e5,1e5", "0,1e300", "-1e300,1e300",
+    "1e-300,2e-300", "1,-1", "0,0", "1e300,-1e300", "-1e308,1e308",
+)
+
+
+@st.composite
+def implicit_argvs(draw) -> list[str]:
+    fn = draw(fn_texts)
+    if draw(st.booleans()):
+        fn = f"{fn}={draw(fn_texts)}"
+    argv = ["implicit", f"--fn={fn}"]
+    argv.append(f"--xrange={draw(st.sampled_from(WINDOWS))}")
+    argv.append(f"--yrange={draw(st.sampled_from(WINDOWS))}")
+    argv.append(f"--grid={draw(st.integers(8, 40))}")
+    argv.append(f"--format={draw(st.sampled_from(('tex', 'svg', 'csv')))}")
+    if draw(st.booleans()):
+        argv.append("--integrate-endpoints")
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=implicit_argvs())
+def test_property_implicit_argv_never_raises(argv):
+    """Any generated `implicit` argv ends in exit 0, 1 or 2, never in a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().splitlines()[-1].startswith("error: ")

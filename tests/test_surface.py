@@ -354,6 +354,33 @@ class TestIntersectProjected:
         site = min(res.contacts, key=lambda s: s.point.norm())
         assert site.point.norm() < 0.05
 
+    @pytest.mark.parametrize(
+        "a, b, want",
+        [
+            (
+                [(-1e200, -1e200), (1e200, 1e200)],
+                [(-1e200, 1e200), (1e200, -1e200)],
+                [(0.0, 0.0)],
+            ),
+            (
+                [(-1.0, -1.0), (1.0, 1.0), (1e200, -1e200)],
+                [(-1.0, 1.0), (1.0, -1.0), (1e200, 1e200)],
+                [(0.0, 0.0), (2.0, 0.0)],
+            ),
+        ],
+        ids=["x-spanning-1e200", "unit-crossing-beside-1e200"],
+    )
+    def test_far_out_crossings_do_not_overflow(self, a, b, want):
+        # unscaled, the cross products of these segments overflow: numpy
+        # scalars warned, and Python floats would put the second
+        # crossing at (1, 1)
+        res = intersect_projected(
+            Polyline(tuple(Point2(*p) for p in a)),
+            Polyline(tuple(Point2(*p) for p in b)),
+        )
+        assert [(c.point.x, c.point.y) for c in res.crossings] == want
+        assert not res.contacts
+
     def test_self_intersection(self):
         # a figure eight crosses itself once at the origin
         t = np.linspace(0, 2 * math.pi, 600)
