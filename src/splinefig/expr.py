@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence, Union
 
@@ -490,20 +489,13 @@ def compile_fn(node: ExprNode, params: tuple[str, ...]) -> Callable[..., float]:
             raise DomainError(f"expression evaluated to {value!r}")
         return value
 
-    table: dict = {}
-    shared = _shared(node, table)
-    # how many parents ask for each node that has more than one
-    parents = Counter(id(c) for n in table.values() for c in _children(n))
-    asks = {k: count for k, count in parents.items() if count > 1}
-
     def at(*arrays: np.ndarray) -> np.ndarray:
         if len(arrays) != len(params):
             raise TypeError(f"at needs one array per parameter {params}")
         arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
         shape = np.broadcast_shapes(*(a.shape for a in arrays))
-        memo = {k: [None, count] for k, count in asks.items()}
         with np.errstate(all="ignore"):
-            value, raised = _grid_eval(shared, dict(zip(params, arrays)), memo)
+            value, raised = _grid_eval(node, dict(zip(params, arrays)))
             value = np.where(raised | ~np.isfinite(value), np.nan, value)
         if value.shape != shape:  # a subtree without every variable
             value = np.broadcast_to(value, shape).copy()
@@ -523,82 +515,32 @@ def compile_fn(node: ExprNode, params: tuple[str, ...]) -> Callable[..., float]:
     return call
 
 
-def _shared(node: ExprNode, table: dict) -> ExprNode:
-    """The tree with each set of equal subtrees made one object.
-
-    Derivatives repeat subtrees: the Mobius band's silhouette Jacobian
-    (theta 75, phi 20) has 195 nodes, 54 of them distinct, and 26 libm
-    calls, 4 of them distinct.  An array walk that remembers each
-    object's values evaluates each distinct subtree once, with the
-    same bits.  Constants are told apart by repr, so 0.0 and -0.0 stay
-    distinct.
-    """
-    t = type(node)
-    if t is Const:
-        key: tuple = (t, repr(node.value))
-    elif t is Var:
-        key = (t, node.name)
-    elif t is Neg:
-        node = Neg(_shared(node.arg, table))
-        key = (t, id(node.arg))
-    elif t is Call:
-        node = Call(node.func, _shared(node.arg, table))
-        key = (t, node.func, id(node.arg))
-    else:
-        node = BinOp(node.op, _shared(node.left, table), _shared(node.right, table))
-        key = (t, node.op, id(node.left), id(node.right))
-    return table.setdefault(key, node)
-
-
-def _children(node: ExprNode) -> tuple[ExprNode, ...]:
-    if type(node) is BinOp:
-        return (node.left, node.right)
-    if type(node) is Neg or type(node) is Call:
-        return (node.arg,)
-    return ()
-
-
-def _grid_eval(node: ExprNode, env: Mapping[str, np.ndarray], memo: dict):
+def _grid_eval(node: ExprNode, env: Mapping[str, np.ndarray]):
     """(values, raised) of a tree over broadcast arrays.
 
     raised marks the elements where the lambda would raise; the value
     there is meaningless.  + - * / negation, abs and sqrt are correctly
     rounded, so numpy gives the lambda's bits; numpy's own sin cos tan
     exp log and power round differently from libm on some inputs, so
-    those call the math routines element by element.  memo maps the id
-    of each node with more than one parent (see `_shared`) to [its
-    result or None, the parents still to ask]: the node is walked once,
-    and its arrays are let go once the last parent has them.
+    those call the math routines element by element.
     """
-    entry = memo.get(id(node))
-    if entry is None:
-        return _grid_node(node, env, memo)
-    result = entry[0]
-    if result is None:
-        result = _grid_node(node, env, memo)
-    entry[1] -= 1
-    entry[0] = result if entry[1] else None
-    return result
-
-
-def _grid_node(node: ExprNode, env: Mapping[str, np.ndarray], memo: dict):
     if type(node) is Const:
         return np.float64(node.value), False
     if type(node) is Var:
         return env[node.name], False
     if type(node) is Neg:
-        value, raised = _grid_eval(node.arg, env, memo)
+        value, raised = _grid_eval(node.arg, env)
         return np.negative(value), raised
     if type(node) is Call:
-        value, raised = _grid_eval(node.arg, env, memo)
+        value, raised = _grid_eval(node.arg, env)
         if node.func == "abs":
             return np.abs(value), raised
         if node.func == "sqrt":
             return np.sqrt(value), raised | (value < 0.0)
         out, bad = _each(FUNCTIONS[node.func], value)
         return out, raised | bad
-    left, raised_l = _grid_eval(node.left, env, memo)
-    right, raised_r = _grid_eval(node.right, env, memo)
+    left, raised_l = _grid_eval(node.left, env)
+    right, raised_r = _grid_eval(node.right, env)
     raised = raised_l | raised_r
     op = node.op
     if op == "+":
@@ -613,19 +555,10 @@ def _grid_node(node: ExprNode, env: Mapping[str, np.ndarray], memo: dict):
     return out, raised | bad
 
 
-def _each(fn: Callable[..., float], *args) -> tuple[np.ndarray, np.ndarray | bool]:
-    """fn over the broadcast args one element at a time, and where it raised.
-
-    One `map` pass serves the common case where no call raises; when
-    one does, a loop makes the calls again and catches each error.  Both
-    make the same calls on the same floats, so the values are the same.
-    """
+def _each(fn: Callable[..., float], *args) -> tuple[np.ndarray, np.ndarray]:
+    """fn over the broadcast args one element at a time, and where it raised."""
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     columns = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
-    try:
-        return np.array(list(map(fn, *columns))).reshape(shape), False
-    except (ArithmeticError, ValueError):
-        pass
     out: list[float] = []
     bad: list[int] = []
     for k, xs in enumerate(zip(*columns)):
@@ -643,6 +576,13 @@ def _each(fn: Callable[..., float], *args) -> tuple[np.ndarray, np.ndarray | boo
 # sampling: the one rule for even parameter steps and for grid scans
 
 def steps(lo: float, hi: float, n: int) -> list[float]:
-    """The n + 1 evenly spaced values from lo to hi, both ends included."""
-    return [lo + (hi - lo) * (k / n) for k in range(n + 1)]
+    """The n + 1 evenly spaced values from lo to hi, both ends included.
+
+    A range wider than the largest float has no such values (its width
+    overflows, so every step would be NaN): DomainError.
+    """
+    width = hi - lo
+    if math.isinf(width):
+        raise DomainError(f"range {lo:g} to {hi:g} is wider than the largest float")
+    return [lo + width * (k / n) for k in range(n + 1)]
 

@@ -114,11 +114,10 @@ class ParametricSurface:
     v_range: tuple[float, float]
 
     def __post_init__(self):
-        for name, (lo, hi) in (("u", self.u_range), ("v", self.v_range)):
-            if not lo < hi:
-                raise SurfaceError(f"degenerate {name} range")
-            if hi - lo == math.inf:  # the grid steps would be NaN
-                raise SurfaceError(f"{name} range is wider than the largest float")
+        if not self.u_range[0] < self.u_range[1]:
+            raise SurfaceError("degenerate u range")
+        if not self.v_range[0] < self.v_range[1]:
+            raise SurfaceError("degenerate v range")
         extra = (
             free_vars(self.x) | free_vars(self.y) | free_vars(self.z)
         ) - {"u", "v"}

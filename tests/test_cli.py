@@ -455,7 +455,7 @@ class TestRefusals:
         "text, message",
         [
             (PARABOLOID_FILE + "x = 1e30*u*cos(v)\n", "cannot format"),
-            (PARABOLOID_FILE + "u = -1e308, 1e308\n", "u range is wider"),
+            (PARABOLOID_FILE + "u = -1e308, 1e308\n", "-1e+308 to 1e+308 is wider"),
             (
                 "x = u\ny = u^2 - v^2\nz = 1/u\nu = 0, 1e300\nv = 0, 1\n"
                 "grid = 8\nsamples = 2\naxes = off\n",
@@ -501,18 +501,27 @@ class TestRefusals:
         assert "error: argument --" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "window, message",
+        "argv, message",
         [
-            ("--xrange=-1e308,1e308 --yrange=0,1", "x range is wider"),
-            ("--xrange=0,1 --yrange=-1.5e308,1e308", "y range is wider"),
+            ("implicit --fn=x-y --xrange=-1e308,1e308 --yrange=0,1", "-1e+308 to 1e+308"),
+            ("implicit --fn=x-y --xrange=0,1 --yrange=-1.5e308,1e308", "-1.5e+308 to 1e+308"),
+            ("integrate --fn=x --sample-range=-1e308,1e308", "-1e+308 to 1e+308"),
+            ("area --fx=cos(t) --fy=sin(t) --range=1e308,-1e308", "1e+308 to -1e+308"),
+            ("tangent --fn=x --sample-range=-1e308,1e308 --at=0", "-1e+308 to 1e+308"),
         ],
-        ids=["x-range-wider-than-a-float", "y-range-wider-than-a-float"],
+        ids=[
+            "implicit-x-range",
+            "implicit-y-range",
+            "integrate-sample-range",
+            "area-reversed-range",
+            "tangent-sample-range",
+        ],
     )
-    def test_bad_window(self, capsys, window, message):
-        assert main(["implicit", "--fn=x-y", *window.split()]) == 1
+    def test_range_wider_than_a_float(self, capsys, argv, message):
+        assert main(argv.split()) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        assert message in err
+        assert f"range {message} is wider than the largest float" in err
 
     @pytest.mark.parametrize(
         "rows, extra",

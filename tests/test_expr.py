@@ -160,6 +160,13 @@ class TestSampling:
     def test_steps_follow_the_one_rule(self, lo, hi, n):
         assert steps(lo, hi, n) == [lo + (hi - lo) * (k / n) for k in range(n + 1)]
 
+    @pytest.mark.parametrize(
+        "lo, hi", [(-1e308, 1e308), (1e308, -1e308), (0.0, math.inf)]
+    )
+    def test_steps_refuse_a_range_wider_than_a_float(self, lo, hi):
+        with pytest.raises(DomainError, match="wider than the largest float"):
+            steps(lo, hi, 8)
+
     def test_grid_values_mark_undefined_nodes(self):
         f = compile_fn(parse("sqrt(x) + y"), ("x", "y"))
         vals = f.grid([-1.0, 0.0, 4.0], [0.0, 1.0])
@@ -243,13 +250,12 @@ def same_shape_arrays(draw) -> tuple[np.ndarray, np.ndarray]:
 
 @settings(max_examples=300, deadline=None)
 @given(trees, same_shape_arrays())
-# math.pow raises on the middle element only, so `_each` falls back to
-# its per-element loop; the other elements keep their values, and the
-# raised one stays undefined though pow(nan, 0) = 1
+# math.pow raises on the middle element only: the other elements keep
+# their values, and the raised one stays undefined though pow(nan, 0) = 1
 @example(parse("x^y"), (np.array([2.0, -2.0, 4.0]), np.array([0.5, 0.5, 0.5])))
 @example(parse("(x^y)^0"), (np.array([2.0, -2.0, 4.0]), np.array([0.5, 0.5, 0.5])))
 @example(parse("exp(x) + y"), (np.array([[1.0, 800.0], [-1.0, 0.0]]), np.zeros((2, 2))))
-# equal subtrees are walked once, but y + -0.0 and y + 0.0 are not equal
+# y + -0.0 and y + 0.0 differ at y = -0.0
 @example(
     BinOp("-", BinOp("+", Var("y"), Const(-0.0)), BinOp("+", Var("y"), Const(0.0))),
     (np.zeros(2), np.array([-0.0, 1.0])),
