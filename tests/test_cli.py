@@ -503,8 +503,14 @@ class TestRefusals:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            ("implicit --fn=x-y --xrange=-1e308,1e308 --yrange=0,1", "-1e+308 to 1e+308"),
-            ("implicit --fn=x-y --xrange=0,1 --yrange=-1.5e308,1e308", "-1.5e+308 to 1e+308"),
+            (
+                "implicit --fn=x-y --xrange=-1e308,1e308 --yrange=0,1",
+                "-1e+308 to 1e+308",
+            ),
+            (
+                "implicit --fn=x-y --xrange=0,1 --yrange=-1.5e308,1e308",
+                "-1.5e+308 to 1e+308",
+            ),
             ("integrate --fn=x --sample-range=-1e308,1e308", "-1e+308 to 1e+308"),
             ("area --fx=cos(t) --fy=sin(t) --range=1e308,-1e308", "1e+308 to -1e+308"),
             ("tangent --fn=x --sample-range=-1e308,1e308 --at=0", "-1e+308 to 1e+308"),
