@@ -237,47 +237,19 @@ def _pow(a: float, b: float) -> float:
 
 
 def evaluate(node: ExprNode, bindings: Mapping[str, float] | None = None) -> float:
-    """Evaluate with the given variable bindings.
+    """Evaluate with the given variable bindings: the compiled call over
+    the node's free variables.
 
     Raises UnboundVariableError for missing variables and DomainError
     whenever the result (or an operation) leaves the finite reals.
     """
-    value = _eval(node, bindings or {})
-    if not math.isfinite(value):
-        raise DomainError(f"expression evaluated to {value!r}")
-    return value
-
-
-def _eval(node: ExprNode, b: Mapping[str, float]) -> float:
-    if type(node) is Const:
-        return node.value
-    if type(node) is Var:
-        try:
-            return b[node.name]
-        except KeyError:
-            raise UnboundVariableError(f"unbound variable {node.name!r}") from None
-    if type(node) is Neg:
-        return -_eval(node.arg, b)
-    if type(node) is BinOp:
-        left = _eval(node.left, b)
-        right = _eval(node.right, b)
-        op = node.op
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0.0:
-                raise DomainError("division by zero")
-            return left / right
-        return _pow(left, right)
-    # Call
+    b = bindings or {}
+    params = tuple(sorted(free_vars(node)))
     try:
-        return FUNCTIONS[node.func](_eval(node.arg, b))
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(f"{node.func} left its domain") from exc
+        args = [b[name] for name in params]
+    except KeyError as exc:
+        raise UnboundVariableError(f"unbound variable {exc.args[0]!r}") from None
+    return compile_fn(node, params)(*args)
 
 
 def free_vars(node: ExprNode) -> set[str]:
@@ -426,12 +398,11 @@ def diff(node: ExprNode, var: str) -> ExprNode:
 
 
 # ---------------------------------------------------------------------------
-# code generation: Newton solves call expressions point by point, where
-# the tree walker is too slow, so the tree becomes a Python lambda.  Grid
-# scans and batched bisection instead evaluate the tree once over whole
-# arrays (`at` and `grid` on the compiled callable), with the same IEEE
-# operations and the same libm routines, so each node gets the bits the
-# lambda gives.
+# code generation: point-by-point work (Newton solves, curve sampling,
+# evaluate) calls the tree as a Python lambda.  Grid scans and batched
+# bisection instead evaluate the tree once over whole arrays (`at` and
+# `grid` on the compiled callable), with the same IEEE operations and
+# the same libm routines, so each node gets the bits the lambda gives.
 
 def _mangle(name: str) -> str:
     return "_v_" + name
@@ -460,12 +431,13 @@ def _emit(node: ExprNode, params: tuple[str, ...]) -> str:
 def compile_fn(node: ExprNode, params: tuple[str, ...]) -> Callable[..., float]:
     """Compile a tree to a fast positional callable.
 
-    The callable takes len(params) floats and raises DomainError exactly
-    where evaluate() would.  Its `at(*arrays)` takes one array per
-    parameter, all of one shape (or broadcast to one), and gives the
-    call's value at every element, bit for bit, with NaN exactly where
-    the call raises DomainError; callers that batch their points, such
-    as the zero-set tracer, never need the scalar call.  For two
+    The callable takes len(params) floats and raises DomainError where
+    an operation or the result leaves the finite reals.  Its
+    `at(*arrays)` takes one array per parameter, all of one shape (or
+    broadcast to one), and gives the call's value at every element, bit
+    for bit, with NaN exactly where the call raises DomainError; callers
+    that batch their points, such as the zero-set tracer, never need
+    the scalar call.  For two
     parameters (x, y), `grid(xs, ys)` is `at` on xs as a column and ys
     as a row: the ndarray of the values at every (xs[i], ys[j]).
     """

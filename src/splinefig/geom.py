@@ -267,27 +267,6 @@ class SplineCurve:
         return Polyline(drop_repeats(pts))
 
 
-def closest_approach(a: Polyline, b: Polyline) -> tuple[int, int, float]:
-    """Vertex pair (i, j, distance) minimizing Euclidean distance.
-
-    Ties resolve to the lexicographically smallest index pair.
-    """
-    pa = a.as_array()
-    pb = b.as_array()
-    best = (0, 0, math.inf)
-    # block in rows so huge polylines never allocate an n*m matrix
-    block = max(1, int(4e6) // max(1, len(pb)))
-    for lo in range(0, len(pa), block):
-        chunk = pa[lo : lo + block]
-        d2 = ((chunk[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
-        k = int(np.argmin(d2))
-        i, j = divmod(k, d2.shape[1])
-        d = math.sqrt(float(d2[i, j]))
-        if d < best[2]:
-            best = (lo + int(i), int(j), d)
-    return best
-
-
 def load_points(path: str | Path) -> list[Point2]:
     """Read "x,y" lines; blank lines and '#' comments are skipped."""
     pts: list[Point2] = []

@@ -1,14 +1,15 @@
 """Figure emission: LaTeX picture environment and SVG.
 
-Scenes are plain data: polylines with a stroke style (and optionally a
-text label), inside an explicit bounding box measured in centimetres.
-The LaTeX
-backend targets the picture environment with \\unitlength set to 1cm
-and draws with \\polyline (pict2e); dashes and dots are generated here
-by arc-length resampling rather than left to the TeX driver, so the
-output is identical everywhere.  Both emitters are deterministic down
-to the byte: coordinates are written with exactly five decimals,
-rounding halves away from zero.
+Scenes are plain data: polylines with a stroke style (solid, dashed,
+or a disc at every vertex) and optionally a text label centred on its
+anchor, inside an explicit bounding box measured in centimetres.  Every
+line is LINE_THICKNESS wide.  The LaTeX backend targets the picture
+environment with \\unitlength set to 1cm and draws with \\polyline
+(pict2e); dashes are generated here by arc-length resampling rather than
+left to the TeX driver, so the output is identical everywhere.  Both
+emitters are deterministic down to the byte: coordinates are written
+with exactly five decimals, rounding halves away from zero, and a scene
+whose box fmt5 cannot write is refused before either emitter runs.
 """
 
 from __future__ import annotations
@@ -23,12 +24,9 @@ from .geom import Point2, Polyline
 
 CM_TO_PX = 37.795  # SVG user units per centimetre (96 dpi)
 DASH_STEP = 0.1  # cm of pen-down (and pen-up) per dash
-DOT_STEP = 0.1  # cm between dot centres
-DOT_DIAMETER = 0.04064  # cm, the classic 0.016in plotter dot
 DISC_DIAMETER = 0.12  # cm, for vertex markers
 SCENE_PAD = 0.05  # margin round a fitted scene, as a share of its larger side
-
-_ALIGN_TO_MAKEBOX = {"n": "b", "s": "t", "e": "l", "w": "r", "c": ""}
+LINE_THICKNESS = 0.008  # inches, as \linethickness wants
 
 
 class RenderError(ValueError):
@@ -38,26 +36,21 @@ class RenderError(ValueError):
 class Style(Enum):
     SOLID = "solid"
     DASHED = "dashed"
-    DOTTED = "dotted"
     DOTTED_DISC = "dotted-disc"
 
 
 @dataclass(frozen=True)
 class Label:
+    """Text centred on its anchor."""
+
     text: str
     anchor: Point2
-    align: str = "c"  # compass position of the text relative to the anchor
-
-    def __post_init__(self):
-        if self.align not in ("c", "n", "s", "e", "w", "ne", "nw", "se", "sw"):
-            raise RenderError(f"bad label alignment {self.align!r}")
 
 
 @dataclass(frozen=True)
 class DrawItem:
     polyline: Polyline
     style: Style = Style.SOLID
-    thickness: float = 0.008  # inches, as \linethickness wants
     label: Label | None = None
 
 
@@ -66,7 +59,9 @@ class Scene:
     """Draw items inside bbox = (width, height, x-offset, y-offset) cm.
 
     Vertices may poke out of the box by at most 5% of its size (dashes
-    and labels render fine slightly past the nominal frame).
+    and labels render fine slightly past the nominal frame).  The size
+    and the corners widened by that slack must be numbers fmt5 can
+    write, so that both emitters can write every vertex.
     """
 
     items: tuple[DrawItem, ...]
@@ -78,6 +73,8 @@ class Scene:
         if not (w > 0 and h > 0):
             raise RenderError("bounding box must have positive size")
         sx, sy = 0.05 * w, 0.05 * h
+        for c in (w, h, x0 - sx, x0 + w + sx, y0 - sy, y0 + h + sy):
+            fmt5(c)
         for item in self.items:
             for p in item.polyline.points:
                 if not (
@@ -187,23 +184,15 @@ def emit_latex(scene: Scene) -> str:
         "\\begin{picture}%",
         f"({_fmt_short(w)},{_fmt_short(h)})({_fmt_short(x0)},{_fmt_short(y0)})%",
     ]
-    thickness = None
+    if scene.items:
+        out.append(f"\\linethickness{{{LINE_THICKNESS:g}in}}%")
     for item in scene.items:
-        if item.thickness != thickness:
-            thickness = item.thickness
-            out.append(f"\\linethickness{{{thickness:g}in}}%")
         pts = item.polyline.points
         if item.style is Style.SOLID:
             out.extend(_wrap_pairs("\\polyline", [_pair(p) for p in pts]))
         elif item.style is Style.DASHED:
             runs = _dash_runs(pts)
             chunks = [f"\\polyline{_pair(a)}{_pair(b)}" for a, b in runs]
-            out.extend(_wrap_pairs("", chunks, 2))
-        elif item.style is Style.DOTTED:
-            dots = _arc_length_points(pts, DOT_STEP)
-            chunks = [
-                f"\\put{_pair(p)}{{\\circle*{{{DOT_DIAMETER:g}}}}}" for p in dots
-            ]
             out.extend(_wrap_pairs("", chunks, 2))
         elif item.style is Style.DOTTED_DISC:
             chunks = [
@@ -212,11 +201,7 @@ def emit_latex(scene: Scene) -> str:
             out.extend(_wrap_pairs("", chunks, 2))
         if item.label is not None:
             lab = item.label
-            box = "".join(_ALIGN_TO_MAKEBOX[c] for c in lab.align)
-            opt = f"[{box}]" if box else ""
-            out.append(
-                f"\\put{_pair(lab.anchor)}{{\\makebox(0,0){opt}{{{lab.text}}}}}%"
-            )
+            out.append(f"\\put{_pair(lab.anchor)}{{\\makebox(0,0){{{lab.text}}}}}%")
     out.append("\\end{picture}}")
     return "\n".join(out) + "\n"
 
@@ -245,23 +230,14 @@ def emit_svg(scene: Scene) -> str:
         f'height="{height:.3f}" viewBox="0 0 {width:.3f} {height:.3f}">',
     ]
     dash = f"{DASH_STEP * CM_TO_PX:.4f}"
-    dot_gap = f"{DOT_STEP * CM_TO_PX:.4f}"
+    common = f'fill="none" stroke="black" stroke-width="{LINE_THICKNESS * 96.0:.3f}"'
     for item in scene.items:
-        stroke_px = item.thickness * 96.0
         pts = [_svg_xy(p, scene.bbox) for p in item.polyline.points]
-        common = f'fill="none" stroke="black" stroke-width="{stroke_px:.3f}"'
         if item.style is Style.SOLID:
             out.append(f'<path {common} d="{_svg_path(pts)}"/>')
         elif item.style is Style.DASHED:
             out.append(
                 f'<path {common} stroke-dasharray="{dash} {dash}" '
-                f'd="{_svg_path(pts)}"/>'
-            )
-        elif item.style is Style.DOTTED:
-            width_px = DOT_DIAMETER * CM_TO_PX
-            out.append(
-                f'<path fill="none" stroke="black" stroke-width="{width_px:.3f}" '
-                f'stroke-linecap="round" stroke-dasharray="0.01 {dot_gap}" '
                 f'd="{_svg_path(pts)}"/>'
             )
         elif item.style is Style.DOTTED_DISC:
@@ -273,11 +249,9 @@ def emit_svg(scene: Scene) -> str:
         if item.label is not None:
             lab = item.label
             x, y = _svg_xy(lab.anchor, scene.bbox)
-            anchor = {"e": "start", "w": "end"}.get(lab.align[-1], "middle")
-            dy = {"n": "-3", "s": "12"}.get(lab.align[0], "4")
             out.append(
                 f'<text x="{x:.3f}" y="{y:.3f}" font-size="12" '
-                f'text-anchor="{anchor}" dy="{dy}">{lab.text}</text>'
+                f'text-anchor="middle" dy="4">{lab.text}</text>'
             )
     out.append("</svg>")
     return "\n".join(out) + "\n"

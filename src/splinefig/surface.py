@@ -11,7 +11,7 @@ Larger depth means nearer the eye.  The drawing pipeline:
 
  1. collect the curves to draw: parameter-rectangle boundaries, the
     silhouette (zero set of the projected Jacobian J(u,v), traced with
-    the implicit machinery), iso-parameter wires, and extras (axes);
+    the implicit machinery), iso-parameter wires, and the axes;
  2. intersect each projected curve with the projected outline curves,
     refining near-tangential contacts with spline windows;
  3. cut the curves at those points and decide each interval's
@@ -52,7 +52,6 @@ from .geom import (
     Point3,
     Polyline,
     _lerp,
-    closest_approach,
     drop_repeats,
 )
 from .implicit import TraceConfig, trace_zero_set
@@ -214,16 +213,12 @@ def _on_surface(
 
 
 def silhouette(
-    s: ParametricSurface,
-    proj: Projection,
-    cfg: TraceConfig | None = None,
+    s: ParametricSurface, proj: Projection, grid: int = 200
 ) -> list[SpaceCurve]:
-    """Fold curves of the projection: trace of J(u, v) = 0."""
-    if cfg is None:
-        cfg = TraceConfig(s.u_range, s.v_range)
-    jac = _jacobian_fn(s, proj)
+    """Fold curves of the projection: J(u, v) = 0 traced on a grid x grid scan."""
+    cfg = TraceConfig(s.u_range, s.v_range, grid=grid)
     curves: list[SpaceCurve] = []
-    for poly in trace_zero_set(jac, cfg):
+    for poly in trace_zero_set(_jacobian_fn(s, proj), cfg):
         pts, uv = _on_surface(s, ((p.x, p.y) for p in poly.points))
         if len(pts) < 2:
             continue
@@ -393,15 +388,13 @@ def _segment_feet(
     return t, np.sqrt(ox * ox + oy * oy) * r
 
 
-def intersect_projected(
-    a: Polyline, b: Polyline, tol: float = 0.01
-) -> IntersectionResult:
+def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
     """Transversal crossings of two polylines plus flagged contact sites.
 
-    tol is the contact threshold: a closest approach below tol with no
-    crossing nearby, or more than 3 crossings inside a 5-vertex window,
-    marks a site for refinement.  With a is b the polyline is tested
-    against itself (adjacent segments skipped).
+    A closest approach below CONTACT_TOL with no crossing nearby, or
+    more than 3 crossings inside a 5-vertex window, marks a site for
+    refinement.  With a is b the polyline is tested against itself
+    (adjacent segments skipped).
     """
     self_mode = a is b
     pa = a.as_array()
@@ -471,11 +464,12 @@ def intersect_projected(
             g = crossings[mid]
             contacts.append(ContactSite(g.point, g.ia, g.ib))
     if not self_mode:
-        # every local minimum of the vertex-to-segment distance below tol
-        # is a candidate tangency (curves can brush the outline more than
-        # once, so the single global closest approach is not enough)
+        # every local minimum of the vertex-to-segment distance below
+        # CONTACT_TOL is a candidate tangency (curves can brush the
+        # outline more than once, so the single global closest approach
+        # is not enough)
         tt, dist = _segment_feet(pa, pb)
-        below = np.argwhere(dist < tol)
+        below = np.argwhere(dist < CONTACT_TOL)
         sites: list[tuple[float, int, int]] = []
         for i, j in below.tolist():
             window = dist[
@@ -917,13 +911,12 @@ class OcclusionTester:
 def classify_visibility(
     poly: Polyline,
     label: str,
-    s: ParametricSurface,
-    proj: Projection,
     cuts: Sequence[Point2],
-    tester: OcclusionTester | None = None,
+    tester: OcclusionTester,
 ) -> VisibilityTaggedCurve:
-    """Split poly, a `project_curve` result, at the cut points and tag
-    each interval; label names the result.
+    """Split poly, a `project_curve` result of a curve seen through
+    tester.proj, at the cut points and tag each interval against
+    tester.surface; label names the result.
 
     Visibility is decided at the interval midpoint: the interval is
     hidden when some surface point projects there with strictly larger
@@ -932,8 +925,6 @@ def classify_visibility(
     the Newton solves all fail the interval stays visible and the
     result's newton_failed is set.
     """
-    if tester is None:
-        tester = OcclusionTester(s, proj)
     n_last = float(len(poly.points) - 1)
     params: list[float] = []
     for q in cuts:
@@ -960,12 +951,12 @@ def classify_visibility(
             ua, va = poly.params[i]
             ub, vb = poly.params[i + 1]
             own_uv = (ua + (ub - ua) * t, va + (vb - va) * t)
-            p3 = s.point(*own_uv)
+            p3 = tester.surface.point(*own_uv)
         else:
             own_uv = None
             a3, b3 = poly.space[i], poly.space[i + 1]
             p3 = a3 + (b3 - a3) * t
-        q, d = project(p3, proj)
+        q, d = project(p3, tester.proj)
         flag, bad = tester.hidden(q, d, own_uv, eps)
         hidden_flags.append(flag)
         trouble = trouble or bad
@@ -1037,23 +1028,14 @@ def _axis_curves(s: ParametricSurface, samples: int) -> list[SpaceCurve]:
 
 
 def build_surface_scene(
-    s: ParametricSurface,
-    proj: Projection | None = None,
-    config: SceneConfig | None = None,
-    extra_curves: Sequence[SpaceCurve] = (),
+    s: ParametricSurface, proj: Projection, config: SceneConfig
 ) -> tuple[Scene, SceneReport]:
     """Assemble the hidden-line scene and report its tagged curves."""
-    proj = proj or Projection()
-    cfg = config or SceneConfig()
+    sil = silhouette(s, proj, config.grid)
+    bounds = boundary_curves(s, samples=config.samples)
+    wire_curves = wires(s, config.wires_u, config.wires_v, samples=config.samples)
+    extras = _axis_curves(s, config.samples) if config.axes else []
 
-    sil = silhouette(s, proj, TraceConfig(s.u_range, s.v_range, grid=cfg.grid))
-    bounds = boundary_curves(s, samples=cfg.samples)
-    wire_curves = wires(s, cfg.wires_u, cfg.wires_v, samples=cfg.samples)
-    extras = list(extra_curves)
-    if cfg.axes:
-        extras.extend(_axis_curves(s, cfg.samples))
-
-    outline_curves = [*bounds, *sil]
     drawn: list[tuple[str, SpaceCurve]] = (
         [("boundary", c) for c in bounds]
         + [("silhouette", c) for c in sil]
@@ -1084,7 +1066,7 @@ def build_surface_scene(
         pts: list[Point2] = []
         for op in outline_polys:
             # op is poly when an outline curve meets itself
-            res = intersect_projected(poly, op, tol=CONTACT_TOL)
+            res = intersect_projected(poly, op)
             pts.extend(c.point for c in res.crossings)
             for site in res.contacts:
                 pts.append(refine_contact(poly, op, site.ia, site.ib).point)
@@ -1092,7 +1074,7 @@ def build_surface_scene(
 
     def work(item: tuple[str, str, Polyline]) -> VisibilityTaggedCurve:
         _, label, poly = item
-        return classify_visibility(poly, label, s, proj, cut_points(poly), tester)
+        return classify_visibility(poly, label, cut_points(poly), tester)
 
     with ThreadPoolExecutor() as pool:
         tagged = list(pool.map(work, projected))
@@ -1107,7 +1089,7 @@ def build_surface_scene(
             )
         drawn: list[DrawItem] = []
         for sub, hidden_flag in tc.intervals():
-            if hidden_flag and cfg.hidden_style == "omit":
+            if hidden_flag and config.hidden_style == "omit":
                 continue
             style = Style.DASHED if hidden_flag else Style.SOLID
             drawn.append(DrawItem(sub, style=style))
@@ -1167,7 +1149,7 @@ def contact_demo(
     """
     s = paraboloid_surface()
     proj = Projection(theta, phi)
-    sil = silhouette(s, proj, TraceConfig(s.u_range, s.v_range, grid=grid))
+    sil = silhouette(s, proj, grid)
     if not sil:
         raise SurfaceError("no silhouette under this view")
     sil_curve = max(sil, key=lambda c: len(c.points))
@@ -1176,14 +1158,17 @@ def contact_demo(
     axis_pts = tuple(Point3(0.0, y, 0.0) for y in steps(-4.0, 4.0, samples))
     axis_poly = project_curve(SpaceCurve(axis_pts, None, "axis:y"), proj)
 
-    res = intersect_projected(axis_poly, sil_poly, tol=0.02)
-    i, j, dmin = closest_approach(axis_poly, sil_poly)
+    res = intersect_projected(axis_poly, sil_poly)
 
-    # the raw vertex-pair cluster around the closest approach: this is
-    # what the crossing looks like before refinement
+    # the closest vertex pair (the first in row order on a tie), and the
+    # raw vertex-pair cluster around it: this is what the crossing looks
+    # like before refinement
     pa = axis_poly.as_array()
     pb = sil_poly.as_array()
-    d = np.sqrt(((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2))
+    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
+    i, j = divmod(int(np.argmin(d2)), d2.shape[1])
+    dmin = math.sqrt(float(d2[i, j]))
+    d = np.sqrt(d2)
     thresh = max(2.0 * dmin, 1e-12)
     pairs = np.argwhere(d <= thresh)
     cluster = tuple(

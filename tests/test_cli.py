@@ -398,6 +398,14 @@ class TestReadmeExamples:
         assert main(shlex.split(cmd, comments=True)[1:]) == 0
         assert capsys.readouterr().out.splitlines() == expected
 
+    def test_python_blocks_run(self):
+        # the "Library use" examples, each in a fresh namespace
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+        assert len(blocks) == 3
+        for k, block in enumerate(blocks):
+            exec(compile(block, f"README.md python block {k}", "exec"), {})
+
 
 class TestErrors:
     def test_usage_error_is_exit_2(self, capsys):
@@ -528,6 +536,18 @@ class TestRefusals:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"range {message} is wider than the largest float" in err
+
+    @pytest.mark.parametrize("fmt", ["tex", "svg"])
+    def test_figure_past_five_decimals(self, capsys, fmt):
+        # the fitted box is 2e299 cm wide: neither emitter may write it
+        argv = [
+            "implicit", "--fn", "x*1e300-y", "--xrange=-1,1",
+            "--yrange=-1e300,1e300", "--grid=9", f"--format={fmt}",
+        ]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: cannot format 2e+299 with five decimals\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize(
         "rows, extra",
@@ -752,6 +772,64 @@ def implicit_argvs(draw) -> list[str]:
 @given(argv=implicit_argvs())
 def test_property_implicit_argv_never_raises(argv):
     """Any generated `implicit` argv ends in exit 0, 1 or 2, never in a traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.getvalue().splitlines()[-1].startswith("error: ")
+
+
+# argv fuzzing for the curve commands (--fn in x, or --fx/--fy in t, over
+# generated ranges, counts, intervals and points) and for contact-demo
+def _in_variable(var: str):
+    return fn_texts.map(lambda text: re.sub(r"\b[xy]\b", var, text))
+
+
+NUMBERS = (
+    "0", "1", "-1", "0.5", "pi", "-pi/4", "1e-300", "1e300", "-1e308", "1e400",
+    "x", "1/0",
+)
+ELEVATIONS = ("25", "0", "-30", "89.9", "-89.9", "1e-300", "90")
+TOLERANCES = ("1e-7", "0.01", "1", "1e300", "1e-300", "0", "-1")
+
+
+@st.composite
+def curve_argvs(draw) -> list[str]:
+    cmd = draw(st.sampled_from(("integrate", "area", "tangent")))
+    window = draw(st.sampled_from(WINDOWS))
+    if cmd == "area":
+        fx, fy = draw(_in_variable("t")), draw(_in_variable("t"))
+        argv = [cmd, f"--fx={fx}", f"--fy={fy}", f"--range={window}"]
+    else:
+        argv = [cmd, f"--fn={draw(_in_variable('x'))}", f"--sample-range={window}"]
+    argv.append(f"--num={draw(st.integers(1, 60))}")
+    if cmd == "integrate" and draw(st.booleans()):
+        argv.append(f"--interval={draw(st.sampled_from(WINDOWS))}")
+    if cmd == "tangent":
+        argv.append(f"--at={draw(st.sampled_from(NUMBERS))}")
+    if draw(st.booleans()):
+        argv.append("--method=catmull-rom")
+    return argv
+
+
+@st.composite
+def contact_demo_argvs(draw) -> list[str]:
+    return [
+        "contact-demo",
+        f"--theta={draw(st.sampled_from(NUMBERS + ('60', '90', '180')))}",
+        f"--phi={draw(st.sampled_from(ELEVATIONS))}",
+        f"--grid={draw(st.integers(8, 30))}",
+        f"--samples={draw(st.integers(1, 40))}",
+        f"--window={draw(st.integers(0, 10))}",
+        f"--tol={draw(st.sampled_from(TOLERANCES))}",
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=curve_argvs() | contact_demo_argvs())
+def test_property_curve_and_contact_demo_argv_never_raise(argv):
+    """Any generated curve or contact-demo argv ends in exit 0, 1 or 2."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)

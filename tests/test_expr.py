@@ -11,6 +11,7 @@ from splinefig.expr import (
     Call,
     Const,
     DomainError,
+    ExprNode,
     Neg,
     ParseError,
     UnboundVariableError,
@@ -23,6 +24,47 @@ from splinefig.expr import (
     parse,
     steps,
 )
+
+
+def reference_eval(node: ExprNode, b: dict[str, float]) -> float:
+    """The tree walker `evaluate` once was, kept as its reference."""
+    value = _walk(node, b)
+    if not math.isfinite(value):
+        raise DomainError(f"expression evaluated to {value!r}")
+    return value
+
+
+def _walk(node: ExprNode, b: dict[str, float]) -> float:
+    if type(node) is Const:
+        return node.value
+    if type(node) is Var:
+        try:
+            return b[node.name]
+        except KeyError:
+            raise UnboundVariableError(f"unbound variable {node.name!r}") from None
+    if type(node) is Neg:
+        return -_walk(node.arg, b)
+    if type(node) is BinOp:
+        left = _walk(node.left, b)
+        right = _walk(node.right, b)
+        if node.op == "+":
+            return left + right
+        if node.op == "-":
+            return left - right
+        if node.op == "*":
+            return left * right
+        if node.op == "/":
+            if right == 0.0:
+                raise DomainError("division by zero")
+            return left / right
+        try:
+            return math.pow(left, right)
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(f"pow({left!r}, {right!r}) undefined") from exc
+    try:
+        return FUNCTIONS[node.func](_walk(node.arg, b))
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"{node.func} left its domain") from exc
 
 
 def ev(text, **bindings):
@@ -137,7 +179,8 @@ class TestCompile:
         node = parse("x^2*sin(x) - y/2")
         fn = compile_fn(node, ("x", "y"))
         for x, y in [(0.3, 1.0), (-1.2, 4.5), (2.0, -3.0)]:
-            assert fn(x, y) == evaluate(node, {"x": x, "y": y})
+            b = {"x": x, "y": y}
+            assert fn(x, y) == evaluate(node, b) == reference_eval(node, b)
 
     def test_domain_error_propagates(self):
         fn = compile_fn(parse("sqrt(x)"), ("x",))
@@ -274,3 +317,40 @@ def test_grid_libm_calls_match_on_random_nodes(text):
     xs = rng.uniform(-20.0, 20.0, 20000).tolist()
     ys = [2.0, -0.5, 1.5]
     _assert_grid_matches(compile_fn(parse(text), ("x", "y")), xs, ys)
+
+
+def _outcome(evaluator, node, bindings) -> bytes | type:
+    try:
+        return _bits(evaluator(node, bindings))
+    except (DomainError, UnboundVariableError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    trees,
+    st.sampled_from(EDGE_VALUES) | st.floats(-10, 10),
+    st.sampled_from(EDGE_VALUES) | st.floats(-10, 10),
+)
+def test_property_evaluate_matches_the_tree_walker(node, x, y):
+    bindings = {"x": x, "y": y}
+    assert _outcome(evaluate, node, bindings) == _outcome(reference_eval, node, bindings)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("1/0", DomainError),
+        ("sqrt(-1)", DomainError),
+        ("log(0)", DomainError),
+        ("0^-1", DomainError),
+        ("exp(1000)", DomainError),
+        ("1e308*10", DomainError),
+        ("x", UnboundVariableError),
+    ],
+)
+def test_evaluate_refuses_like_the_tree_walker(text, error):
+    node = parse(text)
+    for evaluator in (evaluate, reference_eval):
+        with pytest.raises(error):
+            evaluator(node, {})

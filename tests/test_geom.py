@@ -16,7 +16,6 @@ from splinefig.geom import (
     bezier_eval,
     bezier_slice,
     bezier_subdivide,
-    closest_approach,
     drop_repeats,
     load_points,
     points_from_pairs,
@@ -126,16 +125,6 @@ def test_sample_skips_a_point_segment():
     poly = curve.sample(4)
     assert poly.points[0] == p
     assert len(poly) == 5  # the point segment adds one vertex, not four
-
-
-def test_closest_approach():
-    a = Polyline(tuple(Point2(x, 0.0) for x in np.linspace(0, 10, 21)))
-    b = Polyline(tuple(Point2(x, 3.0 - x) for x in np.linspace(0, 10, 21)))
-    i, j, d = closest_approach(a, b)
-    # the crossing at x = 3 falls on a shared vertex
-    assert a.points[i].x == 3.0
-    assert d == 0.0
-    assert abs(a.points[i].dist(b.points[j]) - d) < 1e-15
 
 
 def test_points_csv_roundtrip(tmp_path):

@@ -14,6 +14,7 @@ from splinefig import surface
 from splinefig.cli import main
 from splinefig.expr import compile_fn, steps
 from splinefig.implicit import parse_equation
+from splinefig.render import emit_latex, scene_from_items
 
 # the README's paraboloid.surf with its comments taken out
 PARABOLOID = """\
@@ -59,7 +60,17 @@ GOLDEN = {
     "partial.tex": "b60659f9c39aedf4d21fc6f10a6c506265d344dc87b94186f70b14f9d68f7b33",
     "sqrt-partial.tex": "b1cf84ccbc8e1080bf9749eaca8f6f391264134f4c89f523e3bd97239f9dd610",
     "saddles.csv": "add235898b5313d12bc4a0b7c2d1bf2e3ccae9c602812f68f1b48612e82762b4",
+    "empty.tex": "7388e0518ec1cf44701dd9061975e543505005410647ab4f7e1553380e9c45f1",
+    "paraboloid-omit.tex": "88de173fa0aab101b45e1d6a55c3dc86ddda752ee994d4343e9368bf7c1aef53",
+    "paraboloid-omit.svg": "0e4c0d7d68475a29bb49aaeaeae778c496bb81468313e8d68008ebf39d30696b",
+    "spline-discs.tex": "275e4fa7eeadf3d1c2cdf9d4fcd4371306ef091892c65f84e7cd59d0c7def768",
+    "spline-discs.svg": "45794470637497367d9e265184f1e85dc2da2a1247725cf85ec1c2d745d19616",
 }
+
+# the README paraboloid with hidden intervals and the axes left out
+PARABOLOID_OMIT = PARABOLOID.replace("hidden = dashed", "hidden = omit").replace(
+    "axes = on", "axes = off"
+)
 
 CONIC = "8*x^2-4*sqrt(2)*x*y+y^2-3*x-6*sqrt(2)*y+2=0"
 
@@ -158,6 +169,8 @@ def _digest(argv, capsys) -> str:
         ("paraboloid.svg", PARABOLOID, "svg"),
         ("mobius.tex", MOBIUS, "tex"),
         ("partial.tex", PARTIAL, "tex"),
+        ("paraboloid-omit.tex", PARABOLOID_OMIT, "tex"),
+        ("paraboloid-omit.svg", PARABOLOID_OMIT, "svg"),
     ],
 )
 def test_surface_figure_digest(name, text, fmt, tmp_path, capsys):
@@ -227,3 +240,17 @@ def test_tangent_figure_file_digest(tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["tangent.tex"]
+
+
+def test_empty_scene_digest():
+    tex = emit_latex(scene_from_items([]))
+    assert "\\linethickness" not in tex
+    assert hashlib.sha256(tex.encode("utf-8")).hexdigest() == GOLDEN["empty.tex"]
+
+
+@pytest.mark.parametrize("fmt", ["tex", "svg"])
+def test_spline_figure_with_data_discs_digest(fmt, tmp_path, capsys):
+    pts = tmp_path / "pts.csv"
+    pts.write_text("0,0\n1,2\n2,1\n3,3\n4,0\n")
+    argv = ["spline", "--points", str(pts), "--format", fmt]
+    assert _digest(argv, capsys) == GOLDEN[f"spline-discs.{fmt}"]

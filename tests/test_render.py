@@ -11,7 +11,6 @@ from splinefig.geom import Point2, Polyline
 from splinefig.render import (
     CM_TO_PX,
     DISC_DIAMETER,
-    DOT_DIAMETER,
     DrawItem,
     Label,
     RenderError,
@@ -111,44 +110,26 @@ class TestLatexStructure:
             "\\polyline(0.80000,0.00000)(0.90000,0.00000)%",
         ]
 
-    def test_dotted_spacing(self):
-        tex = emit_latex(unit_scene(DrawItem(UNIT_LINE, Style.DOTTED)))
-        assert tex.count(f"\\circle*{{{DOT_DIAMETER:g}}}") == 11
-        rows = [l for l in tex.splitlines() if "circle" in l]
-        assert all(l.count("\\put") <= 2 for l in rows)
-
     def test_vertex_discs(self):
         pts = Polyline((Point2(0, 0), Point2(0.5, 0.5), Point2(1, 0)))
         tex = emit_latex(unit_scene(DrawItem(pts, Style.DOTTED_DISC)))
         assert tex.count(f"\\circle*{{{DISC_DIAMETER:g}}}") == 3
 
     def test_linethickness_on_change_only(self):
-        a = DrawItem(UNIT_LINE, thickness=0.008)
-        b = DrawItem(UNIT_LINE, thickness=0.008)
-        c = DrawItem(UNIT_LINE, thickness=0.003)
-        tex = emit_latex(unit_scene(a, b, c))
-        assert tex.count("\\linethickness") == 2
-        assert "\\linethickness{0.008in}%" in tex
-        assert "\\linethickness{0.003in}%" in tex
+        # every line has one width: written once, before the first item
+        items = [DrawItem(UNIT_LINE, style) for style in Style]
+        lines = emit_latex(unit_scene(*items)).splitlines()
+        assert [l for l in lines if "\\linethickness" in l] == [
+            "\\linethickness{0.008in}%"
+        ]
+        assert lines[3] == "\\linethickness{0.008in}%"
+        assert "\\linethickness" not in emit_latex(unit_scene())
 
     def test_label_alignment_map(self):
-        cases = {
-            "c": "\\makebox(0,0){X}",
-            "n": "\\makebox(0,0)[b]{X}",
-            "s": "\\makebox(0,0)[t]{X}",
-            "e": "\\makebox(0,0)[l]{X}",
-            "w": "\\makebox(0,0)[r]{X}",
-            "ne": "\\makebox(0,0)[bl]{X}",
-            "sw": "\\makebox(0,0)[tr]{X}",
-        }
-        for align, box in cases.items():
-            item = DrawItem(UNIT_LINE, label=Label("X", Point2(0.5, 0.5), align))
-            tex = emit_latex(unit_scene(item))
-            assert f"\\put(0.50000,0.50000){{{box}}}%" in tex, align
-
-    def test_bad_alignment(self):
-        with pytest.raises(RenderError):
-            Label("X", Point2(0, 0), "q")
+        # a label is centred on its anchor: a makebox with no position
+        item = DrawItem(UNIT_LINE, label=Label("X", Point2(0.5, 0.5)))
+        tex = emit_latex(unit_scene(item))
+        assert "\\put(0.50000,0.50000){\\makebox(0,0){X}}%" in tex.splitlines()
 
     def test_deterministic_bytes(self):
         def build():
@@ -166,6 +147,21 @@ class TestSceneValidation:
         outside = Polyline((Point2(0, 0), Point2(1.06, 0)))
         with pytest.raises(RenderError):
             Scene((DrawItem(outside),), (1.0, 1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "bbox, message",
+        [
+            ((2e299, 1.0, 0.0, 0.0), "2e+299"),
+            ((1.0, 1e24, 0.0, 0.0), "1e+24"),
+            # the size is writable, the far corner widened by 5% is not
+            ((9.6e22, 1.0, 0.0, 0.0), "1.008e+23"),
+            ((1.0, 4e21, 0.0, -9.99e22), "-1.0009999999999999e+23"),
+        ],
+    )
+    def test_box_fmt5_cannot_write_is_refused(self, bbox, message):
+        match = re.escape(f"cannot format {message} with five decimals")
+        with pytest.raises(RenderError, match=match):
+            Scene((), bbox)
 
     def test_box_must_have_positive_size(self):
         with pytest.raises(RenderError):
@@ -207,25 +203,18 @@ class TestSvg:
         svg = emit_svg(unit_scene(DrawItem(UNIT_LINE, Style.DASHED)))
         assert 'stroke-dasharray="3.7795 3.7795"' in svg
 
-    def test_dots_are_round_caps(self):
-        svg = emit_svg(unit_scene(DrawItem(UNIT_LINE, Style.DOTTED)))
-        assert 'stroke-linecap="round"' in svg
-        assert 'stroke-dasharray="0.01 3.7795"' in svg
-
     def test_disc_radius(self):
         svg = emit_svg(unit_scene(DrawItem(UNIT_LINE, Style.DOTTED_DISC)))
         r = 0.5 * DISC_DIAMETER * CM_TO_PX
         assert svg.count(f'r="{r:.3f}"') == 2
 
     def test_text_anchors(self):
-        def one(align: str) -> str:
-            item = DrawItem(UNIT_LINE, label=Label("X", Point2(0.5, 0.5), align))
-            return emit_svg(unit_scene(item))
-
-        assert 'text-anchor="start" dy="-3"' in one("ne")
-        assert 'text-anchor="end"' in one("w")
-        assert 'dy="12"' in one("s")
-        assert 'text-anchor="middle" dy="4"' in one("c")
+        item = DrawItem(UNIT_LINE, label=Label("X", Point2(0.5, 0.5)))
+        svg = emit_svg(unit_scene(item))
+        assert (
+            '<text x="18.898" y="18.898" font-size="12" '
+            'text-anchor="middle" dy="4">X</text>'
+        ) in svg.splitlines()
 
     def test_deterministic_bytes(self):
         scene = unit_scene(DrawItem(UNIT_LINE, Style.DASHED))

@@ -14,7 +14,6 @@ from splinefig.geom import (
     Polyline,
     bezier_bbox,
     bezier_subdivide,
-    closest_approach,
 )
 from splinefig import surface
 from splinefig.render import Style, emit_latex
@@ -55,6 +54,13 @@ def mobius() -> ParametricSurface:
         (-0.4, 0.4),
         (0.0, 2 * math.pi),
     )
+
+
+def closest_pair(a: Polyline, b: Polyline) -> tuple[int, int]:
+    """The vertex pair (i, j) of a and b nearest each other."""
+    pa, pb = a.as_array(), b.as_array()
+    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
+    return divmod(int(np.argmin(d2)), d2.shape[1])
 
 
 def dense_line(p0, p1, n=100) -> Polyline:
@@ -349,7 +355,7 @@ class TestIntersectProjected:
         t = np.linspace(0, 2 * math.pi, 720)
         a = Polyline(tuple(Point2(1 + math.cos(x), math.sin(x)) for x in t))
         b = Polyline(tuple(Point2(-1 + math.cos(x), math.sin(x)) for x in t))
-        res = intersect_projected(a, b, tol=0.02)
+        res = intersect_projected(a, b)
         assert res.contacts
         site = min(res.contacts, key=lambda s: s.point.norm())
         assert site.point.norm() < 0.05
@@ -396,7 +402,7 @@ class TestRefineContact:
     def test_transversal_lines_exact(self):
         a = dense_line((-1, -1), (1, 1), 40)
         b = dense_line((-1, 1), (1, -1), 40)
-        i, j, _ = closest_approach(a, b)
+        i, j = closest_pair(a, b)
         rc = refine_contact(a, b, i, j)
         assert rc.refined
         assert rc.point.dist(Point2(0, 0)) < 1e-9
@@ -405,7 +411,7 @@ class TestRefineContact:
         t = np.linspace(0, 2 * math.pi, 720)
         a = Polyline(tuple(Point2(1 + math.cos(x), math.sin(x)) for x in t))
         b = Polyline(tuple(Point2(-1 + math.cos(x), math.sin(x)) for x in t))
-        i, j, _ = closest_approach(a, b)
+        i, j = closest_pair(a, b)
         rc = refine_contact(a, b, i, j)
         assert rc.refined
         assert rc.point.dist(Point2(0, 0)) < 1e-6
@@ -414,7 +420,7 @@ class TestRefineContact:
         t = np.linspace(0, 2 * math.pi, 720)
         a = Polyline(tuple(Point2(1 + math.cos(x), math.sin(x)) for x in t))
         b = Polyline(tuple(Point2(-1 + math.cos(x), math.sin(x)) for x in t))
-        i, j, _ = closest_approach(a, b)
+        i, j = closest_pair(a, b)
         rc = refine_contact(a, b, i, j, tol=1e-7)
         if rc.refined:
             da = min(rc.point.dist(p) for p in a.points)
@@ -553,7 +559,9 @@ class TestVisibility:
         c = SpaceCurve(
             (Point3(0, 0, 0), Point3(0, 0, 0.5)), label="probe"
         )
-        tagged = classify_visibility(project_curve(c, VIEW), c.label, s, VIEW, [])
+        tagged = classify_visibility(
+            project_curve(c, VIEW), c.label, [], OcclusionTester(s, VIEW)
+        )
         ivs = tagged.intervals()
         assert len(ivs) == 1
         assert ivs[0][1] is True
@@ -561,7 +569,9 @@ class TestVisibility:
     def test_distant_segment_is_visible(self):
         s = paraboloid_surface()
         c = SpaceCurve((Point3(10, 10, 0), Point3(11, 11, 0)), label="far")
-        tagged = classify_visibility(project_curve(c, VIEW), c.label, s, VIEW, [])
+        tagged = classify_visibility(
+            project_curve(c, VIEW), c.label, [], OcclusionTester(s, VIEW)
+        )
         assert tagged.intervals()[0][1] is False
 
     def test_cut_splits_intervals(self):
@@ -572,7 +582,7 @@ class TestVisibility:
         )
         poly = project_curve(c, VIEW)
         mid = poly.points[30]
-        tagged = classify_visibility(poly, c.label, s, VIEW, [mid])
+        tagged = classify_visibility(poly, c.label, [mid], OcclusionTester(s, VIEW))
         assert len(tagged.intervals()) == 2
 
     def test_occlusion_tester_covers(self):
