@@ -186,27 +186,6 @@ def _locate_segment(curve: SplineCurve, x0: float) -> tuple[CubicBezier, float]:
     raise RangeError(f"x = {x0!r} outside the data range")
 
 
-def derivative_at(
-    data: Sequence[Point2],
-    x0: float,
-    method: SplineMethod = SplineMethod.OSHIMA,
-) -> float:
-    """Slope dy/dx of the spline fit at x = x0."""
-    line = tangent_line(data, x0, method)
-    if line.vertical:
-        raise VerticalTangentError(f"vertical tangent at x = {x0!r}")
-    return line.slope
-
-
-def curve_y_at(
-    data: Sequence[Point2],
-    x0: float,
-    method: SplineMethod = SplineMethod.OSHIMA,
-) -> float:
-    """y value of the spline fit at x = x0 (same fit derivative_at uses)."""
-    return tangent_line(data, x0, method).point.y
-
-
 @dataclass(frozen=True)
 class TangentLine:
     """Tangent of the fitted curve at a point; vertical lines have no slope."""

@@ -398,82 +398,140 @@ def diff(node: ExprNode, var: str) -> ExprNode:
 
 
 # ---------------------------------------------------------------------------
-# code generation: point-by-point work (Newton solves, curve sampling,
-# evaluate) calls the tree as a Python lambda.  Grid scans and batched
-# bisection instead evaluate the tree once over whole arrays (`at` and
-# `grid` on the compiled callable), with the same IEEE operations and
-# the same libm routines, so each node gets the bits the lambda gives.
+# code generation: a compile lowers its trees, once, into one list of
+# distinct operations over numbered temporaries (an evaluation procedure,
+# Griewank & Walther, "Evaluating Derivatives", ch. 2).  The scalar call
+# runs it as generated Python source; `at` and `grid` run it over arrays
+# with the same IEEE operations and libm routines, so the same bits.
 
-def _mangle(name: str) -> str:
-    return "_v_" + name
+def _lower(trees: Sequence[ExprNode], params: tuple[str, ...]) -> tuple[list, list]:
+    """The trees' distinct operations in post order, and each tree's index.
+
+    An operation is (op, i) or (op, i, j) over earlier operations' indices,
+    or a leaf: ("_v_" + name,) or (repr(constant),), so -0.0 is not 0.0.
+    Equal subtrees are one operation."""
+    index: dict[tuple, int] = {}
+
+    def visit(node: ExprNode) -> int:
+        if type(node) is Const:
+            op: tuple = (repr(node.value),)
+        elif type(node) is Var:
+            if node.name not in params:
+                raise UnboundVariableError(
+                    f"variable {node.name!r} not among parameters {params}"
+                )
+            op = ("_v_" + node.name,)
+        elif type(node) is Neg:
+            op = ("neg", visit(node.arg))
+        elif type(node) is BinOp:
+            op = (node.op, visit(node.left), visit(node.right))
+        else:
+            op = (node.func, visit(node.arg))
+        return index.setdefault(op, len(index))
+
+    outputs = [visit(tree) for tree in trees]
+    return list(index), outputs
 
 
-def _emit(node: ExprNode, params: tuple[str, ...]) -> str:
-    if type(node) is Const:
-        return repr(node.value)
-    if type(node) is Var:
-        if node.name not in params:
-            raise UnboundVariableError(
-                f"variable {node.name!r} not among parameters {params}"
-            )
-        return _mangle(node.name)
-    if type(node) is Neg:
-        return f"(-{_emit(node.arg, params)})"
-    if type(node) is BinOp:
-        left = _emit(node.left, params)
-        right = _emit(node.right, params)
-        if node.op == "^":
-            return f"_pow({left}, {right})"
-        return f"({left} {node.op} {right})"
-    return f"_f_{node.func}({_emit(node.arg, params)})"
+_SOURCE = {"neg": "-{}", "^": "_pow({}, {})", "+": "{} + {}", "-": "{} - {}",
+           "*": "{} * {}", "/": "{} / {}"}
+
+
+def _scalar_source(ops: list, outputs: list, params: tuple, many: bool) -> str:
+    """`program(*params)`, one statement per operation in list order, so
+    the first to fail is the one a nested call would fail on."""
+    head = ", ".join("_v_" + p for p in params)
+    lines = [f"def program({head}):", "    try:", "        pass"]
+    # a leaf is its own source, and operation k's value is t{k}
+    refs = [op[0] if len(op) == 1 else f"t{k}" for k, op in enumerate(ops)]
+    for k, (op, *args) in enumerate(ops):
+        if args:
+            rhs = _SOURCE.get(op, f"_f_{op}({{}})").format(*(refs[i] for i in args))
+            lines.append(f"        t{k} = {rhs}")
+    outs = [refs[k] for k in outputs]
+    lines += [
+        "    except (ArithmeticError, ValueError) as exc:  # _pow's DomainError too",
+        "        raise DomainError(str(exc)) from exc",
+        f"    if {' and '.join(f'_isfinite({o})' for o in outs)}:",
+        f"        return {', '.join(outs) + ',' if many else outs[0]}",
+        f"    value = next(v for v in ({', '.join(outs)},) if not _isfinite(v))",
+        "    raise DomainError(f'expression evaluated to {value!r}')",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def compile_many(
+    trees: Sequence[ExprNode], params: tuple[str, ...]
+) -> Callable[..., tuple]:
+    """Compile trees over the same parameters into one callable, as
+    `compile_fn` but giving the tuple of the trees' values and raising
+    where any tree's call does; `at` and `grid` give one array per tree,
+    NaN exactly where its own call raises.  Equal subtrees run once."""
+    return _compile(list(trees), params, many=True)
 
 
 def compile_fn(node: ExprNode, params: tuple[str, ...]) -> Callable[..., float]:
-    """Compile a tree to a fast positional callable.
+    """Compile a tree to a fast positional callable: `compile_many` of
+    the one tree, giving its value rather than a 1-tuple.
 
     The callable takes len(params) floats and raises DomainError where
-    an operation or the result leaves the finite reals.  Its
-    `at(*arrays)` takes one array per parameter, all of one shape (or
-    broadcast to one), and gives the call's value at every element, bit
-    for bit, with NaN exactly where the call raises DomainError; callers
-    that batch their points, such as the zero-set tracer, never need
-    the scalar call.  For two
-    parameters (x, y), `grid(xs, ys)` is `at` on xs as a column and ys
-    as a row: the ndarray of the values at every (xs[i], ys[j]).
+    an operation or the result leaves the finite reals.  `at(*arrays)`
+    takes one array per parameter, all of one shape (or broadcast to
+    one), and gives the call's value at every element, bit for bit, NaN
+    exactly where the call raises.  For two parameters (x, y),
+    `grid(xs, ys)` is `at` on xs as a column and ys as a row.
     """
-    body = _emit(node, params)
-    args = ", ".join(_mangle(p) for p in params)
+    return _compile([node], params, many=False)
+
+
+def _compile(trees: list[ExprNode], params: tuple[str, ...], many: bool):
+    ops, outputs = _lower(trees, params)
+    # each temporary's last reader; the outputs are read at the end
+    last = {i: k for k, (_, *args) in enumerate(ops) for i in args}
+    last.update(dict.fromkeys(outputs, len(ops)))
     # repr() of an infinite or NaN constant (a literal like 1e400, or a
     # folded derivative coefficient) is a bare name
-    env = {"_pow": _pow, "inf": math.inf, "nan": math.nan}
-    for fname, fobj in FUNCTIONS.items():
-        env["_f_" + fname] = fobj
-    raw = eval(f"lambda {args}: {body}", env)  # noqa: S307 - source is generated
+    env = {"_pow": _pow, "_isfinite": math.isfinite, "DomainError": DomainError}
+    env.update({"inf": math.inf, "nan": math.nan})
+    env.update({"_f_" + fname: fobj for fname, fobj in FUNCTIONS.items()})
+    exec(_scalar_source(ops, outputs, params, many), env)  # noqa: S102 - generated
+    call = env["program"]
 
-    def call(*xs: float) -> float:
-        try:
-            value = raw(*xs)
-        except DomainError:
-            raise
-        except (ArithmeticError, ValueError) as exc:
-            raise DomainError(str(exc)) from exc
-        if not math.isfinite(value):
-            raise DomainError(f"expression evaluated to {value!r}")
-        return value
-
-    def at(*arrays: np.ndarray) -> np.ndarray:
+    def at(*arrays: np.ndarray):
         if len(arrays) != len(params):
             raise TypeError(f"at needs one array per parameter {params}")
-        arrays = tuple(np.asarray(a, dtype=float) for a in arrays)
-        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+        inputs = {"_v_" + p: np.asarray(a, dtype=float) for p, a in zip(params, arrays)}
+        shape = np.broadcast_shapes(*(a.shape for a in inputs.values()))
+        # a temporary is its values and a mask of where the scalar call
+        # raises; it is dropped after its last reader, so few are alive
+        values: list = [None] * len(ops)
+        raised: list = [False] * len(ops)
         with np.errstate(all="ignore"):
-            value, raised = _grid_eval(node, dict(zip(params, arrays)))
-            value = np.where(raised | ~np.isfinite(value), np.nan, value)
-        if value.shape != shape:  # a subtree without every variable
-            value = np.broadcast_to(value, shape).copy()
-        return value
+            for k, (op, *args) in enumerate(ops):
+                if not args:
+                    values[k] = inputs[op] if op in inputs else np.float64(op)
+                    continue
+                if op in _ARRAY:
+                    values[k] = _ARRAY[op](*(values[i] for i in args))
+                    if op == "/":
+                        raised[k] = values[args[1]] == 0.0
+                    elif op == "sqrt":
+                        raised[k] = values[args[0]] < 0.0
+                else:
+                    fn = math.pow if op == "^" else FUNCTIONS[op]
+                    values[k], raised[k] = _each(fn, *(values[i] for i in args))
+                # an operation raises where it or an input does
+                raised[k] = raised[k] | raised[args[0]] | raised[args[-1]]
+                for i in args:
+                    if last[i] == k:
+                        values[i] = raised[i] = None
+            out = []
+            for k in outputs:  # full shape, though a tree may lack a variable
+                undefined = np.broadcast_to(raised[k] | ~np.isfinite(values[k]), shape)
+                out.append(np.where(undefined, np.nan, values[k]))
+        return tuple(out) if many else out[0]
 
-    def grid(xs: Sequence[float], ys: Sequence[float]) -> np.ndarray:
+    def grid(xs: Sequence[float], ys: Sequence[float]):
         if len(params) != 2:
             raise TypeError(f"grid needs two parameters, not {params}")
         # x varies down a column and y along a row: a subtree in one
@@ -487,44 +545,10 @@ def compile_fn(node: ExprNode, params: tuple[str, ...]) -> Callable[..., float]:
     return call
 
 
-def _grid_eval(node: ExprNode, env: Mapping[str, np.ndarray]):
-    """(values, raised) of a tree over broadcast arrays.
-
-    raised marks the elements where the lambda would raise; the value
-    there is meaningless.  + - * / negation, abs and sqrt are correctly
-    rounded, so numpy gives the lambda's bits; numpy's own sin cos tan
-    exp log and power round differently from libm on some inputs, so
-    those call the math routines element by element.
-    """
-    if type(node) is Const:
-        return np.float64(node.value), False
-    if type(node) is Var:
-        return env[node.name], False
-    if type(node) is Neg:
-        value, raised = _grid_eval(node.arg, env)
-        return np.negative(value), raised
-    if type(node) is Call:
-        value, raised = _grid_eval(node.arg, env)
-        if node.func == "abs":
-            return np.abs(value), raised
-        if node.func == "sqrt":
-            return np.sqrt(value), raised | (value < 0.0)
-        out, bad = _each(FUNCTIONS[node.func], value)
-        return out, raised | bad
-    left, raised_l = _grid_eval(node.left, env)
-    right, raised_r = _grid_eval(node.right, env)
-    raised = raised_l | raised_r
-    op = node.op
-    if op == "+":
-        return np.add(left, right), raised
-    if op == "-":
-        return np.subtract(left, right), raised
-    if op == "*":
-        return np.multiply(left, right), raised
-    if op == "/":
-        return np.divide(left, right), raised | (right == 0.0)
-    out, bad = _each(math.pow, left, right)
-    return out, raised | bad
+# correctly rounded, so numpy's bits; numpy's sin cos tan exp log and
+# power round differently from libm on some inputs, so `_each` runs those
+_ARRAY = {"neg": np.negative, "abs": np.abs, "sqrt": np.sqrt, "+": np.add,
+          "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
 def _each(fn: Callable[..., float], *args) -> tuple[np.ndarray, np.ndarray]:

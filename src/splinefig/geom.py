@@ -211,13 +211,6 @@ class Polyline:
     def as_array(self) -> np.ndarray:
         return np.array([(p.x, p.y) for p in self.points], dtype=float)
 
-    def reversed(self) -> "Polyline":
-        return Polyline(
-            tuple(reversed(self.points)),
-            tuple(reversed(self.space)) if self.space is not None else None,
-            tuple(reversed(self.params)) if self.params is not None else None,
-        )
-
 
 def drop_repeats(points: Iterable[Point2]) -> tuple[Point2, ...]:
     """The points with every run of equal consecutive points kept once."""
@@ -225,6 +218,25 @@ def drop_repeats(points: Iterable[Point2]) -> tuple[Point2, ...]:
     return pts[:1] + tuple(
         b for a, b in zip(pts, pts[1:]) if a.x != b.x or a.y != b.y
     )
+
+
+def diameter(points: Sequence[Point2]) -> float:
+    """The largest distance between two points (0 for fewer than 2),
+    measured between the points of their convex hull (Andrew's monotone
+    chain), which keeps the points along its edges."""
+    pts = sorted(points, key=lambda p: (p.x, p.y))
+
+    def chain(seq: Iterable[Point2]) -> list[Point2]:
+        out: list[Point2] = []
+        for p in seq:
+            while len(out) >= 2 and (out[-1] - out[-2]).cross(p - out[-2]) < 0.0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = chain(pts) + chain(reversed(pts))
+    pairs = (p.dist(q) for i, p in enumerate(hull) for q in hull[i + 1:])
+    return max(pairs, default=0.0)
 
 
 @dataclass(frozen=True)
@@ -283,12 +295,3 @@ def load_points(path: str | Path) -> list[Point2]:
             raise PointFileError(f"{path}:{lineno}: bad number in {raw!r}") from exc
         pts.append(Point2(x, y))
     return pts
-
-
-def save_points(path: str | Path, points: Iterable[Point2]) -> None:
-    lines = [f"{p.x!r},{p.y!r}" for p in points]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def points_from_pairs(pairs: Sequence[Sequence[float]]) -> list[Point2]:
-    return [Point2(float(x), float(y)) for x, y in pairs]

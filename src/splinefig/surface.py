@@ -42,6 +42,7 @@ from .expr import (
     DomainError,
     ExprNode,
     compile_fn,
+    compile_many,
     diff,
     free_vars,
     parse,
@@ -52,6 +53,7 @@ from .geom import (
     Point3,
     Polyline,
     _lerp,
+    diameter,
     drop_repeats,
 )
 from .implicit import TraceConfig, trace_zero_set
@@ -761,18 +763,14 @@ class OcclusionTester:
     def __init__(self, s: ParametricSurface, proj: Projection):
         self.surface = s
         self.proj = proj
-        x_expr, y_expr = _projected_exprs(s, proj)
-        self.fx = compile_fn(x_expr, ("u", "v"))
-        self.fy = compile_fn(y_expr, ("u", "v"))
-        self.fxu, self.fxv, self.fyu, self.fyv = (
-            compile_fn(e, ("u", "v")) for e in _projected_partials(s, proj)
-        )
+        # (X, Y) and (X_u, X_v, Y_u, Y_v), each group one compiled program
+        self.fxy = compile_many(_projected_exprs(s, proj), ("u", "v"))
+        self.partials = compile_many(_projected_partials(s, proj), ("u", "v"))
 
         # lists: Newton starts from floats, not numpy scalars that warn on overflow
         us = steps(*s.u_range, OCCLUSION_SEEDS)
         vs = steps(*s.v_range, OCCLUSION_SEEDS)
-        gx = self.fx.grid(us, vs)
-        gy = self.fy.grid(us, vs)
+        gx, gy = self.fxy.grid(us, vs)
         gy[np.isnan(gx)] = np.nan  # a node is undefined when either is
         self.us, self.vs = us, vs
         cx = np.stack([gx[:-1, :-1], gx[1:, :-1], gx[1:, 1:], gx[:-1, 1:]])
@@ -809,19 +807,16 @@ class OcclusionTester:
         mv = 0.05 * (vhi - vlo)
         tol = NEWTON_TOL * (1.0 + self.scene_scale)
         try:
-            gx = self.fx(u, v) - q.x
-            gy = self.fy(u, v) - q.y
+            x, y = self.fxy(u, v)
         except DomainError:
             return None
+        gx, gy = x - q.x, y - q.y
         err = math.hypot(gx, gy)
         for _ in range(NEWTON_MAX_ITER):
             if err <= tol:
                 return (u, v)
             try:
-                a = self.fxu(u, v)
-                b = self.fxv(u, v)
-                c = self.fyu(u, v)
-                d = self.fyv(u, v)
+                a, b, c, d = self.partials(u, v)
             except DomainError:
                 return None
             det = a * d - b * c
@@ -839,8 +834,8 @@ class OcclusionTester:
                     and vlo - mv <= nv <= vhi + mv
                 ):
                     try:
-                        ngx = self.fx(nu, nv) - q.x
-                        ngy = self.fy(nu, nv) - q.y
+                        nx, ny = self.fxy(nu, nv)
+                        ngx, ngy = nx - q.x, ny - q.y
                     except DomainError:
                         ngx = ngy = math.inf
                     nerr = math.hypot(ngx, ngy)
@@ -1174,10 +1169,6 @@ def contact_demo(
     cluster = tuple(
         Point2(*(0.5 * (pa[ii] + pb[jj]))) for ii, jj in pairs.tolist()
     )
-    spread = 0.0
-    for m in range(len(cluster)):
-        for k in range(m + 1, len(cluster)):
-            spread = max(spread, cluster[m].dist(cluster[k]))
 
     rc = refine_contact(axis_poly, sil_poly, i, j, window=window, tol=tol)
 
@@ -1188,13 +1179,15 @@ def contact_demo(
     a_q = math.cos(phi)
     disc = slope * slope + 4.0 * a_q * c0
     x_limit = math.sqrt(max(4.0 - t_phi * t_phi / 4.0, 0.0))
-    roots = [
-        (-slope + sgn * math.sqrt(disc)) / (2.0 * a_q) for sgn in (-1.0, 1.0)
-    ]
+    # the stable form (Higham, "Accuracy and Stability of Numerical
+    # Algorithms", 1.8): the root that -slope and sqrt(disc) would cancel
+    # in comes from the product of the roots, -c0 / a_q
+    q = -0.5 * (slope + math.copysign(math.sqrt(disc), slope))
+    roots = [q / a_q, -c0 / q]
     on_sil = [x for x in roots if abs(x) <= x_limit] or roots
     xr = min(on_sil, key=lambda x: abs(x - rc.point.x))
     analytic = Point2(xr, slope * xr)
 
     return ContactDemoResult(
-        rc.point, rc.refined, analytic, cluster, spread, len(res.crossings)
+        rc.point, rc.refined, analytic, cluster, diameter(cluster), len(res.crossings)
     )

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import splinefig
 from splinefig.cli import main
+from splinefig.geom import Point2
 
 CONIC = "8*x^2-4*sqrt(2)*x*y+y^2-3*x-6*sqrt(2)*y+2=0"
 
@@ -350,6 +351,28 @@ class TestContactDemo:
             "contact: (-1.649807,1.207653) [refined]",
             "analytic: (-1.649807,1.207653)",
             "distance: 0.000000",
+        ]
+
+    def test_steep_axis_measures_the_cluster_on_its_hull(self, monkeypatch, capsys):
+        # the y axis misses the silhouette: every vertex pair within
+        # 2 * dmin joins the cluster, 13 266 midpoints, whose every pair
+        # is 88 M distances; the hull's pairs are about 33 000
+        calls = 0
+        dist = Point2.dist
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return dist(self, other)
+
+        monkeypatch.setattr(Point2, "dist", counted)
+        argv = "--theta=-90 --phi=25 --grid=40 --samples=300 --window=0 --tol=0.01"
+        assert main(["contact-demo", *argv.split()]) == 0
+        assert calls < 100_000
+        out = capsys.readouterr().out.splitlines()
+        assert out[:2] == [
+            "crossings: 0",
+            "cluster: 13266 candidate midpoints, spread 3.629212",
         ]
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from splinefig.geom import (
     CubicBezier,
@@ -17,9 +17,8 @@ from splinefig.geom import (
     bezier_slice,
     bezier_subdivide,
     drop_repeats,
+    diameter,
     load_points,
-    points_from_pairs,
-    save_points,
 )
 
 B = CubicBezier(Point2(0, 0), Point2(1, 2), Point2(3, 2), Point2(4, 0))
@@ -96,7 +95,6 @@ class TestPolyline:
         assert pl.pt_start == Point2(0, 0)
         assert pl.pt_end == Point2(1, 1)
         assert not pl.is_loop()
-        assert pl.reversed().pt_start == Point2(1, 1)
         arr = pl.as_array()
         assert arr.shape == (3, 2)
         assert np.allclose(arr[2], [1, 1])
@@ -128,13 +126,13 @@ def test_sample_skips_a_point_segment():
 
 
 def test_points_csv_roundtrip(tmp_path):
+    # every float written as its repr reads back exactly; integers read as floats
     pts = [Point2(0.125, -3.5), Point2(math.pi, 2.0), Point2(-1e-9, 7.25)]
     path = tmp_path / "pts.csv"
-    save_points(path, pts)
+    path.write_text("".join(f"{p.x!r},{p.y!r}\n" for p in pts) + "0, 1\n")
     back = load_points(path)
-    assert len(back) == 3
-    for p, q in zip(pts, back):
-        assert p.dist(q) == 0.0
+    assert back == [*pts, Point2(0.0, 1.0)]
+    assert all(type(v) is float for p in back for v in (p.x, p.y))
 
 
 def test_load_points_rejects_garbage(tmp_path):
@@ -152,6 +150,28 @@ def test_load_points_error_names_the_line(tmp_path, row):
         load_points(path)
 
 
-def test_points_from_pairs():
-    pts = points_from_pairs([(0, 1), (2.5, -3)])
-    assert pts == [Point2(0, 1), Point2(2.5, -3)]
+
+def _pairwise_diameter(points) -> float:
+    """The double loop over every pair, kept as the reference."""
+    spread = 0.0
+    for m in range(len(points)):
+        for k in range(m + 1, len(points)):
+            spread = max(spread, points[m].dist(points[k]))
+    return spread
+
+
+cluster_coord = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0]) | st.floats(-1e3, 1e3)
+lattice = st.builds(Point2, st.integers(-3, 3).map(float), st.integers(-3, 3).map(float))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.builds(Point2, cluster_coord, cluster_coord) | lattice, max_size=40))
+def test_property_hull_diameter_is_the_pairwise_maximum(points):
+    assert diameter(points) == _pairwise_diameter(points)
+
+
+def test_diameter_of_collinear_and_repeated_points():
+    line = [Point2(k / 7, 2 * k / 7) for k in range(8)]
+    assert diameter(line) == line[0].dist(line[-1])
+    assert diameter([Point2(1, 1)] * 3) == 0.0
+    assert diameter([Point2(1, 1)]) == diameter([]) == 0.0

@@ -612,8 +612,9 @@ class TestSceneStructure:
 
     def test_each_curve_projected_and_each_function_compiled_once(self, monkeypatch):
         # the README paraboloid draws 11 curves (rim, silhouette, 6 wires,
-        # 3 axes); it compiles x, y, z, J, X, Y and the 4 partials of X, Y
-        calls = {"project_curve": 0, "compile_fn": 0}
+        # 3 axes); it compiles x, y, z and J one by one, and (X, Y) and
+        # the 4 partials of X, Y as two programs
+        calls = {"project_curve": 0, "compile_fn": 0, "compile_many": 0}
 
         def counted(name):
             real = getattr(surface, name)
@@ -628,7 +629,7 @@ class TestSceneStructure:
             monkeypatch.setattr(surface, name, counted(name))
         cfg = SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6)))
         build_surface_scene(paraboloid_surface(), VIEW, cfg)
-        assert calls == {"project_curve": 11, "compile_fn": 10}
+        assert calls == {"project_curve": 11, "compile_fn": 4, "compile_many": 2}
 
     def test_scene_is_deterministic(self):
         cfg = SceneConfig(wires_v=(0.0, math.pi))
@@ -704,3 +705,15 @@ class TestContactDemo:
         y = (t / 2) * math.sin(phi) + (4 - t * t / 4) * math.cos(phi) \
             - math.cos(phi) * x * x
         assert res.analytic.y == pytest.approx(y, abs=1e-9)
+
+    def test_analytic_root_of_a_steep_axis(self):
+        # at theta = -90 degrees the projected y axis has slope about
+        # 7e15, and the textbook root -slope + sqrt(disc) cancels to 0
+        theta, phi = math.radians(-90), math.radians(25)
+        res = contact_demo(theta, phi, grid=40, samples=300, window=0, tol=0.01)
+        t = math.tan(phi)
+        c0 = (t / 2) * math.sin(phi) + (4 - t * t / 4) * math.cos(phi)
+        slope = -math.tan(theta) * math.sin(phi)
+        x = res.analytic.x
+        assert x > 0.0
+        assert abs(math.cos(phi) * x * x + slope * x - c0) <= 1e-12 * abs(c0)
