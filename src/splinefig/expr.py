@@ -1,7 +1,7 @@
 """Expression parsing, evaluation and symbolic differentiation.
 
 Curve and surface definitions arrive as plain text ("x^2*sin(x)",
-"8*x^2-4*sqrt(2)*x*y+y^2-3*x-6*sqrt(2)*y+2") and are compiled to small
+"8*x^2-4*sqrt(2)*x*y+y^2-3*x-6*sqrt(2)*y+2") and are parsed into small
 immutable syntax trees.  The grammar is conventional infix arithmetic:
 
     expr    := term (('+' | '-') term)*
@@ -17,9 +17,11 @@ pi and e fold to literals at parse time; sin, cos, tan, sqrt, exp, log
 and abs are the supported functions.  Any other bare name is a free
 variable.
 
-Evaluation is strict about domains: division by zero, sqrt/log outside
-their domain, overflow, and any NaN or infinity are reported as
-DomainError rather than silently propagated.
+A compile (compile_fn, compile_many) lowers trees to one list of their
+distinct operations, run as straight-line Python for a scalar call and
+over numpy arrays by `at` and `grid`.  Evaluation is strict about
+domains: division by zero, sqrt/log outside their domain, overflow, and
+any NaN or infinity are DomainError rather than silently propagated.
 """
 
 from __future__ import annotations
@@ -398,11 +400,10 @@ def diff(node: ExprNode, var: str) -> ExprNode:
 
 
 # ---------------------------------------------------------------------------
-# code generation: a compile lowers its trees, once, into one list of
-# distinct operations over numbered temporaries (an evaluation procedure,
-# Griewank & Walther, "Evaluating Derivatives", ch. 2).  The scalar call
-# runs it as generated Python source; `at` and `grid` run it over arrays
-# with the same IEEE operations and libm routines, so the same bits.
+# code generation: the list of distinct operations over numbered
+# temporaries is an evaluation procedure (Griewank & Walther, "Evaluating
+# Derivatives", ch. 2); `at` and `grid` run it with the scalar call's
+# IEEE operations and libm routines, so they give the same bits.
 
 def _lower(trees: Sequence[ExprNode], params: tuple[str, ...]) -> tuple[list, list]:
     """The trees' distinct operations in post order, and each tree's index.
@@ -448,15 +449,14 @@ def _scalar_source(ops: list, outputs: list, params: tuple, many: bool) -> str:
         if args:
             rhs = _SOURCE.get(op, f"_f_{op}({{}})").format(*(refs[i] for i in args))
             lines.append(f"        t{k} = {rhs}")
+    # _pow's DomainError is a ValueError too, re-raised with its message
+    lines.append("    except (ArithmeticError, ValueError) as exc:")
+    lines.append("        raise DomainError(str(exc)) from exc")
     outs = [refs[k] for k in outputs]
-    lines += [
-        "    except (ArithmeticError, ValueError) as exc:  # _pow's DomainError too",
-        "        raise DomainError(str(exc)) from exc",
-        f"    if {' and '.join(f'_isfinite({o})' for o in outs)}:",
-        f"        return {', '.join(outs) + ',' if many else outs[0]}",
-        f"    value = next(v for v in ({', '.join(outs)},) if not _isfinite(v))",
-        "    raise DomainError(f'expression evaluated to {value!r}')",
-    ]
+    for o in outs:
+        lines.append(f"    if not _isfinite({o}):")
+        lines.append(f"        raise DomainError('expression evaluated to %r' % {o})")
+    lines.append(f"    return {', '.join(outs) + ',' if many else outs[0]}")
     return "\n".join(lines) + "\n"
 
 
@@ -552,7 +552,8 @@ _ARRAY = {"neg": np.negative, "abs": np.abs, "sqrt": np.sqrt, "+": np.add,
 
 
 def _each(fn: Callable[..., float], *args) -> tuple[np.ndarray, np.ndarray]:
-    """fn over the broadcast args one element at a time, and where it raised."""
+    """fn over the broadcast args one element at a time, and where it
+    raised (False if nowhere)."""
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     columns = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
     out: list[float] = []
@@ -565,7 +566,7 @@ def _each(fn: Callable[..., float], *args) -> tuple[np.ndarray, np.ndarray]:
             bad.append(k)
     raised = np.zeros(len(out), dtype=bool)
     raised[bad] = True
-    return np.array(out).reshape(shape), raised.reshape(shape)
+    return np.array(out).reshape(shape), bool(bad) and raised.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
