@@ -409,8 +409,8 @@ def _lower(trees: Sequence[ExprNode], params: tuple[str, ...]) -> tuple[list, li
     """The trees' distinct operations in post order, and each tree's index.
 
     An operation is (op, i) or (op, i, j) over earlier operations' indices,
-    or a leaf: ("_v_" + name,) or (repr(constant),), so -0.0 is not 0.0.
-    Equal subtrees are one operation."""
+    or a leaf, ("_v_" + name,) or (repr(constant),): equal subtrees are one
+    operation, and -0.0 is not 0.0."""
     index: dict[tuple, int] = {}
 
     def visit(node: ExprNode) -> int:
@@ -512,22 +512,24 @@ def _compile(trees: list[ExprNode], params: tuple[str, ...], many: bool):
                     values[k] = inputs[op] if op in inputs else np.float64(op)
                     continue
                 if op in _ARRAY:
-                    values[k] = _ARRAY[op](*(values[i] for i in args))
+                    values[k] = _ARRAY[op](*map(values.__getitem__, args))
                     if op == "/":
                         raised[k] = values[args[1]] == 0.0
                     elif op == "sqrt":
                         raised[k] = values[args[0]] < 0.0
                 else:
                     fn = math.pow if op == "^" else FUNCTIONS[op]
-                    values[k], raised[k] = _each(fn, *(values[i] for i in args))
+                    values[k], raised[k] = _each(fn, *map(values.__getitem__, args))
                 # an operation raises where it or an input does
                 raised[k] = raised[k] | raised[args[0]] | raised[args[-1]]
                 for i in args:
                     if last[i] == k:
                         values[i] = raised[i] = None
             out = []
-            for k in outputs:  # full shape, though a tree may lack a variable
-                undefined = np.broadcast_to(raised[k] | ~np.isfinite(values[k]), shape)
+            for k in outputs:
+                undefined = raised[k] | ~np.isfinite(values[k])
+                if np.shape(undefined) != shape:  # a tree may lack a variable
+                    undefined = np.broadcast_to(undefined, shape)
                 out.append(np.where(undefined, np.nan, values[k]))
         return tuple(out) if many else out[0]
 

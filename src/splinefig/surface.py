@@ -763,7 +763,6 @@ class OcclusionTester:
     def __init__(self, s: ParametricSurface, proj: Projection):
         self.surface = s
         self.proj = proj
-        # (X, Y) and (X_u, X_v, Y_u, Y_v), each group one compiled program
         self.fxy = compile_many(_projected_exprs(s, proj), ("u", "v"))
         self.partials = compile_many(_projected_partials(s, proj), ("u", "v"))
 
@@ -1179,9 +1178,8 @@ def contact_demo(
     a_q = math.cos(phi)
     disc = slope * slope + 4.0 * a_q * c0
     x_limit = math.sqrt(max(4.0 - t_phi * t_phi / 4.0, 0.0))
-    # the stable form (Higham, "Accuracy and Stability of Numerical
-    # Algorithms", 1.8): the root that -slope and sqrt(disc) would cancel
-    # in comes from the product of the roots, -c0 / a_q
+    # stable form (Higham, "Accuracy and Stability", 1.8): the root that
+    # would cancel comes from the product of the roots, -c0 / a_q
     q = -0.5 * (slope + math.copysign(math.sqrt(disc), slope))
     roots = [q / a_q, -c0 / q]
     on_sil = [x for x in roots if abs(x) <= x_limit] or roots
