@@ -405,33 +405,29 @@ def diff(node: ExprNode, var: str) -> ExprNode:
 # Derivatives", ch. 2); `at` and `grid` run it with the scalar call's
 # IEEE operations and libm routines, so they give the same bits.
 
-def _lower(trees: Sequence[ExprNode], params: tuple[str, ...]) -> tuple[list, list]:
-    """The trees' distinct operations in post order, and each tree's index.
+def _lower(node: ExprNode, params: tuple[str, ...], index: dict[tuple, int]) -> int:
+    """The index of node's operation, adding it and its subtrees to index,
+    which maps each distinct operation to its index in post order.
 
     An operation is (op, i) or (op, i, j) over earlier operations' indices,
     or a leaf, ("_v_" + name,) or (repr(constant),): equal subtrees are one
     operation, and -0.0 is not 0.0."""
-    index: dict[tuple, int] = {}
-
-    def visit(node: ExprNode) -> int:
-        if type(node) is Const:
-            op: tuple = (repr(node.value),)
-        elif type(node) is Var:
-            if node.name not in params:
-                raise UnboundVariableError(
-                    f"variable {node.name!r} not among parameters {params}"
-                )
-            op = ("_v_" + node.name,)
-        elif type(node) is Neg:
-            op = ("neg", visit(node.arg))
-        elif type(node) is BinOp:
-            op = (node.op, visit(node.left), visit(node.right))
-        else:
-            op = (node.func, visit(node.arg))
-        return index.setdefault(op, len(index))
-
-    outputs = [visit(tree) for tree in trees]
-    return list(index), outputs
+    if type(node) is Const:
+        op: tuple = (repr(node.value),)
+    elif type(node) is Var:
+        if node.name not in params:
+            raise UnboundVariableError(
+                f"variable {node.name!r} not among parameters {params}"
+            )
+        op = ("_v_" + node.name,)
+    elif type(node) is Neg:
+        op = ("neg", _lower(node.arg, params, index))
+    elif type(node) is BinOp:
+        left = _lower(node.left, params, index)
+        op = (node.op, left, _lower(node.right, params, index))
+    else:
+        op = (node.func, _lower(node.arg, params, index))
+    return index.setdefault(op, len(index))
 
 
 _SOURCE = {"neg": "-{}", "^": "_pow({}, {})", "+": "{} + {}", "-": "{} - {}",
@@ -485,7 +481,9 @@ def compile_fn(node: ExprNode, params: tuple[str, ...]) -> Callable[..., float]:
 
 
 def _compile(trees: list[ExprNode], params: tuple[str, ...], many: bool):
-    ops, outputs = _lower(trees, params)
+    index: dict[tuple, int] = {}
+    outputs = [_lower(tree, params, index) for tree in trees]
+    ops = list(index)
     # each temporary's last reader; the outputs are read at the end
     last = {i: k for k, (_, *args) in enumerate(ops) for i in args}
     last.update(dict.fromkeys(outputs, len(ops)))
@@ -495,7 +493,7 @@ def _compile(trees: list[ExprNode], params: tuple[str, ...], many: bool):
     env.update({"inf": math.inf, "nan": math.nan})
     env.update({"_f_" + fname: fobj for fname, fobj in FUNCTIONS.items()})
     exec(_scalar_source(ops, outputs, params, many), env)  # noqa: S102 - generated
-    call = env["program"]
+    call = env.pop("program")  # so the call and its globals form no cycle
 
     def at(*arrays: np.ndarray):
         if len(arrays) != len(params):

@@ -45,9 +45,8 @@ def exact_integral(b: CubicBezier) -> Fraction:
             beta = Fraction(
                 math.factorial(i + j) * math.factorial(5 - i - j), math.factorial(6)
             )
-            total += (
-                ys[i] * 3 * (xs[j + 1] - xs[j]) * math.comb(3, i) * math.comb(2, j) * beta
-            )
+            weight = 3 * math.comb(3, i) * math.comb(2, j) * beta
+            total += ys[i] * (xs[j + 1] - xs[j]) * weight
     return total
 
 

@@ -16,8 +16,8 @@ from splinefig.geom import (
     bezier_eval,
     bezier_slice,
     bezier_subdivide,
-    drop_repeats,
     diameter,
+    drop_repeats,
     load_points,
 )
 
@@ -150,7 +150,6 @@ def test_load_points_error_names_the_line(tmp_path, row):
         load_points(path)
 
 
-
 def _pairwise_diameter(points) -> float:
     """The double loop over every pair, kept as the reference."""
     spread = 0.0
@@ -160,12 +159,18 @@ def _pairwise_diameter(points) -> float:
     return spread
 
 
+# free points, and points on a small lattice, which are often collinear
 cluster_coord = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0]) | st.floats(-1e3, 1e3)
-lattice = st.builds(Point2, st.integers(-3, 3).map(float), st.integers(-3, 3).map(float))
+lattice_coord = st.integers(-3, 3).map(float)
+clusters = st.lists(
+    st.builds(Point2, cluster_coord, cluster_coord)
+    | st.builds(Point2, lattice_coord, lattice_coord),
+    max_size=40,
+)
 
 
 @settings(max_examples=300)
-@given(st.lists(st.builds(Point2, cluster_coord, cluster_coord) | lattice, max_size=40))
+@given(clusters)
 def test_property_hull_diameter_is_the_pairwise_maximum(points):
     assert diameter(points) == _pairwise_diameter(points)
 
