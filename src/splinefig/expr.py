@@ -551,7 +551,7 @@ _ARRAY = {"neg": np.negative, "abs": np.abs, "sqrt": np.sqrt, "+": np.add,
           "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
-def _each(fn: Callable[..., float], *args) -> tuple[np.ndarray, np.ndarray]:
+def _each(fn: Callable[..., float], *args) -> tuple[np.ndarray, np.ndarray | bool]:
     """fn over the broadcast args one element at a time, and where it
     raised (False if nowhere)."""
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
