@@ -500,23 +500,35 @@ class RefinedContact:
     refined: bool  # False: tangential site left at the closest-approach midpoint
 
 
-def _piece(x0, y0, x1, y1, x2, y2, x3, y3) -> tuple[float, ...]:
-    """A cubic as a flat tuple: its control coordinates, then its box.
+def _piece(x0, y0, x1, y1, x2, y2, x3, y3) -> list:
+    """A cubic as a flat list: control coordinates, box, diagonal, halves.
 
-    The box p[8:] = (xmin, ymin, xmax, ymax) is geom.bezier_bbox's,
-    taken once when the piece is made; min and max see the coordinates
-    in the same order, so even a signed zero comes out the same.
+    The box p[8:12] = (xmin, ymin, xmax, ymax) is geom.bezier_bbox's,
+    taken once when the piece is made; each extreme is kept left to
+    right with a strict comparison, as min and max keep it, so even a
+    signed zero comes out the same (and faster than calling them).
+    p[12] is the box diagonal, and the slots p[13:15] hold the piece's
+    _halves once the best-first search has split it.
     """
-    return (
+    xmin = x1 if x1 < x0 else x0
+    xmin = x2 if x2 < xmin else xmin
+    xmin = x3 if x3 < xmin else xmin
+    ymin = y1 if y1 < y0 else y0
+    ymin = y2 if y2 < ymin else ymin
+    ymin = y3 if y3 < ymin else ymin
+    xmax = x1 if x1 > x0 else x0
+    xmax = x2 if x2 > xmax else xmax
+    xmax = x3 if x3 > xmax else xmax
+    ymax = y1 if y1 > y0 else y0
+    ymax = y2 if y2 > ymax else ymax
+    ymax = y3 if y3 > ymax else ymax
+    return [
         x0, y0, x1, y1, x2, y2, x3, y3,
-        min(x0, x1, x2, x3),
-        min(y0, y1, y2, y3),
-        max(x0, x1, x2, x3),
-        max(y0, y1, y2, y3),
-    )
+        xmin, ymin, xmax, ymax, math.hypot(xmax - xmin, ymax - ymin), None, None,
+    ]
 
 
-def _halves(p: tuple[float, ...]) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _halves(p: list) -> tuple[list, list]:
     """The pieces of p split at t = 1/2, each carrying its own box.
 
     These are geom.bezier_subdivide(b, 0.5)'s float operations, the
@@ -542,11 +554,18 @@ def _halves(p: tuple[float, ...]) -> tuple[tuple[float, ...], tuple[float, ...]]
     )
 
 
-def _box_gap(pa: tuple[float, ...], pb: tuple[float, ...]) -> float:
-    """Least distance between the boxes of two pieces."""
-    dx = max(pa[8] - pb[10], pb[8] - pa[10], 0.0)
-    dy = max(pa[9] - pb[11], pb[9] - pa[11], 0.0)
-    return math.hypot(dx, dy)
+def _sides(piece: list, shared: list, tol: float) -> list[tuple[list, list]]:
+    """A pair's children on one side, each with the list its siblings share.
+
+    A piece under tol stays whole, with the list it came with.  A larger
+    one is split into shared unless its sibling pair did that already,
+    and each half gets a new list for the two pairs it will sit in.
+    """
+    if piece[12] < tol:
+        return [(piece, shared)]
+    if not shared:
+        shared += _halves(piece)
+    return [(half, []) for half in shared]
 
 
 def _window_pieces(poly: Polyline, center: int, window: int):
@@ -566,29 +585,36 @@ def _window_pieces(poly: Polyline, center: int, window: int):
 def _closest_fit_point(pieces_a, pieces_b, seed: Point2, tol: float):
     """Best-first closest approach of two spline fits given as flat pieces.
 
-    Boxes are popped by their minimum possible separation and split
-    until both are smaller than tol; the midpoint of the winning pair
-    is the contact estimate.  A pair further apart than a percent of
-    the window size is no contact at all.  Pieces are flat float tuples
-    split by _halves, which repeats geom.bezier_subdivide's exact
-    operations, so the search pops the same boxes the CubicBezier form
-    would.
+    Pairs are popped by the least distance between their boxes, and the
+    piece with the longer box diagonal is split, until both diagonals
+    are under tol; the midpoint of the winning pair is the contact
+    estimate.  A pair further apart than a percent of the window size
+    is no contact at all.  A piece meets many partners as the popped
+    gaps grow, so it keeps its halves in its slots and is split once;
+    the 5000-pop budget bounds what the slots hold.  _halves repeats
+    geom.bezier_subdivide's exact operations, so the search pops the
+    same boxes the CubicBezier form would.
     """
     tick = count()
     heap = []
     span = 1e-12
     for pa in pieces_a:
         span = max(span, pa[10] - pa[8], pa[11] - pa[9])
-        for pb in pieces_b:
-            heapq.heappush(heap, (_box_gap(pa, pb), next(tick), pa, pb))
-
+    pairs = product(pieces_a, pieces_b)
     for _ in range(5000):
+        for pa, pb in pairs:
+            # the boxes' gap: max(dx, ex, 0.0) on each axis, kept as in _piece
+            dx, ex = pa[8] - pb[10], pb[8] - pa[10]
+            dy, ey = pa[9] - pb[11], pb[9] - pa[11]
+            dx = ex if ex > dx else dx
+            dy = ey if ey > dy else dy
+            dx = 0.0 if 0.0 > dx else dx
+            dy = 0.0 if 0.0 > dy else dy
+            heapq.heappush(heap, (math.hypot(dx, dy), next(tick), pa, pb))
         if not heap:
             break
         gap, _, pa, pb = heapq.heappop(heap)
-        da = math.hypot(pa[10] - pa[8], pa[11] - pa[9])
-        db = math.hypot(pb[10] - pb[8], pb[11] - pb[9])
-        if da < tol and db < tol:
+        if pa[12] < tol and pb[12] < tol:
             if gap > 0.01 * (1.0 + span):
                 break
             return RefinedContact(
@@ -598,12 +624,14 @@ def _closest_fit_point(pieces_a, pieces_b, seed: Point2, tol: float):
                 ),
                 True,
             )
-        if da >= db:
-            for piece in _halves(pa):
-                heapq.heappush(heap, (_box_gap(piece, pb), next(tick), piece, pb))
+        if pa[12] >= pb[12]:
+            if pa[13] is None:
+                pa[13:15] = _halves(pa)
+            pairs = ((pa[13], pb), (pa[14], pb))
         else:
-            for piece in _halves(pb):
-                heapq.heappush(heap, (_box_gap(pa, piece), next(tick), pa, piece))
+            if pb[13] is None:
+                pb[13:15] = _halves(pb)
+            pairs = ((pa, pb[13]), (pa, pb[14]))
     return RefinedContact(seed, False)
 
 
@@ -620,14 +648,19 @@ def refine_contact(
     Open splines through 2*window+1 vertices around each center are
     intersected by recursive bounding-box subdivision (split both
     curves at t=1/2 while the boxes overlap, accept once both box
-    diagonals drop under tol).  Candidates within 10*tol collapse to
-    their centroid; with several candidates the one nearest the
-    original site wins; with none the site is returned unrefined.
+    diagonals drop under tol), depth first for at most 20 000 pops.
+    Each candidate joins the earliest cluster whose first member lies
+    within 10*tol, looked up in a grid of those members, and the
+    centroid nearest the original site wins.  With no candidate the
+    fits only graze, and _closest_fit_point seeks their closest
+    approach; failing that, the site is returned unrefined.
 
-    Both searches run on flat float tuples (_piece, _halves) with
+    Both searches run on flat pieces (_piece, _halves) with
     geom.bezier_subdivide's exact operations: the same control points,
     boxes and candidates as splitting CubicBezier objects, without
-    building one per split.
+    building one per split.  A piece carries its box diagonal, and its
+    halves, once made, serve every pair that meets it in the best-first
+    search, and both sibling pairs that share it in the depth-first one.
     """
     seed = (a.points[center_a] + b.points[center_b]) * 0.5
     pieces_a = _window_pieces(a, center_a, window)
@@ -644,18 +677,20 @@ def refine_contact(
 
     candidates: list[Point2] = []
     # depth first, in the preorder of the recursive form: children go
-    # on the stack reversed, and every pop spends one unit of budget
-    stack = [(pa, pb, 0) for pa in pieces_a[::-1] for pb in pieces_b[::-1]]
+    # on the stack reversed, and every pop spends one unit of budget.
+    # A piece split here sits in the two sibling pairs made with it,
+    # which share one list for it: the first pop to split it leaves
+    # the halves there for the second.  A slot on the piece would
+    # keep the whole explored tree alive behind the roots.
+    stack = [(pa, pb, 0, [], []) for pa in pieces_a[::-1] for pb in pieces_b[::-1]]
     for _ in range(20_000):
         if not stack:
             break
-        pa, pb, depth = stack.pop()
-        xa0, ya0, xa1, ya1 = pa[8:]
-        xb0, yb0, xb1, yb1 = pb[8:]
+        pa, pb, depth, split_a, split_b = stack.pop()
+        xa0, ya0, xa1, ya1, da = pa[8:13]
+        xb0, yb0, xb1, yb1, db = pb[8:13]
         if xa1 < xb0 or xb1 < xa0 or ya1 < yb0 or yb1 < ya0:
             continue
-        da = math.hypot(xa1 - xa0, ya1 - ya0)
-        db = math.hypot(xb1 - xb0, yb1 - yb0)
         if da < tol and db < tol:
             candidates.append(
                 Point2(
@@ -666,10 +701,12 @@ def refine_contact(
             continue
         if depth > 60:
             continue
-        halves_a = _halves(pa) if da >= tol else (pa,)
-        halves_b = _halves(pb) if db >= tol else (pb,)
+        sides_a = _sides(pa, split_a, tol)
+        sides_b = _sides(pb, split_b, tol)
         stack.extend(
-            (ha, hb, depth + 1) for ha in halves_a[::-1] for hb in halves_b[::-1]
+            (ha, hb, depth + 1, sa, sb)
+            for ha, sa in sides_a[::-1]
+            for hb, sb in sides_b[::-1]
         )
 
     if not candidates:
@@ -677,14 +714,29 @@ def refine_contact(
         # then the closest approach of the two fits, found best-first
         # on bounding-box distance.
         return _closest_fit_point(pieces_a, pieces_b, seed, tol)
+    # each candidate joins the earliest cluster whose first member lies
+    # within 10*tol; a member further off in x or y cannot pass (hypot
+    # is never shorter than a leg), so hypot runs only for the rest.  A
+    # first member is listed in its own grid cell and the eight around
+    # it, so the candidate's cell lists every member that can pass,
+    # oldest first.  Cells twice the radius wide leave half a cell for
+    # x // width to round at a cell edge.
+    radius = 10.0 * tol
+    width = 2.0 * radius
     clusters: list[list[Point2]] = []
+    cells: dict[tuple[float, float], list[list[Point2]]] = {}
     for p in candidates:
-        for cluster in clusters:
-            if p.dist(cluster[0]) <= 10.0 * tol:
+        cx, cy = p.x // width, p.y // width
+        for cluster in cells.get((cx, cy), ()):
+            q = cluster[0]
+            dx, dy = abs(p.x - q.x), abs(p.y - q.y)
+            if dx <= radius and dy <= radius and p.dist(q) <= radius:
                 cluster.append(p)
                 break
         else:
             clusters.append([p])
+            for i, j in product((-1.0, 0.0, 1.0), repeat=2):
+                cells.setdefault((cx + i, cy + j), []).append(clusters[-1])
     centroids = [
         Point2(sum(p.x for p in c) / len(c), sum(p.y for p in c) / len(c))
         for c in clusters

@@ -50,6 +50,31 @@ def exact_integral(b: CubicBezier) -> Fraction:
     return total
 
 
+def _power_basis(c0: Fraction, c1: Fraction, c2: Fraction, c3: Fraction):
+    """Coefficients of t^0..t^3 of a cubic Bernstein sum, exactly."""
+    return (c0, 3 * (c1 - c0), 3 * (c0 - 2 * c1 + c2), -c0 + 3 * c1 - 3 * c2 + c3)
+
+
+def exact_piece_integral(b: CubicBezier, t0: Fraction, t1: Fraction) -> Fraction:
+    """int_t0^t1 y x' dt of b's own polynomials in exact arithmetic."""
+    pts = (b.p0, b.c0, b.c1, b.p1)
+    ax = _power_basis(*(Fraction(p.x) for p in pts))
+    ay = _power_basis(*(Fraction(p.y) for p in pts))
+    total = Fraction(0)
+    for i, yi in enumerate(ay):
+        for j in range(1, 4):
+            # y_i t^i times j x_j t^(j-1), integrated: t^(i+j) / (i+j)
+            m = i + j
+            total += yi * j * ax[j] * (t1**m - t0**m) / m
+    return total
+
+
+def _scale(b: CubicBezier) -> Fraction:
+    """(sum |coords|)^2 of a segment, the size of its rounding error."""
+    pts = (b.p0, b.c0, b.c1, b.p1)
+    return Fraction(sum(abs(v) for p in pts for v in (p.x, p.y))) ** 2
+
+
 def assert_near_exact(b: CubicBezier) -> None:
     # the closed form's rounding error stays under 5e-17 (sum |coords|)^2
     # over random segments at scales 1e-3 to 1e3
@@ -273,3 +298,62 @@ def test_property_segment_closed_form(coords):
         Point2(coords[6], coords[7]),
     )
     assert_near_exact(b)
+
+
+# monotone data: distinct increasing abscissae, any ordinates
+graph_data = st.lists(
+    st.tuples(st.floats(0.05, 2.0), st.floats(-5.0, 5.0)), min_size=4, max_size=12
+).map(
+    lambda steps: tuple(
+        Point2(sum(dx for dx, _ in steps[: k + 1]), y) for k, (_, y) in enumerate(steps)
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    graph_data,
+    st.floats(-0.5, 1.5),
+    st.floats(-0.5, 1.5),
+    st.sampled_from(list(SplineMethod)),
+)
+def test_property_clipped_integrate_matches_exact_integral(data, u, v, method):
+    # the interval reaches past either end of the data at times, so the
+    # end segments are clipped by the bisection's parameters, whose exact
+    # polynomial integral is taken from Fraction(t0) to Fraction(t1)
+    x0, xn = data[0].x, data[-1].x
+    a, b = sorted((x0 + u * (xn - x0), x0 + v * (xn - x0)))
+    lo, hi = max(a, x0), min(b, xn)
+    if not lo < hi:
+        return
+    got = integrate(IntegrationRequest(data, (a, b), method))
+    exact = bound = Fraction(0)
+    for seg in build_spline(data, method=method, closed=False).segments:
+        if seg.p1.x <= lo or seg.p0.x >= hi:
+            continue
+        t0 = calculus._solve_segment_x(seg, lo) if seg.p0.x < lo else 0.0
+        t1 = calculus._solve_segment_x(seg, hi) if seg.p1.x > hi else 1.0
+        exact += exact_piece_integral(seg, Fraction(t0), Fraction(t1))
+        bound += Fraction(2e-16) * _scale(seg)
+    assert abs(Fraction(got) - exact) <= bound
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.integers(0, 359), min_size=3, max_size=12, unique=True),
+    st.floats(0.5, 5.0),
+    st.floats(0.5, 5.0),
+    st.sampled_from(list(SplineMethod)),
+)
+def test_property_closed_area_matches_exact_integral(angles, rx, ry, method):
+    # points around an ellipse at whole degrees, in angle order: minus
+    # the sum over the closed spline's segments of int y x' dt, each exact
+    pts = [
+        Point2(rx * math.cos(math.radians(t)), ry * math.sin(math.radians(t)))
+        for t in sorted(angles)
+    ]
+    got = closed_area(pts, method)
+    segments = build_spline(pts, method=method, closed=True).segments
+    exact = -sum(exact_integral(seg) for seg in segments)
+    bound = sum(Fraction(2e-16) * _scale(seg) for seg in segments)
+    assert abs(Fraction(got) - exact) <= bound

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line through main(argv)."""
 
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -320,6 +321,34 @@ class TestSurface:
         desc.write_text(text)
         assert main(["surface", str(desc)]) == 0
         assert capsys.readouterr().out.startswith("{\\unitlength=1cm%")
+
+    def test_surface_projecting_to_a_line_clusters_in_near_linear_time(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        # every curve of x = y = z = cos(v)*u projects onto one line, so
+        # its 36 contact sites spend the whole subdivision budget, some
+        # on 5 000 candidates; joining each to the first of all earlier
+        # clusters within 10*tol took 5.65 M distances
+        calls = 0
+        dist = Point2.dist
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return dist(self, other)
+
+        monkeypatch.setattr(Point2, "dist", counted)
+        desc = tmp_path / "line.surf"
+        desc.write_text(
+            "x = cos(v)*u\ny = cos(v)*u\nz = cos(v)*u\nu = 0, 1\nv = 0, 2*pi\n"
+            "grid = 10\nsamples = 3\n"
+        )
+        assert main(["surface", str(desc), "--format", "tex"]) == 0
+        assert calls < 200_000
+        # the same bytes as the all-pairs clustering
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "b641340a6e9260d9d3f6d63c941c193d6490506287d13c93a7d5a4cc8fdea1ef"
+        )
 
     def test_undefined_seed_cells_print_no_numpy_warning(self, tmp_path):
         # z is undefined for v < 0.5, so some occlusion seed cells have

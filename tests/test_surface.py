@@ -1,7 +1,12 @@
+import gc
+import heapq
 import logging
 import math
 import struct
+import sys
 import time
+import tracemalloc
+from itertools import count
 
 import numpy as np
 import pytest
@@ -18,7 +23,9 @@ from splinefig.geom import (
 from splinefig import surface
 from splinefig.render import Style, emit_latex
 from splinefig.expr import DomainError, compile_fn
+from splinefig.spline import SplineMethod, build_spline
 from splinefig.surface import (
+    REFINE_WINDOW,
     _halves,
     _jacobian_fn,
     _locate_param,
@@ -441,6 +448,316 @@ class TestRefineContact:
         assert not rc.refined
 
 
+# ---------------------------------------------------------------------------
+# reference: both contact searches as they were before pieces kept their
+# halves, each piece split again in every pair that meets it, and every
+# candidate compared with every cluster
+
+
+def _reference_piece(x0, y0, x1, y1, x2, y2, x3, y3) -> tuple[float, ...]:
+    return (
+        x0, y0, x1, y1, x2, y2, x3, y3,
+        min(x0, x1, x2, x3),
+        min(y0, y1, y2, y3),
+        max(x0, x1, x2, x3),
+        max(y0, y1, y2, y3),
+    )
+
+
+def _reference_halves(p: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
+    x0, y0, x1, y1, x2, y2, x3, y3 = p[:8]
+    qx0 = x0 + (x1 - x0) * 0.5
+    qy0 = y0 + (y1 - y0) * 0.5
+    qx1 = x1 + (x2 - x1) * 0.5
+    qy1 = y1 + (y2 - y1) * 0.5
+    qx2 = x2 + (x3 - x2) * 0.5
+    qy2 = y2 + (y3 - y2) * 0.5
+    rx0 = qx0 + (qx1 - qx0) * 0.5
+    ry0 = qy0 + (qy1 - qy0) * 0.5
+    rx1 = qx1 + (qx2 - qx1) * 0.5
+    ry1 = qy1 + (qy2 - qy1) * 0.5
+    sx = rx0 + (rx1 - rx0) * 0.5
+    sy = ry0 + (ry1 - ry0) * 0.5
+    return (
+        _reference_piece(x0, y0, qx0, qy0, rx0, ry0, sx, sy),
+        _reference_piece(sx, sy, rx1, ry1, qx2, qy2, x3, y3),
+    )
+
+
+def _reference_box_gap(pa, pb) -> float:
+    dx = max(pa[8] - pb[10], pb[8] - pa[10], 0.0)
+    dy = max(pa[9] - pb[11], pb[9] - pa[11], 0.0)
+    return math.hypot(dx, dy)
+
+
+def _reference_window_pieces(poly: Polyline, center: int, window: int):
+    lo = max(0, center - window)
+    hi = min(len(poly.points) - 1, center + window)
+    pts = poly.points[lo : hi + 1]
+    if len(pts) < 2:
+        return None
+    sp = build_spline(pts, method=SplineMethod.OSHIMA, closed=False)
+    return [
+        _reference_piece(
+            s.p0.x, s.p0.y, s.c0.x, s.c0.y, s.c1.x, s.c1.y, s.p1.x, s.p1.y
+        )
+        for s in sp.segments
+    ]
+
+
+def _reference_closest_fit_point(pieces_a, pieces_b, seed: Point2, tol: float):
+    tick = count()
+    heap = []
+    span = 1e-12
+    for pa in pieces_a:
+        span = max(span, pa[10] - pa[8], pa[11] - pa[9])
+        for pb in pieces_b:
+            heapq.heappush(heap, (_reference_box_gap(pa, pb), next(tick), pa, pb))
+
+    for _ in range(5000):
+        if not heap:
+            break
+        gap, _, pa, pb = heapq.heappop(heap)
+        da = math.hypot(pa[10] - pa[8], pa[11] - pa[9])
+        db = math.hypot(pb[10] - pb[8], pb[11] - pb[9])
+        if da < tol and db < tol:
+            if gap > 0.01 * (1.0 + span):
+                break
+            return surface.RefinedContact(
+                Point2(
+                    0.25 * (pa[8] + pa[10] + pb[8] + pb[10]),
+                    0.25 * (pa[9] + pa[11] + pb[9] + pb[11]),
+                ),
+                True,
+            )
+        if da >= db:
+            for piece in _reference_halves(pa):
+                gap = _reference_box_gap(piece, pb)
+                heapq.heappush(heap, (gap, next(tick), piece, pb))
+        else:
+            for piece in _reference_halves(pb):
+                gap = _reference_box_gap(pa, piece)
+                heapq.heappush(heap, (gap, next(tick), pa, piece))
+    return surface.RefinedContact(seed, False)
+
+
+def reference_refine_contact(
+    a: Polyline,
+    b: Polyline,
+    center_a: int,
+    center_b: int,
+    window: int = REFINE_WINDOW,
+    tol: float = surface.REFINE_TOL,
+) -> surface.RefinedContact:
+    seed = (a.points[center_a] + b.points[center_b]) * 0.5
+    pieces_a = _reference_window_pieces(a, center_a, window)
+    pieces_b = _reference_window_pieces(b, center_b, window)
+    if pieces_a is None or pieces_b is None:
+        return surface.RefinedContact(seed, False)
+
+    win_a = a.as_array()[max(0, center_a - window) : center_a + window + 1]
+    win_b = b.as_array()[max(0, center_b - window) : center_b + window + 1]
+    if (_segment_feet(win_a, win_b)[1].min(axis=1) <= 10.0 * tol).all():
+        return surface.RefinedContact(seed, False)
+
+    candidates: list[Point2] = []
+    stack = [(pa, pb, 0) for pa in pieces_a[::-1] for pb in pieces_b[::-1]]
+    for _ in range(20_000):
+        if not stack:
+            break
+        pa, pb, depth = stack.pop()
+        xa0, ya0, xa1, ya1 = pa[8:]
+        xb0, yb0, xb1, yb1 = pb[8:]
+        if xa1 < xb0 or xb1 < xa0 or ya1 < yb0 or yb1 < ya0:
+            continue
+        da = math.hypot(xa1 - xa0, ya1 - ya0)
+        db = math.hypot(xb1 - xb0, yb1 - yb0)
+        if da < tol and db < tol:
+            candidates.append(
+                Point2(
+                    0.25 * (xa0 + xa1 + xb0 + xb1),
+                    0.25 * (ya0 + ya1 + yb0 + yb1),
+                )
+            )
+            continue
+        if depth > 60:
+            continue
+        halves_a = _reference_halves(pa) if da >= tol else (pa,)
+        halves_b = _reference_halves(pb) if db >= tol else (pb,)
+        stack.extend(
+            (ha, hb, depth + 1) for ha in halves_a[::-1] for hb in halves_b[::-1]
+        )
+
+    if not candidates:
+        return _reference_closest_fit_point(pieces_a, pieces_b, seed, tol)
+    clusters: list[list[Point2]] = []
+    for p in candidates:
+        for cluster in clusters:
+            if p.dist(cluster[0]) <= 10.0 * tol:
+                cluster.append(p)
+                break
+        else:
+            clusters.append([p])
+    centroids = [
+        Point2(sum(p.x for p in c) / len(c), sum(p.y for p in c) / len(c))
+        for c in clusters
+    ]
+    best = min(centroids, key=lambda p: (p.dist(seed), p.x, p.y))
+    return surface.RefinedContact(best, True)
+
+
+def _sampled(f, lo: float, h: float, n: int) -> Polyline:
+    """n vertices of the graph y = f(x), h apart in x from lo."""
+    return Polyline(tuple(Point2(lo + k * h, f(lo + k * h)) for k in range(n)))
+
+
+@st.composite
+def window_pairs(draw):
+    """Two sampled curves meeting as scenes make them meet, and a tol.
+
+    A parabola y = k x^2 against: a line crossing it; a parabola
+    opening the other way a small gap below it (grazing); the same
+    parabola sampled from another phase (an overlapping duplicate,
+    the very same vertices when the phases agree); or a copy far away.
+    """
+    kind = draw(st.sampled_from(["crossing", "grazing", "overlap", "far"]))
+    k = draw(st.floats(0.2, 5.0))
+    h = draw(st.floats(0.01, 0.05))
+    n = draw(st.integers(4, 30))
+    lo_a = -h * draw(st.floats(0.0, n - 1.0))
+    a = _sampled(lambda x: k * x * x, lo_a, h, n)
+    lo_b = -h * draw(st.floats(0.0, n - 1.0))
+    if kind == "crossing":
+        x0 = draw(st.floats(-0.1, 0.1))
+        slope = draw(st.floats(-3.0, 3.0))
+        b = _sampled(lambda x: k * x0 * x0 + slope * (x - x0), lo_b + x0, h, n)
+    elif kind == "grazing":
+        gap = draw(st.floats(1e-9, 0.02))
+        k2 = draw(st.floats(0.2, 5.0))
+        b = _sampled(lambda x: -k2 * x * x - gap, lo_b, h, n)
+    elif kind == "overlap":
+        b = _sampled(lambda x: k * x * x, draw(st.sampled_from([lo_a, lo_b])), h, n)
+    else:
+        far = draw(st.floats(1.0, 100.0))
+        b = _sampled(lambda x: k * x * x + far, lo_b, h, n)
+    window = draw(st.integers(1, REFINE_WINDOW))
+    tol = draw(st.sampled_from([1e-7, 1e-5, 1e-3]))
+    return a, b, window, tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(window_pairs())
+def test_property_refine_contact_matches_the_reference_bit_for_bit(pair):
+    a, b, window, tol = pair
+    i, j = closest_pair(a, b)
+    got = refine_contact(a, b, i, j, window, tol)
+    ref = reference_refine_contact(a, b, i, j, window, tol)
+    assert _bits(got.point.as_tuple()) == _bits(ref.point.as_tuple())
+    assert got.refined == ref.refined
+
+
+def _scene_sites(s: ParametricSurface, cfg: SceneConfig) -> tuple[list, object]:
+    """Every refine_contact call of a scene at 60/25, and its report."""
+    sites = []
+    real = surface.refine_contact
+
+    def record(a, b, center_a, center_b):
+        sites.append((a, b, center_a, center_b))
+        return real(a, b, center_a, center_b)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(surface, "refine_contact", record)
+    try:
+        _, report = build_surface_scene(s, VIEW, cfg)
+    finally:
+        mp.undo()
+    return sites, report
+
+
+def _split_log(monkeypatch, halves_owner, halves_name, search_owner, search_name):
+    """Record each split as (search, piece bits), tagging the best-first search."""
+    log = []
+    search = ["depth-first"]
+    halves = getattr(halves_owner, halves_name)
+    closest = getattr(search_owner, search_name)
+
+    def counted_halves(p):
+        log.append((search[0], b"".join(_bits(p[:12]))))
+        return halves(p)
+
+    def tagged_closest(*args):
+        search[0] = "best-first"
+        try:
+            return closest(*args)
+        finally:
+            search[0] = "depth-first"
+
+    monkeypatch.setattr(halves_owner, halves_name, counted_halves)
+    monkeypatch.setattr(search_owner, search_name, tagged_closest)
+    return log
+
+
+def test_each_piece_is_split_once_per_best_first_search(monkeypatch):
+    here = sys.modules[__name__]
+    cfg = SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6)))
+    sites, _ = _scene_sites(paraboloid_surface(), cfg)
+    new = _split_log(monkeypatch, surface, "_halves", surface, "_closest_fit_point")
+    ref = _split_log(
+        monkeypatch, here, "_reference_halves", here, "_reference_closest_fit_point"
+    )
+    totals = {"depth-first": [0, 0], "best-first": [0, 0]}
+    for site in sites:
+        del new[:], ref[:]
+        refine_contact(*site)
+        reference_refine_contact(*site)
+        for search in totals:
+            got = [key for s, key in new if s == search]
+            want = [key for s, key in ref if s == search]
+            # the same pieces split as before, each once best-first
+            assert set(got) == set(want)
+            if search == "best-first":
+                assert len(got) == len(set(got))
+            totals[search][0] += len(got)
+            totals[search][1] += len(want)
+    # 15 sites; the depth-first search splits a piece once for the two
+    # sibling pairs that share it, not once per pair
+    assert len(sites) == 15
+    for search, (got, want) in totals.items():
+        assert 0 < got < want, search
+
+
+def test_budget_exhausting_searches_peak_no_higher_than_the_reference():
+    # the Moebius band's rims graze its silhouettes: the fits never
+    # cross, and the best-first search spends all 5000 pops
+    sites, report = _scene_sites(mobius(), SceneConfig())
+    rims = {id(c.polyline) for c in report.boundaries}
+    folds = {id(c.polyline) for c in report.silhouettes}
+    grazing = [
+        s for s in sites
+        if id(s[0]) in rims and id(s[1]) in folds
+        and not reference_refine_contact(*s).refined
+    ]
+
+    def peak(solve, site) -> int:
+        # a full collection empties the interpreter's free lists, so the
+        # traced call pays for every object it makes
+        gc.collect()
+        tracemalloc.start()
+        try:
+            solve(*site)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the best-first search keeps every split piece's halves, which must
+    # cost no more than the pieces the reference makes again and again;
+    # kept by the depth-first search too, they would peak near twice
+    # the reference (5.9 against 3.0 MB)
+    assert len(grazing) == 5
+    for site in grazing:
+        assert peak(refine_contact, site) <= peak(reference_refine_contact, site)
+
+
 def _bits(xs) -> list[bytes]:
     return [struct.pack("<d", x) for x in xs]
 
@@ -462,11 +779,14 @@ cubic = st.builds(
 @settings(max_examples=300, deadline=None)
 @given(cubic)
 def test_flat_kernel_matches_bezier_subdivide_bit_for_bit(b):
+    # a piece: control coordinates and bezier_bbox's box, bit for bit,
+    # then the box diagonal, then two empty slots for its halves
     piece = _piece(*_flat(b))
-    assert _bits(piece) == _bits(_flat(b) + bezier_bbox(b))
-    halves = _halves(piece)
-    for half, ref in zip(halves, bezier_subdivide(b, 0.5)):
-        assert _bits(half) == _bits(_flat(ref) + bezier_bbox(ref))
+    for got, ref in [(piece, b), *zip(_halves(piece), bezier_subdivide(b, 0.5))]:
+        assert _bits(got[:12]) == _bits(_flat(ref) + bezier_bbox(ref))
+        diagonal = math.hypot(got[10] - got[8], got[11] - got[9])
+        assert _bits(got[12:13]) == _bits([diagonal])
+        assert got[13:] == [None, None]
 
 
 def _segment_dists_loop(poly: Polyline, q: Point2) -> list[tuple[float, float]]:
