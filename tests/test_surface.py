@@ -656,7 +656,9 @@ def test_property_refine_contact_matches_the_reference_bit_for_bit(pair):
     assert got.refined == ref.refined
 
 
-def _scene_sites(s: ParametricSurface, cfg: SceneConfig) -> tuple[list, object]:
+def _scene_sites(
+    s: ParametricSurface, cfg: SceneConfig
+) -> tuple[list[tuple], surface.SceneReport]:
     """Every refine_contact call of a scene at 60/25, and its report."""
     sites = []
     real = surface.refine_contact
@@ -665,12 +667,9 @@ def _scene_sites(s: ParametricSurface, cfg: SceneConfig) -> tuple[list, object]:
         sites.append((a, b, center_a, center_b))
         return real(a, b, center_a, center_b)
 
-    mp = pytest.MonkeyPatch()
-    mp.setattr(surface, "refine_contact", record)
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "refine_contact", record)
         _, report = build_surface_scene(s, VIEW, cfg)
-    finally:
-        mp.undo()
     return sites, report
 
 
@@ -734,8 +733,7 @@ def test_budget_exhausting_searches_peak_no_higher_than_the_reference():
     folds = {id(c.polyline) for c in report.silhouettes}
     grazing = [
         s for s in sites
-        if id(s[0]) in rims and id(s[1]) in folds
-        and not reference_refine_contact(*s).refined
+        if id(s[0]) in rims and id(s[1]) in folds and not refine_contact(*s).refined
     ]
 
     def peak(solve, site) -> int:
