@@ -13,7 +13,8 @@ Larger depth means nearer the eye.  The drawing pipeline:
     silhouette (zero set of the projected Jacobian J(u,v), traced with
     the implicit machinery), iso-parameter wires, and the axes;
  2. intersect each projected curve with the projected outline curves,
-    refining near-tangential contacts with spline windows;
+    and refine each near-tangential contact to where local spline fits
+    of the two curves cross or come closest (refine_contact);
  3. cut the curves at those points and decide each interval's
     visibility by a depth test at its midpoint (a damped Newton solve
     finds every surface point covering the midpoint);
@@ -508,7 +509,7 @@ def _piece(x0, y0, x1, y1, x2, y2, x3, y3) -> list:
     right with a strict comparison, as min and max keep it, so even a
     signed zero comes out the same (and faster than calling them).
     p[12] is the box diagonal, and the slots p[13:15] hold the piece's
-    _halves once the best-first search has split it.
+    _halves once refine_contact's search has split it.
     """
     xmin = x1 if x1 < x0 else x0
     xmin = x2 if x2 < xmin else xmin
@@ -554,20 +555,6 @@ def _halves(p: list) -> tuple[list, list]:
     )
 
 
-def _sides(piece: list, shared: list, tol: float) -> list[tuple[list, list]]:
-    """A pair's children on one side, each with the list its siblings share.
-
-    A piece under tol stays whole, with the list it came with.  A larger
-    one is split into shared unless its sibling pair did that already,
-    and each half gets a new list for the two pairs it will sit in.
-    """
-    if piece[12] < tol:
-        return [(piece, shared)]
-    if not shared:
-        shared += _halves(piece)
-    return [(half, []) for half in shared]
-
-
 def _window_pieces(poly: Polyline, center: int, window: int):
     """Flat pieces of the open Oshima fit through the window around center."""
     lo = max(0, center - window)
@@ -582,19 +569,47 @@ def _window_pieces(poly: Polyline, center: int, window: int):
     ]
 
 
-def _closest_fit_point(pieces_a, pieces_b, seed: Point2, tol: float):
-    """Best-first closest approach of two spline fits given as flat pieces.
+def refine_contact(
+    a: Polyline,
+    b: Polyline,
+    center_a: int,
+    center_b: int,
+    window: int = REFINE_WINDOW,
+    tol: float = REFINE_TOL,
+) -> RefinedContact:
+    """Where local spline fits around a contact site cross or come closest.
 
-    Pairs are popped by the least distance between their boxes, and the
-    piece with the longer box diagonal is split, until both diagonals
-    are under tol; the midpoint of the winning pair is the contact
-    estimate.  A pair further apart than a percent of the window size
-    is no contact at all.  A piece meets many partners as the popped
-    gaps grow, so it keeps its halves in its slots and is split once;
-    the 5000-pop budget bounds what the slots hold.  _halves repeats
-    geom.bezier_subdivide's exact operations, so the search pops the
-    same boxes the CubicBezier form would.
+    Open splines through 2*window+1 vertices around each center are
+    searched best first on flat pieces (_piece, _halves): pairs pop by
+    the gap between their boxes, then by the site's distance to the
+    overlap of their boxes, and the piece with the longer box diagonal
+    is split until both diagonals are under tol.  Every ancestor of an
+    overlapping pair overlaps too, and its overlap holds the pair's, so
+    where the fits cross, the search ends at the overlapping leaves
+    nearest the site before it pops any pair with a gap.  The answer is
+    then where the lines through the two leaves' chords meet, if that
+    is within 10*tol of the leaves: the fits' crossing to the chords'
+    accuracy, even when it lies in a neighbouring leaf.  Otherwise, as
+    where the fits only graze, it is the winning pair's box midpoint.
+    A winning gap over a percent of the window size is no contact, and
+    the site is returned unrefined, as it is when 5000 pops find
+    nothing.  A piece meets many partners as the search goes on, so it
+    keeps its halves in its slots and is split once.
     """
+    seed = (a.points[center_a] + b.points[center_b]) * 0.5
+    pieces_a = _window_pieces(a, center_a, window)
+    pieces_b = _window_pieces(b, center_b, window)
+    if pieces_a is None or pieces_b is None:
+        return RefinedContact(seed, False)
+
+    # overlapping windows (a curve drawn twice, grazing duplicates)
+    # never separate under subdivision; bail before burning the budget
+    win_a = a.as_array()[max(0, center_a - window) : center_a + window + 1]
+    win_b = b.as_array()[max(0, center_b - window) : center_b + window + 1]
+    if (_segment_feet(win_a, win_b)[1].min(axis=1) <= 10.0 * tol).all():
+        return RefinedContact(seed, False)
+
+    sx, sy = seed.x, seed.y
     tick = count()
     heap = []
     span = 1e-12
@@ -610,20 +625,41 @@ def _closest_fit_point(pieces_a, pieces_b, seed: Point2, tol: float):
             dy = ey if ey > dy else dy
             dx = 0.0 if 0.0 > dx else dx
             dy = 0.0 if 0.0 > dy else dy
-            heapq.heappush(heap, (math.hypot(dx, dy), next(tick), pa, pb))
+            # the seed's distance to the boxes' overlap: no crossing the
+            # pair holds lies nearer the seed
+            lo = pa[8] if pa[8] > pb[8] else pb[8]
+            hi = pa[10] if pa[10] < pb[10] else pb[10]
+            fx = lo - sx if lo - sx > sx - hi else sx - hi
+            lo = pa[9] if pa[9] > pb[9] else pb[9]
+            hi = pa[11] if pa[11] < pb[11] else pb[11]
+            fy = lo - sy if lo - sy > sy - hi else sy - hi
+            fx = 0.0 if 0.0 > fx else fx
+            fy = 0.0 if 0.0 > fy else fy
+            heapq.heappush(
+                heap, (math.hypot(dx, dy), math.hypot(fx, fy), next(tick), pa, pb)
+            )
         if not heap:
             break
-        gap, _, pa, pb = heapq.heappop(heap)
+        gap, _, _, pa, pb = heapq.heappop(heap)
         if pa[12] < tol and pb[12] < tol:
             if gap > 0.01 * (1.0 + span):
                 break
-            return RefinedContact(
-                Point2(
-                    0.25 * (pa[8] + pa[10] + pb[8] + pb[10]),
-                    0.25 * (pa[9] + pa[11] + pb[9] + pb[11]),
-                ),
-                True,
+            mid = Point2(
+                0.25 * (pa[8] + pa[10] + pb[8] + pb[10]),
+                0.25 * (pa[9] + pa[11] + pb[9] + pb[11]),
             )
+            if gap == 0.0:
+                # where the lines p0 + t*r and q0 + u*w through the chords meet
+                px, py, qx, qy = pa[0], pa[1], pb[0], pb[1]
+                rx, ry = pa[6] - px, pa[7] - py
+                wx, wy = pb[6] - qx, pb[7] - qy
+                denom = rx * wy - ry * wx
+                if denom != 0.0:
+                    t = ((qx - px) * wy - (qy - py) * wx) / denom
+                    x, y = px + t * rx, py + t * ry
+                    if math.hypot(x - mid.x, y - mid.y) <= 10.0 * tol:
+                        return RefinedContact(Point2(x, y), True)
+            return RefinedContact(mid, True)
         if pa[12] >= pb[12]:
             if pa[13] is None:
                 pa[13:15] = _halves(pa)
@@ -633,116 +669,6 @@ def _closest_fit_point(pieces_a, pieces_b, seed: Point2, tol: float):
                 pb[13:15] = _halves(pb)
             pairs = ((pa, pb[13]), (pa, pb[14]))
     return RefinedContact(seed, False)
-
-
-def refine_contact(
-    a: Polyline,
-    b: Polyline,
-    center_a: int,
-    center_b: int,
-    window: int = REFINE_WINDOW,
-    tol: float = REFINE_TOL,
-) -> RefinedContact:
-    """Intersection of local spline fits around a contact site.
-
-    Open splines through 2*window+1 vertices around each center are
-    intersected by recursive bounding-box subdivision (split both
-    curves at t=1/2 while the boxes overlap, accept once both box
-    diagonals drop under tol), depth first for at most 20 000 pops.
-    Each candidate joins the earliest cluster whose first member lies
-    within 10*tol, looked up in a grid of those members, and the
-    centroid nearest the original site wins.  With no candidate the
-    fits only graze, and _closest_fit_point seeks their closest
-    approach; failing that, the site is returned unrefined.
-
-    Both searches run on flat pieces (_piece, _halves) with
-    geom.bezier_subdivide's exact operations: the same control points,
-    boxes and candidates as splitting CubicBezier objects, without
-    building one per split.  A piece carries its box diagonal, and its
-    halves, once made, serve every pair that meets it in the best-first
-    search, and both sibling pairs that share it in the depth-first one.
-    """
-    seed = (a.points[center_a] + b.points[center_b]) * 0.5
-    pieces_a = _window_pieces(a, center_a, window)
-    pieces_b = _window_pieces(b, center_b, window)
-    if pieces_a is None or pieces_b is None:
-        return RefinedContact(seed, False)
-
-    # overlapping windows (a curve drawn twice, grazing duplicates)
-    # never separate under subdivision; bail before burning the budget
-    win_a = a.as_array()[max(0, center_a - window) : center_a + window + 1]
-    win_b = b.as_array()[max(0, center_b - window) : center_b + window + 1]
-    if (_segment_feet(win_a, win_b)[1].min(axis=1) <= 10.0 * tol).all():
-        return RefinedContact(seed, False)
-
-    candidates: list[Point2] = []
-    # depth first, in the preorder of the recursive form: children go
-    # on the stack reversed, and every pop spends one unit of budget.
-    # A piece split here sits in the two sibling pairs made with it,
-    # which share one list for it: the first pop to split it leaves
-    # the halves there for the second.  A slot on the piece would
-    # keep the whole explored tree alive behind the roots.
-    stack = [(pa, pb, 0, [], []) for pa in pieces_a[::-1] for pb in pieces_b[::-1]]
-    for _ in range(20_000):
-        if not stack:
-            break
-        pa, pb, depth, split_a, split_b = stack.pop()
-        xa0, ya0, xa1, ya1, da = pa[8:13]
-        xb0, yb0, xb1, yb1, db = pb[8:13]
-        if xa1 < xb0 or xb1 < xa0 or ya1 < yb0 or yb1 < ya0:
-            continue
-        if da < tol and db < tol:
-            candidates.append(
-                Point2(
-                    0.25 * (xa0 + xa1 + xb0 + xb1),
-                    0.25 * (ya0 + ya1 + yb0 + yb1),
-                )
-            )
-            continue
-        if depth > 60:
-            continue
-        sides_a = _sides(pa, split_a, tol)
-        sides_b = _sides(pb, split_b, tol)
-        stack.extend(
-            (ha, hb, depth + 1, sa, sb)
-            for ha, sa in sides_a[::-1]
-            for hb, sb in sides_b[::-1]
-        )
-
-    if not candidates:
-        # the fits never cross: a grazing contact.  The touch point is
-        # then the closest approach of the two fits, found best-first
-        # on bounding-box distance.
-        return _closest_fit_point(pieces_a, pieces_b, seed, tol)
-    # each candidate joins the earliest cluster whose first member lies
-    # within 10*tol; a member further off in x or y cannot pass (hypot
-    # is never shorter than a leg), so hypot runs only for the rest.  A
-    # first member is listed in its own grid cell and the eight around
-    # it, so the candidate's cell lists every member that can pass,
-    # oldest first.  Cells twice the radius wide leave half a cell for
-    # x // width to round at a cell edge.
-    radius = 10.0 * tol
-    width = 2.0 * radius
-    clusters: list[list[Point2]] = []
-    cells: dict[tuple[float, float], list[list[Point2]]] = {}
-    for p in candidates:
-        cx, cy = p.x // width, p.y // width
-        for cluster in cells.get((cx, cy), ()):
-            q = cluster[0]
-            dx, dy = abs(p.x - q.x), abs(p.y - q.y)
-            if dx <= radius and dy <= radius and p.dist(q) <= radius:
-                cluster.append(p)
-                break
-        else:
-            clusters.append([p])
-            for i, j in product((-1.0, 0.0, 1.0), repeat=2):
-                cells.setdefault((cx + i, cy + j), []).append(clusters[-1])
-    centroids = [
-        Point2(sum(p.x for p in c) / len(c), sum(p.y for p in c) / len(c))
-        for c in clusters
-    ]
-    best = min(centroids, key=lambda p: (p.dist(seed), p.x, p.y))
-    return RefinedContact(best, True)
 
 
 # ---------------------------------------------------------------------------

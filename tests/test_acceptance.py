@@ -7,6 +7,7 @@ information).
 
 import math
 import re
+from fractions import Fraction
 from time import perf_counter
 
 import numpy as np
@@ -30,6 +31,7 @@ from splinefig.surface import (
     intersect_projected,
     paraboloid_surface,
 )
+from test_calculus import exact_integral
 
 OSH = SplineMethod.OSHIMA
 CR = SplineMethod.CATMULL_ROM
@@ -184,20 +186,16 @@ def test_criterion_6_property_battery():
     ) - 0.5 * integrate(IntegrationRequest(tuple(g), (0.0, 3.0), CR))
     assert abs(lin_lhs - lin_rhs) < 1e-9
 
-    # closed-form segment integral vs a 1e6-point midpoint Riemann sum
-    npts = 1_000_000
-    t = (np.arange(npts) + 0.5) / npts
+    # closed-form segment integral vs the exact integral in fractions,
+    # within 2e-16 (sum |coords|)^2
     for _ in range(50):
-        x1, y1, x2, y2, x3, y3, x4, y4 = rng.uniform(-2, 2, 8)
+        coords = rng.uniform(-2, 2, 8).tolist()
+        x1, y1, x2, y2, x3, y3, x4, y4 = coords
         seg = CubicBezier(
             Point2(x1, y1), Point2(x2, y2), Point2(x3, y3), Point2(x4, y4)
         )
-        ax = (x1, 3 * (x2 - x1), 3 * (x1 - 2 * x2 + x3), -x1 + 3 * x2 - 3 * x3 + x4)
-        ay = (y1, 3 * (y2 - y1), 3 * (y1 - 2 * y2 + y3), -y1 + 3 * y2 - 3 * y3 + y4)
-        y = ((ay[3] * t + ay[2]) * t + ay[1]) * t + ay[0]
-        dx = (3 * ax[3] * t + 2 * ax[2]) * t + ax[1]
-        riemann = float(np.dot(y, dx)) / npts
-        assert abs(segment_integral(seg) - riemann) <= 1e-6
+        err = abs(Fraction(segment_integral(seg)) - exact_integral(seg))
+        assert err <= Fraction(2e-16) * Fraction(sum(map(abs, coords))) ** 2
 
     # symbolic derivative vs central differences
     hstep = 1e-5

@@ -322,13 +322,13 @@ class TestSurface:
         assert main(["surface", str(desc)]) == 0
         assert capsys.readouterr().out.startswith("{\\unitlength=1cm%")
 
-    def test_surface_projecting_to_a_line_clusters_in_near_linear_time(
+    def test_surface_projecting_to_a_line_in_near_linear_time(
         self, monkeypatch, capsys, tmp_path
     ):
         # every curve of x = y = z = cos(v)*u projects onto one line, so
-        # 22 of its 36 contact sites end their subdivision with up to
-        # 5 000 candidates, 85 000 in all; comparing each with every
-        # earlier cluster took 5.65 M distances
+        # the fits at 22 of its 36 contact sites overlap; the search ends
+        # at the first overlapping leaves, 1 184 distances in all, where
+        # clustering every overlapping leaf took 5.65 M
         calls = 0
         dist = Point2.dist
 
@@ -344,10 +344,9 @@ class TestSurface:
             "grid = 10\nsamples = 3\n"
         )
         assert main(["surface", str(desc), "--format", "tex"]) == 0
-        assert calls < 200_000
-        # the same bytes as the all-pairs clustering
+        assert calls < 5_000
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "b641340a6e9260d9d3f6d63c941c193d6490506287d13c93a7d5a4cc8fdea1ef"
+            "c55606beca7130b3fecb885bb2355f98bd518370d629ec5a6dc471720f374d91"
         )
 
     def test_undefined_seed_cells_print_no_numpy_warning(self, tmp_path):

@@ -3,7 +3,6 @@ import heapq
 import logging
 import math
 import struct
-import sys
 import time
 import tracemalloc
 from itertools import count
@@ -18,6 +17,7 @@ from splinefig.geom import (
     Point3,
     Polyline,
     bezier_bbox,
+    bezier_eval,
     bezier_subdivide,
 )
 from splinefig import surface
@@ -449,9 +449,12 @@ class TestRefineContact:
 
 
 # ---------------------------------------------------------------------------
-# reference: both contact searches as they were before pieces kept their
-# halves, each piece split again in every pair that meets it, and every
-# candidate compared with every cluster
+# reference: the two contact searches refine_contact once ran, each piece
+# split again in every pair that meets it.  Depth first, every pair of
+# leaves whose boxes overlap is a candidate, the candidates cluster
+# within 10*tol of each cluster's first, and the centroid nearest the
+# site wins; with no candidate, a best-first search on box gaps alone
+# seeks the closest approach
 
 
 def _reference_piece(x0, y0, x1, y1, x2, y2, x3, y3) -> tuple[float, ...]:
@@ -613,7 +616,7 @@ def _sampled(f, lo: float, h: float, n: int) -> Polyline:
 
 @st.composite
 def window_pairs(draw):
-    """Two sampled curves meeting as scenes make them meet, and a tol.
+    """A kind of meeting, two sampled curves meeting so, a window and a tol.
 
     A parabola y = k x^2 against: a line crossing it; a parabola
     opening the other way a small gap below it (grazing); the same
@@ -642,18 +645,51 @@ def window_pairs(draw):
         b = _sampled(lambda x: k * x * x + far, lo_b, h, n)
     window = draw(st.integers(1, REFINE_WINDOW))
     tol = draw(st.sampled_from([1e-7, 1e-5, 1e-3]))
-    return a, b, window, tol
+    return kind, a, b, window, tol
+
+
+def _fit_distance(poly: Polyline, center: int, window: int, q: Point2) -> float:
+    """Distance from q to the open Oshima fit through the window around center.
+
+    Each segment is sampled at 65 parameters, and the nearest sample's
+    neighbourhood is narrowed by golden section.
+    """
+    pts = poly.points[max(0, center - window) : center + window + 1]
+    best = math.inf
+    for seg in build_spline(pts, method=SplineMethod.OSHIMA, closed=False).segments:
+        def d(t: float) -> float:
+            return bezier_eval(seg, t).dist(q)
+
+        t = min((k / 64 for k in range(65)), key=d)
+        lo, hi = max(0.0, t - 1 / 64), min(1.0, t + 1 / 64)
+        for _ in range(60):
+            m1, m2 = hi - 0.618 * (hi - lo), lo + 0.618 * (hi - lo)
+            lo, hi = (lo, m2) if d(m1) < d(m2) else (m1, hi)
+        best = min(best, d(t), d(0.5 * (lo + hi)))
+    return best
 
 
 @settings(max_examples=100, deadline=None)
 @given(window_pairs())
-def test_property_refine_contact_matches_the_reference_bit_for_bit(pair):
-    a, b, window, tol = pair
+def test_property_refine_contact_agrees_with_the_reference(pair):
+    # the reference averages the crossing leaves within 10*tol of the
+    # first it finds, where the search takes the meeting of one leaf
+    # pair's chords
+    kind, a, b, window, tol = pair
     i, j = closest_pair(a, b)
     got = refine_contact(a, b, i, j, window, tol)
     ref = reference_refine_contact(a, b, i, j, window, tol)
-    assert _bits(got.point.as_tuple()) == _bits(ref.point.as_tuple())
+    if not (got.refined or ref.refined):
+        assert _bits(got.point.as_tuple()) == _bits(ref.point.as_tuple())
+    if kind == "overlap":
+        # any point of the overlap is an answer
+        if got.refined:
+            assert _fit_distance(a, i, window, got.point) <= 2 * tol
+            assert _fit_distance(b, j, window, got.point) <= 2 * tol
+        return
     assert got.refined == ref.refined
+    if got.refined and kind != "far":
+        assert got.point.dist(ref.point) <= 10 * tol
 
 
 def _scene_sites(
@@ -673,56 +709,26 @@ def _scene_sites(
     return sites, report
 
 
-def _split_log(monkeypatch, halves_owner, halves_name, search_owner, search_name):
-    """Record each split as (search, piece bits), tagging the best-first search."""
-    log = []
-    search = ["depth-first"]
-    halves = getattr(halves_owner, halves_name)
-    closest = getattr(search_owner, search_name)
-
-    def counted_halves(p):
-        log.append((search[0], b"".join(_bits(p[:12]))))
-        return halves(p)
-
-    def tagged_closest(*args):
-        search[0] = "best-first"
-        try:
-            return closest(*args)
-        finally:
-            search[0] = "depth-first"
-
-    monkeypatch.setattr(halves_owner, halves_name, counted_halves)
-    monkeypatch.setattr(search_owner, search_name, tagged_closest)
-    return log
-
-
 def test_each_piece_is_split_once_per_best_first_search(monkeypatch):
-    here = sys.modules[__name__]
     cfg = SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6)))
     sites, _ = _scene_sites(paraboloid_surface(), cfg)
-    new = _split_log(monkeypatch, surface, "_halves", surface, "_closest_fit_point")
-    ref = _split_log(
-        monkeypatch, here, "_reference_halves", here, "_reference_closest_fit_point"
-    )
-    totals = {"depth-first": [0, 0], "best-first": [0, 0]}
+    split = []
+    halves = surface._halves
+
+    def counted(p):
+        split.append(b"".join(_bits(p[:12])))
+        return halves(p)
+
+    monkeypatch.setattr(surface, "_halves", counted)
+    total = 0
     for site in sites:
-        del new[:], ref[:]
+        del split[:]
         refine_contact(*site)
-        reference_refine_contact(*site)
-        for search in totals:
-            got = [key for s, key in new if s == search]
-            want = [key for s, key in ref if s == search]
-            # the same pieces split as before, each once best-first
-            assert set(got) == set(want)
-            if search == "best-first":
-                assert len(got) == len(set(got))
-            totals[search][0] += len(got)
-            totals[search][1] += len(want)
-    # 15 sites; the depth-first search splits a piece once for the two
-    # sibling pairs that share it, not once per pair
+        # a split piece keeps its halves for every pair that meets it
+        assert len(split) == len(set(split))
+        total += len(split)
     assert len(sites) == 15
-    for search, (got, want) in totals.items():
-        assert 0 < got < want, search
+    assert total > 0
 
 
 def test_budget_exhausting_searches_peak_no_higher_than_the_reference():
