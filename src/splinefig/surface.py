@@ -138,16 +138,11 @@ class ParametricSurface:
         return cls(parse(x), parse(y), parse(z), tuple(u_range), tuple(v_range))
 
     @cached_property
-    def _fns(self) -> tuple[Callable, Callable, Callable]:
-        return (
-            compile_fn(self.x, ("u", "v")),
-            compile_fn(self.y, ("u", "v")),
-            compile_fn(self.z, ("u", "v")),
-        )
+    def _xyz(self) -> Callable:
+        return compile_many((self.x, self.y, self.z), ("u", "v"))
 
     def point(self, u: float, v: float) -> Point3:
-        fx, fy, fz = self._fns
-        return Point3(fx(u, v), fy(u, v), fz(u, v))
+        return Point3(*self._xyz(u, v))
 
 
 @dataclass(frozen=True)
@@ -341,18 +336,9 @@ class Crossing:
 
 
 @dataclass(frozen=True)
-class ContactSite:
-    """A near-tangential approach that deserves spline refinement."""
-
-    point: Point2
-    ia: int
-    ib: int
-
-
-@dataclass(frozen=True)
 class IntersectionResult:
     crossings: tuple[Crossing, ...]
-    contacts: tuple[ContactSite, ...]
+    contacts: tuple[Crossing, ...]  # near-tangential sites to refine
 
 
 def _pow2_scale(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -450,7 +436,7 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
                 continue
             crossings.append(Crossing(pt, i, j))
 
-    contacts: list[ContactSite] = []
+    contacts: list[Crossing] = []
     # crossings bunched along a few vertices signal a tangential wiggle
     used = set()
     for k, c in enumerate(crossings):
@@ -464,8 +450,7 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
         if len(group) > 3:
             used.update(group)
             mid = group[len(group) // 2]
-            g = crossings[mid]
-            contacts.append(ContactSite(g.point, g.ia, g.ib))
+            contacts.append(crossings[mid])
     if not self_mode:
         # every local minimum of the vertex-to-segment distance below
         # CONTACT_TOL is a candidate tangency (curves can brush the
@@ -491,7 +476,7 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
             (qx, qy), (bx, by), t = vb[j], vb[j + 1], float(tt[i, j])
             fx, fy = qx + t * (bx - qx), qy + t * (by - qy)
             mid = Point2(0.5 * (va[i][0] + fx), 0.5 * (va[i][1] + fy))
-            contacts.append(ContactSite(mid, i, j))
+            contacts.append(Crossing(mid, i, j))
     return IntersectionResult(tuple(crossings), tuple(contacts))
 
 
@@ -715,14 +700,8 @@ def _param_point(poly: Polyline, param: float) -> Point2:
 def _sub_polyline(poly: Polyline, p0: float, p1: float) -> Polyline | None:
     if p1 - p0 <= 1e-12:
         return None
-    pts = [_param_point(poly, p0)]
-    i0 = int(math.floor(p0)) + 1
-    i1 = int(math.ceil(p1))
-    for k in range(i0, min(i1, len(poly.points) - 1) + 1):
-        if k <= p1:
-            pts.append(poly.points[k])
-    pts.append(_param_point(poly, p1))
-    pts = drop_repeats(pts)
+    inner = poly.points[int(p0) + 1 : int(p1) + 1]
+    pts = drop_repeats((_param_point(poly, p0), *inner, _param_point(poly, p1)))
     if len(pts) < 2:
         return None
     return Polyline(pts)
@@ -856,29 +835,6 @@ class OcclusionTester:
             roots.append((u, v))
         return roots, len(cells)
 
-    def depth_at(self, u: float, v: float) -> float:
-        _, d = project(self.surface.point(u, v), self.proj)
-        return d
-
-    def hidden(
-        self,
-        q: Point2,
-        depth: float,
-        own_uv: tuple[float, float] | None,
-        eps: float,
-    ) -> tuple[bool, bool]:
-        """(is_hidden, newton_trouble) for a point at the given depth."""
-        roots, n_candidates = self.covers(q)
-        if n_candidates > 0 and not roots:
-            return False, True
-        for u, v in roots:
-            if own_uv is not None:
-                if math.hypot(u - own_uv[0], v - own_uv[1]) <= SELF_OCCLUSION_UV_TOL:
-                    continue
-            if self.depth_at(u, v) > depth + eps:
-                return True, False
-        return False, False
-
 
 def classify_visibility(
     poly: Polyline,
@@ -929,9 +885,16 @@ def classify_visibility(
             a3, b3 = poly.space[i], poly.space[i + 1]
             p3 = a3 + (b3 - a3) * t
         q, d = project(p3, tester.proj)
-        flag, bad = tester.hidden(q, d, own_uv, eps)
-        hidden_flags.append(flag)
-        trouble = trouble or bad
+        roots, candidates = tester.covers(q)
+        trouble = trouble or (candidates > 0 and not roots)
+        hidden_flags.append(
+            any(
+                project(tester.surface.point(u, v), tester.proj)[1] > d + eps
+                for u, v in roots
+                if own_uv is None
+                or math.hypot(u - own_uv[0], v - own_uv[1]) > SELF_OCCLUSION_UV_TOL
+            )
+        )
     return VisibilityTaggedCurve(
         poly, tuple(cleaned), tuple(hidden_flags), label, trouble
     )

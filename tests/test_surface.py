@@ -917,7 +917,9 @@ class TestVisibility:
         assert candidates > 0
         assert roots
         # the dome warps over the origin: some sheet is nearer the eye
-        assert any(tester.depth_at(u, v) > depth + 1e-6 for u, v in roots)
+        assert any(
+            project(s.point(u, v), VIEW)[1] > depth + 1e-6 for u, v in roots
+        )
 
 
 class TestSceneStructure:
@@ -936,8 +938,8 @@ class TestSceneStructure:
 
     def test_each_curve_projected_and_each_function_compiled_once(self, monkeypatch):
         # the README paraboloid draws 11 curves (rim, silhouette, 6 wires,
-        # 3 axes); it compiles x, y, z and J one by one, and (X, Y) and
-        # the 4 partials of X, Y as two programs
+        # 3 axes); it compiles J alone, and (x, y, z), (X, Y) and the 4
+        # partials of X, Y as one program each
         calls = {"project_curve": 0, "compile_fn": 0, "compile_many": 0}
 
         def counted(name):
@@ -953,7 +955,7 @@ class TestSceneStructure:
             monkeypatch.setattr(surface, name, counted(name))
         cfg = SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6)))
         build_surface_scene(paraboloid_surface(), VIEW, cfg)
-        assert calls == {"project_curve": 11, "compile_fn": 4, "compile_many": 2}
+        assert calls == {"project_curve": 11, "compile_fn": 1, "compile_many": 3}
 
     def test_scene_is_deterministic(self):
         cfg = SceneConfig(wires_v=(0.0, math.pi))
