@@ -195,10 +195,10 @@ def _method(args) -> SplineMethod:
 
 
 def _cmd_spline(args) -> int:
-    pts = load_points(args.points)
     closed = True if args.closed else (False if args.open else None)
     if args.show_config:
         return _show_config(args, closed="auto" if closed is None else closed)
+    pts = load_points(args.points)
     curve = build_spline(pts, method=_method(args), closed=closed)
     poly = curve.sample(args.samples)
     if args.format == "csv":

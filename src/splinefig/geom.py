@@ -40,9 +40,6 @@ class Point2:
     def __truediv__(self, k: float) -> "Point2":
         return Point2(self.x / k, self.y / k)
 
-    def __neg__(self) -> "Point2":
-        return Point2(-self.x, -self.y)
-
     def dot(self, other: "Point2") -> float:
         return self.x * other.x + self.y * other.y
 
@@ -194,9 +191,6 @@ class Polyline:
             if len(self.params) != len(pts):
                 raise ValueError("params annotation length mismatch")
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     @property
     def pt_start(self) -> Point2:
         return self.points[0]
@@ -255,15 +249,6 @@ class SplineCurve:
                 raise ValueError("segments do not chain")
         if self.closed and self.segments[-1].p1 != self.segments[0].p0:
             raise ValueError("closed spline does not wrap around")
-
-    def joints(self) -> list[Point2]:
-        pts = [seg.p0 for seg in self.segments]
-        if not self.closed:
-            pts.append(self.segments[-1].p1)
-        return pts
-
-    def point(self, k: int, t: float) -> Point2:
-        return bezier_eval(self.segments[k], t)
 
     def sample(self, per_segment: int = 10) -> Polyline:
         """Polyline with per_segment subdivisions for each cubic piece."""

@@ -850,8 +850,8 @@ def classify_visibility(
     hidden when some surface point projects there with strictly larger
     depth (beyond a small epsilon).  Points within parameter distance
     1e-4 of the curve's own preimage never count as occluders.  When
-    the Newton solves all fail the interval stays visible and the
-    result's newton_failed is set.
+    the Newton solves all fail for a curve on the surface, the interval
+    stays visible and the result's newton_failed is set.
     """
     n_last = float(len(poly.points) - 1)
     params: list[float] = []
@@ -860,14 +860,19 @@ def classify_visibility(
         if dist > 0.05 * (1.0 + tester.scene_scale):
             continue
         params.append(param)
-    params.sort()
+    # arc length at each vertex: a cut within 10*REFINE_TOL along the
+    # curve of an end or of the last kept cut would leave a stub interval
+    arc = [0.0]
+    for a, b in zip(poly.points, poly.points[1:]):
+        arc.append(arc[-1] + a.dist(b))
     cleaned: list[float] = []
-    for p in params:
-        if p <= 1e-9 or p >= n_last - 1e-9:
-            continue
-        if cleaned and p - cleaned[-1] <= 1e-9:
-            continue
-        cleaned.append(p)
+    last = 0.0
+    for p in sorted(params):
+        i, t = _split_param(poly, p)
+        at = arc[i] + (arc[i + 1] - arc[i]) * t
+        if min(at - last, arc[-1] - at) > 10.0 * REFINE_TOL:
+            cleaned.append(p)
+            last = at
 
     eps = OCCLUSION_EPS_FACTOR * tester.scene_scale
     bounds = [0.0, *cleaned, n_last]
@@ -886,7 +891,9 @@ def classify_visibility(
             p3 = a3 + (b3 - a3) * t
         q, d = project(p3, tester.proj)
         roots, candidates = tester.covers(q)
-        trouble = trouble or (candidates > 0 and not roots)
+        # a point on the surface is its own preimage, so finding no root
+        # is a failed solve; a point off it (an axis) may have none
+        trouble = trouble or (own_uv is not None and candidates > 0 and not roots)
         hidden_flags.append(
             any(
                 project(tester.surface.point(u, v), tester.proj)[1] > d + eps

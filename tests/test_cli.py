@@ -346,7 +346,7 @@ class TestSurface:
         assert main(["surface", str(desc), "--format", "tex"]) == 0
         assert calls < 5_000
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "c55606beca7130b3fecb885bb2355f98bd518370d629ec5a6dc471720f374d91"
+            "cedadfd8a03a5c95c9a5dcea225260f79d306f439b25b43ea7ea51489c6a5d56"
         )
 
     def test_undefined_seed_cells_print_no_numpy_warning(self, tmp_path):
@@ -668,12 +668,20 @@ class TestShowConfig:
                 ["contact-demo"],
                 "theta phi grid samples window tol out format",
             ),
+            (
+                ["spline", "--points", "MISSING"],
+                "points samples open method out format closed",
+            ),
         ],
     )
     def test_every_option(self, capsys, tmp_path, diamond, argv, keys):
         desc = tmp_path / "par.surf"
         desc.write_text(PARABOLOID_FILE)
-        argv = [{"DIAMOND": diamond, "SURF": str(desc)}.get(a, a) for a in argv]
+        missing = str(tmp_path / "missing.csv")
+        argv = [
+            {"DIAMOND": diamond, "SURF": str(desc), "MISSING": missing}.get(a, a)
+            for a in argv
+        ]
         assert main([*argv, "--show-config"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(" = ", 1)[0] for line in lines] == keys.split()

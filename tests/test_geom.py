@@ -122,7 +122,7 @@ def test_sample_skips_a_point_segment():
     curve = SplineCurve((point_seg, CubicBezier(p, p, q, q)))
     poly = curve.sample(4)
     assert poly.points[0] == p
-    assert len(poly) == 5  # the point segment adds one vertex, not four
+    assert len(poly.points) == 5  # the point segment adds one vertex, not four
 
 
 def test_points_csv_roundtrip(tmp_path):

@@ -50,8 +50,8 @@ v = 0, 2*pi
 """
 
 GOLDEN = {
-    "paraboloid.tex": "12ea1b7fafb2f266366b7b29a40f79abb27cb54a3c6f2083f6a6d3bb2794282a",
-    "paraboloid.svg": "598f494ca72fd5e72ec51b231abe7fcdf66abab1a4f3ea9a323cffe5dfa8b732",
+    "paraboloid.tex": "b0727eb9974ce9a579fefc1af2e20c23e2434e780a42028b73be4ff01e0ebd54",
+    "paraboloid.svg": "0ce41603730127149b8f6527bc064d6d8385289e1b9b24dd231d4d32ded0e28a",
     "mobius.tex": "44f47feb8f57d337eb24c85f3e3c012a7c47dfcc4ae3099446bf1858190647d8",
     "contact-demo": "5ac5d5f9b30876964456a50892b54c7f9cda41844f926ee1d57ab30f3378d988",
     "circle.tex": "ff2f795f1e9ca1e0ddf1fc9197cd2fff9e05a9e3dc487c9c220462987c909066",
@@ -61,8 +61,8 @@ GOLDEN = {
     "sqrt-partial.tex": "b1cf84ccbc8e1080bf9749eaca8f6f391264134f4c89f523e3bd97239f9dd610",
     "saddles.csv": "add235898b5313d12bc4a0b7c2d1bf2e3ccae9c602812f68f1b48612e82762b4",
     "empty.tex": "7388e0518ec1cf44701dd9061975e543505005410647ab4f7e1553380e9c45f1",
-    "paraboloid-omit.tex": "88de173fa0aab101b45e1d6a55c3dc86ddda752ee994d4343e9368bf7c1aef53",
-    "paraboloid-omit.svg": "0e4c0d7d68475a29bb49aaeaeae778c496bb81468313e8d68008ebf39d30696b",
+    "paraboloid-omit.tex": "3c32f06bef314a229bf283e780ff76d9a12a779ef3ce81dbf2bb9d1b1fd1a749",
+    "paraboloid-omit.svg": "14690e83828ad200551dfd99bd13255d571515f787f2ac1e7ceb442a8fbf7ea7",
     "spline-discs.tex": "275e4fa7eeadf3d1c2cdf9d4fcd4371306ef091892c65f84e7cd59d0c7def768",
     "spline-discs.svg": "45794470637497367d9e265184f1e85dc2da2a1247725cf85ec1c2d745d19616",
 }

@@ -145,14 +145,14 @@ class TestBuildSpline:
     def test_cr_quad_samples(self):
         # closed diamond, first segment, pinned dense-sample values
         sp = build_spline(QUAD, method=SplineMethod.CATMULL_ROM, closed=True)
-        p = sp.point(0, 0.1)
+        p = bezier_eval(sp.segments[0], 0.1)
         assert (p.x, p.y) == pytest.approx((2.943, 0.218), abs=1e-12)
-        p = sp.point(0, 0.5)
+        p = bezier_eval(sp.segments[0], 0.5)
         assert (p.x, p.y) == pytest.approx((1.875, 1.25), abs=1e-12)
 
     def test_oshima_quad_samples(self):
         sp = build_spline(QUAD, method=SplineMethod.OSHIMA, closed=True)
-        p = sp.point(0, 0.1)
+        p = bezier_eval(sp.segments[0], 0.1)
         assert p.x == pytest.approx(2.96162, abs=1e-5)
         assert p.y == pytest.approx(0.32972, abs=1e-5)
 
@@ -161,8 +161,9 @@ class TestBuildSpline:
         pl = sp.sample(10)
         assert len(pl.points) == 41
         assert pl.is_loop()
-        joints = sp.joints()
-        assert joints == QUAD
+        # a closed chain's joints are its segments' start points
+        assert [seg.p0 for seg in sp.segments] == QUAD
+        assert [seg.p1 for seg in sp.segments] == QUAD[1:] + QUAD[:1]
 
 
 class TestCircleFidelity:

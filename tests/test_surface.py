@@ -1,3 +1,4 @@
+import copy
 import gc
 import heapq
 import logging
@@ -980,17 +981,20 @@ class TestSceneStructure:
         assert any(item.label is not None for item in scene_on.items)
 
     def test_newton_warnings_come_in_curve_order(self, monkeypatch, caplog):
-        # the axes finish in reverse order on the scene's pool: the later
-        # axis sleeps less, so a warning logged by the worker itself
-        # would come out of order
-        delay = {"axis:x": 0.3, "axis:y": 0.2, "axis:z": 0.1}
+        # the solves on the rim and on one wire are made to fail, and the
+        # rim finishes last on the scene's pool, so a warning logged by
+        # the worker itself would come out of order
+        delay = {"boundary:u=2": 0.3, "wire:v=3.14159": 0.1}
         real = surface.classify_visibility
 
-        def reversed_finish(poly, label, *args):
+        def failing_late(poly, label, cuts, tester):
             time.sleep(delay.get(label, 0.0))
-            return real(poly, label, *args)
+            if label in delay:
+                tester = copy.copy(tester)
+                tester.covers = lambda q: ([], 1)  # candidate cells, no root
+            return real(poly, label, cuts, tester)
 
-        monkeypatch.setattr(surface, "classify_visibility", reversed_finish)
+        monkeypatch.setattr(surface, "classify_visibility", failing_late)
         cfg = SceneConfig(wires_v=(0.0, math.pi), grid=80, samples=60)
         with caplog.at_level(logging.WARNING, logger="splinefig.surface"):
             _, report = build_surface_scene(paraboloid_surface(), VIEW, cfg)
@@ -1000,7 +1004,7 @@ class TestSceneStructure:
         logged = [
             r.args[0] for r in caplog.records if "newton occlusion" in r.getMessage()
         ]
-        assert len(failed) >= 2
+        assert failed == ["boundary:u=2", "wire:v=3.14159"]
         assert logged == failed
 
     def test_mobius_full_band_renders(self):
@@ -1012,6 +1016,50 @@ class TestSceneStructure:
         text = emit_latex(scene)
         assert text.startswith("{\\unitlength=1cm%")
         assert "\\polyline" in text
+
+
+@pytest.fixture(scope="module", params=["paraboloid", "mobius"])
+def default_scene(request):
+    """A default scene's report and the messages it logged."""
+    surf, cfg = {
+        "paraboloid": (
+            paraboloid_surface(),
+            SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6))),
+        ),
+        "mobius": (mobius(), SceneConfig()),
+    }[request.param]
+    messages: list[str] = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("splinefig.surface")
+    logger.addHandler(handler)
+    try:
+        _, report = build_surface_scene(surf, VIEW, cfg)
+    finally:
+        logger.removeHandler(handler)
+    return report, messages
+
+
+def _tagged(report):
+    return [
+        *report.boundaries, *report.silhouettes, *report.wires, *report.extras
+    ]
+
+
+def test_default_scenes_log_no_newton_failure(default_scene):
+    # the axes lie off the surface, where finding no preimage is no failure
+    report, messages = default_scene
+    assert not any("newton occlusion" in m for m in messages)
+    assert not any(tc.newton_failed for tc in _tagged(report))
+
+
+def test_no_drawn_interval_of_a_default_scene_is_a_stub(default_scene):
+    report, _ = default_scene
+    for tc in _tagged(report):
+        for sub, _ in tc.intervals():
+            pts = sub.points
+            length = sum(a.dist(b) for a, b in zip(pts, pts[1:]))
+            assert length > 10 * surface.REFINE_TOL, tc.label
 
 
 class TestContactDemo:
