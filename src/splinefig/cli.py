@@ -14,11 +14,12 @@ computation fails, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from typing import Callable, Sequence
 
-from . import __version__, surface
+from . import __version__
 from .calculus import (
     CalculusError,
     IntegrationRequest,
@@ -39,25 +40,24 @@ from .render import (
     scene_from_items,
 )
 from .spline import DegenerateGeometryError, SplineMethod, build_spline
-from .surface import (
-    ParametricSurface,
-    Projection,
-    SceneConfig,
-    SurfaceError,
-    contact_demo,
-    paraboloid_surface,
-)
 
+# `surface` is imported by the two commands that draw surfaces, so the
+# others never load it; its SurfaceError is reported once it is loaded
 _ERRORS = (
     ExprError,  # DomainError included
     CalculusError,
     TraceError,
-    SurfaceError,
     DegenerateGeometryError,
     RenderError,
     PointFileError,
     OSError,
 )
+
+
+def _reported() -> tuple[type[Exception], ...]:
+    """The errors main reports as `error: ...` instead of raising."""
+    surface = sys.modules.get(f"{__package__}.surface")
+    return _ERRORS if surface is None else (*_ERRORS, surface.SurfaceError)
 
 # ---------------------------------------------------------------------------
 # value converters: text in, value out, ExprError on bad text
@@ -282,6 +282,8 @@ def _cmd_implicit(args) -> int:
 
 
 def _read_surface_file(path: str) -> dict[str, str]:
+    from .surface import SurfaceError
+
     desc: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -299,6 +301,8 @@ def _setting(
     desc: dict[str, str], key: str, convert: Callable[[str], object], default: str = ""
 ) -> object:
     """A `.surf` value through its converter; a bad one names its key."""
+    from .surface import SurfaceError
+
     try:
         return convert(desc.get(key, default))
     except ExprError as exc:
@@ -306,20 +310,24 @@ def _setting(
 
 
 def _cmd_surface(args) -> int:
+    from . import surface
+
     desc = _read_surface_file(args.file)
     missing = {"x", "y", "z", "u", "v"} - desc.keys()
     if missing:
-        raise SurfaceError(f"surface file lacks {sorted(missing)}")
+        raise surface.SurfaceError(f"surface file lacks {sorted(missing)}")
     u, v = _setting(desc, "u", _const_pair), _setting(desc, "v", _const_pair)
-    surf = ParametricSurface.from_strings(desc["x"], desc["y"], desc["z"], u, v)
+    surf = surface.ParametricSurface.from_strings(
+        desc["x"], desc["y"], desc["z"], u, v
+    )
     theta = args.theta
     if theta is None:
         theta = _setting(desc, "theta", _const, "60")
     phi = args.phi
     if phi is None:
         phi = _setting(desc, "phi", _elevation, "25")
-    proj = Projection(math.radians(theta), math.radians(phi))
-    cfg = SceneConfig(
+    proj = surface.Projection(math.radians(theta), math.radians(phi))
+    cfg = surface.SceneConfig(
         wires_u=_setting(desc, "wires_u", _const_list),
         wires_v=_setting(desc, "wires_v", _const_list),
         grid=_setting(desc, "grid", _count(8), "200"),
@@ -340,9 +348,11 @@ def _cmd_surface(args) -> int:
 
 
 def _cmd_contact_demo(args) -> int:
+    from . import surface
+
     if args.show_config:
         return _show_config(args)
-    result = contact_demo(
+    result = surface.contact_demo(
         math.radians(args.theta),
         math.radians(args.phi),
         grid=args.grid,
@@ -356,16 +366,18 @@ def _cmd_contact_demo(args) -> int:
         f"crossings: {result.crossings}\n"
         f"cluster: {len(result.cluster)} candidate midpoints, "
         f"spread {result.cluster_spread:.6f}\n"
-        f"contact: ({r.x:.6f},{r.y:.6f}) [{tag}]\n"
-        f"analytic: ({a.x:.6f},{a.y:.6f})\n"
-        f"distance: {r.dist(a):.6f}"
+        f"contact: ({r.x:.6f},{r.y:.6f}) [{tag}]"
     )
+    if result.analytic_drawn:
+        print(f"analytic: ({a.x:.6f},{a.y:.6f})\ndistance: {r.dist(a):.6f}")
+    else:
+        print("analytic: none on the drawn axis (|y| <= 4)")
     if args.out:
-        proj = Projection(math.radians(args.theta), math.radians(args.phi))
+        proj = surface.Projection(math.radians(args.theta), math.radians(args.phi))
         scene, _ = surface.build_surface_scene(
-            paraboloid_surface(),
+            surface.paraboloid_surface(),
             proj,
-            SceneConfig(grid=args.grid, samples=args.samples),
+            surface.SceneConfig(grid=args.grid, samples=args.samples),
         )
         m = 0.08
         cross = [
@@ -397,7 +409,10 @@ def _add_method(p: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by later ones:
+    parsing leaves it as it was, and every default is immutable."""
     num, pair = _arg(_const), _arg(_const_pair)
     ap = argparse.ArgumentParser(
         prog="splinefig",
@@ -497,7 +512,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _ERRORS as exc:
+    except _reported() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

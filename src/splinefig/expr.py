@@ -553,9 +553,18 @@ _ARRAY = {"neg": np.negative, "abs": np.abs, "sqrt": np.sqrt, "+": np.add,
 
 def _each(fn: Callable[..., float], *args) -> tuple[np.ndarray, np.ndarray | bool]:
     """fn over the broadcast args one element at a time, and where it
-    raised (False if nowhere)."""
+    raised (False if nowhere).
+
+    The elements go through one `map`; only when fn raises somewhere
+    does a Python loop call it again element by element to find where.
+    """
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     columns = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
+    n = len(columns[0])
+    try:
+        return np.fromiter(map(fn, *columns), float, n).reshape(shape), False
+    except (ArithmeticError, ValueError):
+        pass
     out: list[float] = []
     bad: list[int] = []
     for k, xs in enumerate(zip(*columns)):

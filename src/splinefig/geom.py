@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -251,14 +252,24 @@ class SplineCurve:
             raise ValueError("closed spline does not wrap around")
 
     def sample(self, per_segment: int = 10) -> Polyline:
-        """Polyline with per_segment subdivisions for each cubic piece."""
+        """Polyline with per_segment subdivisions for each cubic piece.
+
+        Each segment is evaluated at every i / per_segment in one array
+        pass of bezier_eval's lerps, in bezier_eval's order: float64
+        arrays round as Python floats do, so the points are bezier_eval's
+        bit for bit, inf and NaN included.
+        """
         if per_segment < 1:
             raise ValueError("per_segment must be >= 1")
-        pts = [
-            bezier_eval(seg, i / per_segment)
-            for seg in self.segments
-            for i in range(per_segment)
-        ]
+        ctrl = np.array(
+            [(s.p0.as_tuple(), s.c0.as_tuple(), s.c1.as_tuple(), s.p1.as_tuple())
+             for s in self.segments]
+        )[:, None]  # (segment, t, control point, xy)
+        t = (np.arange(per_segment) / per_segment)[:, None, None]
+        with np.errstate(all="ignore"):
+            for _ in range(3):
+                ctrl = ctrl[..., :-1, :] + (ctrl[..., 1:, :] - ctrl[..., :-1, :]) * t
+        pts = list(starmap(Point2, ctrl.reshape(-1, 2).tolist()))
         pts.append(bezier_eval(self.segments[-1], 1.0))
         # a repeated data row gives a segment that is a single point
         return Polyline(drop_repeats(pts))

@@ -112,11 +112,25 @@ _FIVE = Decimal("0.00001")
 
 
 def fmt5(x: float) -> str:
-    """Fixed five decimals, halves rounded away from zero."""
+    """Fixed five decimals, halves rounded away from zero.
+
+    The digits rounded are those of repr(x), the shortest string that
+    reads back as x: the rule is Decimal(repr(x)) rounded half up.  No
+    boundary (k + 1/2) * 1e-5 lies strictly between x and repr(x), as it
+    would be a string as short or shorter, and nearer x, that reads back
+    as x.  So where repr(x) is positional, |x| < 1e9 (half an ulp below
+    6e-8) and repr(x) is no boundary itself (six decimals, the last a
+    5), rounding x's exact value as "%.5f" does gives the same string.
+    """
     if not math.isfinite(x):
         raise RenderError(f"cannot format {x!r}")
+    text = repr(x)
+    tie = text[-1] == "5" and text[-7:-6] == "."
+    if -1e9 < x < 1e9 and "e" not in text and not tie:
+        text = f"{x:.5f}"
+        return "0.00000" if text == "-0.00000" else text
     try:
-        q = Decimal(repr(x)).quantize(_FIVE, rounding=ROUND_HALF_UP)
+        q = Decimal(text).quantize(_FIVE, rounding=ROUND_HALF_UP)
     except InvalidOperation:  # more digits than the decimal context holds
         raise RenderError(f"cannot format {x!r} with five decimals") from None
     if q.is_zero():

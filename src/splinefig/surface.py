@@ -1062,6 +1062,7 @@ class ContactDemoResult:
     refined: Point2
     refined_ok: bool
     analytic: Point2
+    analytic_drawn: bool  # on the drawn axis, |y| <= 4, and on the silhouette
     cluster: tuple[Point2, ...]
     cluster_spread: float
     crossings: int
@@ -1087,7 +1088,9 @@ def contact_demo(
     Y = (T/2) sin(phi) + (4 - T^2/4) cos(phi) - cos(phi) X^2 with
     T = tan(phi), and the projected y axis is Y = -tan(theta) sin(phi) X,
     so the true crossing solves a quadratic; that closed form is the
-    reference the refined point is compared against.
+    reference the refined point is compared against.  A root past the
+    drawn stretch of the axis, y in [-4, 4], is no reference: then
+    `analytic_drawn` is false.
     """
     s = paraboloid_surface()
     proj = Projection(theta, phi)
@@ -1130,10 +1133,15 @@ def contact_demo(
     # would cancel comes from the product of the roots, -c0 / a_q
     q = -0.5 * (slope + math.copysign(math.sqrt(disc), slope))
     roots = [q / a_q, -c0 / q]
-    on_sil = [x for x in roots if abs(x) <= x_limit] or roots
-    xr = min(on_sil, key=lambda x: abs(x - rc.point.x))
+    on_sil = [x for x in roots if abs(x) <= x_limit]
+    # the axis point (0, y, 0) projects to y * (cos(theta), -sin(theta) sin(phi))
+    st, ct, sf, _ = proj.trig
+    reach = 4.0 * math.hypot(ct, st * sf)
+    drawn = [x for x in on_sil if math.hypot(x, slope * x) <= reach]
+    xr = min(drawn or on_sil or roots, key=lambda x: abs(x - rc.point.x))
     analytic = Point2(xr, slope * xr)
 
     return ContactDemoResult(
-        rc.point, rc.refined, analytic, cluster, diameter(cluster), len(res.crossings)
+        rc.point, rc.refined, analytic, bool(drawn), cluster, diameter(cluster),
+        len(res.crossings),
     )

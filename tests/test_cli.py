@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import splinefig
-from splinefig.cli import main
+from splinefig.cli import build_parser, main
 from splinefig.geom import Point2
 
 CONIC = "8*x^2-4*sqrt(2)*x*y+y^2-3*x-6*sqrt(2)*y+2=0"
@@ -402,6 +402,73 @@ class TestContactDemo:
             "crossings: 0",
             "cluster: 13266 candidate midpoints, spread 3.629212",
         ]
+
+    def test_root_off_the_drawn_axis_is_no_reference(self, capsys):
+        # the axis y in [-4, 4] projects to |Y| <= 1.69 and never meets the
+        # outline, whose crossing with the whole axis is its apex, Y = 3.67
+        argv = "--theta=-90 --phi=25 --grid=40 --samples=300 --window=0 --tol=0.01"
+        assert main(["contact-demo", *argv.split()]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[2:] == [
+            "contact: (0.639461,1.941290) [unrefined (closest approach)]",
+            "analytic: none on the drawn axis (|y| <= 4)",
+        ]
+
+
+class TestOneProcess:
+    def test_import_loads_no_surface_code(self):
+        src = Path(splinefig.__file__).parents[1]
+        code = (
+            "import sys, splinefig.cli; "
+            "print([m for m in ('splinefig.surface', 'concurrent.futures') "
+            "if m in sys.modules])"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
+    def test_surface_error_reported_in_a_fresh_process(self, tmp_path):
+        desc = tmp_path / "bad.surf"
+        desc.write_text("x = u\n")
+        src = Path(splinefig.__file__).parents[1]
+        run = subprocess.run(
+            [sys.executable, "-m", "splinefig.cli", "surface", str(desc)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert run.returncode == 1
+        assert run.stderr == "error: surface file lacks ['u', 'v', 'y', 'z']\n"
+
+    def test_later_calls_match_fresh_parsers(self, capsys, tmp_path, diamond):
+        graph = tmp_path / "graph.csv"
+        graph.write_text("0,0\n1,1\n2,4\n3,9\n")
+        argvs = [
+            ["integrate", "--fn", "x", "--sample-range", "0"],  # usage error
+            ["area", "--points", diamond, "--show-config"],
+            ["area", "--points", diamond],
+            ["tangent", "--points", diamond, "--at", "0.5", "--num", "oops"],
+            ["integrate", "--points", str(graph)],
+        ]
+
+        def run_all(fresh: bool) -> list[tuple]:
+            results = []
+            for argv in argvs:
+                if fresh:
+                    build_parser.cache_clear()
+                code = main(argv)
+                results.append((code, *capsys.readouterr()))
+            return results
+
+        build_parser.cache_clear()
+        shared = run_all(fresh=False)
+        assert build_parser.cache_info().misses == 1
+        assert shared == run_all(fresh=True)
+        assert [r[0] for r in shared] == [2, 0, 0, 2, 0]
+        assert shared[1][1].startswith("points = ")
+        assert shared[2][1] == "3.142472\n"
 
 
 def _readme_examples() -> list[tuple[str, list[str]]]:

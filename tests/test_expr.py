@@ -274,6 +274,25 @@ class TestCompile:
         assert math.isnan(root[0]) and root[1] == 2.0
 
 
+    def test_at_where_only_some_elements_raise(self):
+        # log and ^ run through the scalar libm calls; log(0), log(-x)
+        # and a negative base to a fractional power raise, the rest not
+        f = compile_fn(parse("log(x) + x^0.5 * sin(y)"), ("x", "y"))
+        xs = np.array([-1.0, 0.0, 0.5, 4.0, -2.0, 9.0, 1e-300])
+        ys = np.array([0.25, -3.0])
+        got = f.grid(xs, ys)
+        assert got.shape == (7, 2)
+        for i, x in enumerate(xs.tolist()):
+            for j, y in enumerate(ys.tolist()):
+                try:
+                    want = f(x, y)
+                except DomainError:
+                    assert math.isnan(got[i, j])
+                else:
+                    assert got[i, j] == want
+        assert np.isnan(got).sum() == 6
+
+
 class TestSampling:
     def test_steps_include_both_ends(self):
         assert steps(-4.0, 4.0, 4) == [-4.0, -2.0, 0.0, 2.0, 4.0]

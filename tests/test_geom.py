@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -123,6 +124,73 @@ def test_sample_skips_a_point_segment():
     poly = curve.sample(4)
     assert poly.points[0] == p
     assert len(poly.points) == 5  # the point segment adds one vertex, not four
+
+
+def _sample_reference(curve: SplineCurve, per_segment: int) -> tuple[Point2, ...]:
+    """The sampled vertices one bezier_eval call at a time."""
+    pts = [
+        bezier_eval(seg, i / per_segment)
+        for seg in curve.segments
+        for i in range(per_segment)
+    ]
+    pts.append(bezier_eval(curve.segments[-1], 1.0))
+    return drop_repeats(pts)
+
+
+def _reprs(points) -> list[tuple[str, str]]:
+    # repr tells -0.0 from 0.0 and reads back to the same bits; NaN is "nan"
+    return [(repr(p.x), repr(p.y)) for p in points]
+
+
+def _check_sample(curve: SplineCurve, per_segment: int) -> None:
+    want = _sample_reference(curve, per_segment)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if len(want) < 2:
+            with pytest.raises(ValueError):
+                curve.sample(per_segment)
+            return
+        got = curve.sample(per_segment).points
+    assert _reprs(got) == _reprs(want)
+
+
+def _chain(coords: list[float]) -> SplineCurve:
+    pts = [Point2(x, y) for x, y in zip(coords[::2], coords[1::2])]
+    k = (len(pts) - 1) // 3
+    return SplineCurve(tuple(CubicBezier(*pts[3 * i : 3 * i + 4]) for i in range(k)))
+
+
+huge = st.sampled_from([1.7e308, -1.7e308, 1e308, -1e308, 8e307, 0.0, -0.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    segments=st.integers(1, 4),
+    data=st.data(),
+    per_segment=st.integers(1, 40),
+)
+def test_property_sample_is_bezier_eval_bit_for_bit(segments, data, per_segment):
+    coord_or_huge = st.floats(allow_nan=False, allow_infinity=False) | huge
+    n = 2 * (3 * segments + 1)
+    coords = data.draw(st.lists(coord_or_huge, min_size=n, max_size=n))
+    _check_sample(_chain(coords), per_segment)
+
+
+@pytest.mark.parametrize("per_segment", range(1, 41))
+def test_sample_matches_bezier_eval_for_every_count(per_segment):
+    curve = _chain([0.0, 0.0, 1.0, 2.0, 3.0, 2.0, 4.0, 0.0, 5.0, -1.0, 0.1, 0.3, 7.0, 7.0])
+    _check_sample(curve, per_segment)
+
+
+def test_sample_overflows_where_bezier_eval_does():
+    # x differences past the largest float are inf, and the next lerp
+    # (or inf * 0 at t = 0) makes them NaN; y stays finite
+    curve = _chain([-1e308, 0.0, 1e308, 1.0, 1e308, 2.0, -1e308, 3.0])
+    for per_segment in (1, 2, 7, 40):
+        _check_sample(curve, per_segment)
+    poly = curve.sample(7)
+    assert all(math.isnan(p.x) for p in poly.points)
+    assert all(math.isfinite(p.y) for p in poly.points)
 
 
 def test_points_csv_roundtrip(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import re
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,70 @@ class TestFmt5:
             fmt5(float("nan"))
         with pytest.raises(RenderError):
             fmt5(float("inf"))
+
+
+def _fmt5_reference(x: float) -> str:
+    """fmt5's rule spelled out: repr(x) rounded half up in Decimal."""
+    q = Decimal(repr(x)).quantize(Decimal("0.00001"), rounding=ROUND_HALF_UP)
+    return str(abs(q) if q.is_zero() else q)
+
+
+def _neighbours(x: float) -> tuple[float, float, float]:
+    return math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)
+
+
+class TestFmt5Reference:
+    """fmt5 writes what the Decimal rule writes, on and off its fast path."""
+
+    @settings(max_examples=500)
+    @given(st.floats(-1e22, 1e22) | st.floats(-1e-3, 1e-3) | st.floats(-1e10, 1e10))
+    def test_property_floats(self, x):
+        assert fmt5(x) == _fmt5_reference(x)
+
+    @given(st.integers(-(10**21), 10**21))
+    def test_property_ints(self, n):
+        assert fmt5(n) == _fmt5_reference(n)
+        assert fmt5(float(n)) == _fmt5_reference(float(n))
+
+    def test_signed_zeros(self):
+        assert fmt5(0.0) == fmt5(-0.0) == _fmt5_reference(-0.0) == "0.00000"
+
+    def test_ties_and_their_neighbours(self):
+        # (2k + 1) / 200000 is the float nearest the tie (k + 1/2) * 1e-5;
+        # 3125 / 200000 = 2**-6 is the tie itself.  Every tie in
+        # [-0.2, 0.2], then a run of them at each power of ten to 1e8
+        ks = list(range(-20_000, 20_000))
+        for e in range(5, 14):
+            ks.extend(k for c in (10**e, -(10**e)) for k in range(c - 100, c + 100))
+        for k in ks:
+            for x in _neighbours((2 * k + 1) / 200_000):
+                assert fmt5(x) == _fmt5_reference(x), x
+
+    def test_around_the_fast_path_bound(self):
+        # ties and values a few ulps either side of 1e9, where one ulp
+        # is 1.2e-7
+        for centre in (1e9, 1e9 - 0.5e-5, 1e9 + 0.5e-5, 999_999_999.99999):
+            for sign in (1.0, -1.0):
+                x = sign * centre
+                for _ in range(40):
+                    x = math.nextafter(x, math.inf)
+                    assert fmt5(x) == _fmt5_reference(x), x
+                for _ in range(80):
+                    x = math.nextafter(x, -math.inf)
+                    assert fmt5(x) == _fmt5_reference(x), x
+        for k in range(-1000, 1000):
+            for x in _neighbours(1e9 + (2 * k + 1) / 200_000):
+                assert fmt5(x) == _fmt5_reference(x), x
+
+    @pytest.mark.parametrize(
+        "x",
+        [1e-05, 5e-06, -5e-06, 1.5e-05, 4.9999999e-06, 5.000001e-06, 1e-300,
+         -2.5e-07, 1e16, -1.2345e20, 9.999999999999999e21],
+    )
+    def test_exponent_form_reprs(self, x):
+        assert "e" in repr(x)
+        for y in _neighbours(x):
+            assert fmt5(y) == _fmt5_reference(y)
 
 
 class TestLatexStructure:

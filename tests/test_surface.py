@@ -1080,6 +1080,16 @@ class TestContactDemo:
             - math.cos(phi) * x * x
         assert res.analytic.y == pytest.approx(y, abs=1e-9)
 
+    def test_analytic_point_is_a_reference_only_on_the_drawn_axis(self):
+        assert contact_demo(math.radians(60), math.radians(25)).analytic_drawn
+        phi = math.radians(25)
+        res = contact_demo(
+            math.radians(-90), phi, grid=40, samples=300, window=0, tol=0.01
+        )
+        # the root lies on the outline, past the axis end y = 4 at Y = 4 sin(phi)
+        assert not res.analytic_drawn
+        assert res.analytic.y > 4 * math.sin(phi)
+
     def test_analytic_root_of_a_steep_axis(self):
         # at theta = -90 degrees the projected y axis has slope about
         # 7e15, and the textbook root -slope + sqrt(disc) cancels to 0
