@@ -59,6 +59,7 @@ def _reported() -> tuple[type[Exception], ...]:
     surface = sys.modules.get(f"{__package__}.surface")
     return _ERRORS if surface is None else (*_ERRORS, surface.SurfaceError)
 
+
 # ---------------------------------------------------------------------------
 # value converters: text in, value out, ExprError on bad text
 

@@ -268,7 +268,8 @@ class SplineCurve:
         t = (np.arange(per_segment) / per_segment)[:, None, None]
         with np.errstate(all="ignore"):
             for _ in range(3):
-                ctrl = ctrl[..., :-1, :] + (ctrl[..., 1:, :] - ctrl[..., :-1, :]) * t
+                a, b = ctrl[:, :, :-1], ctrl[:, :, 1:]
+                ctrl = a + (b - a) * t
         pts = list(starmap(Point2, ctrl.reshape(-1, 2).tolist()))
         pts.append(bezier_eval(self.segments[-1], 1.0))
         # a repeated data row gives a segment that is a single point

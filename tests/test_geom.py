@@ -176,10 +176,10 @@ def test_property_sample_is_bezier_eval_bit_for_bit(segments, data, per_segment)
     _check_sample(_chain(coords), per_segment)
 
 
-@pytest.mark.parametrize("per_segment", range(1, 41))
-def test_sample_matches_bezier_eval_for_every_count(per_segment):
+def test_sample_matches_bezier_eval_for_every_count():
     curve = _chain([0.0, 0.0, 1.0, 2.0, 3.0, 2.0, 4.0, 0.0, 5.0, -1.0, 0.1, 0.3, 7.0, 7.0])
-    _check_sample(curve, per_segment)
+    for per_segment in range(1, 41):
+        _check_sample(curve, per_segment)
 
 
 def test_sample_overflows_where_bezier_eval_does():
