@@ -273,7 +273,6 @@ class TestCompile:
         assert x.tolist() == [-1.0, 4.0]
         assert math.isnan(root[0]) and root[1] == 2.0
 
-
     def test_at_where_only_some_elements_raise(self):
         # log and ^ run through the scalar libm calls; log(0), log(-x)
         # and a negative base to a fractional power raise, the rest not
