@@ -19,8 +19,10 @@ traversed counterclockwise the signed area is -contour_integral(y dx).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from .geom import (
     CubicBezier,
@@ -53,18 +55,28 @@ class VerticalTangentError(CalculusError):
     """dx/dt vanished at the evaluation point (infinite slope)."""
 
 
-def segment_integral(b: CubicBezier) -> float:
-    """Exact int_0^1 y(t) x'(t) dt for one cubic segment."""
-    x1, y1 = b.p0.x, b.p0.y
-    x2, y2 = b.c0.x, b.c0.y
-    x3, y3 = b.c1.x, b.c1.y
-    x4, y4 = b.p1.x, b.p1.y
+def _green(x1, y1, x2, y2, x3, y3, x4, y4):
+    """int_0^1 y(t) x'(t) dt from the control coordinates: floats, or
+    float64 columns, which round each operation as floats do."""
     return (
         (10.0 * x4 - 6.0 * x3 - 3.0 * x2 - x1) * y4
         + (6.0 * x4 - 3.0 * x2 - 3.0 * x1) * y3
         + (3.0 * x4 + 3.0 * x3 - 6.0 * x1) * y2
         + (x4 + 3.0 * x3 + 6.0 * x2 - 10.0 * x1) * y1
     ) / 20.0
+
+
+def segment_integral(b: CubicBezier) -> float:
+    """Exact int_0^1 y(t) x'(t) dt for one cubic segment."""
+    return _green(
+        b.p0.x, b.p0.y, b.c0.x, b.c0.y, b.c1.x, b.c1.y, b.p1.x, b.p1.y
+    )
+
+
+def _segment_integrals(curve: SplineCurve) -> list[float]:
+    """segment_integral of every segment, in one pass over the columns."""
+    with np.errstate(all="ignore"):
+        return _green(*curve.ctrl.reshape(-1, 8).T).tolist()
 
 
 @dataclass(frozen=True)
@@ -116,6 +128,13 @@ def _solve_segment_x(seg: CubicBezier, bound: float) -> float:
     return t
 
 
+def _finite(value: float, what: str) -> float:
+    """value, or CalculusError when it is inf or NaN (the fit overflowed)."""
+    if not math.isfinite(value):
+        raise CalculusError(f"the {what} is not finite: {value!r}")
+    return value
+
+
 def _oriented(data: Sequence[Point2]) -> list[Point2]:
     """Data normalized to increasing x (graphs may be traced either way)."""
     pts = list(data)
@@ -148,18 +167,25 @@ def integrate(req: IntegrationRequest) -> float:
     if lo == hi:
         return 0.0
     curve = build_spline(pts, method=req.method, closed=False)
+    parts = _segment_integrals(curve)
+    starts = curve.ctrl[:, 0, 0].tolist()
+    ends = curve.ctrl[:, 3, 0].tolist()
     total = 0.0
-    for seg in curve.segments:
-        xs, xe = seg.p0.x, seg.p1.x
+    for k, (xs, xe) in enumerate(zip(starts, ends)):
         if xe <= lo or xs >= hi:
             continue
+        if not (xs < lo or xe > hi):
+            total += parts[k]
+            continue
+        # one of the (at most two) segments that the interval clips
+        seg = curve.segments[k]
         t0 = _solve_segment_x(seg, lo) if xs < lo else 0.0
         t1 = _solve_segment_x(seg, hi) if xe > hi else 1.0
         if t1 <= t0:
             continue
         piece = seg if (t0 == 0.0 and t1 == 1.0) else bezier_slice(seg, t0, t1)
         total += segment_integral(piece)
-    return total
+    return _finite(total, "integral")
 
 
 def closed_area(
@@ -172,27 +198,34 @@ def closed_area(
     the sign is kept here because it encodes orientation.
     """
     curve = build_spline(points, method=method, closed=True)
-    return -sum(segment_integral(seg) for seg in curve.segments)
+    return _finite(-sum(_segment_integrals(curve)), "area")
 
 
 def _locate_segment(curve: SplineCurve, x0: float) -> tuple[CubicBezier, float]:
-    for seg in curve.segments:
-        if seg.p0.x <= x0 <= seg.p1.x or seg.p1.x <= x0 <= seg.p0.x:
-            if x0 == seg.p0.x:
-                return seg, 0.0
-            if x0 == seg.p1.x:
-                return seg, 1.0
-            return seg, _solve_segment_x(seg, x0)
-    raise RangeError(f"x = {x0!r} outside the data range")
+    """The first segment whose end abscissae bracket x0, and t there."""
+    xs, xe = curve.ctrl[:, 0, 0], curve.ctrl[:, 3, 0]
+    hit = ((xs <= x0) & (x0 <= xe)) | ((xe <= x0) & (x0 <= xs))
+    if not hit.any():
+        raise RangeError(f"x = {x0!r} outside the data range")
+    seg = curve.segments[int(hit.argmax())]
+    if x0 == seg.p0.x:
+        return seg, 0.0
+    if x0 == seg.p1.x:
+        return seg, 1.0
+    return seg, _solve_segment_x(seg, x0)
 
 
 @dataclass(frozen=True)
 class TangentLine:
-    """Tangent of the fitted curve at a point; vertical lines have no slope."""
+    """Tangent of the fitted curve at a point; vertical lines have no slope.
+
+    curve is the fit the line touches, through the data ordered by x.
+    """
 
     point: Point2
     slope: float | None
     vertical: bool = False
+    curve: SplineCurve | None = field(default=None, compare=False, repr=False)
 
     def y_at(self, x: float) -> float:
         if self.vertical:
@@ -208,10 +241,10 @@ def tangent_line(
     """Tangent line of the spline fit at x = x0; one fit gives point and slope."""
     if len(data) < 2:
         raise CalculusError(f"need at least 2 data points, got {len(data)}")
-    pts = _oriented(data)
-    seg, t = _locate_segment(build_spline(pts, method=method, closed=False), x0)
-    y0 = bezier_eval(seg, t).y
+    curve = build_spline(_oriented(data), method=method, closed=False)
+    seg, t = _locate_segment(curve, x0)
+    point = Point2(x0, _finite(bezier_eval(seg, t).y, "tangent point's y"))
     d = bezier_derivative(seg, t)
     if abs(d.x) < VERTICAL_EPS:
-        return TangentLine(Point2(x0, y0), None, vertical=True)
-    return TangentLine(Point2(x0, y0), d.y / d.x, vertical=False)
+        return TangentLine(point, None, vertical=True, curve=curve)
+    return TangentLine(point, _finite(d.y / d.x, "slope"), curve=curve)

@@ -239,7 +239,7 @@ def _cmd_tangent(args) -> int:
     what = "tangent vertical" if line.vertical else f"slope {line.slope:.6f}"
     print(f"point ({x0:.6f},{y0:.6f}) {what}")
     if args.out:
-        curve = build_spline(pts, method=_method(args), closed=False).sample(10)
+        curve = line.curve.sample(10)
         xs = [p.x for p in pts]
         ys = [p.y for p in pts]
         # half the data's width, or its height when every row has one x

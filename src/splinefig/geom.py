@@ -3,17 +3,20 @@
 Everything here is immutable; curve construction returns new objects.
 A cubic segment is stored by its four control points and evaluated with
 de Casteljau's scheme (numerically stable and it gives subdivision for
-free).  Point lists move through the CLI as plain CSV, one "x,y" per
-line with '#' comments.
+free).  A spline chain keeps all of its control points in one float64
+array, which its sampler reads whole; its CubicBezier segments are
+built only when asked for.  Point lists move through the CLI as plain
+CSV, one "x,y" per line with '#' comments; a row that is not two finite
+numbers is refused.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import starmap
 from pathlib import Path
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -234,46 +237,81 @@ def diameter(points: Sequence[Point2]) -> float:
     return max(pairs, default=0.0)
 
 
-@dataclass(frozen=True)
-class SplineCurve:
-    """A chain of cubic segments joining end to start, maybe closed."""
+def _bezier(rows: list[list[float]]) -> CubicBezier:
+    """The segment of one control-array row, [[x, y]] * 4."""
+    return CubicBezier(*starmap(Point2, rows))
 
-    segments: tuple[CubicBezier, ...]
+
+class _Segments(Sequence):
+    """A control array's rows read as CubicBezier segments, each built
+    when it is read; the length costs nothing."""
+
+    __slots__ = ("_ctrl",)
+
+    def __init__(self, ctrl: np.ndarray):
+        self._ctrl = ctrl
+
+    def __len__(self) -> int:
+        return len(self._ctrl)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(map(_bezier, self._ctrl[k].tolist()))
+        return _bezier(self._ctrl[k].tolist())
+
+
+@dataclass(frozen=True, eq=False)
+class SplineCurve:
+    """A chain of cubic segments joining end to start, maybe closed.
+
+    The curve is one read-only float64 control array of shape (n, 4, 2):
+    row k holds segment k's points p0, c0, c1, p1, and row k's p1 is row
+    k + 1's p0 (NaN matching NaN).  `segments` reads the rows as
+    CubicBezier objects, each built when it is read.
+    """
+
+    ctrl: np.ndarray
     closed: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if not self.segments:
+        ctrl = np.array(self.ctrl, dtype=float)
+        if ctrl.ndim != 3 or ctrl.shape[1:] != (4, 2) or not len(ctrl):
             raise ValueError("spline needs at least one segment")
-        for a, b in zip(self.segments, self.segments[1:]):
-            if a.p1 != b.p0:
-                raise ValueError("segments do not chain")
-        if self.closed and self.segments[-1].p1 != self.segments[0].p0:
+        if not np.array_equal(ctrl[1:, 0], ctrl[:-1, 3], equal_nan=True):
+            raise ValueError("segments do not chain")
+        if self.closed and not np.array_equal(ctrl[0, 0], ctrl[-1, 3], equal_nan=True):
             raise ValueError("closed spline does not wrap around")
+        ctrl.flags.writeable = False
+        object.__setattr__(self, "ctrl", ctrl)
+
+    @property
+    def segments(self) -> Sequence[CubicBezier]:
+        return _Segments(self.ctrl)
 
     def sample(self, per_segment: int = 10) -> Polyline:
         """Polyline with per_segment subdivisions for each cubic piece.
 
-        Each segment is evaluated at every i / per_segment in one array
-        pass of bezier_eval's lerps, in bezier_eval's order: float64
-        arrays round as Python floats do, so the points are bezier_eval's
-        bit for bit, inf and NaN included.
+        Every segment is evaluated at every i / per_segment, i = 0 ..
+        per_segment, in one array pass of bezier_eval's lerps, in
+        bezier_eval's order: float64 arrays round as Python floats do,
+        so the points are bezier_eval's bit for bit, inf and NaN
+        included.  Each segment gives its points before t = 1, and the
+        last one its end point as well.
         """
         if per_segment < 1:
             raise ValueError("per_segment must be >= 1")
-        ctrl = np.array(
-            [(s.p0.as_tuple(), s.c0.as_tuple(), s.c1.as_tuple(), s.p1.as_tuple())
-             for s in self.segments]
-        )[:, None]  # (segment, t, control point, xy)
-        t = (np.arange(per_segment) / per_segment)[:, None, None]
+        t = (np.arange(per_segment + 1) / per_segment)[:, None, None]
+        ctrl = self.ctrl[:, None]  # (segment, t, control point, xy)
         with np.errstate(all="ignore"):
             for _ in range(3):
                 a, b = ctrl[:, :, :-1], ctrl[:, :, 1:]
                 ctrl = a + (b - a) * t
-        pts = list(starmap(Point2, ctrl.reshape(-1, 2).tolist()))
-        pts.append(bezier_eval(self.segments[-1], 1.0))
-        # a repeated data row gives a segment that is a single point
-        return Polyline(drop_repeats(pts))
+        pts = np.vstack((ctrl[:, :-1].reshape(-1, 2), ctrl[-1, -1]))
+        # a repeated data row gives a segment that is a single point:
+        # drop_repeats' rule, a point kept unless it equals the one before
+        keep = np.ones(len(pts), dtype=bool)
+        keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
+        return Polyline(tuple(starmap(Point2, pts[keep].tolist())))
 
 
 def load_points(path: str | Path) -> list[Point2]:
@@ -290,5 +328,7 @@ def load_points(path: str | Path) -> list[Point2]:
             x, y = float(parts[0]), float(parts[1])
         except ValueError as exc:
             raise PointFileError(f"{path}:{lineno}: bad number in {raw!r}") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise PointFileError(f"{path}:{lineno}: non-finite coordinate in {raw!r}")
         pts.append(Point2(x, y))
     return pts

@@ -26,15 +26,25 @@ accuracy at the ends, which is visible in integrals of the fitted
 curve; the parabolic extension keeps the end tangents second order.
 Closed lists wrap around, and a list whose last point repeats the
 first (within 1e-9) is treated as closed.
+
+control_points_cr and control_points_oshima state the two rules one
+segment at a time.  build_spline applies them to every segment at once,
+in float64 columns with the same operations in the same order, and
+returns the fit as one (n, 4, 2) control array (geom.SplineCurve); the
+few segments where the adaptive rule branches go through
+control_points_oshima itself.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
+from itertools import starmap
 from typing import Sequence
 
-from .geom import CubicBezier, Point2, SplineCurve
+import numpy as np
+
+from .geom import Point2, SplineCurve
 
 CLOSE_TOL = 1e-9
 
@@ -105,6 +115,11 @@ def control_points_oshima(
     return q, r
 
 
+def _hypot(v: np.ndarray) -> np.ndarray:
+    """math.hypot of each (x, y) row; np.hypot rounds differently."""
+    return np.fromiter(map(math.hypot, *v.T.tolist()), float, len(v))
+
+
 def build_spline(
     points: Sequence[Point2],
     method: SplineMethod = SplineMethod.OSHIMA,
@@ -115,11 +130,20 @@ def build_spline(
     closed=None auto-detects: when the last point coincides with the
     first (within 1e-9) the duplicate is dropped and the curve closes.
     Passing closed explicitly overrides the detection.
+
+    Every segment's Q and R come from one pass over the columns of the
+    point array, with control_points_oshima's float operations in its
+    order and math.hypot for the norms, so the control points are the
+    scalar rules' bit for bit.  Rows where the scalar rule branches
+    (both chords zero, a zero span) and rows where cos theta is not
+    finite (|chord1| |chord2| underflowing to 0, or overflow; the scalar
+    clamp reads NaN as 1) are handed to control_points_oshima itself.
     """
-    pts = [Point2(float(p.x), float(p.y)) for p in points]
+    pts = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
     if len(pts) < 2:
         raise DegenerateGeometryError(f"need at least 2 points, got {len(pts)}")
-    coincide = pts[0].dist(pts[-1]) <= CLOSE_TOL
+    (x0, y0), (xn, yn) = pts[[0, -1]].tolist()
+    coincide = math.hypot(x0 - xn, y0 - yn) <= CLOSE_TOL
     if closed is None:
         closed = len(pts) >= 4 and coincide
     if closed and coincide:
@@ -129,33 +153,56 @@ def build_spline(
         raise DegenerateGeometryError(
             "a closed spline needs at least 3 distinct points"
         )
-    if all(p.x == pts[0].x and p.y == pts[0].y for p in pts[1:]):
+    if (pts[1:] == pts[0]).all():
         raise DegenerateGeometryError("all input points coincide")
 
-    if closed:
-        quads = [
-            (pts[(j - 1) % n], pts[j], pts[(j + 1) % n], pts[(j + 2) % n])
-            for j in range(n)
-        ]
-    else:
-        # synthesize the missing neighbors: continue the parabola through
-        # the three boundary points (reflection when there are only two)
-        if n >= 3:
-            head = pts[0] * 3.0 - pts[1] * 3.0 + pts[2]
-            tail = pts[-1] * 3.0 - pts[-2] * 3.0 + pts[-3]
+    with np.errstate(all="ignore"):
+        if closed:
+            ext = pts[np.arange(-1, n + 2) % n]
         else:
-            head = pts[0] * 2.0 - pts[1]
-            tail = pts[-1] * 2.0 - pts[-2]
-        ext = [head, *pts, tail]
-        quads = [tuple(ext[j : j + 4]) for j in range(n - 1)]
+            # synthesize the missing neighbors: continue the parabola
+            # through the three boundary points (reflection when there
+            # are only two)
+            if n >= 3:
+                head = pts[0] * 3.0 - pts[1] * 3.0 + pts[2]
+                tail = pts[-1] * 3.0 - pts[-2] * 3.0 + pts[-3]
+            else:
+                head = pts[0] * 2.0 - pts[1]
+                tail = pts[-1] * 2.0 - pts[-2]
+            ext = np.vstack((head, pts, tail))
+        # segment j runs P_j .. P_j+1 with neighbours P_j-1 and P_j+2
+        pm1, pj, pjp1, pjp2 = ext[:-3], ext[1:-2], ext[2:-1], ext[3:]
+        if method is SplineMethod.CATMULL_ROM:
+            c, scalar = 1.0 / 6.0, []
+        else:
+            c, scalar = _oshima_columns(ext)
+        q = pj + (pjp1 - pm1) * c
+        r = pjp1 + (pj - pjp2) * c
+    ctrl = np.stack((pj, q, r, pjp1), axis=1)
+    for j in scalar:
+        quad = starmap(Point2, ext[j : j + 4].tolist())
+        ctrl[j, 1:3] = [p.as_tuple() for p in control_points_oshima(*quad)]
+    return SplineCurve(ctrl, closed=closed)
 
-    make = (
-        control_points_cr
-        if method is SplineMethod.CATMULL_ROM
-        else control_points_oshima
-    )
-    segments = []
-    for pm1, pj, pjp1, pjp2 in quads:
-        q, r = make(pm1, pj, pjp1, pjp2)
-        segments.append(CubicBezier(pj, q, r, pjp1))
-    return SplineCurve(tuple(segments), closed=closed)
+
+def _oshima_columns(ext: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """oshima_coefficient of every segment as an (n, 1) column, and the
+    segments it must be left to control_points_oshima for.
+
+    Chord P_j P_j+2 of segment j is chord P_j-1 P_j+1 of segment j + 1,
+    so one column of chords and their norms serves both.
+    """
+    chords = ext[2:] - ext[:-2]
+    norms = _hypot(chords)
+    chord1, chord2 = chords[:-1], chords[1:]
+    n1, n2 = norms[:-1], norms[1:]
+    span = _hypot(ext[2:-1] - ext[1:-2])
+    dot = chord1[:, 0] * chord2[:, 0] + chord1[:, 1] * chord2[:, 1]
+    cos_theta = dot / (n1 * n2)
+    cos_theta[(n1 == 0.0) | (n2 == 0.0)] = 1.0
+    # where n1 * n2 underflows to 0, cos theta is inf or NaN
+    scalar = ((n1 == 0.0) & (n2 == 0.0)) | (span == 0.0) | ~np.isfinite(cos_theta)
+    cos_theta = np.clip(cos_theta, -1.0, 1.0)
+    ratio = 4.0 * span / (3.0 * (n1 + n2))
+    c = ratio / (1.0 + np.sqrt((1.0 + cos_theta) / 2.0))
+    return c[:, None], np.flatnonzero(scalar).tolist()

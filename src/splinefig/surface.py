@@ -32,7 +32,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import count, product
+from itertools import count, product, starmap
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -548,10 +548,8 @@ def _window_pieces(poly: Polyline, center: int, window: int):
     if len(pts) < 2:
         return None
     sp = build_spline(pts, method=SplineMethod.OSHIMA, closed=False)
-    return [
-        _piece(s.p0.x, s.p0.y, s.c0.x, s.c0.y, s.c1.x, s.c1.y, s.p1.x, s.p1.y)
-        for s in sp.segments
-    ]
+    # a row (p0, c0, c1, p1) read flat is _piece's argument order
+    return list(starmap(_piece, sp.ctrl.reshape(-1, 8).tolist()))
 
 
 def refine_contact(

@@ -12,11 +12,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import splinefig
 from splinefig.cli import build_parser, main
 from splinefig.geom import Point2
+from splinefig.spline import build_spline
 
 CONIC = "8*x^2-4*sqrt(2)*x*y+y^2-3*x-6*sqrt(2)*y+2=0"
 
@@ -157,6 +158,39 @@ class TestTangent:
         assert main(argv) == 0
         assert "tangent vertical" in capsys.readouterr().out
         assert "\\circle*{0.12}" in out.read_text()
+
+    def test_one_fit_per_figure(self, capsys, tmp_path, monkeypatch):
+        # the figure draws the fit that gave the line
+        fits = []
+
+        def counted(*args, **kwargs):
+            fits.append(args)
+            return build_spline(*args, **kwargs)
+
+        monkeypatch.setattr("splinefig.calculus.build_spline", counted)
+        monkeypatch.setattr("splinefig.cli.build_spline", counted)
+        out = tmp_path / "fig.tex"
+        argv = [
+            "tangent", "--fn", "sin(x)", "--sample-range", "0,3", "--num", "30",
+            "--at", "1", "--out", str(out),
+        ]
+        assert main(argv) == 0
+        assert len(fits) == 1
+
+    def test_decreasing_data_draws_the_same_fit_left_to_right(self, capsys, tmp_path):
+        rows = [(0.25 * k, math.sin(0.25 * k)) for k in range(13)]
+        figures, printed = [], []
+        for order in (rows, rows[::-1]):
+            pts = tmp_path / "pts.csv"
+            pts.write_text("".join(f"{x!r},{y!r}\n" for x, y in order))
+            out = tmp_path / "fig.tex"
+            assert main(["tangent", "--points", str(pts), "--at", "1", "--out", str(out)]) == 0
+            printed.append(capsys.readouterr().out)
+            figures.append(out.read_text().split("\\put", 1)[0])
+        assert printed[0] == printed[1]
+        # the curve and the dashed line; only the data markers keep file order
+        assert figures[0] == figures[1]
+        assert figures[0].split("\\polyline", 2)[1].startswith("(0.00000,0.00000)")
 
 
 class TestRepeatedRows:
@@ -705,6 +739,60 @@ class TestRefusals:
         assert main([*cmd.split(), "--points", str(pts)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("row", ["0.5,nan", "inf,1", "-inf,-inf", "nan,0"])
+    @pytest.mark.parametrize(
+        "cmd",
+        [
+            "spline --out OUT",
+            "spline --format csv --out OUT",
+            "tangent --at 0.5",
+            "integrate",
+        ],
+    )
+    def test_non_finite_row(self, capsys, tmp_path, cmd, row):
+        # once: `bounding box must have positive size`, `nan,nan` csv
+        # rows, `point (0.500000,nan) slope nan`, and `nan`
+        pts = tmp_path / "pts.csv"
+        pts.write_text(f"0,0\n{row}\n1,1\n2,0\n3,1\n")
+        out = tmp_path / "out"
+        argv = [str(out) if a == "OUT" else a for a in cmd.split()]
+        assert main([*argv, "--points", str(pts)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {pts}:2: non-finite coordinate in {row!r}\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                "area --fx 1e200*cos(t) --fy 1e200*sin(t) --range 0,2*pi --num 50",
+                "the area is not finite: nan",
+            ),
+            (
+                "integrate --fn 1e300 --sample-range=-1e300,1e300 --num 5",
+                "the integral is not finite: inf",
+            ),
+            (
+                "tangent --fn 1e308*sin(x) --sample-range 0,3 --num 5 --at 0.1",
+                "the tangent point's y is not finite: nan",
+            ),
+            (
+                "tangent --fn 1e299*x*1e11 --sample-range 0,1e-11 --num 5 --at 5e-12",
+                "the slope is not finite: inf",
+            ),
+        ],
+        ids=["area", "integrate", "tangent-point", "tangent-slope"],
+    )
+    def test_non_finite_answer(self, capsys, argv, message):
+        # the fits overflow; each of these once printed nan or inf, exit 0
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
 
 class TestShowConfig:
     """--show-config prints every option in parser order, then resolved values."""
@@ -954,11 +1042,15 @@ def contact_demo_argvs(draw) -> list[str]:
 
 @settings(max_examples=200, deadline=None)
 @given(argv=curve_argvs() | contact_demo_argvs())
+@example(argv=["area", "--fx=1e200*cos(t)", "--fy=1e200*sin(t)", "--range=0,2*pi"])
 def test_property_curve_and_contact_demo_argv_never_raise(argv):
-    """Any generated curve or contact-demo argv ends in exit 0, 1 or 2."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    """Any generated curve or contact-demo argv ends in exit 0, 1 or 2,
+    and a run that exits 0 prints no inf or NaN."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
     if code == 1:
         assert err.getvalue().splitlines()[-1].startswith("error: ")
+    if code == 0:
+        assert not re.search(r"\b(nan|inf)\b", out.getvalue()), out.getvalue()

@@ -117,10 +117,15 @@ def test_drop_repeats():
     assert drop_repeats([]) == ()
 
 
+def _row(seg: CubicBezier) -> list[tuple[float, float]]:
+    """The segment as a row of SplineCurve's control array."""
+    return [p.as_tuple() for p in (seg.p0, seg.c0, seg.c1, seg.p1)]
+
+
 def test_sample_skips_a_point_segment():
     p, q = Point2(0, 0), Point2(1, 1)
     point_seg = CubicBezier(p, p, p, p)
-    curve = SplineCurve((point_seg, CubicBezier(p, p, q, q)))
+    curve = SplineCurve([_row(point_seg), _row(CubicBezier(p, p, q, q))])
     poly = curve.sample(4)
     assert poly.points[0] == p
     assert len(poly.points) == 5  # the point segment adds one vertex, not four
@@ -157,7 +162,7 @@ def _check_sample(curve: SplineCurve, per_segment: int) -> None:
 def _chain(coords: list[float]) -> SplineCurve:
     pts = [Point2(x, y) for x, y in zip(coords[::2], coords[1::2])]
     k = (len(pts) - 1) // 3
-    return SplineCurve(tuple(CubicBezier(*pts[3 * i : 3 * i + 4]) for i in range(k)))
+    return SplineCurve([_row(CubicBezier(*pts[3 * i : 3 * i + 4])) for i in range(k)])
 
 
 huge = st.sampled_from([1.7e308, -1.7e308, 1e308, -1e308, 8e307, 0.0, -0.0])
@@ -210,7 +215,7 @@ def test_load_points_rejects_garbage(tmp_path):
         load_points(path)
 
 
-@pytest.mark.parametrize("row", ["1,x", "1,2,3"])
+@pytest.mark.parametrize("row", ["1,x", "1,2,3", "nan,1", "1,-inf"])
 def test_load_points_error_names_the_line(tmp_path, row):
     path = tmp_path / "bad.csv"
     path.write_text(f"0,0\n{row}\n")

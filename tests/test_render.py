@@ -20,6 +20,7 @@ from splinefig.render import (
     emit_latex,
     emit_svg,
     fmt5,
+    fmt5_column,
     scene_from_items,
 )
 from splinefig.spline import SplineMethod, build_spline
@@ -121,6 +122,66 @@ class TestFmt5Reference:
         assert "e" in repr(x)
         for y in _neighbours(x):
             assert fmt5(y) == _fmt5_reference(y)
+
+
+class TestFmt5ColumnReference(TestFmt5Reference):
+    """TestFmt5Reference's checks, unedited, with `fmt5` in them writing
+    each value as a one-value column of fmt5_column.
+
+    Hypothesis runs a @given method from one class only, so the two
+    properties are given again here, around the same bodies and with
+    the same strategies.
+    """
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _column_as_fmt5(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(globals(), "fmt5", lambda x: fmt5_column([x])[0])
+            yield
+
+    test_property_floats = settings(max_examples=500)(
+        given(st.floats(-1e22, 1e22) | st.floats(-1e-3, 1e-3) | st.floats(-1e10, 1e10))(
+            TestFmt5Reference.test_property_floats.hypothesis.inner_test
+        )
+    )
+    test_property_ints = given(st.integers(-(10**21), 10**21))(
+        TestFmt5Reference.test_property_ints.hypothesis.inner_test
+    )
+
+
+column_values = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, -1e-9, -4.4e-6, -4.6e-6, 5e-6, -5e-6, 1.5e-5, 1e9, -1e9, 9e22]
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(column_values | st.floats(-10.0, 10.0), max_size=40))
+def test_property_column_is_fmt5_of_each_value(values):
+    try:
+        want = [fmt5(x) for x in values]
+    except RenderError:
+        with pytest.raises(RenderError):
+            fmt5_column(values)
+        return
+    assert fmt5_column(values) == want
+
+
+def test_column_past_the_fast_path_bound():
+    # from 1e9 up an ulp is 1.2e-7 or more, so x and repr(x) may round
+    # apart: ties and their neighbours up to 1e12 all take fmt5's road
+    values = [
+        y
+        for centre in (1e9, 2.5e9, 3e10, 4.4e11, 7.7e11)
+        for k in range(-300, 300)
+        for y in _neighbours(centre + (2 * k + 1) / 200_000)
+    ]
+    assert fmt5_column(values) == [fmt5(x) for x in values]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e24])
+def test_column_refuses_what_fmt5_refuses(bad):
+    with pytest.raises(RenderError):
+        fmt5_column([0.5, bad, 1.0])
 
 
 class TestLatexStructure:

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from splinefig.geom import Point2, bezier_derivative, bezier_eval
 from splinefig.spline import (
@@ -236,3 +236,93 @@ def test_property_rotation_equivariance(angle):
         ).sample(8)
         for p, q in zip(base.points, turned.points):
             assert rot(p).dist(q) < 1e-9
+
+
+def _reference_build_spline(points, method=SplineMethod.OSHIMA, closed=None):
+    """The scalar builder, one segment at a time through the Point2 rules:
+    (rows of (p0, c0, c1, p1) as floats, closed)."""
+    pts = [Point2(float(p.x), float(p.y)) for p in points]
+    if len(pts) < 2:
+        raise DegenerateGeometryError(f"need at least 2 points, got {len(pts)}")
+    coincide = pts[0].dist(pts[-1]) <= 1e-9
+    if closed is None:
+        closed = len(pts) >= 4 and coincide
+    if closed and coincide:
+        pts = pts[:-1]
+    n = len(pts)
+    if closed and n < 3:
+        raise DegenerateGeometryError(
+            "a closed spline needs at least 3 distinct points"
+        )
+    if all(p.x == pts[0].x and p.y == pts[0].y for p in pts[1:]):
+        raise DegenerateGeometryError("all input points coincide")
+    if closed:
+        quads = [
+            (pts[(j - 1) % n], pts[j], pts[(j + 1) % n], pts[(j + 2) % n])
+            for j in range(n)
+        ]
+    else:
+        if n >= 3:
+            head = pts[0] * 3.0 - pts[1] * 3.0 + pts[2]
+            tail = pts[-1] * 3.0 - pts[-2] * 3.0 + pts[-3]
+        else:
+            head = pts[0] * 2.0 - pts[1]
+            tail = pts[-1] * 2.0 - pts[-2]
+        ext = [head, *pts, tail]
+        quads = [tuple(ext[j : j + 4]) for j in range(n - 1)]
+    make = (
+        control_points_cr
+        if method is SplineMethod.CATMULL_ROM
+        else control_points_oshima
+    )
+    rows = [(pj, *make(pm1, pj, pjp1, pjp2), pjp1) for pm1, pj, pjp1, pjp2 in quads]
+    return [[[p.x, p.y] for p in row] for row in rows], closed
+
+
+def _fit_or_error(build, pts, method, closed):
+    try:
+        return build(pts, method, closed)
+    except DegenerateGeometryError as exc:
+        return str(exc)
+
+
+# coordinates on a small lattice (collinear and repeated points) or
+# free, times a scale: chords of 1e-160 make |chord1| |chord2| underflow,
+# and 1e308 overflows the extension and the chord sums
+SCALES = (1.0, 1e-160, 1e-300, 1e150, 1e308, 1.7e308)
+fit_coord = st.integers(-3, 3).map(float) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def fit_inputs(draw):
+    scale = draw(st.sampled_from(SCALES))
+    pts = []
+    for _ in range(draw(st.integers(1, 12))):
+        if pts and draw(st.integers(0, 3)) == 0:
+            pts.append(pts[-1])  # a repeated row
+        else:
+            pts.append(Point2(draw(fit_coord) * scale, draw(fit_coord) * scale))
+    if len(pts) >= 3 and draw(st.booleans()):
+        pts.append(pts[0])  # the auto-closing duplicate
+    closed = draw(st.sampled_from((None, True, False)))
+    return pts, draw(st.sampled_from(list(SplineMethod))), closed
+
+
+@settings(max_examples=600, deadline=None)
+@given(fit_inputs())
+# both chords zero on a segment of positive span: the scalar rule refuses
+@example(([Point2(0, 0), Point2(1, 0)] * 2, SplineMethod.OSHIMA, True))
+# a zero span next to an extension that overflows to NaN: the scalar
+# rule's c = 0 comes before the NaN chord norm
+@example(([Point2(0, 0)] + [Point2(0, 1e308)] * 3, SplineMethod.OSHIMA, None))
+def test_property_array_fit_is_the_scalar_builder_bit_for_bit(case):
+    pts, method, closed = case
+    want = _fit_or_error(_reference_build_spline, pts, method, closed)
+    got = _fit_or_error(build_spline, pts, method, closed)
+    if isinstance(want, str):
+        assert got == want
+        return
+    rows, want_closed = want
+    assert got.closed == want_closed
+    # repr tells -0.0 from 0.0 and shows NaN as "nan"
+    assert repr(got.ctrl.tolist()) == repr(rows)
