@@ -31,12 +31,13 @@ from .geom import (
     bezier_derivative,
     bezier_eval,
     bezier_slice,
+    xy_array,
 )
 from .spline import SplineMethod, build_spline
 
 BOUNDARY_REL_TOL = 1e-12
 BOUNDARY_MAX_ITER = 200
-VERTICAL_EPS = 1e-12
+VERTICAL_EPS = 1e-12  # |dx/dt| at most this share of the segment's x span
 
 
 class CalculusError(ValueError):
@@ -79,16 +80,20 @@ def _segment_integrals(curve: SplineCurve) -> list[float]:
         return _green(*curve.ctrl.reshape(-1, 8).T).tolist()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegrationRequest:
-    """Data points, x-interval [a, b] and the spline method to fit with."""
+    """Data points, x-interval [a, b] and the spline method to fit with.
 
-    data: tuple[Point2, ...]
+    The points are given as Point2s or an (n, 2) array and held as the
+    array.
+    """
+
+    data: np.ndarray
     interval: tuple[float, float]
     method: SplineMethod = SplineMethod.OSHIMA
 
     def __post_init__(self):
-        object.__setattr__(self, "data", tuple(self.data))
+        object.__setattr__(self, "data", xy_array(self.data))
         if len(self.data) < 4:
             raise CalculusError("integration needs at least 4 data points")
         a, b = self.interval
@@ -135,17 +140,18 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def _oriented(data: Sequence[Point2]) -> list[Point2]:
-    """Data normalized to increasing x (graphs may be traced either way)."""
-    pts = list(data)
-    if pts[0].x > pts[-1].x:
-        pts.reverse()
-    for a, b in zip(pts, pts[1:]):
-        if b.x < a.x:
-            raise NonMonotoneError(
-                f"x must be monotone to read the data as a graph; "
-                f"{b.x!r} follows {a.x!r}"
-            )
+def _oriented(data: Sequence[Point2] | np.ndarray) -> np.ndarray:
+    """Data as an (n, 2) array normalized to increasing x (graphs may be
+    traced either way)."""
+    pts = xy_array(data)
+    if pts[0, 0] > pts[-1, 0]:
+        pts = pts[::-1]
+    back = np.flatnonzero(pts[1:, 0] < pts[:-1, 0])
+    if back.size:
+        a, b = pts[back[0] : back[0] + 2, 0].tolist()
+        raise NonMonotoneError(
+            f"x must be monotone to read the data as a graph; {b!r} follows {a!r}"
+        )
     return pts
 
 
@@ -156,13 +162,13 @@ def integrate(req: IntegrationRequest) -> float:
     it is an error only when the two do not meet at all.
     """
     pts = _oriented(req.data)
+    first, last = pts[[0, -1], 0].tolist()
     a, b = req.interval
-    lo = max(a, pts[0].x)
-    hi = min(b, pts[-1].x)
+    lo = max(a, first)
+    hi = min(b, last)
     if lo > hi:
         raise RangeError(
-            f"interval [{a!r}, {b!r}] outside data range "
-            f"[{pts[0].x!r}, {pts[-1].x!r}]"
+            f"interval [{a!r}, {b!r}] outside data range [{first!r}, {last!r}]"
         )
     if lo == hi:
         return 0.0
@@ -189,7 +195,8 @@ def integrate(req: IntegrationRequest) -> float:
 
 
 def closed_area(
-    points: Sequence[Point2], method: SplineMethod = SplineMethod.OSHIMA
+    points: Sequence[Point2] | np.ndarray,
+    method: SplineMethod = SplineMethod.OSHIMA,
 ) -> float:
     """Signed area enclosed by the closed spline through the points.
 
@@ -234,17 +241,23 @@ class TangentLine:
 
 
 def tangent_line(
-    data: Sequence[Point2],
+    data: Sequence[Point2] | np.ndarray,
     x0: float,
     method: SplineMethod = SplineMethod.OSHIMA,
 ) -> TangentLine:
-    """Tangent line of the spline fit at x = x0; one fit gives point and slope."""
+    """Tangent line of the spline fit at x = x0; one fit gives point and slope.
+
+    The tangent is vertical where dx/dt is no more than VERTICAL_EPS
+    times the x span of the segment's control points, so the test reads
+    the same at every x scale (dx/dt is at most three times that span).
+    """
     if len(data) < 2:
         raise CalculusError(f"need at least 2 data points, got {len(data)}")
     curve = build_spline(_oriented(data), method=method, closed=False)
     seg, t = _locate_segment(curve, x0)
     point = Point2(x0, _finite(bezier_eval(seg, t).y, "tangent point's y"))
     d = bezier_derivative(seg, t)
-    if abs(d.x) < VERTICAL_EPS:
+    xs = (seg.p0.x, seg.c0.x, seg.c1.x, seg.p1.x)
+    if abs(d.x) <= VERTICAL_EPS * (max(xs) - min(xs)):
         return TangentLine(point, None, vertical=True, curve=curve)
     return TangentLine(point, _finite(d.y / d.x, "slope"), curve=curve)

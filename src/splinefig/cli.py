@@ -19,6 +19,8 @@ import math
 import sys
 from typing import Callable, Sequence
 
+import numpy as np
+
 from . import __version__
 from .calculus import (
     CalculusError,
@@ -27,7 +29,7 @@ from .calculus import (
     integrate,
     tangent_line,
 )
-from .expr import ExprError, compile_fn, evaluate, free_vars, parse, steps
+from .expr import Const, ExprError, compile_fn, evaluate, free_vars, parse, steps
 from .geom import Point2, PointFileError, Polyline, drop_repeats, load_points
 from .implicit import TraceConfig, TraceError, parse_equation, trace_implicit
 from .render import (
@@ -65,8 +67,11 @@ def _reported() -> tuple[type[Exception], ...]:
 
 
 def _const(text: str) -> float:
-    """A constant; pi, e and arithmetic are fine."""
+    """A constant; pi, e and arithmetic are fine.  A literal that parses
+    to a finite number is its own value, with no program compiled."""
     node = parse(text)
+    if isinstance(node, Const) and math.isfinite(node.value):
+        return node.value
     if free_vars(node):
         raise ExprError(f"{text!r} is not a constant")
     return evaluate(node, {})
@@ -138,7 +143,7 @@ def _polyline_csv(polys: Sequence[Polyline]) -> str:
     lines = []
     for k, poly in enumerate(polys):
         lines.append(f"# component {k}")
-        lines.extend(f"{p.x!r},{p.y!r}" for p in poly.points)
+        lines.extend(f"{x!r},{y!r}" for x, y in poly.as_array().tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -156,8 +161,8 @@ def _show_config(args, **resolved: object) -> int:
 
 def _sample(
     flag: str, var: str, exprs: Sequence[str], rng: tuple[float, float], num: int
-) -> list[Point2]:
-    """Points at num + 1 even steps of `var` over rng.
+) -> np.ndarray:
+    """Points at num + 1 even steps of `var` over rng, as (n, 2) rows.
 
     One expression f gives the graph (var, f); two give (f, g).
     """
@@ -167,10 +172,10 @@ def _sample(
         raise ExprError(f"unexpected variables {sorted(extra)} in {flag}")
     fns = [compile_fn(node, (var,)) for node in nodes]
     fx, fy = fns if len(fns) == 2 else (lambda v: v, fns[0])
-    return [Point2(fx(v), fy(v)) for v in steps(*rng, num)]
+    return np.array([(fx(v), fy(v)) for v in steps(*rng, num)], dtype=float)
 
 
-def _data_points(args) -> list[Point2]:
+def _data_points(args) -> np.ndarray:
     """Points from --points, else sampled from --fn on x or --fx/--fy on t."""
     if args.points:
         return load_points(args.points)
@@ -215,9 +220,9 @@ def _cmd_integrate(args) -> int:
     if args.show_config:
         return _show_config(args)
     pts = _data_points(args)
-    xs = [p.x for p in pts]
+    xs = pts[:, 0].tolist()
     interval = args.interval or (min(xs, default=0.0), max(xs, default=0.0))
-    req = IntegrationRequest(tuple(pts), interval, _method(args))
+    req = IntegrationRequest(pts, interval, _method(args))
     print(f"{integrate(req):.6f}")
     return 0
 
@@ -234,14 +239,13 @@ def _cmd_tangent(args) -> int:
     if args.show_config:
         return _show_config(args)
     pts = _data_points(args)
-    line = tangent_line(tuple(pts), args.at, _method(args))
+    line = tangent_line(pts, args.at, _method(args))
     x0, y0 = line.point.x, line.point.y
     what = "tangent vertical" if line.vertical else f"slope {line.slope:.6f}"
     print(f"point ({x0:.6f},{y0:.6f}) {what}")
     if args.out:
         curve = line.curve.sample(10)
-        xs = [p.x for p in pts]
-        ys = [p.y for p in pts]
+        xs, ys = pts.T.tolist()
         # half the data's width, or its height when every row has one x
         half = 0.25 * ((max(xs) - min(xs)) or (max(ys) - min(ys)))
         if line.vertical:
@@ -270,7 +274,7 @@ def _cmd_implicit(args) -> int:
             raise TraceError("no open component to integrate")
         branch = open_comps[0]
         interval = sorted((branch.pt_end.x, branch.pt_start.x))
-        req = IntegrationRequest(branch.points, tuple(interval), _method(args))
+        req = IntegrationRequest(branch.as_array(), tuple(interval), _method(args))
         print(f"{integrate(req):.6f}")
         return 0
     if not comps:

@@ -5,8 +5,10 @@ A cubic segment is stored by its four control points and evaluated with
 de Casteljau's scheme (numerically stable and it gives subdivision for
 free).  A spline chain keeps all of its control points in one float64
 array, which its sampler reads whole; its CubicBezier segments are
-built only when asked for.  Point lists move through the CLI as plain
-CSV, one "x,y" per line with '#' comments; a row that is not two finite
+built only when asked for.  A polyline likewise keeps its vertices in
+one (n, 2) array and builds Point2s only when they are read.  Point
+lists move through the CLI as plain CSV, one "x,y" per line with '#'
+comments, read into an (n, 2) array; a row that is not two finite
 numbers is refused.
 """
 
@@ -165,57 +167,108 @@ def bezier_bbox(b: CubicBezier) -> tuple[float, float, float, float]:
     return (min(xs), min(ys), max(xs), max(ys))
 
 
-@dataclass(frozen=True)
+def xy_array(points: Iterable[Point2] | np.ndarray) -> np.ndarray:
+    """The points as an (n, 2) float64 array: an array as it is, else
+    one row (x, y) per Point2 (shape (0, 2) when there are none)."""
+    if isinstance(points, np.ndarray):
+        xy = np.asarray(points, dtype=float)
+        if xy.ndim != 2 or xy.shape[1] != 2:
+            raise ValueError(f"expected an (n, 2) array, got shape {xy.shape}")
+        return xy
+    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+
+
+class _Points(Sequence):
+    """A vertex array's rows read as Point2s.  The length costs nothing;
+    any other read builds every Point2 once, and later reads share them."""
+
+    __slots__ = ("_xy", "_built")
+
+    def __init__(self, xy: np.ndarray):
+        self._xy = xy
+        self._built: tuple[Point2, ...] | None = None
+
+    def _points(self) -> tuple[Point2, ...]:
+        if self._built is None:
+            self._built = tuple(starmap(Point2, self._xy.tolist()))
+        return self._built
+
+    def __len__(self) -> int:
+        return len(self._xy)
+
+    def __getitem__(self, k):
+        return self._points()[k]
+
+    def __iter__(self):
+        return iter(self._points())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, _Points):
+            other = other._points()
+        return self._points() == other
+
+    def __repr__(self) -> str:
+        return repr(self._points())
+
+
+@dataclass(frozen=True, eq=False)
 class Polyline:
     """An ordered vertex chain.
 
-    Vertices may carry their 3D preimage (space) and parameter tags
-    (params), index-aligned with points.  Closed traces repeat the
-    first vertex at the end; consecutive vertices are never identical.
+    The vertices are one read-only float64 (n, 2) array, given as such
+    or as Point2s; `as_array()` returns it, and `points` reads its rows
+    as Point2s, built on the first read that needs them.  Vertices may
+    carry their 3D preimage (space) and parameter tags (params),
+    index-aligned with the vertices.  Closed traces repeat the first
+    vertex at the end; consecutive vertices are never equal (-0.0
+    equals 0.0, NaN equals nothing).
     """
 
-    points: tuple[Point2, ...]
+    points: Sequence[Point2]
     space: tuple[Point3, ...] | None = None
     params: tuple | None = None
 
     def __post_init__(self):
-        pts = tuple(self.points)
-        object.__setattr__(self, "points", pts)
-        if len(pts) < 2:
+        xy = np.array(xy_array(self.points))
+        if len(xy) < 2:
             raise ValueError("a polyline needs at least 2 points")
-        for a, b in zip(pts, pts[1:]):
-            if a.x == b.x and a.y == b.y:
-                raise ValueError("consecutive identical points in polyline")
+        if (xy[1:] == xy[:-1]).all(axis=1).any():
+            raise ValueError("consecutive identical points in polyline")
+        xy.flags.writeable = False
+        object.__setattr__(self, "_xy", xy)
+        object.__setattr__(self, "points", _Points(xy))
         if self.space is not None:
             object.__setattr__(self, "space", tuple(self.space))
-            if len(self.space) != len(pts):
+            if len(self.space) != len(xy):
                 raise ValueError("space annotation length mismatch")
         if self.params is not None:
             object.__setattr__(self, "params", tuple(self.params))
-            if len(self.params) != len(pts):
+            if len(self.params) != len(xy):
                 raise ValueError("params annotation length mismatch")
 
     @property
     def pt_start(self) -> Point2:
-        return self.points[0]
+        return Point2(*self._xy[0].tolist())
 
     @property
     def pt_end(self) -> Point2:
-        return self.points[-1]
+        return Point2(*self._xy[-1].tolist())
 
     def is_loop(self, tol: float = 0.0) -> bool:
-        return self.points[0].dist(self.points[-1]) <= tol
+        return self.pt_start.dist(self.pt_end) <= tol
 
     def as_array(self) -> np.ndarray:
-        return np.array([(p.x, p.y) for p in self.points], dtype=float)
+        """The (n, 2) vertex array itself (read-only), no copy."""
+        return self._xy
 
 
-def drop_repeats(points: Iterable[Point2]) -> tuple[Point2, ...]:
-    """The points with every run of equal consecutive points kept once."""
-    pts = tuple(points)
-    return pts[:1] + tuple(
-        b for a, b in zip(pts, pts[1:]) if a.x != b.x or a.y != b.y
-    )
+def drop_repeats(points: Iterable[Point2] | np.ndarray) -> np.ndarray:
+    """The points' (n, 2) rows with every run of equal consecutive rows
+    kept once: a row stays unless it equals the row before it."""
+    xy = xy_array(points)
+    keep = np.ones(len(xy), dtype=bool)
+    keep[1:] = (xy[1:] != xy[:-1]).any(axis=1)
+    return xy[keep]
 
 
 def diameter(points: Sequence[Point2]) -> float:
@@ -296,7 +349,9 @@ class SplineCurve:
         bezier_eval's order: float64 arrays round as Python floats do,
         so the points are bezier_eval's bit for bit, inf and NaN
         included.  Each segment gives its points before t = 1, and the
-        last one its end point as well.
+        last one its end point as well; drop_repeats then keeps one row
+        of each run of equal rows, and those rows are the polyline's
+        vertex array, with no Point2 built.
         """
         if per_segment < 1:
             raise ValueError("per_segment must be >= 1")
@@ -307,16 +362,14 @@ class SplineCurve:
                 a, b = ctrl[:, :, :-1], ctrl[:, :, 1:]
                 ctrl = a + (b - a) * t
         pts = np.vstack((ctrl[:, :-1].reshape(-1, 2), ctrl[-1, -1]))
-        # a repeated data row gives a segment that is a single point:
-        # drop_repeats' rule, a point kept unless it equals the one before
-        keep = np.ones(len(pts), dtype=bool)
-        keep[1:] = (pts[1:] != pts[:-1]).any(axis=1)
-        return Polyline(tuple(starmap(Point2, pts[keep].tolist())))
+        # a repeated data row gives a segment that is a single point
+        return Polyline(drop_repeats(pts))
 
 
-def load_points(path: str | Path) -> list[Point2]:
-    """Read "x,y" lines; blank lines and '#' comments are skipped."""
-    pts: list[Point2] = []
+def load_points(path: str | Path) -> np.ndarray:
+    """Read "x,y" lines into an (n, 2) float64 array; blank lines and
+    '#' comments are skipped."""
+    rows: list[tuple[float, float]] = []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -330,5 +383,5 @@ def load_points(path: str | Path) -> list[Point2]:
             raise PointFileError(f"{path}:{lineno}: bad number in {raw!r}") from exc
         if not (math.isfinite(x) and math.isfinite(y)):
             raise PointFileError(f"{path}:{lineno}: non-finite coordinate in {raw!r}")
-        pts.append(Point2(x, y))
-    return pts
+        rows.append((x, y))
+    return np.array(rows, dtype=float).reshape(-1, 2)

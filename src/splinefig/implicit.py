@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .expr import BinOp, ExprNode, compile_fn, free_vars, parse, steps
-from .geom import Point2, Polyline
+from .geom import Polyline
 
 log = logging.getLogger(__name__)
 
@@ -108,7 +108,9 @@ def trace_zero_set(f: Callable[..., float], cfg: TraceConfig) -> list[Polyline]:
     in array passes, NaN where f raises DomainError: `f.grid` for the
     nodes, one `f.at` for the saddle centers, and one `f.at` per
     bisection step over every crossing still being refined.  It never
-    calls the scalar f.
+    calls the scalar f.  Each component is the rows of the crossing
+    array that its chained edge keys pick, taken straight into the
+    polyline's vertex array: no Point2 is built.
     """
     n = cfg.grid
     xs = np.array(steps(*cfg.xrange, n))
@@ -166,7 +168,9 @@ def trace_zero_set(f: Callable[..., float], cfg: TraceConfig) -> list[Polyline]:
     px, py = _refine_crossings(
         f, xs[i1], ys[j1], xs[i2], ys[j2], vals[i1, j1], vals[i2, j2]
     )
-    points = dict(zip(keys, map(Point2, px.tolist(), py.tolist())))
+    xy = np.column_stack((px, py))
+    cx, cy = px.tolist(), py.tolist()
+    row = {key: k for k, key in enumerate(keys)}
 
     visited = [False] * len(seg_a)
 
@@ -195,30 +199,32 @@ def trace_zero_set(f: Callable[..., float], cfg: TraceConfig) -> list[Polyline]:
             closed = chain[0] == chain[-1] if len(chain) > 2 else False
             chains.append((chain, closed))
 
+    def apart(a: int, b: int) -> bool:
+        return math.hypot(cx[a] - cx[b], cy[a] - cy[b]) > JOIN_TOL
+
+    # each component is the crossing rows of its chained keys
     result: list[Polyline] = []
     for chain, closed in chains:
-        pts: list[Point2] = []
-        for key in chain:
-            p = points[key]
-            if pts and pts[-1].dist(p) <= JOIN_TOL:
-                continue
-            pts.append(p)
-        if closed and len(pts) > 1 and pts[0].dist(pts[-1]) <= JOIN_TOL:
-            pts.pop()
+        rows: list[int] = []
+        for k in map(row.__getitem__, chain):
+            if not rows or apart(rows[-1], k):
+                rows.append(k)
+        if closed and len(rows) > 1 and not apart(rows[0], rows[-1]):
+            rows.pop()
         if closed:
-            if len(pts) < 3:
+            if len(rows) < 3:
                 continue
-            if _shoelace(pts) < 0.0:
-                pts.reverse()
-            pts.append(pts[0])
+            if _shoelace([cx[k] for k in rows], [cy[k] for k in rows]) < 0.0:
+                rows.reverse()
+            rows.append(rows[0])
         else:
-            if len(pts) < 2:
+            if len(rows) < 2:
                 continue
             # start vertex gets the larger x (ties: the larger y)
-            first, last = pts[0], pts[-1]
-            if (first.x, first.y) < (last.x, last.y):
-                pts.reverse()
-        result.append(Polyline(tuple(pts)))
+            first, last = rows[0], rows[-1]
+            if (cx[first], cy[first]) < (cx[last], cy[last]):
+                rows.reverse()
+        result.append(Polyline(xy[rows]))
     return result
 
 
@@ -273,11 +279,10 @@ def _refine_crossings(
     return x, y
 
 
-def _shoelace(pts: list[Point2]) -> float:
+def _shoelace(xs: list[float], ys: list[float]) -> float:
     area = 0.0
-    m = len(pts)
+    m = len(xs)
     for k in range(m):
-        p = pts[k]
-        q = pts[(k + 1) % m]
-        area += p.x * q.y - q.x * p.y
+        q = (k + 1) % m
+        area += xs[k] * ys[q] - xs[q] * ys[k]
     return 0.5 * area

@@ -10,9 +10,12 @@ left to the TeX driver, so the output is identical everywhere.  Both
 emitters are deterministic down to the byte: coordinates are written
 with exactly five decimals, rounding halves away from zero, and a scene
 whose box fmt5 cannot write is refused before either emitter runs.
-The LaTeX emitter writes each polyline, dash run and disc row as one
-column (fmt5_column), which gives fmt5's strings without calling it
-where no tie is near.
+Polylines are read as their (n, 2) vertex arrays: the fitted box comes
+from column minima and maxima, the box check is one mask, the LaTeX
+emitter writes each polyline, dash run and disc row as one column
+(fmt5_column, which gives fmt5's strings without calling it where no
+tie is near), and the SVG emitter maps each polyline to user units a
+column at a time.  No Point2 is built per vertex except for dashes.
 """
 
 from __future__ import annotations
@@ -21,11 +24,11 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .geom import Point2, Polyline
+from .geom import Point2, Polyline, xy_array
 
 CM_TO_PX = 37.795  # SVG user units per centimetre (96 dpi)
 DASH_STEP = 0.1  # cm of pen-down (and pen-up) per dash
@@ -80,32 +83,41 @@ class Scene:
         sx, sy = 0.05 * w, 0.05 * h
         for c in (w, h, x0 - sx, x0 + w + sx, y0 - sy, y0 + h + sy):
             fmt5(c)
-        for item in self.items:
-            for p in item.polyline.points:
-                if not (
-                    x0 - sx <= p.x <= x0 + w + sx
-                    and y0 - sy <= p.y <= y0 + h + sy
-                ):
-                    raise RenderError(
-                        f"vertex ({p.x}, {p.y}) outside bounding box {self.bbox}"
-                    )
+        if not self.items:
+            return
+        xy = np.concatenate([item.polyline.as_array() for item in self.items])
+        x, y = xy[:, 0], xy[:, 1]
+        inside = (x0 - sx <= x) & (x <= x0 + w + sx)
+        inside &= (y0 - sy <= y) & (y <= y0 + h + sy)
+        if not inside.all():
+            px, py = xy[np.argmin(inside)].tolist()  # the first one outside
+            raise RenderError(
+                f"vertex ({px}, {py}) outside bounding box {self.bbox}"
+            )
 
 
 def scene_from_items(items: Sequence[DrawItem]) -> Scene:
-    """Scene with a bounding box fitted around everything plus a margin."""
-    xs: list[float] = []
-    ys: list[float] = []
+    """Scene with a bounding box fitted around everything plus a margin.
+
+    The box spans every vertex and label anchor, from the column minima
+    and maxima; where a column holds a value that is not finite, from
+    Python's min and max over the values in item order, whose answer
+    then depends on that order.
+    """
+    parts = []
     for item in items:
-        for p in item.polyline.points:
-            xs.append(p.x)
-            ys.append(p.y)
+        parts.append(item.polyline.as_array())
         if item.label is not None:
-            xs.append(item.label.anchor.x)
-            ys.append(item.label.anchor.y)
-    if not xs:
+            parts.append(xy_array([item.label.anchor]))
+    if not parts:
         return Scene((), (1.0, 1.0, 0.0, 0.0))
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    xy = np.concatenate(parts)
+    if np.isfinite(xy).all():
+        (x0, y0), (x1, y1) = xy.min(axis=0).tolist(), xy.max(axis=0).tolist()
+    else:
+        xs, ys = xy.T.tolist()
+        x0, x1 = min(xs), max(xs)
+        y0, y1 = min(ys), max(ys)
     margin = SCENE_PAD * max(x1 - x0, y1 - y0, 1.0)
     return Scene(
         tuple(items),
@@ -167,13 +179,16 @@ def fmt5_column(values: Sequence[float]) -> list[str]:
     col[np.abs(col) < 4.5e-6] = 0.0
     text = ("%.5f " * len(col) % tuple(col.tolist())).split()
     for k in np.flatnonzero(~fast).tolist():
-        text[k] = fmt5(values[k])
+        x = values[k]
+        # fmt5 reads repr(x), which for a numpy scalar names its type
+        text[k] = fmt5(x.item() if isinstance(x, np.generic) else x)
     return text
 
 
-def _pairs(points: Sequence[Point2]) -> list[str]:
-    """The "(x,y)" text of each point, written by fmt5_column."""
-    text = fmt5_column([c for p in points for c in (p.x, p.y)])
+def _pairs(points: Sequence[Point2] | np.ndarray) -> list[str]:
+    """The "(x,y)" text of each point (Point2s or (n, 2) rows), written
+    by fmt5_column."""
+    text = fmt5_column(xy_array(points).ravel())
     return [f"({x},{y})" for x, y in zip(text[::2], text[1::2])]
 
 
@@ -229,16 +244,17 @@ def emit_latex(scene: Scene) -> str:
     if scene.items:
         out.append(f"\\linethickness{{{LINE_THICKNESS:g}in}}%")
     for item in scene.items:
-        pts = item.polyline.points
+        xy = item.polyline.as_array()
         if item.style is Style.SOLID:
-            out.extend(_wrap_pairs("\\polyline", _pairs(pts)))
+            out.extend(_wrap_pairs("\\polyline", _pairs(xy)))
         elif item.style is Style.DASHED:
-            ends = _pairs([p for run in _dash_runs(pts) for p in run])
+            runs = _dash_runs(item.polyline.points)
+            ends = _pairs([p for run in runs for p in run])
             chunks = [f"\\polyline{a}{b}" for a, b in zip(ends[::2], ends[1::2])]
             out.extend(_wrap_pairs("", chunks, 2))
         elif item.style is Style.DOTTED_DISC:
             chunks = [
-                f"\\put{p}{{\\circle*{{{DISC_DIAMETER:g}}}}}" for p in _pairs(pts)
+                f"\\put{p}{{\\circle*{{{DISC_DIAMETER:g}}}}}" for p in _pairs(xy)
             ]
             out.extend(_wrap_pairs("", chunks, 2))
         if item.label is not None:
@@ -249,17 +265,19 @@ def emit_latex(scene: Scene) -> str:
     return "\n".join(out) + "\n"
 
 
-def _svg_xy(p: Point2, bbox: tuple[float, float, float, float]) -> tuple[float, float]:
+def _svg_coords(xy: np.ndarray, bbox: tuple[float, float, float, float]) -> tuple:
+    """The rows in user units, flat (x0, y0, x1, y1, ...): x - x0 and
+    y0 + h - y scaled by CM_TO_PX, a column at a time; float64 columns
+    round each operation as floats do."""
     w, h, x0, y0 = bbox
-    return (p.x - x0) * CM_TO_PX, (y0 + h - p.y) * CM_TO_PX
+    user = np.empty_like(xy)
+    user[:, 0] = (xy[:, 0] - x0) * CM_TO_PX
+    user[:, 1] = (y0 + h - xy[:, 1]) * CM_TO_PX
+    return tuple(user.ravel().tolist())
 
 
-def _svg_path(pts: Iterable[tuple[float, float]]) -> str:
-    words = []
-    for k, (x, y) in enumerate(pts):
-        cmd = "M" if k == 0 else "L"
-        words.append(f"{cmd}{x:.3f} {y:.3f}")
-    return " ".join(words)
+def _svg_path(coords: tuple) -> str:
+    return ("M%.3f %.3f" + " L%.3f %.3f" * (len(coords) // 2 - 1)) % coords
 
 
 def emit_svg(scene: Scene) -> str:
@@ -274,24 +292,22 @@ def emit_svg(scene: Scene) -> str:
     ]
     dash = f"{DASH_STEP * CM_TO_PX:.4f}"
     common = f'fill="none" stroke="black" stroke-width="{LINE_THICKNESS * 96.0:.3f}"'
+    r = 0.5 * DISC_DIAMETER * CM_TO_PX
+    disc = f'<circle cx="%.3f" cy="%.3f" r="{r:.3f}" fill="black"/>'
     for item in scene.items:
-        pts = [_svg_xy(p, scene.bbox) for p in item.polyline.points]
+        coords = _svg_coords(item.polyline.as_array(), scene.bbox)
         if item.style is Style.SOLID:
-            out.append(f'<path {common} d="{_svg_path(pts)}"/>')
+            out.append(f'<path {common} d="{_svg_path(coords)}"/>')
         elif item.style is Style.DASHED:
             out.append(
                 f'<path {common} stroke-dasharray="{dash} {dash}" '
-                f'd="{_svg_path(pts)}"/>'
+                f'd="{_svg_path(coords)}"/>'
             )
         elif item.style is Style.DOTTED_DISC:
-            r = 0.5 * DISC_DIAMETER * CM_TO_PX
-            for x, y in pts:
-                out.append(
-                    f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{r:.3f}" fill="black"/>'
-                )
+            out.extend(disc % coords[k : k + 2] for k in range(0, len(coords), 2))
         if item.label is not None:
             lab = item.label
-            x, y = _svg_xy(lab.anchor, scene.bbox)
+            x, y = _svg_coords(xy_array([lab.anchor]), scene.bbox)
             out.append(
                 f'<text x="{x:.3f}" y="{y:.3f}" font-size="12" '
                 f'text-anchor="middle" dy="4">{lab.text}</text>'

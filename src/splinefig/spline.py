@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geom import Point2, SplineCurve
+from .geom import Point2, SplineCurve, xy_array
 
 CLOSE_TOL = 1e-9
 
@@ -121,11 +121,12 @@ def _hypot(v: np.ndarray) -> np.ndarray:
 
 
 def build_spline(
-    points: Sequence[Point2],
+    points: Sequence[Point2] | np.ndarray,
     method: SplineMethod = SplineMethod.OSHIMA,
     closed: bool | None = None,
 ) -> SplineCurve:
-    """Interpolating spline through the points, in order.
+    """Interpolating spline through the points (Point2s or an (n, 2)
+    array), in order.
 
     closed=None auto-detects: when the last point coincides with the
     first (within 1e-9) the duplicate is dropped and the curve closes.
@@ -139,7 +140,7 @@ def build_spline(
     finite (|chord1| |chord2| underflowing to 0, or overflow; the scalar
     clamp reads NaN as 1) are handed to control_points_oshima itself.
     """
-    pts = np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+    pts = xy_array(points)
     if len(pts) < 2:
         raise DegenerateGeometryError(f"need at least 2 points, got {len(pts)}")
     (x0, y0), (xn, yn) = pts[[0, -1]].tolist()

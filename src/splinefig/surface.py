@@ -217,7 +217,7 @@ def silhouette(
     cfg = TraceConfig(s.u_range, s.v_range, grid=grid)
     curves: list[SpaceCurve] = []
     for poly in trace_zero_set(_jacobian_fn(s, proj), cfg):
-        pts, uv = _on_surface(s, ((p.x, p.y) for p in poly.points))
+        pts, uv = _on_surface(s, poly.as_array().tolist())
         if len(pts) < 2:
             continue
         curve = SpaceCurve(tuple(pts), tuple(uv), f"silhouette:{len(curves)}")
@@ -544,7 +544,7 @@ def _window_pieces(poly: Polyline, center: int, window: int):
     """Flat pieces of the open Oshima fit through the window around center."""
     lo = max(0, center - window)
     hi = min(len(poly.points) - 1, center + window)
-    pts = poly.points[lo : hi + 1]
+    pts = poly.as_array()[lo : hi + 1]
     if len(pts) < 2:
         return None
     sp = build_spline(pts, method=SplineMethod.OSHIMA, closed=False)

@@ -192,6 +192,51 @@ class TestTangent:
         assert figures[0] == figures[1]
         assert figures[0].split("\\polyline", 2)[1].startswith("(0.00000,0.00000)")
 
+    @pytest.mark.parametrize(
+        "argv, slope",
+        [
+            ("--fn x --sample-range 0,1e-13 --num 10 --at 5e-14", "1.000000"),
+            ("--fn 2*x --sample-range 0,1e-10 --num 10 --at 5e-11", "2.000000"),
+        ],
+    )
+    def test_vertical_is_judged_at_the_data_scale(self, capsys, argv, slope):
+        # a line on a tiny x scale has a tiny dx/dt, but no vertical tangent
+        assert main(["tangent", *argv.split()]) == 0
+        assert capsys.readouterr().out == f"point (0.000000,0.000000) slope {slope}\n"
+
+    @pytest.mark.parametrize("r", [1.0, 1e6])
+    @pytest.mark.parametrize("method", ["oshima", "catmull-rom"])
+    def test_vertical_at_the_ends_of_a_half_circle(self, capsys, tmp_path, r, method):
+        # the upper half of a circle through abscissae -1, -0.75, 0, 0.75
+        # and 1: the end rule's parabola makes dx/dt exactly 0 at both ends
+        h = math.sqrt(1.0 - 0.75**2)
+        rows = [(-1.0, 0.0), (-0.75, h), (0.0, 1.0), (0.75, h), (1.0, 0.0)]
+        pts = tmp_path / "half.csv"
+        pts.write_text("".join(f"{x * r!r},{y * r!r}\n" for x, y in rows))
+        for at in (-r, r):
+            argv = ["tangent", "--points", str(pts), f"--at={at!r}", "--method", method]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == f"point ({at:.6f},0.000000) tangent vertical\n"
+        assert main(["tangent", "--points", str(pts), f"--at={0.5 * r!r}"]) == 0
+        assert capsys.readouterr().out.endswith(" slope -0.592065\n")
+
+    def test_literal_options_compile_no_program(self, capsys, monkeypatch):
+        # 0, 3 and 1 are literals; only the function is compiled
+        from splinefig import expr
+
+        compiled = []
+
+        def counted(trees, *args, **kwargs):
+            compiled.append(trees)
+            return compile_(trees, *args, **kwargs)
+
+        compile_ = expr._compile
+        monkeypatch.setattr(expr, "_compile", counted)
+        argv = "tangent --fn sin(x) --sample-range 0,3 --num 30 --at 1".split()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "point (1.000000,0.841471) slope 0.539402\n"
+        assert len(compiled) == 1
+
 
 class TestRepeatedRows:
     """A row equal to the one before it is drawn once, not refused."""

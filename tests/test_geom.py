@@ -1,5 +1,6 @@
 import math
 import warnings
+from itertools import starmap
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from splinefig.geom import (
     drop_repeats,
     load_points,
 )
+from splinefig.implicit import TraceConfig, trace_implicit
 
 B = CubicBezier(Point2(0, 0), Point2(1, 2), Point2(3, 2), Point2(4, 0))
 
@@ -111,10 +113,88 @@ class TestPolyline:
             Polyline((Point2(0, 0),))
 
 
+def _drop_repeats_reference(pts: list[Point2]) -> tuple[Point2, ...]:
+    """The scalar rule: a point is kept unless it equals the one before."""
+    return tuple(pts[:1]) + tuple(
+        b for a, b in zip(pts, pts[1:]) if a.x != b.x or a.y != b.y
+    )
+
+
+few_values = st.sampled_from([0.0, -0.0, 1.0, math.nan, math.inf])
+
+
+def _old_polyline_refuses(points, space=None, params=None) -> bool:
+    """The Point2 constructor's checks: at least two points, no two
+    consecutive ones equal, annotations as long as the points."""
+    pts = tuple(points)
+    return (
+        len(pts) < 2
+        or any(a.x == b.x and a.y == b.y for a, b in zip(pts, pts[1:]))
+        or (space is not None and len(space) != len(pts))
+        or (params is not None and len(params) != len(pts))
+    )
+
+
+@given(
+    st.lists(st.builds(Point2, few_values, few_values), max_size=6),
+    st.none() | st.integers(0, 7),
+    st.none() | st.integers(0, 7),
+)
+def test_property_polyline_refuses_what_the_point2_constructor_refused(
+    pts, n_space, n_params
+):
+    space = None if n_space is None else (Point3(0.0, 0.0, 0.0),) * n_space
+    params = None if n_params is None else ((0.0, 0.0),) * n_params
+    refused = _old_polyline_refuses(pts, space, params)
+    xy = np.array([(p.x, p.y) for p in pts]).reshape(-1, 2)
+    for given_as in (pts, tuple(pts), xy):
+        try:
+            poly = Polyline(given_as, space, params)
+        except ValueError:
+            assert refused
+            continue
+        assert not refused
+        assert _reprs(poly.points) == _reprs(pts)
+        assert poly.as_array() is poly.as_array()
+        assert not poly.as_array().flags.writeable
+
+
+def test_lengths_build_no_point2(monkeypatch):
+    # bench/spans.py counts vertices as len(poly.points) inside traced runs
+    curve = _chain([0.0, 0.0, 1.0, 2.0, 3.0, 2.0, 4.0, 0.0])
+    built = []
+    init = Point2.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Point2, "__init__", counted)
+    assert len(curve.sample(10).points) == 11
+    comps = trace_implicit("x^2 + y^2 - 1", TraceConfig((-2.0, 2.0), (-2.0, 2.0), 40))
+    assert sum(len(p.points) for p in comps) > 40
+    assert built == []
+    # the first read that needs the vertices builds them, once
+    poly = comps[0]
+    first = poly.points[0]
+    assert len(built) == len(poly.points)
+    assert poly.points[0] is first and list(poly.points)[0] is first
+    assert len(built) == len(poly.points)
+
+
 def test_drop_repeats():
     pts = [Point2(0, 0), Point2(0, 0), Point2(1, 0), Point2(1, 0), Point2(0, 0)]
-    assert drop_repeats(pts) == (Point2(0, 0), Point2(1, 0), Point2(0, 0))
-    assert drop_repeats([]) == ()
+    assert drop_repeats(pts).tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
+    assert drop_repeats([]).shape == (0, 2)
+
+
+@given(st.lists(st.builds(Point2, few_values, few_values), max_size=12))
+def test_property_drop_repeats_is_the_scalar_rule(pts):
+    # -0.0 equals 0.0 and NaN equals nothing, as in the scalar test
+    want = _reprs(_drop_repeats_reference(pts))
+    assert _reprs(starmap(Point2, drop_repeats(pts).tolist())) == want
+    xy = np.array([(p.x, p.y) for p in pts]).reshape(-1, 2)
+    assert _reprs(starmap(Point2, drop_repeats(xy).tolist())) == want
 
 
 def _row(seg: CubicBezier) -> list[tuple[float, float]]:
@@ -139,7 +219,7 @@ def _sample_reference(curve: SplineCurve, per_segment: int) -> tuple[Point2, ...
         for i in range(per_segment)
     ]
     pts.append(bezier_eval(curve.segments[-1], 1.0))
-    return drop_repeats(pts)
+    return _drop_repeats_reference(pts)
 
 
 def _reprs(points) -> list[tuple[str, str]]:
@@ -204,8 +284,8 @@ def test_points_csv_roundtrip(tmp_path):
     path = tmp_path / "pts.csv"
     path.write_text("".join(f"{p.x!r},{p.y!r}\n" for p in pts) + "0, 1\n")
     back = load_points(path)
-    assert back == [*pts, Point2(0.0, 1.0)]
-    assert all(type(v) is float for p in back for v in (p.x, p.y))
+    assert back.dtype == np.float64
+    assert back.tolist() == [[p.x, p.y] for p in pts] + [[0.0, 1.0]]
 
 
 def test_load_points_rejects_garbage(tmp_path):

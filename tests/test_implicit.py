@@ -16,7 +16,6 @@ from splinefig.implicit import (
     TraceConfig,
     TraceError,
     _refine_crossings,
-    _shoelace,
     parse_equation,
     trace_implicit,
     trace_zero_set,
@@ -356,6 +355,16 @@ def reference_crossing(
         else:
             ta, fa = tm, fm
     return Point2(*at(t_best))
+
+
+def _shoelace(pts: list[Point2]) -> float:
+    area = 0.0
+    m = len(pts)
+    for k in range(m):
+        p = pts[k]
+        q = pts[(k + 1) % m]
+        area += p.x * q.y - q.x * p.y
+    return 0.5 * area
 
 
 def reference_trace(

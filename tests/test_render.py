@@ -5,9 +5,10 @@ import re
 from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from splinefig import render
 from splinefig.geom import Point2, Polyline
 from splinefig.render import (
     CM_TO_PX,
@@ -378,3 +379,232 @@ class TestProperties:
                 assert len(mx.split(".")[1]) == 5
                 assert len(my.split(".")[1]) == 5
         assert emit_svg(scene) == emit_svg(scene)
+
+
+# ---------------------------------------------------------------------------
+# The Point2 emitters, a vertex at a time: the reference for the ones that
+# read each polyline as its (n, 2) array.
+
+
+def _ref_pairs(points) -> list[str]:
+    text = fmt5_column([c for p in points for c in (p.x, p.y)])
+    return [f"({x},{y})" for x, y in zip(text[::2], text[1::2])]
+
+
+def _ref_fit(items) -> tuple[float, float, float, float]:
+    xs: list[float] = []
+    ys: list[float] = []
+    for item in items:
+        for p in item.polyline.points:
+            xs.append(p.x)
+            ys.append(p.y)
+        if item.label is not None:
+            xs.append(item.label.anchor.x)
+            ys.append(item.label.anchor.y)
+    if not xs:
+        return (1.0, 1.0, 0.0, 0.0)
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
+    margin = render.SCENE_PAD * max(x1 - x0, y1 - y0, 1.0)
+    return ((x1 - x0) + 2 * margin, (y1 - y0) + 2 * margin, x0 - margin, y0 - margin)
+
+
+def _ref_check(items, bbox) -> None:
+    w, h, x0, y0 = bbox
+    if not (w > 0 and h > 0):
+        raise RenderError("bounding box must have positive size")
+    sx, sy = 0.05 * w, 0.05 * h
+    for c in (w, h, x0 - sx, x0 + w + sx, y0 - sy, y0 + h + sy):
+        fmt5(c)
+    for item in items:
+        for p in item.polyline.points:
+            if not (x0 - sx <= p.x <= x0 + w + sx and y0 - sy <= p.y <= y0 + h + sy):
+                raise RenderError(f"vertex ({p.x}, {p.y}) outside bounding box {bbox}")
+
+
+def _ref_latex(items, bbox) -> str:
+    w, h, x0, y0 = bbox
+    short = render._fmt_short
+    out = [
+        "{\\unitlength=1cm%",
+        "\\begin{picture}%",
+        f"({short(w)},{short(h)})({short(x0)},{short(y0)})%",
+    ]
+    if items:
+        out.append(f"\\linethickness{{{render.LINE_THICKNESS:g}in}}%")
+    for item in items:
+        pts = item.polyline.points
+        if item.style is Style.SOLID:
+            out.extend(render._wrap_pairs("\\polyline", _ref_pairs(pts)))
+        elif item.style is Style.DASHED:
+            ends = _ref_pairs([p for run in render._dash_runs(pts) for p in run])
+            chunks = [f"\\polyline{a}{b}" for a, b in zip(ends[::2], ends[1::2])]
+            out.extend(render._wrap_pairs("", chunks, 2))
+        else:
+            chunks = [
+                f"\\put{p}{{\\circle*{{{DISC_DIAMETER:g}}}}}" for p in _ref_pairs(pts)
+            ]
+            out.extend(render._wrap_pairs("", chunks, 2))
+        if item.label is not None:
+            (anchor,) = _ref_pairs([item.label.anchor])
+            out.append(f"\\put{anchor}{{\\makebox(0,0){{{item.label.text}}}}}%")
+    out.append("\\end{picture}}")
+    return "\n".join(out) + "\n"
+
+
+def _ref_svg_xy(p: Point2, bbox) -> tuple[float, float]:
+    w, h, x0, y0 = bbox
+    return (p.x - x0) * CM_TO_PX, (y0 + h - p.y) * CM_TO_PX
+
+
+def _ref_svg_path(pts) -> str:
+    words = []
+    for k, (x, y) in enumerate(pts):
+        cmd = "M" if k == 0 else "L"
+        words.append(f"{cmd}{x:.3f} {y:.3f}")
+    return " ".join(words)
+
+
+def _ref_svg(items, bbox) -> str:
+    w, h, x0, y0 = bbox
+    width, height = w * CM_TO_PX, h * CM_TO_PX
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.3f}" '
+        f'height="{height:.3f}" viewBox="0 0 {width:.3f} {height:.3f}">',
+    ]
+    dash = f"{render.DASH_STEP * CM_TO_PX:.4f}"
+    common = (
+        f'fill="none" stroke="black" '
+        f'stroke-width="{render.LINE_THICKNESS * 96.0:.3f}"'
+    )
+    for item in items:
+        pts = [_ref_svg_xy(p, bbox) for p in item.polyline.points]
+        if item.style is Style.SOLID:
+            out.append(f'<path {common} d="{_ref_svg_path(pts)}"/>')
+        elif item.style is Style.DASHED:
+            out.append(
+                f'<path {common} stroke-dasharray="{dash} {dash}" '
+                f'd="{_ref_svg_path(pts)}"/>'
+            )
+        else:
+            r = 0.5 * DISC_DIAMETER * CM_TO_PX
+            for x, y in pts:
+                out.append(
+                    f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{r:.3f}" fill="black"/>'
+                )
+        if item.label is not None:
+            x, y = _ref_svg_xy(item.label.anchor, bbox)
+            out.append(
+                f'<text x="{x:.3f}" y="{y:.3f}" font-size="12" '
+                f'text-anchor="middle" dy="4">{item.label.text}</text>'
+            )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
+
+
+def _reference(items, bbox=None) -> tuple[str, str] | str:
+    """Both figures, or the RenderError text, the Point2 way."""
+    try:
+        bbox = _ref_fit(items) if bbox is None else bbox
+        _ref_check(items, bbox)
+        return _ref_latex(items, bbox), _ref_svg(items, bbox)
+    except RenderError as exc:
+        return str(exc)
+
+
+def _emitted(items, bbox=None) -> tuple[str, str] | str:
+    try:
+        scene = scene_from_items(items) if bbox is None else Scene(items, bbox)
+        return emit_latex(scene), emit_svg(scene)
+    except RenderError as exc:
+        return str(exc)
+
+
+_TIES = st.integers(-3000, 3000).map(lambda k: (2 * k + 1) / 200_000)
+_NEAR_1E9 = st.builds(
+    lambda c, k: c + (2 * k + 1) / 200_000,
+    st.sampled_from([1e9, -1e9, 999_999_999.0, -999_999_999.0]),
+    st.integers(-50, 50),
+)
+_SHORT = (
+    st.floats(-10.0, 10.0)
+    | st.sampled_from([0.0, -0.0, -1e-9, 4.4e-6, -4.6e-6, 5e-6, 1e-300])
+    | _TIES
+)
+_COORDS = _SHORT | _NEAR_1E9
+_ODD = st.sampled_from([math.nan, math.inf, -math.inf, 2e22, -9e22])
+
+
+def _nudged(values):
+    """A value a few ulps either side of one drawn from values."""
+    def step(x, k):
+        for _ in range(abs(k)):
+            x = math.nextafter(x, math.copysign(math.inf, k))
+        return x
+
+    return st.builds(step, values, st.integers(-3, 3))
+
+
+@st.composite
+def _items(draw, coords):
+    items = []
+    for _ in range(draw(st.integers(1, 4))):
+        style = draw(st.sampled_from(list(Style)))
+        # dashes are cut every DASH_STEP along the line, so a dashed line
+        # stays short
+        xy = _SHORT if style is Style.DASHED else coords
+        pts = draw(st.lists(st.builds(Point2, xy, xy), min_size=2, max_size=8))
+        pts = [p for k, p in enumerate(pts) if k == 0 or p != pts[k - 1]]
+        if len(pts) < 2:
+            continue
+        label = draw(st.none() | st.builds(Label, st.just("L"), st.builds(Point2, coords, coords)))
+        items.append(DrawItem(Polyline(tuple(pts)), style, label))
+    return items
+
+
+class TestArrayEmittersMatchTheReference:
+    """scene_from_items, the Scene check and both emitters read each
+    polyline as an array; the bytes, or the refusal, are the Point2 ones."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_items(_nudged(_COORDS) | _ODD))
+    def test_property_fitted_scene(self, items):
+        assert _emitted(items) == _reference(items)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _items(_nudged(_COORDS)),
+        st.data(),
+        st.sampled_from([0.5, 1.0, 3.0]),
+        st.integers(-2, 2),
+        st.integers(-2, 2),
+    )
+    def test_property_box_edge_through_a_vertex(self, items, data, size, kx, ky):
+        # a box whose slack edge passes through one vertex, moved a few
+        # ulps either way: the first vertex outside, in item order, is named
+        assume(items)
+        vertices = [p for item in items for p in item.polyline.points]
+        v = data.draw(st.sampled_from(vertices))
+        x0, y0 = v.x - 1.05 * size, v.y + 0.05 * size
+        for _ in range(abs(kx)):
+            x0 = math.nextafter(x0, math.copysign(math.inf, kx))
+        for _ in range(abs(ky)):
+            y0 = math.nextafter(y0, math.copysign(math.inf, ky))
+        bbox = (size, size, x0, y0)
+        assert _emitted(items, bbox) == _reference(items, bbox)
+
+    def test_first_vertex_outside_is_named(self):
+        a = Polyline((Point2(0.0, 0.0), Point2(2.0, 0.0), Point2(3.0, 0.0)))
+        b = Polyline((Point2(0.0, 0.0), Point2(-0.5, 0.0)))
+        with pytest.raises(RenderError, match=re.escape("vertex (-0.5, 0.0) outside")):
+            Scene((DrawItem(b), DrawItem(a)), (1.0, 1.0, 0.0, 0.0))
+        with pytest.raises(RenderError, match=re.escape("vertex (2.0, 0.0) outside")):
+            Scene((DrawItem(a), DrawItem(b)), (1.0, 1.0, 0.0, 0.0))
+
+    def test_box_of_non_finite_vertices_follows_item_order(self):
+        # Python's min and max keep their first operand against NaN
+        a = DrawItem(Polyline((Point2(math.nan, 0.0), Point2(1.0, 1.0))))
+        b = DrawItem(Polyline((Point2(-1.0, 0.0), Point2(2.0, 1.0))))
+        for items in ([a, b], [b, a]):
+            assert _emitted(items) == _reference(items)
