@@ -35,7 +35,7 @@ from .geom import (
 )
 from .spline import SplineMethod, build_spline
 
-BOUNDARY_REL_TOL = 1e-12
+BOUNDARY_REL_TOL = 1e-12  # |x(t) - bound| at most this share of the x span
 BOUNDARY_MAX_ITER = 200
 VERTICAL_EPS = 1e-12  # |dx/dt| at most this share of the segment's x span
 
@@ -103,8 +103,19 @@ class IntegrationRequest:
             raise CalculusError(f"empty interval [{a!r}, {b!r}]")
 
 
+def _x_span(seg: CubicBezier) -> float:
+    """The x span of the segment's control points: its own x scale."""
+    xs = (seg.p0.x, seg.c0.x, seg.c1.x, seg.p1.x)
+    return max(xs) - min(xs)
+
+
 def _solve_segment_x(seg: CubicBezier, bound: float) -> float:
-    """Bisect x(t) = bound on [0, 1]; needs a sign change."""
+    """Bisect x(t) = bound on [0, 1]; needs a sign change.
+
+    It stops where |x(t) - bound| is at most BOUNDARY_REL_TOL times the
+    segment's x span, so it stops alike at every x scale, or where the
+    bracket can halve no more.
+    """
     f0 = seg.p0.x - bound
     f1 = seg.p1.x - bound
     if f0 == 0.0:
@@ -118,10 +129,12 @@ def _solve_segment_x(seg: CubicBezier, bound: float) -> float:
         )
     lo, hi = 0.0, 1.0
     flo = f0
-    tol = BOUNDARY_REL_TOL * (1.0 + abs(bound))
+    tol = BOUNDARY_REL_TOL * _x_span(seg)
     t = 0.5
     for _ in range(BOUNDARY_MAX_ITER):
         t = 0.5 * (lo + hi)
+        if t == lo or t == hi:
+            return t
         ft = bezier_eval(seg, t).x - bound
         if abs(ft) <= tol:
             return t
@@ -257,7 +270,6 @@ def tangent_line(
     seg, t = _locate_segment(curve, x0)
     point = Point2(x0, _finite(bezier_eval(seg, t).y, "tangent point's y"))
     d = bezier_derivative(seg, t)
-    xs = (seg.p0.x, seg.c0.x, seg.c1.x, seg.p1.x)
-    if abs(d.x) <= VERTICAL_EPS * (max(xs) - min(xs)):
+    if abs(d.x) <= VERTICAL_EPS * _x_span(seg):
         return TangentLine(point, None, vertical=True, curve=curve)
     return TangentLine(point, _finite(d.y / d.x, "slope"), curve=curve)

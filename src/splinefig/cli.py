@@ -242,7 +242,7 @@ def _cmd_tangent(args) -> int:
     line = tangent_line(pts, args.at, _method(args))
     x0, y0 = line.point.x, line.point.y
     what = "tangent vertical" if line.vertical else f"slope {line.slope:.6f}"
-    print(f"point ({x0:.6f},{y0:.6f}) {what}")
+    # the figure first, so that a refused one prints no answer
     if args.out:
         curve = line.curve.sample(10)
         xs, ys = pts.T.tolist()
@@ -259,6 +259,7 @@ def _cmd_tangent(args) -> int:
             DrawItem(Polyline(drop_repeats(pts)), style=Style.DOTTED_DISC),
         ]
         _emit(scene_from_items(items), args.format, args.out)
+    print(f"point ({x0:.6f},{y0:.6f}) {what}")
     return 0
 
 

@@ -501,23 +501,32 @@ def _compile(trees: list[ExprNode], params: tuple[str, ...], many: bool):
         inputs = {"_v_" + p: np.asarray(a, dtype=float) for p, a in zip(params, arrays)}
         shape = np.broadcast_shapes(*(a.shape for a in inputs.values()))
         # a temporary is its values and a mask of where the scalar call
-        # raises; it is dropped after its last reader, so few are alive
+        # raises; it is dropped after its last reader, so few are alive.
+        # An array of the call's full shape that the call made (never a
+        # caller's array, a leaf or a constant) is owned: its last reader
+        # writes its result there, as that result has the same shape.
         values: list = [None] * len(ops)
         raised: list = [False] * len(ops)
+        owned = [False] * len(ops)
         with np.errstate(all="ignore"):
             for k, (op, *args) in enumerate(ops):
                 if not args:
                     values[k] = inputs[op] if op in inputs else np.float64(op)
                     continue
+                operands = [values[i] for i in args]
                 if op in _ARRAY:
-                    values[k] = _ARRAY[op](*map(values.__getitem__, args))
+                    # masks first: the result may overwrite an operand
                     if op == "/":
-                        raised[k] = values[args[1]] == 0.0
+                        raised[k] = operands[1] == 0.0
                     elif op == "sqrt":
-                        raised[k] = values[args[0]] < 0.0
+                        raised[k] = operands[0] < 0.0
+                    dead = (values[i] for i in args if owned[i] and last[i] == k)
+                    values[k] = _ARRAY[op](*operands, out=next(dead, None))
+                elif op == "^":
+                    values[k], raised[k] = _pow_array(*operands)
                 else:
-                    fn = math.pow if op == "^" else FUNCTIONS[op]
-                    values[k], raised[k] = _each(fn, *map(values.__getitem__, args))
+                    values[k], raised[k] = _each(FUNCTIONS[op], *operands)
+                owned[k] = type(values[k]) is np.ndarray and values[k].shape == shape
                 # an operation raises where it or an input does
                 raised[k] = raised[k] | raised[args[0]] | raised[args[-1]]
                 for i in args:
@@ -525,10 +534,16 @@ def _compile(trees: list[ExprNode], params: tuple[str, ...], many: bool):
                         values[i] = raised[i] = None
             out = []
             for k in outputs:
-                undefined = raised[k] | ~np.isfinite(values[k])
+                value = values[k]
+                undefined = raised[k] | ~np.isfinite(value)
+                if owned[k]:
+                    owned[k] = False  # an output listed twice is copied
+                    np.copyto(value, np.nan, where=undefined)
+                    out.append(value)
+                    continue
                 if np.shape(undefined) != shape:  # a tree may lack a variable
                     undefined = np.broadcast_to(undefined, shape)
-                out.append(np.where(undefined, np.nan, values[k]))
+                out.append(np.where(undefined, np.nan, value))
         return tuple(out) if many else out[0]
 
     def grid(xs: Sequence[float], ys: Sequence[float]):
@@ -545,31 +560,47 @@ def _compile(trees: list[ExprNode], params: tuple[str, ...], many: bool):
     return call
 
 
-# correctly rounded, so numpy's bits; numpy's sin cos tan exp log and
-# power round differently from libm on some inputs, so `_each` runs those
+# correctly rounded, so numpy's bits.  `^` is np.float_power, which
+# calls libm's pow as math.pow does; np.power does not, and on some
+# inputs rounds differently, as numpy's sin cos tan exp and log do,
+# which `_each` runs through libm
 _ARRAY = {"neg": np.negative, "abs": np.abs, "sqrt": np.sqrt, "+": np.add,
           "-": np.subtract, "*": np.multiply, "/": np.divide}
 
 
-def _each(fn: Callable[..., float], *args) -> tuple[np.ndarray, np.ndarray | bool]:
-    """fn over the broadcast args one element at a time, and where it
-    raised (False if nowhere).
+def _pow_array(a, b) -> tuple[np.ndarray, np.ndarray | bool]:
+    """a ^ b by libm's pow, and where math.pow raises (False if nowhere).
+
+    math.pow raises exactly where both inputs are finite and the result
+    is not: a negative base to a fractional power, 0 to a negative one,
+    or an overflow.
+    """
+    value = np.float_power(a, b)
+    bad = ~np.isfinite(value)
+    if not bad.any():
+        return value, False
+    bad &= np.isfinite(a) & np.isfinite(b)
+    return value, bool(bad.any()) and bad
+
+
+def _each(fn: Callable[[float], float], arg) -> tuple[np.ndarray, np.ndarray | bool]:
+    """fn (a one-argument libm function of FUNCTIONS) over arg one
+    element at a time, and where it raised (False if nowhere).
 
     The elements go through one `map`; only when fn raises somewhere
     does a Python loop call it again element by element to find where.
     """
-    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-    columns = [np.broadcast_to(a, shape).ravel().tolist() for a in args]
-    n = len(columns[0])
+    shape = np.shape(arg)
+    column = np.ravel(arg).tolist()
     try:
-        return np.fromiter(map(fn, *columns), float, n).reshape(shape), False
+        return np.fromiter(map(fn, column), float, len(column)).reshape(shape), False
     except (ArithmeticError, ValueError):
         pass
     out: list[float] = []
     bad: list[int] = []
-    for k, xs in enumerate(zip(*columns)):
+    for k, x in enumerate(column):
         try:
-            out.append(fn(*xs))
+            out.append(fn(x))
         except (ArithmeticError, ValueError):
             out.append(math.nan)
             bad.append(k)

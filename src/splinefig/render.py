@@ -32,6 +32,7 @@ from .geom import Point2, Polyline, xy_array
 
 CM_TO_PX = 37.795  # SVG user units per centimetre (96 dpi)
 DASH_STEP = 0.1  # cm of pen-down (and pen-up) per dash
+MAX_DASHES = 50_000  # per dashed LaTeX line, so at most 10 000 cm of it
 DISC_DIAMETER = 0.12  # cm, for vertex markers
 SCENE_PAD = 0.05  # margin round a fitted scene, as a share of its larger side
 LINE_THICKNESS = 0.008  # inches, as \linethickness wants
@@ -211,6 +212,17 @@ def _arc_length_points(pts: Sequence[Point2], step: float) -> list[Point2]:
     return out
 
 
+def _check_dash_count(xy: np.ndarray) -> None:
+    """Refuse a dashed line too long for MAX_DASHES runs, before any
+    point of it is cut."""
+    steps = np.diff(xy, axis=0)
+    length = float(np.hypot(steps[:, 0], steps[:, 1]).sum())
+    if length > 2 * DASH_STEP * MAX_DASHES:
+        raise RenderError(
+            f"dashed line {length:g} cm long needs more than {MAX_DASHES} dashes"
+        )
+
+
 def _dash_runs(pts: Sequence[Point2]) -> list[tuple[Point2, Point2]]:
     """Alternating pen-down runs of DASH_STEP along the polyline."""
     resampled = _arc_length_points(pts, DASH_STEP)
@@ -248,6 +260,7 @@ def emit_latex(scene: Scene) -> str:
         if item.style is Style.SOLID:
             out.extend(_wrap_pairs("\\polyline", _pairs(xy)))
         elif item.style is Style.DASHED:
+            _check_dash_count(xy)
             runs = _dash_runs(item.polyline.points)
             ends = _pairs([p for run in runs for p in run])
             chunks = [f"\\polyline{a}{b}" for a, b in zip(ends[::2], ends[1::2])]

@@ -164,6 +164,22 @@ class TestIntegrate:
             )
             assert i2 == pytest.approx(s * s * i1, rel=1e-9)
 
+    @pytest.mark.parametrize("method", list(SplineMethod))
+    def test_clipped_integral_scales_as_r_squared(self, method):
+        # both bounds cut a segment of the upper half circle through
+        # abscissae -r, -0.75r, 0, 0.75r and r; each cut stops at a share
+        # of its segment's own x span, so it lands alike at every r
+        h = math.sqrt(1.0 - 0.75**2)
+        rows = [(-1.0, 0.0), (-0.75, h), (0.0, 1.0), (0.75, h), (1.0, 0.0)]
+
+        def clipped(r: float) -> float:
+            data = [Point2(x * r, y * r) for x, y in rows]
+            return integrate(IntegrationRequest(data, (-0.3 * r, 0.6 * r), method))
+
+        unit = clipped(1.0)
+        for r in (1e-13, 1e-6, 1e6, 1e12):
+            assert clipped(r) / (r * r) == pytest.approx(unit, rel=1e-12)
+
     @pytest.mark.parametrize(
         "n, interval", [(2, (0.0, 1.0)), (16, (0.9, 0.1)), (16, (0.0, math.inf))]
     )

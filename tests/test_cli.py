@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -204,11 +205,13 @@ class TestTangent:
         assert main(["tangent", *argv.split()]) == 0
         assert capsys.readouterr().out == f"point (0.000000,0.000000) slope {slope}\n"
 
-    @pytest.mark.parametrize("r", [1.0, 1e6])
+    @pytest.mark.parametrize("r", [1e-13, 1.0, 1e6, 1e12])
     @pytest.mark.parametrize("method", ["oshima", "catmull-rom"])
     def test_vertical_at_the_ends_of_a_half_circle(self, capsys, tmp_path, r, method):
         # the upper half of a circle through abscissae -1, -0.75, 0, 0.75
-        # and 1: the end rule's parabola makes dx/dt exactly 0 at both ends
+        # and 1: the end rule's parabola makes dx/dt exactly 0 at both ends.
+        # Both tests read the segment's x span, so every radius r prints
+        # the same, and the same slope at r/2
         h = math.sqrt(1.0 - 0.75**2)
         rows = [(-1.0, 0.0), (-0.75, h), (0.0, 1.0), (0.75, h), (1.0, 0.0)]
         pts = tmp_path / "half.csv"
@@ -745,6 +748,24 @@ class TestRefusals:
         captured = capsys.readouterr()
         assert captured.err == "error: cannot format 2e+299 with five decimals\n"
         assert captured.out == ""
+
+    def test_dashed_line_too_long_to_cut(self, capsys, tmp_path):
+        # the dashed tangent is 7e8 cm long, about 7e9 dash points: it is
+        # refused from its length, before any is made
+        out = tmp_path / "t.tex"
+        argv = [
+            "tangent", "--fn", "x", "--sample-range", "0,1e9", "--num", "10",
+            "--at", "5e8", f"--out={out}",
+        ]
+        start = time.perf_counter()
+        assert main(argv) == 1
+        assert time.perf_counter() - start < 10.0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: dashed line 7.07107e+08 cm long needs more than 50000 dashes\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "rows, extra",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from splinefig import expr
 from splinefig.calculus import IntegrationRequest, closed_area, integrate
 from splinefig.expr import DomainError, compile_fn, steps
 from splinefig.geom import Point2, Polyline
@@ -271,15 +272,22 @@ def test_property_trace_matches_the_scalar_reference(text, x0, wx, y0, wy, grid)
 
 
 class _CountingFn:
-    """A compiled F that counts its scalar calls."""
+    """A compiled F that counts its scalar calls and its array passes."""
 
     def __init__(self, f):
-        self.f, self.calls = f, 0
-        self.at, self.grid = f.at, f.grid
+        self.f, self.calls, self.passes = f, 0, 0
 
     def __call__(self, *args: float) -> float:
         self.calls += 1
         return self.f(*args)
+
+    def at(self, *arrays):
+        self.passes += 1
+        return self.f.at(*arrays)
+
+    def grid(self, xs, ys):
+        self.passes += 1
+        return self.f.grid(xs, ys)
 
 
 def test_trace_makes_no_scalar_call():
@@ -290,6 +298,20 @@ def test_trace_makes_no_scalar_call():
     assert batched.calls == 0
     assert _bits(comps) == _bits(reference_trace(scalar, cfg))
     assert scalar.calls > 30000
+
+
+def test_trace_makes_no_scalar_libm_call(monkeypatch):
+    # each ^ of the conic is one float_power per pass; mapping math.pow
+    # over the elements called `_each` once per ^ per pass instead
+    each, pows = [], []
+    real_each, real_pow = expr._each, expr._pow_array
+    monkeypatch.setattr(expr, "_each", lambda *a: each.append(a) or real_each(*a))
+    monkeypatch.setattr(expr, "_pow_array", lambda *a: pows.append(a) or real_pow(*a))
+    f = _CountingFn(compile_fn(parse_equation(CONIC), ("x", "y")))
+    comps = trace_zero_set(f, TraceConfig((-2, 2), (-2, 2.5), grid=800))
+    assert len(comps) == 1
+    assert each == []
+    assert f.passes > 20 and len(pows) == 2 * f.passes
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,16 @@ class TestLatexStructure:
             "\\polyline(0.80000,0.00000)(0.90000,0.00000)%",
         ]
 
+    def test_dash_count_is_bounded(self, monkeypatch):
+        # the unit line takes 5 runs: at the bound it is drawn, past it
+        # refused from its length before any dash point is made
+        monkeypatch.setattr(render, "MAX_DASHES", 5)
+        assert emit_latex(unit_scene(DrawItem(UNIT_LINE, Style.DASHED))).count("polyline") == 5
+        monkeypatch.setattr(render, "MAX_DASHES", 4)
+        monkeypatch.setattr(render, "_arc_length_points", None)
+        with pytest.raises(RenderError, match="dashed line 1 cm long needs more than 4 dashes"):
+            emit_latex(unit_scene(DrawItem(UNIT_LINE, Style.DASHED)))
+
     def test_vertex_discs(self):
         pts = Polyline((Point2(0, 0), Point2(0.5, 0.5), Point2(1, 0)))
         tex = emit_latex(unit_scene(DrawItem(pts, Style.DOTTED_DISC)))
