@@ -552,6 +552,17 @@ def _window_pieces(poly: Polyline, center: int, window: int):
     return list(starmap(_piece, sp.ctrl.reshape(-1, 8).tolist()))
 
 
+def _in_boxes(x: float, y: float, *fits: list) -> bool:
+    """Whether (x, y) lies in the box around each fit's pieces."""
+    for pieces in fits:
+        if not (
+            min(p[8] for p in pieces) <= x <= max(p[10] for p in pieces)
+            and min(p[9] for p in pieces) <= y <= max(p[11] for p in pieces)
+        ):
+            return False
+    return True
+
+
 def refine_contact(
     a: Polyline,
     b: Polyline,
@@ -571,9 +582,11 @@ def refine_contact(
     where the fits cross, the search ends at the overlapping leaves
     nearest the site before it pops any pair with a gap.  The answer is
     then where the lines through the two leaves' chords meet, if that
-    is within 10*tol of the leaves: the fits' crossing to the chords'
-    accuracy, even when it lies in a neighbouring leaf.  Otherwise, as
-    where the fits only graze, it is the winning pair's box midpoint.
+    is within 10*tol of the leaves and inside both fits' boxes: the
+    fits' crossing to the chords' accuracy, even when it lies in a
+    neighbouring leaf.  Otherwise, as where the fits only graze or the
+    near-parallel chords of overlapping fits meet past a fit's end, it
+    is the winning pair's box midpoint.
     A winning gap over a percent of the window size is no contact, and
     the site is returned unrefined, as it is when 5000 pops find
     nothing.  A piece meets many partners as the search goes on, so it
@@ -640,7 +653,9 @@ def refine_contact(
                 if denom != 0.0:
                     t = ((qx - px) * wy - (qy - py) * wx) / denom
                     x, y = px + t * rx, py + t * ry
-                    if math.hypot(x - mid.x, y - mid.y) <= 10.0 * tol:
+                    if math.hypot(
+                        x - mid.x, y - mid.y
+                    ) <= 10.0 * tol and _in_boxes(x, y, pieces_a, pieces_b):
                         return RefinedContact(Point2(x, y), True)
             return RefinedContact(mid, True)
         if pa[12] >= pb[12]:

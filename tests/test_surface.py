@@ -672,6 +672,31 @@ def _fit_distance(poly: Polyline, center: int, window: int, q: Point2) -> float:
 
 @settings(max_examples=100, deadline=None)
 @given(window_pairs())
+@example(
+    # y = x^2 sampled at two phases: the nearly parallel chords of the
+    # winning leaves meet past the start of b's fit
+    pair=(
+        "overlap",
+        Polyline(
+            (
+                Point2(-0.0386962890625, 0.0014974027872085571),
+                Point2(-0.0074462890625, 5.544722080230713e-05),
+                Point2(0.0238037109375, 0.0005666166543960571),
+                Point2(0.0550537109375, 0.003030911087989807),
+            )
+        ),
+        Polyline(
+            (
+                Point2(-0.0006103515625, 3.725290298461914e-07),
+                Point2(0.0306396484375, 0.0009387880563735962),
+                Point2(0.0618896484375, 0.003830328583717346),
+                Point2(0.0931396484375, 0.008674994111061096),
+            )
+        ),
+        2,
+        1e-3,
+    )
+)
 def test_property_refine_contact_agrees_with_the_reference(pair):
     # the reference averages the crossing leaves within 10*tol of the
     # first it finds, where the search takes the meeting of one leaf
