@@ -31,7 +31,7 @@ from .calculus import (
 )
 from .expr import Const, ExprError, compile_fn, evaluate, free_vars, parse, steps
 from .geom import Point2, PointFileError, Polyline, drop_repeats, load_points
-from .implicit import TraceConfig, TraceError, parse_equation, trace_implicit
+from .implicit import MAX_GRID, TraceConfig, TraceError, parse_equation, trace_implicit
 from .render import (
     DrawItem,
     RenderError,
@@ -42,6 +42,12 @@ from .render import (
     scene_from_items,
 )
 from .spline import DegenerateGeometryError, SplineMethod, build_spline
+
+# the largest --num and `.surf` samples: at ten times these, the sampled
+# points of `integrate` and the pairwise work of a surface scene outgrow
+# 1 GB of memory
+MAX_NUM = 10**6
+MAX_SAMPLES = 1000
 
 # `surface` is imported by the two commands that draw surfaces, so the
 # others never load it; its SurfaceError is reported once it is loaded
@@ -99,16 +105,17 @@ def _elevation(text: str) -> float:
     return phi
 
 
-def _count(minimum: int) -> Callable[[str], int]:
-    """A converter for an integer of at least `minimum`."""
+def _count(minimum: int, maximum: float = math.inf) -> Callable[[str], int]:
+    """A converter for an integer from `minimum` to `maximum`."""
+    bound = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
 
     def count(text: str) -> int:
         try:
             n = int(text)
         except ValueError:
             n = None
-        if n is None or n < minimum:
-            raise ExprError(f"expected an integer >= {minimum}, got {text!r}")
+        if n is None or not minimum <= n <= maximum:
+            raise ExprError(f"expected an integer {bound}, got {text!r}")
         return n
 
     return count
@@ -336,8 +343,8 @@ def _cmd_surface(args) -> int:
     cfg = surface.SceneConfig(
         wires_u=_setting(desc, "wires_u", _const_list),
         wires_v=_setting(desc, "wires_v", _const_list),
-        grid=_setting(desc, "grid", _count(8), "200"),
-        samples=_setting(desc, "samples", _count(1), "100"),
+        grid=_setting(desc, "grid", _count(8, MAX_GRID), "200"),
+        samples=_setting(desc, "samples", _count(1, MAX_SAMPLES), "100"),
         hidden_style=desc.get("hidden", "dashed"),
         axes=desc.get("axes", "on") != "off",
     )
@@ -420,6 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and shared by later ones:
     parsing leaves it as it was, and every default is immutable."""
     num, pair = _arg(_const), _arg(_const_pair)
+    count_num, grid = _arg(_count(1, MAX_NUM)), _arg(_count(8, MAX_GRID))
     ap = argparse.ArgumentParser(
         prog="splinefig",
         description="spline figures, spline calculus and hidden-line drawings",
@@ -443,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", help="csv file of x,y rows")
     p.add_argument("--fn", help="sample y = f(x) instead of reading a file")
     p.add_argument("--sample-range", type=pair, metavar="A,B")
-    p.add_argument("--num", type=_arg(_count(1)), default=50, help="subdivision count")
+    p.add_argument("--num", type=count_num, default=50, help="subdivision count")
     p.add_argument("--interval", type=pair, metavar="A,B")
     _add_method(p)
     p.set_defaults(func=_cmd_integrate)
@@ -453,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fx", help="x(t) for parametric sampling")
     p.add_argument("--fy", help="y(t) for parametric sampling")
     p.add_argument("--range", type=pair, metavar="A,B")
-    p.add_argument("--num", type=_arg(_count(1)), default=50)
+    p.add_argument("--num", type=count_num, default=50)
     _add_method(p)
     p.set_defaults(func=_cmd_area)
 
@@ -461,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", help="csv file of x,y rows")
     p.add_argument("--fn", help="sample y = f(x) instead of reading a file")
     p.add_argument("--sample-range", type=pair, metavar="A,B")
-    p.add_argument("--num", type=_arg(_count(1)), default=50)
+    p.add_argument("--num", type=count_num, default=50)
     p.add_argument("--at", type=num, required=True, metavar="X")
     _add_method(p)
     _add_common_figure(p)
@@ -471,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", required=True, help="equation, e.g. 'x^2+y^2=1'")
     p.add_argument("--xrange", type=pair, required=True, metavar="A,B")
     p.add_argument("--yrange", type=pair, required=True, metavar="A,B")
-    p.add_argument("--grid", type=_arg(_count(8)), default=200)
+    p.add_argument("--grid", type=grid, default=200)
     p.add_argument(
         "--integrate-endpoints", action="store_true",
         help="integrate the open branch between its endpoint abscissae",
@@ -495,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--phi", type=_arg(_elevation), default=25.0, help="elevation in degrees"
     )
-    p.add_argument("--grid", type=_arg(_count(8)), default=200)
+    p.add_argument("--grid", type=grid, default=200)
     p.add_argument("--samples", type=_arg(_count(1)), default=100)
     p.add_argument("--window", type=_arg(_count(0)), default=6)
     p.add_argument("--tol", type=num, default=1e-7)

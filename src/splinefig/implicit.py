@@ -8,10 +8,11 @@ output is deterministic: same F, same window, same grid, same bytes.
 
 F is evaluated only in array passes, bit for bit the values of the
 scalar F: once at the (n + 1)^2 nodes (`f.grid`), once at the centers
-of the saddle cells, and once per bisection step over every crossing
-still being refined (`f.at`).  Cells are classified and their segments
-read from a case table as arrays, in row order (j, then i); Python
-loops remain only where the segments are chained.
+of the saddle cells, and once per bisection step over the crossings
+still being refined (`f.at`).  Only a sign mask and its comparisons
+along both edge directions span the grid; the crossed cells are then
+classified from a case table, and their segments chained, on arrays
+the size of the zero set.
 
 Closed components come back counterclockwise with the first vertex
 repeated at the end; open components terminate on the rectangle
@@ -35,7 +36,8 @@ log = logging.getLogger(__name__)
 
 RESIDUAL_FACTOR = 1e-10
 MAX_BISECT = 30
-JOIN_TOL = 1e-9  # chained crossing points closer than this are one vertex
+JOIN_TOL = 1e-9  # see TraceConfig.join_tol
+MAX_GRID = 4096  # cells per side: the nodes alone take 134 MB at this size
 
 # cell corner order: SW, SE, NE, NW; case bit k set when corner k has F > 0.
 # Each case lists its segments as pairs of cell edges, -1 for none; the
@@ -76,12 +78,19 @@ class TraceConfig:
     grid: int = 200
 
     def __post_init__(self):
-        if self.grid < 8:
-            raise TraceError("grid must be at least 8")
+        if not 8 <= self.grid <= MAX_GRID:
+            raise TraceError(f"grid must be between 8 and {MAX_GRID}, got {self.grid}")
         if not self.xrange[0] < self.xrange[1]:
             raise TraceError("degenerate x range")
         if not self.yrange[0] < self.yrange[1]:
             raise TraceError("degenerate y range")
+
+    @property
+    def join_tol(self) -> float:
+        """Crossings closer than this are one vertex: JOIN_TOL, times the
+        window's shorter side where that is below 1."""
+        sides = (self.xrange[1] - self.xrange[0], self.yrange[1] - self.yrange[0])
+        return JOIN_TOL * min(1.0, *sides)
 
 
 def trace_implicit(f: ExprNode | str, cfg: TraceConfig) -> list[Polyline]:
@@ -104,39 +113,38 @@ def parse_equation(text: str) -> ExprNode:
 def trace_zero_set(f: Callable[..., float], cfg: TraceConfig) -> list[Polyline]:
     """Marching-squares trace of f(x, y) = 0.
 
-    f is compiled (see `expr.compile_fn`); the trace evaluates it only
-    in array passes, NaN where f raises DomainError: `f.grid` for the
-    nodes, one `f.at` for the saddle centers, and one `f.at` per
-    bisection step over every crossing still being refined.  It never
-    calls the scalar f.  Each component is the rows of the crossing
-    array that its chained edge keys pick, taken straight into the
-    polyline's vertex array: no Point2 is built.
+    f is compiled (see `expr.compile_fn`) and evaluated as the module
+    says, NaN where it raises DomainError; the scalar f is never called.
+    After `f.grid`, a sign mask, one `!=` per edge direction and their
+    OR span the grid (so does a finiteness mask of the cells, but only
+    when some node is undefined, to count the skipped cells); all else
+    runs on the crossed cells and their edges.  Each component is the
+    rows of the crossing array that its chained edge keys pick.
     """
     n = cfg.grid
+    m = n + 1
     xs = np.array(steps(*cfg.xrange, n))
     ys = np.array(steps(*cfg.yrange, n))
     vals = f.grid(xs, ys)
+    ok = np.isfinite(vals)
+    if not ok.all():
+        valid = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
+        skipped = n * n - np.count_nonzero(valid)
+        if skipped == n * n:
+            raise TraceError("function undefined on the whole window")
+        log.warning("skipped %d cells with undefined corners", skipped)
 
-    # cells as [i, j] arrays over the corners SW, SE, NE, NW; a cell with
-    # a non-finite corner is skipped, one with all corners on one side
-    # holds no segment
-    defined = np.isfinite(vals)
-    valid = defined[:-1, :-1] & defined[1:, :-1] & defined[1:, 1:] & defined[:-1, 1:]
-    pos = (vals > 0.0).view(np.uint8)
-    case = (
-        pos[:-1, :-1] | pos[1:, :-1] << 1 | pos[1:, 1:] << 2 | pos[:-1, 1:] << 3
-    )
-    valid_cells = int(np.count_nonzero(valid))
-    if valid_cells == 0:
-        raise TraceError("function undefined on the whole window")
-    if valid_cells < n * n:
-        log.warning("skipped %d cells with undefined corners", n * n - valid_cells)
-
-    # transposed, so the crossed cells come j-major, i-minor: the
-    # segment order the chains are built from
-    crossed = (valid & (case != 0) & (case != 15)).T
-    jj, ii = np.nonzero(crossed)
-    cell_case = case.T[crossed]
+    # a cell whose S, N and W edges keep their sign has all corners on one
+    # side.  The crossed cells come i-major: a chain takes an edge's two
+    # segments in cell order, the same as j-major (the scalar order).
+    pos = vals > 0.0
+    flip_i, flip_j = pos[:-1] != pos[1:], pos[:, :-1] != pos[:, 1:]
+    ii, jj = np.divmod(np.flatnonzero(flip_j[:-1] | flip_j[1:] | flip_i[:, :-1]), n)
+    sw = ii * m + jj  # the flat node index of the cell's SW corner
+    corners = vals.ravel()[[sw, sw + m, sw + m + 1, sw + 1]]  # SW, SE, NE, NW
+    defined = np.isfinite(corners).all(axis=0)  # else the cell is skipped
+    ii, jj, sw = ii[defined], jj[defined], sw[defined]
+    cell_case = (1, 2, 4, 8) @ (corners[:, defined] > 0.0)
     saddle = np.flatnonzero((cell_case == 5) | (cell_case == 10))
     si, sj = ii[saddle], jj[saddle]
     center = f.at(0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1]))
@@ -147,21 +155,19 @@ def trace_zero_set(f: Callable[..., float], cfg: TraceConfig) -> list[Polyline]:
     # (i + 1, j), m*m + i*m + j for the one from (i, j) to (i, j + 1), so
     # sorted keys list the first kind before the second, each by i then
     # j.  every crossing is computed once and shared by the two adjacent
-    # cells, which is what makes the chains join exactly.
-    m = n + 1
+    # cells, which is what makes the chains join exactly.  Segment e // 2
+    # ends on edge ends[e]; an edge's row has its first and last end.
     offsets = np.array([0, 1, m * m, m * m + m])  # S, N, W, E of cell (0, 0)
     pairs = _SEGMENT_TABLE[cell_case]
-    has = pairs[:, :, 0] >= 0
-    base = (ii * m + jj)[:, None]
-    seg_a = (base + offsets[pairs[:, :, 0]])[has].tolist()
-    seg_b = (base + offsets[pairs[:, :, 1]])[has].tolist()
-    adjacency: dict[int, list[tuple[int, int]]] = {}
-    for seg_id, (ka, kb) in enumerate(zip(seg_a, seg_b)):
-        adjacency.setdefault(ka, []).append((kb, seg_id))
-        adjacency.setdefault(kb, []).append((ka, seg_id))
+    ends = (sw[:, None, None] + offsets[pairs])[pairs[:, :, 0] >= 0].ravel()
+    order = np.argsort(ends, kind="stable")
+    ordered = ends[order]
+    new = np.diff(ordered, prepend=-1) != 0
+    codes, first = ordered[new], order[new]
+    last = order[np.diff(ordered, append=-1) != 0]  # first for one segment
+    row = np.empty_like(order)
+    row[order] = np.cumsum(new) - 1
 
-    keys = sorted(adjacency)
-    codes = np.array(keys, dtype=np.int64)
     vertical = codes >= m * m
     i1, j1 = np.divmod(codes - vertical * (m * m), m)
     i2, j2 = i1 + ~vertical, j1 + vertical
@@ -170,61 +176,56 @@ def trace_zero_set(f: Callable[..., float], cfg: TraceConfig) -> list[Polyline]:
     )
     xy = np.column_stack((px, py))
     cx, cy = px.tolist(), py.tolist()
-    row = {key: k for k, key in enumerate(keys)}
 
-    visited = [False] * len(seg_a)
+    rows, firsts, lasts = row.tolist(), first.tolist(), last.tolist()
+    visited = [False] * (ends.size // 2)
 
-    def walk(start: int) -> list[int]:
-        chain = [start]
-        current = start
+    def walk(k: int) -> list[int]:
+        chain = [k]
         while True:
-            step = None
-            for other, seg_id in adjacency[current]:
-                if not visited[seg_id]:
-                    step = (other, seg_id)
-                    break
-            if step is None:
+            e = lasts[k] if visited[firsts[k] >> 1] else firsts[k]
+            if visited[e >> 1]:
                 return chain
-            visited[step[1]] = True
-            current = step[0]
-            chain.append(current)
+            visited[e >> 1] = True
+            k = rows[e ^ 1]
+            chain.append(k)
 
     chains: list[tuple[list[int], bool]] = []
-    for key in keys:
-        if len(adjacency[key]) == 1 and not visited[adjacency[key][0][1]]:
-            chains.append((walk(key), False))
-    for key in keys:
-        if any(not visited[s] for _, s in adjacency[key]):
-            chain = walk(key)
+    for k in np.flatnonzero(first == last).tolist():
+        if not visited[firsts[k] >> 1]:
+            chains.append((walk(k), False))
+    for k, (a, b) in enumerate(zip(firsts, lasts)):
+        if not (visited[a >> 1] and visited[b >> 1]):
+            chain = walk(k)
             closed = chain[0] == chain[-1] if len(chain) > 2 else False
             chains.append((chain, closed))
 
-    def apart(a: int, b: int) -> bool:
-        return math.hypot(cx[a] - cx[b], cy[a] - cy[b]) > JOIN_TOL
+    def apart(a: int, b: int, tol: float = cfg.join_tol) -> bool:
+        return math.hypot(cx[a] - cx[b], cy[a] - cy[b]) > tol
 
     # each component is the crossing rows of its chained keys
     result: list[Polyline] = []
     for chain, closed in chains:
-        rows: list[int] = []
-        for k in map(row.__getitem__, chain):
-            if not rows or apart(rows[-1], k):
-                rows.append(k)
-        if closed and len(rows) > 1 and not apart(rows[0], rows[-1]):
-            rows.pop()
+        kept: list[int] = []
+        for k in chain:
+            if not kept or apart(kept[-1], k):
+                kept.append(k)
+        if closed and len(kept) > 1 and not apart(kept[0], kept[-1]):
+            kept.pop()
         if closed:
-            if len(rows) < 3:
+            if len(kept) < 3:
                 continue
-            if _shoelace([cx[k] for k in rows], [cy[k] for k in rows]) < 0.0:
-                rows.reverse()
-            rows.append(rows[0])
+            if _shoelace([cx[k] for k in kept], [cy[k] for k in kept]) < 0.0:
+                kept.reverse()
+            kept.append(kept[0])
         else:
-            if len(rows) < 2:
+            if len(kept) < 2:
                 continue
             # start vertex gets the larger x (ties: the larger y)
-            first, last = rows[0], rows[-1]
+            first, last = kept[0], kept[-1]
             if (cx[first], cy[first]) < (cx[last], cy[last]):
-                rows.reverse()
-        result.append(Polyline(xy[rows]))
+                kept.reverse()
+        result.append(Polyline(xy[kept]))
     return result
 
 
@@ -245,7 +246,8 @@ def _refine_crossings(
     the bracket; an edge stops when |f| <= tol or f is undefined at its
     midpoint, and keeps the best point seen.  Each edge makes exactly
     the float operations of a scalar bisection, so the bits match it;
-    each step is one `f.at` over the edges still going.
+    each step is one `f.at` over the edges still going, whose state is
+    kept compact: updated in place, recompacted when one stops.
     """
     dx, dy = x2 - x1, y2 - y1
     # Python floats overflow to inf silently; numpy would warn
@@ -256,24 +258,29 @@ def _refine_crossings(
         undefined = np.isnan(f_best)
         t_best[undefined] = 0.5
         f_best[undefined] = math.inf
-        ta, fa, tb = np.zeros_like(f1), f1.copy(), np.ones_like(f1)
         live = np.flatnonzero((f_best > tol) & (f1 != 0.0) & (f2 != 0.0))
+        # per live edge: the best t and its |f|, the bracket [ta, tb]
+        # with f(ta) = fa, the edge's start and step, and its tol
+        bracket = (np.zeros_like(f1), f1, np.ones_like(f1))
+        state = [a[live] for a in (t_best, f_best, *bracket, x1, y1, dx, dy, tol)]
         for _ in range(MAX_BISECT):
             if live.size == 0:
                 break
-            tm = 0.5 * (ta[live] + tb[live])
-            fm = f.at(x1[live] + dx[live] * tm, y1[live] + dy[live] * tm)
-            defined = ~np.isnan(fm)
-            live, tm, fm = live[defined], tm[defined], fm[defined]
-            better = np.abs(fm) < f_best[live]
-            t_best[live[better]] = tm[better]
-            f_best[live[better]] = np.abs(fm[better])
-            going = f_best[live] > tol[live]
-            live, tm, fm = live[going], tm[going], fm[going]
-            lower = fa[live] * fm < 0.0
-            tb[live[lower]] = tm[lower]
-            ta[live[~lower]] = tm[~lower]
-            fa[live[~lower]] = fm[~lower]
+            tk, fk, ta, fa, tb, sx, sy, sdx, sdy, stol = state
+            tm = 0.5 * (ta + tb)
+            fm = f.at(sx + sdx * tm, sy + sdy * tm)
+            better = np.abs(fm) < fk  # never where f is undefined
+            np.copyto(tk, tm, where=better)
+            np.copyto(fk, np.abs(fm), where=better)
+            lower = fa * fm < 0.0
+            np.copyto(tb, tm, where=lower)
+            np.copyto(ta, tm, where=~lower)
+            np.copyto(fa, fm, where=~lower)
+            going = (fk > stol) & ~np.isnan(fm)
+            if not going.all():
+                t_best[live] = tk
+                live, state = live[going], [a[going] for a in state]
+        t_best[live] = state[0]
         x = np.where(f1 == 0.0, x1, np.where(f2 == 0.0, x2, x1 + dx * t_best))
         y = np.where(f1 == 0.0, y1, np.where(f2 == 0.0, y2, y1 + dy * t_best))
     return x, y

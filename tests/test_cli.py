@@ -649,6 +649,8 @@ class TestRefusals:
             ("grid = 4", "grid"),
             ("hidden = dotted", "hidden"),
             ("phi = 90", "phi"),
+            ("grid = 30000", "grid"),
+            ("samples = 300000000", "samples"),
         ],
     )
     def test_bad_surface_value(self, capsys, tmp_path, line, key):
@@ -694,6 +696,10 @@ class TestRefusals:
             "implicit --fn x=y --xrange 0,1 --yrange 0,1 --grid 4",
             "contact-demo --grid 4",
             "contact-demo --samples 0",
+            # past the bounds, refused before any point or node is made
+            "implicit --fn x=y --xrange 0,1 --yrange 0,1 --grid 30000",
+            "contact-demo --grid 30000",
+            "integrate --fn x^2 --sample-range 0,1 --num 300000000 --interval 0,1",
             "surface SURF --phi 90",
             "contact-demo --phi 90",
             "surface SURF --format csv",

@@ -12,6 +12,7 @@ from splinefig.expr import DomainError, compile_fn, steps
 from splinefig.geom import Point2, Polyline
 from splinefig.implicit import (
     JOIN_TOL,
+    MAX_GRID,
     MAX_BISECT,
     RESIDUAL_FACTOR,
     TraceConfig,
@@ -155,11 +156,27 @@ class TestEdgeCases:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"grid": 4}, {"xrange": (1, -1)}, {"yrange": (0, 0)}],
+        [
+            {"grid": 4},
+            {"grid": MAX_GRID + 1},
+            {"xrange": (1, -1)},
+            {"yrange": (0, 0)},
+        ],
     )
     def test_bad_config_is_trace_error(self, kwargs):
         with pytest.raises(TraceError):
             TraceConfig(**{"xrange": (-1, 1), "yrange": (-1, 1), **kwargs})
+
+    @pytest.mark.parametrize("r", [1e-12, 1e-6, 1.0, 1e9])
+    def test_join_distance_scales_with_the_window(self, r):
+        # an absolute JOIN_TOL merged the whole r = 1e-12 circle into one
+        # point; on the window's scale every size traces the same loop
+        cfg = TraceConfig((-2 * r, 2 * r), (-2 * r, 2 * r), grid=50)
+        comps = trace_implicit(f"x^2+y^2-{r!r}^2", cfg)
+        assert len(comps) == 1
+        assert comps[0].is_loop(0.0)
+        assert len(comps[0].points) == 101
+        assert cfg.join_tol == JOIN_TOL * min(1.0, 4 * r)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +246,11 @@ WIDTHS = st.sampled_from([1.0, 2.0, 4.0]) | st.floats(0.1, 6.0)
 # nodes on the zero set (on the second, x1 + (x2 - x1) != x2), a saddle
 # on a node, a saddle whose center lies exactly on x = 0 where F is
 # undefined, F undefined at both the linear guess and the first
-# midpoint, undefined regions
+# midpoint, undefined regions; a lemniscate whose double point is a
+# node, so its loop passes twice through a point where F = 0; a line
+# that cuts off a window corner (one segment, both keys of degree 1);
+# a crossed edge shared with a cell that has an undefined corner; F = 0
+# at every node; a cubic with an open and a closed branch at grid 200
 @example(text="x - y", x0=-1.0, wx=2.0, y0=-1.0, wy=2.0, grid=8)
 @example(text="x - y", x0=-0.038, wx=4.545, y0=-0.038, wy=4.545, grid=17)
 @example(text="y - x", x0=-0.038, wx=4.545, y0=-0.038, wy=4.545, grid=17)
@@ -240,10 +261,17 @@ WIDTHS = st.sampled_from([1.0, 2.0, 4.0]) | st.floats(0.1, 6.0)
 @example(text="(x - 0.25)*(y + 0.5)", x0=-1.0, wx=2.0, y0=-1.0, wy=2.0, grid=16)
 @example(text="log(x*y) - 0.1", x0=-2.0, wx=4.0, y0=-2.0, wy=4.0, grid=33)
 @example(text="sqrt(-x^2 - y^2)", x0=-1.0, wx=2.0, y0=-1.0, wy=2.0, grid=8)
+@example(text="(x^2+y^2)^2-2*(x^2-y^2)", x0=-2.0, wx=4.0, y0=-2.0, wy=4.0, grid=8)
+@example(text="(x^2+y^2)^2-2*(x^2-y^2)", x0=-2.0, wx=4.0, y0=-1.0, wy=2.0, grid=16)
+@example(text="x + y - 1.9", x0=-1.0, wx=2.0, y0=-1.0, wy=2.0, grid=8)
+@example(text="x - 0.3 + 0*sqrt(y)", x0=-1.0, wx=2.0, y0=-1.0, wy=2.0, grid=8)
+@example(text="0*x", x0=-1.0, wx=2.0, y0=-1.0, wy=2.0, grid=8)
+@example(text="y^2 - x^3 + x", x0=-2.0, wx=4.0, y0=-2.0, wy=4.0, grid=200)
 def test_property_trace_matches_the_scalar_reference(text, x0, wx, y0, wy, grid):
     """The traced polylines, and the crossing on every edge whose ends
     lie on both sides, equal the point-by-point ones bit for bit (the
-    chains drop a point within JOIN_TOL of the last, which can hide one)."""
+    chains drop a point within `cfg.join_tol` of the last, which can hide
+    one)."""
     f = compile_fn(parse_equation(text), ("x", "y"))
     cfg = TraceConfig((x0, x0 + wx), (y0, y0 + wy), grid=grid)
     assert _outcome(trace_zero_set, f, cfg) == _outcome(reference_trace, f, cfg)
@@ -504,10 +532,10 @@ def reference_trace(
         pts: list[Point2] = []
         for key in chain:
             p = edge_point(key)
-            if pts and pts[-1].dist(p) <= JOIN_TOL:
+            if pts and pts[-1].dist(p) <= cfg.join_tol:
                 continue
             pts.append(p)
-        if closed and len(pts) > 1 and pts[0].dist(pts[-1]) <= JOIN_TOL:
+        if closed and len(pts) > 1 and pts[0].dist(pts[-1]) <= cfg.join_tol:
             pts.pop()
         if closed:
             if len(pts) < 3:
