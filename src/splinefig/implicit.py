@@ -156,17 +156,17 @@ def trace_zero_set(f: Callable[..., float], cfg: TraceConfig) -> list[Polyline]:
     # sorted keys list the first kind before the second, each by i then
     # j.  every crossing is computed once and shared by the two adjacent
     # cells, which is what makes the chains join exactly.  Segment e // 2
-    # ends on edge ends[e]; an edge's row has its first and last end.
+    # ends on key ends[e], row end_row[e]; a row has a first and last end.
     offsets = np.array([0, 1, m * m, m * m + m])  # S, N, W, E of cell (0, 0)
     pairs = _SEGMENT_TABLE[cell_case]
     ends = (sw[:, None, None] + offsets[pairs])[pairs[:, :, 0] >= 0].ravel()
     order = np.argsort(ends, kind="stable")
     ordered = ends[order]
     new = np.diff(ordered, prepend=-1) != 0
-    codes, first = ordered[new], order[new]
-    last = order[np.diff(ordered, append=-1) != 0]  # first for one segment
-    row = np.empty_like(order)
-    row[order] = np.cumsum(new) - 1
+    codes, first_end = ordered[new], order[new]
+    last_end = order[np.diff(ordered, append=-1) != 0]  # first_end for one segment
+    end_row = np.empty_like(order)
+    end_row[order] = np.cumsum(new) - 1
 
     vertical = codes >= m * m
     i1, j1 = np.divmod(codes - vertical * (m * m), m)
@@ -177,7 +177,7 @@ def trace_zero_set(f: Callable[..., float], cfg: TraceConfig) -> list[Polyline]:
     xy = np.column_stack((px, py))
     cx, cy = px.tolist(), py.tolist()
 
-    rows, firsts, lasts = row.tolist(), first.tolist(), last.tolist()
+    end_rows, firsts, lasts = end_row.tolist(), first_end.tolist(), last_end.tolist()
     visited = [False] * (ends.size // 2)
 
     def walk(k: int) -> list[int]:
@@ -187,11 +187,11 @@ def trace_zero_set(f: Callable[..., float], cfg: TraceConfig) -> list[Polyline]:
             if visited[e >> 1]:
                 return chain
             visited[e >> 1] = True
-            k = rows[e ^ 1]
+            k = end_rows[e ^ 1]
             chain.append(k)
 
     chains: list[tuple[list[int], bool]] = []
-    for k in np.flatnonzero(first == last).tolist():
+    for k in np.flatnonzero(first_end == last_end).tolist():
         if not visited[firsts[k] >> 1]:
             chains.append((walk(k), False))
     for k, (a, b) in enumerate(zip(firsts, lasts)):
@@ -206,26 +206,26 @@ def trace_zero_set(f: Callable[..., float], cfg: TraceConfig) -> list[Polyline]:
     # each component is the crossing rows of its chained keys
     result: list[Polyline] = []
     for chain, closed in chains:
-        kept: list[int] = []
+        rows: list[int] = []
         for k in chain:
-            if not kept or apart(kept[-1], k):
-                kept.append(k)
-        if closed and len(kept) > 1 and not apart(kept[0], kept[-1]):
-            kept.pop()
+            if not rows or apart(rows[-1], k):
+                rows.append(k)
+        if closed and len(rows) > 1 and not apart(rows[0], rows[-1]):
+            rows.pop()
         if closed:
-            if len(kept) < 3:
+            if len(rows) < 3:
                 continue
-            if _shoelace([cx[k] for k in kept], [cy[k] for k in kept]) < 0.0:
-                kept.reverse()
-            kept.append(kept[0])
+            if _shoelace([cx[k] for k in rows], [cy[k] for k in rows]) < 0.0:
+                rows.reverse()
+            rows.append(rows[0])
         else:
-            if len(kept) < 2:
+            if len(rows) < 2:
                 continue
             # start vertex gets the larger x (ties: the larger y)
-            first, last = kept[0], kept[-1]
+            first, last = rows[0], rows[-1]
             if (cx[first], cy[first]) < (cx[last], cy[last]):
-                kept.reverse()
-        result.append(Polyline(xy[kept]))
+                rows.reverse()
+        result.append(Polyline(xy[rows]))
     return result
 
 
