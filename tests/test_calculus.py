@@ -77,10 +77,12 @@ def _scale(b: CubicBezier) -> Fraction:
 
 def assert_near_exact(b: CubicBezier) -> None:
     # the closed form's rounding error stays under 5e-17 (sum |coords|)^2
-    # over random segments at scales 1e-3 to 1e3
-    scale = sum(abs(v) for p in (b.p0, b.c0, b.c1, b.p1) for v in (p.x, p.y)) ** 2
+    # over random segments at scales 1e-3 to 1e3; the scale is squared
+    # exactly, as in floats it underflows to 0 below coordinates of 1e-162,
+    # and one unit of the least subnormal is allowed on top, the spacing
+    # of doubles where the result itself is subnormal
     err = abs(Fraction(segment_integral(b)) - exact_integral(b))
-    assert err <= Fraction(2e-16) * Fraction(scale)
+    assert err <= Fraction(2e-16) * _scale(b) + Fraction(2.0**-1074)
 
 
 class TestSegmentIntegral:
