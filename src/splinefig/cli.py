@@ -43,11 +43,13 @@ from .render import (
 )
 from .spline import DegenerateGeometryError, SplineMethod, build_spline
 
-# the largest --num and `.surf` samples: at ten times these, the sampled
-# points of `integrate` and the pairwise work of a surface scene outgrow
-# 1 GB of memory
+# the largest --num, `.surf` and `contact-demo` samples, and vertex count
+# of a `spline` figure: at ten times these, the sampled points of
+# `integrate`, the pairwise work of a surface scene and a spline figure
+# (324 MB at 10^6 vertices) outgrow 1 GB of memory
 MAX_NUM = 10**6
 MAX_SAMPLES = 1000
+MAX_VERTICES = 10**6
 
 # `surface` is imported by the two commands that draw surfaces, so the
 # others never load it; its SurfaceError is reported once it is loaded
@@ -213,6 +215,12 @@ def _cmd_spline(args) -> int:
         return _show_config(args, closed="auto" if closed is None else closed)
     pts = load_points(args.points)
     curve = build_spline(pts, method=_method(args), closed=closed)
+    vertices = args.samples * len(curve.ctrl) + 1
+    if vertices > MAX_VERTICES:
+        raise ExprError(
+            f"--samples {args.samples} over {len(curve.ctrl)} segments samples "
+            f"{vertices} vertices, more than {MAX_VERTICES}"
+        )
     poly = curve.sample(args.samples)
     if args.format == "csv":
         _write_out(_polyline_csv([poly]), args.out)
@@ -438,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spline", help="interpolate sampled points")
     p.add_argument("--points", required=True, help="csv file of x,y rows")
     p.add_argument(
-        "--samples", type=_arg(_count(1)), default=10, help="samples per segment"
+        "--samples", type=_arg(_count(1)), default=10,
+        help=f"samples per segment, at most {MAX_VERTICES} vertices in all",
     )
     group = p.add_mutually_exclusive_group()
     group.add_argument("--closed", action="store_true")
@@ -504,7 +513,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--phi", type=_arg(_elevation), default=25.0, help="elevation in degrees"
     )
     p.add_argument("--grid", type=grid, default=200)
-    p.add_argument("--samples", type=_arg(_count(1)), default=100)
+    p.add_argument(
+        "--samples", type=_arg(_count(1, MAX_SAMPLES)), default=100,
+        help=f"samples per drawn curve, at most {MAX_SAMPLES}",
+    )
     p.add_argument("--window", type=_arg(_count(0)), default=6)
     p.add_argument("--tol", type=num, default=1e-7)
     _add_common_figure(p)

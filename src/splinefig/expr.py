@@ -19,7 +19,9 @@ variable.
 
 A compile (compile_fn, compile_many) lowers trees to one list of their
 distinct operations, run as straight-line Python for a scalar call and
-over numpy arrays by `at` and `grid`.  Evaluation is strict about
+over numpy arrays by `at` and `grid`; `enclose` runs it over intervals,
+bounding the call on boxes (Snyder, "Interval analysis for computer
+graphics", SIGGRAPH 1992).  Evaluation is strict about
 domains: division by zero, sqrt/log outside their domain, overflow, and
 any NaN or infinity are DomainError rather than silently propagated.
 """
@@ -462,7 +464,8 @@ def compile_many(
     """Compile trees over the same parameters into one callable, as
     `compile_fn` but giving the tuple of the trees' values and raising
     where any tree's call does; `at` and `grid` give one array per tree,
-    NaN exactly where its own call raises.  Equal subtrees run once."""
+    NaN exactly where its own call raises, and `enclose` one (lo, hi)
+    pair per tree.  Equal subtrees run once."""
     return _compile(list(trees), params, many=True)
 
 
@@ -476,6 +479,10 @@ def compile_fn(node: ExprNode, params: tuple[str, ...]) -> Callable[..., float]:
     one), and gives the call's value at every element, bit for bit, NaN
     exactly where the call raises.  For two parameters (x, y),
     `grid(xs, ys)` is `at` on xs as a column and ys as a row.
+    `enclose(*boxes)` takes one (lo, hi) pair of arrays per parameter
+    and gives (lo, hi) arrays, broadcast like `at`'s: where both are
+    finite, the call raises nowhere in the box and every value it gives
+    there lies between them (see `_enclose`).
     """
     return _compile([node], params, many=False)
 
@@ -555,8 +562,23 @@ def _compile(trees: list[ExprNode], params: tuple[str, ...], many: bool):
             np.asarray(xs, dtype=float)[:, None], np.asarray(ys, dtype=float)[None, :]
         )
 
+    def enclose(*boxes: tuple[np.ndarray, np.ndarray]):
+        if len(boxes) != len(params):
+            raise TypeError(f"enclose needs one (lo, hi) box per parameter {params}")
+        boxes = [tuple(np.asarray(end, dtype=float) for end in box) for box in boxes]
+        with np.errstate(all="ignore"):
+            spans = _enclose(ops, dict(zip(("_v_" + p for p in params), boxes)))
+        shape = np.broadcast_shapes(*(np.shape(end) for box in boxes for end in box))
+        out = []
+        for k in outputs:
+            lo, hi = (np.broadcast_to(end, shape) for end in spans[k])
+            nan = np.isnan(lo) | np.isnan(hi)
+            out.append((np.where(nan, -math.inf, lo), np.where(nan, math.inf, hi)))
+        return tuple(out) if many else out[0]
+
     call.at = at
     call.grid = grid
+    call.enclose = enclose
     return call
 
 
@@ -581,6 +603,99 @@ def _pow_array(a, b) -> tuple[np.ndarray, np.ndarray | bool]:
         return value, False
     bad &= np.isfinite(a) & np.isfinite(b)
     return value, bool(bad.any()) and bad
+
+
+_EVERYTHING = (-math.inf, math.inf)
+
+
+def _widen(lo, hi, ulps: int) -> tuple:
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf)
+    return lo, hi
+
+
+def _enclose(ops: list, boxes: dict) -> list:
+    """The interval of every operation over the boxes, as (lo, hi) ends.
+
+    boxes maps each variable leaf to its (lo, hi) arrays, lo <= hi
+    elementwise.  Claim: where op k's ends are finite, the call at any
+    point of the box raises in no operation op k reads, directly or
+    not, and the float it computes for op k lies in [lo, hi].
+
+    Proof, by induction over the list.  A leaf is exact.  No rule turns
+    an input with a non-finite or NaN end into finite ends (an input of
+    (-inf, inf) gives (-inf, inf)), so finite ends mean finite inputs,
+    holding every value the call computes for them, and:
+    - neg is exact, and +, - and * are correctly rounded, so monotone:
+      the rounded sum (difference) of two inputs lies between the
+      rounded sums (differences) of their ends, and the rounded product
+      between the least and the largest rounded product of two ends,
+      as the exact product is bilinear;
+    - sqrt is correctly rounded and increasing; below 0, where the call
+      raises, an end is NaN;
+    - x ^ n, for a constant integer n >= 0, is 1 for every finite x
+      when n = 0, increasing for odd n, and for even n increasing in
+      |x|, its least value 0 where the box holds 0.  Taking libm's pow
+      to be within 1 ulp of the exact power (glibc bounds its error
+      below that), the call's pow at any x of the box is within 2 ulps
+      of pow at an end, and where it overflows (math.pow raises) the
+      widened end is inf;
+    - every other operation (/, abs, sin, cos, tan, exp, log, and ^ of
+      any other exponent) gives (-inf, inf).
+    Each computed end is widened outward by 2 ulps (4 for pow), which
+    covers the pow argument and is a margin for the others.
+    """
+    spans: list = []
+    for op, *args in ops:
+        if not args:
+            span = boxes.get(op) or (float(op),) * 2
+        elif any(spans[i] is _EVERYTHING for i in args):
+            span = _EVERYTHING
+        elif op in _RULES:
+            span = _widen(*_RULES[op](*(spans[i] for i in args)), 2)
+        elif op == "^" and _natural(ops[args[1]]):
+            span = _widen(*_pow_span(spans[args[0]], float(ops[args[1]][0])), 4)
+        else:
+            span = _EVERYTHING
+        spans.append(span)
+    return spans
+
+
+def _natural(op: tuple) -> bool:
+    """Whether the operation is a constant integer >= 0."""
+    if len(op) != 1 or op[0].startswith("_v_"):
+        return False
+    value = float(op[0])
+    return math.isfinite(value) and value >= 0.0 and value == math.floor(value)
+
+
+def _product(a: tuple, b: tuple) -> tuple:
+    p = [x * y for x in a for y in b]
+    return (
+        np.minimum(np.minimum(p[0], p[1]), np.minimum(p[2], p[3])),
+        np.maximum(np.maximum(p[0], p[1]), np.maximum(p[2], p[3])),
+    )
+
+
+def _pow_span(a: tuple, n: float) -> tuple:
+    lo, hi = a
+    if n == 0.0:
+        finite = np.isfinite(lo) & np.isfinite(hi)
+        return np.where(finite, 1.0, -math.inf), np.where(finite, 1.0, math.inf)
+    p_lo, p_hi = np.float_power(lo, n), np.float_power(hi, n)
+    if n % 2.0 == 1.0:
+        return p_lo, p_hi
+    return np.where(lo >= 0.0, p_lo, np.where(hi <= 0.0, p_hi, 0.0)), np.maximum(p_lo, p_hi)
+
+
+# each operation's ends from its inputs' ends, before widening
+_RULES = {
+    "neg": lambda a: (-a[1], -a[0]),
+    "+": lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    "-": lambda a, b: (a[0] - b[1], a[1] - b[0]),
+    "*": _product,
+    "sqrt": lambda a: (np.sqrt(a[0]), np.sqrt(a[1])),
+}
 
 
 def _each(fn: Callable[[float], float], arg) -> tuple[np.ndarray, np.ndarray | bool]:

@@ -7,12 +7,18 @@ corners) are disambiguated by the sign of F at the cell center.  The
 output is deterministic: same F, same window, same grid, same bytes.
 
 F is evaluated only in array passes, bit for bit the values of the
-scalar F: once at the (n + 1)^2 nodes (`f.grid`), once at the centers
-of the saddle cells, and once per bisection step over the crossings
-still being refined (`f.at`).  Only a sign mask and its comparisons
-along both edge directions span the grid; the crossed cells are then
-classified from a case table, and their segments chained, on arrays
-the size of the zero set.
+scalar F.  First its interval enclosure (`f.enclose`) bounds F on each
+block of BLOCK x BLOCK cells; a block whose bound is finite and
+excludes 0 holds no crossing and is not evaluated (the filter of
+Snyder, "Interval analysis for computer graphics", SIGGRAPH 1992).
+Then `f.at` runs once at the nodes of the open blocks, once at the
+centers of the saddle cells, and once per bisection step over the
+crossings still being refined.  Only a sign mask and its comparisons
+along both edge directions span the open blocks; the crossed cells are
+then classified from a case table, and their segments chained, on
+arrays the size of the zero set.  Where the open blocks would hold as
+many nodes as the grid (F has no enclosure rule, say), they are one
+block of the whole grid.
 
 Closed components come back counterclockwise with the first vertex
 repeated at the end; open components terminate on the rectangle
@@ -38,6 +44,7 @@ RESIDUAL_FACTOR = 1e-10
 MAX_BISECT = 30
 JOIN_TOL = 1e-9  # see TraceConfig.join_tol
 MAX_GRID = 4096  # cells per side: the nodes alone take 134 MB at this size
+BLOCK = 16  # cells per side of a block whose sign one enclosure may prove
 
 # cell corner order: SW, SE, NE, NW; case bit k set when corner k has F > 0.
 # Each case lists its segments as pairs of cell edges, -1 for none; the
@@ -65,6 +72,10 @@ _SEGMENT_TABLE = np.array(
     ],
     dtype=np.int64,
 )
+
+
+# the corners at the two ends (lower node first) of the S, N, W, E edges
+_EDGE_CORNERS = np.array([[0, 1], [3, 2], [0, 3], [1, 2]])
 
 
 class TraceError(ValueError):
@@ -115,36 +126,56 @@ def trace_zero_set(f: Callable[..., float], cfg: TraceConfig) -> list[Polyline]:
 
     f is compiled (see `expr.compile_fn`) and evaluated as the module
     says, NaN where it raises DomainError; the scalar f is never called.
-    After `f.grid`, a sign mask, one `!=` per edge direction and their
-    OR span the grid (so does a finiteness mask of the cells, but only
-    when some node is undefined, to count the skipped cells); all else
-    runs on the crossed cells and their edges.  Each component is the
-    rows of the crossing array that its chained edge keys pick.
+    After `f.at` at the nodes of the open blocks, a sign mask, one `!=`
+    per edge direction and their OR span those blocks (so does a
+    finiteness mask of their cells, but only when some node is
+    undefined, to count the skipped cells; a proven block has none);
+    all else runs on the crossed cells, in i-major order, and their
+    edges.  Each component is the rows of the crossing array that its
+    chained edge keys pick.
     """
     n = cfg.grid
     m = n + 1
     xs = np.array(steps(*cfg.xrange, n))
     ys = np.array(steps(*cfg.yrange, n))
-    vals = f.grid(xs, ys)
+    # the nodes of each open block, as (k, size + 1) indices along x and
+    # y; a block past the last node repeats it, and its cells there are
+    # not the grid's
+    i0, j0, size = _open_blocks(f, xs, ys)
+    local = np.arange(size + 1)
+    ni, nj = np.minimum(i0[:, None] + local, n), np.minimum(j0[:, None] + local, n)
+    vals = f.at(xs[ni][:, :, None], ys[nj][:, None, :])
+    real = True
+    if n % size:
+        real = (ni[:, :-1] < n)[:, :, None] & (nj[:, :-1] < n)[:, None, :]
     ok = np.isfinite(vals)
     if not ok.all():
-        valid = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
-        skipped = n * n - np.count_nonzero(valid)
+        valid = ok[:, :-1, :-1] & ok[:, 1:, :-1] & ok[:, 1:, 1:] & ok[:, :-1, 1:]
+        skipped = np.count_nonzero(real & ~valid)
         if skipped == n * n:
             raise TraceError("function undefined on the whole window")
         log.warning("skipped %d cells with undefined corners", skipped)
 
-    # a cell whose S, N and W edges keep their sign has all corners on one
-    # side.  The crossed cells come i-major: a chain takes an edge's two
-    # segments in cell order, the same as j-major (the scalar order).
+    # a cell whose S, W and E edges keep their sign has all corners on one
+    # side.  The crossed cells are put in i-major order: a chain takes an
+    # edge's two segments in cell order, the same as j-major (the scalar
+    # order).
     pos = vals > 0.0
-    flip_i, flip_j = pos[:-1] != pos[1:], pos[:, :-1] != pos[:, 1:]
-    ii, jj = np.divmod(np.flatnonzero(flip_j[:-1] | flip_j[1:] | flip_i[:, :-1]), n)
-    sw = ii * m + jj  # the flat node index of the cell's SW corner
-    corners = vals.ravel()[[sw, sw + m, sw + m + 1, sw + 1]]  # SW, SE, NE, NW
+    flip_i, flip_j = pos[:, :-1] != pos[:, 1:], pos[:, :, :-1] != pos[:, :, 1:]
+    crossed = flip_j[:, :-1] | flip_j[:, 1:] | flip_i[:, :, :-1]
+    if n % size:
+        crossed &= real
+    b, r = np.divmod(np.flatnonzero(crossed), size * size)
+    r, s = np.divmod(r, size)
+    ii, jj = i0[b] + r, j0[b] + s
+    order = np.argsort(ii * m + jj)
+    ii, jj = ii[order], jj[order]
+    node = ((b * (size + 1) + r) * (size + 1) + s)[order]  # the SW corner in vals
+    corners = vals.ravel()[[node, node + size + 1, node + size + 2, node + 1]]
     defined = np.isfinite(corners).all(axis=0)  # else the cell is skipped
-    ii, jj, sw = ii[defined], jj[defined], sw[defined]
-    cell_case = (1, 2, 4, 8) @ (corners[:, defined] > 0.0)
+    ii, jj, corners = ii[defined], jj[defined], corners[:, defined]
+    sw = ii * m + jj  # the flat node index of the cell's SW corner
+    cell_case = (1, 2, 4, 8) @ (corners > 0.0)
     saddle = np.flatnonzero((cell_case == 5) | (cell_case == 10))
     si, sj = ii[saddle], jj[saddle]
     center = f.at(0.5 * (xs[si] + xs[si + 1]), 0.5 * (ys[sj] + ys[sj + 1]))
@@ -159,7 +190,10 @@ def trace_zero_set(f: Callable[..., float], cfg: TraceConfig) -> list[Polyline]:
     # ends on key ends[e], row end_row[e]; a row has a first and last end.
     offsets = np.array([0, 1, m * m, m * m + m])  # S, N, W, E of cell (0, 0)
     pairs = _SEGMENT_TABLE[cell_case]
-    ends = (sw[:, None, None] + offsets[pairs])[pairs[:, :, 0] >= 0].ravel()
+    drawn = pairs[:, :, 0] >= 0
+    sides = pairs[drawn].ravel()
+    end_cell = np.repeat(np.nonzero(drawn)[0], 2)
+    ends = sw[end_cell] + offsets[sides]
     order = np.argsort(ends, kind="stable")
     ordered = ends[order]
     new = np.diff(ordered, prepend=-1) != 0
@@ -168,12 +202,13 @@ def trace_zero_set(f: Callable[..., float], cfg: TraceConfig) -> list[Polyline]:
     end_row = np.empty_like(order)
     end_row[order] = np.cumsum(new) - 1
 
+    # f at an edge's two nodes is at two corners of a cell it bounds
     vertical = codes >= m * m
     i1, j1 = np.divmod(codes - vertical * (m * m), m)
     i2, j2 = i1 + ~vertical, j1 + vertical
-    px, py = _refine_crossings(
-        f, xs[i1], ys[j1], xs[i2], ys[j2], vals[i1, j1], vals[i2, j2]
-    )
+    ends_at = _EDGE_CORNERS[sides[first_end]].T
+    f1, f2 = corners[ends_at, end_cell[first_end]]
+    px, py = _refine_crossings(f, xs[i1], ys[j1], xs[i2], ys[j2], f1, f2)
     xy = np.column_stack((px, py))
     cx, cy = px.tolist(), py.tolist()
 
@@ -227,6 +262,30 @@ def trace_zero_set(f: Callable[..., float], cfg: TraceConfig) -> list[Polyline]:
                 rows.reverse()
         result.append(Polyline(xy[rows]))
     return result
+
+
+def _open_blocks(
+    f: Callable[..., float], xs: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The first node indices (i0, j0) of the grid's blocks whose sign
+    f's enclosure does not prove, and the block size in cells.
+
+    The blocks are BLOCK cells a side, the last one in each direction
+    cut at the grid's edge.  A block is proven when the enclosure over
+    its box has finite ends that exclude 0: f is then defined and of one
+    sign, not zero, at all its nodes, as the steps are increasing.  When
+    the open blocks would hold as many nodes as the grid, they are one
+    block of the whole grid, which costs what a plain grid pass does.
+    """
+    n = len(xs) - 1
+    start = np.arange(0, n, BLOCK)
+    end = np.minimum(start + BLOCK, n)
+    lo, hi = f.enclose((xs[start, None], xs[end, None]), (ys[None, start], ys[None, end]))
+    proven = np.isfinite(lo) & np.isfinite(hi) & ((lo > 0.0) | (hi < 0.0))
+    bi, bj = np.nonzero(~proven)
+    if bi.size * (BLOCK + 1) ** 2 >= (n + 1) ** 2:
+        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), n
+    return start[bi], start[bj], BLOCK
 
 
 def _refine_crossings(

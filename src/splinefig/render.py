@@ -166,18 +166,25 @@ def _fmt_short(x: float) -> str:
 def fmt5_column(values: Sequence[float]) -> list[str]:
     """fmt5 of each value, formatting the column in one pass.
 
-    A boundary (k + 1/2) * 1e-5 lies more than 0.05e-5 from x when
-    |x * 1e5 mod 1 - 1/2| > 0.05; for |x| < 1e9 the product is off by
-    under 0.008 and repr(x) by half an ulp (0.006 in these units), so no
-    boundary lies between x and repr(x), and "%.5f" of x is fmt5's
-    string.  Values that round to zero are written from 0.0, which
-    keeps "-0.00000" out.  Every other value (near a tie, not finite, or
-    |x| >= 1e9) is written by fmt5 itself.
+    Let X = x * 1e5 exactly, y = X rounded, and d the computed distance
+    |y mod 1 - 1/2| from y to the nearest half-integer.  y is within
+    |X| * 2^-53 of X, and the mod and the subtraction round by under
+    2^-53 in all, so X lies more than d - 2^-53 - |X| * 2^-53 from every
+    half-integer; repr(x) * 1e5 is within half an ulp of x, |X| * 2^-53,
+    of X.  So where d > |y| * 2^-51 + 2^-52 (more than the 2 * |X| *
+    2^-53 + 2^-53 it must exceed, |y| being within a relative 2^-53 of
+    |X|, with room for the bound's own rounding), no boundary (k + 1/2)
+    * 1e-5 lies between x and repr(x) or on either, and "%.5f" of x is
+    fmt5's string.  Values under 5e-6 in size then round to zero and
+    are written from 0.0, which keeps "-0.00000" out.  Every other
+    value (near a tie, not finite, or past about 1e10, where the bound
+    reaches 1/2) is written by fmt5 itself.
     """
     col = np.array(values, dtype=float)
     with np.errstate(all="ignore"):
-        fast = (np.abs(col) < 1e9) & (np.abs(np.mod(col * 1e5, 1.0) - 0.5) > 0.05)
-    col[np.abs(col) < 4.5e-6] = 0.0
+        scaled = col * 1e5
+        fast = np.abs(np.mod(scaled, 1.0) - 0.5) > np.abs(scaled) * 2.0**-51 + 2.0**-52
+    col[np.abs(col) < 5e-6] = 0.0
     text = ("%.5f " * len(col) % tuple(col.tolist())).split()
     for k in np.flatnonzero(~fast).tolist():
         x = values[k]

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import splinefig
+from splinefig import cli
 from splinefig.cli import build_parser, main
 from splinefig.geom import Point2
 from splinefig.spline import build_spline
@@ -699,6 +700,8 @@ class TestRefusals:
             # past the bounds, refused before any point or node is made
             "implicit --fn x=y --xrange 0,1 --yrange 0,1 --grid 30000",
             "contact-demo --grid 30000",
+            "contact-demo --samples 1001",
+            "contact-demo --samples 100000",
             "integrate --fn x^2 --sample-range 0,1 --num 300000000 --interval 0,1",
             "surface SURF --phi 90",
             "contact-demo --phi 90",
@@ -713,6 +716,32 @@ class TestRefusals:
         files = {"DIAMOND": diamond, "SURF": str(desc)}
         assert main([files.get(a, a) for a in argv.split()]) == 2
         assert "error: argument --" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, vertices",
+        [
+            ("--samples 300000000", "3 segments samples 900000001"),
+            ("--samples 250000 --closed", "4 segments samples 1000001"),
+        ],
+    )
+    def test_spline_samples_past_the_vertex_bound(self, capsys, diamond, argv, vertices):
+        # refused before any vertex is sampled
+        assert main(["spline", "--points", diamond, *argv.split()]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert f"{vertices} vertices, more than 1000000" in captured.err
+        assert captured.out == ""
+
+    def test_sample_bounds_are_inclusive(self, capsys, monkeypatch, diamond):
+        assert main(["contact-demo", "--samples", "1000", "--show-config"]) == 0
+        assert "samples = 1000" in capsys.readouterr().out
+        # 3 segments at 10 samples: 31 vertices, at a bound of 31
+        monkeypatch.setattr(cli, "MAX_VERTICES", 31)
+        argv = ["spline", "--points", diamond, "--format", "csv"]
+        assert main([*argv, "--samples", "10"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 31
+        assert main([*argv, "--samples", "11"]) == 1
+        assert "34 vertices, more than 31" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -602,3 +602,106 @@ def test_grid_drops_each_temporary_after_its_last_reader():
     )
     jac = _jacobian_fn(band, Projection())
     assert _grid_peak(jac, steps(-0.4, 0.4, 200), steps(0.0, 2 * math.pi, 200)) < 4.95
+
+
+# ---------------------------------------------------------------------------
+# the interval enclosure: sound over ruled trees, (-inf, inf) over others
+
+EXPONENTS = [0.0, 1.0, 2.0, 3.0, 4.0, 7.0, 400.0]
+ruled_trees = st.recursive(
+    st.sampled_from([*CONSTANTS, 1e154]).map(Const) | st.sampled_from(["x", "y"]).map(Var),
+    lambda sub: st.one_of(
+        sub.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*"), sub, sub),
+        st.builds(BinOp, st.just("^"), sub, st.sampled_from(EXPONENTS).map(Const)),
+        st.builds(Call, st.just("sqrt"), sub),
+    ),
+    max_leaves=10,
+)
+box_ends = st.sampled_from(EDGE_VALUES) | st.floats(-10, 10) | st.floats(-1e160, 1e160)
+
+
+@st.composite
+def boxes(draw, count: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """count intervals, as arrays of their lower and upper ends."""
+    ends = [sorted((draw(box_ends), draw(box_ends))) for _ in range(count)]
+    return np.array([lo for lo, _ in ends]), np.array([hi for _, hi in ends])
+
+
+def _box_points(lo: float, hi: float, t: float) -> list[float]:
+    """The ends, the midpoint and the point at fraction t, and the float
+    neighbours of the ends and of that point that lie in [lo, hi], all
+    as Python floats."""
+    lo, hi = float(lo), float(hi)
+    inner = lo + (hi - lo) * t
+    near = [float(np.nextafter(p, d)) for p in (lo, hi, inner) for d in (-math.inf, math.inf)]
+    return [p for p in [lo, hi, lo + (hi - lo) * 0.5, inner, *near] if lo <= p <= hi]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ruled_trees, boxes(), boxes(), st.floats(0.0, 1.0))
+@example(parse("x^2 - 2*x*y + y^2"), *[(np.array([-1.0]), np.array([1.0]))] * 2, 0.3)
+@example(parse("(1e154*x)^2 + y"), *[(np.array([0.5]), np.array([2.0]))] * 2, 0.3)
+@example(parse("sqrt(x)^0 + y"), *[(np.array([-1.0]), np.array([1.0]))] * 2, 0.3)
+@example(parse("(1e300*x*1e300)^0"), *[(np.array([1.0]), np.array([2.0]))] * 2, 0.3)
+def test_property_enclosure_holds_every_value_in_the_box(node, xbox, ybox, t):
+    f = compile_fn(node, ("x", "y"))
+    lo, hi = f.enclose(xbox, ybox)
+    assert lo.shape == hi.shape == xbox[0].shape
+    for k in range(len(lo)):
+        finite = math.isfinite(lo[k]) and math.isfinite(hi[k])
+        for x in _box_points(xbox[0][k], xbox[1][k], t):
+            for y in _box_points(ybox[0][k], ybox[1][k], t):
+                try:
+                    value = f(x, y)
+                except DomainError:
+                    assert not finite, (x, y)
+                    continue
+                assert lo[k] <= value <= hi[k], (x, y, value)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    ruled_trees,
+    ruled_trees,
+    st.sampled_from(
+        [
+            lambda a: BinOp("/", a, Const(2.0)),
+            lambda a: Call("log", a),
+            lambda a: Call("sin", a),
+            lambda a: Call("abs", a),
+            lambda a: BinOp("^", a, Const(0.5)),
+            lambda a: BinOp("^", a, Const(-2.0)),
+            lambda a: BinOp("^", a, Var("y")),
+        ]
+    ),
+    boxes(),
+    boxes(),
+)
+def test_property_enclosure_of_unruled_operations_is_everything(a, b, wrap, xbox, ybox):
+    f = compile_fn(BinOp("*", wrap(a), b), ("x", "y"))
+    lo, hi = f.enclose(xbox, ybox)
+    assert (lo == -math.inf).all() and (hi == math.inf).all()
+
+
+@pytest.mark.parametrize(
+    "text, ulps", [("x + y", 2), ("x * y", 2), ("-x", 2), ("sqrt(x)", 2), ("x^3", 4)]
+)
+def test_enclosure_widens_each_end(text, ulps):
+    # at a point box the ends are the value itself, widened outward
+    f = compile_fn(parse(text), ("x", "y"))
+    value = f(2.0, 3.0)
+    lo, hi = f.enclose((2.0, 2.0), (3.0, 3.0))
+    down, up = value, value
+    for _ in range(ulps):
+        down, up = np.nextafter(down, -math.inf), np.nextafter(up, math.inf)
+    assert (lo, hi) == (down, up)
+
+
+def test_compile_many_encloses_each_tree():
+    many = compile_many([parse("x^2"), parse("1 / x")], ("x",))
+    (lo, hi), (lo_div, hi_div) = many.enclose((np.array([-1.0, 2.0]), np.array([3.0, 4.0])))
+    # pow's ends are widened by 4 ulps: 4 subnormal steps below 0
+    assert lo[0] == -4 * 5e-324 and 4.0 - 1e-13 < lo[1] < 4.0
+    assert 9.0 < hi[0] < 9.0 + 1e-13 and 16.0 < hi[1] < 16.0 + 1e-13
+    assert (lo_div == -math.inf).all() and (hi_div == math.inf).all()

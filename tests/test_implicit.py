@@ -1,3 +1,4 @@
+import logging
 import math
 import struct
 from typing import Callable
@@ -11,12 +12,14 @@ from splinefig.calculus import IntegrationRequest, closed_area, integrate
 from splinefig.expr import DomainError, compile_fn, steps
 from splinefig.geom import Point2, Polyline
 from splinefig.implicit import (
+    BLOCK,
     JOIN_TOL,
     MAX_GRID,
     MAX_BISECT,
     RESIDUAL_FACTOR,
     TraceConfig,
     TraceError,
+    _open_blocks,
     _refine_crossings,
     parse_equation,
     trace_implicit,
@@ -299,11 +302,47 @@ def test_property_trace_matches_the_scalar_reference(text, x0, wx, y0, wy, grid)
     assert got == want
 
 
+# grids of whole blocks and not, where the enclosure proves most blocks
+# one-signed, so that only the open ones are evaluated
+_XS = steps(-1.0, 1.0, 203)
+CULLED = [
+    ("x^2+y^2-1", (-2.0, 2.0), (-2.0, 2.0), 50),
+    ("x^2+y^2-1", (-2.0, 2.0), (-2.0, 2.0), 64),
+    ("1.234567*x^2+0.456789*x*y+0.987654*y^2-1", (-2.0, 2.0), (-2.0, 2.0), 200),
+    ("y^2 - x^3 + x", (-2.0, 2.0), (-2.0, 2.0), 203),
+    # undefined on the left half: the open blocks hold every skipped cell
+    ("sqrt(x) - 1 + y^2", (-2.0, 2.0), (-2.0, 2.0), 203),
+    # overflow inside blocks: undefined nodes, an infinite bound
+    ("1e200*x^2+y^2-1", (-1.5e54, 1.5e54), (-2.0, 2.0), 200),
+    # zero at every node of a block edge
+    (f"x - {_XS[16]!r}", (-1.0, 1.0), (-1.0, 1.0), 203),
+]
+
+
+@pytest.mark.parametrize("text, xrange, yrange, grid", CULLED)
+def test_culled_trace_matches_the_scalar_reference(text, xrange, yrange, grid, caplog):
+    f = compile_fn(parse_equation(text), ("x", "y"))
+    xs, ys = np.array(steps(*xrange, grid)), np.array(steps(*yrange, grid))
+    i0, _, size = _open_blocks(f, xs, ys)
+    assert size == BLOCK and len(i0) < ((grid + BLOCK - 1) // BLOCK) ** 2
+    cfg = TraceConfig(xrange, yrange, grid)
+    with caplog.at_level(logging.WARNING, logger="splinefig.implicit"):
+        comps = trace_zero_set(f, cfg)
+    assert comps and _bits(comps) == _bits(reference_trace(f, cfg))
+    # the same skipped-cell count as over the whole grid
+    ok = np.isfinite(f.grid(xs, ys))
+    valid = ok[:-1, :-1] & ok[1:, :-1] & ok[1:, 1:] & ok[:-1, 1:]
+    skipped = grid * grid - np.count_nonzero(valid)
+    warned = [r.getMessage() for r in caplog.records]
+    assert warned == ([f"skipped {skipped} cells with undefined corners"] if skipped else [])
+
+
 class _CountingFn:
-    """A compiled F that counts its scalar calls and its array passes."""
+    """A compiled F that counts its scalar calls, its array passes and
+    the points those passes evaluate."""
 
     def __init__(self, f):
-        self.f, self.calls, self.passes = f, 0, 0
+        self.f, self.calls, self.passes, self.points = f, 0, 0, 0
 
     def __call__(self, *args: float) -> float:
         self.calls += 1
@@ -311,11 +350,16 @@ class _CountingFn:
 
     def at(self, *arrays):
         self.passes += 1
+        self.points += np.broadcast(*arrays).size
         return self.f.at(*arrays)
 
     def grid(self, xs, ys):
         self.passes += 1
         return self.f.grid(xs, ys)
+
+    def enclose(self, *boxes):
+        # bounds over the block boxes, not a pass of F's values
+        return self.f.enclose(*boxes)
 
 
 def test_trace_makes_no_scalar_call():
@@ -324,6 +368,8 @@ def test_trace_makes_no_scalar_call():
     batched, scalar = _CountingFn(f), _CountingFn(f)
     comps = trace_zero_set(batched, cfg)
     assert batched.calls == 0
+    # proven blocks are not evaluated: fewer points than the grid's nodes
+    assert batched.points < 801 * 801 // 4
     assert _bits(comps) == _bits(reference_trace(scalar, cfg))
     assert scalar.calls > 30000
 

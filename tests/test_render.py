@@ -4,6 +4,7 @@ import math
 import re
 from decimal import ROUND_HALF_UP, Decimal
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -177,6 +178,36 @@ def test_column_past_the_fast_path_bound():
         for y in _neighbours(centre + (2 * k + 1) / 200_000)
     ]
     assert fmt5_column(values) == [fmt5(x) for x in values]
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(-(10**15), 10**15) | st.integers(-(10**6), 10**6), max_size=20),
+    st.integers(-3, 3),
+)
+def test_property_column_is_fmt5_at_ties_and_their_neighbours(ks, ulps):
+    # (2k + 1) / 200000 is the float nearest the tie (k + 1/2) * 1e-5, up
+    # to 1e10 in size, where fmt5_column's band nears 1/2; then ulps
+    # steps up or down from it
+    values = []
+    for k in ks:
+        x = (2 * k + 1) / 200_000
+        for _ in range(abs(ulps)):
+            x = math.nextafter(x, math.copysign(math.inf, ulps))
+        values.append(x)
+    assert fmt5_column(values) == [fmt5(x) for x in values]
+
+
+def test_column_sends_only_values_near_a_tie_to_fmt5(monkeypatch):
+    # a band of 0.05 around each tie sent about 1 value in 10 to fmt5;
+    # the rounding-sized band sends almost none
+    values = np.random.default_rng(5).uniform(-10.0, 10.0, 20_000).tolist()
+    calls = []
+    real = render.fmt5
+    monkeypatch.setattr(render, "fmt5", lambda x: calls.append(x) or real(x))
+    text = fmt5_column(values)
+    assert len(calls) < 10
+    assert text == [real(x) for x in values]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e24])
