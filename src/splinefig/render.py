@@ -170,15 +170,15 @@ def fmt5_column(values: Sequence[float]) -> list[str]:
     |y mod 1 - 1/2| from y to the nearest half-integer.  y is within
     |X| * 2^-53 of X, and the mod and the subtraction round by under
     2^-53 in all, so X lies more than d - 2^-53 - |X| * 2^-53 from every
-    half-integer; repr(x) * 1e5 is within half an ulp of x, |X| * 2^-53,
-    of X.  So where d > |y| * 2^-51 + 2^-52 (more than the 2 * |X| *
-    2^-53 + 2^-53 it must exceed, |y| being within a relative 2^-53 of
-    |X|, with room for the bound's own rounding), no boundary (k + 1/2)
-    * 1e-5 lies between x and repr(x) or on either, and "%.5f" of x is
-    fmt5's string.  Values under 5e-6 in size then round to zero and
-    are written from 0.0, which keeps "-0.00000" out.  Every other
-    value (near a tie, not finite, or past about 1e10, where the bound
-    reaches 1/2) is written by fmt5 itself.
+    half-integer.  repr(x) is within half an ulp of x, so repr(x) * 1e5
+    is within |X| * 2^-53 of X.  So where d > |y| * 2^-51 + 2^-52, more
+    than the 2 * |X| * 2^-53 + 2^-53 it must exceed (|y| is within a
+    relative 2^-53 of |X|, and the bound's own rounding is smaller than
+    its slack), no boundary (k + 1/2) * 1e-5 lies between x and repr(x)
+    or on either, and "%.5f" of x is fmt5's string.  Such values under
+    5e-6 in size round to zero and are written from 0.0, which keeps
+    "-0.00000" out.  Every other value (near a tie, not finite, or past
+    about 1e10, where the bound reaches 1/2) is written by fmt5 itself.
     """
     col = np.array(values, dtype=float)
     with np.errstate(all="ignore"):

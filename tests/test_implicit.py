@@ -270,6 +270,9 @@ WIDTHS = st.sampled_from([1.0, 2.0, 4.0]) | st.floats(0.1, 6.0)
 @example(text="x - 0.3 + 0*sqrt(y)", x0=-1.0, wx=2.0, y0=-1.0, wy=2.0, grid=8)
 @example(text="0*x", x0=-1.0, wx=2.0, y0=-1.0, wy=2.0, grid=8)
 @example(text="y^2 - x^3 + x", x0=-2.0, wx=4.0, y0=-2.0, wy=4.0, grid=200)
+# most blocks proven one-signed, at grids that are not whole blocks
+@example(text="x^2 + 0.5*x*y + y^2 - 1", x0=-2.0, wx=4.0, y0=-2.0, wy=4.0, grid=50)
+@example(text="x^2 + 0.5*x*y + y^2 - 1", x0=-2.0, wx=4.0, y0=-2.0, wy=4.0, grid=203)
 def test_property_trace_matches_the_scalar_reference(text, x0, wx, y0, wy, grid):
     """The traced polylines, and the crossing on every edge whose ends
     lie on both sides, equal the point-by-point ones bit for bit (the
