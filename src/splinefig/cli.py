@@ -50,6 +50,11 @@ from .spline import DegenerateGeometryError, SplineMethod, build_spline
 MAX_NUM = 10**6
 MAX_SAMPLES = 1000
 MAX_VERTICES = 10**6
+# every `.surf` key; the first five are required
+SURF_KEYS = (
+    "x", "y", "z", "u", "v",
+    "theta", "phi", "wires_u", "wires_v", "grid", "samples", "hidden", "axes",
+)
 
 # `surface` is imported by the two commands that draw surfaces, so the
 # others never load it; its SurfaceError is reported once it is loaded
@@ -105,6 +110,13 @@ def _elevation(text: str) -> float:
     if not -math.pi / 2 < math.radians(phi) < math.pi / 2:
         raise ExprError(f"elevation must lie in (-90, 90) degrees, got {text!r}")
     return phi
+
+
+def _positive(text: str) -> float:
+    x = _const(text)
+    if not x > 0.0:
+        raise ExprError(f"expected a positive number, got {text!r}")
+    return x
 
 
 def _count(minimum: int, maximum: float = math.inf) -> Callable[[str], int]:
@@ -313,8 +325,10 @@ def _read_surface_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise SurfaceError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            desc[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key not in SURF_KEYS:
+                raise SurfaceError(f"{path}:{lineno}: unknown key {key!r}")
+            desc[key] = value
     return desc
 
 
@@ -334,9 +348,11 @@ def _cmd_surface(args) -> int:
     from . import surface
 
     desc = _read_surface_file(args.file)
-    missing = {"x", "y", "z", "u", "v"} - desc.keys()
+    missing = set(SURF_KEYS[:5]) - desc.keys()
     if missing:
         raise surface.SurfaceError(f"surface file lacks {sorted(missing)}")
+    if desc.get("axes", "on") not in ("on", "off"):
+        raise surface.SurfaceError(f"axes: expected on or off, got {desc['axes']!r}")
     u, v = _setting(desc, "u", _const_pair), _setting(desc, "v", _const_pair)
     surf = surface.ParametricSurface.from_strings(
         desc["x"], desc["y"], desc["z"], u, v
@@ -354,7 +370,7 @@ def _cmd_surface(args) -> int:
         grid=_setting(desc, "grid", _count(8, MAX_GRID), "200"),
         samples=_setting(desc, "samples", _count(1, MAX_SAMPLES), "100"),
         hidden_style=desc.get("hidden", "dashed"),
-        axes=desc.get("axes", "on") != "off",
+        axes=desc.get("axes", "on") == "on",
     )
     if args.show_config:
         return _show_config(
@@ -518,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"samples per drawn curve, at most {MAX_SAMPLES}",
     )
     p.add_argument("--window", type=_arg(_count(0)), default=6)
-    p.add_argument("--tol", type=num, default=1e-7)
+    p.add_argument("--tol", type=_arg(_positive), default=1e-7)
     _add_common_figure(p)
     p.set_defaults(func=_cmd_contact_demo)
 

@@ -62,36 +62,6 @@ class Point2:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True, slots=True)
-class Point3:
-    x: float
-    y: float
-    z: float
-
-    def __add__(self, other: "Point3") -> "Point3":
-        return Point3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Point3") -> "Point3":
-        return Point3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __mul__(self, k: float) -> "Point3":
-        return Point3(self.x * k, self.y * k, self.z * k)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: "Point3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def norm(self) -> float:
-        return math.sqrt(self.dot(self))
-
-    def dist(self, other: "Point3") -> float:
-        return (self - other).norm()
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
-
 def _lerp(a: Point2, b: Point2, t: float) -> Point2:
     # one-sided form keeps the endpoints exact at t=0 and t=1
     return Point2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
@@ -218,15 +188,16 @@ class Polyline:
     The vertices are one read-only float64 (n, 2) array, given as such
     or as Point2s; `as_array()` returns it, and `points` reads its rows
     as Point2s, built on the first read that needs them.  Vertices may
-    carry their 3D preimage (space) and parameter tags (params),
-    index-aligned with the vertices.  Closed traces repeat the first
-    vertex at the end; consecutive vertices are never equal (-0.0
-    equals 0.0, NaN equals nothing).
+    carry their 3D preimages (space, (n, 3)) and (u, v) parameter tags
+    (params, (n, 2)), read-only float64 arrays row-aligned with the
+    vertices.  Closed traces repeat the first vertex at the end;
+    consecutive vertices are never equal (-0.0 equals 0.0, NaN equals
+    nothing).
     """
 
     points: Sequence[Point2]
-    space: tuple[Point3, ...] | None = None
-    params: tuple | None = None
+    space: np.ndarray | None = None
+    params: np.ndarray | None = None
 
     def __post_init__(self):
         xy = np.array(xy_array(self.points))
@@ -237,14 +208,11 @@ class Polyline:
         xy.flags.writeable = False
         object.__setattr__(self, "_xy", xy)
         object.__setattr__(self, "points", _Points(xy))
-        if self.space is not None:
-            object.__setattr__(self, "space", tuple(self.space))
-            if len(self.space) != len(xy):
-                raise ValueError("space annotation length mismatch")
-        if self.params is not None:
-            object.__setattr__(self, "params", tuple(self.params))
-            if len(self.params) != len(xy):
-                raise ValueError("params annotation length mismatch")
+        for name, width in (("space", 3), ("params", 2)):
+            rows = getattr(self, name)
+            if rows is not None:
+                rows = frozen_rows(rows, width, len(xy), f"{name} annotation")
+                object.__setattr__(self, name, rows)
 
     @property
     def pt_start(self) -> Point2:
@@ -266,9 +234,25 @@ def drop_repeats(points: Iterable[Point2] | np.ndarray) -> np.ndarray:
     """The points' (n, 2) rows with every run of equal consecutive rows
     kept once: a row stays unless it equals the row before it."""
     xy = xy_array(points)
-    keep = np.ones(len(xy), dtype=bool)
-    keep[1:] = (xy[1:] != xy[:-1]).any(axis=1)
-    return xy[keep]
+    return xy[run_starts(xy)]
+
+
+def run_starts(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows that do not equal the row before them (the
+    first row always; -0.0 equals 0.0, NaN equals nothing)."""
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return keep
+
+
+def frozen_rows(rows, width: int, n: int, name: str) -> np.ndarray:
+    """The rows as a read-only float64 copy of shape (n, width); any
+    other shape is a ValueError naming them."""
+    arr = np.array(rows, dtype=float)
+    if arr.shape != (n, width):
+        raise ValueError(f"{name} must have shape ({n}, {width}), not {arr.shape}")
+    arr.flags.writeable = False
+    return arr
 
 
 def diameter(points: Sequence[Point2]) -> float:

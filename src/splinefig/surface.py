@@ -32,8 +32,8 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import count, product, starmap
-from typing import Callable, Iterable, Sequence
+from itertools import accumulate, count, pairwise, product, starmap
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -51,11 +51,11 @@ from .expr import (
 )
 from .geom import (
     Point2,
-    Point3,
     Polyline,
-    _lerp,
     diameter,
     drop_repeats,
+    frozen_rows,
+    run_starts,
 )
 from .implicit import TraceConfig, trace_zero_set
 from .render import DrawItem, Label, Scene, Style, fmt5, scene_from_items
@@ -96,13 +96,13 @@ class Projection:
         return math.sin(a), math.cos(a), math.sin(e), math.cos(e)
 
 
-def project(p: Point3, proj: Projection) -> tuple[Point2, float]:
-    """Screen position and depth (larger depth = nearer the eye)."""
+def project(p, proj: Projection) -> tuple:
+    """Screen x, y and depth (larger depth = nearer the eye) of p = (x, y,
+    z): three floats, or three columns, which give three columns."""
+    x, y, z = p
     st, ct, sf, cf = proj.trig
-    sx = -p.x * st + p.y * ct
-    sy = -p.x * ct * sf - p.y * st * sf + p.z * cf
-    d = p.x * ct * cf + p.y * st * cf + p.z * sf
-    return Point2(sx, sy), d
+    sx, sy = -x * st + y * ct, -x * ct * sf - y * st * sf + z * cf
+    return sx, sy, x * ct * cf + y * st * cf + z * sf
 
 
 @dataclass(frozen=True)
@@ -141,26 +141,26 @@ class ParametricSurface:
     def _xyz(self) -> Callable:
         return compile_many((self.x, self.y, self.z), ("u", "v"))
 
-    def point(self, u: float, v: float) -> Point3:
-        return Point3(*self._xyz(u, v))
+    def point(self, u: float, v: float) -> tuple[float, float, float]:
+        return self._xyz(u, v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceCurve:
-    """An ordered 3D vertex chain, optionally tagged with (u, v) preimages."""
+    """An ordered 3D vertex chain: xyz, a read-only float64 (n, 3) array,
+    and uv, the vertices' (u, v) preimages as an (n, 2) one, or None."""
 
-    points: tuple[Point3, ...]
-    uv: tuple[tuple[float, float], ...] | None = None
+    xyz: np.ndarray
+    uv: np.ndarray | None = None
     label: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if len(self.points) < 2:
+        xyz = frozen_rows(self.xyz, 3, len(self.xyz), "xyz")
+        if len(xyz) < 2:
             raise ValueError("a space curve needs at least 2 points")
+        object.__setattr__(self, "xyz", xyz)
         if self.uv is not None:
-            object.__setattr__(self, "uv", tuple(self.uv))
-            if len(self.uv) != len(self.points):
-                raise ValueError("uv tag length mismatch")
+            object.__setattr__(self, "uv", frozen_rows(self.uv, 2, len(xyz), "uv"))
 
 
 def _projected_exprs(s: ParametricSurface, proj: Projection) -> tuple[ExprNode, ExprNode]:
@@ -196,18 +196,14 @@ def _jacobian_fn(
 
 
 def _on_surface(
-    s: ParametricSurface, params: Iterable[tuple[float, float]]
-) -> tuple[list[Point3], list[tuple[float, float]]]:
-    """Surface points at the (u, v) params, skipping undefined ones."""
-    pts: list[Point3] = []
-    uv: list[tuple[float, float]] = []
-    for u, v in params:
-        try:
-            pts.append(s.point(u, v))
-        except DomainError:
-            continue
-        uv.append((u, v))
-    return pts, uv
+    s: ParametricSurface, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Surface points (n, 3) at the parameter columns u and v, and their
+    (u, v) rows (n, 2), where the surface is defined: `at` gives NaN
+    exactly where the scalar call raises."""
+    xyz = np.column_stack(s._xyz.at(u, v))
+    keep = ~np.isnan(xyz).any(axis=1)
+    return xyz[keep], np.column_stack((u, v))[keep]
 
 
 def silhouette(
@@ -217,15 +213,14 @@ def silhouette(
     cfg = TraceConfig(s.u_range, s.v_range, grid=grid)
     curves: list[SpaceCurve] = []
     for poly in trace_zero_set(_jacobian_fn(s, proj), cfg):
-        pts, uv = _on_surface(s, poly.as_array().tolist())
-        if len(pts) < 2:
+        xyz, uv = _on_surface(s, *poly.as_array().T)
+        if len(xyz) < 2:
             continue
-        curve = SpaceCurve(tuple(pts), tuple(uv), f"silhouette:{len(curves)}")
+        curve = SpaceCurve(xyz, uv, f"silhouette:{len(curves)}")
         # a fold along a degenerate parameter line (a cone apex, a pole)
         # maps to a single 3D point and is no curve at all
-        if _collapsed(curve):
-            continue
-        curves.append(curve)
+        if not _collapsed(curve):
+            curves.append(curve)
     return curves
 
 
@@ -233,25 +228,26 @@ def _edge_curve(
     s: ParametricSurface, fixed: str, value: float, samples: int
 ) -> SpaceCurve | None:
     lo, hi = s.v_range if fixed == "u" else s.u_range
-    ts = steps(lo, hi, samples)
-    pts, uv = _on_surface(
-        s, ((value, t) if fixed == "u" else (t, value) for t in ts)
-    )
-    if len(pts) < 2:
+    ts = np.array(steps(lo, hi, samples))
+    same = np.full_like(ts, value)
+    xyz, uv = _on_surface(s, *((same, ts) if fixed == "u" else (ts, same)))
+    if len(xyz) < 2:
         return None
-    return SpaceCurve(tuple(pts), tuple(uv), f"boundary:{fixed}={value:g}")
+    return SpaceCurve(xyz, uv, f"boundary:{fixed}={value:g}")
 
 
-def _same_point_tol(points: Sequence[Point3]) -> float:
-    """Distance under which two of these points count as one."""
-    scale = max(max(abs(p.x), abs(p.y), abs(p.z)) for p in points)
-    return 1e-9 * max(1.0, scale)
+def _same_points(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether each point of a counts as b's point (b one point, or as
+    many as a): within 1e-9 * max(1, a's largest |coordinate|), measured
+    as sqrt(dx*dx + dy*dy + dz*dz)."""
+    tol = 1e-9 * max(1.0, float(np.abs(a).max()))
+    with np.errstate(over="ignore"):  # a square past the double range is inf
+        dx, dy, dz = (a - b).T
+        return bool((np.sqrt(dx * dx + dy * dy + dz * dz) <= tol).all())
 
 
 def _collapsed(curve: SpaceCurve) -> bool:
-    first = curve.points[0]
-    tol = _same_point_tol(curve.points)
-    return all(p.dist(first) <= tol for p in curve.points)
+    return _same_points(curve.xyz, curve.xyz[0])
 
 
 def _is_seam(a: SpaceCurve, b: SpaceCurve) -> bool:
@@ -260,14 +256,9 @@ def _is_seam(a: SpaceCurve, b: SpaceCurve) -> bool:
     Either in step (surface of revolution) or reversed (a half-twist
     closure): both mean the edge is interior to the surface.
     """
-    if len(a.points) != len(b.points):
+    if len(a.xyz) != len(b.xyz):
         return False
-    tol = _same_point_tol(a.points)
-    if all(p.dist(q) <= tol for p, q in zip(a.points, b.points)):
-        return True
-    return all(
-        p.dist(q) <= tol for p, q in zip(a.points, reversed(b.points))
-    )
+    return _same_points(a.xyz, b.xyz) or _same_points(a.xyz, b.xyz[::-1])
 
 
 def boundary_curves(s: ParametricSurface, samples: int = 100) -> list[SpaceCurve]:
@@ -305,23 +296,16 @@ def wires(
 
 
 def project_curve(curve: SpaceCurve, proj: Projection) -> Polyline | None:
-    """Project to screen coordinates, keeping 3D and uv annotations."""
-    pts: list[Point2] = []
-    space: list[Point3] = []
-    uv: list[tuple[float, float]] = []
-    for k, p in enumerate(curve.points):
-        q, _ = project(p, proj)
-        if pts and pts[-1].dist(q) == 0.0:
-            continue
-        pts.append(q)
-        space.append(p)
-        if curve.uv is not None:
-            uv.append(curve.uv[k])
-    if len(pts) < 2:
+    """Project to screen coordinates, keeping 3D and uv annotations; a
+    vertex that projects where the one before it does is dropped."""
+    with np.errstate(over="ignore"):  # as Python floats overflow, to inf
+        sx, sy, _ = project(curve.xyz.T, proj)
+    xy = np.column_stack((sx, sy))
+    keep = run_starts(xy)
+    if keep.sum() < 2:
         return None
-    return Polyline(
-        tuple(pts), tuple(space), tuple(uv) if curve.uv is not None else None
-    )
+    uv = None if curve.uv is None else curve.uv[keep]
+    return Polyline(xy[keep], curve.xyz[keep], uv)
 
 
 # ---------------------------------------------------------------------------
@@ -691,12 +675,8 @@ class VisibilityTaggedCurve:
 
     def intervals(self) -> list[tuple[Polyline, bool]]:
         bounds = [0.0, *self.cuts, float(len(self.polyline.points) - 1)]
-        out = []
-        for k in range(len(bounds) - 1):
-            sub = _sub_polyline(self.polyline, bounds[k], bounds[k + 1])
-            if sub is not None:
-                out.append((sub, self.hidden[k]))
-        return out
+        subs = (_sub_polyline(self.polyline, *pair) for pair in pairwise(bounds))
+        return [(sub, flag) for sub, flag in zip(subs, self.hidden) if sub is not None]
 
 
 def _split_param(poly: Polyline, param: float) -> tuple[int, float]:
@@ -705,19 +685,15 @@ def _split_param(poly: Polyline, param: float) -> tuple[int, float]:
     return i, param - i
 
 
-def _param_point(poly: Polyline, param: float) -> Point2:
-    i, t = _split_param(poly, param)
-    return _lerp(poly.points[i], poly.points[i + 1], t)
-
-
 def _sub_polyline(poly: Polyline, p0: float, p1: float) -> Polyline | None:
     if p1 - p0 <= 1e-12:
         return None
-    inner = poly.points[int(p0) + 1 : int(p1) + 1]
-    pts = drop_repeats((_param_point(poly, p0), *inner, _param_point(poly, p1)))
-    if len(pts) < 2:
-        return None
-    return Polyline(pts)
+    xy = poly.as_array()
+    (i, s), (j, t) = _split_param(poly, p0), _split_param(poly, p1)
+    # the cut points, a + (b - a) * t on the segments they cut
+    ends = xy[[i, j]] + (xy[[i + 1, j + 1]] - xy[[i, j]]) * [[s], [t]]
+    pts = drop_repeats(np.vstack((ends[0], xy[int(p0) + 1 : int(p1) + 1], ends[1])))
+    return Polyline(pts) if len(pts) >= 2 else None
 
 
 def _locate_param(poly: Polyline, q: Point2) -> tuple[float, float]:
@@ -866,18 +842,12 @@ def classify_visibility(
     the Newton solves all fail for a curve on the surface, the interval
     stays visible and the result's newton_failed is set.
     """
-    n_last = float(len(poly.points) - 1)
-    params: list[float] = []
-    for q in cuts:
-        param, dist = _locate_param(poly, q)
-        if dist > 0.05 * (1.0 + tester.scene_scale):
-            continue
-        params.append(param)
+    near = 0.05 * (1.0 + tester.scene_scale)
+    params = [p for p, dist in (_locate_param(poly, q) for q in cuts) if dist <= near]
     # arc length at each vertex: a cut within 10*REFINE_TOL along the
     # curve of an end or of the last kept cut would leave a stub interval
-    arc = [0.0]
-    for a, b in zip(poly.points, poly.points[1:]):
-        arc.append(arc[-1] + a.dist(b))
+    gaps = map(math.hypot, *np.diff(poly.as_array(), axis=0).T.tolist())
+    arc = [0.0, *accumulate(gaps)]
     cleaned: list[float] = []
     last = 0.0
     for p in sorted(params):
@@ -888,36 +858,30 @@ def classify_visibility(
             last = at
 
     eps = OCCLUSION_EPS_FACTOR * tester.scene_scale
-    bounds = [0.0, *cleaned, n_last]
-    hidden_flags: list[bool] = []
+    bounds = [0.0, *cleaned, float(len(poly.points) - 1)]
+    hidden: list[bool] = []
     trouble = False
-    for k in range(len(bounds) - 1):
-        i, t = _split_param(poly, 0.5 * (bounds[k] + bounds[k + 1]))
-        if poly.params is not None:
-            ua, va = poly.params[i]
-            ub, vb = poly.params[i + 1]
-            own_uv = (ua + (ub - ua) * t, va + (vb - va) * t)
-            p3 = tester.surface.point(*own_uv)
-        else:
-            own_uv = None
-            a3, b3 = poly.space[i], poly.space[i + 1]
-            p3 = a3 + (b3 - a3) * t
-        q, d = project(p3, tester.proj)
-        roots, candidates = tester.covers(q)
+    for lo, hi in pairwise(bounds):
+        i, t = _split_param(poly, 0.5 * (lo + hi))
+        # the midpoint's own (u, v) on a surface curve, else its 3D point
+        rows = poly.space if poly.params is None else poly.params
+        mid = tuple(a + (b - a) * t for a, b in zip(*rows[i : i + 2].tolist()))
+        own_uv = None if poly.params is None else mid
+        p3 = mid if own_uv is None else tester.surface.point(*mid)
+        qx, qy, d = project(p3, tester.proj)
+        roots, candidates = tester.covers(Point2(qx, qy))
         # a point on the surface is its own preimage, so finding no root
         # is a failed solve; a point off it (an axis) may have none
         trouble = trouble or (own_uv is not None and candidates > 0 and not roots)
-        hidden_flags.append(
+        hidden.append(
             any(
-                project(tester.surface.point(u, v), tester.proj)[1] > d + eps
+                project(tester.surface.point(u, v), tester.proj)[2] > d + eps
                 for u, v in roots
                 if own_uv is None
                 or math.hypot(u - own_uv[0], v - own_uv[1]) > SELF_OCCLUSION_UV_TOL
             )
         )
-    return VisibilityTaggedCurve(
-        poly, tuple(cleaned), tuple(hidden_flags), label, trouble
-    )
+    return VisibilityTaggedCurve(poly, tuple(cleaned), tuple(hidden), label, trouble)
 
 
 # ---------------------------------------------------------------------------
@@ -963,22 +927,19 @@ class SceneReport:
 
 def _axis_curves(s: ParametricSurface, samples: int) -> list[SpaceCurve]:
     # the surface's extent, from an 8 x 8 cell parameter grid
-    pts, _ = _on_surface(s, product(steps(*s.u_range, 8), steps(*s.v_range, 8)))
-    if not pts:
+    u, v = np.meshgrid(steps(*s.u_range, 8), steps(*s.v_range, 8))
+    xyz, _ = _on_surface(s, u.ravel(), v.ravel())
+    if not len(xyz):
         raise SurfaceError("surface undefined everywhere")
-    los = [min(p.x for p in pts), min(p.y for p in pts), min(p.z for p in pts)]
-    his = [max(p.x for p in pts), max(p.y for p in pts), max(p.z for p in pts)]
+    los, his = xyz.min(axis=0).tolist(), xyz.max(axis=0).tolist()
     curves = []
     for axis, name in enumerate("xyz"):
         span = max(his[axis] - los[axis], 1.0)
         lo = min(los[axis], 0.0) - 0.35 * span
         hi = max(his[axis], 0.0) + 0.35 * span
-        coords = []
-        for t in steps(lo, hi, samples):
-            vec = [0.0, 0.0, 0.0]
-            vec[axis] = t
-            coords.append(Point3(*vec))
-        curves.append(SpaceCurve(tuple(coords), None, f"axis:{name}"))
+        coords = np.zeros((samples + 1, 3))
+        coords[:, axis] = steps(lo, hi, samples)
+        curves.append(SpaceCurve(coords, None, f"axis:{name}"))
     return curves
 
 
@@ -986,40 +947,31 @@ def build_surface_scene(
     s: ParametricSurface, proj: Projection, config: SceneConfig
 ) -> tuple[Scene, SceneReport]:
     """Assemble the hidden-line scene and report its tagged curves."""
-    sil = silhouette(s, proj, config.grid)
-    bounds = boundary_curves(s, samples=config.samples)
-    wire_curves = wires(s, config.wires_u, config.wires_v, samples=config.samples)
-    extras = _axis_curves(s, config.samples) if config.axes else []
-
-    drawn: list[tuple[str, SpaceCurve]] = (
-        [("boundary", c) for c in bounds]
-        + [("silhouette", c) for c in sil]
-        + [("wire", c) for c in wire_curves]
-        + [("extra", c) for c in extras]
-    )
+    # in SceneReport's order; the scene draws boundaries first
+    curves = {
+        "silhouette": silhouette(s, proj, config.grid),
+        "boundary": boundary_curves(s, samples=config.samples),
+        "wire": wires(s, config.wires_u, config.wires_v, samples=config.samples),
+        "extra": _axis_curves(s, config.samples) if config.axes else [],
+    }
     projected: list[tuple[str, str, Polyline]] = []
-    for role, curve in drawn:
-        poly = project_curve(curve, proj)
-        if poly is None:
-            log.warning("dropping curve %r: degenerate projection", curve.label)
-            continue
-        projected.append((role, curve.label, poly))
+    for role in ("boundary", "silhouette", "wire", "extra"):
+        for curve in curves[role]:
+            poly = project_curve(curve, proj)
+            if poly is None:
+                log.warning("dropping curve %r: degenerate projection", curve.label)
+                continue
+            projected.append((role, curve.label, poly))
     # the emitters refuse a coordinate fmt5 cannot write; refuse it before
     # the scene's work, which overflows and crawls at such sizes
-    extent = max(
-        (abs(c) for _, _, p in projected for q in p.points for c in (q.x, q.y)),
-        default=0.0,
-    )
-    fmt5(extent)
-    outline_polys = [
-        p for role, _, p in projected if role in ("boundary", "silhouette")
-    ]
+    fmt5(max((float(np.abs(p.as_array()).max()) for _, _, p in projected), default=0.0))
+    outlines = [p for role, _, p in projected if role in ("boundary", "silhouette")]
 
     tester = OcclusionTester(s, proj)
 
     def cut_points(poly: Polyline) -> list[Point2]:
         pts: list[Point2] = []
-        for op in outline_polys:
+        for op in outlines:
             # op is poly when an outline curve meets itself
             res = intersect_projected(poly, op)
             pts.extend(c.point for c in res.crossings)
@@ -1051,17 +1003,15 @@ def build_surface_scene(
         if drawn and tc.label.startswith("axis:"):
             # axis letter just past the positive end
             name = tc.label.split(":", 1)[1]
-            end = tc.polyline.points[-1]
+            end = tc.polyline.pt_end
             drawn[-1] = replace(
                 drawn[-1], label=Label(name, Point2(end.x + 0.15, end.y + 0.15))
             )
         items.extend(drawn)
     scene = scene_from_items(items)
+    roles = [role for role, _, _ in projected]
     report = SceneReport(
-        *(
-            tuple(tc for (r, _, _), tc in zip(projected, tagged) if r == role)
-            for role in ("silhouette", "boundary", "wire", "extra")
-        )
+        *(tuple(tc for r, tc in zip(roles, tagged) if r == role) for role in curves)
     )
     return scene, report
 
@@ -1110,11 +1060,11 @@ def contact_demo(
     sil = silhouette(s, proj, grid)
     if not sil:
         raise SurfaceError("no silhouette under this view")
-    sil_curve = max(sil, key=lambda c: len(c.points))
-    sil_poly = project_curve(sil_curve, proj)
+    sil_poly = project_curve(max(sil, key=lambda c: len(c.xyz)), proj)
 
-    axis_pts = tuple(Point3(0.0, y, 0.0) for y in steps(-4.0, 4.0, samples))
-    axis_poly = project_curve(SpaceCurve(axis_pts, None, "axis:y"), proj)
+    axis = np.zeros((samples + 1, 3))
+    axis[:, 1] = steps(-4.0, 4.0, samples)
+    axis_poly = project_curve(SpaceCurve(axis, None, "axis:y"), proj)
 
     res = intersect_projected(axis_poly, sil_poly)
 

@@ -672,11 +672,21 @@ class TestRefusals:
                 "grid = 8\nsamples = 2\naxes = off\n",
                 "surface projects nowhere",
             ),
+            (PARABOLOID_FILE + "wire_v = 1\n", "bad.surf:10: unknown key 'wire_v'"),
+            (PARABOLOID_FILE + "sample = 50\n", "bad.surf:10: unknown key 'sample'"),
+            (PARABOLOID_FILE + "= 1\n", "bad.surf:10: unknown key ''"),
+            (PARABOLOID_FILE + "axes = no\n", "axes: expected on or off, got 'no'"),
+            (PARABOLOID_FILE + "axes = On\n", "axes: expected on or off, got 'On'"),
         ],
         ids=[
             "coordinates-past-five-decimals",
             "u-range-wider-than-a-float",
             "y-undefined-where-x-is-defined",
+            "unknown-key-wire_v",
+            "unknown-key-sample",
+            "empty-key",
+            "axes-no",
+            "axes-On",
         ],
     )
     def test_bad_surface(self, capsys, tmp_path, text, message):
@@ -686,6 +696,15 @@ class TestRefusals:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert message in err
+
+    @pytest.mark.parametrize("line", ["wire_v = 1", "sample = 50", "axes = no"])
+    def test_show_config_refuses_what_a_drawing_refuses(self, capsys, tmp_path, line):
+        # once, --show-config printed the defaults in place of such keys
+        desc = tmp_path / "bad.surf"
+        desc.write_text(PARABOLOID_FILE + line + "\n")
+        assert main(["surface", str(desc), "--show-config"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     @pytest.mark.parametrize(
         "argv",
@@ -702,6 +721,10 @@ class TestRefusals:
             "contact-demo --grid 30000",
             "contact-demo --samples 1001",
             "contact-demo --samples 100000",
+            # no box diagonal is below a tolerance of 0 or less
+            "contact-demo --tol 0",
+            "contact-demo --tol=-1",
+            "contact-demo --tol 1e-400",
             "integrate --fn x^2 --sample-range 0,1 --num 300000000 --interval 0,1",
             "surface SURF --phi 90",
             "contact-demo --phi 90",

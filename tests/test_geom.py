@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from splinefig.geom import (
     CubicBezier,
     Point2,
-    Point3,
     PointFileError,
     Polyline,
     SplineCurve,
@@ -40,12 +39,6 @@ class TestPoints:
         assert a.cross(b) == -10
         assert Point2(3, 4).norm() == 5
         assert a.dist(b) == math.hypot(2, 6)
-
-    def test_point3(self):
-        p = Point3(1, 2, 2)
-        assert p.norm() == 3
-        assert p.dot(Point3(1, 0, 0)) == 1
-        assert (p + p).as_tuple() == (2, 4, 4)
 
 
 class TestBezier:
@@ -143,8 +136,8 @@ def _old_polyline_refuses(points, space=None, params=None) -> bool:
 def test_property_polyline_refuses_what_the_point2_constructor_refused(
     pts, n_space, n_params
 ):
-    space = None if n_space is None else (Point3(0.0, 0.0, 0.0),) * n_space
-    params = None if n_params is None else ((0.0, 0.0),) * n_params
+    space = None if n_space is None else np.arange(3.0 * n_space).reshape(-1, 3)
+    params = None if n_params is None else ((0.0, -0.0),) * n_params
     refused = _old_polyline_refuses(pts, space, params)
     xy = np.array([(p.x, p.y) for p in pts]).reshape(-1, 2)
     for given_as in (pts, tuple(pts), xy):
@@ -157,6 +150,13 @@ def test_property_polyline_refuses_what_the_point2_constructor_refused(
         assert _reprs(poly.points) == _reprs(pts)
         assert poly.as_array() is poly.as_array()
         assert not poly.as_array().flags.writeable
+        for given_rows, rows in ((space, poly.space), (params, poly.params)):
+            if given_rows is None:
+                assert rows is None
+                continue
+            # a read-only float64 copy, signed zeros kept
+            assert rows.dtype == np.float64 and not rows.flags.writeable
+            assert rows.tobytes() == np.array(given_rows, dtype=float).tobytes()
 
 
 def test_lengths_build_no_point2(monkeypatch):

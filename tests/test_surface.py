@@ -15,7 +15,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 from splinefig.geom import (
     CubicBezier,
     Point2,
-    Point3,
     Polyline,
     bezier_bbox,
     bezier_eval,
@@ -23,7 +22,7 @@ from splinefig.geom import (
 )
 from splinefig import surface
 from splinefig.render import Style, emit_latex
-from splinefig.expr import DomainError, compile_fn
+from splinefig.expr import DomainError, compile_fn, steps
 from splinefig.spline import SplineMethod, build_spline
 from splinefig.surface import (
     REFINE_WINDOW,
@@ -38,6 +37,11 @@ from splinefig.surface import (
     SceneConfig,
     SpaceCurve,
     SurfaceError,
+    _axis_curves,
+    _collapsed,
+    _edge_curve,
+    _is_seam,
+    _on_surface,
     boundary_curves,
     build_surface_scene,
     classify_visibility,
@@ -112,45 +116,48 @@ class TestProjection:
     def test_axis_aligned_view(self):
         # azimuth 0, elevation 0: the x axis goes into the screen
         p = Projection(0.0, 0.0)
-        q, depth = project(Point3(1, 0, 0), p)
-        assert (q.x, q.y, depth) == pytest.approx((0.0, 0.0, 1.0))
-        q, depth = project(Point3(0, 1, 0), p)
-        assert (q.x, q.y, depth) == pytest.approx((1.0, 0.0, 0.0))
-        q, depth = project(Point3(0, 0, 1), p)
-        assert (q.x, q.y, depth) == pytest.approx((0.0, 1.0, 0.0))
+        assert project((1.0, 0.0, 0.0), p) == pytest.approx((0.0, 0.0, 1.0))
+        assert project((0.0, 1.0, 0.0), p) == pytest.approx((1.0, 0.0, 0.0))
+        assert project((0.0, 0.0, 1.0), p) == pytest.approx((0.0, 1.0, 0.0))
 
     def test_quarter_turn(self):
         p = Projection(math.pi / 2, 0.0)
-        q, depth = project(Point3(1, 0, 0), p)
-        assert (q.x, q.y, depth) == pytest.approx((-1.0, 0.0, 0.0))
+        assert project((1.0, 0.0, 0.0), p) == pytest.approx((-1.0, 0.0, 0.0))
 
     def test_linearity(self):
-        a, b = Point3(1.0, -2.0, 0.5), Point3(0.3, 0.7, -1.1)
-        qa, da = project(a, VIEW)
-        qb, db = project(b, VIEW)
-        qs, ds = project(a + b, VIEW)
-        assert qs.dist(qa + qb) < 1e-12
-        assert ds == pytest.approx(da + db, abs=1e-12)
+        a, b = np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.7, -1.1])
+        qa = np.array(project(a, VIEW))
+        qb = np.array(project(b, VIEW))
+        qs = np.array(project(a + b, VIEW))
+        assert math.dist(qs[:2], qa[:2] + qb[:2]) < 1e-12
+        assert qs[2] == pytest.approx(qa[2] + qb[2], abs=1e-12)
+
+    def test_columns_project_as_each_point_does(self):
+        xyz = np.array([[1.0, -2.0, 0.5], [0.3, 0.7, -1.1], [-0.0, 1e300, 3.0]])
+        cols = project(xyz.T, VIEW)
+        for k, row in enumerate(xyz.tolist()):
+            assert _bits([c[k] for c in cols]) == _bits(project(row, VIEW))
 
 
 class TestSurfaceBasics:
     def test_point_evaluation(self):
         s = paraboloid_surface()
         p = s.point(1.0, 0.0)
-        assert (p.x, p.y, p.z) == pytest.approx((1.0, 0.0, 3.0))
+        assert type(p) is tuple and p == pytest.approx((1.0, 0.0, 3.0))
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
             ParametricSurface.from_strings("u", "v", "0", (1, 1), (0, 1))
 
     def test_projected_curve_drops_repeats(self):
-        c = SpaceCurve((Point3(0, 0, 0), Point3(0, 0, 0), Point3(1, 0, 0)))
+        c = SpaceCurve([(0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0)])
         poly = project_curve(c, VIEW)
         assert poly is not None
         assert len(poly.points) == 2
+        assert poly.space.tolist() == [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
 
     def test_projected_point_curve_is_none(self):
-        c = SpaceCurve((Point3(1, 1, 1), Point3(1, 1, 1)))
+        c = SpaceCurve([(1.0, 1.0, 1.0), (1.0, 1.0, 1.0)])
         assert project_curve(c, VIEW) is None
 
 
@@ -166,10 +173,8 @@ class TestSilhouette:
         )
         comps = silhouette(s, VIEW)
         assert len(comps) >= 1
-        largest = max(comps, key=lambda c: len(c.points))
-        radii = [
-            project(p, VIEW)[0].norm() for p in largest.points
-        ]
+        largest = max(comps, key=lambda c: len(c.xyz))
+        radii = [math.hypot(*project(p, VIEW)[:2]) for p in largest.xyz.tolist()]
         assert max(abs(r - 1.0) for r in radii) < 1e-3
 
     def test_paraboloid_single_component(self):
@@ -177,12 +182,12 @@ class TestSilhouette:
         assert len(comps) == 1
         # the fold along u = 0 collapses to the apex and must not leak
         # through as a second component
-        assert len(comps[0].points) > 100
+        assert len(comps[0].xyz) > 100
 
     def test_carries_uv_coordinates(self):
         comps = silhouette(paraboloid_surface(), VIEW)
         assert comps[0].uv is not None
-        assert len(comps[0].uv) == len(comps[0].points)
+        assert comps[0].uv.shape == (len(comps[0].xyz), 2)
 
 
     @pytest.mark.parametrize(
@@ -294,17 +299,203 @@ class TestWires:
     def test_count_and_labels(self):
         ws = wires(paraboloid_surface(), fixed_v=[0.0, math.pi], samples=20)
         assert [w.label for w in ws] == ["wire:v=0", "wire:v=3.14159"]
-        assert all(len(w.points) == 21 for w in ws)
+        assert all(len(w.xyz) == 21 for w in ws)
 
     def test_wire_lies_on_surface(self):
         s = paraboloid_surface()
         (w,) = wires(s, fixed_v=[1.0], samples=10)
-        for p, (u, v) in zip(w.points, w.uv):
-            assert p.dist(s.point(u, v)) < 1e-12
+        for p, (u, v) in zip(w.xyz.tolist(), w.uv.tolist()):
+            assert math.dist(p, s.point(u, v)) < 1e-12
 
     def test_out_of_range_rejected(self):
         with pytest.raises(SurfaceError):
             wires(paraboloid_surface(), fixed_u=[3.0])
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-vertex curve path that the array code replaced.  Each
+# vertex is one scalar s._xyz call, skipped where it raises; two points
+# are one within 1e-9 * max(1, largest |coordinate|), measured as
+# sqrt(dx*dx + dy*dy + dz*dz); a projected vertex is dropped when its
+# distance to the last vertex kept is 0.0
+
+
+def _reference_on_surface(s, params):
+    pts, uv = [], []
+    for u, v in params:
+        try:
+            pts.append(s._xyz(u, v))
+        except DomainError:
+            continue
+        uv.append((u, v))
+    return pts, uv
+
+
+def _reference_edge_curve(s, fixed, value, samples):
+    lo, hi = s.v_range if fixed == "u" else s.u_range
+    ts = steps(lo, hi, samples)
+    pts, uv = _reference_on_surface(
+        s, [(value, t) if fixed == "u" else (t, value) for t in ts]
+    )
+    return (pts, uv) if len(pts) >= 2 else None
+
+
+def _reference_dist(p, q) -> float:
+    dx, dy, dz = p[0] - q[0], p[1] - q[1], p[2] - q[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _reference_same_point_tol(pts) -> float:
+    return 1e-9 * max(1.0, max(max(abs(c) for c in p) for p in pts))
+
+
+def _reference_collapsed(pts) -> bool:
+    tol = _reference_same_point_tol(pts)
+    return all(_reference_dist(p, pts[0]) <= tol for p in pts)
+
+
+def _reference_is_seam(a, b) -> bool:
+    if len(a) != len(b):
+        return False
+    tol = _reference_same_point_tol(a)
+    if all(_reference_dist(p, q) <= tol for p, q in zip(a, b)):
+        return True
+    return all(_reference_dist(p, q) <= tol for p, q in zip(a, reversed(b)))
+
+
+def _reference_project_curve(pts, uv, proj):
+    st, ct, sf, cf = proj.trig
+    xy, space, tags = [], [], []
+    for k, (x, y, z) in enumerate(pts):
+        q = (-x * st + y * ct, -x * ct * sf - y * st * sf + z * cf)
+        if xy and math.hypot(xy[-1][0] - q[0], xy[-1][1] - q[1]) == 0.0:
+            continue
+        xy.append(q)
+        space.append((x, y, z))
+        if uv is not None:
+            tags.append(uv[k])
+    if len(xy) < 2:
+        return None
+    return xy, space, None if uv is None else tags
+
+
+def _along(rng: tuple[float, float], f: float) -> float:
+    return rng[0] + (rng[1] - rng[0]) * f
+
+
+def _same_rows(rows: np.ndarray, ref) -> bool:
+    """Whether the array holds the reference rows, bit for bit."""
+    ref = np.array(ref, dtype=float).reshape(-1, rows.shape[1])
+    return rows.dtype == np.float64 and rows.tobytes() == ref.tobytes()
+
+
+CURVE_SURFACES = {
+    # undefined for v < 0.5: the edge v = 0 is no curve, and u = +-1 start late
+    "partial": (("u", "v", "sqrt(v - 0.5) + u^2"), (-1.0, 1.0), (0.0, 2.0)),
+    # the seam v = 0 ~ v = 2 pi, in step, and the apex edge u = 0
+    "paraboloid": (("u*cos(v)", "u*sin(v)", "4-u^2"), (0.0, 2.0), (0.0, 2 * math.pi)),
+    # the seam v = 0 ~ v = 2 pi, reversed
+    "mobius": (
+        ("2*cos(v)*(2+u*cos(v/2))", "2*sin(v)*(2+u*cos(v/2))", "2*u*sin(v/2)"),
+        (-0.4, 0.4),
+        (0.0, 2 * math.pi),
+    ),
+    # the paraboloid 1e12 times over: its seam's points lie 1e-4 apart
+    "large": (
+        ("1e12*u*cos(v)", "1e12*u*sin(v)", "1e12*(4-u^2)"),
+        (0.0, 2.0),
+        (0.0, 2 * math.pi),
+    ),
+    # a double cone: the wire u = 0 is its apex
+    "cone": (("u*cos(v)", "u*sin(v)", "u"), (-1.0, 1.0), (0.0, 2 * math.pi)),
+    # exp leaves the double range where u*v > 0.7098, near 1e308 before it
+    "overflow": (("u", "v", "exp(u*v*1e3)"), (0.0, 1.0), (0.0, 1.0)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(CURVE_SURFACES)),
+    samples=st.integers(1, 60),
+    wire=st.tuples(st.sampled_from("uv"), st.floats(0.0, 1.0)),
+    view=st.tuples(st.floats(-math.pi, math.pi), st.floats(-1.5, 1.5)),
+    params=st.lists(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5)), max_size=20),
+)
+@example(name="cone", samples=40, wire=("u", 0.5), view=(1.0, 0.4), params=[])
+@example(name="overflow", samples=50, wire=("v", 1.0), view=(1.0, 0.4), params=[])
+def test_property_curve_arrays_match_the_per_vertex_path(
+    name, samples, wire, view, params
+):
+    exprs, u_range, v_range = CURVE_SURFACES[name]
+    s = ParametricSurface.from_strings(*exprs, u_range, v_range)
+    proj = Projection(*view)
+
+    # points at parameters spread over the rectangle and past it
+    uv = [(_along(u_range, a), _along(v_range, b)) for a, b in params]
+    xyz, kept = _on_surface(s, *np.array(uv, dtype=float).reshape(-1, 2).T)
+    ref_xyz, ref_kept = _reference_on_surface(s, uv)
+    assert _same_rows(xyz, ref_xyz) and _same_rows(kept, ref_kept)
+
+    fixed, f = wire
+    edges = [(fixed, _along(u_range if fixed == "u" else v_range, f))]
+    edges += [("u", value) for value in u_range] + [("v", value) for value in v_range]
+    curves = {}
+    for fixed, value in edges:
+        got = _edge_curve(s, fixed, value, samples)
+        ref = _reference_edge_curve(s, fixed, value, samples)
+        assert (got is None) == (ref is None)
+        if got is None:
+            continue
+        curves[fixed, value] = got, ref[0]
+        assert _same_rows(got.xyz, ref[0]) and _same_rows(got.uv, ref[1])
+        assert not got.xyz.flags.writeable and not got.uv.flags.writeable
+        assert _collapsed(got) == _reference_collapsed(ref[0])
+        poly = project_curve(got, proj)
+        ref_poly = _reference_project_curve(*ref, proj)
+        assert (poly is None) == (ref_poly is None)
+        if poly is not None:
+            assert _same_rows(poly.as_array(), ref_poly[0])
+            assert _same_rows(poly.space, ref_poly[1])
+            assert _same_rows(poly.params, ref_poly[2])
+    for fixed, (lo, hi) in (("u", u_range), ("v", v_range)):
+        if (fixed, lo) in curves and (fixed, hi) in curves:
+            (a, ref_a), (b, ref_b) = curves[fixed, lo], curves[fixed, hi]
+            assert _is_seam(a, b) == _reference_is_seam(ref_a, ref_b)
+
+
+@pytest.mark.parametrize("name", ["paraboloid", "mobius"])
+def test_default_scene_curves_make_no_scalar_surface_call(name):
+    # each curve's points come from one s._xyz.at call: the README
+    # paraboloid's 4 edges, 6 wires and axis extent take one each
+    s, cfg = {
+        "paraboloid": (
+            paraboloid_surface(),
+            SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6))),
+        ),
+        "mobius": (mobius(), SceneConfig()),
+    }[name]
+    real = s._xyz
+    calls = {"scalar": 0, "at": 0}
+
+    def scalar(u, v):
+        calls["scalar"] += 1
+        return real(u, v)
+
+    def at(*columns):
+        calls["at"] += 1
+        return real.at(*columns)
+
+    scalar.at = at
+    s.__dict__["_xyz"] = scalar  # where the cached property keeps it
+    for curve in (
+        *boundary_curves(s, cfg.samples),
+        *wires(s, cfg.wires_u, cfg.wires_v, cfg.samples),
+        *_axis_curves(s, cfg.samples),
+    ):
+        project_curve(curve, VIEW)
+    assert calls == {"scalar": 0, "at": {"paraboloid": 11, "mobius": 5}[name]}
+    silhouette(s, VIEW, cfg.grid)
+    assert calls["scalar"] == 0
 
 
 class TestIntersectProjected:
@@ -906,9 +1097,7 @@ def test_segment_feet_scale_exactly(chain, q, t, dist):
 class TestVisibility:
     def test_buried_segment_is_hidden(self):
         s = paraboloid_surface()
-        c = SpaceCurve(
-            (Point3(0, 0, 0), Point3(0, 0, 0.5)), label="probe"
-        )
+        c = SpaceCurve([(0.0, 0.0, 0.0), (0.0, 0.0, 0.5)], label="probe")
         tagged = classify_visibility(
             project_curve(c, VIEW), c.label, [], OcclusionTester(s, VIEW)
         )
@@ -918,7 +1107,7 @@ class TestVisibility:
 
     def test_distant_segment_is_visible(self):
         s = paraboloid_surface()
-        c = SpaceCurve((Point3(10, 10, 0), Point3(11, 11, 0)), label="far")
+        c = SpaceCurve([(10.0, 10.0, 0.0), (11.0, 11.0, 0.0)], label="far")
         tagged = classify_visibility(
             project_curve(c, VIEW), c.label, [], OcclusionTester(s, VIEW)
         )
@@ -927,8 +1116,7 @@ class TestVisibility:
     def test_cut_splits_intervals(self):
         s = paraboloid_surface()
         c = SpaceCurve(
-            tuple(Point3(x, 0.0, 0.0) for x in np.linspace(-3, 3, 61)),
-            label="chord",
+            [(x, 0.0, 0.0) for x in np.linspace(-3, 3, 61)], label="chord"
         )
         poly = project_curve(c, VIEW)
         mid = poly.points[30]
@@ -938,13 +1126,13 @@ class TestVisibility:
     def test_occlusion_tester_covers(self):
         s = paraboloid_surface()
         tester = OcclusionTester(s, VIEW)
-        q, depth = project(Point3(0.0, 0.0, 0.0), VIEW)
-        roots, candidates = tester.covers(q)
+        qx, qy, depth = project((0.0, 0.0, 0.0), VIEW)
+        roots, candidates = tester.covers(Point2(qx, qy))
         assert candidates > 0
         assert roots
         # the dome warps over the origin: some sheet is nearer the eye
         assert any(
-            project(s.point(u, v), VIEW)[1] > depth + 1e-6 for u, v in roots
+            project(s.point(u, v), VIEW)[2] > depth + 1e-6 for u, v in roots
         )
 
 
