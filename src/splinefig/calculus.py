@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import starmap
 from typing import Sequence
 
 import numpy as np
@@ -72,6 +73,11 @@ def segment_integral(b: CubicBezier) -> float:
     return _green(
         b.p0.x, b.p0.y, b.c0.x, b.c0.y, b.c1.x, b.c1.y, b.p1.x, b.p1.y
     )
+
+
+def _segment(curve: SplineCurve, k: int) -> CubicBezier:
+    """Segment k of the curve, built from its control-array row."""
+    return CubicBezier(*starmap(Point2, curve.ctrl[k].tolist()))
 
 
 def _segment_integrals(curve: SplineCurve) -> list[float]:
@@ -197,7 +203,7 @@ def integrate(req: IntegrationRequest) -> float:
             total += parts[k]
             continue
         # one of the (at most two) segments that the interval clips
-        seg = curve.segments[k]
+        seg = _segment(curve, k)
         t0 = _solve_segment_x(seg, lo) if xs < lo else 0.0
         t1 = _solve_segment_x(seg, hi) if xe > hi else 1.0
         if t1 <= t0:
@@ -227,7 +233,7 @@ def _locate_segment(curve: SplineCurve, x0: float) -> tuple[CubicBezier, float]:
     hit = ((xs <= x0) & (x0 <= xe)) | ((xe <= x0) & (x0 <= xs))
     if not hit.any():
         raise RangeError(f"x = {x0!r} outside the data range")
-    seg = curve.segments[int(hit.argmax())]
+    seg = _segment(curve, int(hit.argmax()))
     if x0 == seg.p0.x:
         return seg, 0.0
     if x0 == seg.p1.x:

@@ -164,7 +164,7 @@ def _polyline_csv(polys: Sequence[Polyline]) -> str:
     lines = []
     for k, poly in enumerate(polys):
         lines.append(f"# component {k}")
-        lines.extend(f"{x!r},{y!r}" for x, y in poly.as_array().tolist())
+        lines.extend(f"{x!r},{y!r}" for x, y in poly.points.tolist())
     return "\n".join(lines) + "\n"
 
 
@@ -302,7 +302,7 @@ def _cmd_implicit(args) -> int:
             raise TraceError("no open component to integrate")
         branch = open_comps[0]
         interval = sorted((branch.pt_end.x, branch.pt_start.x))
-        req = IntegrationRequest(branch.as_array(), tuple(interval), _method(args))
+        req = IntegrationRequest(branch.points, tuple(interval), _method(args))
         print(f"{integrate(req):.6f}")
         return 0
     if not comps:
@@ -328,6 +328,8 @@ def _read_surface_file(path: str) -> dict[str, str]:
             key, _, value = (part.strip() for part in line.partition("="))
             if key not in SURF_KEYS:
                 raise SurfaceError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in desc:
+                raise SurfaceError(f"{path}:{lineno}: repeated key {key!r}")
             desc[key] = value
     return desc
 

@@ -3,11 +3,10 @@
 Everything here is immutable; curve construction returns new objects.
 A cubic segment is stored by its four control points and evaluated with
 de Casteljau's scheme (numerically stable and it gives subdivision for
-free).  A spline chain keeps all of its control points in one float64
-array, which its sampler reads whole; its CubicBezier segments are
-built only when asked for.  A polyline likewise keeps its vertices in
-one (n, 2) array and builds Point2s only when they are read.  Point
-lists move through the CLI as plain CSV, one "x,y" per line with '#'
+free).  A spline chain is its control points, one float64 array that
+its sampler reads whole, and a polyline is its vertices, one (n, 2)
+array; neither builds a Point2 or CubicBezier per row.  Point lists
+move through the CLI as plain CSV, one "x,y" per line with '#'
 comments, read into an (n, 2) array; a row that is not two finite
 numbers is refused.
 """
@@ -17,7 +16,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -148,54 +146,19 @@ def xy_array(points: Iterable[Point2] | np.ndarray) -> np.ndarray:
     return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
 
 
-class _Points(Sequence):
-    """A vertex array's rows read as Point2s.  The length costs nothing;
-    any other read builds every Point2 once, and later reads share them."""
-
-    __slots__ = ("_xy", "_built")
-
-    def __init__(self, xy: np.ndarray):
-        self._xy = xy
-        self._built: tuple[Point2, ...] | None = None
-
-    def _points(self) -> tuple[Point2, ...]:
-        if self._built is None:
-            self._built = tuple(starmap(Point2, self._xy.tolist()))
-        return self._built
-
-    def __len__(self) -> int:
-        return len(self._xy)
-
-    def __getitem__(self, k):
-        return self._points()[k]
-
-    def __iter__(self):
-        return iter(self._points())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _Points):
-            other = other._points()
-        return self._points() == other
-
-    def __repr__(self) -> str:
-        return repr(self._points())
-
-
 @dataclass(frozen=True, eq=False)
 class Polyline:
     """An ordered vertex chain.
 
-    The vertices are one read-only float64 (n, 2) array, given as such
-    or as Point2s; `as_array()` returns it, and `points` reads its rows
-    as Point2s, built on the first read that needs them.  Vertices may
-    carry their 3D preimages (space, (n, 3)) and (u, v) parameter tags
-    (params, (n, 2)), read-only float64 arrays row-aligned with the
-    vertices.  Closed traces repeat the first vertex at the end;
-    consecutive vertices are never equal (-0.0 equals 0.0, NaN equals
-    nothing).
+    `points` is one read-only float64 (n, 2) vertex array, given as such
+    or as Point2s.  Vertices may carry their 3D preimages (space,
+    (n, 3)) and (u, v) parameter tags (params, (n, 2)), read-only
+    float64 arrays row-aligned with the vertices.  Closed traces repeat
+    the first vertex at the end; consecutive vertices are never equal
+    (-0.0 equals 0.0, NaN equals nothing).
     """
 
-    points: Sequence[Point2]
+    points: np.ndarray
     space: np.ndarray | None = None
     params: np.ndarray | None = None
 
@@ -206,8 +169,7 @@ class Polyline:
         if (xy[1:] == xy[:-1]).all(axis=1).any():
             raise ValueError("consecutive identical points in polyline")
         xy.flags.writeable = False
-        object.__setattr__(self, "_xy", xy)
-        object.__setattr__(self, "points", _Points(xy))
+        object.__setattr__(self, "points", xy)
         for name, width in (("space", 3), ("params", 2)):
             rows = getattr(self, name)
             if rows is not None:
@@ -216,18 +178,14 @@ class Polyline:
 
     @property
     def pt_start(self) -> Point2:
-        return Point2(*self._xy[0].tolist())
+        return Point2(*self.points[0].tolist())
 
     @property
     def pt_end(self) -> Point2:
-        return Point2(*self._xy[-1].tolist())
+        return Point2(*self.points[-1].tolist())
 
     def is_loop(self, tol: float = 0.0) -> bool:
         return self.pt_start.dist(self.pt_end) <= tol
-
-    def as_array(self) -> np.ndarray:
-        """The (n, 2) vertex array itself (read-only), no copy."""
-        return self._xy
 
 
 def drop_repeats(points: Iterable[Point2] | np.ndarray) -> np.ndarray:
@@ -257,9 +215,9 @@ def frozen_rows(rows, width: int, n: int, name: str) -> np.ndarray:
 
 def diameter(points: Sequence[Point2]) -> float:
     """The largest distance between two points (0 for fewer than 2),
-    measured between the points of their convex hull (Andrew's monotone
-    chain), which keeps the points along its edges."""
-    pts = sorted(points, key=lambda p: (p.x, p.y))
+    measured between the distinct points of their convex hull (Andrew's
+    monotone chain), which keeps the points along its edges."""
+    pts = sorted(dict.fromkeys(points), key=lambda p: (p.x, p.y))
 
     def chain(seq: Iterable[Point2]) -> list[Point2]:
         out: list[Point2] = []
@@ -274,37 +232,13 @@ def diameter(points: Sequence[Point2]) -> float:
     return max(pairs, default=0.0)
 
 
-def _bezier(rows: list[list[float]]) -> CubicBezier:
-    """The segment of one control-array row, [[x, y]] * 4."""
-    return CubicBezier(*starmap(Point2, rows))
-
-
-class _Segments(Sequence):
-    """A control array's rows read as CubicBezier segments, each built
-    when it is read; the length costs nothing."""
-
-    __slots__ = ("_ctrl",)
-
-    def __init__(self, ctrl: np.ndarray):
-        self._ctrl = ctrl
-
-    def __len__(self) -> int:
-        return len(self._ctrl)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(map(_bezier, self._ctrl[k].tolist()))
-        return _bezier(self._ctrl[k].tolist())
-
-
 @dataclass(frozen=True, eq=False)
 class SplineCurve:
     """A chain of cubic segments joining end to start, maybe closed.
 
     The curve is one read-only float64 control array of shape (n, 4, 2):
     row k holds segment k's points p0, c0, c1, p1, and row k's p1 is row
-    k + 1's p0 (NaN matching NaN).  `segments` reads the rows as
-    CubicBezier objects, each built when it is read.
+    k + 1's p0 (NaN matching NaN).  `segments` is another name for it.
     """
 
     ctrl: np.ndarray
@@ -322,8 +256,8 @@ class SplineCurve:
         object.__setattr__(self, "ctrl", ctrl)
 
     @property
-    def segments(self) -> Sequence[CubicBezier]:
-        return _Segments(self.ctrl)
+    def segments(self) -> np.ndarray:
+        return self.ctrl
 
     def sample(self, per_segment: int = 10) -> Polyline:
         """Polyline with per_segment subdivisions for each cubic piece.

@@ -15,7 +15,8 @@ from column minima and maxima, the box check is one mask, the LaTeX
 emitter writes each polyline, dash run and disc row as one column
 (fmt5_column, which gives fmt5's strings without calling it where no
 tie is near), and the SVG emitter maps each polyline to user units a
-column at a time.  No Point2 is built per vertex except for dashes.
+column at a time.  Dashes are resampled on (x, y) float pairs, so no
+Point2 is built per vertex.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 from enum import Enum
+from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
@@ -86,7 +88,7 @@ class Scene:
             fmt5(c)
         if not self.items:
             return
-        xy = np.concatenate([item.polyline.as_array() for item in self.items])
+        xy = np.concatenate([item.polyline.points for item in self.items])
         x, y = xy[:, 0], xy[:, 1]
         inside = (x0 - sx <= x) & (x <= x0 + w + sx)
         inside &= (y0 - sy <= y) & (y <= y0 + h + sy)
@@ -107,7 +109,7 @@ def scene_from_items(items: Sequence[DrawItem]) -> Scene:
     """
     parts = []
     for item in items:
-        parts.append(item.polyline.as_array())
+        parts.append(item.polyline.points)
         if item.label is not None:
             parts.append(xy_array([item.label.anchor]))
     if not parts:
@@ -200,22 +202,25 @@ def _pairs(points: Sequence[Point2] | np.ndarray) -> list[str]:
     return [f"({x},{y})" for x, y in zip(text[::2], text[1::2])]
 
 
-def _arc_length_points(pts: Sequence[Point2], step: float) -> list[Point2]:
-    """Points every `step` of arc length, including both endpoints."""
-    out = [pts[0]]
+def _arc_length_points(xy: np.ndarray, step: float) -> list[tuple[float, float]]:
+    """Points every `step` of arc length along the rows, including both
+    endpoints, as (x, y) float pairs."""
+    pts = xy.tolist()
+    out = [tuple(pts[0])]
     carry = 0.0
-    for a, b in zip(pts, pts[1:]):
-        seg = a.dist(b)
+    for (ax, ay), (bx, by) in pairwise(pts):
+        seg = math.hypot(ax - bx, ay - by)
         if seg == 0.0:
             continue
         s = step - carry
         while s <= seg:
             t = s / seg
-            out.append(Point2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t))
+            out.append((ax + (bx - ax) * t, ay + (by - ay) * t))
             s += step
         carry = (carry + seg) % step
-    if out[-1].dist(pts[-1]) > 1e-12:
-        out.append(pts[-1])
+    (ex, ey), (lx, ly) = out[-1], pts[-1]
+    if math.hypot(ex - lx, ey - ly) > 1e-12:
+        out.append((lx, ly))
     return out
 
 
@@ -230,13 +235,11 @@ def _check_dash_count(xy: np.ndarray) -> None:
         )
 
 
-def _dash_runs(pts: Sequence[Point2]) -> list[tuple[Point2, Point2]]:
-    """Alternating pen-down runs of DASH_STEP along the polyline."""
-    resampled = _arc_length_points(pts, DASH_STEP)
-    runs = []
-    for k in range(0, len(resampled) - 1, 2):
-        runs.append((resampled[k], resampled[k + 1]))
-    return runs
+def _dash_runs(xy: np.ndarray) -> np.ndarray:
+    """Alternating pen-down runs of DASH_STEP along the rows: run k goes
+    from row 2k to row 2k + 1 of the result."""
+    resampled = _arc_length_points(xy, DASH_STEP)
+    return np.array(resampled[: len(resampled) // 2 * 2]).reshape(-1, 2)
 
 
 def _wrap_pairs(prefix: str, pairs: Sequence[str], per_line: int = 5) -> list[str]:
@@ -263,13 +266,12 @@ def emit_latex(scene: Scene) -> str:
     if scene.items:
         out.append(f"\\linethickness{{{LINE_THICKNESS:g}in}}%")
     for item in scene.items:
-        xy = item.polyline.as_array()
+        xy = item.polyline.points
         if item.style is Style.SOLID:
             out.extend(_wrap_pairs("\\polyline", _pairs(xy)))
         elif item.style is Style.DASHED:
             _check_dash_count(xy)
-            runs = _dash_runs(item.polyline.points)
-            ends = _pairs([p for run in runs for p in run])
+            ends = _pairs(_dash_runs(xy))
             chunks = [f"\\polyline{a}{b}" for a, b in zip(ends[::2], ends[1::2])]
             out.extend(_wrap_pairs("", chunks, 2))
         elif item.style is Style.DOTTED_DISC:
@@ -315,7 +317,7 @@ def emit_svg(scene: Scene) -> str:
     r = 0.5 * DISC_DIAMETER * CM_TO_PX
     disc = f'<circle cx="%.3f" cy="%.3f" r="{r:.3f}" fill="black"/>'
     for item in scene.items:
-        coords = _svg_coords(item.polyline.as_array(), scene.bbox)
+        coords = _svg_coords(item.polyline.points, scene.bbox)
         if item.style is Style.SOLID:
             out.append(f'<path {common} d="{_svg_path(coords)}"/>')
         elif item.style is Style.DASHED:

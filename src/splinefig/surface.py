@@ -213,7 +213,7 @@ def silhouette(
     cfg = TraceConfig(s.u_range, s.v_range, grid=grid)
     curves: list[SpaceCurve] = []
     for poly in trace_zero_set(_jacobian_fn(s, proj), cfg):
-        xyz, uv = _on_surface(s, *poly.as_array().T)
+        xyz, uv = _on_surface(s, *poly.points.T)
         if len(xyz) < 2:
             continue
         curve = SpaceCurve(xyz, uv, f"silhouette:{len(curves)}")
@@ -370,8 +370,8 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
     (adjacent segments skipped).
     """
     self_mode = a is b
-    pa = a.as_array()
-    pb = b.as_array()
+    pa = a.points
+    pb = b.points
     a0, a1 = pa[:-1], pa[1:]
     b0, b1 = pb[:-1], pb[1:]
     amin = np.minimum(a0, a1)
@@ -528,7 +528,7 @@ def _window_pieces(poly: Polyline, center: int, window: int):
     """Flat pieces of the open Oshima fit through the window around center."""
     lo = max(0, center - window)
     hi = min(len(poly.points) - 1, center + window)
-    pts = poly.as_array()[lo : hi + 1]
+    pts = poly.points[lo : hi + 1]
     if len(pts) < 2:
         return None
     sp = build_spline(pts, method=SplineMethod.OSHIMA, closed=False)
@@ -576,7 +576,8 @@ def refine_contact(
     nothing.  A piece meets many partners as the search goes on, so it
     keeps its halves in its slots and is split once.
     """
-    seed = (a.points[center_a] + b.points[center_b]) * 0.5
+    (ax, ay), (bx, by) = a.points[center_a].tolist(), b.points[center_b].tolist()
+    seed = Point2((ax + bx) * 0.5, (ay + by) * 0.5)
     pieces_a = _window_pieces(a, center_a, window)
     pieces_b = _window_pieces(b, center_b, window)
     if pieces_a is None or pieces_b is None:
@@ -584,8 +585,8 @@ def refine_contact(
 
     # overlapping windows (a curve drawn twice, grazing duplicates)
     # never separate under subdivision; bail before burning the budget
-    win_a = a.as_array()[max(0, center_a - window) : center_a + window + 1]
-    win_b = b.as_array()[max(0, center_b - window) : center_b + window + 1]
+    win_a = a.points[max(0, center_a - window) : center_a + window + 1]
+    win_b = b.points[max(0, center_b - window) : center_b + window + 1]
     if (_segment_feet(win_a, win_b)[1].min(axis=1) <= 10.0 * tol).all():
         return RefinedContact(seed, False)
 
@@ -688,7 +689,7 @@ def _split_param(poly: Polyline, param: float) -> tuple[int, float]:
 def _sub_polyline(poly: Polyline, p0: float, p1: float) -> Polyline | None:
     if p1 - p0 <= 1e-12:
         return None
-    xy = poly.as_array()
+    xy = poly.points
     (i, s), (j, t) = _split_param(poly, p0), _split_param(poly, p1)
     # the cut points, a + (b - a) * t on the segments they cut
     ends = xy[[i, j]] + (xy[[i + 1, j + 1]] - xy[[i, j]]) * [[s], [t]]
@@ -698,7 +699,7 @@ def _sub_polyline(poly: Polyline, p0: float, p1: float) -> Polyline | None:
 
 def _locate_param(poly: Polyline, q: Point2) -> tuple[float, float]:
     """Nearest (param, distance) of a point on the polyline."""
-    t, dist = _segment_feet(np.array([[q.x, q.y]]), poly.as_array())
+    t, dist = _segment_feet(np.array([[q.x, q.y]]), poly.points)
     i = int(np.argmin(dist[0]))
     return i + float(t[0, i]), float(dist[0, i])
 
@@ -846,7 +847,7 @@ def classify_visibility(
     params = [p for p, dist in (_locate_param(poly, q) for q in cuts) if dist <= near]
     # arc length at each vertex: a cut within 10*REFINE_TOL along the
     # curve of an end or of the last kept cut would leave a stub interval
-    gaps = map(math.hypot, *np.diff(poly.as_array(), axis=0).T.tolist())
+    gaps = map(math.hypot, *np.diff(poly.points, axis=0).T.tolist())
     arc = [0.0, *accumulate(gaps)]
     cleaned: list[float] = []
     last = 0.0
@@ -964,7 +965,7 @@ def build_surface_scene(
             projected.append((role, curve.label, poly))
     # the emitters refuse a coordinate fmt5 cannot write; refuse it before
     # the scene's work, which overflows and crawls at such sizes
-    fmt5(max((float(np.abs(p.as_array()).max()) for _, _, p in projected), default=0.0))
+    fmt5(max((float(np.abs(p.points).max()) for _, _, p in projected), default=0.0))
     outlines = [p for role, _, p in projected if role in ("boundary", "silhouette")]
 
     tester = OcclusionTester(s, proj)
@@ -1071,8 +1072,8 @@ def contact_demo(
     # the closest vertex pair (the first in row order on a tie), and the
     # raw vertex-pair cluster around it: this is what the crossing looks
     # like before refinement
-    pa = axis_poly.as_array()
-    pb = sil_poly.as_array()
+    pa = axis_poly.points
+    pb = sil_poly.points
     d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
     i, j = divmod(int(np.argmin(d2)), d2.shape[1])
     dmin = math.sqrt(float(d2[i, j]))

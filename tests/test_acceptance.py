@@ -8,6 +8,7 @@ information).
 import math
 import re
 from fractions import Fraction
+from itertools import starmap
 from time import perf_counter
 
 import numpy as np
@@ -120,7 +121,7 @@ def test_criterion_5_circle_fidelity():
 
     def worst(method: SplineMethod) -> float:
         poly = build_spline(pts, method=method, closed=True).sample(1000)
-        xy = poly.as_array()
+        xy = poly.points
         return float(np.max(np.abs(np.hypot(xy[:, 0], xy[:, 1]) - 2.0)))
 
     osh, cr = worst(OSH), worst(CR)
@@ -154,10 +155,11 @@ def test_criterion_6_property_battery():
             for closed in (True, False):
                 sp = build_spline(data, method=method, closed=closed)
                 m = len(data)
-                for k, seg in enumerate(sp.segments):
+                segs = [CubicBezier(*starmap(Point2, row)) for row in sp.ctrl.tolist()]
+                for k, seg in enumerate(segs):
                     assert bezier_eval(seg, 0.0).dist(data[k % m]) < 1e-12
                     assert bezier_eval(seg, 1.0).dist(data[(k + 1) % m]) < 1e-12
-                for prev, nxt in zip(sp.segments, sp.segments[1:]):
+                for prev, nxt in zip(segs, segs[1:]):
                     vin = prev.p1 - prev.c1
                     vout = nxt.c0 - nxt.p0
                     cross = vin.x * vout.y - vin.y * vout.x
@@ -213,7 +215,7 @@ def test_criterion_6_property_battery():
         fxy = compile_fn(node, ("x", "y"))
         comps = trace_implicit(node, TraceConfig((-2, 2), (-2, 2.5), grid=200))
         assert comps
-        worst = max(abs(fxy(p.x, p.y)) for c in comps for p in c.points)
+        worst = max(abs(fxy(x, y)) for c in comps for x, y in c.points.tolist())
         assert worst < bound
 
     # crossing detection agrees with the quadratic-scan oracle
@@ -235,10 +237,12 @@ def test_criterion_6_property_battery():
             return Point2(p1.x + tt * rx, p1.y + tt * ry)
         return None
 
+    va = list(starmap(Point2, pa.points.tolist()))
+    vb = list(starmap(Point2, pb.points.tolist()))
     brute: list[Point2] = []
-    for i in range(len(pa.points) - 1):
-        for j in range(len(pb.points) - 1):
-            hit = seg_cross(pa.points[i], pa.points[i + 1], pb.points[j], pb.points[j + 1])
+    for i in range(len(va) - 1):
+        for j in range(len(vb) - 1):
+            hit = seg_cross(va[i], va[i + 1], vb[j], vb[j + 1])
             if hit is not None and all(hit.dist(k) > 1e-9 for k in brute):
                 brute.append(hit)
     assert len(res.crossings) == len(brute)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import starmap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,11 @@ def fn_samples(f, lo, hi, n):
         Point2(lo + (hi - lo) * k / n, f(lo + (hi - lo) * k / n))
         for k in range(n + 1)
     )
+
+
+def beziers(curve) -> list[CubicBezier]:
+    """The curve's control-array rows as CubicBezier segments."""
+    return [CubicBezier(*starmap(Point2, row)) for row in curve.ctrl.tolist()]
 
 
 def exact_integral(b: CubicBezier) -> Fraction:
@@ -346,7 +352,7 @@ def test_property_clipped_integrate_matches_exact_integral(data, u, v, method):
         return
     got = integrate(IntegrationRequest(data, (a, b), method))
     exact = bound = Fraction(0)
-    for seg in build_spline(data, method=method, closed=False).segments:
+    for seg in beziers(build_spline(data, method=method, closed=False)):
         if seg.p1.x <= lo or seg.p0.x >= hi:
             continue
         t0 = calculus._solve_segment_x(seg, lo) if seg.p0.x < lo else 0.0
@@ -371,7 +377,7 @@ def test_property_closed_area_matches_exact_integral(angles, rx, ry, method):
         for t in sorted(angles)
     ]
     got = closed_area(pts, method)
-    segments = build_spline(pts, method=method, closed=True).segments
+    segments = beziers(build_spline(pts, method=method, closed=True))
     exact = -sum(exact_integral(seg) for seg in segments)
     bound = sum(Fraction(2e-16) * _scale(seg) for seg in segments)
     assert abs(Fraction(got) - exact) <= bound

@@ -36,6 +36,14 @@ samples = 60
 """
 
 
+def _surf_with(line: str) -> str:
+    """PARABOLOID_FILE with `line` in place of the line setting its key,
+    or after the others when no line sets it."""
+    key = line.partition("=")[0].strip()
+    kept = [l for l in PARABOLOID_FILE.splitlines() if l.partition("=")[0].strip() != key]
+    return "\n".join([*kept, line]) + "\n"
+
+
 @pytest.fixture
 def diamond(tmp_path):
     p = tmp_path / "diamond.csv"
@@ -486,6 +494,29 @@ class TestContactDemo:
             "cluster: 13266 candidate midpoints, spread 3.629212",
         ]
 
+    def test_axis_along_the_line_of_sight(self, monkeypatch, capsys):
+        # the y axis projects to a 5e-16-long stub, so the cluster holds
+        # 16 362 midpoints but only 655 distinct ones; a hull over every
+        # copy paired about 5e8 distances (152 s), one over the distinct
+        # points pairs 14 706
+        calls = 0
+        dist = Point2.dist
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return dist(self, other)
+
+        monkeypatch.setattr(Point2, "dist", counted)
+        assert main(["contact-demo", "--theta", "90", "--phi", "0"]) == 0
+        assert calls < 100_000
+        assert capsys.readouterr().out.splitlines() == [
+            "crossings: 0",
+            "cluster: 16362 candidate midpoints, spread 2.085572",
+            "contact: (0.935000,0.251550) [unrefined (closest approach)]",
+            "analytic: none on the drawn axis (|y| <= 4)",
+        ]
+
     def test_root_off_the_drawn_axis_is_no_reference(self, capsys):
         # the axis y in [-4, 4] projects to |Y| <= 1.69 and never meets the
         # outline, whose crossing with the whole axis is its apex, Y = 3.67
@@ -496,6 +527,33 @@ class TestContactDemo:
             "contact: (0.639461,1.941290) [unrefined (closest approach)]",
             "analytic: none on the drawn axis (|y| <= 4)",
         ]
+
+
+def test_figures_build_no_point2_per_vertex(monkeypatch, capsys, tmp_path):
+    # with the vertices read as Point2s, the README paraboloid scene built
+    # 1 943 of them and this dashed tangent 192; what is left is a few per
+    # cut, contact, label, tangent and clipped segment
+    built = []
+    init = Point2.__init__
+
+    def counted(self, *args):
+        built.append(args)  # one call, safe from the scene's threads
+        init(self, *args)
+
+    monkeypatch.setattr(Point2, "__init__", counted)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("with `paraboloid.surf`:\n\n```\n", 1)[1]
+    desc = tmp_path / "paraboloid.surf"
+    desc.write_text(block.split("```", 1)[0])
+    assert main(["surface", str(desc)]) == 0
+    assert "\\polyline" in capsys.readouterr().out
+    assert len(built) <= 200
+    built.clear()
+    out = tmp_path / "fig.tex"
+    argv = "tangent --fn sin(x) --sample-range 0,30 --num 60 --at 1 --out".split()
+    assert main([*argv, str(out)]) == 0
+    assert out.read_text().count("\\polyline") > 50  # the dashes
+    assert len(built) <= 50
 
 
 class TestOneProcess:
@@ -656,7 +714,7 @@ class TestRefusals:
     )
     def test_bad_surface_value(self, capsys, tmp_path, line, key):
         desc = tmp_path / "bad.surf"
-        desc.write_text(PARABOLOID_FILE + line + "\n")
+        desc.write_text(_surf_with(line))
         assert main(["surface", str(desc)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ")
@@ -665,8 +723,8 @@ class TestRefusals:
     @pytest.mark.parametrize(
         "text, message",
         [
-            (PARABOLOID_FILE + "x = 1e30*u*cos(v)\n", "cannot format"),
-            (PARABOLOID_FILE + "u = -1e308, 1e308\n", "-1e+308 to 1e+308 is wider"),
+            (_surf_with("x = 1e30*u*cos(v)"), "cannot format"),
+            (_surf_with("u = -1e308, 1e308"), "-1e+308 to 1e+308 is wider"),
             (
                 "x = u\ny = u^2 - v^2\nz = 1/u\nu = 0, 1e300\nv = 0, 1\n"
                 "grid = 8\nsamples = 2\naxes = off\n",
@@ -677,6 +735,8 @@ class TestRefusals:
             (PARABOLOID_FILE + "= 1\n", "bad.surf:10: unknown key ''"),
             (PARABOLOID_FILE + "axes = no\n", "axes: expected on or off, got 'no'"),
             (PARABOLOID_FILE + "axes = On\n", "axes: expected on or off, got 'On'"),
+            (PARABOLOID_FILE + "grid = 12\n", "bad.surf:10: repeated key 'grid'"),
+            (PARABOLOID_FILE + "x = u\n", "bad.surf:10: repeated key 'x'"),
         ],
         ids=[
             "coordinates-past-five-decimals",
@@ -687,6 +747,8 @@ class TestRefusals:
             "empty-key",
             "axes-no",
             "axes-On",
+            "repeated-key-grid",
+            "repeated-key-x",
         ],
     )
     def test_bad_surface(self, capsys, tmp_path, text, message):
@@ -697,7 +759,9 @@ class TestRefusals:
         assert err.startswith("error: ")
         assert message in err
 
-    @pytest.mark.parametrize("line", ["wire_v = 1", "sample = 50", "axes = no"])
+    @pytest.mark.parametrize(
+        "line", ["wire_v = 1", "sample = 50", "axes = no", "grid = 12"]
+    )
     def test_show_config_refuses_what_a_drawing_refuses(self, capsys, tmp_path, line):
         # once, --show-config printed the defaults in place of such keys
         desc = tmp_path / "bad.surf"

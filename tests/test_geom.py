@@ -91,9 +91,10 @@ class TestPolyline:
         assert pl.pt_start == Point2(0, 0)
         assert pl.pt_end == Point2(1, 1)
         assert not pl.is_loop()
-        arr = pl.as_array()
-        assert arr.shape == (3, 2)
-        assert np.allclose(arr[2], [1, 1])
+        arr = pl.points
+        assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
+        assert not arr.flags.writeable
+        assert arr.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]
 
     def test_loop(self):
         pl = Polyline(
@@ -147,9 +148,12 @@ def test_property_polyline_refuses_what_the_point2_constructor_refused(
             assert refused
             continue
         assert not refused
+        # the vertices are one read-only float64 copy, signed zeros kept
         assert _reprs(poly.points) == _reprs(pts)
-        assert poly.as_array() is poly.as_array()
-        assert not poly.as_array().flags.writeable
+        assert poly.points is poly.points
+        assert poly.points.dtype == np.float64 and poly.points.shape == (len(pts), 2)
+        assert not poly.points.flags.writeable
+        assert not np.shares_memory(poly.points, xy)
         for given_rows, rows in ((space, poly.space), (params, poly.params)):
             if given_rows is None:
                 assert rows is None
@@ -160,26 +164,27 @@ def test_property_polyline_refuses_what_the_point2_constructor_refused(
 
 
 def test_lengths_build_no_point2(monkeypatch):
-    # bench/spans.py counts vertices as len(poly.points) inside traced runs
-    curve = _chain([0.0, 0.0, 1.0, 2.0, 3.0, 2.0, 4.0, 0.0])
+    # bench/spans.py counts vertices as len(poly.points) and segments as
+    # len(curve.segments) inside traced runs
+    curve = _chain([0.0, 0.0, 1.0, 2.0, 3.0, 2.0, 4.0, 0.0, 5.0, 1.0, 6.0, 2.0, 7.0, 0.0])
     built = []
-    init = Point2.__init__
+    for cls in (Point2, CubicBezier):
+        init = cls.__init__
 
-    def counted(self, *args):
-        built.append(args)
-        init(self, *args)
+        def counted(self, *args, init=init):
+            built.append(args)
+            init(self, *args)
 
-    monkeypatch.setattr(Point2, "__init__", counted)
-    assert len(curve.sample(10).points) == 11
+        monkeypatch.setattr(cls, "__init__", counted)
+    assert len(curve.segments) == 2 and curve.segments is curve.ctrl
+    assert len(curve.sample(10).points) == 21
     comps = trace_implicit("x^2 + y^2 - 1", TraceConfig((-2.0, 2.0), (-2.0, 2.0), 40))
     assert sum(len(p.points) for p in comps) > 40
-    assert built == []
-    # the first read that needs the vertices builds them, once
+    # reading the vertices builds nothing either: they are the array's rows
     poly = comps[0]
-    first = poly.points[0]
-    assert len(built) == len(poly.points)
-    assert poly.points[0] is first and list(poly.points)[0] is first
-    assert len(built) == len(poly.points)
+    assert poly.points[0].tolist() == poly.points.tolist()[0]
+    assert len(list(poly.points)) == len(poly.points)
+    assert built == []
 
 
 def test_drop_repeats():
@@ -207,23 +212,23 @@ def test_sample_skips_a_point_segment():
     point_seg = CubicBezier(p, p, p, p)
     curve = SplineCurve([_row(point_seg), _row(CubicBezier(p, p, q, q))])
     poly = curve.sample(4)
-    assert poly.points[0] == p
+    assert poly.points[0].tolist() == [p.x, p.y]
     assert len(poly.points) == 5  # the point segment adds one vertex, not four
 
 
 def _sample_reference(curve: SplineCurve, per_segment: int) -> tuple[Point2, ...]:
     """The sampled vertices one bezier_eval call at a time."""
-    pts = [
-        bezier_eval(seg, i / per_segment)
-        for seg in curve.segments
-        for i in range(per_segment)
-    ]
-    pts.append(bezier_eval(curve.segments[-1], 1.0))
+    segs = [CubicBezier(*starmap(Point2, row)) for row in curve.ctrl.tolist()]
+    pts = [bezier_eval(seg, i / per_segment) for seg in segs for i in range(per_segment)]
+    pts.append(bezier_eval(segs[-1], 1.0))
     return _drop_repeats_reference(pts)
 
 
 def _reprs(points) -> list[tuple[str, str]]:
-    # repr tells -0.0 from 0.0 and reads back to the same bits; NaN is "nan"
+    """Point2s or (n, 2) rows as repr pairs: repr tells -0.0 from 0.0
+    and reads back to the same bits; NaN is "nan"."""
+    if isinstance(points, np.ndarray):
+        return [(repr(x), repr(y)) for x, y in points.tolist()]
     return [(repr(p.x), repr(p.y)) for p in points]
 
 
@@ -274,8 +279,8 @@ def test_sample_overflows_where_bezier_eval_does():
     for per_segment in (1, 2, 7, 40):
         _check_sample(curve, per_segment)
     poly = curve.sample(7)
-    assert all(math.isnan(p.x) for p in poly.points)
-    assert all(math.isfinite(p.y) for p in poly.points)
+    assert np.isnan(poly.points[:, 0]).all()
+    assert np.isfinite(poly.points[:, 1]).all()
 
 
 def test_points_csv_roundtrip(tmp_path):
@@ -333,3 +338,14 @@ def test_diameter_of_collinear_and_repeated_points():
     assert diameter(line) == line[0].dist(line[-1])
     assert diameter([Point2(1, 1)] * 3) == 0.0
     assert diameter([Point2(1, 1)]) == diameter([]) == 0.0
+
+
+def test_diameter_of_a_duplicate_heavy_cluster():
+    # as contact-demo's cluster at theta 90, phi 0 (16 362 midpoints, 655
+    # distinct): the hull keeps every copy of a point on it unless the
+    # copies are dropped first, and pairing those copies took minutes
+    distinct = [Point2(math.cos(k / 9), math.sin(k / 9) / 3) for k in range(40)]
+    distinct += [Point2(k / 7, 0.0) for k in range(-7, 8)]  # collinear, on an edge
+    cluster = [p for _ in range(300) for p in distinct]
+    assert diameter(cluster) == _pairwise_diameter(distinct)
+    assert diameter(cluster[::-1]) == diameter(distinct)

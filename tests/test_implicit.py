@@ -57,18 +57,18 @@ class TestCircle:
     def test_residuals_are_tiny(self):
         comps = trace_implicit("x^2+y^2-1", self.CFG)
         fn = compile_fn(parse_equation("x^2+y^2-1"), ("x", "y"))
-        worst = max(abs(fn(p.x, p.y)) for p in comps[0].points)
+        worst = max(abs(fn(x, y)) for x, y in comps[0].points.tolist())
         assert worst < 1e-8
 
     def test_enclosed_area(self):
         comps = trace_implicit("x^2+y^2-1", self.CFG)
-        area = closed_area(list(comps[0].points)[:-1])
+        area = closed_area(comps[0].points[:-1])
         assert area == pytest.approx(math.pi, abs=1e-3)
 
     def test_loop_closes_on_itself(self):
         comps = trace_implicit("x^2+y^2-1", self.CFG)
         pts = comps[0].points
-        assert pts[0] == pts[-1]
+        assert pts[0].tobytes() == pts[-1].tobytes()
 
 
 class TestConic:
@@ -99,7 +99,7 @@ class TestConic:
     def test_integral_between_endpoints(self):
         c = self.trace()[0]
         lo, hi = sorted((c.pt_start.x, c.pt_end.x))
-        data = tuple(c.points)
+        data = c.points
         osh = integrate(IntegrationRequest(data, (lo, hi)))
         cr = integrate(
             IntegrationRequest(data, (lo, hi), SplineMethod.CATMULL_ROM)
@@ -112,7 +112,7 @@ class TestConic:
         b = self.trace()
         assert len(a) == len(b)
         for ca, cb in zip(a, b):
-            assert ca.points == cb.points
+            assert ca.points.tobytes() == cb.points.tobytes()
 
 
 class TestEdgeCases:
@@ -130,8 +130,7 @@ class TestEdgeCases:
             "sqrt(x)-1", TraceConfig((-2, 2), (-2, 2), grid=60)
         )
         assert len(comps) == 1
-        xs = [p.x for p in comps[0].points]
-        ys = [p.y for p in comps[0].points]
+        xs, ys = comps[0].points.T.tolist()
         assert max(abs(x - 1.0) for x in xs) < 1e-9
         assert max(ys) - min(ys) > 3.0
 
@@ -141,14 +140,14 @@ class TestEdgeCases:
             "x^2-y^2-1", TraceConfig((-3, 3), (-3, 3), grid=120)
         )
         assert len(comps) == 2
-        sides = sorted(c.points[len(c.points) // 2].x for c in comps)
+        sides = sorted(float(c.points[len(c.points) // 2, 0]) for c in comps)
         assert sides[0] < -0.9 and sides[1] > 0.9
 
     def test_saddle_is_deterministic(self):
         cfg = TraceConfig((-1, 1), (-1, 1), grid=50)
         a = trace_implicit("x*y", cfg)
         b = trace_implicit("x*y", cfg)
-        assert [c.points for c in a] == [c.points for c in b]
+        assert [c.points.tobytes() for c in a] == [c.points.tobytes() for c in b]
         assert len(a) >= 2
 
     def test_grid_validation(self):
@@ -187,7 +186,7 @@ class TestEdgeCases:
 
 
 def _bits(comps: list[Polyline]) -> list[list[bytes]]:
-    return [[struct.pack("<2d", p.x, p.y) for p in c.points] for c in comps]
+    return [[struct.pack("<2d", x, y) for x, y in c.points.tolist()] for c in comps]
 
 
 def _outcome(trace, f, cfg: TraceConfig) -> list[list[bytes]] | str:

@@ -3,6 +3,7 @@
 import math
 import re
 from decimal import ROUND_HALF_UP, Decimal
+from itertools import starmap
 
 import numpy as np
 import pytest
@@ -427,6 +428,31 @@ class TestProperties:
 # read each polyline as its (n, 2) array.
 
 
+def _vertices(item) -> list[Point2]:
+    return list(starmap(Point2, item.polyline.points.tolist()))
+
+
+def _ref_dash_runs(pts: list[Point2]) -> list[Point2]:
+    """The dash run ends, run k from point 2k to point 2k + 1: a point
+    every DASH_STEP of arc length, both ends included, paired off."""
+    step = render.DASH_STEP
+    out = [pts[0]]
+    carry = 0.0
+    for a, b in zip(pts, pts[1:]):
+        seg = a.dist(b)
+        if seg == 0.0:
+            continue
+        s = step - carry
+        while s <= seg:
+            t = s / seg
+            out.append(Point2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t))
+            s += step
+        carry = (carry + seg) % step
+    if out[-1].dist(pts[-1]) > 1e-12:
+        out.append(pts[-1])
+    return out[: len(out) // 2 * 2]
+
+
 def _ref_pairs(points) -> list[str]:
     text = fmt5_column([c for p in points for c in (p.x, p.y)])
     return [f"({x},{y})" for x, y in zip(text[::2], text[1::2])]
@@ -436,7 +462,7 @@ def _ref_fit(items) -> tuple[float, float, float, float]:
     xs: list[float] = []
     ys: list[float] = []
     for item in items:
-        for p in item.polyline.points:
+        for p in _vertices(item):
             xs.append(p.x)
             ys.append(p.y)
         if item.label is not None:
@@ -458,7 +484,7 @@ def _ref_check(items, bbox) -> None:
     for c in (w, h, x0 - sx, x0 + w + sx, y0 - sy, y0 + h + sy):
         fmt5(c)
     for item in items:
-        for p in item.polyline.points:
+        for p in _vertices(item):
             if not (x0 - sx <= p.x <= x0 + w + sx and y0 - sy <= p.y <= y0 + h + sy):
                 raise RenderError(f"vertex ({p.x}, {p.y}) outside bounding box {bbox}")
 
@@ -474,11 +500,11 @@ def _ref_latex(items, bbox) -> str:
     if items:
         out.append(f"\\linethickness{{{render.LINE_THICKNESS:g}in}}%")
     for item in items:
-        pts = item.polyline.points
+        pts = _vertices(item)
         if item.style is Style.SOLID:
             out.extend(render._wrap_pairs("\\polyline", _ref_pairs(pts)))
         elif item.style is Style.DASHED:
-            ends = _ref_pairs([p for run in render._dash_runs(pts) for p in run])
+            ends = _ref_pairs(_ref_dash_runs(pts))
             chunks = [f"\\polyline{a}{b}" for a, b in zip(ends[::2], ends[1::2])]
             out.extend(render._wrap_pairs("", chunks, 2))
         else:
@@ -520,7 +546,7 @@ def _ref_svg(items, bbox) -> str:
         f'stroke-width="{render.LINE_THICKNESS * 96.0:.3f}"'
     )
     for item in items:
-        pts = [_ref_svg_xy(p, bbox) for p in item.polyline.points]
+        pts = [_ref_svg_xy(p, bbox) for p in _vertices(item)]
         if item.style is Style.SOLID:
             out.append(f'<path {common} d="{_ref_svg_path(pts)}"/>')
         elif item.style is Style.DASHED:
@@ -614,6 +640,16 @@ class TestArrayEmittersMatchTheReference:
         assert _emitted(items) == _reference(items)
 
     @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(Point2, _SHORT, _SHORT), min_size=2, max_size=8))
+    def test_property_dash_runs_are_the_point2_ones_bit_for_bit(self, pts):
+        pts = [p for k, p in enumerate(pts) if k == 0 or p != pts[k - 1]]
+        assume(len(pts) >= 2)
+        want = [(p.x, p.y) for p in _ref_dash_runs(pts)]
+        got = render._dash_runs(Polyline(tuple(pts)).points)
+        assert got.dtype == np.float64 and got.shape == (len(want), 2)
+        assert got.tobytes() == np.array(want).reshape(-1, 2).tobytes()
+
+    @settings(max_examples=200, deadline=None)
     @given(
         _items(_nudged(_COORDS)),
         st.data(),
@@ -625,7 +661,7 @@ class TestArrayEmittersMatchTheReference:
         # a box whose slack edge passes through one vertex, moved a few
         # ulps either way: the first vertex outside, in item order, is named
         assume(items)
-        vertices = [p for item in items for p in item.polyline.points]
+        vertices = [p for item in items for p in _vertices(item)]
         v = data.draw(st.sampled_from(vertices))
         x0, y0 = v.x - 1.05 * size, v.y + 0.05 * size
         for _ in range(abs(kx)):

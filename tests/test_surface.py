@@ -6,7 +6,7 @@ import math
 import struct
 import time
 import tracemalloc
-from itertools import count
+from itertools import count, starmap
 
 import numpy as np
 import pytest
@@ -68,9 +68,19 @@ def mobius() -> ParametricSurface:
     )
 
 
+def vertices(poly: Polyline) -> list[Point2]:
+    """The polyline's vertex rows as Point2s."""
+    return list(starmap(Point2, poly.points.tolist()))
+
+
+def beziers(sp) -> list[CubicBezier]:
+    """The spline's control-array rows as CubicBezier segments."""
+    return [CubicBezier(*starmap(Point2, row)) for row in sp.ctrl.tolist()]
+
+
 def closest_pair(a: Polyline, b: Polyline) -> tuple[int, int]:
     """The vertex pair (i, j) of a and b nearest each other."""
-    pa, pb = a.as_array(), b.as_array()
+    pa, pb = a.points, b.points
     d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
     return divmod(int(np.argmin(d2)), d2.shape[1])
 
@@ -454,7 +464,7 @@ def test_property_curve_arrays_match_the_per_vertex_path(
         ref_poly = _reference_project_curve(*ref, proj)
         assert (poly is None) == (ref_poly is None)
         if poly is not None:
-            assert _same_rows(poly.as_array(), ref_poly[0])
+            assert _same_rows(poly.points, ref_poly[0])
             assert _same_rows(poly.space, ref_poly[1])
             assert _same_rows(poly.params, ref_poly[2])
     for fixed, (lo, hi) in (("u", u_range), ("v", v_range)):
@@ -535,12 +545,11 @@ class TestIntersectProjected:
                 return Point2(p1.x + tt * r[0], p1.y + tt * r[1])
             return None
 
+        va, vb = vertices(a), vertices(b)
         brute = []
-        for i in range(len(a.points) - 1):
-            for j in range(len(b.points) - 1):
-                hit = seg_cross(
-                    a.points[i], a.points[i + 1], b.points[j], b.points[j + 1]
-                )
+        for i in range(len(va) - 1):
+            for j in range(len(vb) - 1):
+                hit = seg_cross(va[i], va[i + 1], vb[j], vb[j + 1])
                 if hit is not None and all(
                     hit.dist(k) > 1e-9 for k in brute
                 ):
@@ -622,8 +631,8 @@ class TestRefineContact:
         i, j = closest_pair(a, b)
         rc = refine_contact(a, b, i, j, tol=1e-7)
         if rc.refined:
-            da = min(rc.point.dist(p) for p in a.points)
-            db = min(rc.point.dist(p) for p in b.points)
+            da = min(rc.point.dist(p) for p in vertices(a))
+            db = min(rc.point.dist(p) for p in vertices(b))
             # within a vertex spacing of both curves
             assert da < 0.02 and db < 0.02
 
@@ -631,7 +640,8 @@ class TestRefineContact:
         a = dense_line((0, 0), (1, 0), 60)
         rc = refine_contact(a, a, 30, 30)
         assert not rc.refined
-        assert rc.point.dist(a.points[30]) < 1e-12
+        # the seed, the vertex averaged with itself, is the vertex
+        assert rc.point == vertices(a)[30]
 
     def test_disjoint_windows_unrefined(self):
         a = dense_line((0, 0), (1, 0), 40)
@@ -688,7 +698,7 @@ def _reference_box_gap(pa, pb) -> float:
 def _reference_window_pieces(poly: Polyline, center: int, window: int):
     lo = max(0, center - window)
     hi = min(len(poly.points) - 1, center + window)
-    pts = poly.points[lo : hi + 1]
+    pts = vertices(poly)[lo : hi + 1]
     if len(pts) < 2:
         return None
     sp = build_spline(pts, method=SplineMethod.OSHIMA, closed=False)
@@ -696,7 +706,7 @@ def _reference_window_pieces(poly: Polyline, center: int, window: int):
         _reference_piece(
             s.p0.x, s.p0.y, s.c0.x, s.c0.y, s.c1.x, s.c1.y, s.p1.x, s.p1.y
         )
-        for s in sp.segments
+        for s in beziers(sp)
     ]
 
 
@@ -744,14 +754,14 @@ def reference_refine_contact(
     window: int = REFINE_WINDOW,
     tol: float = surface.REFINE_TOL,
 ) -> surface.RefinedContact:
-    seed = (a.points[center_a] + b.points[center_b]) * 0.5
+    seed = (vertices(a)[center_a] + vertices(b)[center_b]) * 0.5
     pieces_a = _reference_window_pieces(a, center_a, window)
     pieces_b = _reference_window_pieces(b, center_b, window)
     if pieces_a is None or pieces_b is None:
         return surface.RefinedContact(seed, False)
 
-    win_a = a.as_array()[max(0, center_a - window) : center_a + window + 1]
-    win_b = b.as_array()[max(0, center_b - window) : center_b + window + 1]
+    win_a = a.points[max(0, center_a - window) : center_a + window + 1]
+    win_b = b.points[max(0, center_b - window) : center_b + window + 1]
     if (_segment_feet(win_a, win_b)[1].min(axis=1) <= 10.0 * tol).all():
         return surface.RefinedContact(seed, False)
 
@@ -846,9 +856,9 @@ def _fit_distance(poly: Polyline, center: int, window: int, q: Point2) -> float:
     Each segment is sampled at 65 parameters, and the nearest sample's
     neighbourhood is narrowed by golden section.
     """
-    pts = poly.points[max(0, center - window) : center + window + 1]
+    pts = vertices(poly)[max(0, center - window) : center + window + 1]
     best = math.inf
-    for seg in build_spline(pts, method=SplineMethod.OSHIMA, closed=False).segments:
+    for seg in beziers(build_spline(pts, method=SplineMethod.OSHIMA, closed=False)):
         def d(t: float) -> float:
             return bezier_eval(seg, t).dist(q)
 
@@ -1018,7 +1028,7 @@ def _segment_dists_loop(poly: Polyline, q: Point2) -> list[tuple[float, float]]:
     squares neither under- nor overflow; the distance is math.hypot's.
     """
     out = []
-    pts = poly.points
+    pts = vertices(poly)
     for i in range(len(pts) - 1):
         a, b = pts[i], pts[i + 1]
         vx, vy = b.x - a.x, b.y - a.y
@@ -1119,7 +1129,7 @@ class TestVisibility:
             [(x, 0.0, 0.0) for x in np.linspace(-3, 3, 61)], label="chord"
         )
         poly = project_curve(c, VIEW)
-        mid = poly.points[30]
+        mid = vertices(poly)[30]
         tagged = classify_visibility(poly, c.label, [mid], OcclusionTester(s, VIEW))
         assert len(tagged.intervals()) == 2
 
@@ -1270,7 +1280,7 @@ def test_no_drawn_interval_of_a_default_scene_is_a_stub(default_scene):
     report, _ = default_scene
     for tc in _tagged(report):
         for sub, _ in tc.intervals():
-            pts = sub.points
+            pts = vertices(sub)
             length = sum(a.dist(b) for a, b in zip(pts, pts[1:]))
             assert length > 10 * surface.REFINE_TOL, tc.label
 
