@@ -14,7 +14,7 @@ numbers is refused.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -213,22 +213,32 @@ def frozen_rows(rows, width: int, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def diameter(points: Sequence[Point2]) -> float:
-    """The largest distance between two points (0 for fewer than 2),
-    measured between the distinct points of their convex hull (Andrew's
-    monotone chain), which keeps the points along its edges."""
-    pts = sorted(dict.fromkeys(points), key=lambda p: (p.x, p.y))
+def diameter(points: Iterable[Point2] | np.ndarray) -> float:
+    """The largest distance between two points, given as an (n, 2) array
+    or as Point2s (0 for fewer than 2), measured between the distinct
+    points of their convex hull (Andrew's monotone chain), which keeps
+    the points along its edges."""
+    xy = xy_array(points)
+    xy = xy[np.lexsort((xy[:, 1], xy[:, 0]))]
+    pts = xy[run_starts(xy)].tolist()
 
-    def chain(seq: Iterable[Point2]) -> list[Point2]:
-        out: list[Point2] = []
-        for p in seq:
-            while len(out) >= 2 and (out[-1] - out[-2]).cross(p - out[-2]) < 0.0:
+    def chain(seq: Iterable[list[float]]) -> list[list[float]]:
+        out: list[list[float]] = []
+        for px, py in seq:
+            while len(out) >= 2:
+                (bx, by), (ax, ay) = out[-2], out[-1]
+                if not (ax - bx) * (py - by) - (ay - by) * (px - bx) < 0.0:
+                    break
                 out.pop()
-            out.append(p)
+            out.append([px, py])
         return out[:-1]
 
     hull = chain(pts) + chain(reversed(pts))
-    pairs = (p.dist(q) for i, p in enumerate(hull) for q in hull[i + 1:])
+    pairs = (
+        math.hypot(px - qx, py - qy)
+        for i, (px, py) in enumerate(hull)
+        for qx, qy in hull[i + 1:]
+    )
     return max(pairs, default=0.0)
 
 

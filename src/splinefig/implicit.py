@@ -1,10 +1,12 @@
 """Tracing the zero set of F(x, y) on a rectangle.
 
 A marching-squares pass over an n x n cell grid finds every sign change
-along cell edges, refines each crossing by bisection, and chains the
-per-cell segments into polylines.  Saddle cells (two opposite positive
-corners) are disambiguated by the sign of F at the cell center.  The
-output is deterministic: same F, same window, same grid, same bytes.
+along cell edges, refines each crossing by regula falsi (the Illinois
+variant), and chains the per-cell segments into polylines.  Saddle
+cells (two opposite positive corners) are disambiguated by the sign of
+F at the cell center.  A sign change where F has no root, at a pole or
+a jump, is drawn all the same, and the trace warns how many there are.
+The output is deterministic: same F, same window, same grid, same bytes.
 
 F is evaluated only in array passes, bit for bit the values of the
 scalar F.  First its interval enclosure (`f.enclose`) bounds F on each
@@ -12,7 +14,7 @@ block of BLOCK x BLOCK cells; a block whose bound is finite and
 excludes 0 holds no crossing and is not evaluated (the filter of
 Snyder, "Interval analysis for computer graphics", SIGGRAPH 1992).
 Then `f.at` runs once at the nodes of the open blocks, once at the
-centers of the saddle cells, and once per bisection step over the
+centers of the saddle cells, and once per refinement step over the
 crossings still being refined.  Only a sign mask and its comparisons
 along both edge directions span the open blocks; the crossed cells are
 then classified from a case table, and their segments chained, on
@@ -41,7 +43,9 @@ from .geom import Polyline
 log = logging.getLogger(__name__)
 
 RESIDUAL_FACTOR = 1e-10
-MAX_BISECT = 30
+# refinement steps per crossing: the roots of the README conic stop within
+# 5, and a pole or jump spends its bracket in about 100
+MAX_STEPS = 100
 JOIN_TOL = 1e-9  # see TraceConfig.join_tol
 MAX_GRID = 4096  # cells per side: the nodes alone take 134 MB at this size
 BLOCK = 16  # cells per side of a block whose sign one enclosure may prove
@@ -208,7 +212,12 @@ def trace_zero_set(f: Callable[..., float], cfg: TraceConfig) -> list[Polyline]:
     i2, j2 = i1 + ~vertical, j1 + vertical
     ends_at = _EDGE_CORNERS[sides[first_end]].T
     f1, f2 = corners[ends_at, end_cell[first_end]]
-    px, py = _refine_crossings(f, xs[i1], ys[j1], xs[i2], ys[j2], f1, f2)
+    px, py, no_root = _refine_crossings(f, xs[i1], ys[j1], xs[i2], ys[j2], f1, f2)
+    if no_root.any():
+        log.warning(
+            "%d crossings are sign changes where F has no root (pole or jump?)",
+            np.count_nonzero(no_root),
+        )
     xy = np.column_stack((px, py))
     cx, cy = px.tolist(), py.tolist()
 
@@ -296,53 +305,79 @@ def _refine_crossings(
     y2: np.ndarray,
     f1: np.ndarray,
     f2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The crossing points on the edges (x1, y1)-(x2, y2), all at once.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The crossing points on the edges (x1, y1)-(x2, y2), all at once,
+    and the mask of the edges where F has no root to find.
 
     f1 and f2 are f at the ends, finite and of opposite signs or zero.
-    An end where f is 0 is the crossing.  Otherwise the linear
-    interpolation guess comes first, then up to MAX_BISECT halvings of
-    the bracket; an edge stops when |f| <= tol or f is undefined at its
-    midpoint, and keeps the best point seen.  Each edge makes exactly
-    the float operations of a scalar bisection, so the bits match it;
-    each step is one `f.at` over the edges still going, whose state is
-    kept compact: updated in place, recompacted when one stops.
+    An end where f is 0 is the crossing.  Otherwise the edge's bracket
+    [ta, tb] = [0, 1] shrinks by the Illinois variant of regula falsi
+    (Dowell & Jarratt, BIT 11, 1971).  Each step evaluates f at the
+    secant point of the bracket, the first being the linear
+    interpolation guess, or at the bracket's midpoint where the secant
+    point is not finite or not inside it.  The point replaces the end
+    whose sign it shares, and an end kept twice in a row has its stored
+    f halved.  An edge stops when |f| <= RESIDUAL_FACTOR * max(|f1|,
+    |f2|), when f is undefined at its step, when the bracket can shrink
+    no more, or after MAX_STEPS steps, and keeps the best point seen
+    (the midpoint when it saw none).  Where that best |f| neither meets
+    the stop nor is below min(|f1|, |f2|), F changes sign across the
+    edge without a root (a pole, a jump, an undefined gap) and the edge
+    is flagged.
+
+    Each edge makes exactly the float operations of the scalar
+    iteration, so the bits match it.  Each step is one `f.at` over the
+    edges still going, whose state is kept compact: updated in place,
+    recompacted after a step where one stopped.
     """
     dx, dy = x2 - x1, y2 - y1
+    end = (f1 == 0.0) | (f2 == 0.0)
+    t_best, f_best = np.full_like(f1, 0.5), np.full_like(f1, math.inf)
+    tol = RESIDUAL_FACTOR * np.maximum(np.abs(f1), np.abs(f2))
+    live = np.flatnonzero(~end)
+    fa, fb = f1[live], f2[live]
     # Python floats overflow to inf silently; numpy would warn
     with np.errstate(over="ignore", invalid="ignore"):
-        tol = RESIDUAL_FACTOR * (1.0 + np.maximum(np.abs(f1), np.abs(f2)))
-        t_best = f1 / (f1 - f2)
-        f_best = np.abs(f.at(x1 + dx * t_best, y1 + dy * t_best))
-        undefined = np.isnan(f_best)
-        t_best[undefined] = 0.5
-        f_best[undefined] = math.inf
-        live = np.flatnonzero((f_best > tol) & (f1 != 0.0) & (f2 != 0.0))
-        # per live edge: the best t and its |f|, the bracket [ta, tb]
-        # with f(ta) = fa, the edge's start and step, and its tol
-        bracket = (np.zeros_like(f1), f1, np.ones_like(f1))
-        state = [a[live] for a in (t_best, f_best, *bracket, x1, y1, dx, dy, tol)]
-        for _ in range(MAX_BISECT):
+        tm = fa / (fa - fb)
+        tm[~((0.0 < tm) & (tm < 1.0))] = 0.5
+        # per live edge: the best t and its |f|, the bracket [ta, tb] with
+        # its stored fa and fb, the end the last step kept (1 for a, -1
+        # for b, 0 before the first step), the next t, the edge's start
+        # and step, and its tol
+        bracket = (np.zeros_like(fa), fa, np.ones_like(fa), fb, np.zeros(fa.shape, np.int8))
+        state = [
+            t_best[live], f_best[live], *bracket, tm,
+            *(a[live] for a in (x1, y1, dx, dy, tol)),
+        ]
+        for _ in range(MAX_STEPS):
             if live.size == 0:
                 break
-            tk, fk, ta, fa, tb, sx, sy, sdx, sdy, stol = state
-            tm = 0.5 * (ta + tb)
+            tk, fk, ta, fa, tb, fb, kept, tm, sx, sy, sdx, sdy, stol = state
             fm = f.at(sx + sdx * tm, sy + sdy * tm)
             better = np.abs(fm) < fk  # never where f is undefined
             np.copyto(tk, tm, where=better)
             np.copyto(fk, np.abs(fm), where=better)
-            lower = fa * fm < 0.0
-            np.copyto(tb, tm, where=lower)
-            np.copyto(ta, tm, where=~lower)
-            np.copyto(fa, fm, where=~lower)
-            going = (fk > stol) & ~np.isnan(fm)
+            keep_a = np.signbit(fm) != np.signbit(fa)
+            np.multiply(fa, 0.5, out=fa, where=keep_a & (kept == 1))
+            np.multiply(fb, 0.5, out=fb, where=~keep_a & (kept == -1))
+            np.copyto(tb, tm, where=keep_a)
+            np.copyto(fb, fm, where=keep_a)
+            np.copyto(ta, tm, where=~keep_a)
+            np.copyto(fa, fm, where=~keep_a)
+            np.copyto(kept, np.where(keep_a, 1, -1))
+            np.add(ta, (tb - ta) * (fa / (fa - fb)), out=tm)
+            # the midpoint where the secant point is NaN or not inside;
+            # where the midpoint is not inside either, the bracket is spent
+            np.copyto(tm, 0.5 * (ta + tb), where=~((ta < tm) & (tm < tb)))
+            going = (fk > stol) & ~np.isnan(fm) & (ta < tm) & (tm < tb)
             if not going.all():
-                t_best[live] = tk
+                t_best[live], f_best[live] = tk, fk
                 live, state = live[going], [a[going] for a in state]
-        t_best[live] = state[0]
+        t_best[live], f_best[live] = state[0], state[1]
         x = np.where(f1 == 0.0, x1, np.where(f2 == 0.0, x2, x1 + dx * t_best))
         y = np.where(f1 == 0.0, y1, np.where(f2 == 0.0, y2, y1 + dy * t_best))
-    return x, y
+    near = (f_best <= tol) | (f_best < np.minimum(np.abs(f1), np.abs(f2)))
+    return x, y, ~end & ~near
 
 
 def _shoelace(xs: list[float], ys: list[float]) -> float:

@@ -1021,13 +1021,13 @@ def build_surface_scene(
 # the contact showcase: a paraboloid silhouette brushed by the y axis
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContactDemoResult:
     refined: Point2
     refined_ok: bool
     analytic: Point2
     analytic_drawn: bool  # on the drawn axis, |y| <= 4, and on the silhouette
-    cluster: tuple[Point2, ...]
+    cluster: np.ndarray  # (k, 2) midpoints of the vertex pairs within 2 dmin
     cluster_spread: float
     crossings: int
 
@@ -1080,9 +1080,7 @@ def contact_demo(
     d = np.sqrt(d2)
     thresh = max(2.0 * dmin, 1e-12)
     pairs = np.argwhere(d <= thresh)
-    cluster = tuple(
-        Point2(*(0.5 * (pa[ii] + pb[jj]))) for ii, jj in pairs.tolist()
-    )
+    cluster = 0.5 * (pa[pairs[:, 0]] + pb[pairs[:, 1]])
 
     rc = refine_contact(axis_poly, sil_poly, i, j, window=window, tol=tol)
 

@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import logging
 import math
 import os
 import re
@@ -414,7 +415,7 @@ class TestSurface:
         assert capsys.readouterr().out.startswith("{\\unitlength=1cm%")
 
     def test_surface_projecting_to_a_line_in_near_linear_time(
-        self, monkeypatch, capsys, tmp_path
+        self, monkeypatch, capsys, tmp_path, caplog
     ):
         # every curve of x = y = z = cos(v)*u projects onto one line, so
         # the fits at 22 of its 36 contact sites overlap; the search ends
@@ -434,10 +435,17 @@ class TestSurface:
             "x = cos(v)*u\ny = cos(v)*u\nz = cos(v)*u\nu = 0, 1\nv = 0, 2*pi\n"
             "grid = 10\nsamples = 3\n"
         )
-        assert main(["surface", str(desc), "--format", "tex"]) == 0
+        with caplog.at_level(logging.WARNING):
+            assert main(["surface", str(desc), "--format", "tex"]) == 0
         assert calls < 5_000
+        # J is rounding noise here, and its sign changes trace 7 folds
+        labels = ["boundary:u=1", *(f"silhouette:{k}" for k in range(7))]
+        assert [r.getMessage() for r in caplog.records] == [
+            f"newton occlusion solve failed for {label!r}; leaving interval visible"
+            for label in labels
+        ]
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "cedadfd8a03a5c95c9a5dcea225260f79d306f439b25b43ea7ea51489c6a5d56"
+            "fd0d4770b5d87480d3a7639dfec1bfa48ce11128ce73679744bdca537c4e9d3a"
         )
 
     def test_undefined_seed_cells_print_no_numpy_warning(self, tmp_path):
@@ -653,9 +661,11 @@ class TestReadmeExamples:
         README_EXAMPLES,
         ids=[cmd.split()[1] for cmd, _ in README_EXAMPLES],
     )
-    def test_prints_as_documented(self, capsys, cmd, expected):
-        assert main(shlex.split(cmd, comments=True)[1:]) == 0
+    def test_prints_as_documented(self, capsys, caplog, cmd, expected):
+        with caplog.at_level(logging.WARNING):
+            assert main(shlex.split(cmd, comments=True)[1:]) == 0
         assert capsys.readouterr().out.splitlines() == expected
+        assert caplog.records == []
 
     def test_python_blocks_run(self):
         # the "Library use" examples, each in a fresh namespace

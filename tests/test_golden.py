@@ -55,11 +55,11 @@ GOLDEN = {
     "mobius.tex": "44f47feb8f57d337eb24c85f3e3c012a7c47dfcc4ae3099446bf1858190647d8",
     "contact-demo": "5ac5d5f9b30876964456a50892b54c7f9cda41844f926ee1d57ab30f3378d988",
     "circle.tex": "ff2f795f1e9ca1e0ddf1fc9197cd2fff9e05a9e3dc487c9c220462987c909066",
-    "conic-800.csv": "170d5918a866d9520d7b0b2b588f83da4349bc7921b964b7f7d329371d502594",
+    "conic-800.csv": "268e9e7a5e08ac4048bc1e83276503e873eeeaccec94ccd4e72eef316b92af30",
     "tangent.tex": "3c9836b1abf1c8089431117eb7f456678146d1833847ede072412e853f1d8871",
     "partial.tex": "b60659f9c39aedf4d21fc6f10a6c506265d344dc87b94186f70b14f9d68f7b33",
     "sqrt-partial.tex": "b1cf84ccbc8e1080bf9749eaca8f6f391264134f4c89f523e3bd97239f9dd610",
-    "saddles.csv": "add235898b5313d12bc4a0b7c2d1bf2e3ccae9c602812f68f1b48612e82762b4",
+    "saddles.csv": "9d0519905a82720c112c2eaa01dc3c09b710edab7c21fe83a63d98db9e98cb76",
     "empty.tex": "7388e0518ec1cf44701dd9061975e543505005410647ab4f7e1553380e9c45f1",
     "paraboloid-omit.tex": "3c32f06bef314a229bf283e780ff76d9a12a779ef3ce81dbf2bb9d1b1fd1a749",
     "paraboloid-omit.svg": "14690e83828ad200551dfd99bd13255d571515f787f2ac1e7ceb442a8fbf7ea7",
@@ -85,40 +85,48 @@ CONTACTS = {
         (101, 101, 100, 66, "7.771561172376096e-16", "0.845236590284148", True),
         (101, 101, 100, 83, "-1.732050799078897", "0.42261826010471815", True),
         (101, 101, 100, 99, "-1.7320508184326728", "-0.4226182324700264", True),
-        (101, 446, 12, 222, "-3.469527492076153e-09", "3.6744865789920245", True),
-        (101, 446, 20, 173, "-0.3478756936218137", "3.56431953751897", False),
-        (101, 446, 20, 271, "0.34183136278660653", "3.568080714848662", False),
-        (101, 446, 30, 293, "0.5198745798129568", "3.427526318719906", False),
-        (101, 446, 33, 145, "-0.5784226652282477", "3.366980077974024", False),
-        (101, 446, 36, 139, "-0.6311589119450081", "3.3061166294766746", False),
-        (101, 446, 40, 131, "-0.702829609633479", "3.2141047765180053", False),
-        (101, 446, 44, 444, "1.9774194996315027", "0.1290857289366284", False),
-        (101, 446, 89, 1, "-1.974143203740156", "0.13782789118152622", False),
-        (446, 101, 0, 89, "-1.9791777037353073", "0.1197470508268546", False),
-        (446, 101, 445, 43, "1.9896745259131698", "0.0846313176764279", False),
+        (101, 446, 12, 222, "-3.4687523038361675e-09", "3.674486578992023", True),
+        (101, 446, 20, 173, "-0.3478756936161309", "3.564319537522568", False),
+        (101, 446, 20, 271, "0.341831362802782", "3.568080714838774", False),
+        (101, 446, 30, 293, "0.5198745798144848", "3.4275263187184652", False),
+        (101, 446, 33, 145, "-0.578422665240269", "3.366980077961271", False),
+        (101, 446, 36, 139, "-0.6311589119433341", "3.3061166294786135", False),
+        (101, 446, 40, 131, "-0.7028296096316146", "3.2141047765204145", False),
+        (101, 446, 44, 444, "1.9774194996323184", "0.12908572893370485", False),
+        (101, 446, 89, 1, "-1.9741432037398352", "0.13782789118267558", False),
+        (446, 101, 0, 89, "-1.979177703734074", "0.11974705083129467", False),
+        (446, 101, 445, 43, "1.9896745259130735", "0.08463131767677423", False),
     ],
     "mobius": [
         (101, 101, 0, 99, "-2.7712812921080854", "-0.6761892187852627", True),
         (101, 101, 0, 99, "-4.156921938158963", "-1.0142838281773532", True),
         (101, 101, 100, 0, "-2.771281292108085", "-0.6761892187852627", True),
         (101, 101, 100, 0, "-4.156921938158962", "-1.0142838281773532", True),
-        (101, 202, 14, 42, "-0.8029205349403454", "-1.660623306298885", True),
-        (101, 202, 14, 150, "-0.5357808973330724", "-1.6775409000889527", True),
-        (101, 207, 79, 4, "-2.353475207196761", "1.4631926926940524", False),
-        (101, 207, 80, 26, "-2.492128238839505", "1.3789845944113126", False),
-        (101, 207, 80, 163, "-3.453271539297429", "0.8973320514635358", False),
-        (101, 207, 81, 189, "-3.651701050661555", "0.818237286223509", False),
-        (101, 210, 36, 26, "4.071768739560038", "0.016904995431857472", False),
-        (101, 210, 42, 195, "3.795401071673314", "-0.6932274135238466", True),
-        (202, 101, 6, 13, "-0.8908240246069857", "-1.6606955373384487", True),
-        (202, 101, 201, 14, "-0.4971187261796739", "-1.6832084841048114", False),
-        (207, 101, 5, 79, "-2.3568219905860044", "1.4612341037367993", False),
-        (207, 101, 206, 81, "-3.712913752353611", "0.7921454690752172", False),
-        (210, 101, 0, 36, "4.094648881928059", "0.06422542840990236", False),
-        (210, 101, 209, 41, "3.7788987831454395", "-0.7470310408824559", False),
+        (101, 202, 14, 42, "-0.8029205349162662", "-1.6606233062993438", True),
+        (101, 202, 14, 150, "-0.5357808973551998", "-1.6775409000861714", True),
+        (101, 207, 79, 4, "-2.3534752072085015", "1.4631926926871746", False),
+        (101, 207, 80, 26, "-2.4921282388348547", "1.3789845944139192", False),
+        (101, 207, 80, 163, "-3.4532715392829565", "0.897332051469993", False),
+        (101, 207, 81, 189, "-3.6517010506667615", "0.8182372862212666", False),
+        (101, 210, 36, 26, "4.07176873955706", "0.016904995425558345", False),
+        (101, 210, 42, 195, "3.795401071672444", "-0.6932274135265986", True),
+        (202, 101, 6, 13, "-0.890824024607273", "-1.66069553733845", True),
+        (202, 101, 201, 14, "-0.4971187261762189", "-1.6832084841054415", False),
+        (207, 101, 5, 79, "-2.3568219905936134", "1.4612341037323509", False),
+        (207, 101, 206, 81, "-3.7129137523726907", "0.7921454690671668", False),
+        (210, 101, 0, 36, "4.094648881934404", "0.0642254284227397", False),
+        (210, 101, 209, 41, "3.778898783148047", "-0.7470310408740032", False),
     ],
 }
-CONTACT_DEMO = ("-1.649807081058212", "1.2076526815913136", True)
+CONTACT_DEMO = ("-1.649807081058208", "1.2076526815913105", True)
+
+
+@pytest.fixture(autouse=True)
+def _every_crossing_has_a_root(caplog):
+    # no golden figure has a sign change of F without a root in it
+    with caplog.at_level(logging.WARNING, logger="splinefig.implicit"):
+        yield
+    assert not [r for r in caplog.get_records("call") if "no root" in r.getMessage()]
 
 
 def _contact_answers(monkeypatch, argv) -> list[tuple]:

@@ -1,6 +1,7 @@
 import logging
 import math
 import struct
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -15,7 +16,7 @@ from splinefig.implicit import (
     BLOCK,
     JOIN_TOL,
     MAX_GRID,
-    MAX_BISECT,
+    MAX_STEPS,
     RESIDUAL_FACTOR,
     TraceConfig,
     TraceError,
@@ -88,8 +89,13 @@ class TestConic:
 
     def test_endpoints_pinned(self):
         c = self.trace()[0]
-        assert c.pt_start.y == pytest.approx(1.5328946712776088, abs=1e-12)
-        assert c.pt_end.x == pytest.approx(-0.5924263032525778, abs=1e-12)
+        assert c.pt_start.y == pytest.approx(1.5328946712709097, abs=1e-12)
+        assert c.pt_end.x == pytest.approx(-0.5924263032484841, abs=1e-12)
+        # the roots of F(2, y) and F(x, 2.5)
+        r2 = math.sqrt(2.0)
+        assert c.pt_start.y == pytest.approx(7 * r2 - math.sqrt(70.0), abs=1e-14)
+        b, c0 = 10 * r2 + 3, 8.25 - 15 * r2
+        assert c.pt_end.x == pytest.approx((b - math.sqrt(b * b - 32 * c0)) / 16, abs=1e-14)
 
     def test_start_is_lexicographically_larger_end(self):
         c = self.trace()[0]
@@ -104,8 +110,8 @@ class TestConic:
         cr = integrate(
             IntegrationRequest(data, (lo, hi), SplineMethod.CATMULL_ROM)
         )
-        assert osh == pytest.approx(1.6984793827223847, abs=1e-12)
-        assert cr == pytest.approx(1.6984831587501117, abs=1e-12)
+        assert osh == pytest.approx(1.6984793827134543, abs=1e-12)
+        assert cr == pytest.approx(1.6984831587411096, abs=1e-12)
 
     def test_deterministic_retrace(self):
         a = self.trace()
@@ -179,6 +185,55 @@ class TestEdgeCases:
         assert comps[0].is_loop(0.0)
         assert len(comps[0].points) == 101
         assert cfg.join_tol == JOIN_TOL * min(1.0, 4 * r)
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("grid", [50, 200, 800])
+    def test_stop_is_relative_to_the_scale_of_f(self, grid, caplog):
+        # an absolute stop, 1e-10*(1 + max(|f1|, |f2|)), accepted the
+        # linear guess here, up to 8e-4 off the circle at grid 50
+        cfg = TraceConfig((-2, 2), (-2, 2), grid=grid)
+        with caplog.at_level(logging.WARNING, logger="splinefig.implicit"):
+            comps = trace_implicit("1e-20*(x^2+y^2-1)", cfg)
+        assert len(comps) == 1 and caplog.records == []
+        x, y = comps[0].points.T
+        assert np.abs(np.hypot(x, y) - 1.0).max() <= 1e-10
+
+    def test_conic_vertices_have_an_exact_residual_below_the_stop(self):
+        # F with coefficients exact to 30 digits, at each vertex's exact
+        # value; bisection's absolute stop left up to 1.1e-10
+        r2 = Fraction(math.isqrt(2 * 10**60), 10**30)
+        comps = trace_implicit(parse_equation(CONIC), TraceConfig((-2, 2), (-2, 2.5), grid=800))
+        worst = 0
+        for x, y in comps[0].points.tolist():
+            x, y = Fraction(x), Fraction(y)
+            f = 8 * x * x - 4 * r2 * x * y + y * y - 3 * x - 6 * r2 * y + 2
+            worst = max(worst, abs(f))
+        assert worst <= Fraction(11, 10**12)
+
+    @pytest.mark.parametrize(
+        "text, xrange, yrange, grid, flagged",
+        [
+            ("1/(x^2+y^2-1)", (-2, 2), (-2, 2), 50, 100),  # the pole circle
+            ("tan(x)-y", (-3, 3), (-2, 2), 200, 402),  # the asymptotes x = ±pi/2
+            ("(x^2+y^2-1)/abs(x^2+y^2-1)", (-2, 2), (-2, 2), 50, 100),  # a jump
+            (CONIC, (-2, 2), (-2, 2.5), 800, 0),
+            ("y^2-x^3+x", (-2, 2), (-2, 2), 203, 0),
+            ("x^2+y^2-1", (-2, 2), (-2, 2), 200, 0),
+        ],
+    )
+    def test_sign_changes_without_a_root_are_counted(
+        self, text, xrange, yrange, grid, flagged, caplog
+    ):
+        cfg = TraceConfig(xrange, yrange, grid)
+        with caplog.at_level(logging.WARNING, logger="splinefig.implicit"):
+            comps = trace_implicit(parse_equation(text), cfg)
+        assert comps
+        assert [r.getMessage() for r in caplog.records] == (
+            [f"{flagged} crossings are sign changes where F has no root (pole or jump?)"]
+            if flagged
+            else []
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -291,16 +346,19 @@ def test_property_trace_matches_the_scalar_reference(text, x0, wx, y0, wy, grid)
     crossed = np.isfinite(f1) & np.isfinite(f2) & ((f1 > 0.0) != (f2 > 0.0))
     i1, j1, i2, j2 = i1[crossed], j1[crossed], i2[crossed], j2[crossed]
     ax, ay = np.array(xs), np.array(ys)
-    px, py = _refine_crossings(
+    px, py, no_root = _refine_crossings(
         f, ax[i1], ay[j1], ax[i2], ay[j2], vals[i1, j1], vals[i2, j2]
     )
-    got = [struct.pack("<2d", x, y) for x, y in zip(px.tolist(), py.tolist())]
+    got = [
+        (struct.pack("<2d", x, y), flag)
+        for x, y, flag in zip(px.tolist(), py.tolist(), no_root.tolist())
+    ]
     want = []
     for a, b, c, d in zip(i1.tolist(), j1.tolist(), i2.tolist(), j2.tolist()):
-        p = reference_crossing(
+        p, flag = reference_crossing(
             f, (xs[a], ys[b]), (xs[c], ys[d]), float(vals[a, b]), float(vals[c, d])
         )
-        want.append(struct.pack("<2d", p.x, p.y))
+        want.append((struct.pack("<2d", p.x, p.y), flag))
     assert got == want
 
 
@@ -345,6 +403,7 @@ class _CountingFn:
 
     def __init__(self, f):
         self.f, self.calls, self.passes, self.points = f, 0, 0, 0
+        self.sizes: list[int] = []
 
     def __call__(self, *args: float) -> float:
         self.calls += 1
@@ -352,7 +411,8 @@ class _CountingFn:
 
     def at(self, *arrays):
         self.passes += 1
-        self.points += np.broadcast(*arrays).size
+        self.sizes.append(np.broadcast(*arrays).size)
+        self.points += self.sizes[-1]
         return self.f.at(*arrays)
 
     def grid(self, xs, ys):
@@ -373,7 +433,9 @@ def test_trace_makes_no_scalar_call():
     # proven blocks are not evaluated: fewer points than the grid's nodes
     assert batched.points < 801 * 801 // 4
     assert _bits(comps) == _bits(reference_trace(scalar, cfg))
-    assert scalar.calls > 30000
+    # past the nodes, the passes evaluate the points the reference does,
+    # one scalar call each: the saddle centers and the refinement steps
+    assert scalar.calls == batched.points - batched.sizes[0] > 4000
 
 
 def test_trace_makes_no_scalar_libm_call(monkeypatch):
@@ -387,7 +449,9 @@ def test_trace_makes_no_scalar_libm_call(monkeypatch):
     comps = trace_zero_set(f, TraceConfig((-2, 2), (-2, 2.5), grid=800))
     assert len(comps) == 1
     assert each == []
-    assert f.passes > 20 and len(pows) == 2 * f.passes
+    # the nodes, the saddle centers and a few refinement steps, where
+    # bisection took about 30
+    assert f.passes <= 12 and len(pows) == 2 * f.passes
 
 
 # ---------------------------------------------------------------------------
@@ -417,29 +481,31 @@ def reference_crossing(
     p2: tuple[float, float],
     f1: float,
     f2: float,
-) -> Point2:
-    """The crossing on the edge p1-p2, refined by scalar bisection."""
+) -> tuple[Point2, bool]:
+    """The crossing on the edge p1-p2, refined by a scalar Illinois
+    iteration, and whether F changes sign there without a root."""
     if f1 == 0.0:
-        return Point2(*p1)
+        return Point2(*p1), False
     if f2 == 0.0:
-        return Point2(*p2)
-    tol = RESIDUAL_FACTOR * (1.0 + max(abs(f1), abs(f2)))
+        return Point2(*p2), False
+    tol = RESIDUAL_FACTOR * max(abs(f1), abs(f2))
 
     def at(t: float) -> tuple[float, float]:
         return (p1[0] + (p2[0] - p1[0]) * t, p1[1] + (p2[1] - p1[1]) * t)
 
-    # linear interpolation first, then bisection; keep the best seen
-    t_best = f1 / (f1 - f2)
-    try:
-        f_best = abs(f(*at(t_best)))
-    except DomainError:
-        t_best, f_best = 0.5, math.inf
-    if f_best <= tol:
-        return Point2(*at(t_best))
-    ta, fa = 0.0, f1
-    tb = 1.0
-    for _ in range(MAX_BISECT):
-        tm = 0.5 * (ta + tb)
+    def inside(t: float) -> bool:
+        return ta < t < tb  # false for NaN
+
+    # the secant point of [ta, tb], else its midpoint; the first secant
+    # point is the linear interpolation guess.  Keep the best point seen.
+    ta, fa, tb, fb, kept = 0.0, f1, 1.0, f2, None
+    t_best, f_best = 0.5, math.inf
+    tm = f1 / (f1 - f2)
+    for _ in range(MAX_STEPS):
+        if not inside(tm):
+            tm = 0.5 * (ta + tb)
+        if not inside(tm):
+            break
         try:
             fm = f(*at(tm))
         except DomainError:
@@ -448,11 +514,16 @@ def reference_crossing(
             t_best, f_best = tm, abs(fm)
         if f_best <= tol:
             break
-        if fa * fm < 0.0:
-            tb = tm
+        if math.copysign(1.0, fm) != math.copysign(1.0, fa):
+            if kept == "a":
+                fa *= 0.5
+            tb, fb, kept = tm, fm, "a"
         else:
-            ta, fa = tm, fm
-    return Point2(*at(t_best))
+            if kept == "b":
+                fb *= 0.5
+            ta, fa, kept = tm, fm, "b"
+        tm = ta + (tb - ta) * (fa / (fa - fb))
+    return Point2(*at(t_best)), not (f_best <= tol or f_best < min(abs(f1), abs(f2)))
 
 
 def _shoelace(pts: list[Point2]) -> float:
@@ -490,7 +561,7 @@ def reference_trace(
         if pt is None:
             kind, i, j = key
             i2, j2 = (i + 1, j) if kind == "h" else (i, j + 1)
-            pt = reference_crossing(
+            pt, _ = reference_crossing(
                 f, (xs[i], ys[j]), (xs[i2], ys[j2]), float(vals[i, j]), float(vals[i2, j2])
             )
             points[key] = pt

@@ -199,6 +199,16 @@ class TestSilhouette:
         assert comps[0].uv is not None
         assert comps[0].uv.shape == (len(comps[0].xyz), 2)
 
+    @pytest.mark.parametrize("view", [(40, 15), (60, 25), (80, 35), (53, 31)])
+    def test_fold_crossings_all_have_roots(self, view, caplog):
+        # J has no pole: the tracer finds a root on every crossed edge of
+        # the benchmark surfaces' silhouettes, so it warns of none
+        proj = Projection(*map(math.radians, view))
+        with caplog.at_level(logging.WARNING, logger="splinefig.implicit"):
+            assert silhouette(paraboloid_surface(), proj)
+            assert silhouette(mobius(), proj)
+        assert caplog.records == []
+
 
     @pytest.mark.parametrize(
         "surf",
