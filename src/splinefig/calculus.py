@@ -20,20 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
 
-from .geom import (
-    CubicBezier,
-    Point2,
-    SplineCurve,
-    bezier_derivative,
-    bezier_eval,
-    bezier_slice,
-    xy_array,
-)
+from .geom import SplineCurve, split, xy_array
 from .spline import SplineMethod, build_spline
 
 BOUNDARY_REL_TOL = 1e-12  # |x(t) - bound| at most this share of the x span
@@ -68,16 +60,11 @@ def _green(x1, y1, x2, y2, x3, y3, x4, y4):
     ) / 20.0
 
 
-def segment_integral(b: CubicBezier) -> float:
-    """Exact int_0^1 y(t) x'(t) dt for one cubic segment."""
-    return _green(
-        b.p0.x, b.p0.y, b.c0.x, b.c0.y, b.c1.x, b.c1.y, b.p1.x, b.p1.y
-    )
-
-
-def _segment(curve: SplineCurve, k: int) -> CubicBezier:
-    """Segment k of the curve, built from its control-array row."""
-    return CubicBezier(*starmap(Point2, curve.ctrl[k].tolist()))
+def segment_integral(row) -> float:
+    """Exact int_0^1 y(t) x'(t) dt for one cubic segment, given by its
+    control row of four (x, y) pairs."""
+    (x1, y1), (x2, y2), (x3, y3), (x4, y4) = row
+    return _green(x1, y1, x2, y2, x3, y3, x4, y4)
 
 
 def _segment_integrals(curve: SplineCurve) -> list[float]:
@@ -90,8 +77,8 @@ def _segment_integrals(curve: SplineCurve) -> list[float]:
 class IntegrationRequest:
     """Data points, x-interval [a, b] and the spline method to fit with.
 
-    The points are given as Point2s or an (n, 2) array and held as the
-    array.
+    The points are given as an (n, 2) array or (x, y) pairs and held as
+    the array.
     """
 
     data: np.ndarray
@@ -109,21 +96,40 @@ class IntegrationRequest:
             raise CalculusError(f"empty interval [{a!r}, {b!r}]")
 
 
-def _x_span(seg: CubicBezier) -> float:
+def _x_span(seg: list) -> float:
     """The x span of the segment's control points: its own x scale."""
-    xs = (seg.p0.x, seg.c0.x, seg.c1.x, seg.p1.x)
+    xs = [x for x, _ in seg]
     return max(xs) - min(xs)
 
 
-def _solve_segment_x(seg: CubicBezier, bound: float) -> float:
+def _clip(seg: list, t0: float, t1: float) -> list:
+    """The control row of the part of seg over [t0, t1], 0 <= t0 < t1 <= 1:
+    split at t0, then the right piece at t1 rescaled."""
+    if t0 > 0.0:
+        seg = split(seg, t0)[1]
+        t1 = (t1 - t0) / (1.0 - t0)
+    if t1 < 1.0:
+        seg = split(seg, t1)[0]
+    return seg
+
+
+def _velocity(seg: list, t: float) -> tuple[float, float]:
+    """d(x, y)/dt at t, by de Casteljau on the hodograph's three points."""
+    hodograph = [
+        ((bx - ax) * 3.0, (by - ay) * 3.0) for (ax, ay), (bx, by) in pairwise(seg)
+    ]
+    return split(hodograph, t)[0][-1]
+
+
+def _solve_segment_x(seg: list, bound: float) -> float:
     """Bisect x(t) = bound on [0, 1]; needs a sign change.
 
     It stops where |x(t) - bound| is at most BOUNDARY_REL_TOL times the
     segment's x span, so it stops alike at every x scale, or where the
     bracket can halve no more.
     """
-    f0 = seg.p0.x - bound
-    f1 = seg.p1.x - bound
+    f0 = seg[0][0] - bound
+    f1 = seg[3][0] - bound
     if f0 == 0.0:
         return 0.0
     if f1 == 0.0:
@@ -131,7 +137,7 @@ def _solve_segment_x(seg: CubicBezier, bound: float) -> float:
     if f0 * f1 > 0.0:
         raise NonMonotoneError(
             f"no bracket for x = {bound!r} inside segment "
-            f"[{seg.p0.x!r}, {seg.p1.x!r}]"
+            f"[{seg[0][0]!r}, {seg[3][0]!r}]"
         )
     lo, hi = 0.0, 1.0
     flo = f0
@@ -141,7 +147,7 @@ def _solve_segment_x(seg: CubicBezier, bound: float) -> float:
         t = 0.5 * (lo + hi)
         if t == lo or t == hi:
             return t
-        ft = bezier_eval(seg, t).x - bound
+        ft = split(seg, t)[0][-1][0] - bound
         if abs(ft) <= tol:
             return t
         if flo * ft < 0.0:
@@ -159,7 +165,7 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def _oriented(data: Sequence[Point2] | np.ndarray) -> np.ndarray:
+def _oriented(data: Sequence[tuple[float, float]] | np.ndarray) -> np.ndarray:
     """Data as an (n, 2) array normalized to increasing x (graphs may be
     traced either way)."""
     pts = xy_array(data)
@@ -203,18 +209,17 @@ def integrate(req: IntegrationRequest) -> float:
             total += parts[k]
             continue
         # one of the (at most two) segments that the interval clips
-        seg = _segment(curve, k)
+        seg = curve.ctrl[k].tolist()
         t0 = _solve_segment_x(seg, lo) if xs < lo else 0.0
         t1 = _solve_segment_x(seg, hi) if xe > hi else 1.0
         if t1 <= t0:
             continue
-        piece = seg if (t0 == 0.0 and t1 == 1.0) else bezier_slice(seg, t0, t1)
-        total += segment_integral(piece)
+        total += segment_integral(_clip(seg, t0, t1))
     return _finite(total, "integral")
 
 
 def closed_area(
-    points: Sequence[Point2] | np.ndarray,
+    points: Sequence[tuple[float, float]] | np.ndarray,
     method: SplineMethod = SplineMethod.OSHIMA,
 ) -> float:
     """Signed area enclosed by the closed spline through the points.
@@ -227,16 +232,17 @@ def closed_area(
     return _finite(-sum(_segment_integrals(curve)), "area")
 
 
-def _locate_segment(curve: SplineCurve, x0: float) -> tuple[CubicBezier, float]:
-    """The first segment whose end abscissae bracket x0, and t there."""
+def _locate_segment(curve: SplineCurve, x0: float) -> tuple[list, float]:
+    """The control row of the first segment whose end abscissae bracket
+    x0, and t there."""
     xs, xe = curve.ctrl[:, 0, 0], curve.ctrl[:, 3, 0]
     hit = ((xs <= x0) & (x0 <= xe)) | ((xe <= x0) & (x0 <= xs))
     if not hit.any():
         raise RangeError(f"x = {x0!r} outside the data range")
-    seg = _segment(curve, int(hit.argmax()))
-    if x0 == seg.p0.x:
+    seg = curve.ctrl[int(hit.argmax())].tolist()
+    if x0 == seg[0][0]:
         return seg, 0.0
-    if x0 == seg.p1.x:
+    if x0 == seg[3][0]:
         return seg, 1.0
     return seg, _solve_segment_x(seg, x0)
 
@@ -248,7 +254,7 @@ class TangentLine:
     curve is the fit the line touches, through the data ordered by x.
     """
 
-    point: Point2
+    point: tuple[float, float]
     slope: float | None
     vertical: bool = False
     curve: SplineCurve | None = field(default=None, compare=False, repr=False)
@@ -256,11 +262,12 @@ class TangentLine:
     def y_at(self, x: float) -> float:
         if self.vertical:
             raise VerticalTangentError("vertical tangent has no y(x)")
-        return self.point.y + self.slope * (x - self.point.x)
+        x0, y0 = self.point
+        return y0 + self.slope * (x - x0)
 
 
 def tangent_line(
-    data: Sequence[Point2] | np.ndarray,
+    data: Sequence[tuple[float, float]] | np.ndarray,
     x0: float,
     method: SplineMethod = SplineMethod.OSHIMA,
 ) -> TangentLine:
@@ -274,8 +281,8 @@ def tangent_line(
         raise CalculusError(f"need at least 2 data points, got {len(data)}")
     curve = build_spline(_oriented(data), method=method, closed=False)
     seg, t = _locate_segment(curve, x0)
-    point = Point2(x0, _finite(bezier_eval(seg, t).y, "tangent point's y"))
-    d = bezier_derivative(seg, t)
-    if abs(d.x) <= VERTICAL_EPS * _x_span(seg):
+    point = (x0, _finite(split(seg, t)[0][-1][1], "tangent point's y"))
+    dx, dy = _velocity(seg, t)
+    if abs(dx) <= VERTICAL_EPS * _x_span(seg):
         return TangentLine(point, None, vertical=True, curve=curve)
-    return TangentLine(point, _finite(d.y / d.x, "slope"), curve=curve)
+    return TangentLine(point, _finite(dy / dx, "slope"), curve=curve)

@@ -30,7 +30,7 @@ from .calculus import (
     tangent_line,
 )
 from .expr import Const, ExprError, compile_fn, evaluate, free_vars, parse, steps
-from .geom import Point2, PointFileError, Polyline, drop_repeats, load_points
+from .geom import PointFileError, Polyline, drop_repeats, load_points
 from .implicit import MAX_GRID, TraceConfig, TraceError, parse_equation, trace_implicit
 from .render import (
     DrawItem,
@@ -267,7 +267,7 @@ def _cmd_tangent(args) -> int:
         return _show_config(args)
     pts = _data_points(args)
     line = tangent_line(pts, args.at, _method(args))
-    x0, y0 = line.point.x, line.point.y
+    x0, y0 = line.point
     what = "tangent vertical" if line.vertical else f"slope {line.slope:.6f}"
     # the figure first, so that a refused one prints no answer
     if args.out:
@@ -276,10 +276,10 @@ def _cmd_tangent(args) -> int:
         # half the data's width, or its height when every row has one x
         half = 0.25 * ((max(xs) - min(xs)) or (max(ys) - min(ys)))
         if line.vertical:
-            ends = (Point2(x0, y0 - half), Point2(x0, y0 + half))
+            ends = ((x0, y0 - half), (x0, y0 + half))
         else:
             a, b = x0 - half, x0 + half
-            ends = (Point2(a, line.y_at(a)), Point2(b, line.y_at(b)))
+            ends = ((a, line.y_at(a)), (b, line.y_at(b)))
         items = [
             DrawItem(curve),
             DrawItem(Polyline(ends), style=Style.DASHED),
@@ -301,7 +301,7 @@ def _cmd_implicit(args) -> int:
         if not open_comps:
             raise TraceError("no open component to integrate")
         branch = open_comps[0]
-        interval = sorted((branch.pt_end.x, branch.pt_start.x))
+        interval = sorted(branch.points[[-1, 0], 0].tolist())
         req = IntegrationRequest(branch.points, tuple(interval), _method(args))
         print(f"{integrate(req):.6f}")
         return 0
@@ -399,16 +399,17 @@ def _cmd_contact_demo(args) -> int:
         window=args.window,
         tol=args.tol,
     )
-    r, a = result.refined, result.analytic
+    (rx, ry), (ax, ay) = result.refined, result.analytic
     tag = "refined" if result.refined_ok else "unrefined (closest approach)"
     print(
         f"crossings: {result.crossings}\n"
         f"cluster: {len(result.cluster)} candidate midpoints, "
         f"spread {result.cluster_spread:.6f}\n"
-        f"contact: ({r.x:.6f},{r.y:.6f}) [{tag}]"
+        f"contact: ({rx:.6f},{ry:.6f}) [{tag}]"
     )
     if result.analytic_drawn:
-        print(f"analytic: ({a.x:.6f},{a.y:.6f})\ndistance: {r.dist(a):.6f}")
+        distance = math.hypot(rx - ax, ry - ay)
+        print(f"analytic: ({ax:.6f},{ay:.6f})\ndistance: {distance:.6f}")
     else:
         print("analytic: none on the drawn axis (|y| <= 4)")
     if args.out:
@@ -420,8 +421,8 @@ def _cmd_contact_demo(args) -> int:
         )
         m = 0.08
         cross = [
-            DrawItem(Polyline((Point2(r.x - m, r.y - m), Point2(r.x + m, r.y + m)))),
-            DrawItem(Polyline((Point2(r.x - m, r.y + m), Point2(r.x + m, r.y - m)))),
+            DrawItem(Polyline(((rx - m, ry - m), (rx + m, ry + m)))),
+            DrawItem(Polyline(((rx - m, ry + m), (rx + m, ry - m)))),
         ]
         scene = scene_from_items(list(scene.items) + cross)
         _emit(scene, args.format, args.out)

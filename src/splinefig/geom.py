@@ -1,14 +1,14 @@
-"""Points, cubic Bezier segments, polylines and spline chains.
+"""Cubic Bezier segments, polylines and spline chains.
 
 Everything here is immutable; curve construction returns new objects.
-A cubic segment is stored by its four control points and evaluated with
-de Casteljau's scheme (numerically stable and it gives subdivision for
-free).  A spline chain is its control points, one float64 array that
-its sampler reads whole, and a polyline is its vertices, one (n, 2)
-array; neither builds a Point2 or CubicBezier per row.  Point lists
-move through the CLI as plain CSV, one "x,y" per line with '#'
-comments, read into an (n, 2) array; a row that is not two finite
-numbers is refused.
+A point is an (x, y) float pair or a row of an (n, 2) array, and a
+cubic segment is its (4, 2) control row, evaluated and subdivided by
+de Casteljau's scheme (split; numerically stable, and it gives
+subdivision for free).  A spline chain is its control rows, one float64
+array that its sampler reads whole, and a polyline is its vertices, one
+(n, 2) array.  Point lists move through the CLI as plain CSV, one "x,y"
+per line with '#' comments, read into an (n, 2) array; a row that is
+not two finite numbers is refused.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -25,125 +26,37 @@ class PointFileError(ValueError):
     """A point file line that is not an 'x,y' pair of numbers."""
 
 
-@dataclass(frozen=True, slots=True)
-class Point2:
-    x: float
-    y: float
+def split(row, t: float) -> tuple[list, list]:
+    """De Casteljau's scheme at t on a control row of (x, y) pairs: the
+    rows of the pieces over [0, t] and [t, 1], whose shared end is the
+    curve's point at t.
 
-    def __add__(self, other: "Point2") -> "Point2":
-        return Point2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "Point2") -> "Point2":
-        return Point2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, k: float) -> "Point2":
-        return Point2(self.x * k, self.y * k)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, k: float) -> "Point2":
-        return Point2(self.x / k, self.y / k)
-
-    def dot(self, other: "Point2") -> float:
-        return self.x * other.x + self.y * other.y
-
-    def cross(self, other: "Point2") -> float:
-        return self.x * other.y - self.y * other.x
-
-    def norm(self) -> float:
-        return math.hypot(self.x, self.y)
-
-    def dist(self, other: "Point2") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
-
-def _lerp(a: Point2, b: Point2, t: float) -> Point2:
-    # one-sided form keeps the endpoints exact at t=0 and t=1
-    return Point2(a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t)
-
-
-@dataclass(frozen=True, slots=True)
-class CubicBezier:
-    """A cubic segment: endpoints p0/p1, inner control points c0/c1."""
-
-    p0: Point2
-    c0: Point2
-    c1: Point2
-    p1: Point2
-
-
-def bezier_eval(b: CubicBezier, t: float) -> Point2:
-    """De Casteljau evaluation at t in [0, 1]."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"parameter {t!r} outside [0, 1]")
-    q0 = _lerp(b.p0, b.c0, t)
-    q1 = _lerp(b.c0, b.c1, t)
-    q2 = _lerp(b.c1, b.p1, t)
-    r0 = _lerp(q0, q1, t)
-    r1 = _lerp(q1, q2, t)
-    return _lerp(r0, r1, t)
-
-
-def bezier_derivative(b: CubicBezier, t: float) -> Point2:
-    """Derivative with respect to t (a quadratic, evaluated the same way)."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"parameter {t!r} outside [0, 1]")
-    d0 = (b.c0 - b.p0) * 3.0
-    d1 = (b.c1 - b.c0) * 3.0
-    d2 = (b.p1 - b.c1) * 3.0
-    e0 = _lerp(d0, d1, t)
-    e1 = _lerp(d1, d2, t)
-    return _lerp(e0, e1, t)
-
-
-def bezier_subdivide(b: CubicBezier, t: float) -> tuple[CubicBezier, CubicBezier]:
-    """Split at t in (0, 1); the halves join exactly at the split point."""
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"split parameter {t!r} outside (0, 1)")
-    q0 = _lerp(b.p0, b.c0, t)
-    q1 = _lerp(b.c0, b.c1, t)
-    q2 = _lerp(b.c1, b.p1, t)
-    r0 = _lerp(q0, q1, t)
-    r1 = _lerp(q1, q2, t)
-    s = _lerp(r0, r1, t)
-    return CubicBezier(b.p0, q0, r0, s), CubicBezier(s, r1, q2, b.p1)
-
-
-def bezier_slice(b: CubicBezier, t0: float, t1: float) -> CubicBezier:
-    """The sub-segment covering [t0, t1] of b, 0 <= t0 < t1 <= 1."""
-    if not 0.0 <= t0 < t1 <= 1.0:
-        raise ValueError(f"bad slice range ({t0!r}, {t1!r})")
-    seg = b
-    if t0 > 0.0:
-        seg = bezier_subdivide(seg, t0)[1]
-        t1 = (t1 - t0) / (1.0 - t0)
-    if t1 < 1.0:
-        seg = bezier_subdivide(seg, t1)[0]
-    return seg
-
-
-def bezier_bbox(b: CubicBezier) -> tuple[float, float, float, float]:
-    """Control-point bounding box (xmin, ymin, xmax, ymax).
-
-    By the convex hull property the curve never leaves this box.
+    Each level is the one-sided lerp a + (b - a) * t, which keeps the
+    ends exact at t = 0 and t = 1.  A (4, 2) row is a cubic segment; the
+    three points of its hodograph give its derivative the same way.
     """
-    xs = (b.p0.x, b.c0.x, b.c1.x, b.p1.x)
-    ys = (b.p0.y, b.c0.y, b.c1.y, b.p1.y)
-    return (min(xs), min(ys), max(xs), max(ys))
+    pts = [(float(x), float(y)) for x, y in row]
+    left, right = [pts[0]], [pts[-1]]
+    while len(pts) > 1:
+        pts = [
+            (ax + (bx - ax) * t, ay + (by - ay) * t)
+            for (ax, ay), (bx, by) in pairwise(pts)
+        ]
+        left.append(pts[0])
+        right.append(pts[-1])
+    return left, right[::-1]
 
 
-def xy_array(points: Iterable[Point2] | np.ndarray) -> np.ndarray:
-    """The points as an (n, 2) float64 array: an array as it is, else
-    one row (x, y) per Point2 (shape (0, 2) when there are none)."""
-    if isinstance(points, np.ndarray):
-        xy = np.asarray(points, dtype=float)
-        if xy.ndim != 2 or xy.shape[1] != 2:
-            raise ValueError(f"expected an (n, 2) array, got shape {xy.shape}")
-        return xy
-    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
+def xy_array(points) -> np.ndarray:
+    """The points, an (n, 2) array or n (x, y) pairs, as an (n, 2)
+    float64 array (shape (0, 2) when there are none); an array is
+    returned as it is."""
+    xy = np.asarray(points, dtype=float)
+    if xy.shape == (0,):
+        xy = xy.reshape(0, 2)
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValueError(f"expected an (n, 2) array, got shape {xy.shape}")
+    return xy
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +64,7 @@ class Polyline:
     """An ordered vertex chain.
 
     `points` is one read-only float64 (n, 2) vertex array, given as such
-    or as Point2s.  Vertices may carry their 3D preimages (space,
+    or as (x, y) pairs.  Vertices may carry their 3D preimages (space,
     (n, 3)) and (u, v) parameter tags (params, (n, 2)), read-only
     float64 arrays row-aligned with the vertices.  Closed traces repeat
     the first vertex at the end; consecutive vertices are never equal
@@ -176,19 +89,12 @@ class Polyline:
                 rows = frozen_rows(rows, width, len(xy), f"{name} annotation")
                 object.__setattr__(self, name, rows)
 
-    @property
-    def pt_start(self) -> Point2:
-        return Point2(*self.points[0].tolist())
-
-    @property
-    def pt_end(self) -> Point2:
-        return Point2(*self.points[-1].tolist())
-
     def is_loop(self, tol: float = 0.0) -> bool:
-        return self.pt_start.dist(self.pt_end) <= tol
+        (x0, y0), (x1, y1) = self.points[[0, -1]].tolist()
+        return math.hypot(x0 - x1, y0 - y1) <= tol
 
 
-def drop_repeats(points: Iterable[Point2] | np.ndarray) -> np.ndarray:
+def drop_repeats(points) -> np.ndarray:
     """The points' (n, 2) rows with every run of equal consecutive rows
     kept once: a row stays unless it equals the row before it."""
     xy = xy_array(points)
@@ -213,9 +119,9 @@ def frozen_rows(rows, width: int, n: int, name: str) -> np.ndarray:
     return arr
 
 
-def diameter(points: Iterable[Point2] | np.ndarray) -> float:
+def diameter(points) -> float:
     """The largest distance between two points, given as an (n, 2) array
-    or as Point2s (0 for fewer than 2), measured between the distinct
+    or as (x, y) pairs (0 for fewer than 2), measured between the distinct
     points of their convex hull (Andrew's monotone chain), which keeps
     the points along its edges."""
     xy = xy_array(points)
@@ -273,13 +179,12 @@ class SplineCurve:
         """Polyline with per_segment subdivisions for each cubic piece.
 
         Every segment is evaluated at every i / per_segment, i = 0 ..
-        per_segment, in one array pass of bezier_eval's lerps, in
-        bezier_eval's order: float64 arrays round as Python floats do,
-        so the points are bezier_eval's bit for bit, inf and NaN
-        included.  Each segment gives its points before t = 1, and the
-        last one its end point as well; drop_repeats then keeps one row
-        of each run of equal rows, and those rows are the polyline's
-        vertex array, with no Point2 built.
+        per_segment, in one array pass of split's lerps, in split's
+        order: float64 arrays round as Python floats do, so the points
+        are split's bit for bit, inf and NaN included.  Each segment
+        gives its points before t = 1, and the last one its end point as
+        well; drop_repeats then keeps one row of each run of equal rows,
+        and those rows are the polyline's vertex array.
         """
         if per_segment < 1:
             raise ValueError("per_segment must be >= 1")

@@ -43,9 +43,12 @@ from .geom import Polyline
 log = logging.getLogger(__name__)
 
 RESIDUAL_FACTOR = 1e-10
-# refinement steps per crossing: the roots of the README conic stop within
-# 5, and a pole or jump spends its bracket in about 100
+# refinement steps per crossing: the roots of the README conic stop within 5
 MAX_STEPS = 100
+# steps in a row that find no smaller |f| end a crossing's refinement: at
+# a pole or jump |f| stops falling after the first few, where the bracket
+# took about 100 steps to spend
+STALL_STEPS = 4
 JOIN_TOL = 1e-9  # see TraceConfig.join_tol
 MAX_GRID = 4096  # cells per side: the nodes alone take 134 MB at this size
 BLOCK = 16  # cells per side of a block whose sign one enclosure may prove
@@ -319,7 +322,8 @@ def _refine_crossings(
     whose sign it shares, and an end kept twice in a row has its stored
     f halved.  An edge stops when |f| <= RESIDUAL_FACTOR * max(|f1|,
     |f2|), when f is undefined at its step, when the bracket can shrink
-    no more, or after MAX_STEPS steps, and keeps the best point seen
+    no more, after STALL_STEPS steps in a row that found no smaller |f|,
+    or after MAX_STEPS steps, and keeps the best point seen
     (the midpoint when it saw none).  Where that best |f| neither meets
     the stop nor is below min(|f1|, |f2|), F changes sign across the
     edge without a root (a pole, a jump, an undefined gap) and the edge
@@ -342,21 +346,22 @@ def _refine_crossings(
         tm[~((0.0 < tm) & (tm < 1.0))] = 0.5
         # per live edge: the best t and its |f|, the bracket [ta, tb] with
         # its stored fa and fb, the end the last step kept (1 for a, -1
-        # for b, 0 before the first step), the next t, the edge's start
-        # and step, and its tol
+        # for b, 0 before the first step), the steps since |f| last fell,
+        # the next t, the edge's start and step, and its tol
         bracket = (np.zeros_like(fa), fa, np.ones_like(fa), fb, np.zeros(fa.shape, np.int8))
         state = [
-            t_best[live], f_best[live], *bracket, tm,
+            t_best[live], f_best[live], *bracket, np.zeros(fa.shape, np.int8), tm,
             *(a[live] for a in (x1, y1, dx, dy, tol)),
         ]
         for _ in range(MAX_STEPS):
             if live.size == 0:
                 break
-            tk, fk, ta, fa, tb, fb, kept, tm, sx, sy, sdx, sdy, stol = state
+            tk, fk, ta, fa, tb, fb, kept, stale, tm, sx, sy, sdx, sdy, stol = state
             fm = f.at(sx + sdx * tm, sy + sdy * tm)
             better = np.abs(fm) < fk  # never where f is undefined
             np.copyto(tk, tm, where=better)
             np.copyto(fk, np.abs(fm), where=better)
+            np.copyto(stale, np.where(better, 0, stale + 1))
             keep_a = np.signbit(fm) != np.signbit(fa)
             np.multiply(fa, 0.5, out=fa, where=keep_a & (kept == 1))
             np.multiply(fb, 0.5, out=fb, where=~keep_a & (kept == -1))
@@ -369,7 +374,10 @@ def _refine_crossings(
             # the midpoint where the secant point is NaN or not inside;
             # where the midpoint is not inside either, the bracket is spent
             np.copyto(tm, 0.5 * (ta + tb), where=~((ta < tm) & (tm < tb)))
-            going = (fk > stol) & ~np.isnan(fm) & (ta < tm) & (tm < tb)
+            going = (
+                (fk > stol) & (stale < STALL_STEPS) & ~np.isnan(fm)
+                & (ta < tm) & (tm < tb)
+            )
             if not going.all():
                 t_best[live], f_best[live] = tk, fk
                 live, state = live[going], [a[going] for a in state]

@@ -15,8 +15,7 @@ from column minima and maxima, the box check is one mask, the LaTeX
 emitter writes each polyline, dash run and disc row as one column
 (fmt5_column, which gives fmt5's strings without calling it where no
 tie is near), and the SVG emitter maps each polyline to user units a
-column at a time.  Dashes are resampled on (x, y) float pairs, so no
-Point2 is built per vertex.
+column at a time.  Dashes are resampled on (x, y) float pairs.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geom import Point2, Polyline, xy_array
+from .geom import Polyline, xy_array
 
 CM_TO_PX = 37.795  # SVG user units per centimetre (96 dpi)
 DASH_STEP = 0.1  # cm of pen-down (and pen-up) per dash
@@ -55,7 +54,7 @@ class Label:
     """Text centred on its anchor."""
 
     text: str
-    anchor: Point2
+    anchor: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -195,9 +194,9 @@ def fmt5_column(values: Sequence[float]) -> list[str]:
     return text
 
 
-def _pairs(points: Sequence[Point2] | np.ndarray) -> list[str]:
-    """The "(x,y)" text of each point (Point2s or (n, 2) rows), written
-    by fmt5_column."""
+def _pairs(points: Sequence[tuple[float, float]] | np.ndarray) -> list[str]:
+    """The "(x,y)" text of each point ((x, y) pairs or (n, 2) rows),
+    written by fmt5_column."""
     text = fmt5_column(xy_array(points).ravel())
     return [f"({x},{y})" for x, y in zip(text[::2], text[1::2])]
 

@@ -27,24 +27,24 @@ curve; the parabolic extension keeps the end tangents second order.
 Closed lists wrap around, and a list whose last point repeats the
 first (within 1e-9) is treated as closed.
 
-control_points_cr and control_points_oshima state the two rules one
-segment at a time.  build_spline applies them to every segment at once,
-in float64 columns with the same operations in the same order, and
-returns the fit as one (n, 4, 2) control array (geom.SplineCurve); the
-few segments where the adaptive rule branches go through
-control_points_oshima itself.
+build_spline applies the rule to every segment at once, in float64
+columns, and returns the fit as one (n, 4, 2) control array
+(geom.SplineCurve).  Where the adaptive coefficient is undefined the
+columns take its fallbacks: both chords zero is a segment that is a
+single point when P_j = P_j+1 and an error otherwise, a zero span gives
+c = 0, one zero chord gives theta = 0, and a cos theta that rounding
+leaves NaN reads as 1.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from itertools import starmap
 from typing import Sequence
 
 import numpy as np
 
-from .geom import Point2, SplineCurve, xy_array
+from .geom import SplineCurve, xy_array
 
 CLOSE_TOL = 1e-9
 
@@ -58,87 +58,26 @@ class SplineMethod(Enum):
     OSHIMA = "oshima"
 
 
-def control_points_cr(
-    pm1: Point2, pj: Point2, pjp1: Point2, pjp2: Point2
-) -> tuple[Point2, Point2]:
-    """Inner control points with the constant 1/6 coefficient."""
-    q = pj + (pjp1 - pm1) * (1.0 / 6.0)
-    r = pjp1 + (pj - pjp2) * (1.0 / 6.0)
-    return q, r
-
-
-def oshima_coefficient(
-    pm1: Point2, pj: Point2, pjp1: Point2, pjp2: Point2
-) -> float:
-    """Adaptive chord coefficient for the interval P_j .. P_j+1.
-
-    theta is the angle between chords P_j-1 P_j+1 and P_j P_j+2; if
-    exactly one chord vanishes theta is taken as 0 (the factor becomes
-    1/2), if both vanish the neighborhood carries no direction at all
-    and we refuse.
-    """
-    chord1 = pjp1 - pm1
-    chord2 = pjp2 - pj
-    n1 = chord1.norm()
-    n2 = chord2.norm()
-    if n1 == 0.0 and n2 == 0.0:
-        raise DegenerateGeometryError("both chord vectors are zero")
-    span = (pjp1 - pj).norm()
-    if span == 0.0:
-        return 0.0
-    if n1 == 0.0 or n2 == 0.0:
-        cos_theta = 1.0
-    else:
-        norms = n1 * n2
-        if norms == 0.0:  # tiny chords: the product underflows, unit ones do not
-            cos_theta = (chord1 / n1).dot(chord2 / n2)
-        else:
-            cos_theta = chord1.dot(chord2) / norms
-        cos_theta = max(-1.0, min(1.0, cos_theta))
-    ratio = 4.0 * span / (3.0 * (n1 + n2))
-    return ratio / (1.0 + math.sqrt((1.0 + cos_theta) / 2.0))
-
-
-def control_points_oshima(
-    pm1: Point2, pj: Point2, pjp1: Point2, pjp2: Point2
-) -> tuple[Point2, Point2]:
-    """Inner control points with the adaptive coefficient."""
-    try:
-        c = oshima_coefficient(pm1, pj, pjp1, pjp2)
-    except DegenerateGeometryError:
-        if pj.x == pjp1.x and pj.y == pjp1.y:
-            # four coincident points: the segment is that single point
-            return pj, pj
-        raise
-    q = pj + (pjp1 - pm1) * c
-    r = pjp1 + (pj - pjp2) * c
-    return q, r
-
-
 def _hypot(v: np.ndarray) -> np.ndarray:
     """math.hypot of each (x, y) row; np.hypot rounds differently."""
     return np.fromiter(map(math.hypot, *v.T.tolist()), float, len(v))
 
 
 def build_spline(
-    points: Sequence[Point2] | np.ndarray,
+    points: Sequence[tuple[float, float]] | np.ndarray,
     method: SplineMethod = SplineMethod.OSHIMA,
     closed: bool | None = None,
 ) -> SplineCurve:
-    """Interpolating spline through the points (Point2s or an (n, 2)
-    array), in order.
+    """Interpolating spline through the points (an (n, 2) array or
+    (x, y) pairs), in order.
 
     closed=None auto-detects: when the last point coincides with the
     first (within 1e-9) the duplicate is dropped and the curve closes.
     Passing closed explicitly overrides the detection.
 
     Every segment's Q and R come from one pass over the columns of the
-    point array, with control_points_oshima's float operations in its
-    order and math.hypot for the norms, so the control points are the
-    scalar rules' bit for bit.  Rows where the scalar rule branches
-    (both chords zero, a zero span) and rows where cos theta is not
-    finite (|chord1| |chord2| underflowing to 0, or overflow; the scalar
-    clamp reads NaN as 1) are handed to control_points_oshima itself.
+    point array, math.hypot giving the norms; each row's float
+    operations are those of the rule applied to that segment alone.
     """
     pts = xy_array(points)
     if len(pts) < 2:
@@ -174,36 +113,42 @@ def build_spline(
         # segment j runs P_j .. P_j+1 with neighbours P_j-1 and P_j+2
         pm1, pj, pjp1, pjp2 = ext[:-3], ext[1:-2], ext[2:-1], ext[3:]
         if method is SplineMethod.CATMULL_ROM:
-            c, scalar = 1.0 / 6.0, []
+            c, point = 1.0 / 6.0, []
         else:
-            c, scalar = _oshima_columns(ext)
+            c, point = _oshima_columns(ext)
         q = pj + (pjp1 - pm1) * c
         r = pjp1 + (pj - pjp2) * c
-    ctrl = np.stack((pj, q, r, pjp1), axis=1)
-    for j in scalar:
-        quad = starmap(Point2, ext[j : j + 4].tolist())
-        ctrl[j, 1:3] = [p.as_tuple() for p in control_points_oshima(*quad)]
-    return SplineCurve(ctrl, closed=closed)
+    # four coincident points: the segment is that single point
+    q[point] = r[point] = pj[point]
+    return SplineCurve(np.stack((pj, q, r, pjp1), axis=1), closed=closed)
 
 
-def _oshima_columns(ext: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """oshima_coefficient of every segment as an (n, 1) column, and the
-    segments it must be left to control_points_oshima for.
+def _oshima_columns(ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The adaptive coefficient of every segment as an (n, 1) column,
+    and the mask of the segments that are a single point.
 
     Chord P_j P_j+2 of segment j is chord P_j-1 P_j+1 of segment j + 1,
     so one column of chords and their norms serves both.
     """
     chords = ext[2:] - ext[:-2]
     norms = _hypot(chords)
-    chord1, chord2 = chords[:-1], chords[1:]
+    (x1, y1), (x2, y2) = chords[:-1].T, chords[1:].T
     n1, n2 = norms[:-1], norms[1:]
     span = _hypot(ext[2:-1] - ext[1:-2])
-    dot = chord1[:, 0] * chord2[:, 0] + chord1[:, 1] * chord2[:, 1]
-    cos_theta = dot / (n1 * n2)
-    cos_theta[(n1 == 0.0) | (n2 == 0.0)] = 1.0
-    # where n1 * n2 underflows to 0, cos theta is inf or NaN
-    scalar = ((n1 == 0.0) & (n2 == 0.0)) | (span == 0.0) | ~np.isfinite(cos_theta)
+    both = (n1 == 0.0) & (n2 == 0.0)
+    point = both & (ext[1:-2] == ext[2:-1]).all(axis=1)
+    if (both & ~point).any():
+        # the neighbourhood carries no direction at all
+        raise DegenerateGeometryError("both chord vectors are zero")
+    norm = n1 * n2
+    cos_theta = (x1 * x2 + y1 * y2) / norm
+    # tiny chords: the product underflows, the unit chords' does not
+    tiny = norm == 0.0
+    cos_theta[tiny] = ((x1 / n1) * (x2 / n2) + (y1 / n1) * (y2 / n2))[tiny]
+    # exactly one chord zero: theta is taken as 0; NaN clamps to 1 too
+    cos_theta[(n1 == 0.0) | (n2 == 0.0) | np.isnan(cos_theta)] = 1.0
     cos_theta = np.clip(cos_theta, -1.0, 1.0)
     ratio = 4.0 * span / (3.0 * (n1 + n2))
     c = ratio / (1.0 + np.sqrt((1.0 + cos_theta) / 2.0))
-    return c[:, None], np.flatnonzero(scalar).tolist()
+    c[span == 0.0] = 0.0
+    return c[:, None], point

@@ -49,14 +49,7 @@ from .expr import (
     parse,
     steps,
 )
-from .geom import (
-    Point2,
-    Polyline,
-    diameter,
-    drop_repeats,
-    frozen_rows,
-    run_starts,
-)
+from .geom import Polyline, diameter, drop_repeats, frozen_rows, run_starts
 from .implicit import TraceConfig, trace_zero_set
 from .render import DrawItem, Label, Scene, Style, fmt5, scene_from_items
 from .spline import SplineMethod, build_spline
@@ -314,7 +307,7 @@ def project_curve(curve: SpaceCurve, proj: Projection) -> Polyline | None:
 
 @dataclass(frozen=True)
 class Crossing:
-    point: Point2
+    point: tuple[float, float]
     ia: int
     ib: int
 
@@ -415,10 +408,13 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
         t = (ex * uy - ey * ux) / denom
         s = (ex * sy - ey * sx) / denom
         if 0.0 <= t <= 1.0 and 0.0 <= s <= 1.0:
-            pt = Point2(px + t * rx, py + t * ry)
-            if any(pt.dist(c.point) <= CROSSING_DEDUP_TOL for c in crossings):
+            x, y = px + t * rx, py + t * ry
+            if any(
+                math.hypot(x - cx, y - cy) <= CROSSING_DEDUP_TOL
+                for cx, cy in (c.point for c in crossings)
+            ):
                 continue
-            crossings.append(Crossing(pt, i, j))
+            crossings.append(Crossing((x, y), i, j))
 
     contacts: list[Crossing] = []
     # crossings bunched along a few vertices signal a tangential wiggle
@@ -459,24 +455,25 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
             kept.append((i, j))
             (qx, qy), (bx, by), t = vb[j], vb[j + 1], float(tt[i, j])
             fx, fy = qx + t * (bx - qx), qy + t * (by - qy)
-            mid = Point2(0.5 * (va[i][0] + fx), 0.5 * (va[i][1] + fy))
+            mid = (0.5 * (va[i][0] + fx), 0.5 * (va[i][1] + fy))
             contacts.append(Crossing(mid, i, j))
     return IntersectionResult(tuple(crossings), tuple(contacts))
 
 
 @dataclass(frozen=True)
 class RefinedContact:
-    point: Point2
+    point: tuple[float, float]
     refined: bool  # False: tangential site left at the closest-approach midpoint
 
 
 def _piece(x0, y0, x1, y1, x2, y2, x3, y3) -> list:
     """A cubic as a flat list: control coordinates, box, diagonal, halves.
 
-    The box p[8:12] = (xmin, ymin, xmax, ymax) is geom.bezier_bbox's,
-    taken once when the piece is made; each extreme is kept left to
-    right with a strict comparison, as min and max keep it, so even a
-    signed zero comes out the same (and faster than calling them).
+    The box p[8:12] = (xmin, ymin, xmax, ymax) is that of the control
+    points, which holds the curve, taken once when the piece is made;
+    each extreme is kept left to right with a strict comparison, as min
+    and max keep it, so even a signed zero comes out the same (and
+    faster than calling them).
     p[12] is the box diagonal, and the slots p[13:15] hold the piece's
     _halves once refine_contact's search has split it.
     """
@@ -501,9 +498,9 @@ def _piece(x0, y0, x1, y1, x2, y2, x3, y3) -> list:
 def _halves(p: list) -> tuple[list, list]:
     """The pieces of p split at t = 1/2, each carrying its own box.
 
-    These are geom.bezier_subdivide(b, 0.5)'s float operations, the
-    one-sided a + (b - a) * t in the same order, so every control
-    coordinate and box is bit-identical to the CubicBezier route.
+    These are geom.split(row, 0.5)'s float operations, the one-sided
+    a + (b - a) * t in the same order, so every control coordinate is
+    bit-identical to split's.
     """
     x0, y0, x1, y1, x2, y2, x3, y3 = p[:8]
     qx0 = x0 + (x1 - x0) * 0.5
@@ -577,7 +574,8 @@ def refine_contact(
     keeps its halves in its slots and is split once.
     """
     (ax, ay), (bx, by) = a.points[center_a].tolist(), b.points[center_b].tolist()
-    seed = Point2((ax + bx) * 0.5, (ay + by) * 0.5)
+    sx, sy = (ax + bx) * 0.5, (ay + by) * 0.5
+    seed = (sx, sy)
     pieces_a = _window_pieces(a, center_a, window)
     pieces_b = _window_pieces(b, center_b, window)
     if pieces_a is None or pieces_b is None:
@@ -590,7 +588,6 @@ def refine_contact(
     if (_segment_feet(win_a, win_b)[1].min(axis=1) <= 10.0 * tol).all():
         return RefinedContact(seed, False)
 
-    sx, sy = seed.x, seed.y
     tick = count()
     heap = []
     span = 1e-12
@@ -625,10 +622,8 @@ def refine_contact(
         if pa[12] < tol and pb[12] < tol:
             if gap > 0.01 * (1.0 + span):
                 break
-            mid = Point2(
-                0.25 * (pa[8] + pa[10] + pb[8] + pb[10]),
-                0.25 * (pa[9] + pa[11] + pb[9] + pb[11]),
-            )
+            mx = 0.25 * (pa[8] + pa[10] + pb[8] + pb[10])
+            my = 0.25 * (pa[9] + pa[11] + pb[9] + pb[11])
             if gap == 0.0:
                 # where the lines p0 + t*r and q0 + u*w through the chords meet
                 px, py, qx, qy = pa[0], pa[1], pb[0], pb[1]
@@ -639,10 +634,10 @@ def refine_contact(
                     t = ((qx - px) * wy - (qy - py) * wx) / denom
                     x, y = px + t * rx, py + t * ry
                     if math.hypot(
-                        x - mid.x, y - mid.y
+                        x - mx, y - my
                     ) <= 10.0 * tol and _in_boxes(x, y, pieces_a, pieces_b):
-                        return RefinedContact(Point2(x, y), True)
-            return RefinedContact(mid, True)
+                        return RefinedContact((x, y), True)
+            return RefinedContact((mx, my), True)
         if pa[12] >= pb[12]:
             if pa[13] is None:
                 pa[13:15] = _halves(pa)
@@ -697,11 +692,15 @@ def _sub_polyline(poly: Polyline, p0: float, p1: float) -> Polyline | None:
     return Polyline(pts) if len(pts) >= 2 else None
 
 
-def _locate_param(poly: Polyline, q: Point2) -> tuple[float, float]:
-    """Nearest (param, distance) of a point on the polyline."""
-    t, dist = _segment_feet(np.array([[q.x, q.y]]), poly.points)
-    i = int(np.argmin(dist[0]))
-    return i + float(t[0, i]), float(dist[0, i])
+def _locate_params(
+    poly: Polyline, points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The nearest param on the polyline of each of the points (n, 2),
+    and its distance: the first nearest segment's foot."""
+    t, dist = _segment_feet(points, poly.points)
+    rows = np.arange(len(points))
+    i = np.argmin(dist, axis=1)
+    return i + t[rows, i], dist[rows, i]
 
 
 class OcclusionTester:
@@ -745,18 +744,21 @@ class OcclusionTester:
         self.ymin -= pad
         self.ymax += pad
 
-    def _newton(self, q: Point2, u: float, v: float) -> tuple[float, float] | None:
+    def _newton(
+        self, q: tuple[float, float], u: float, v: float
+    ) -> tuple[float, float] | None:
         s = self.surface
         ulo, uhi = s.u_range
         vlo, vhi = s.v_range
         mu = 0.05 * (uhi - ulo)
         mv = 0.05 * (vhi - vlo)
         tol = NEWTON_TOL * (1.0 + self.scene_scale)
+        qx, qy = q
         try:
             x, y = self.fxy(u, v)
         except DomainError:
             return None
-        gx, gy = x - q.x, y - q.y
+        gx, gy = x - qx, y - qy
         err = math.hypot(gx, gy)
         for _ in range(NEWTON_MAX_ITER):
             if err <= tol:
@@ -781,7 +783,7 @@ class OcclusionTester:
                 ):
                     try:
                         nx, ny = self.fxy(nu, nv)
-                        ngx, ngy = nx - q.x, ny - q.y
+                        ngx, ngy = nx - qx, ny - qy
                     except DomainError:
                         ngx = ngy = math.inf
                     nerr = math.hypot(ngx, ngy)
@@ -794,14 +796,18 @@ class OcclusionTester:
                 return None
         return (u, v) if err <= tol else None
 
-    def covers(self, q: Point2) -> tuple[list[tuple[float, float]], int]:
-        """All distinct (u, v) with projection q, and the candidate count."""
+    def covers(
+        self, q: tuple[float, float]
+    ) -> tuple[list[tuple[float, float]], int]:
+        """All distinct (u, v) with projection q = (x, y), and the
+        candidate count."""
+        qx, qy = q
         mask = (
             self.cell_ok
-            & (self.xmin <= q.x)
-            & (q.x <= self.xmax)
-            & (self.ymin <= q.y)
-            & (q.y <= self.ymax)
+            & (self.xmin <= qx)
+            & (qx <= self.xmax)
+            & (self.ymin <= qy)
+            & (qy <= self.ymax)
         )
         cells = np.argwhere(mask)
         roots: list[tuple[float, float]] = []
@@ -829,7 +835,7 @@ class OcclusionTester:
 def classify_visibility(
     poly: Polyline,
     label: str,
-    cuts: Sequence[Point2],
+    cuts: Sequence[tuple[float, float]],
     tester: OcclusionTester,
 ) -> VisibilityTaggedCurve:
     """Split poly, a `project_curve` result of a curve seen through
@@ -844,7 +850,8 @@ def classify_visibility(
     stays visible and the result's newton_failed is set.
     """
     near = 0.05 * (1.0 + tester.scene_scale)
-    params = [p for p, dist in (_locate_param(poly, q) for q in cuts) if dist <= near]
+    params, dists = _locate_params(poly, np.array(cuts, dtype=float).reshape(-1, 2))
+    params = params[dists <= near].tolist()
     # arc length at each vertex: a cut within 10*REFINE_TOL along the
     # curve of an end or of the last kept cut would leave a stub interval
     gaps = map(math.hypot, *np.diff(poly.points, axis=0).T.tolist())
@@ -870,7 +877,7 @@ def classify_visibility(
         own_uv = None if poly.params is None else mid
         p3 = mid if own_uv is None else tester.surface.point(*mid)
         qx, qy, d = project(p3, tester.proj)
-        roots, candidates = tester.covers(Point2(qx, qy))
+        roots, candidates = tester.covers((qx, qy))
         # a point on the surface is its own preimage, so finding no root
         # is a failed solve; a point off it (an axis) may have none
         trouble = trouble or (own_uv is not None and candidates > 0 and not roots)
@@ -970,8 +977,8 @@ def build_surface_scene(
 
     tester = OcclusionTester(s, proj)
 
-    def cut_points(poly: Polyline) -> list[Point2]:
-        pts: list[Point2] = []
+    def cut_points(poly: Polyline) -> list[tuple[float, float]]:
+        pts: list[tuple[float, float]] = []
         for op in outlines:
             # op is poly when an outline curve meets itself
             res = intersect_projected(poly, op)
@@ -1004,9 +1011,9 @@ def build_surface_scene(
         if drawn and tc.label.startswith("axis:"):
             # axis letter just past the positive end
             name = tc.label.split(":", 1)[1]
-            end = tc.polyline.pt_end
+            ex, ey = tc.polyline.points[-1].tolist()
             drawn[-1] = replace(
-                drawn[-1], label=Label(name, Point2(end.x + 0.15, end.y + 0.15))
+                drawn[-1], label=Label(name, (ex + 0.15, ey + 0.15))
             )
         items.extend(drawn)
     scene = scene_from_items(items)
@@ -1023,9 +1030,9 @@ def build_surface_scene(
 
 @dataclass(frozen=True, eq=False)
 class ContactDemoResult:
-    refined: Point2
+    refined: tuple[float, float]
     refined_ok: bool
-    analytic: Point2
+    analytic: tuple[float, float]
     analytic_drawn: bool  # on the drawn axis, |y| <= 4, and on the silhouette
     cluster: np.ndarray  # (k, 2) midpoints of the vertex pairs within 2 dmin
     cluster_spread: float
@@ -1100,8 +1107,8 @@ def contact_demo(
     st, ct, sf, _ = proj.trig
     reach = 4.0 * math.hypot(ct, st * sf)
     drawn = [x for x in on_sil if math.hypot(x, slope * x) <= reach]
-    xr = min(drawn or on_sil or roots, key=lambda x: abs(x - rc.point.x))
-    analytic = Point2(xr, slope * xr)
+    xr = min(drawn or on_sil or roots, key=lambda x: abs(x - rc.point[0]))
+    analytic = (xr, slope * xr)
 
     return ContactDemoResult(
         rc.point, rc.refined, analytic, bool(drawn), cluster, diameter(cluster),

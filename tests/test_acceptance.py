@@ -8,22 +8,24 @@ information).
 import math
 import re
 from fractions import Fraction
-from itertools import starmap
 from time import perf_counter
 
 import numpy as np
 
 from splinefig.calculus import IntegrationRequest, closed_area, integrate, segment_integral
 from splinefig.expr import compile_fn, diff, parse
-from splinefig.geom import CubicBezier, Point2, Polyline, bezier_eval
+from scalar_reference import (
+    Point2,
+    control_points_oshima,
+    control_rows,
+    oshima_coefficient,
+    point_at,
+    vertices,
+)
+from splinefig.geom import Polyline
 from splinefig.implicit import TraceConfig, parse_equation, trace_implicit
 from splinefig.render import DrawItem, Scene, emit_latex, fmt5
-from splinefig.spline import (
-    SplineMethod,
-    build_spline,
-    control_points_oshima,
-    oshima_coefficient,
-)
+from splinefig.spline import SplineMethod, build_spline
 from splinefig.surface import (
     Projection,
     SceneConfig,
@@ -85,7 +87,7 @@ def test_criterion_3_traced_conic_integral():
         parse_equation(CONIC), TraceConfig((-2.0, 2.0), (-2.0, 2.5), grid=200)
     )
     branch = next(c for c in comps if not c.is_loop())
-    lo, hi = sorted((branch.pt_end.x, branch.pt_start.x))
+    lo, hi = sorted(branch.points[[-1, 0], 0].tolist())
     val = integrate(IntegrationRequest(branch.points, (lo, hi), OSH))
     dt = perf_counter() - t0
     ok = abs(val - 1.6987) <= 5e-3 and dt < 1.0
@@ -99,7 +101,7 @@ def test_criterion_4_contact_refinement():
     res = contact_demo()
     dt = perf_counter() - t0
     exact = Point2(-1.656701299244927, 1.210755779027779)
-    err = res.refined.dist(exact)
+    err = Point2(*res.refined).dist(exact)
     ok = err < 0.01 and res.cluster_spread > err and res.refined_ok and dt < 5.0
     _report(
         4,
@@ -155,13 +157,13 @@ def test_criterion_6_property_battery():
             for closed in (True, False):
                 sp = build_spline(data, method=method, closed=closed)
                 m = len(data)
-                segs = [CubicBezier(*starmap(Point2, row)) for row in sp.ctrl.tolist()]
+                segs = control_rows(sp)
                 for k, seg in enumerate(segs):
-                    assert bezier_eval(seg, 0.0).dist(data[k % m]) < 1e-12
-                    assert bezier_eval(seg, 1.0).dist(data[(k + 1) % m]) < 1e-12
+                    assert point_at(seg, 0.0).dist(data[k % m]) < 1e-12
+                    assert point_at(seg, 1.0).dist(data[(k + 1) % m]) < 1e-12
                 for prev, nxt in zip(segs, segs[1:]):
-                    vin = prev.p1 - prev.c1
-                    vout = nxt.c0 - nxt.p0
+                    vin = prev[3] - prev[2]
+                    vout = nxt[1] - nxt[0]
                     cross = vin.x * vout.y - vin.y * vout.x
                     assert abs(cross) <= 1e-9 * (vin.norm() * vout.norm() + 1.0)
                     assert vin.dot(vout) > 0.0
@@ -193,9 +195,7 @@ def test_criterion_6_property_battery():
     for _ in range(50):
         coords = rng.uniform(-2, 2, 8).tolist()
         x1, y1, x2, y2, x3, y3, x4, y4 = coords
-        seg = CubicBezier(
-            Point2(x1, y1), Point2(x2, y2), Point2(x3, y3), Point2(x4, y4)
-        )
+        seg = [Point2(x1, y1), Point2(x2, y2), Point2(x3, y3), Point2(x4, y4)]
         err = abs(Fraction(segment_integral(seg)) - exact_integral(seg))
         assert err <= Fraction(2e-16) * Fraction(sum(map(abs, coords))) ** 2
 
@@ -237,8 +237,7 @@ def test_criterion_6_property_battery():
             return Point2(p1.x + tt * rx, p1.y + tt * ry)
         return None
 
-    va = list(starmap(Point2, pa.points.tolist()))
-    vb = list(starmap(Point2, pb.points.tolist()))
+    va, vb = vertices(pa), vertices(pb)
     brute: list[Point2] = []
     for i in range(len(va) - 1):
         for j in range(len(vb) - 1):
@@ -247,7 +246,7 @@ def test_criterion_6_property_battery():
                 brute.append(hit)
     assert len(res.crossings) == len(brute)
     for c in res.crossings:
-        assert min(c.point.dist(k) for k in brute) < 1e-9
+        assert min(Point2(*c.point).dist(k) for k in brute) < 1e-9
 
     # emitters are deterministic and write exactly five decimals
     quad = [Point2(3, 0), Point2(0, 2), Point2(-3, 0), Point2(0, -2)]

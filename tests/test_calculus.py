@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from itertools import starmap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +16,7 @@ from splinefig.calculus import (
     segment_integral,
     tangent_line,
 )
-from splinefig.geom import CubicBezier, Point2
+from scalar_reference import Point2, control_rows
 from splinefig.spline import SplineMethod, build_spline
 
 EXACT_X2SINX = math.pi ** 2 - 4.0  # int_0^pi x^2 sin x dx
@@ -30,21 +29,15 @@ def fn_samples(f, lo, hi, n):
     )
 
 
-def beziers(curve) -> list[CubicBezier]:
-    """The curve's control-array rows as CubicBezier segments."""
-    return [CubicBezier(*starmap(Point2, row)) for row in curve.ctrl.tolist()]
-
-
-def exact_integral(b: CubicBezier) -> Fraction:
+def exact_integral(b: list[Point2]) -> Fraction:
     """int_0^1 y x' dt in exact arithmetic, the oracle for the closed form.
 
     y is the cubic Bernstein sum of the y_i and x' is 3 times the
     quadratic one of the x_(j+1) - x_j; each product of Bernstein basis
     polynomials integrates by int t^a (1-t)^b dt = a! b! / (a+b+1)!.
     """
-    pts = (b.p0, b.c0, b.c1, b.p1)
-    xs = [Fraction(p.x) for p in pts]
-    ys = [Fraction(p.y) for p in pts]
+    xs = [Fraction(x) for x, _ in b]
+    ys = [Fraction(y) for _, y in b]
     total = Fraction(0)
     for i in range(4):
         for j in range(3):
@@ -61,11 +54,10 @@ def _power_basis(c0: Fraction, c1: Fraction, c2: Fraction, c3: Fraction):
     return (c0, 3 * (c1 - c0), 3 * (c0 - 2 * c1 + c2), -c0 + 3 * c1 - 3 * c2 + c3)
 
 
-def exact_piece_integral(b: CubicBezier, t0: Fraction, t1: Fraction) -> Fraction:
+def exact_piece_integral(b: list[Point2], t0: Fraction, t1: Fraction) -> Fraction:
     """int_t0^t1 y x' dt of b's own polynomials in exact arithmetic."""
-    pts = (b.p0, b.c0, b.c1, b.p1)
-    ax = _power_basis(*(Fraction(p.x) for p in pts))
-    ay = _power_basis(*(Fraction(p.y) for p in pts))
+    ax = _power_basis(*(Fraction(x) for x, _ in b))
+    ay = _power_basis(*(Fraction(y) for _, y in b))
     total = Fraction(0)
     for i, yi in enumerate(ay):
         for j in range(1, 4):
@@ -75,13 +67,12 @@ def exact_piece_integral(b: CubicBezier, t0: Fraction, t1: Fraction) -> Fraction
     return total
 
 
-def _scale(b: CubicBezier) -> Fraction:
+def _scale(b: list[Point2]) -> Fraction:
     """(sum |coords|)^2 of a segment, the size of its rounding error."""
-    pts = (b.p0, b.c0, b.c1, b.p1)
-    return Fraction(sum(abs(v) for p in pts for v in (p.x, p.y))) ** 2
+    return Fraction(sum(abs(v) for p in b for v in p)) ** 2
 
 
-def assert_near_exact(b: CubicBezier) -> None:
+def assert_near_exact(b: list[Point2]) -> None:
     # the closed form's rounding error stays under 5e-17 (sum |coords|)^2
     # over random segments at scales 1e-3 to 1e3; the scale is squared
     # exactly, as in floats it underflows to 0 below coordinates of 1e-162,
@@ -94,26 +85,20 @@ def assert_near_exact(b: CubicBezier) -> None:
 class TestSegmentIntegral:
     def test_straight_line(self):
         # y = x from 0 to 1: int y dx = 1/2
-        b = CubicBezier(
-            Point2(0, 0), Point2(1 / 3, 1 / 3), Point2(2 / 3, 2 / 3), Point2(1, 1)
-        )
+        b = [Point2(0, 0), Point2(1 / 3, 1 / 3), Point2(2 / 3, 2 / 3), Point2(1, 1)]
         assert segment_integral(b) == pytest.approx(0.5, abs=1e-15)
 
     def test_constant_height(self):
-        b = CubicBezier(Point2(0, 2), Point2(1, 2), Point2(2, 2), Point2(3, 2))
+        b = [Point2(0, 2), Point2(1, 2), Point2(2, 2), Point2(3, 2)]
         assert segment_integral(b) == pytest.approx(6.0, abs=1e-12)
 
     def test_against_exact_integral(self):
-        b = CubicBezier(
-            Point2(0, 1), Point2(0.8, 3), Point2(1.9, -2), Point2(3, 0.5)
-        )
+        b = [Point2(0, 1), Point2(0.8, 3), Point2(1.9, -2), Point2(3, 0.5)]
         assert_near_exact(b)
 
     def test_reversal_negates(self):
-        b = CubicBezier(
-            Point2(0, 1), Point2(0.8, 3), Point2(1.9, -2), Point2(3, 0.5)
-        )
-        rev = CubicBezier(b.p1, b.c1, b.c0, b.p0)
+        b = [Point2(0, 1), Point2(0.8, 3), Point2(1.9, -2), Point2(3, 0.5)]
+        rev = b[::-1]
         assert segment_integral(rev) == pytest.approx(
             -segment_integral(b), abs=1e-14
         )
@@ -267,7 +252,7 @@ class TestDerivative:
         data = [Point2(0, 0), Point2(1, 1), Point2(4, 2), Point2(6, 3)]
         line = tangent_line(data, 0.0, SplineMethod.CATMULL_ROM)
         assert line.vertical and line.slope is None
-        assert line.point == Point2(0.0, 0.0)
+        assert line.point == (0.0, 0.0)
         with pytest.raises(VerticalTangentError):
             line.y_at(1.0)
 
@@ -276,12 +261,13 @@ class TestTangent:
     def test_touches_curve(self):
         data = fn_samples(lambda x: x * x, -1.0, 1.0, 40)
         line = tangent_line(data, 0.5)
-        assert line.point.x == 0.5 and line.y_at(0.5) == line.point.y
-        assert line.point.y == pytest.approx(0.25, abs=1e-4)
+        x, y = line.point
+        assert x == 0.5 and line.y_at(0.5) == y
+        assert y == pytest.approx(0.25, abs=1e-4)
         assert line.slope == pytest.approx(1.0, abs=1e-3)
         # second-order contact: offset error shrinks like h^2
         for h in (0.05, 0.01):
-            gap = abs(line.y_at(0.5 + h) - tangent_line(data, 0.5 + h).point.y)
+            gap = abs(line.y_at(0.5 + h) - tangent_line(data, 0.5 + h).point[1])
             assert gap < 2 * h * h + 1e-6
 
     @pytest.mark.parametrize("n", [0, 1])
@@ -302,7 +288,7 @@ class TestTangent:
 
     def test_curve_y_between_samples(self):
         data = fn_samples(math.exp, 0.0, 1.0, 25)
-        assert tangent_line(data, 0.377).point.y == pytest.approx(
+        assert tangent_line(data, 0.377).point[1] == pytest.approx(
             math.exp(0.377), abs=1e-6
         )
 
@@ -315,12 +301,7 @@ bez = st.tuples(
 @settings(max_examples=200, deadline=None)
 @given(bez)
 def test_property_segment_closed_form(coords):
-    b = CubicBezier(
-        Point2(coords[0], coords[1]),
-        Point2(coords[2], coords[3]),
-        Point2(coords[4], coords[5]),
-        Point2(coords[6], coords[7]),
-    )
+    b = [Point2(x, y) for x, y in zip(coords[::2], coords[1::2])]
     assert_near_exact(b)
 
 
@@ -352,11 +333,11 @@ def test_property_clipped_integrate_matches_exact_integral(data, u, v, method):
         return
     got = integrate(IntegrationRequest(data, (a, b), method))
     exact = bound = Fraction(0)
-    for seg in beziers(build_spline(data, method=method, closed=False)):
-        if seg.p1.x <= lo or seg.p0.x >= hi:
+    for seg in control_rows(build_spline(data, method=method, closed=False)):
+        if seg[3].x <= lo or seg[0].x >= hi:
             continue
-        t0 = calculus._solve_segment_x(seg, lo) if seg.p0.x < lo else 0.0
-        t1 = calculus._solve_segment_x(seg, hi) if seg.p1.x > hi else 1.0
+        t0 = calculus._solve_segment_x(seg, lo) if seg[0].x < lo else 0.0
+        t1 = calculus._solve_segment_x(seg, hi) if seg[3].x > hi else 1.0
         exact += exact_piece_integral(seg, Fraction(t0), Fraction(t1))
         bound += Fraction(2e-16) * _scale(seg)
     assert abs(Fraction(got) - exact) <= bound
@@ -377,7 +358,7 @@ def test_property_closed_area_matches_exact_integral(angles, rx, ry, method):
         for t in sorted(angles)
     ]
     got = closed_area(pts, method)
-    segments = beziers(build_spline(pts, method=method, closed=True))
+    segments = control_rows(build_spline(pts, method=method, closed=True))
     exact = -sum(exact_integral(seg) for seg in segments)
     bound = sum(Fraction(2e-16) * _scale(seg) for seg in segments)
     assert abs(Fraction(got) - exact) <= bound

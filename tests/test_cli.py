@@ -10,6 +10,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -17,9 +18,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import splinefig
-from splinefig import cli
+from splinefig import cli, geom, surface
 from splinefig.cli import build_parser, main
-from splinefig.geom import Point2
 from splinefig.spline import build_spline
 
 CONIC = "8*x^2-4*sqrt(2)*x*y+y^2-3*x-6*sqrt(2)*y+2=0"
@@ -43,6 +43,26 @@ def _surf_with(line: str) -> str:
     key = line.partition("=")[0].strip()
     kept = [l for l in PARABOLOID_FILE.splitlines() if l.partition("=")[0].strip() != key]
     return "\n".join([*kept, line]) + "\n"
+
+
+class _CountedHypot:
+    """Stands in for a module's `math` and counts its hypot calls, those
+    for which `counting()` is true; the first past `bound` fails the
+    test at once, before the work it guards runs its course."""
+
+    def __init__(self, bound: int, counting=lambda: True):
+        self.calls, self.bound, self.counting = 0, bound, counting
+        self.lock = threading.Lock()  # a scene calls from its pool's threads
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def hypot(self, *args):
+        if self.counting():
+            with self.lock:
+                self.calls += 1
+                assert self.calls < self.bound, f"{self.bound} distances or more"
+        return math.hypot(*args)
 
 
 @pytest.fixture
@@ -419,17 +439,22 @@ class TestSurface:
     ):
         # every curve of x = y = z = cos(v)*u projects onto one line, so
         # the fits at 22 of its 36 contact sites overlap; the search ends
-        # at the first overlapping leaves, 1 184 distances in all, where
-        # clustering every overlapping leaf took 5.65 M
-        calls = 0
-        dist = Point2.dist
+        # at the first overlapping leaves, and the crossings' dedup
+        # measures 803 distances, where clustering every overlapping leaf
+        # took 5.65 M
+        inside = threading.local()
+        intersect = surface.intersect_projected
 
-        def counted(self, other):
-            nonlocal calls
-            calls += 1
-            return dist(self, other)
+        def counted_intersect(a, b):
+            inside.on = True
+            try:
+                return intersect(a, b)
+            finally:
+                inside.on = False
 
-        monkeypatch.setattr(Point2, "dist", counted)
+        monkeypatch.setattr(surface, "intersect_projected", counted_intersect)
+        hypot = _CountedHypot(5_000, lambda: getattr(inside, "on", False))
+        monkeypatch.setattr(surface, "math", hypot)
         desc = tmp_path / "line.surf"
         desc.write_text(
             "x = cos(v)*u\ny = cos(v)*u\nz = cos(v)*u\nu = 0, 1\nv = 0, 2*pi\n"
@@ -437,15 +462,20 @@ class TestSurface:
         )
         with caplog.at_level(logging.WARNING):
             assert main(["surface", str(desc), "--format", "tex"]) == 0
-        assert calls < 5_000
-        # J is rounding noise here, and its sign changes trace 7 folds
+        assert 0 < hypot.calls < 5_000
+        # J is rounding noise here, and its sign changes trace 7 folds; at
+        # one of them |J| falls for no STALL_STEPS steps in a row, and the
+        # crossing is counted as a sign change without a root
         labels = ["boundary:u=1", *(f"silhouette:{k}" for k in range(7))]
         assert [r.getMessage() for r in caplog.records] == [
-            f"newton occlusion solve failed for {label!r}; leaving interval visible"
-            for label in labels
+            "1 crossings are sign changes where F has no root (pole or jump?)",
+            *(
+                f"newton occlusion solve failed for {label!r}; leaving interval visible"
+                for label in labels
+            ),
         ]
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "fd0d4770b5d87480d3a7639dfec1bfa48ce11128ce73679744bdca537c4e9d3a"
+            "fc6a23acec8047a6b7aaf46b128e5fc9dc36bb293c080f99fc18cf31075f45b5"
         )
 
     def test_undefined_seed_cells_print_no_numpy_warning(self, tmp_path):
@@ -483,19 +513,12 @@ class TestContactDemo:
     def test_steep_axis_measures_the_cluster_on_its_hull(self, monkeypatch, capsys):
         # the y axis misses the silhouette: every vertex pair within
         # 2 * dmin joins the cluster, 13 266 midpoints, whose every pair
-        # is 88 M distances; the hull's pairs are about 33 000
-        calls = 0
-        dist = Point2.dist
-
-        def counted(self, other):
-            nonlocal calls
-            calls += 1
-            return dist(self, other)
-
-        monkeypatch.setattr(Point2, "dist", counted)
+        # is 88 M distances; the hull's pairs are 33 411
+        hypot = _CountedHypot(100_000)
+        monkeypatch.setattr(geom, "math", hypot)
         argv = "--theta=-90 --phi=25 --grid=40 --samples=300 --window=0 --tol=0.01"
         assert main(["contact-demo", *argv.split()]) == 0
-        assert calls < 100_000
+        assert 0 < hypot.calls < 100_000
         out = capsys.readouterr().out.splitlines()
         assert out[:2] == [
             "crossings: 0",
@@ -507,17 +530,10 @@ class TestContactDemo:
         # 16 362 midpoints but only 655 distinct ones; a hull over every
         # copy paired about 5e8 distances (152 s), one over the distinct
         # points pairs 14 706
-        calls = 0
-        dist = Point2.dist
-
-        def counted(self, other):
-            nonlocal calls
-            calls += 1
-            return dist(self, other)
-
-        monkeypatch.setattr(Point2, "dist", counted)
+        hypot = _CountedHypot(100_000)
+        monkeypatch.setattr(geom, "math", hypot)
         assert main(["contact-demo", "--theta", "90", "--phi", "0"]) == 0
-        assert calls < 100_000
+        assert 0 < hypot.calls < 100_000
         assert capsys.readouterr().out.splitlines() == [
             "crossings: 0",
             "cluster: 16362 candidate midpoints, spread 2.085572",
@@ -535,33 +551,6 @@ class TestContactDemo:
             "contact: (0.639461,1.941290) [unrefined (closest approach)]",
             "analytic: none on the drawn axis (|y| <= 4)",
         ]
-
-
-def test_figures_build_no_point2_per_vertex(monkeypatch, capsys, tmp_path):
-    # with the vertices read as Point2s, the README paraboloid scene built
-    # 1 943 of them and this dashed tangent 192; what is left is a few per
-    # cut, contact, label, tangent and clipped segment
-    built = []
-    init = Point2.__init__
-
-    def counted(self, *args):
-        built.append(args)  # one call, safe from the scene's threads
-        init(self, *args)
-
-    monkeypatch.setattr(Point2, "__init__", counted)
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split("with `paraboloid.surf`:\n\n```\n", 1)[1]
-    desc = tmp_path / "paraboloid.surf"
-    desc.write_text(block.split("```", 1)[0])
-    assert main(["surface", str(desc)]) == 0
-    assert "\\polyline" in capsys.readouterr().out
-    assert len(built) <= 200
-    built.clear()
-    out = tmp_path / "fig.tex"
-    argv = "tangent --fn sin(x) --sample-range 0,30 --num 60 --at 1 --out".split()
-    assert main([*argv, str(out)]) == 0
-    assert out.read_text().count("\\polyline") > 50  # the dashes
-    assert len(built) <= 50
 
 
 class TestOneProcess:

@@ -1,29 +1,29 @@
+import ast
 import math
 import warnings
 from itertools import starmap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scalar_reference import Point2, point_at
+from splinefig import calculus
 from splinefig.geom import (
-    CubicBezier,
-    Point2,
     PointFileError,
     Polyline,
     SplineCurve,
-    bezier_bbox,
-    bezier_derivative,
-    bezier_eval,
-    bezier_slice,
-    bezier_subdivide,
     diameter,
     drop_repeats,
     load_points,
+    split,
+    xy_array,
 )
 from splinefig.implicit import TraceConfig, trace_implicit
+from splinefig.surface import _piece
 
-B = CubicBezier(Point2(0, 0), Point2(1, 2), Point2(3, 2), Point2(4, 0))
+B = [Point2(0, 0), Point2(1, 2), Point2(3, 2), Point2(4, 0)]
 
 coord = st.floats(min_value=-10, max_value=10, allow_nan=False)
 unit = st.floats(min_value=0.0, max_value=1.0)
@@ -43,26 +43,32 @@ class TestPoints:
 
 class TestBezier:
     def test_endpoints(self):
-        assert bezier_eval(B, 0.0) == B.p0
-        assert bezier_eval(B, 1.0) == B.p1
+        assert point_at(B, 0.0) == B[0]
+        assert point_at(B, 1.0) == B[3]
+        left, right = split(B, 0.25)
+        assert left[0] == B[0] and right[-1] == B[3] and left[-1] == right[0]
 
     def test_midpoint(self):
         # (p0 + 3 p1 + 3 p2 + p3) / 8
-        assert bezier_eval(B, 0.5) == Point2(2.0, 1.5)
+        assert point_at(B, 0.5) == Point2(2.0, 1.5)
+        assert split(B, 0.5) == (
+            [(0.0, 0.0), (0.5, 1.0), (1.25, 1.5), (2.0, 1.5)],
+            [(2.0, 1.5), (2.75, 1.5), (3.5, 1.0), (4.0, 0.0)],
+        )
 
     def test_derivative_at_ends(self):
-        assert bezier_derivative(B, 0.0) == Point2(3.0, 6.0)
-        assert bezier_derivative(B, 1.0) == Point2(3.0, -6.0)
+        assert calculus._velocity(B, 0.0) == (3.0, 6.0)
+        assert calculus._velocity(B, 1.0) == (3.0, -6.0)
 
     @given(unit, unit)
     def test_subdivide_matches_original(self, ts, t):
         ts = min(max(ts, 1e-6), 1 - 1e-6)
-        left, right = bezier_subdivide(B, ts)
-        want = bezier_eval(B, ts * t)
-        got = bezier_eval(left, t)
+        left, right = split(B, ts)
+        want = point_at(B, ts * t)
+        got = point_at(left, t)
         assert got.dist(want) < 1e-12
-        want = bezier_eval(B, ts + (1 - ts) * t)
-        got = bezier_eval(right, t)
+        want = point_at(B, ts + (1 - ts) * t)
+        got = point_at(right, t)
         assert got.dist(want) < 1e-12
 
     @given(unit, unit, unit)
@@ -70,27 +76,27 @@ class TestBezier:
         t0, t1 = sorted((t0, t1))
         if t1 - t0 < 1e-6:
             return
-        piece = bezier_slice(B, t0, t1)
-        want = bezier_eval(B, t0 + (t1 - t0) * t)
-        assert bezier_eval(piece, t).dist(want) < 1e-10
+        piece = calculus._clip(B, t0, t1)
+        want = point_at(B, t0 + (t1 - t0) * t)
+        assert point_at(piece, t).dist(want) < 1e-10
 
     @given(unit)
     def test_bbox_contains_curve(self, t):
-        x0, y0, x1, y1 = bezier_bbox(B)
-        p = bezier_eval(B, t)
+        # a contact-search piece's box is its control points' box
+        x0, y0, x1, y1 = _piece(*(c for p in B for c in p))[8:12]
+        p = point_at(B, t)
         assert x0 - 1e-12 <= p.x <= x1 + 1e-12
         assert y0 - 1e-12 <= p.y <= y1 + 1e-12
 
     def test_bbox_from_hull(self):
-        assert bezier_bbox(B) == (0.0, 0.0, 4.0, 2.0)
+        assert _piece(*(c for p in B for c in p))[8:12] == [0.0, 0.0, 4.0, 2.0]
 
 
 class TestPolyline:
     def test_basics(self):
-        pl = Polyline((Point2(0, 0), Point2(1, 0), Point2(1, 1)))
-        assert pl.pt_start == Point2(0, 0)
-        assert pl.pt_end == Point2(1, 1)
+        pl = Polyline(((0, 0), (1, 0), (1, 1)))
         assert not pl.is_loop()
+        assert pl.is_loop(math.sqrt(2.0))
         arr = pl.points
         assert isinstance(arr, np.ndarray) and arr.dtype == np.float64
         assert not arr.flags.writeable
@@ -163,19 +169,11 @@ def test_property_polyline_refuses_what_the_point2_constructor_refused(
             assert rows.tobytes() == np.array(given_rows, dtype=float).tobytes()
 
 
-def test_lengths_build_no_point2(monkeypatch):
+def test_lengths_build_no_point2():
     # bench/spans.py counts vertices as len(poly.points) and segments as
-    # len(curve.segments) inside traced runs
+    # len(curve.segments) inside traced runs; the library has no point
+    # or segment class to build (test_src_has_one_point_and_one_cubic_form)
     curve = _chain([0.0, 0.0, 1.0, 2.0, 3.0, 2.0, 4.0, 0.0, 5.0, 1.0, 6.0, 2.0, 7.0, 0.0])
-    built = []
-    for cls in (Point2, CubicBezier):
-        init = cls.__init__
-
-        def counted(self, *args, init=init):
-            built.append(args)
-            init(self, *args)
-
-        monkeypatch.setattr(cls, "__init__", counted)
     assert len(curve.segments) == 2 and curve.segments is curve.ctrl
     assert len(curve.sample(10).points) == 21
     comps = trace_implicit("x^2 + y^2 - 1", TraceConfig((-2.0, 2.0), (-2.0, 2.0), 40))
@@ -184,7 +182,6 @@ def test_lengths_build_no_point2(monkeypatch):
     poly = comps[0]
     assert poly.points[0].tolist() == poly.points.tolist()[0]
     assert len(list(poly.points)) == len(poly.points)
-    assert built == []
 
 
 def test_drop_repeats():
@@ -202,25 +199,19 @@ def test_property_drop_repeats_is_the_scalar_rule(pts):
     assert _reprs(starmap(Point2, drop_repeats(xy).tolist())) == want
 
 
-def _row(seg: CubicBezier) -> list[tuple[float, float]]:
-    """The segment as a row of SplineCurve's control array."""
-    return [p.as_tuple() for p in (seg.p0, seg.c0, seg.c1, seg.p1)]
-
-
 def test_sample_skips_a_point_segment():
     p, q = Point2(0, 0), Point2(1, 1)
-    point_seg = CubicBezier(p, p, p, p)
-    curve = SplineCurve([_row(point_seg), _row(CubicBezier(p, p, q, q))])
+    curve = SplineCurve([[p, p, p, p], [p, p, q, q]])
     poly = curve.sample(4)
     assert poly.points[0].tolist() == [p.x, p.y]
     assert len(poly.points) == 5  # the point segment adds one vertex, not four
 
 
 def _sample_reference(curve: SplineCurve, per_segment: int) -> tuple[Point2, ...]:
-    """The sampled vertices one bezier_eval call at a time."""
-    segs = [CubicBezier(*starmap(Point2, row)) for row in curve.ctrl.tolist()]
-    pts = [bezier_eval(seg, i / per_segment) for seg in segs for i in range(per_segment)]
-    pts.append(bezier_eval(segs[-1], 1.0))
+    """The sampled vertices one split call at a time."""
+    segs = curve.ctrl.tolist()
+    pts = [point_at(seg, i / per_segment) for seg in segs for i in range(per_segment)]
+    pts.append(point_at(segs[-1], 1.0))
     return _drop_repeats_reference(pts)
 
 
@@ -247,7 +238,7 @@ def _check_sample(curve: SplineCurve, per_segment: int) -> None:
 def _chain(coords: list[float]) -> SplineCurve:
     pts = [Point2(x, y) for x, y in zip(coords[::2], coords[1::2])]
     k = (len(pts) - 1) // 3
-    return SplineCurve([_row(CubicBezier(*pts[3 * i : 3 * i + 4])) for i in range(k)])
+    return SplineCurve([pts[3 * i : 3 * i + 4] for i in range(k)])
 
 
 huge = st.sampled_from([1.7e308, -1.7e308, 1e308, -1e308, 8e307, 0.0, -0.0])
@@ -349,3 +340,83 @@ def test_diameter_of_a_duplicate_heavy_cluster():
     cluster = [p for _ in range(300) for p in distinct]
     assert diameter(cluster) == _pairwise_diameter(distinct)
     assert diameter(cluster[::-1]) == diameter(distinct)
+
+
+class TestXyArray:
+    def test_pairs_are_rows(self):
+        xy = xy_array([(0, 1), (2.5, -3)])
+        assert xy.dtype == np.float64 and xy.tolist() == [[0.0, 1.0], [2.5, -3.0]]
+        assert xy_array([Point2(1, 2)]).tolist() == [[1.0, 2.0]]
+
+    def test_an_array_is_returned_as_it_is(self):
+        xy = np.zeros((3, 2))
+        assert xy_array(xy) is xy
+
+    def test_no_points(self):
+        assert xy_array([]).shape == (0, 2)
+        assert xy_array(np.zeros((0, 2))).shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0, 1, 2), (3, 4, 5)],  # (2, 3), not to be read as (3, 2)
+            np.zeros((3, 3)),
+            [0.0, 1.0, 2.0, 3.0],  # (2n,)
+            np.zeros(4),
+            [(0, 1), (2,)],  # ragged
+            [(0, 1), (2, 3, 4)],
+        ],
+    )
+    def test_other_shapes_are_refused(self, points):
+        with pytest.raises(ValueError):
+            xy_array(points)
+
+
+# the scalar forms the library once carried beside its arrays; their
+# functions were named bezier_*
+_SCALAR_FORMS = {"Point2", "CubicBezier", "_lerp"}
+
+
+def _scalar_form_names(tree: ast.AST) -> list[str]:
+    """Names of the scalar point and cubic forms that a module defines,
+    imports or reads."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name.rsplit(".", 1)[-1] for a in node.names]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [n for n in names if n in _SCALAR_FORMS or n.startswith("bezier_")]
+    return found
+
+
+def test_src_has_one_point_and_one_cubic_form():
+    # a point is an (x, y) pair or an array row, a cubic its control row
+    src = Path(__file__).parents[1] / "src" / "splinefig"
+    modules = sorted(src.glob("*.py"))
+    assert len(modules) >= 9
+    found = {
+        path.name: names
+        for path in modules
+        if (names := _scalar_form_names(ast.parse(path.read_text())))
+    }
+    assert found == {}
+
+
+def test_the_src_guard_sees_each_form():
+    for code in (
+        "class Point2: pass",
+        "from .geom import CubicBezier",
+        "import splinefig.geom.Point2 as P",
+        "def bezier_eval(b, t): pass",
+        "x = geom.bezier_slice(b, 0, 1)",
+        "y = _lerp(a, b, t)",
+    ):
+        assert _scalar_form_names(ast.parse(code)), code
+    assert _scalar_form_names(ast.parse("from .geom import split")) == []

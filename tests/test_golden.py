@@ -138,7 +138,7 @@ def _contact_answers(monkeypatch, argv) -> list[tuple]:
         answers.append(
             (
                 len(a.points), len(b.points), center_a, center_b,
-                repr(rc.point.x), repr(rc.point.y), rc.refined,
+                *map(repr, rc.point), rc.refined,
             )
         )
         return rc
@@ -162,7 +162,7 @@ def test_contact_answers(name, text, tmp_path, capsys, monkeypatch):
 
 def test_contact_demo_answer():
     r = surface.contact_demo()
-    assert (repr(r.refined.x), repr(r.refined.y), r.refined_ok) == CONTACT_DEMO
+    assert (*map(repr, r.refined), r.refined_ok) == CONTACT_DEMO
 
 
 def _digest(argv, capsys) -> str:

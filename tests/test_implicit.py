@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import math
 import struct
@@ -11,13 +12,15 @@ from hypothesis import example, given, settings, strategies as st
 from splinefig import expr
 from splinefig.calculus import IntegrationRequest, closed_area, integrate
 from splinefig.expr import DomainError, compile_fn, steps
-from splinefig.geom import Point2, Polyline
+from scalar_reference import Point2
+from splinefig.geom import Polyline
 from splinefig.implicit import (
     BLOCK,
     JOIN_TOL,
     MAX_GRID,
     MAX_STEPS,
     RESIDUAL_FACTOR,
+    STALL_STEPS,
     TraceConfig,
     TraceError,
     _open_blocks,
@@ -84,27 +87,27 @@ class TestConic:
         c = comps[0]
         assert not c.is_loop(1e-9)
         # clipped by the window: one end on x = 2, the other on y = 2.5
-        assert c.pt_start.x == 2.0
-        assert c.pt_end.y == 2.5
+        (x0, _), (_, y1) = c.points[[0, -1]].tolist()
+        assert x0 == 2.0
+        assert y1 == 2.5
 
     def test_endpoints_pinned(self):
-        c = self.trace()[0]
-        assert c.pt_start.y == pytest.approx(1.5328946712709097, abs=1e-12)
-        assert c.pt_end.x == pytest.approx(-0.5924263032484841, abs=1e-12)
+        (_, y0), (x1, _) = self.trace()[0].points[[0, -1]].tolist()
+        assert y0 == pytest.approx(1.5328946712709097, abs=1e-12)
+        assert x1 == pytest.approx(-0.5924263032484841, abs=1e-12)
         # the roots of F(2, y) and F(x, 2.5)
         r2 = math.sqrt(2.0)
-        assert c.pt_start.y == pytest.approx(7 * r2 - math.sqrt(70.0), abs=1e-14)
+        assert y0 == pytest.approx(7 * r2 - math.sqrt(70.0), abs=1e-14)
         b, c0 = 10 * r2 + 3, 8.25 - 15 * r2
-        assert c.pt_end.x == pytest.approx((b - math.sqrt(b * b - 32 * c0)) / 16, abs=1e-14)
+        assert x1 == pytest.approx((b - math.sqrt(b * b - 32 * c0)) / 16, abs=1e-14)
 
     def test_start_is_lexicographically_larger_end(self):
-        c = self.trace()[0]
-        s, e = c.pt_start, c.pt_end
-        assert (s.x, s.y) > (e.x, e.y)
+        start, end = self.trace()[0].points[[0, -1]].tolist()
+        assert start > end
 
     def test_integral_between_endpoints(self):
         c = self.trace()[0]
-        lo, hi = sorted((c.pt_start.x, c.pt_end.x))
+        lo, hi = sorted(c.points[[0, -1], 0].tolist())
         data = c.points
         osh = integrate(IntegrationRequest(data, (lo, hi)))
         cr = integrate(
@@ -454,6 +457,25 @@ def test_trace_makes_no_scalar_libm_call(monkeypatch):
     assert f.passes <= 12 and len(pows) == 2 * f.passes
 
 
+@pytest.mark.parametrize(
+    "text, xrange, yrange, grid, digest",
+    [
+        ("tan(x)-y", (-3, 3), (-2, 2), 200, "d941b29245ca3ea9"),
+        ("1/(x^2+y^2-1)", (-2, 2), (-2, 2), 50, "cddbea8a3ae5fc89"),
+        ("(x^2+y^2-1)/abs(x^2+y^2-1)", (-2, 2), (-2, 2), 50, "4cccf25c6a88cb35"),
+    ],
+)
+def test_pole_and_jump_edges_stop_early(text, xrange, yrange, grid, digest):
+    # |f| stops falling after the first steps at a pole or jump, and each
+    # such edge ran all MAX_STEPS steps (102 passes at the poles, 63 at
+    # the jump) before STALL_STEPS ended it; the vertices stay the same
+    f = _CountingFn(compile_fn(parse_equation(text), ("x", "y")))
+    comps = trace_zero_set(f, TraceConfig(xrange, yrange, grid))
+    assert f.passes <= 10
+    vertices = b"".join(b for c in _bits(comps) for b in c)
+    assert hashlib.sha256(vertices).hexdigest()[:16] == digest
+
+
 # ---------------------------------------------------------------------------
 # the scalar reference for the batched trace
 
@@ -497,9 +519,10 @@ def reference_crossing(
         return ta < t < tb  # false for NaN
 
     # the secant point of [ta, tb], else its midpoint; the first secant
-    # point is the linear interpolation guess.  Keep the best point seen.
+    # point is the linear interpolation guess.  Keep the best point seen,
+    # and stop after STALL_STEPS steps in a row that did not better it.
     ta, fa, tb, fb, kept = 0.0, f1, 1.0, f2, None
-    t_best, f_best = 0.5, math.inf
+    t_best, f_best, stale = 0.5, math.inf, 0
     tm = f1 / (f1 - f2)
     for _ in range(MAX_STEPS):
         if not inside(tm):
@@ -511,8 +534,10 @@ def reference_crossing(
         except DomainError:
             break
         if abs(fm) < f_best:
-            t_best, f_best = tm, abs(fm)
-        if f_best <= tol:
+            t_best, f_best, stale = tm, abs(fm), 0
+        else:
+            stale += 1
+        if f_best <= tol or stale == STALL_STEPS:
             break
         if math.copysign(1.0, fm) != math.copysign(1.0, fa):
             if kept == "a":

@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from splinefig import render
-from splinefig.geom import Point2, Polyline
+from scalar_reference import Point2
+from splinefig.geom import Polyline
 from splinefig.render import (
     CM_TO_PX,
     DISC_DIAMETER,

@@ -1,31 +1,22 @@
 import math
-from itertools import starmap
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from splinefig.geom import CubicBezier, Point2, bezier_derivative, bezier_eval
-from splinefig.spline import (
-    DegenerateGeometryError,
-    SplineMethod,
-    build_spline,
+from scalar_reference import (
+    Point2,
     control_points_cr,
     control_points_oshima,
     oshima_coefficient,
+    point_at,
+    control_rows,
+    vertices,
 )
+from splinefig.calculus import _velocity
+from splinefig.spline import DegenerateGeometryError, SplineMethod, build_spline
 
 # closed diamond data used by the ellipse-style anchors below
 QUAD = [Point2(3, 0), Point2(0, 2), Point2(-3, 0), Point2(0, -2)]
-
-
-def beziers(sp) -> list[CubicBezier]:
-    """The spline's control-array rows as CubicBezier segments."""
-    return [CubicBezier(*starmap(Point2, row)) for row in sp.ctrl.tolist()]
-
-
-def vertices(poly) -> list[Point2]:
-    """The polyline's vertex rows as Point2s."""
-    return list(starmap(Point2, poly.points.tolist()))
 
 
 def circle_points(n: int, r: float = 1.0, phase: float = 0.0) -> list[Point2]:
@@ -119,14 +110,14 @@ class TestBuildSpline:
         pts = [Point2(0, 0), Point2(1, 2), Point2(3, 1), Point2(4, -1)]
         for method in SplineMethod:
             sp = build_spline(pts, method=method, closed=False)
-            for k, seg in enumerate(beziers(sp)):
-                assert bezier_eval(seg, 0.0).dist(pts[k]) < 1e-12
-                assert bezier_eval(seg, 1.0).dist(pts[k + 1]) < 1e-12
+            for k, seg in enumerate(control_rows(sp)):
+                assert point_at(seg, 0.0).dist(pts[k]) < 1e-12
+                assert point_at(seg, 1.0).dist(pts[k + 1]) < 1e-12
 
     def test_two_points_is_a_straight_segment(self):
         sp = build_spline([Point2(0, 0), Point2(2, 2)], closed=False)
         assert len(sp.segments) == 1
-        mid = bezier_eval(beziers(sp)[0], 0.25)
+        mid = point_at(control_rows(sp)[0], 0.25)
         assert abs(mid.x - mid.y) < 1e-12
 
     def test_collinear_open_data_stays_collinear(self):
@@ -156,14 +147,14 @@ class TestBuildSpline:
     def test_cr_quad_samples(self):
         # closed diamond, first segment, pinned dense-sample values
         sp = build_spline(QUAD, method=SplineMethod.CATMULL_ROM, closed=True)
-        p = bezier_eval(beziers(sp)[0], 0.1)
+        p = point_at(control_rows(sp)[0], 0.1)
         assert (p.x, p.y) == pytest.approx((2.943, 0.218), abs=1e-12)
-        p = bezier_eval(beziers(sp)[0], 0.5)
+        p = point_at(control_rows(sp)[0], 0.5)
         assert (p.x, p.y) == pytest.approx((1.875, 1.25), abs=1e-12)
 
     def test_oshima_quad_samples(self):
         sp = build_spline(QUAD, method=SplineMethod.OSHIMA, closed=True)
-        p = bezier_eval(beziers(sp)[0], 0.1)
+        p = point_at(control_rows(sp)[0], 0.1)
         assert p.x == pytest.approx(2.96162, abs=1e-5)
         assert p.y == pytest.approx(0.32972, abs=1e-5)
 
@@ -173,8 +164,8 @@ class TestBuildSpline:
         assert len(pl.points) == 41
         assert pl.is_loop()
         # a closed chain's joints are its segments' start points
-        assert [seg.p0 for seg in beziers(sp)] == QUAD
-        assert [seg.p1 for seg in beziers(sp)] == QUAD[1:] + QUAD[:1]
+        assert [seg[0] for seg in control_rows(sp)] == QUAD
+        assert [seg[3] for seg in control_rows(sp)] == QUAD[1:] + QUAD[:1]
 
 
 class TestCircleFidelity:
@@ -211,9 +202,9 @@ def test_property_interpolation(pairs, closed, method):
     pts = [Point2(x, y) for x, y in pairs]
     sp = build_spline(pts, method=method, closed=closed)
     data = pts + [pts[0]] if closed else pts
-    for k, seg in enumerate(beziers(sp)):
-        assert bezier_eval(seg, 0.0).dist(data[k]) < 1e-9
-        assert bezier_eval(seg, 1.0).dist(data[k + 1]) < 1e-9
+    for k, seg in enumerate(control_rows(sp)):
+        assert point_at(seg, 0.0).dist(data[k]) < 1e-9
+        assert point_at(seg, 1.0).dist(data[k + 1]) < 1e-9
 
 
 @settings(max_examples=40, deadline=None)
@@ -222,10 +213,10 @@ def test_property_g1_joints(pairs, method):
     # tangent directions agree where segments meet
     pts = [Point2(x, y) for x, y in pairs]
     sp = build_spline(pts, method=method, closed=True)
-    segs = beziers(sp)
+    segs = control_rows(sp)
     for k in range(len(segs)):
-        a = bezier_derivative(segs[k], 1.0)
-        b = bezier_derivative(segs[(k + 1) % len(segs)], 0.0)
+        a = Point2(*_velocity(segs[k], 1.0))
+        b = Point2(*_velocity(segs[(k + 1) % len(segs)], 0.0))
         na, nb = a.norm(), b.norm()
         if na < 1e-9 or nb < 1e-9:
             continue

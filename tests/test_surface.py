@@ -6,20 +6,14 @@ import math
 import struct
 import time
 import tracemalloc
-from itertools import count, starmap
+from itertools import count
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from splinefig.geom import (
-    CubicBezier,
-    Point2,
-    Polyline,
-    bezier_bbox,
-    bezier_eval,
-    bezier_subdivide,
-)
+from scalar_reference import Point2, control_rows, point_at, vertices
+from splinefig.geom import Polyline, split
 from splinefig import surface
 from splinefig.render import Style, emit_latex
 from splinefig.expr import DomainError, compile_fn, steps
@@ -28,7 +22,7 @@ from splinefig.surface import (
     REFINE_WINDOW,
     _halves,
     _jacobian_fn,
-    _locate_param,
+    _locate_params,
     _piece,
     _segment_feet,
     OcclusionTester,
@@ -66,16 +60,6 @@ def mobius() -> ParametricSurface:
         (-0.4, 0.4),
         (0.0, 2 * math.pi),
     )
-
-
-def vertices(poly: Polyline) -> list[Point2]:
-    """The polyline's vertex rows as Point2s."""
-    return list(starmap(Point2, poly.points.tolist()))
-
-
-def beziers(sp) -> list[CubicBezier]:
-    """The spline's control-array rows as CubicBezier segments."""
-    return [CubicBezier(*starmap(Point2, row)) for row in sp.ctrl.tolist()]
 
 
 def closest_pair(a: Polyline, b: Polyline) -> tuple[int, int]:
@@ -525,7 +509,7 @@ class TestIntersectProjected:
         res = intersect_projected(a, b)
         assert len(res.crossings) == 1
         c = res.crossings[0]
-        assert c.point.dist(Point2(0.123, 0.0)) < 1e-12
+        assert Point2(0.123, 0.0).dist(c.point) < 1e-12
         assert not res.contacts
 
     def test_parallel_lines(self):
@@ -566,7 +550,7 @@ class TestIntersectProjected:
                     brute.append(hit)
         assert len(res.crossings) == len(brute)
         for c in res.crossings:
-            assert min(c.point.dist(k) for k in brute) < 1e-9
+            assert min(k.dist(c.point) for k in brute) < 1e-9
 
     def test_tangent_circles_report_contact(self):
         # externally tangent at the origin; no transversal crossing
@@ -575,8 +559,8 @@ class TestIntersectProjected:
         b = Polyline(tuple(Point2(-1 + math.cos(x), math.sin(x)) for x in t))
         res = intersect_projected(a, b)
         assert res.contacts
-        site = min(res.contacts, key=lambda s: s.point.norm())
-        assert site.point.norm() < 0.05
+        site = min(res.contacts, key=lambda s: math.hypot(*s.point))
+        assert math.hypot(*site.point) < 0.05
 
     @pytest.mark.parametrize(
         "a, b, want",
@@ -602,7 +586,7 @@ class TestIntersectProjected:
             Polyline(tuple(Point2(*p) for p in a)),
             Polyline(tuple(Point2(*p) for p in b)),
         )
-        assert [(c.point.x, c.point.y) for c in res.crossings] == want
+        assert [c.point for c in res.crossings] == want
         assert not res.contacts
 
     def test_self_intersection(self):
@@ -613,7 +597,7 @@ class TestIntersectProjected:
         )
         res = intersect_projected(fig8, fig8)
         assert len(res.crossings) == 1
-        assert res.crossings[0].point.norm() < 1e-9
+        assert math.hypot(*res.crossings[0].point) < 1e-9
 
 
 class TestRefineContact:
@@ -623,7 +607,7 @@ class TestRefineContact:
         i, j = closest_pair(a, b)
         rc = refine_contact(a, b, i, j)
         assert rc.refined
-        assert rc.point.dist(Point2(0, 0)) < 1e-9
+        assert math.hypot(*rc.point) < 1e-9
 
     def test_tangent_circles(self):
         t = np.linspace(0, 2 * math.pi, 720)
@@ -632,7 +616,7 @@ class TestRefineContact:
         i, j = closest_pair(a, b)
         rc = refine_contact(a, b, i, j)
         assert rc.refined
-        assert rc.point.dist(Point2(0, 0)) < 1e-6
+        assert math.hypot(*rc.point) < 1e-6
 
     def test_refined_point_is_near_both_windows(self):
         t = np.linspace(0, 2 * math.pi, 720)
@@ -641,8 +625,8 @@ class TestRefineContact:
         i, j = closest_pair(a, b)
         rc = refine_contact(a, b, i, j, tol=1e-7)
         if rc.refined:
-            da = min(rc.point.dist(p) for p in vertices(a))
-            db = min(rc.point.dist(p) for p in vertices(b))
+            da = min(p.dist(rc.point) for p in vertices(a))
+            db = min(p.dist(rc.point) for p in vertices(b))
             # within a vertex spacing of both curves
             assert da < 0.02 and db < 0.02
 
@@ -712,12 +696,7 @@ def _reference_window_pieces(poly: Polyline, center: int, window: int):
     if len(pts) < 2:
         return None
     sp = build_spline(pts, method=SplineMethod.OSHIMA, closed=False)
-    return [
-        _reference_piece(
-            s.p0.x, s.p0.y, s.c0.x, s.c0.y, s.c1.x, s.c1.y, s.p1.x, s.p1.y
-        )
-        for s in beziers(sp)
-    ]
+    return [_reference_piece(*_flat(row)) for row in control_rows(sp)]
 
 
 def _reference_closest_fit_point(pieces_a, pieces_b, seed: Point2, tol: float):
@@ -868,9 +847,9 @@ def _fit_distance(poly: Polyline, center: int, window: int, q: Point2) -> float:
     """
     pts = vertices(poly)[max(0, center - window) : center + window + 1]
     best = math.inf
-    for seg in beziers(build_spline(pts, method=SplineMethod.OSHIMA, closed=False)):
+    for seg in control_rows(build_spline(pts, method=SplineMethod.OSHIMA, closed=False)):
         def d(t: float) -> float:
-            return bezier_eval(seg, t).dist(q)
+            return point_at(seg, t).dist(q)
 
         t = min((k / 64 for k in range(65)), key=d)
         lo, hi = max(0.0, t - 1 / 64), min(1.0, t + 1 / 64)
@@ -917,7 +896,7 @@ def test_property_refine_contact_agrees_with_the_reference(pair):
     got = refine_contact(a, b, i, j, window, tol)
     ref = reference_refine_contact(a, b, i, j, window, tol)
     if not (got.refined or ref.refined):
-        assert _bits(got.point.as_tuple()) == _bits(ref.point.as_tuple())
+        assert _bits(got.point) == _bits(ref.point)
     if kind == "overlap":
         # any point of the overlap is an answer
         if got.refined:
@@ -926,7 +905,7 @@ def test_property_refine_contact_agrees_with_the_reference(pair):
         return
     assert got.refined == ref.refined
     if got.refined and kind != "far":
-        assert got.point.dist(ref.point) <= 10 * tol
+        assert ref.point.dist(got.point) <= 10 * tol
 
 
 def _scene_sites(
@@ -1003,8 +982,15 @@ def _bits(xs) -> list[bytes]:
     return [struct.pack("<d", x) for x in xs]
 
 
-def _flat(b: CubicBezier) -> tuple[float, ...]:
-    return (b.p0.x, b.p0.y, b.c0.x, b.c0.y, b.c1.x, b.c1.y, b.p1.x, b.p1.y)
+def _flat(row) -> tuple[float, ...]:
+    """A control row's coordinates, x0, y0, ..., x3, y3."""
+    return tuple(c for p in row for c in p)
+
+
+def _box(row) -> tuple[float, ...]:
+    """The control points' box (xmin, ymin, xmax, ymax) by min and max."""
+    xs, ys = [x for x, _ in row], [y for _, y in row]
+    return (min(xs), min(ys), max(xs), max(ys))
 
 
 # control coordinates: the extremes the kernel must carry through
@@ -1012,19 +998,18 @@ def _flat(b: CubicBezier) -> tuple[float, ...]:
 control = st.sampled_from(
     [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300]
 ) | st.floats(-1e300, 1e300)
-cubic = st.builds(
-    CubicBezier, *(st.builds(Point2, control, control) for _ in range(4))
-)
+cubic = st.lists(st.tuples(control, control), min_size=4, max_size=4)
 
 
 @settings(max_examples=300, deadline=None)
 @given(cubic)
 def test_flat_kernel_matches_bezier_subdivide_bit_for_bit(b):
-    # a piece: control coordinates and bezier_bbox's box, bit for bit,
-    # then the box diagonal, then two empty slots for its halves
+    # a piece: control coordinates and their box, bit for bit, then the
+    # box diagonal, then two empty slots for its halves; its halves are
+    # geom.split's
     piece = _piece(*_flat(b))
-    for got, ref in [(piece, b), *zip(_halves(piece), bezier_subdivide(b, 0.5))]:
-        assert _bits(got[:12]) == _bits(_flat(ref) + bezier_bbox(ref))
+    for got, ref in [(piece, b), *zip(_halves(piece), split(b, 0.5))]:
+        assert _bits(got[:12]) == _bits(_flat(ref) + _box(ref))
         diagonal = math.hypot(got[10] - got[8], got[11] - got[9])
         assert _bits(got[12:13]) == _bits([diagonal])
         assert got[13:] == [None, None]
@@ -1084,8 +1069,13 @@ def test_locate_param_matches_the_scalar_loop(chain, q):
     chain = [p for k, p in enumerate(chain) if k == 0 or p != chain[k - 1]]
     assume(len(chain) >= 2)
     poly = Polyline(tuple(chain))
-    param, dist = _locate_param(poly, q)
+    params, dists = _locate_params(poly, np.array([q, *chain]))
+    param, dist = float(params[0]), float(dists[0])
     ref_param, ref_dist = _locate_param_loop(poly, q)
+    # located together or one at a time, each point gets the same bits
+    for k, p in enumerate([q, *chain]):
+        one_param, one_dist = _locate_params(poly, np.array([p]))
+        assert _bits([params[k], dists[k]]) == _bits([one_param[0], one_dist[0]])
     assert math.isclose(dist, ref_dist, rel_tol=1e-12)
     if param != ref_param:
         # only a tie may differ: a chain that passes the nearest point
@@ -1299,7 +1289,7 @@ class TestContactDemo:
     def test_refinement_beats_the_cluster(self):
         res = contact_demo(math.radians(60), math.radians(25))
         assert res.refined_ok
-        err = res.refined.dist(res.analytic)
+        err = Point2(*res.refined).dist(res.analytic)
         assert err < 1e-6
         assert res.cluster_spread > err
         assert res.crossings >= 1
@@ -1308,10 +1298,10 @@ class TestContactDemo:
         res = contact_demo(math.radians(60), math.radians(25))
         phi = math.radians(25)
         t = math.tan(phi)
-        x = res.analytic.x
-        y = (t / 2) * math.sin(phi) + (4 - t * t / 4) * math.cos(phi) \
+        x, y = res.analytic
+        want = (t / 2) * math.sin(phi) + (4 - t * t / 4) * math.cos(phi) \
             - math.cos(phi) * x * x
-        assert res.analytic.y == pytest.approx(y, abs=1e-9)
+        assert y == pytest.approx(want, abs=1e-9)
 
     def test_analytic_point_is_a_reference_only_on_the_drawn_axis(self):
         assert contact_demo(math.radians(60), math.radians(25)).analytic_drawn
@@ -1321,7 +1311,7 @@ class TestContactDemo:
         )
         # the root lies on the outline, past the axis end y = 4 at Y = 4 sin(phi)
         assert not res.analytic_drawn
-        assert res.analytic.y > 4 * math.sin(phi)
+        assert res.analytic[1] > 4 * math.sin(phi)
 
     def test_analytic_root_of_a_steep_axis(self):
         # at theta = -90 degrees the projected y axis has slope about
@@ -1331,6 +1321,6 @@ class TestContactDemo:
         t = math.tan(phi)
         c0 = (t / 2) * math.sin(phi) + (4 - t * t / 4) * math.cos(phi)
         slope = -math.tan(theta) * math.sin(phi)
-        x = res.analytic.x
+        x = res.analytic[0]
         assert x > 0.0
         assert abs(math.cos(phi) * x * x + slope * x - c0) <= 1e-12 * abs(c0)
