@@ -143,8 +143,10 @@ def _oshima_columns(ext: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norm = n1 * n2
     cos_theta = (x1 * x2 + y1 * y2) / norm
     # tiny chords: the product underflows, the unit chords' does not
-    tiny = norm == 0.0
-    cos_theta[tiny] = ((x1 / n1) * (x2 / n2) + (y1 / n1) * (y2 / n2))[tiny]
+    tiny = np.flatnonzero(norm == 0.0)
+    if tiny.size:
+        (ux1, uy1), (ux2, uy2) = (chords[tiny + k].T / norms[tiny + k] for k in (0, 1))
+        cos_theta[tiny] = ux1 * ux2 + uy1 * uy2
     # exactly one chord zero: theta is taken as 0; NaN clamps to 1 too
     cos_theta[(n1 == 0.0) | (n2 == 0.0) | np.isnan(cos_theta)] = 1.0
     cos_theta = np.clip(cos_theta, -1.0, 1.0)

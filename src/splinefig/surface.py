@@ -65,6 +65,7 @@ OCCLUSION_SEEDS = 32  # seed grid cells per parameter direction
 CONTACT_TOL = 0.02  # closest approach that flags a contact site
 REFINE_WINDOW = 6  # vertices each side of a contact site in its spline fit
 REFINE_TOL = 1e-7  # box diagonal at which refinement accepts a point
+FEET_BLOCK = 1 << 16  # point-segment pairs per _segment_feet call in _locate_params
 
 
 class SurfaceError(ValueError):
@@ -696,11 +697,20 @@ def _locate_params(
     poly: Polyline, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The nearest param on the polyline of each of the points (n, 2),
-    and its distance: the first nearest segment's foot."""
-    t, dist = _segment_feet(points, poly.points)
-    rows = np.arange(len(points))
-    i = np.argmin(dist, axis=1)
-    return i + t[rows, i], dist[rows, i]
+    and its distance: the first nearest segment's foot.
+
+    The points go in blocks of about FEET_BLOCK point-segment pairs, so
+    many cuts on a long curve take bounded temporaries.
+    """
+    size = max(1, FEET_BLOCK // len(poly.points))
+    params, dists = [], []
+    for block in np.split(points, range(size, len(points), size)):
+        t, dist = _segment_feet(block, poly.points)
+        rows = np.arange(len(block))
+        i = np.argmin(dist, axis=1)
+        params.append(i + t[rows, i])
+        dists.append(dist[rows, i])
+    return np.concatenate(params), np.concatenate(dists)
 
 
 class OcclusionTester:

@@ -1086,6 +1086,19 @@ def test_locate_param_matches_the_scalar_loop(chain, q):
         assert math.isclose(seg_dist, ref_dist, rel_tol=1e-12)
 
 
+def test_locate_params_in_blocks_gives_the_same_bits(monkeypatch):
+    rng = np.random.default_rng(7)
+    poly = Polyline(rng.random((40, 2)))
+    points = rng.random((25, 2))
+    whole = _locate_params(poly, points)
+    # 100 pairs over 40 vertices: blocks of 2 points, the last of 1
+    monkeypatch.setattr(surface, "FEET_BLOCK", 100)
+    blocks = _locate_params(poly, points)
+    for a, b in zip(whole, blocks):
+        assert len(a) == len(points) and _bits(a) == _bits(b)
+    assert [len(a) for a in _locate_params(poly, np.empty((0, 2)))] == [0, 0]
+
+
 @pytest.mark.parametrize(
     "chain, q, t, dist",
     [
