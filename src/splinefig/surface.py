@@ -697,20 +697,15 @@ def _locate_params(
     poly: Polyline, points: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The nearest param on the polyline of each of the points (n, 2),
-    and its distance: the first nearest segment's foot.
-
-    The points go in blocks of about FEET_BLOCK point-segment pairs, so
-    many cuts on a long curve take bounded temporaries.
-    """
+    and its distance: the first nearest segment's foot, found in blocks
+    of about FEET_BLOCK point-segment pairs to bound the temporaries."""
     size = max(1, FEET_BLOCK // len(poly.points))
-    params, dists = [], []
+    found = []
     for block in np.split(points, range(size, len(points), size)):
         t, dist = _segment_feet(block, poly.points)
-        rows = np.arange(len(block))
-        i = np.argmin(dist, axis=1)
-        params.append(i + t[rows, i])
-        dists.append(dist[rows, i])
-    return np.concatenate(params), np.concatenate(dists)
+        i, rows = np.argmin(dist, axis=1), np.arange(len(block))
+        found.append((i + t[rows, i], dist[rows, i]))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 class OcclusionTester:
