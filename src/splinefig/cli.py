@@ -29,7 +29,7 @@ from .calculus import (
     integrate,
     tangent_line,
 )
-from .expr import Const, ExprError, compile_fn, evaluate, free_vars, parse, steps
+from .expr import Const, ExprError, Neg, compile_fn, evaluate, free_vars, parse, steps
 from .geom import PointFileError, Polyline, drop_repeats, load_points
 from .implicit import MAX_GRID, TraceConfig, TraceError, parse_equation, trace_implicit
 from .render import (
@@ -45,10 +45,11 @@ from .spline import DegenerateGeometryError, SplineMethod, build_spline
 
 # the largest --num, `.surf` and `contact-demo` samples, and vertex count
 # of a `spline` figure: at ten times these, the sampled points of
-# `integrate`, the pairwise work of a surface scene and a spline figure
-# (324 MB at 10^6 vertices) outgrow 1 GB of memory
+# `integrate`, a spline figure (324 MB at 10^6 vertices) and the vertex
+# pairs near a surface scene's crossings (README paraboloid: 108 MB at
+# 10^4 samples, over 2 GB at 10^5) outgrow 1 GB of memory
 MAX_NUM = 10**6
-MAX_SAMPLES = 1000
+MAX_SAMPLES = 10**4
 MAX_VERTICES = 10**6
 # every `.surf` key; the first five are required
 SURF_KEYS = (
@@ -81,10 +82,12 @@ def _reported() -> tuple[type[Exception], ...]:
 
 def _const(text: str) -> float:
     """A constant; pi, e and arithmetic are fine.  A literal that parses
-    to a finite number is its own value, with no program compiled."""
+    to a finite number, or its negation, is its own value (-0 is -0.0),
+    with no program compiled."""
     node = parse(text)
-    if isinstance(node, Const) and math.isfinite(node.value):
-        return node.value
+    literal = node.arg if isinstance(node, Neg) else node
+    if isinstance(literal, Const) and math.isfinite(literal.value):
+        return literal.value if literal is node else -literal.value
     if free_vars(node):
         raise ExprError(f"{text!r} is not a constant")
     return evaluate(node, {})

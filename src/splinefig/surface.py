@@ -15,9 +15,10 @@ Larger depth means nearer the eye.  The drawing pipeline:
  2. intersect each projected curve with the projected outline curves,
     and refine each near-tangential contact to where local spline fits
     of the two curves cross or come closest (refine_contact);
- 3. cut the curves at those points and decide each interval's
-    visibility by a depth test at its midpoint (a damped Newton solve
-    finds every surface point covering the midpoint);
+ 3. cut the curves at those points (an outline crossing itself at
+    both passes) and decide each interval's visibility by a depth test
+    at its midpoint (a damped Newton solve finds every surface point
+    covering the midpoint);
  4. emit visible intervals solid and hidden ones dashed (or drop them).
 
 Everything is deterministic; the per-curve work items are independent
@@ -65,7 +66,7 @@ OCCLUSION_SEEDS = 32  # seed grid cells per parameter direction
 CONTACT_TOL = 0.02  # closest approach that flags a contact site
 REFINE_WINDOW = 6  # vertices each side of a contact site in its spline fit
 REFINE_TOL = 1e-7  # box diagonal at which refinement accepts a point
-FEET_BLOCK = 1 << 16  # point-segment pairs per _segment_feet call in _locate_params
+FEET_BLOCK = 1 << 16  # pairs per block in _locate_params and _near_pairs
 
 
 class SurfaceError(ValueError):
@@ -308,9 +309,15 @@ def project_curve(curve: SpaceCurve, proj: Projection) -> Polyline | None:
 
 @dataclass(frozen=True)
 class Crossing:
+    """A point where polylines a and b meet, on segment ia of a and ib
+    of b; params are its cut parameters on a and on b (vertex index +
+    fraction).  A contact site's point is the midpoint of its closest
+    approach, and its params are those of the approach's two ends."""
+
     point: tuple[float, float]
     ia: int
     ib: int
+    params: tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -324,25 +331,27 @@ def _pow2_scale(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, np.frexp(np.maximum(np.abs(x), np.abs(y)))[1] - 1)
 
 
-def _segment_feet(
-    points: np.ndarray, chain: np.ndarray
+def _feet(
+    p: np.ndarray, a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Feet of points (n, 2) on the segments of chain (m, 2).
+    """Feet of the points p on the segments a -> b, rows (..., 2) that
+    broadcast against each other.
 
     Returns the clamped segment fractions t and the distances to the
-    feet, both of shape (n, m - 1); a zero-length segment has t = 0.
-    Each segment, and each point's offset from its foot, is divided by
-    a power of two (exactly) before it is squared, so no square under-
-    or overflows; where none did unscaled, t and the distance are bit
-    for bit those of the unscaled formulas.
+    feet; a zero-length segment has t = 0.  Each segment, and each
+    point's offset from its foot, is divided by a power of two (exactly)
+    before it is squared, so no square under- or overflows; where none
+    did unscaled, t and the distance are bit for bit those of the
+    unscaled formulas.  Every value is computed element by element, so
+    a pair gets the same bits in any batch.
     """
-    bx, by = chain[:-1, 0], chain[:-1, 1]
-    sx, sy = chain[1:, 0] - bx, chain[1:, 1] - by
+    bx, by = a[..., 0], a[..., 1]
+    sx, sy = b[..., 0] - bx, b[..., 1] - by
     scale = _pow2_scale(sx, sy)
     ux, uy = sx / scale, sy / scale
     unit_len2 = ux * ux + uy * uy
     unit_len2[unit_len2 == 0.0] = 1.0
-    px, py = points[:, :1], points[:, 1:]
+    px, py = p[..., 0], p[..., 1]
     # (d . seg) / |seg|^2 = (d . u) / |u|^2 / scale; a ratio past the
     # double range lies far outside [0, 1] and clips like one inside
     with np.errstate(over="ignore"):
@@ -355,36 +364,77 @@ def _segment_feet(
     return t, np.sqrt(ox * ox + oy * oy) * r
 
 
+def _segment_feet(
+    points: np.ndarray, chain: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feet of points (n, 2) on every segment of chain (m, 2): t and the
+    distances, both of shape (n, m - 1)."""
+    return _feet(points[:, None], chain[:-1], chain[1:])
+
+
+def _segment_boxes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The low and high corners of each segment's box, (n - 1, 2) each."""
+    return np.minimum(points[:-1], points[1:]), np.maximum(points[:-1], points[1:])
+
+
+def _near_pairs(
+    alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray, bhi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j), in row-major order, whose closed boxes meet: box i
+    of a spans alo[i] to ahi[i], box j of b blo[j] to bhi[j].
+
+    Sort and sweep (Shamos & Hoey, "Geometric intersection problems",
+    FOCS 1976): with b's boxes sorted by x_min, box i can only meet the
+    run from the first box where the running max of x_max reaches its
+    x_min to the last whose x_min is not past its x_max.  The bounds
+    are compared, never computed, so rounding loses no pair; each
+    candidate then passes the four box tests exactly.  The runs are
+    read in blocks of about FEET_BLOCK pairs, so no temporary holds
+    n × m entries unless that many boxes are candidates.
+    """
+    order = np.argsort(blo[:, 0], kind="stable")
+    start = np.searchsorted(np.fmax.accumulate(bhi[order, 0]), alo[:, 0], "left")
+    stop = np.searchsorted(blo[order, 0], ahi[:, 0], "right")
+    runs = np.maximum(stop - start, 0)
+    ends = np.cumsum(runs)
+    blocks = np.searchsorted(ends, np.arange(FEET_BLOCK, ends[-1], FEET_BLOCK))
+    m = len(blo)
+    found = []
+    for rows in np.split(np.arange(len(alo)), blocks):
+        run = runs[rows]
+        i = np.repeat(rows, run)
+        # the k-th pair of a row sits k places past the row's start in order
+        j = order[np.arange(len(i)) + np.repeat(start[rows] - (np.cumsum(run) - run), run)]
+        hit = (
+            (alo[i, 0] <= bhi[j, 0])
+            & (blo[j, 0] <= ahi[i, 0])
+            & (alo[i, 1] <= bhi[j, 1])
+            & (blo[j, 1] <= ahi[i, 1])
+        )
+        found.append(np.sort(i[hit] * m + j[hit]))
+    return np.divmod(np.concatenate(found), m)
+
+
 def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
     """Transversal crossings of two polylines plus flagged contact sites.
 
     A closest approach below CONTACT_TOL with no crossing nearby, or
     more than 3 crossings inside a 5-vertex window, marks a site for
     refinement.  With a is b the polyline is tested against itself
-    (adjacent segments skipped).
+    (adjacent segments skipped).  Segment pairs come from a sort and
+    sweep of their boxes (_near_pairs), so the work and memory grow
+    with the curves' lengths and the pairs that meet, not with their
+    product.
     """
     self_mode = a is b
     pa = a.points
     pb = b.points
-    a0, a1 = pa[:-1], pa[1:]
-    b0, b1 = pb[:-1], pb[1:]
-    amin = np.minimum(a0, a1)
-    amax = np.maximum(a0, a1)
-    bmin = np.minimum(b0, b1)
-    bmax = np.maximum(b0, b1)
-    overlap = (
-        (amin[:, None, 0] <= bmax[None, :, 0])
-        & (bmin[None, :, 0] <= amax[:, None, 0])
-        & (amin[:, None, 1] <= bmax[None, :, 1])
-        & (bmin[None, :, 1] <= amax[:, None, 1])
-    )
+    blo, bhi = _segment_boxes(pb)
+    cand_i, cand_j = _near_pairs(*_segment_boxes(pa), blo, bhi)
     if self_mode:
-        n = len(a0)
-        idx = np.arange(n)
-        near_diag = np.abs(idx[:, None] - idx[None, :]) <= 1
-        overlap &= ~near_diag
-        overlap &= idx[:, None] < idx[None, :]
-    cand_i, cand_j = np.nonzero(overlap)
+        # each pair once, and no segment against itself or a neighbour
+        keep = cand_j >= cand_i + 2
+        cand_i, cand_j = cand_i[keep], cand_j[keep]
 
     # the crossing arithmetic runs on Python floats.  Each candidate's
     # three vectors are divided by one power of two that brings their
@@ -415,7 +465,7 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
                 for cx, cy in (c.point for c in crossings)
             ):
                 continue
-            crossings.append(Crossing((x, y), i, j))
+            crossings.append(Crossing((x, y), i, j, (i + t, j + s)))
 
     contacts: list[Crossing] = []
     # crossings bunched along a few vertices signal a tangential wiggle
@@ -436,28 +486,35 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
         # every local minimum of the vertex-to-segment distance below
         # CONTACT_TOL is a candidate tangency (curves can brush the
         # outline more than once, so the single global closest approach
-        # is not enough)
-        tt, dist = _segment_feet(pa, pb)
-        below = np.argwhere(dist < CONTACT_TOL)
-        sites: list[tuple[float, int, int]] = []
-        for i, j in below.tolist():
-            window = dist[
-                max(0, i - 2) : i + 3, max(0, j - 2) : j + 3
-            ]
-            if dist[i, j] <= window.min():
-                sites.append((float(dist[i, j]), int(i), int(j)))
-        sites.sort()
+        # is not enough).  Distances are taken for the vertex/segment
+        # pairs whose boxes lie within 2*CONTACT_TOL; any other pair is
+        # farther than every site, so it reads as +inf in the 5 x 5
+        # window of vertex i +-2 and segment j +-2
+        pad = 2.0 * CONTACT_TOL
+        vi, sj = _near_pairs(pa - pad, pa + pad, blo, bhi)
+        tt, dist = _feet(pa[vi], pb[sj], pb[sj + 1])
+        below = np.flatnonzero(dist < CONTACT_TOL)
+        m = len(blo)
+        keys = vi * m + sj  # sorted, as the pairs are row-major
+        di, dj = np.mgrid[-2:3, -2:3].reshape(2, 1, 25)
+        ni, nj = vi[below, None] + di, sj[below, None] + dj
+        nk = ni * m + nj
+        at = np.minimum(np.searchsorted(keys, nk), len(keys) - 1)
+        listed = (ni >= 0) & (ni < len(pa)) & (nj >= 0) & (nj < m) & (keys[at] == nk)
+        low = dist[below] <= np.where(listed, dist[at], np.inf).min(axis=1)
+        site = below[low]
+        sites = sorted(zip(*(x[site].tolist() for x in (dist, vi, sj, tt))))
         kept: list[tuple[int, int]] = []
-        for d, i, j in sites:
+        for d, i, j, t in sites:
             if any(abs(i - ki) < 6 and abs(j - kj) < 6 for ki, kj in kept):
                 continue
             if any(abs(c.ia - i) <= 5 and abs(c.ib - j) <= 5 for c in crossings):
                 continue
             kept.append((i, j))
-            (qx, qy), (bx, by), t = vb[j], vb[j + 1], float(tt[i, j])
+            (qx, qy), (bx, by) = vb[j], vb[j + 1]
             fx, fy = qx + t * (bx - qx), qy + t * (by - qy)
             mid = (0.5 * (va[i][0] + fx), 0.5 * (va[i][1] + fy))
-            contacts.append(Crossing(mid, i, j))
+            contacts.append(Crossing(mid, i, j, (float(i), j + t)))
     return IntersectionResult(tuple(crossings), tuple(contacts))
 
 
@@ -842,10 +899,13 @@ def classify_visibility(
     label: str,
     cuts: Sequence[tuple[float, float]],
     tester: OcclusionTester,
+    params: Sequence[float] = (),
 ) -> VisibilityTaggedCurve:
     """Split poly, a `project_curve` result of a curve seen through
-    tester.proj, at the cut points and tag each interval against
-    tester.surface; label names the result.
+    tester.proj, at the cut points and at the cut parameters params,
+    and tag each interval against tester.surface; label names the
+    result.  A cut point is cut at the nearest place on poly, if that
+    is near enough; params are taken as they are.
 
     Visibility is decided at the interval midpoint: the interval is
     hidden when some surface point projects there with strictly larger
@@ -855,15 +915,15 @@ def classify_visibility(
     stays visible and the result's newton_failed is set.
     """
     near = 0.05 * (1.0 + tester.scene_scale)
-    params, dists = _locate_params(poly, np.array(cuts, dtype=float).reshape(-1, 2))
-    params = params[dists <= near].tolist()
+    located, dists = _locate_params(poly, np.array(cuts, dtype=float).reshape(-1, 2))
+    located = located[dists <= near].tolist()
     # arc length at each vertex: a cut within 10*REFINE_TOL along the
     # curve of an end or of the last kept cut would leave a stub interval
     gaps = map(math.hypot, *np.diff(poly.points, axis=0).T.tolist())
     arc = [0.0, *accumulate(gaps)]
     cleaned: list[float] = []
     last = 0.0
-    for p in sorted(params):
+    for p in sorted([*located, *params]):
         i, t = _split_param(poly, p)
         at = arc[i] + (arc[i + 1] - arc[i]) * t
         if min(at - last, arc[-1] - at) > 10.0 * REFINE_TOL:
@@ -982,19 +1042,20 @@ def build_surface_scene(
 
     tester = OcclusionTester(s, proj)
 
-    def cut_points(poly: Polyline) -> list[tuple[float, float]]:
-        pts: list[tuple[float, float]] = []
-        for op in outlines:
-            # op is poly when an outline curve meets itself
-            res = intersect_projected(poly, op)
-            pts.extend(c.point for c in res.crossings)
-            for site in res.contacts:
-                pts.append(refine_contact(poly, op, site.ia, site.ib).point)
-        return pts
-
     def work(item: tuple[str, str, Polyline]) -> VisibilityTaggedCurve:
         _, label, poly = item
-        return classify_visibility(poly, label, cut_points(poly), tester)
+        points: list[tuple[float, float]] = []
+        params: list[float] = []
+        for op in outlines:
+            res = intersect_projected(poly, op)
+            if op is poly:
+                # an outline crossing itself is cut at both passes
+                params.extend(p for c in res.crossings for p in c.params)
+            else:
+                points.extend(c.point for c in res.crossings)
+            for site in res.contacts:
+                points.append(refine_contact(poly, op, site.ia, site.ib).point)
+        return classify_visibility(poly, label, points, tester, params)
 
     with ThreadPoolExecutor() as pool:
         tagged = list(pool.map(work, projected))
@@ -1086,13 +1147,25 @@ def contact_demo(
     # like before refinement
     pa = axis_poly.points
     pb = sil_poly.points
-    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
-    i, j = divmod(int(np.argmin(d2)), d2.shape[1])
-    dmin = math.sqrt(float(d2[i, j]))
-    d = np.sqrt(d2)
+
+    def near(r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The vertex pairs within r of each other on both axes, in row
+        order, and their squared distances."""
+        i, j = _near_pairs(pa - r, pa + r, pb, pb)
+        return i, j, ((pa[i] - pb[j]) ** 2).sum(axis=1)
+
+    r = CONTACT_TOL
+    while not len(d2 := near(r)[2]):
+        r *= 2.0
+    # dmin is at most the closest pair found so far, so every pair within
+    # the cluster's 2 dmin lies well within this radius
+    i, j, d2 = near(2.0 * max(2.0 * math.sqrt(float(d2.min())), 1e-12))
+    k = int(np.argmin(d2))
+    dmin = math.sqrt(float(d2[k]))
     thresh = max(2.0 * dmin, 1e-12)
-    pairs = np.argwhere(d <= thresh)
-    cluster = 0.5 * (pa[pairs[:, 0]] + pb[pairs[:, 1]])
+    close = np.sqrt(d2) <= thresh
+    cluster = 0.5 * (pa[i[close]] + pb[j[close]])
+    i, j = int(i[k]), int(j[k])
 
     rc = refine_contact(axis_poly, sil_poly, i, j, window=window, tol=tol)
 

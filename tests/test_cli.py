@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 import splinefig
 from splinefig import cli, geom, surface
 from splinefig.cli import build_parser, main
+from splinefig.expr import evaluate, parse
 from splinefig.spline import build_spline
 
 CONIC = "8*x^2-4*sqrt(2)*x*y+y^2-3*x-6*sqrt(2)*y+2=0"
@@ -269,6 +270,17 @@ class TestTangent:
         assert main(argv) == 0
         assert capsys.readouterr().out == "point (1.000000,0.841471) slope 0.539402\n"
         assert len(compiled) == 1
+        # so are the negated literals -2 of the ranges
+        compiled.clear()
+        argv = "implicit --fn x^2+y^2=1 --xrange=-2,2 --yrange=-2,2".split()
+        assert main(argv) == 0
+        assert len(compiled) == 1
+
+    @pytest.mark.parametrize("text", ["-2", "-0", "-0.5", "-pi", "--2", "-(2)"])
+    def test_negated_literal_is_the_compiled_value(self, text):
+        want = evaluate(parse(text))
+        got = cli._const(text)
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want))
 
 
 class TestRepeatedRows:
@@ -477,8 +489,10 @@ class TestSurface:
                 for label in labels
             ),
         ]
+        # two of those folds cross themselves, and each self-crossing is
+        # cut at both of its passes
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "fc6a23acec8047a6b7aaf46b128e5fc9dc36bb293c080f99fc18cf31075f45b5"
+            "151e1d9251d5d838a310e1ce6cc4bc99554f5a2a73cca5415caf39606bc7fdbe"
         )
 
     def test_undefined_seed_cells_print_no_numpy_warning(self, tmp_path):
@@ -785,7 +799,7 @@ class TestRefusals:
             # past the bounds, refused before any point or node is made
             "implicit --fn x=y --xrange 0,1 --yrange 0,1 --grid 30000",
             "contact-demo --grid 30000",
-            "contact-demo --samples 1001",
+            "contact-demo --samples 10001",
             "contact-demo --samples 100000",
             # no box diagonal is below a tolerance of 0 or less
             "contact-demo --tol 0",
@@ -822,8 +836,8 @@ class TestRefusals:
         assert captured.out == ""
 
     def test_sample_bounds_are_inclusive(self, capsys, monkeypatch, diamond):
-        assert main(["contact-demo", "--samples", "1000", "--show-config"]) == 0
-        assert "samples = 1000" in capsys.readouterr().out
+        assert main(["contact-demo", "--samples", "10000", "--show-config"]) == 0
+        assert "samples = 10000" in capsys.readouterr().out
         # 3 segments at 10 samples: 31 vertices, at a bound of 31
         monkeypatch.setattr(cli, "MAX_VERTICES", 31)
         argv = ["spline", "--points", diamond, "--format", "csv"]

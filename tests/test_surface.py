@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from scalar_reference import Point2, control_rows, point_at, vertices
-from splinefig.geom import Polyline, split
+from splinefig.geom import Polyline, drop_repeats, split
 from splinefig import surface
 from splinefig.render import Style, emit_latex
 from splinefig.expr import DomainError, compile_fn, steps
@@ -598,6 +598,189 @@ class TestIntersectProjected:
         res = intersect_projected(fig8, fig8)
         assert len(res.crossings) == 1
         assert math.hypot(*res.crossings[0].point) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# intersect_projected against the dense n x m routine it replaced
+
+
+def _reference_segment_feet(points, chain):
+    bx, by = chain[:-1, 0], chain[:-1, 1]
+    sx, sy = chain[1:, 0] - bx, chain[1:, 1] - by
+    scale = surface._pow2_scale(sx, sy)
+    ux, uy = sx / scale, sy / scale
+    unit_len2 = ux * ux + uy * uy
+    unit_len2[unit_len2 == 0.0] = 1.0
+    px, py = points[:, :1], points[:, 1:]
+    with np.errstate(over="ignore"):
+        t = ((px - bx) * ux + (py - by) * uy) / unit_len2 / scale
+    t = np.clip(t, 0.0, 1.0)
+    ox = px - (bx + t * sx)
+    oy = py - (by + t * sy)
+    r = surface._pow2_scale(ox, oy)
+    ox, oy = ox / r, oy / r
+    return t, np.sqrt(ox * ox + oy * oy) * r
+
+
+def reference_intersect(a: Polyline, b: Polyline):
+    """The dense intersect_projected: n x m box masks and distances.
+    Returns (point, ia, ib) of the crossings and of the contacts."""
+    self_mode = a is b
+    pa, pb = a.points, b.points
+    amin, amax = np.minimum(pa[:-1], pa[1:]), np.maximum(pa[:-1], pa[1:])
+    bmin, bmax = np.minimum(pb[:-1], pb[1:]), np.maximum(pb[:-1], pb[1:])
+    overlap = (
+        (amin[:, None, 0] <= bmax[None, :, 0])
+        & (bmin[None, :, 0] <= amax[:, None, 0])
+        & (amin[:, None, 1] <= bmax[None, :, 1])
+        & (bmin[None, :, 1] <= amax[:, None, 1])
+    )
+    if self_mode:
+        idx = np.arange(len(amin))
+        overlap &= np.abs(idx[:, None] - idx[None, :]) > 1
+        overlap &= idx[:, None] < idx[None, :]
+    va, vb = pa.tolist(), pb.tolist()
+    crossings = []
+    for i, j in zip(*(k.tolist() for k in np.nonzero(overlap))):
+        (px, py), (ax, ay) = va[i], va[i + 1]
+        (qx, qy), (bx, by) = vb[j], vb[j + 1]
+        rx, ry, wx, wy = ax - px, ay - py, bx - qx, by - qy
+        dx, dy = qx - px, qy - py
+        big = max(abs(rx), abs(ry), abs(wx), abs(wy), abs(dx), abs(dy))
+        e = -math.frexp(big)[1]
+        sx, sy = math.ldexp(rx, e), math.ldexp(ry, e)
+        ux, uy = math.ldexp(wx, e), math.ldexp(wy, e)
+        ex, ey = math.ldexp(dx, e), math.ldexp(dy, e)
+        denom = sx * uy - sy * ux
+        if denom == 0.0:
+            continue
+        t = (ex * uy - ey * ux) / denom
+        s = (ex * sy - ey * sx) / denom
+        if 0.0 <= t <= 1.0 and 0.0 <= s <= 1.0:
+            x, y = px + t * rx, py + t * ry
+            if any(
+                math.hypot(x - cx, y - cy) <= surface.CROSSING_DEDUP_TOL
+                for (cx, cy), _, _ in crossings
+            ):
+                continue
+            crossings.append(((x, y), i, j))
+    contacts = []
+    used = set()
+    for k, (_, ia, _) in enumerate(crossings):
+        if k in used:
+            continue
+        group = [
+            m for m, d in enumerate(crossings) if abs(d[1] - ia) <= 5 and m not in used
+        ]
+        if len(group) > 3:
+            used.update(group)
+            contacts.append(crossings[group[len(group) // 2]])
+    if not self_mode:
+        tt, dist = _reference_segment_feet(pa, pb)
+        sites = []
+        for i, j in np.argwhere(dist < surface.CONTACT_TOL).tolist():
+            window = dist[max(0, i - 2) : i + 3, max(0, j - 2) : j + 3]
+            if dist[i, j] <= window.min():
+                sites.append((float(dist[i, j]), i, j))
+        kept = []
+        for d, i, j in sorted(sites):
+            if any(abs(i - ki) < 6 and abs(j - kj) < 6 for ki, kj in kept):
+                continue
+            if any(abs(ia - i) <= 5 and abs(ib - j) <= 5 for _, ia, ib in crossings):
+                continue
+            kept.append((i, j))
+            (qx, qy), (bx, by), t = vb[j], vb[j + 1], float(tt[i, j])
+            fx, fy = qx + t * (bx - qx), qy + t * (by - qy)
+            contacts.append(((0.5 * (va[i][0] + fx), 0.5 * (va[i][1] + fy)), i, j))
+    return repr(crossings), repr(contacts)
+
+
+def _answer(res) -> tuple[str, str]:
+    """repr tells -0.0 from 0.0, so equal answers are equal bits."""
+    return tuple(
+        repr([(c.point, c.ia, c.ib) for c in part])
+        for part in (res.crossings, res.contacts)
+    )
+
+
+# shared values give repeated x, vertical and horizontal segments
+_coord = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.sampled_from([-0.5, -0.03, -0.0, 0.0, 0.01, 0.02, 0.25, 0.5]),
+)
+
+
+@st.composite
+def polylines(draw) -> Polyline:
+    rows = draw(st.lists(st.tuples(_coord, _coord), min_size=2, max_size=40))
+    if draw(st.booleans()):
+        # one very long segment
+        far = draw(st.sampled_from([-40.0, 40.0, 1e6]))
+        rows.insert(draw(st.integers(0, len(rows))), (far, draw(_coord)))
+    xy = drop_repeats(np.array(rows, dtype=float))
+    assume(len(xy) >= 2)
+    return Polyline(xy)
+
+
+@st.composite
+def curve_pairs(draw) -> tuple[Polyline, Polyline]:
+    a = draw(polylines())
+    kind = draw(st.sampled_from(["other", "self", "same", "reversed", "shifted"]))
+    if kind == "self":
+        return a, a
+    if kind == "same":
+        return a, Polyline(a.points.copy())
+    if kind == "reversed":
+        return a, Polyline(a.points[::-1].copy())
+    if kind == "shifted":
+        shift = draw(st.tuples(*[st.floats(-0.03, 0.03)] * 2))
+        xy = drop_repeats(a.points + shift)
+        assume(len(xy) >= 2)
+        return a, Polyline(xy)
+    return a, draw(polylines())
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=curve_pairs(), block=st.sampled_from([1, 7, 1 << 16]))
+@example(
+    pair=(
+        Polyline(np.array([(0.0, 0.0), (0.0, 1.0), (0.01, 0.0), (0.01, 1.0)])),
+        Polyline(np.array([(0.0, 0.5), (0.02, 0.5), (0.02, 0.51), (50.0, 0.51)])),
+    ),
+    block=1,
+)
+def test_property_intersect_matches_the_dense_reference(pair, block):
+    a, b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "FEET_BLOCK", block)
+        got = intersect_projected(a, b)
+    assert _answer(got) == reference_intersect(a, b)
+
+
+@st.composite
+def box_sets(draw):
+    def boxes(n):
+        pairs = st.lists(st.tuples(_coord, _coord), min_size=2 * n, max_size=2 * n)
+        corners = np.array(draw(pairs))
+        return np.minimum(corners[:n], corners[n:]), np.maximum(corners[:n], corners[n:])
+
+    return (*boxes(draw(st.integers(1, 30))), *boxes(draw(st.integers(1, 30))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(boxes=box_sets(), block=st.integers(1, 60))
+def test_property_near_pairs_are_the_dense_box_overlaps(boxes, block):
+    alo, ahi, blo, bhi = boxes
+    dense = np.nonzero(
+        (alo[:, None, 0] <= bhi[None, :, 0])
+        & (blo[None, :, 0] <= ahi[:, None, 0])
+        & (alo[:, None, 1] <= bhi[None, :, 1])
+        & (blo[None, :, 1] <= ahi[:, None, 1])
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "FEET_BLOCK", block)
+        got = surface._near_pairs(alo, ahi, blo, bhi)
+    assert [k.tolist() for k in got] == [k.tolist() for k in dense]
 
 
 class TestRefineContact:
@@ -1223,12 +1406,12 @@ class TestSceneStructure:
         delay = {"boundary:u=2": 0.3, "wire:v=3.14159": 0.1}
         real = surface.classify_visibility
 
-        def failing_late(poly, label, cuts, tester):
+        def failing_late(poly, label, cuts, tester, params):
             time.sleep(delay.get(label, 0.0))
             if label in delay:
                 tester = copy.copy(tester)
                 tester.covers = lambda q: ([], 1)  # candidate cells, no root
-            return real(poly, label, cuts, tester)
+            return real(poly, label, cuts, tester, params)
 
         monkeypatch.setattr(surface, "classify_visibility", failing_late)
         cfg = SceneConfig(wires_v=(0.0, math.pi), grid=80, samples=60)
@@ -1242,6 +1425,41 @@ class TestSceneStructure:
         ]
         assert failed == ["boundary:u=2", "wire:v=3.14159"]
         assert logged == failed
+
+    def test_self_crossing_outline_is_cut_at_both_passes(self):
+        # this torus silhouette crosses itself at segment pairs (8, 85)
+        # and (162, 239); locating each crossing point on the nearest
+        # segment once cut it at 8.912 and 239.088 only
+        torus = ParametricSurface.from_strings(
+            "(2+cos(u))*cos(v)",
+            "(2+cos(u))*sin(v)",
+            "sin(u)",
+            (0.0, 2 * math.pi),
+            (0.0, 2 * math.pi),
+        )
+        view = Projection(math.radians(45), math.radians(40))
+        _, report = build_surface_scene(torus, view, SceneConfig(axes=False))
+        outline = report.silhouettes[0]
+        assert outline.label == "silhouette:0"
+        res = intersect_projected(outline.polyline, outline.polyline)
+        assert [(c.ia, c.ib) for c in res.crossings] == [(8, 85), (162, 239)]
+        assert outline.cuts == tuple(p for c in res.crossings for p in c.params)
+        assert [round(c, 3) for c in outline.cuts] == [8.912, 85.088, 162.912, 239.088]
+        # the stretch between the passes' second and third cut is in front,
+        # as a depth test at its vertices 86 to 162 finds it
+        assert outline.hidden == (True, True, False, True, True)
+
+    def test_readme_scene_memory_grows_linearly_with_samples(self):
+        # at samples = 1000 the n x m box masks and distance arrays of
+        # every curve pair peaked at 198 MB of traced memory
+        cfg = SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6)), samples=1000)
+        tracemalloc.start()
+        try:
+            build_surface_scene(paraboloid_surface(), VIEW, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_mobius_full_band_renders(self):
         scene, report = build_surface_scene(mobius(), VIEW, SceneConfig())
@@ -1306,6 +1524,25 @@ class TestContactDemo:
         assert err < 1e-6
         assert res.cluster_spread > err
         assert res.crossings >= 1
+
+    @pytest.mark.parametrize(
+        "theta, phi, samples", [(60, 25, 100), (60, 25, 7), (-90, 25, 300), (30, 10, 1000)]
+    )
+    def test_closest_pair_and_cluster_are_the_dense_ones(self, theta, phi, samples):
+        # the n x m vertex-pair matrix the demo once built, as reference
+        proj = Projection(math.radians(theta), math.radians(phi))
+        sil = max(silhouette(paraboloid_surface(), proj, 200), key=lambda c: len(c.xyz))
+        axis = np.zeros((samples + 1, 3))
+        axis[:, 1] = steps(-4.0, 4.0, samples)
+        pa = project_curve(SpaceCurve(axis, None, "axis:y"), proj)
+        pb = project_curve(sil, proj)
+        d2 = ((pa.points[:, None, :] - pb.points[None, :, :]) ** 2).sum(axis=2)
+        i, j = divmod(int(np.argmin(d2)), d2.shape[1])
+        pairs = np.argwhere(np.sqrt(d2) <= max(2.0 * math.sqrt(float(d2[i, j])), 1e-12))
+        cluster = 0.5 * (pa.points[pairs[:, 0]] + pb.points[pairs[:, 1]])
+        res = contact_demo(math.radians(theta), math.radians(phi), samples=samples)
+        assert _bits(res.cluster.ravel()) == _bits(cluster.ravel())
+        assert res.refined == refine_contact(pa, pb, i, j).point
 
     def test_analytic_point_on_the_outline_parabola(self):
         res = contact_demo(math.radians(60), math.radians(25))
