@@ -45,9 +45,10 @@ from .spline import DegenerateGeometryError, SplineMethod, build_spline
 
 # the largest --num, `.surf` and `contact-demo` samples, and vertex count
 # of a `spline` figure: at ten times these, the sampled points of
-# `integrate`, a spline figure (324 MB at 10^6 vertices) and the vertex
-# pairs near a surface scene's crossings (README paraboloid: 108 MB at
-# 10^4 samples, over 2 GB at 10^5) outgrow 1 GB of memory
+# `integrate` and a spline figure (324 MB at 10^6 vertices) outgrow 1 GB
+# of memory, and a surface scene whose curves run within the contact
+# tolerance of each other takes hours (time grows with samples^2: the
+# README paraboloid scaled by 0.01 takes 160 s at 10^4 samples)
 MAX_NUM = 10**6
 MAX_SAMPLES = 10**4
 MAX_VERTICES = 10**6

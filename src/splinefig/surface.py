@@ -34,7 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, count, pairwise, product, starmap
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -66,7 +66,7 @@ OCCLUSION_SEEDS = 32  # seed grid cells per parameter direction
 CONTACT_TOL = 0.02  # closest approach that flags a contact site
 REFINE_WINDOW = 6  # vertices each side of a contact site in its spline fit
 REFINE_TOL = 1e-7  # box diagonal at which refinement accepts a point
-FEET_BLOCK = 1 << 16  # pairs per block in _locate_params and _near_pairs
+FEET_BLOCK = 1 << 16  # pairs per block in _locate_params and _pair_blocks
 
 
 class SurfaceError(ValueError):
@@ -309,21 +309,18 @@ def project_curve(curve: SpaceCurve, proj: Projection) -> Polyline | None:
 
 @dataclass(frozen=True)
 class Crossing:
-    """A point where polylines a and b meet, on segment ia of a and ib
-    of b; params are its cut parameters on a and on b (vertex index +
-    fraction).  A contact site's point is the midpoint of its closest
-    approach, and its params are those of the approach's two ends."""
-
     point: tuple[float, float]
     ia: int
     ib: int
-    params: tuple[float, float]
 
 
 @dataclass(frozen=True)
 class IntersectionResult:
     crossings: tuple[Crossing, ...]
     contacts: tuple[Crossing, ...]  # near-tangential sites to refine
+    # a polyline against itself: both passes of each crossing, as
+    # parameters (vertex index + fraction) in crossing order; else empty
+    passes: tuple[float, ...]
 
 
 def _pow2_scale(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -377,30 +374,31 @@ def _segment_boxes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(points[:-1], points[1:]), np.maximum(points[:-1], points[1:])
 
 
-def _near_pairs(
+def _pair_blocks(
     alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray, bhi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every (i, j), in row-major order, whose closed boxes meet: box i
-    of a spans alo[i] to ahi[i], box j of b blo[j] to bhi[j].
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Every (i, j) whose closed boxes meet, box i of a spanning alo[i]
+    to ahi[i] and box j of b blo[j] to bhi[j], in row-major blocks.
 
     Sort and sweep (Shamos & Hoey, "Geometric intersection problems",
     FOCS 1976): with b's boxes sorted by x_min, box i can only meet the
     run from the first box where the running max of x_max reaches its
     x_min to the last whose x_min is not past its x_max.  The bounds
     are compared, never computed, so rounding loses no pair; each
-    candidate then passes the four box tests exactly.  The runs are
-    read in blocks of about FEET_BLOCK pairs, so no temporary holds
-    n × m entries unless that many boxes are candidates.
+    candidate then passes the four box tests exactly.  Each block is
+    (lo, hi, i, j): the pairs of rows lo to hi - 1, whose runs hold
+    about FEET_BLOCK candidates (or one row with more), so no temporary
+    holds n × m entries unless one row has that many candidates.
     """
     order = np.argsort(blo[:, 0], kind="stable")
     start = np.searchsorted(np.fmax.accumulate(bhi[order, 0]), alo[:, 0], "left")
     stop = np.searchsorted(blo[order, 0], ahi[:, 0], "right")
     runs = np.maximum(stop - start, 0)
     ends = np.cumsum(runs)
-    blocks = np.searchsorted(ends, np.arange(FEET_BLOCK, ends[-1], FEET_BLOCK))
-    m = len(blo)
-    found = []
-    for rows in np.split(np.arange(len(alo)), blocks):
+    cuts = np.searchsorted(ends, np.arange(FEET_BLOCK, ends[-1], FEET_BLOCK))
+    n, m = len(alo), len(blo)
+    for lo, hi in pairwise([0, *np.unique(cuts[cuts > 0]).tolist(), n]):
+        rows = np.arange(lo, hi)
         run = runs[rows]
         i = np.repeat(rows, run)
         # the k-th pair of a row sits k places past the row's start in order
@@ -411,8 +409,46 @@ def _near_pairs(
             & (alo[i, 1] <= bhi[j, 1])
             & (blo[j, 1] <= ahi[i, 1])
         )
-        found.append(np.sort(i[hit] * m + j[hit]))
-    return np.divmod(np.concatenate(found), m)
+        yield lo, hi, *np.divmod(np.sort(i[hit] * m + j[hit]), m)
+
+
+def _contact_sites(pa: np.ndarray, pb: np.ndarray) -> list[tuple[float, int, int, float]]:
+    """(distance, i, j, t) of every local minimum below CONTACT_TOL of
+    the distance from vertex i of pa to segment j of pb (foot fraction
+    t), over the 5 x 5 window of vertex i +-2 and segment j +-2; sorted.
+
+    Distances are taken for the pairs whose boxes lie within
+    2*CONTACT_TOL, one block of vertices at a time; any other pair is
+    farther than every site, so it reads as +inf in a window.  A row's
+    window is looked up, FEET_BLOCK entries at a time, once the two
+    rows after it are in; the two rows before it are held over.
+    """
+    pad = 2.0 * CONTACT_TOL
+    blo, bhi = _segment_boxes(pb)
+    n, m = len(pa), len(blo)
+    di, dj = np.mgrid[-2:3, -2:3].reshape(2, 1, 25)
+    step = max(1, FEET_BLOCK // 25)
+    sites = []
+    held = None
+    done = 0  # the rows before this one are looked up
+    for _, hi, vi, sj in _pair_blocks(pa - pad, pa + pad, blo, bhi):
+        pairs = [vi, sj, *_feet(pa[vi], pb[sj], pb[sj + 1])]
+        if held is not None:
+            pairs = [np.concatenate(x) for x in zip(held, pairs)]
+        vi, sj, tt, dist = pairs
+        keys = vi * m + sj  # sorted, as the pairs are row-major
+        last, done = done, hi if hi == n else hi - 2
+        below = np.flatnonzero((dist < CONTACT_TOL) & (vi >= last) & (vi < done))
+        for part in np.split(below, range(step, len(below), step)):
+            ni, nj = vi[part, None] + di, sj[part, None] + dj
+            nk = ni * m + nj
+            at = np.minimum(np.searchsorted(keys, nk), len(keys) - 1)
+            listed = (nj >= 0) & (nj < m) & (keys[at] == nk)
+            low = part[dist[part] <= np.where(listed, dist[at], np.inf).min(axis=1)]
+            sites.extend(zip(*(x[low].tolist() for x in (dist, vi, sj, tt))))
+        keep = vi >= done - 2
+        held = [x[keep] for x in pairs]
+    return sorted(sites)
 
 
 def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
@@ -422,19 +458,20 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
     more than 3 crossings inside a 5-vertex window, marks a site for
     refinement.  With a is b the polyline is tested against itself
     (adjacent segments skipped).  Segment pairs come from a sort and
-    sweep of their boxes (_near_pairs), so the work and memory grow
-    with the curves' lengths and the pairs that meet, not with their
-    product.
+    sweep of their boxes (_pair_blocks), so the memory grows with the
+    curves' lengths and the pairs that meet, not with their product.
     """
     self_mode = a is b
     pa = a.points
     pb = b.points
-    blo, bhi = _segment_boxes(pb)
-    cand_i, cand_j = _near_pairs(*_segment_boxes(pa), blo, bhi)
-    if self_mode:
-        # each pair once, and no segment against itself or a neighbour
-        keep = cand_j >= cand_i + 2
-        cand_i, cand_j = cand_i[keep], cand_j[keep]
+
+    def candidates() -> Iterator[tuple[int, int]]:
+        for _, _, i, j in _pair_blocks(*_segment_boxes(pa), *_segment_boxes(pb)):
+            if self_mode:
+                # each pair once, and no segment against itself or a neighbour
+                keep = j >= i + 2
+                i, j = i[keep], j[keep]
+            yield from zip(i.tolist(), j.tolist())
 
     # the crossing arithmetic runs on Python floats.  Each candidate's
     # three vectors are divided by one power of two that brings their
@@ -443,7 +480,8 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
     # value under- or overflowed
     va, vb = pa.tolist(), pb.tolist()
     crossings: list[Crossing] = []
-    for i, j in zip(cand_i.tolist(), cand_j.tolist()):
+    passes: list[float] = []
+    for i, j in candidates():
         (px, py), (ax, ay) = va[i], va[i + 1]
         (qx, qy), (bx, by) = vb[j], vb[j + 1]
         rx, ry, wx, wy = ax - px, ay - py, bx - qx, by - qy
@@ -465,7 +503,9 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
                 for cx, cy in (c.point for c in crossings)
             ):
                 continue
-            crossings.append(Crossing((x, y), i, j, (i + t, j + s)))
+            crossings.append(Crossing((x, y), i, j))
+            if self_mode:
+                passes.extend((i + t, j + s))
 
     contacts: list[Crossing] = []
     # crossings bunched along a few vertices signal a tangential wiggle
@@ -486,26 +526,9 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
         # every local minimum of the vertex-to-segment distance below
         # CONTACT_TOL is a candidate tangency (curves can brush the
         # outline more than once, so the single global closest approach
-        # is not enough).  Distances are taken for the vertex/segment
-        # pairs whose boxes lie within 2*CONTACT_TOL; any other pair is
-        # farther than every site, so it reads as +inf in the 5 x 5
-        # window of vertex i +-2 and segment j +-2
-        pad = 2.0 * CONTACT_TOL
-        vi, sj = _near_pairs(pa - pad, pa + pad, blo, bhi)
-        tt, dist = _feet(pa[vi], pb[sj], pb[sj + 1])
-        below = np.flatnonzero(dist < CONTACT_TOL)
-        m = len(blo)
-        keys = vi * m + sj  # sorted, as the pairs are row-major
-        di, dj = np.mgrid[-2:3, -2:3].reshape(2, 1, 25)
-        ni, nj = vi[below, None] + di, sj[below, None] + dj
-        nk = ni * m + nj
-        at = np.minimum(np.searchsorted(keys, nk), len(keys) - 1)
-        listed = (ni >= 0) & (ni < len(pa)) & (nj >= 0) & (nj < m) & (keys[at] == nk)
-        low = dist[below] <= np.where(listed, dist[at], np.inf).min(axis=1)
-        site = below[low]
-        sites = sorted(zip(*(x[site].tolist() for x in (dist, vi, sj, tt))))
+        # is not enough)
         kept: list[tuple[int, int]] = []
-        for d, i, j, t in sites:
+        for d, i, j, t in _contact_sites(pa, pb):
             if any(abs(i - ki) < 6 and abs(j - kj) < 6 for ki, kj in kept):
                 continue
             if any(abs(c.ia - i) <= 5 and abs(c.ib - j) <= 5 for c in crossings):
@@ -514,8 +537,8 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
             (qx, qy), (bx, by) = vb[j], vb[j + 1]
             fx, fy = qx + t * (bx - qx), qy + t * (by - qy)
             mid = (0.5 * (va[i][0] + fx), 0.5 * (va[i][1] + fy))
-            contacts.append(Crossing(mid, i, j, (float(i), j + t)))
-    return IntersectionResult(tuple(crossings), tuple(contacts))
+            contacts.append(Crossing(mid, i, j))
+    return IntersectionResult(tuple(crossings), tuple(contacts), tuple(passes))
 
 
 @dataclass(frozen=True)
@@ -1048,10 +1071,9 @@ def build_surface_scene(
         params: list[float] = []
         for op in outlines:
             res = intersect_projected(poly, op)
-            if op is poly:
-                # an outline crossing itself is cut at both passes
-                params.extend(p for c in res.crossings for p in c.params)
-            else:
+            # an outline crossing itself is cut at both passes
+            params.extend(res.passes)
+            if op is not poly:
                 points.extend(c.point for c in res.crossings)
             for site in res.contacts:
                 points.append(refine_contact(poly, op, site.ia, site.ib).point)
@@ -1148,11 +1170,15 @@ def contact_demo(
     pa = axis_poly.points
     pb = sil_poly.points
 
-    def near(r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The vertex pairs within r of each other on both axes, in row
-        order, and their squared distances."""
-        i, j = _near_pairs(pa - r, pa + r, pb, pb)
-        return i, j, ((pa[i] - pb[j]) ** 2).sum(axis=1)
+    def near(r: float) -> tuple[np.ndarray, ...]:
+        """The vertex pairs within r of each other, in row order, and
+        their squared distances."""
+        found = []
+        for _, _, i, j in _pair_blocks(pa - r, pa + r, pb, pb):
+            d2 = ((pa[i] - pb[j]) ** 2).sum(axis=1)
+            keep = d2 <= r * r
+            found.append((i[keep], j[keep], d2[keep]))
+        return tuple(map(np.concatenate, zip(*found)))
 
     r = CONTACT_TOL
     while not len(d2 := near(r)[2]):

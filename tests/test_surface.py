@@ -6,6 +6,7 @@ import math
 import struct
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from itertools import count
 
 import numpy as np
@@ -769,18 +770,23 @@ def box_sets(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(boxes=box_sets(), block=st.integers(1, 60))
-def test_property_near_pairs_are_the_dense_box_overlaps(boxes, block):
+def test_property_pair_blocks_are_the_dense_box_overlaps(boxes, block):
     alo, ahi, blo, bhi = boxes
-    dense = np.nonzero(
+    dense = np.argwhere(
         (alo[:, None, 0] <= bhi[None, :, 0])
         & (blo[None, :, 0] <= ahi[:, None, 0])
         & (alo[:, None, 1] <= bhi[None, :, 1])
         & (blo[None, :, 1] <= ahi[:, None, 1])
-    )
+    ).tolist()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(surface, "FEET_BLOCK", block)
-        got = surface._near_pairs(alo, ahi, blo, bhi)
-    assert [k.tolist() for k in got] == [k.tolist() for k in dense]
+        blocks = list(surface._pair_blocks(alo, ahi, blo, bhi))
+    # the blocks' rows run through a once, in order
+    assert [lo for lo, _, _, _ in blocks] == [0, *(hi for _, hi, _, _ in blocks[:-1])]
+    assert blocks[-1][1] == len(alo)
+    for lo, hi, i, j in blocks:
+        assert lo < hi
+        assert np.column_stack([i, j]).tolist() == [p for p in dense if lo <= p[0] < hi]
 
 
 class TestRefineContact:
@@ -1443,23 +1449,53 @@ class TestSceneStructure:
         assert outline.label == "silhouette:0"
         res = intersect_projected(outline.polyline, outline.polyline)
         assert [(c.ia, c.ib) for c in res.crossings] == [(8, 85), (162, 239)]
-        assert outline.cuts == tuple(p for c in res.crossings for p in c.params)
+        assert outline.cuts == res.passes
         assert [round(c, 3) for c in outline.cuts] == [8.912, 85.088, 162.912, 239.088]
         # the stretch between the second and third cut is in front, as a
         # depth test at its vertices 86 to 162 finds it
         assert len(outline.hidden) == 5 and not outline.hidden[2]
 
-    def test_readme_scene_memory_grows_linearly_with_samples(self):
-        # at samples = 1000 the n x m box masks and distance arrays of
-        # every curve pair peaked at 198 MB of traced memory
+    @pytest.mark.parametrize(
+        "scale, limit",
+        [
+            # the n x m box masks and distance arrays of every curve pair
+            # once peaked at 198 MB of traced memory here
+            (1.0, 20e6),
+            # every vertex/segment pair within 2*CONTACT_TOL: a window
+            # test over all of them at once peaked at 1.2 GB
+            (0.01, 40e6),
+        ],
+    )
+    def test_readme_scene_memory_is_linear_in_samples(self, scale, limit, monkeypatch):
+        # one worker, so the peak does not depend on the host's core count
+        monkeypatch.setattr(surface, "ThreadPoolExecutor", lambda: ThreadPoolExecutor(1))
+        s = ParametricSurface.from_strings(
+            f"{scale}*u*cos(v)", f"{scale}*u*sin(v)", f"{scale}*(4-u^2)",
+            (0.0, 2.0), (0.0, 2 * math.pi),
+        )
         cfg = SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6)), samples=1000)
         tracemalloc.start()
         try:
-            build_surface_scene(paraboloid_surface(), VIEW, cfg)
+            build_surface_scene(s, VIEW, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6
+        assert peak < limit
+
+    def test_wire_along_an_outline_is_scanned_in_linear_memory(self):
+        # the wire u = 1.998 runs within CONTACT_TOL of the rim u = 2
+        # all round; at 10000 samples a window test over every pair
+        # below CONTACT_TOL at once peaked at about 400 MB
+        s = paraboloid_surface()
+        wire = project_curve(wires(s, fixed_u=[1.998], samples=10000)[0], VIEW)
+        (rim,) = (project_curve(c, VIEW) for c in boundary_curves(s, samples=10000))
+        tracemalloc.start()
+        try:
+            res = intersect_projected(wire, rim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.contacts and peak < 40e6
 
     def test_mobius_full_band_renders(self):
         scene, report = build_surface_scene(mobius(), VIEW, SceneConfig())
