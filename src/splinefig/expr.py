@@ -698,30 +698,34 @@ _RULES = {
 }
 
 
+EACH_BLOCK = 1 << 16  # elements that `_each` holds as Python floats at once
+
+
 def _each(fn: Callable[[float], float], arg) -> tuple[np.ndarray, np.ndarray | bool]:
     """fn (a one-argument libm function of FUNCTIONS) over arg one
     element at a time, and where it raised (False if nowhere).
 
-    The elements go through one `map`; only when fn raises somewhere
-    does a Python loop call it again element by element to find where.
+    Each block of EACH_BLOCK elements goes through one `map`; only in a
+    block where fn raises does a Python loop call it again element by
+    element to find where.
     """
-    shape = np.shape(arg)
-    column = np.ravel(arg).tolist()
-    try:
-        return np.fromiter(map(fn, column), float, len(column)).reshape(shape), False
-    except (ArithmeticError, ValueError):
-        pass
-    out: list[float] = []
-    bad: list[int] = []
-    for k, x in enumerate(column):
+    flat = np.ravel(arg)
+    out = np.empty(len(flat))
+    raised = np.zeros(len(flat), dtype=bool)
+    for lo in range(0, len(flat), EACH_BLOCK):
+        column = flat[lo : lo + EACH_BLOCK].tolist()
         try:
-            out.append(fn(x))
+            out[lo : lo + len(column)] = np.fromiter(map(fn, column), float, len(column))
+            continue
         except (ArithmeticError, ValueError):
-            out.append(math.nan)
-            bad.append(k)
-    raised = np.zeros(len(out), dtype=bool)
-    raised[bad] = True
-    return np.array(out).reshape(shape), bool(bad) and raised.reshape(shape)
+            pass
+        for k, x in enumerate(column, lo):
+            try:
+                out[k] = fn(x)
+            except (ArithmeticError, ValueError):
+                out[k], raised[k] = math.nan, True
+    shape = np.shape(arg)
+    return out.reshape(shape), bool(raised.any()) and raised.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

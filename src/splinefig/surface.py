@@ -30,6 +30,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -361,12 +362,21 @@ def _feet(
     return t, np.sqrt(ox * ox + oy * oy) * r
 
 
-def _segment_feet(
-    points: np.ndarray, chain: np.ndarray
+def _meet(
+    p: np.ndarray, r: np.ndarray, q: np.ndarray, w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Feet of points (n, 2) on every segment of chain (m, 2): t and the
-    distances, both of shape (n, m - 1)."""
-    return _feet(points[:, None], chain[:-1], chain[1:])
+    """Where the lines p + t*r and q + s*w meet: t and s, for rows (n, 2).
+
+    Each row's r, w and q - p are divided by the power of two that brings
+    their largest component into [1/2, 1), so no cross product overflows;
+    t and s are ratios, bit for bit the unscaled ones wherever no value
+    under- or overflowed.  Parallel lines give a t that is not finite."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        six = np.hstack((r, w, q - p))
+        e = -np.frexp(np.abs(six).max(axis=1))[1]
+        rx, ry, wx, wy, dx, dy = np.ldexp(six, e[:, None]).T
+        denom = rx * wy - ry * wx
+        return (dx * wy - dy * wx) / denom, (dx * ry - dy * rx) / denom
 
 
 def _segment_boxes(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -462,50 +472,46 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
     curves' lengths and the pairs that meet, not with their product.
     """
     self_mode = a is b
-    pa = a.points
-    pb = b.points
+    pa, pb = a.points, b.points
+    hits = []  # (i, j, t, s, x, y) of each segment pair that meets, row-major
+    for _, _, i, j in _pair_blocks(*_segment_boxes(pa), *_segment_boxes(pb)):
+        if self_mode:
+            # each pair once, and no segment against itself or a neighbour
+            keep = j >= i + 2
+            i, j = i[keep], j[keep]
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python floats do
+            p, r = pa[i], pa[i + 1] - pa[i]
+            t, s = _meet(p, r, pb[j], pb[j + 1] - pb[j])
+            on = (0.0 <= t) & (t <= 1.0) & (0.0 <= s) & (s <= 1.0)
+            xy = p[on] + t[on, None] * r[on]
+        hits.extend(zip(*(h.tolist() for h in (i[on], j[on], t[on], s[on], *xy.T))))
 
-    def candidates() -> Iterator[tuple[int, int]]:
-        for _, _, i, j in _pair_blocks(*_segment_boxes(pa), *_segment_boxes(pb)):
-            if self_mode:
-                # each pair once, and no segment against itself or a neighbour
-                keep = j >= i + 2
-                i, j = i[keep], j[keep]
-            yield from zip(i.tolist(), j.tolist())
-
-    # the crossing arithmetic runs on Python floats.  Each candidate's
-    # three vectors are divided by one power of two that brings their
-    # largest component into [1/2, 1), so no cross product overflows;
-    # t and s are ratios, bit for bit the unscaled ones wherever no
-    # value under- or overflowed
-    va, vb = pa.tolist(), pb.tolist()
+    # the first of crossings within CROSSING_DEDUP_TOL of each other wins.
+    # Kept ones are filed by cells of twice that side (spatial hashing,
+    # Teschner et al., VMV 2003): two floats that close are equal or under
+    # about 9e6, so their cells are exact integers at most 1 apart
+    side = 2.0 * CROSSING_DEDUP_TOL
+    cells: dict[tuple[float, float], list[tuple[float, float]]] = {}
     crossings: list[Crossing] = []
     passes: list[float] = []
-    for i, j in candidates():
-        (px, py), (ax, ay) = va[i], va[i + 1]
-        (qx, qy), (bx, by) = vb[j], vb[j + 1]
-        rx, ry, wx, wy = ax - px, ay - py, bx - qx, by - qy
-        dx, dy = qx - px, qy - py
-        big = max(abs(rx), abs(ry), abs(wx), abs(wy), abs(dx), abs(dy))
-        e = -math.frexp(big)[1]
-        sx, sy = math.ldexp(rx, e), math.ldexp(ry, e)
-        ux, uy = math.ldexp(wx, e), math.ldexp(wy, e)
-        ex, ey = math.ldexp(dx, e), math.ldexp(dy, e)
-        denom = sx * uy - sy * ux
-        if denom == 0.0:
+    for i, j, t, s, x, y in hits:
+        kx, ky = x // side, y // side
+        if any(
+            math.hypot(x - cx, y - cy) <= CROSSING_DEDUP_TOL
+            for dx, dy in product((-1.0, 0.0, 1.0), repeat=2)
+            for cx, cy in cells.get((kx + dx, ky + dy), ())
+        ):
             continue
-        t = (ex * uy - ey * ux) / denom
-        s = (ex * sy - ey * sx) / denom
-        if 0.0 <= t <= 1.0 and 0.0 <= s <= 1.0:
-            x, y = px + t * rx, py + t * ry
-            if any(
-                math.hypot(x - cx, y - cy) <= CROSSING_DEDUP_TOL
-                for cx, cy in (c.point for c in crossings)
-            ):
-                continue
-            crossings.append(Crossing((x, y), i, j))
-            if self_mode:
-                passes.extend((i + t, j + s))
+        cells.setdefault((kx, ky), []).append((x, y))
+        crossings.append(Crossing((x, y), i, j))
+        if self_mode:
+            passes.extend((i + t, j + s))
+
+    ias = [c.ia for c in crossings]
+
+    def near(i: int) -> range:
+        """The crossings within 5 vertices of i: ia never falls along them."""
+        return range(bisect_left(ias, i - 5), bisect_right(ias, i + 5))
 
     contacts: list[Crossing] = []
     # crossings bunched along a few vertices signal a tangential wiggle
@@ -513,31 +519,25 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
     for k, c in enumerate(crossings):
         if k in used:
             continue
-        group = [
-            m
-            for m, d in enumerate(crossings)
-            if abs(d.ia - c.ia) <= 5 and m not in used
-        ]
+        group = [m for m in near(c.ia) if m not in used]
         if len(group) > 3:
             used.update(group)
-            mid = group[len(group) // 2]
-            contacts.append(crossings[mid])
+            contacts.append(crossings[group[len(group) // 2]])
     if not self_mode:
         # every local minimum of the vertex-to-segment distance below
         # CONTACT_TOL is a candidate tangency (curves can brush the
         # outline more than once, so the single global closest approach
-        # is not enough)
-        kept: list[tuple[int, int]] = []
-        for d, i, j, t in _contact_sites(pa, pb):
-            if any(abs(i - ki) < 6 and abs(j - kj) < 6 for ki, kj in kept):
+        # is not enough); kept sites are filed by their vertex
+        kept: dict[int, list[int]] = {}
+        for _, i, j, t in _contact_sites(pa, pb):
+            if any(abs(j - kj) < 6 for k in range(i - 5, i + 6) for kj in kept.get(k, ())):
                 continue
-            if any(abs(c.ia - i) <= 5 and abs(c.ib - j) <= 5 for c in crossings):
+            if any(abs(crossings[m].ib - j) <= 5 for m in near(i)):
                 continue
-            kept.append((i, j))
-            (qx, qy), (bx, by) = vb[j], vb[j + 1]
+            kept.setdefault(i, []).append(j)
+            (px, py), (qx, qy), (bx, by) = pa[i].tolist(), *pb[j : j + 2].tolist()
             fx, fy = qx + t * (bx - qx), qy + t * (by - qy)
-            mid = (0.5 * (va[i][0] + fx), 0.5 * (va[i][1] + fy))
-            contacts.append(Crossing(mid, i, j))
+            contacts.append(Crossing((0.5 * (px + fx), 0.5 * (py + fy)), i, j))
     return IntersectionResult(tuple(crossings), tuple(contacts), tuple(passes))
 
 
@@ -666,7 +666,7 @@ def refine_contact(
     # never separate under subdivision; bail before burning the budget
     win_a = a.points[max(0, center_a - window) : center_a + window + 1]
     win_b = b.points[max(0, center_b - window) : center_b + window + 1]
-    if (_segment_feet(win_a, win_b)[1].min(axis=1) <= 10.0 * tol).all():
+    if (_feet(win_a[:, None], win_b[:-1], win_b[1:])[1].min(axis=1) <= 10.0 * tol).all():
         return RefinedContact(seed, False)
 
     tick = count()
@@ -706,18 +706,16 @@ def refine_contact(
             mx = 0.25 * (pa[8] + pa[10] + pb[8] + pb[10])
             my = 0.25 * (pa[9] + pa[11] + pb[9] + pb[11])
             if gap == 0.0:
-                # where the lines p0 + t*r and q0 + u*w through the chords meet
+                # where the lines through the chords meet (nowhere if parallel)
                 px, py, qx, qy = pa[0], pa[1], pb[0], pb[1]
                 rx, ry = pa[6] - px, pa[7] - py
-                wx, wy = pb[6] - qx, pb[7] - qy
-                denom = rx * wy - ry * wx
-                if denom != 0.0:
-                    t = ((qx - px) * wy - (qy - py) * wx) / denom
-                    x, y = px + t * rx, py + t * ry
-                    if math.hypot(
-                        x - mx, y - my
-                    ) <= 10.0 * tol and _in_boxes(x, y, pieces_a, pieces_b):
-                        return RefinedContact((x, y), True)
+                rows = np.array([[px, py], [rx, ry], [qx, qy], [pb[6] - qx, pb[7] - qy]])
+                t = float(_meet(*rows[:, None])[0][0])
+                x, y = px + t * rx, py + t * ry
+                if math.hypot(
+                    x - mx, y - my
+                ) <= 10.0 * tol and _in_boxes(x, y, pieces_a, pieces_b):
+                    return RefinedContact((x, y), True)
             return RefinedContact((mx, my), True)
         if pa[12] >= pb[12]:
             if pa[13] is None:
@@ -782,7 +780,7 @@ def _locate_params(
     size = max(1, FEET_BLOCK // len(poly.points))
     found = []
     for block in np.split(points, range(size, len(points), size)):
-        t, dist = _segment_feet(block, poly.points)
+        t, dist = _feet(block[:, None], poly.points[:-1], poly.points[1:])
         i, rows = np.argmin(dist, axis=1), np.arange(len(block))
         found.append((i + t[rows, i], dist[rows, i]))
     return tuple(map(np.concatenate, zip(*found)))

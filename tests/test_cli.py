@@ -452,8 +452,8 @@ class TestSurface:
         # every curve of x = y = z = cos(v)*u projects onto one line, so
         # the fits at 22 of its 36 contact sites overlap; the search ends
         # at the first overlapping leaves, and the crossings' dedup
-        # measures 803 distances, where clustering every overlapping leaf
-        # took 5.65 M
+        # measures 83 distances (803 comparing each crossing with every
+        # earlier one), where clustering every overlapping leaf took 5.65 M
         inside = threading.local()
         intersect = surface.intersect_projected
 
@@ -494,6 +494,24 @@ class TestSurface:
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
             "151e1d9251d5d838a310e1ce6cc4bc99554f5a2a73cca5415caf39606bc7fdbe"
         )
+
+    def test_wire_on_the_rim_is_deduplicated_in_linear_time(self, monkeypatch):
+        # a wire laid on the paraboloid's rim crosses it at every vertex,
+        # each crossing found twice (the segments before and after it);
+        # a crossing compared with every earlier one measured 8 M
+        # distances here, one compared with the crossings in the cells
+        # around it measures one per repeat
+        s, view = surface.paraboloid_surface(), surface.Projection()
+        wire = surface.project_curve(surface.wires(s, [2.0], samples=4000)[0], view)
+        rim = next(
+            surface.project_curve(c, view)
+            for c in surface.boundary_curves(s, samples=4000)
+            if c.label == "boundary:u=2"
+        )
+        hypot = _CountedHypot(2 * 3999)
+        monkeypatch.setattr(surface, "math", hypot)
+        assert len(surface.intersect_projected(wire, rim).crossings) == 3999
+        assert 0 < hypot.calls < 2 * 3999
 
     def test_undefined_seed_cells_print_no_numpy_warning(self, tmp_path):
         # z is undefined for v < 0.5, so some occlusion seed cells have

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from splinefig import expr
 from splinefig.expr import (
     FUNCTIONS,
     BinOp,
@@ -583,6 +584,26 @@ def _grid_peak(f, xs, ys) -> float:
     finally:
         tracemalloc.stop()
     return peak / (8 * len(xs) * len(ys))
+
+
+def test_libm_functions_map_a_block_at_a_time():
+    # sin is mapped through libm as Python floats; the whole grid at once
+    # held a list slot and a float object per node, and peaked at 6.0
+    # grid-sized arrays at grid 1024, against 2.6 a block at a time
+    f = compile_fn(parse("sin(x*y)-0.5"), ("x", "y"))
+    assert _grid_peak(f, steps(-3.0, 3.0, 1024), steps(-3.0, 3.0, 1024)) < 4.0
+
+
+def test_each_in_blocks_gives_the_same_bits(monkeypatch):
+    xs = np.array([[2.0, -1.0, 0.5], [0.0, 3.0, -0.0], [1e-300, 7.0, 8.0]])
+    whole = expr._each(math.log, xs)
+    # blocks of 2: raising in the first three blocks, not in the last
+    monkeypatch.setattr(expr, "EACH_BLOCK", 2)
+    blocks = expr._each(math.log, xs)
+    assert _bits_array(whole[0]) == _bits_array(blocks[0])
+    assert whole[1].tolist() == blocks[1].tolist() == (xs <= 0.0).tolist()
+    values, raised = expr._each(math.log, xs[2])
+    assert raised is False and values.tolist() == list(map(math.log, xs[2].tolist()))
 
 
 def test_grid_drops_each_temporary_after_its_last_reader():

@@ -24,8 +24,9 @@ from splinefig.surface import (
     _halves,
     _jacobian_fn,
     _locate_params,
+    _meet,
     _piece,
-    _segment_feet,
+    _feet,
     OcclusionTester,
     ParametricSurface,
     Projection,
@@ -758,6 +759,68 @@ def test_property_intersect_matches_the_dense_reference(pair, block):
     assert _answer(got) == reference_intersect(a, b)
 
 
+def _scalar_meet(p, a, q, b):
+    """reference_intersect's crossing arithmetic for the segments p -> a
+    and q -> b, on Python floats: (t, s), or None where denom is 0."""
+    (px, py), (ax, ay), (qx, qy), (bx, by) = p, a, q, b
+    rx, ry, wx, wy = ax - px, ay - py, bx - qx, by - qy
+    dx, dy = qx - px, qy - py
+    big = max(abs(rx), abs(ry), abs(wx), abs(wy), abs(dx), abs(dy))
+    e = -math.frexp(big)[1]
+    sx, sy = math.ldexp(rx, e), math.ldexp(ry, e)
+    ux, uy = math.ldexp(wx, e), math.ldexp(wy, e)
+    ex, ey = math.ldexp(dx, e), math.ldexp(dy, e)
+    denom = sx * uy - sy * ux
+    if denom == 0.0:
+        return None
+    return (ex * uy - ey * ux) / denom, (ex * sy - ey * sx) / denom
+
+
+# every size from subnormal to near the largest float, both zeros, and
+# values near 1e+-300, where an unscaled cross product under- or overflows
+_meet_coord = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 3e300, 1e-300, -1e-300, 5e-324]),
+)
+
+
+@st.composite
+def segment_pairs(draw):
+    p, a, q, b = (draw(st.tuples(_meet_coord, _meet_coord)) for _ in range(4))
+    kind = draw(st.sampled_from(["free", "parallel", "shared", "scaled"]))
+    if kind == "parallel":
+        # b - q is a - p, or a power of two times it: denom is 0
+        k = draw(st.sampled_from([1.0, -1.0, 0.5, 4.0]))
+        b = tuple(qc + k * (ac - pc) for qc, ac, pc in zip(q, a, p))
+    elif kind == "shared":
+        q = draw(st.sampled_from([p, a]))
+    elif kind == "scaled":
+        # one figure at another size: only under- and overflow tell them apart
+        k = draw(st.sampled_from([1e-300, 1e-150, 1e150, 1e300]))
+        p, a, q, b = (tuple(k * c for c in v) for v in (p, a, q, b))
+    assume(all(math.isfinite(c) for v in (p, a, q, b) for c in v))
+    return p, a, q, b
+
+
+@settings(max_examples=500, deadline=None)
+@given(seg=segment_pairs())
+# unscaled, r x w here is inf - -inf and t is inf / inf, a NaN; scaled, 0.5
+@example(seg=((0.0, 0.0), (1e200, 1e200), (1e200, 0.0), (0.0, 1e200)))
+@example(seg=((0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (3.0, 3.0)))
+@example(seg=((-0.0, 0.0), (0.0, -1.0), (1e-300, -0.5), (-1e-300, -0.5)))
+def test_property_meet_is_the_scalar_crossing_arithmetic(seg):
+    p, a, q, b = (np.array([v]) for v in seg)
+    with np.errstate(over="ignore"):  # as Python floats overflow
+        t, s = (float(x[0]) for x in _meet(p, a - p, q, b - q))
+    want = _scalar_meet(*seg)
+    if want is None:
+        # parallel: no t can pass the [0, 1] test
+        assert not math.isfinite(t)
+    else:
+        assert repr((t, s)) == repr(want)
+
+
 @st.composite
 def box_sets(draw):
     def boxes(n):
@@ -940,7 +1003,7 @@ def reference_refine_contact(
 
     win_a = a.points[max(0, center_a - window) : center_a + window + 1]
     win_b = b.points[max(0, center_b - window) : center_b + window + 1]
-    if (_segment_feet(win_a, win_b)[1].min(axis=1) <= 10.0 * tol).all():
+    if (_feet(win_a[:, None], win_b[:-1], win_b[1:])[1].min(axis=1) <= 10.0 * tol).all():
         return surface.RefinedContact(seed, False)
 
     candidates: list[Point2] = []
@@ -1302,7 +1365,8 @@ def test_locate_params_in_blocks_gives_the_same_bits(monkeypatch):
     ],
 )
 def test_segment_feet_scale_exactly(chain, q, t, dist):
-    got_t, got_dist = _segment_feet(np.array([q]), np.array(chain))
+    chain = np.array(chain)
+    got_t, got_dist = _feet(np.array([q])[:, None], chain[:-1], chain[1:])
     assert (float(got_t[0, 0]), float(got_dist[0, 0])) == (t, dist)
 
 
