@@ -21,12 +21,12 @@ from splinefig.expr import DomainError, compile_fn, steps
 from splinefig.spline import SplineMethod, build_spline
 from splinefig.surface import (
     REFINE_WINDOW,
+    _feet,
     _halves,
     _jacobian_fn,
     _locate_params,
     _meet,
     _piece,
-    _feet,
     OcclusionTester,
     ParametricSurface,
     Projection,
