@@ -14,7 +14,9 @@ Larger depth means nearer the eye.  The drawing pipeline:
     the implicit machinery), iso-parameter wires, and the axes;
  2. intersect each projected curve with the projected outline curves,
     and refine each near-tangential contact to where local spline fits
-    of the two curves cross or come closest (refine_contact);
+    of the two curves cross or come closest (refine_contact; its search
+    loop runs compiled from refine.c where a C compiler is found, and
+    in Python otherwise, with the same bits);
  3. cut the curves at those points (an outline crossing itself at
     both passes) and decide each interval's visibility by a depth test
     at its midpoint (a damped Newton solve finds every surface point
@@ -27,9 +29,15 @@ and run through a thread pool.
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import logging
 import math
+import os
+import subprocess
+import sys
+import tempfile
+import threading
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -54,7 +62,7 @@ from .expr import (
 from .geom import Polyline, diameter, drop_repeats, frozen_rows, run_starts
 from .implicit import TraceConfig, trace_zero_set
 from .render import DrawItem, Label, Scene, Style, fmt5, scene_from_items
-from .spline import SplineMethod, build_spline
+from .spline import DegenerateGeometryError, SplineMethod, build_spline
 
 log = logging.getLogger(__name__)
 
@@ -67,6 +75,7 @@ OCCLUSION_SEEDS = 32  # seed grid cells per parameter direction
 CONTACT_TOL = 0.02  # closest approach that flags a contact site
 REFINE_WINDOW = 6  # vertices each side of a contact site in its spline fit
 REFINE_TOL = 1e-7  # box diagonal at which refinement accepts a point
+REFINE_POPS = 5000  # pops after which refinement gives a site up
 FEET_BLOCK = 1 << 16  # pairs per block in _locate_params and _pair_blocks
 
 
@@ -556,7 +565,7 @@ def _piece(x0, y0, x1, y1, x2, y2, x3, y3) -> list:
     and max keep it, so even a signed zero comes out the same (and
     faster than calling them).
     p[12] is the box diagonal, and the slots p[13:15] hold the piece's
-    _halves once refine_contact's search has split it.
+    _halves once _best_first has split it.
     """
     xmin = x1 if x1 < x0 else x0
     xmin = x2 if x2 < xmin else xmin
@@ -603,13 +612,18 @@ def _halves(p: list) -> tuple[list, list]:
 
 
 def _window_pieces(poly: Polyline, center: int, window: int):
-    """Flat pieces of the open Oshima fit through the window around center."""
+    """Flat pieces of the open Oshima fit through the window around center;
+    None where the window is too short or too degenerate to fit."""
     lo = max(0, center - window)
     hi = min(len(poly.points) - 1, center + window)
     pts = poly.points[lo : hi + 1]
     if len(pts) < 2:
         return None
-    sp = build_spline(pts, method=SplineMethod.OSHIMA, closed=False)
+    try:
+        sp = build_spline(pts, method=SplineMethod.OSHIMA, closed=False)
+    except DegenerateGeometryError:
+        # a noise outline zig-zagging between points 1e-15 apart
+        return None
     # a row (p0, c0, c1, p1) read flat is _piece's argument order
     return list(starmap(_piece, sp.ctrl.reshape(-1, 8).tolist()))
 
@@ -623,6 +637,123 @@ def _in_boxes(x: float, y: float, *fits: list) -> bool:
         ):
             return False
     return True
+
+
+def _best_first(
+    pieces_a: list, pieces_b: list, sx: float, sy: float, tol: float
+) -> tuple[float, list, list] | None:
+    """The first pair of leaves, pieces under tol across, to pop within
+    REFINE_POPS pops, with its gap; None if none does.
+
+    Pairs pop by the gap between their boxes, then by the seed (sx, sy)'s
+    distance to the overlap of their boxes, then first pushed first; of
+    a popped pair the piece with the longer box diagonal is split.
+    refine.c runs these float operations in this order.
+    """
+    tick = count()
+    heap = []
+    pairs = product(pieces_a, pieces_b)
+    for _ in range(REFINE_POPS):
+        for pa, pb in pairs:
+            # the boxes' gap: max(dx, ex, 0.0) on each axis, kept as in _piece
+            dx, ex = pa[8] - pb[10], pb[8] - pa[10]
+            dy, ey = pa[9] - pb[11], pb[9] - pa[11]
+            dx = ex if ex > dx else dx
+            dy = ey if ey > dy else dy
+            dx = 0.0 if 0.0 > dx else dx
+            dy = 0.0 if 0.0 > dy else dy
+            # the seed's distance to the boxes' overlap: no crossing the
+            # pair holds lies nearer the seed
+            lo = pa[8] if pa[8] > pb[8] else pb[8]
+            hi = pa[10] if pa[10] < pb[10] else pb[10]
+            fx = lo - sx if lo - sx > sx - hi else sx - hi
+            lo = pa[9] if pa[9] > pb[9] else pb[9]
+            hi = pa[11] if pa[11] < pb[11] else pb[11]
+            fy = lo - sy if lo - sy > sy - hi else sy - hi
+            fx = 0.0 if 0.0 > fx else fx
+            fy = 0.0 if 0.0 > fy else fy
+            heapq.heappush(
+                heap, (math.hypot(dx, dy), math.hypot(fx, fy), next(tick), pa, pb)
+            )
+        if not heap:
+            break
+        gap, _, _, pa, pb = heapq.heappop(heap)
+        if pa[12] < tol and pb[12] < tol:
+            return gap, pa, pb
+        if pa[12] >= pb[12]:
+            if pa[13] is None:
+                pa[13:15] = _halves(pa)
+            pairs = ((pa[13], pb), (pa[14], pb))
+        else:
+            if pb[13] is None:
+                pb[13:15] = _halves(pb)
+            pairs = ((pa, pb[13]), (pa, pb[14]))
+    return None
+
+
+_kernel_lock = threading.Lock()
+_kernel = None  # refine.c once loaded; False where it cannot be built
+
+
+def _load_kernel():
+    """refine.c compiled and loaded on first use, else False.
+
+    The first caller builds it, in a private directory removed once the
+    library is loaded; the rest of the process uses it, or, where there
+    is no C compiler or the build or load fails, the Python loop.
+    """
+    global _kernel
+    with _kernel_lock:
+        if _kernel is None:
+            _kernel = _build_kernel()
+    return _kernel
+
+
+def _build_kernel():
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "refine.c")
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            lib = os.path.join(tmp, "refine.so")
+            # math.hypot's subnormal branch changed in CPython 3.12
+            by_max = f"-DHYPOT_DIVIDES_BY_MAX={int(sys.version_info < (3, 12))}"
+            subprocess.run(
+                ["cc", "-O2", "-ffp-contract=off", by_max, "-shared", "-fPIC",
+                 "-o", lib, src, "-lm"],
+                stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=60,
+            )
+            dll = ctypes.CDLL(lib)
+    except (OSError, subprocess.SubprocessError):
+        return False
+    rows = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    c_long, c_double = ctypes.c_long, ctypes.c_double
+    dll.refine_search.argtypes = [
+        rows, c_long, rows, c_long, c_double, c_double, c_double, c_long,
+        rows, ctypes.POINTER(c_long),
+    ]
+    dll.refine_search.restype = ctypes.c_int
+    dll.py_hypot.argtypes = [c_double, c_double]
+    dll.py_hypot.restype = c_double
+    return dll
+
+
+def _compiled_best_first(
+    kernel, pieces_a: list, pieces_b: list, sx: float, sy: float, tol: float
+) -> tuple[tuple[float, list, list] | None, int]:
+    """_best_first run by the loaded refine.c, and the count of pieces
+    it made (the initial ones and two for each piece it split)."""
+    out = np.empty(27)
+    made = ctypes.c_long()
+    found = kernel.refine_search(
+        np.array([p[:8] for p in pieces_a]), len(pieces_a),
+        np.array([p[:8] for p in pieces_b]), len(pieces_b),
+        sx, sy, tol, REFINE_POPS, out, ctypes.byref(made),
+    )
+    if found < 0:
+        raise MemoryError("refine_contact's search ran out of memory")
+    if not found:
+        return None, made.value
+    vals = out.tolist()
+    return (vals[26], vals[:13], vals[13:26]), made.value
 
 
 def refine_contact(
@@ -650,9 +781,11 @@ def refine_contact(
     near-parallel chords of overlapping fits meet past a fit's end, it
     is the winning pair's box midpoint.
     A winning gap over a percent of the window size is no contact, and
-    the site is returned unrefined, as it is when 5000 pops find
+    the site is returned unrefined, as it is when REFINE_POPS pops find
     nothing.  A piece meets many partners as the search goes on, so it
-    keeps its halves in its slots and is split once.
+    keeps its halves and is split once.
+    The pop loop runs compiled (refine.c) where a C compiler is found,
+    else in Python (_best_first); the two give the same bits.
     """
     (ax, ay), (bx, by) = a.points[center_a].tolist(), b.points[center_b].tolist()
     sx, sy = (ax + bx) * 0.5, (ay + by) * 0.5
@@ -669,63 +802,29 @@ def refine_contact(
     if (_feet(win_a[:, None], win_b[:-1], win_b[1:])[1].min(axis=1) <= 10.0 * tol).all():
         return RefinedContact(seed, False)
 
-    tick = count()
-    heap = []
+    kernel = _load_kernel()
+    if kernel:
+        found, _ = _compiled_best_first(kernel, pieces_a, pieces_b, sx, sy, tol)
+    else:
+        found = _best_first(pieces_a, pieces_b, sx, sy, tol)
     span = 1e-12
     for pa in pieces_a:
         span = max(span, pa[10] - pa[8], pa[11] - pa[9])
-    pairs = product(pieces_a, pieces_b)
-    for _ in range(5000):
-        for pa, pb in pairs:
-            # the boxes' gap: max(dx, ex, 0.0) on each axis, kept as in _piece
-            dx, ex = pa[8] - pb[10], pb[8] - pa[10]
-            dy, ey = pa[9] - pb[11], pb[9] - pa[11]
-            dx = ex if ex > dx else dx
-            dy = ey if ey > dy else dy
-            dx = 0.0 if 0.0 > dx else dx
-            dy = 0.0 if 0.0 > dy else dy
-            # the seed's distance to the boxes' overlap: no crossing the
-            # pair holds lies nearer the seed
-            lo = pa[8] if pa[8] > pb[8] else pb[8]
-            hi = pa[10] if pa[10] < pb[10] else pb[10]
-            fx = lo - sx if lo - sx > sx - hi else sx - hi
-            lo = pa[9] if pa[9] > pb[9] else pb[9]
-            hi = pa[11] if pa[11] < pb[11] else pb[11]
-            fy = lo - sy if lo - sy > sy - hi else sy - hi
-            fx = 0.0 if 0.0 > fx else fx
-            fy = 0.0 if 0.0 > fy else fy
-            heapq.heappush(
-                heap, (math.hypot(dx, dy), math.hypot(fx, fy), next(tick), pa, pb)
-            )
-        if not heap:
-            break
-        gap, _, _, pa, pb = heapq.heappop(heap)
-        if pa[12] < tol and pb[12] < tol:
-            if gap > 0.01 * (1.0 + span):
-                break
-            mx = 0.25 * (pa[8] + pa[10] + pb[8] + pb[10])
-            my = 0.25 * (pa[9] + pa[11] + pb[9] + pb[11])
-            if gap == 0.0:
-                # where the lines through the chords meet (nowhere if parallel)
-                px, py, qx, qy = pa[0], pa[1], pb[0], pb[1]
-                rx, ry = pa[6] - px, pa[7] - py
-                rows = np.array([[px, py], [rx, ry], [qx, qy], [pb[6] - qx, pb[7] - qy]])
-                t = float(_meet(*rows[:, None])[0][0])
-                x, y = px + t * rx, py + t * ry
-                if math.hypot(
-                    x - mx, y - my
-                ) <= 10.0 * tol and _in_boxes(x, y, pieces_a, pieces_b):
-                    return RefinedContact((x, y), True)
-            return RefinedContact((mx, my), True)
-        if pa[12] >= pb[12]:
-            if pa[13] is None:
-                pa[13:15] = _halves(pa)
-            pairs = ((pa[13], pb), (pa[14], pb))
-        else:
-            if pb[13] is None:
-                pb[13:15] = _halves(pb)
-            pairs = ((pa, pb[13]), (pa, pb[14]))
-    return RefinedContact(seed, False)
+    if found is None or found[0] > 0.01 * (1.0 + span):
+        return RefinedContact(seed, False)
+    gap, pa, pb = found
+    mx = 0.25 * (pa[8] + pa[10] + pb[8] + pb[10])
+    my = 0.25 * (pa[9] + pa[11] + pb[9] + pb[11])
+    if gap == 0.0:
+        # where the lines through the chords meet (nowhere if parallel)
+        px, py, qx, qy = pa[0], pa[1], pb[0], pb[1]
+        rx, ry = pa[6] - px, pa[7] - py
+        rows = np.array([[px, py], [rx, ry], [qx, qy], [pb[6] - qx, pb[7] - qy]])
+        t = float(_meet(*rows[:, None])[0][0])
+        x, y = px + t * rx, py + t * ry
+        if math.hypot(x - mx, y - my) <= 10.0 * tol and _in_boxes(x, y, pieces_a, pieces_b):
+            return RefinedContact((x, y), True)
+    return RefinedContact((mx, my), True)
 
 
 # ---------------------------------------------------------------------------

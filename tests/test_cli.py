@@ -513,6 +513,21 @@ class TestSurface:
         assert len(surface.intersect_projected(wire, rim).crossings) == 3999
         assert 0 < hypot.calls < 2 * 3999
 
+    def test_degenerate_refine_window_leaves_the_site_unrefined(self, tmp_path, capsys):
+        # at this view a noise silhouette of the Moebius band zig-zags
+        # between points about 2e-15 apart, and a contact window on it has
+        # no chord direction to fit: that site stays unrefined, where it
+        # once ended the scene with "error: both chord vectors are zero"
+        desc = tmp_path / "mobius.surf"
+        desc.write_text(
+            "x = 2*cos(v)*(2+u*cos(v/2))\ny = 2*sin(v)*(2+u*cos(v/2))\n"
+            "z = 2*u*sin(v/2)\nu = -0.4, 0.4\nv = 0, 2*pi\n"
+        )
+        assert main(["surface", str(desc), "--theta", "40", "--phi", "20"]) == 0
+        out, err = capsys.readouterr()
+        assert out.rstrip().endswith("\\end{picture}}")
+        assert err == ""
+
     def test_undefined_seed_cells_print_no_numpy_warning(self, tmp_path):
         # z is undefined for v < 0.5, so some occlusion seed cells have
         # no defined corner at all; run as a user would, so numpy's
@@ -593,7 +608,7 @@ class TestOneProcess:
         src = Path(splinefig.__file__).parents[1]
         code = (
             "import sys, splinefig.cli; "
-            "print([m for m in ('splinefig.surface', 'concurrent.futures') "
+            "print([m for m in ('splinefig.surface', 'concurrent.futures', 'subprocess') "
             "if m in sys.modules])"
         )
         run = subprocess.run(

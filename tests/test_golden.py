@@ -170,21 +170,30 @@ def _digest(argv, capsys) -> str:
     return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "name, text, fmt",
-    [
-        ("paraboloid.tex", PARABOLOID, "tex"),
-        ("paraboloid.svg", PARABOLOID, "svg"),
-        ("mobius.tex", MOBIUS, "tex"),
-        ("partial.tex", PARTIAL, "tex"),
-        ("paraboloid-omit.tex", PARABOLOID_OMIT, "tex"),
-        ("paraboloid-omit.svg", PARABOLOID_OMIT, "svg"),
-    ],
-)
+SURFACE_FIGURES = [
+    ("paraboloid.tex", PARABOLOID, "tex"),
+    ("paraboloid.svg", PARABOLOID, "svg"),
+    ("mobius.tex", MOBIUS, "tex"),
+    ("partial.tex", PARTIAL, "tex"),
+    ("paraboloid-omit.tex", PARABOLOID_OMIT, "tex"),
+    ("paraboloid-omit.svg", PARABOLOID_OMIT, "svg"),
+]
+
+
+@pytest.mark.parametrize("name, text, fmt", SURFACE_FIGURES)
 def test_surface_figure_digest(name, text, fmt, tmp_path, capsys):
     desc = tmp_path / "scene.surf"
     desc.write_text(text)
     assert _digest(["surface", str(desc), "--format", fmt], capsys) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name, text, fmt", SURFACE_FIGURES)
+def test_surface_figure_digest_from_the_python_loop(
+    name, text, fmt, tmp_path, capsys, monkeypatch
+):
+    # refine_contact's search run in Python, as where no C compiler is
+    monkeypatch.setattr(surface, "_kernel", False)
+    test_surface_figure_digest(name, text, fmt, tmp_path, capsys)
 
 
 def test_contact_demo_digest(capsys):

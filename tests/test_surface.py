@@ -3,11 +3,12 @@ import gc
 import heapq
 import logging
 import math
+import shutil
 import struct
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from itertools import count
+from itertools import count, product
 
 import numpy as np
 import pytest
@@ -1161,9 +1162,10 @@ def test_property_refine_contact_agrees_with_the_reference(pair):
 
 
 def _scene_sites(
-    s: ParametricSurface, cfg: SceneConfig
+    s: ParametricSurface, cfg: SceneConfig, view: Projection = VIEW
 ) -> tuple[list[tuple], surface.SceneReport]:
-    """Every refine_contact call of a scene at 60/25, and its report."""
+    """Every refine_contact call of a scene (at 60/25 unless told), and
+    its report."""
     sites = []
     real = surface.refine_contact
 
@@ -1173,8 +1175,106 @@ def _scene_sites(
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(surface, "refine_contact", record)
-        _, report = build_surface_scene(s, VIEW, cfg)
+        _, report = build_surface_scene(s, view, cfg)
     return sites, report
+
+
+def _python_loop(solve, *args):
+    """solve(*args) with refine_contact's pop loop run in Python."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "_kernel", False)
+        return solve(*args)
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    """refine.c, loaded; the test is skipped where it cannot be built."""
+    dll = surface._load_kernel()
+    if not dll:
+        pytest.skip("no C compiler builds refine.c here")
+    return dll
+
+
+def test_kernel_loads_where_a_compiler_is_found():
+    # a broken build would fall back to the Python loop without a word
+    if shutil.which("cc"):
+        assert surface._load_kernel()
+
+
+def _hypot_batch() -> list[tuple[float, float]]:
+    """120 000 fixed pairs across the exponent range, then the specials.
+
+    Random bit patterns (every exponent, subnormals, infinities, NaNs),
+    pairs whose exponents differ by up to 60 (where both terms count),
+    and each pair of the specials."""
+    rng = np.random.default_rng(2019)
+    bits = rng.integers(0, 2**64, size=(40_000, 2), dtype=np.uint64)
+    e = rng.integers(-1074, 1024, size=(80_000, 1)) + rng.integers(-30, 31, size=(80_000, 2))
+    e = np.clip(e, -1074, 1023)  # |mantissa| < 1 keeps each finite
+    near = np.ldexp(rng.uniform(-1.0, 1.0, size=(80_000, 2)), e)
+    specials = [
+        0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, -3.0,
+        1e308, 1.7976931348623157e308, math.inf, -math.inf, math.nan,
+    ]
+    return [
+        *map(tuple, bits.view(np.float64).tolist()),
+        *map(tuple, near.tolist()),
+        *product(specials, repeat=2),
+    ]
+
+
+def test_hypot_port_is_math_hypot_bit_for_bit(kernel):
+    # the heap order hangs on these bits; the C library's hypot differs
+    # from math.hypot on about one pair in a hundred
+    for x, y in _hypot_batch():
+        got, ref = kernel.py_hypot(x, y), math.hypot(x, y)
+        assert _bits([got]) == _bits([ref]) or math.isnan(got) and math.isnan(ref), (x, y)
+
+
+def _same_on_both_paths(site) -> surface.RefinedContact:
+    got = refine_contact(*site)
+    ref = _python_loop(refine_contact, *site)
+    assert (_bits(got.point), got.refined) == (_bits(ref.point), ref.refined)
+    return got
+
+
+@st.composite
+def nan_window_pairs(draw):
+    """A window pair with one coordinate of a window's vertex NaN."""
+    _, a, b, window, tol = draw(window_pairs())
+    i, j = closest_pair(a, b)
+    poly, center = draw(st.sampled_from([(a, i), (b, j)]))
+    pts = poly.points.copy()
+    k = draw(st.integers(max(0, center - window), min(len(pts) - 1, center + window)))
+    pts[k, draw(st.integers(0, 1))] = math.nan
+    a, b = (Polyline(pts), b) if poly is a else (a, Polyline(pts))
+    return a, b, i, j, window, tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(window_pairs())
+def test_property_kernel_gives_the_python_loops_bits(kernel, pair):
+    _, a, b, window, tol = pair
+    _same_on_both_paths((a, b, *closest_pair(a, b), window, tol))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nan_window_pairs())
+def test_property_kernel_gives_the_python_loops_bits_with_a_nan_vertex(kernel, site):
+    # NaN keys compare false both ways: the pops follow heapq's order
+    _same_on_both_paths(site)
+
+
+@pytest.mark.parametrize("theta, phi", [(60, 25), (45, 20), (70, 30)])
+def test_every_scene_site_gives_the_same_bits_on_both_paths(kernel, theta, phi):
+    view = Projection(math.radians(theta), math.radians(phi))
+    paraboloid = SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6)))
+    refined = 0
+    for s, cfg in ((paraboloid_surface(), paraboloid), (mobius(), SceneConfig())):
+        sites, _ = _scene_sites(s, cfg, view)
+        assert sites
+        refined += sum(_same_on_both_paths(site).refined for site in sites)
+    assert refined > 0
 
 
 def test_each_piece_is_split_once_per_best_first_search(monkeypatch):
@@ -1187,21 +1287,35 @@ def test_each_piece_is_split_once_per_best_first_search(monkeypatch):
         split.append(b"".join(_bits(p[:12])))
         return halves(p)
 
+    made = []
+    compiled = surface._compiled_best_first
+
+    def counted_kernel(dll, pieces_a, pieces_b, *rest):
+        found, n = compiled(dll, pieces_a, pieces_b, *rest)
+        made.append(n - len(pieces_a) - len(pieces_b))
+        return found, n
+
     monkeypatch.setattr(surface, "_halves", counted)
+    monkeypatch.setattr(surface, "_compiled_best_first", counted_kernel)
+    dll = surface._load_kernel()
     total = 0
     for site in sites:
-        del split[:]
-        refine_contact(*site)
+        del split[:], made[:]
+        _python_loop(refine_contact, *site)
         # a split piece keeps its halves for every pair that meets it
         assert len(split) == len(set(split))
         total += len(split)
+        if dll:
+            # the kernel makes two pieces for each piece the loop splits
+            refine_contact(*site)
+            assert sum(made) == 2 * len(split)
     assert len(sites) == 15
     assert total > 0
 
 
 def test_budget_exhausting_searches_peak_no_higher_than_the_reference():
     # the Moebius band's rims graze its silhouettes: the fits never
-    # cross, and the best-first search spends all 5000 pops
+    # cross, and the best-first search spends all REFINE_POPS pops
     sites, report = _scene_sites(mobius(), SceneConfig())
     rims = {id(c.polyline) for c in report.boundaries}
     folds = {id(c.polyline) for c in report.silhouettes}
@@ -1224,10 +1338,12 @@ def test_budget_exhausting_searches_peak_no_higher_than_the_reference():
     # the best-first search keeps every split piece's halves, which must
     # cost no more than the pieces the reference makes again and again;
     # kept by the depth-first search too, they would peak near twice
-    # the reference (5.9 against 3.0 MB)
+    # the reference (5.9 against 3.0 MB).  tracemalloc sees no memory
+    # of refine.c's, so the Python loop is measured
     assert len(grazing) == 5
     for site in grazing:
-        assert peak(refine_contact, site) <= peak(reference_refine_contact, site)
+        python_peak = _python_loop(peak, refine_contact, site)
+        assert python_peak <= peak(reference_refine_contact, site)
 
 
 def _bits(xs) -> list[bytes]:
