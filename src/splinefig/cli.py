@@ -48,7 +48,7 @@ from .spline import DegenerateGeometryError, SplineMethod, build_spline
 # `integrate` and a spline figure (324 MB at 10^6 vertices) outgrow 1 GB
 # of memory, and a surface scene whose curves run within the contact
 # tolerance of each other takes hours (time grows with samples^2: the
-# README paraboloid scaled by 0.01 takes 160 s at 10^4 samples)
+# README paraboloid scaled by 0.01 takes 141 s at 10^4 samples)
 MAX_NUM = 10**6
 MAX_SAMPLES = 10**4
 MAX_VERTICES = 10**6

@@ -17,10 +17,11 @@ Larger depth means nearer the eye.  The drawing pipeline:
     of the two curves cross or come closest (refine_contact; its search
     loop runs compiled from refine.c where a C compiler is found, and
     in Python otherwise, with the same bits);
- 3. cut the curves at those points (an outline crossing itself at
-    both passes) and decide each interval's visibility by a depth test
-    at its midpoint (a damped Newton solve finds every surface point
-    covering the midpoint);
+ 3. cut the curves at the parameters where they were crossed (an
+    outline crossing itself at both passes) and where each contact
+    answer lies nearest, and decide each interval's visibility by a
+    depth test at its midpoint (a damped Newton solve finds every
+    surface point covering the midpoint);
  4. emit visible intervals solid and hidden ones dashed (or drop them).
 
 Everything is deterministic; the per-curve work items are independent
@@ -328,9 +329,10 @@ class Crossing:
 class IntersectionResult:
     crossings: tuple[Crossing, ...]
     contacts: tuple[Crossing, ...]  # near-tangential sites to refine
-    # a polyline against itself: both passes of each crossing, as
-    # parameters (vertex index + fraction) in crossing order; else empty
-    passes: tuple[float, ...]
+    # where each crossing lies on a, as a parameter (vertex index +
+    # fraction), in crossing order; a polyline against itself gives both
+    # passes of each crossing
+    params: tuple[float, ...]
 
 
 def _pow2_scale(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -471,7 +473,8 @@ def _contact_sites(pa: np.ndarray, pb: np.ndarray) -> list[tuple[float, int, int
 
 
 def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
-    """Transversal crossings of two polylines plus flagged contact sites.
+    """Transversal crossings of two polylines, with their parameters on
+    a, plus flagged contact sites.
 
     A closest approach below CONTACT_TOL with no crossing nearby, or
     more than 3 crossings inside a 5-vertex window, marks a site for
@@ -481,6 +484,7 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
     curves' lengths and the pairs that meet, not with their product.
     """
     self_mode = a is b
+    own = 2 if self_mode else 1  # the passes of a crossing that lie on a
     pa, pb = a.points, b.points
     hits = []  # (i, j, t, s, x, y) of each segment pair that meets, row-major
     for _, _, i, j in _pair_blocks(*_segment_boxes(pa), *_segment_boxes(pb)):
@@ -502,7 +506,7 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
     side = 2.0 * CROSSING_DEDUP_TOL
     cells: dict[tuple[float, float], list[tuple[float, float]]] = {}
     crossings: list[Crossing] = []
-    passes: list[float] = []
+    params: list[float] = []
     for i, j, t, s, x, y in hits:
         kx, ky = x // side, y // side
         if any(
@@ -513,8 +517,7 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
             continue
         cells.setdefault((kx, ky), []).append((x, y))
         crossings.append(Crossing((x, y), i, j))
-        if self_mode:
-            passes.extend((i + t, j + s))
+        params.extend((i + t, j + s)[:own])
 
     ias = [c.ia for c in crossings]
 
@@ -547,7 +550,7 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
             (px, py), (qx, qy), (bx, by) = pa[i].tolist(), *pb[j : j + 2].tolist()
             fx, fy = qx + t * (bx - qx), qy + t * (by - qy)
             contacts.append(Crossing((0.5 * (px + fx), 0.5 * (py + fy)), i, j))
-    return IntersectionResult(tuple(crossings), tuple(contacts), tuple(passes))
+    return IntersectionResult(tuple(crossings), tuple(contacts), tuple(params))
 
 
 @dataclass(frozen=True)
@@ -611,12 +614,9 @@ def _halves(p: list) -> tuple[list, list]:
     )
 
 
-def _window_pieces(poly: Polyline, center: int, window: int):
-    """Flat pieces of the open Oshima fit through the window around center;
+def _window_pieces(pts: np.ndarray):
+    """Flat pieces of the open Oshima fit through a window's rows pts;
     None where the window is too short or too degenerate to fit."""
-    lo = max(0, center - window)
-    hi = min(len(poly.points) - 1, center + window)
-    pts = poly.points[lo : hi + 1]
     if len(pts) < 2:
         return None
     try:
@@ -790,15 +790,15 @@ def refine_contact(
     (ax, ay), (bx, by) = a.points[center_a].tolist(), b.points[center_b].tolist()
     sx, sy = (ax + bx) * 0.5, (ay + by) * 0.5
     seed = (sx, sy)
-    pieces_a = _window_pieces(a, center_a, window)
-    pieces_b = _window_pieces(b, center_b, window)
+    win_a = a.points[max(0, center_a - window) : center_a + window + 1]
+    win_b = b.points[max(0, center_b - window) : center_b + window + 1]
+    pieces_a = _window_pieces(win_a)
+    pieces_b = _window_pieces(win_b)
     if pieces_a is None or pieces_b is None:
         return RefinedContact(seed, False)
 
     # overlapping windows (a curve drawn twice, grazing duplicates)
     # never separate under subdivision; bail before burning the budget
-    win_a = a.points[max(0, center_a - window) : center_a + window + 1]
-    win_b = b.points[max(0, center_b - window) : center_b + window + 1]
     if (_feet(win_a[:, None], win_b[:-1], win_b[1:])[1].min(axis=1) <= 10.0 * tol).all():
         return RefinedContact(seed, False)
 
@@ -1015,17 +1015,12 @@ class OcclusionTester:
 
 
 def classify_visibility(
-    poly: Polyline,
-    label: str,
-    cuts: Sequence[tuple[float, float]],
-    tester: OcclusionTester,
-    params: Sequence[float] = (),
+    poly: Polyline, label: str, params: Sequence[float], tester: OcclusionTester
 ) -> VisibilityTaggedCurve:
     """Split poly, a `project_curve` result of a curve seen through
-    tester.proj, at the cut points and at the cut parameters params,
-    and tag each interval against tester.surface; label names the
-    result.  A cut point is cut at the nearest place on poly, if that
-    is near enough; params are taken as they are.
+    tester.proj, at the cut parameters params (vertex index + fraction,
+    in any order), and tag each interval against tester.surface; label
+    names the result.
 
     Visibility is decided at the interval midpoint: the interval is
     hidden when some surface point projects there with strictly larger
@@ -1034,16 +1029,13 @@ def classify_visibility(
     the Newton solves all fail for a curve on the surface, the interval
     stays visible and the result's newton_failed is set.
     """
-    near = 0.05 * (1.0 + tester.scene_scale)
-    located, dists = _locate_params(poly, np.array(cuts, dtype=float).reshape(-1, 2))
-    located = located[dists <= near].tolist()
     # arc length at each vertex: a cut within 10*REFINE_TOL along the
     # curve of an end or of the last kept cut would leave a stub interval
     gaps = map(math.hypot, *np.diff(poly.points, axis=0).T.tolist())
     arc = [0.0, *accumulate(gaps)]
     cleaned: list[float] = []
     last = 0.0
-    for p in sorted([*located, *params]):
+    for p in sorted(params):
         i, t = _split_param(poly, p)
         at = arc[i] + (arc[i + 1] - arc[i]) * t
         if min(at - last, arc[-1] - at) > 10.0 * REFINE_TOL:
@@ -1164,17 +1156,17 @@ def build_surface_scene(
 
     def work(item: tuple[str, str, Polyline]) -> VisibilityTaggedCurve:
         _, label, poly = item
-        points: list[tuple[float, float]] = []
         params: list[float] = []
+        answers: list[tuple[float, float]] = []
         for op in outlines:
             res = intersect_projected(poly, op)
-            # an outline crossing itself is cut at both passes
-            params.extend(res.passes)
-            if op is not poly:
-                points.extend(c.point for c in res.crossings)
-            for site in res.contacts:
-                points.append(refine_contact(poly, op, site.ia, site.ib).point)
-        return classify_visibility(poly, label, points, tester, params)
+            params.extend(res.params)
+            answers.extend(refine_contact(poly, op, c.ia, c.ib).point for c in res.contacts)
+        # a contact answer is a point: poly is cut where it lies nearest,
+        # if that is near enough
+        located, dists = _locate_params(poly, np.array(answers, dtype=float).reshape(-1, 2))
+        params.extend(located[dists <= 0.05 * (1.0 + tester.scene_scale)].tolist())
+        return classify_visibility(poly, label, params, tester)
 
     with ThreadPoolExecutor() as pool:
         tagged = list(pool.map(work, projected))

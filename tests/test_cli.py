@@ -490,9 +490,11 @@ class TestSurface:
             ),
         ]
         # two of those folds cross themselves, and each self-crossing is
-        # cut at both of its passes
+        # cut at both of its passes; every curve runs back over itself
+        # along the line, so each crossing is cut where it was found, not
+        # on the first pass nearest its point
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "151e1d9251d5d838a310e1ce6cc4bc99554f5a2a73cca5415caf39606bc7fdbe"
+            "564d3f56fef5a4353098923ab05c11fa6c737966c2ae6eb8d9c67a4bceef00d4"
         )
 
     def test_wire_on_the_rim_is_deduplicated_in_linear_time(self, monkeypatch):
@@ -512,6 +514,36 @@ class TestSurface:
         monkeypatch.setattr(surface, "math", hypot)
         assert len(surface.intersect_projected(wire, rim).crossings) == 3999
         assert 0 < hypot.calls < 2 * 3999
+
+    def test_wire_on_the_rim_locates_only_contact_answers(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        # the README paraboloid with a wire on its rim: a crossing is cut
+        # at the parameter where it was found, so the only points located
+        # on a curve are refine_contact's answers (once 1212 points here,
+        # every crossing among them, where there are far fewer answers)
+        located, refined = [], []
+        locate, refine = surface._locate_params, surface.refine_contact
+
+        def counted_locate(poly, points):
+            located.append(len(points))
+            return locate(poly, points)
+
+        def counted_refine(*args, **kwargs):
+            refined.append(1)
+            return refine(*args, **kwargs)
+
+        monkeypatch.setattr(surface, "_locate_params", counted_locate)
+        monkeypatch.setattr(surface, "refine_contact", counted_refine)
+        desc = tmp_path / "rim.surf"
+        desc.write_text(
+            "x = u*cos(v)\ny = u*sin(v)\nz = 4 - u^2\nu = 0, 2\nv = 0, 2*pi\n"
+            "wires_u = 2\nwires_v = 0, pi/3, 2*pi/3, pi, 4*pi/3, 5*pi/3\n"
+            "samples = 1000\n"
+        )
+        assert main(["surface", str(desc), "--format", "tex"]) == 0
+        capsys.readouterr()
+        assert 0 < sum(refined) == sum(located)
 
     def test_degenerate_refine_window_leaves_the_site_unrefined(self, tmp_path, capsys):
         # at this view a noise silhouette of the Moebius band zig-zags

@@ -72,6 +72,32 @@ PARABOLOID_OMIT = PARABOLOID.replace("hidden = dashed", "hidden = omit").replace
     "axes = on", "axes = off"
 )
 
+TORUS = """\
+x = (2+cos(u))*cos(v)
+y = (2+cos(u))*sin(v)
+z = sin(u)
+u = 0, 2*pi
+v = 0, 2*pi
+axes = off
+"""
+
+# views over the benchmark's box, theta in [40, 80] and phi in [15, 35]
+# degrees: its corners, the Moebius view at 40/20, and the torus, whose
+# outline crosses itself, at 45/40.  (surface, theta, phi): sha256 of
+# the LaTeX
+VIEW_BOX = {
+    ("paraboloid", "40", "15"): "61b369275bb21d143685305a579c2be57712cf7d7c6eca63684f3e9c10e4f17f",
+    ("paraboloid", "40", "35"): "4ecbf46b818198853ef0d4f998a0ed06fa4681cbfbbd9ff236c85eb1f2103b2b",
+    ("paraboloid", "80", "15"): "49f8e34c3b248c92376445a97266bd1d1084fda043c3f25b15966712a1cc754c",
+    ("paraboloid", "80", "35"): "6496168067c17313ce7bf2319e8c5978639c9111eb623c2f0f1e3258b84a4768",
+    ("mobius", "40", "15"): "622d94500c9d313bd546de19feba7e6bcb823cd964c65b7edbbb1f881f7618b5",
+    ("mobius", "40", "35"): "2eb00d6cde75f0663a9153fe79c10aa1416b3abeac8354f9a26a9c9144cc45d5",
+    ("mobius", "80", "15"): "997272b04d7fe277b441b6e1afdc7c9675ef1b9f360e4a1e19a5784120a75112",
+    ("mobius", "80", "35"): "8cf265e973e569205426e3afe1c58e7c946344cbb2bd355186f56e09902a5966",
+    ("mobius", "40", "20"): "41f1f6f6c2392728ec96746f24dcf7beeb17bb2a2713d1932d262c63cf9f058a",
+    ("torus", "45", "40"): "4645ae57e8998e237a816009d542bd900dc88903d3e46688ee221ec91bd40abf",
+}
+
 CONIC = "8*x^2-4*sqrt(2)*x*y+y^2-3*x-6*sqrt(2)*y+2=0"
 
 
@@ -194,6 +220,15 @@ def test_surface_figure_digest_from_the_python_loop(
     # refine_contact's search run in Python, as where no C compiler is
     monkeypatch.setattr(surface, "_kernel", False)
     test_surface_figure_digest(name, text, fmt, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("view", VIEW_BOX)
+def test_view_box_digest(view, tmp_path, capsys):
+    name, theta, phi = view
+    desc = tmp_path / "scene.surf"
+    desc.write_text({"paraboloid": PARABOLOID, "mobius": MOBIUS, "torus": TORUS}[name])
+    argv = ["surface", str(desc), "--theta", theta, "--phi", phi, "--format", "tex"]
+    assert _digest(argv, capsys) == VIEW_BOX[view]
 
 
 def test_contact_demo_digest(capsys):

@@ -627,7 +627,8 @@ def _reference_segment_feet(points, chain):
 
 def reference_intersect(a: Polyline, b: Polyline):
     """The dense intersect_projected: n x m box masks and distances.
-    Returns (point, ia, ib) of the crossings and of the contacts."""
+    Returns (point, ia, ib) of the crossings and of the contacts, and
+    the crossings' parameters on a (on b too, in self mode)."""
     self_mode = a is b
     pa, pb = a.points, b.points
     amin, amax = np.minimum(pa[:-1], pa[1:]), np.maximum(pa[:-1], pa[1:])
@@ -644,6 +645,7 @@ def reference_intersect(a: Polyline, b: Polyline):
         overlap &= idx[:, None] < idx[None, :]
     va, vb = pa.tolist(), pb.tolist()
     crossings = []
+    params = []
     for i, j in zip(*(k.tolist() for k in np.nonzero(overlap))):
         (px, py), (ax, ay) = va[i], va[i + 1]
         (qx, qy), (bx, by) = vb[j], vb[j + 1]
@@ -667,6 +669,7 @@ def reference_intersect(a: Polyline, b: Polyline):
             ):
                 continue
             crossings.append(((x, y), i, j))
+            params.extend((i + t, j + s) if self_mode else (i + t,))
     contacts = []
     used = set()
     for k, (_, ia, _) in enumerate(crossings):
@@ -695,14 +698,17 @@ def reference_intersect(a: Polyline, b: Polyline):
             (qx, qy), (bx, by), t = vb[j], vb[j + 1], float(tt[i, j])
             fx, fy = qx + t * (bx - qx), qy + t * (by - qy)
             contacts.append(((0.5 * (va[i][0] + fx), 0.5 * (va[i][1] + fy)), i, j))
-    return repr(crossings), repr(contacts)
+    return repr(crossings), repr(contacts), repr(params)
 
 
-def _answer(res) -> tuple[str, str]:
+def _answer(res) -> tuple[str, str, str]:
     """repr tells -0.0 from 0.0, so equal answers are equal bits."""
-    return tuple(
-        repr([(c.point, c.ia, c.ib) for c in part])
-        for part in (res.crossings, res.contacts)
+    return (
+        *(
+            repr([(c.point, c.ia, c.ib) for c in part])
+            for part in (res.crossings, res.contacts)
+        ),
+        repr(list(res.params)),
     )
 
 
@@ -1511,8 +1517,7 @@ class TestVisibility:
             [(x, 0.0, 0.0) for x in np.linspace(-3, 3, 61)], label="chord"
         )
         poly = project_curve(c, VIEW)
-        mid = vertices(poly)[30]
-        tagged = classify_visibility(poly, c.label, [mid], OcclusionTester(s, VIEW))
+        tagged = classify_visibility(poly, c.label, [30.0], OcclusionTester(s, VIEW))
         assert len(tagged.intervals()) == 2
 
     def test_occlusion_tester_covers(self):
@@ -1592,12 +1597,12 @@ class TestSceneStructure:
         delay = {"boundary:u=2": 0.3, "wire:v=3.14159": 0.1}
         real = surface.classify_visibility
 
-        def failing_late(poly, label, cuts, tester, params):
+        def failing_late(poly, label, params, tester):
             time.sleep(delay.get(label, 0.0))
             if label in delay:
                 tester = copy.copy(tester)
                 tester.covers = lambda q: ([], 1)  # candidate cells, no root
-            return real(poly, label, cuts, tester, params)
+            return real(poly, label, params, tester)
 
         monkeypatch.setattr(surface, "classify_visibility", failing_late)
         cfg = SceneConfig(wires_v=(0.0, math.pi), grid=80, samples=60)
@@ -1629,7 +1634,7 @@ class TestSceneStructure:
         assert outline.label == "silhouette:0"
         res = intersect_projected(outline.polyline, outline.polyline)
         assert [(c.ia, c.ib) for c in res.crossings] == [(8, 85), (162, 239)]
-        assert outline.cuts == res.passes
+        assert outline.cuts == res.params
         assert [round(c, 3) for c in outline.cuts] == [8.912, 85.088, 162.912, 239.088]
         # the stretch between the second and third cut is in front, as a
         # depth test at its vertices 86 to 162 finds it
