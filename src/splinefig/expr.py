@@ -482,7 +482,9 @@ def compile_fn(node: ExprNode, params: tuple[str, ...]) -> Callable[..., float]:
     `enclose(*boxes)` takes one (lo, hi) pair of arrays per parameter
     and gives (lo, hi) arrays, broadcast like `at`'s: where both are
     finite, the call raises nowhere in the box and every value it gives
-    there lies between them (see `_enclose`).
+    there lies between them (see `_enclose`).  `ops` is the program, the
+    lowered operation list (see `_lower`), and `outputs` the indices of
+    the operations the call gives.
     """
     return _compile([node], params, many=False)
 
@@ -579,6 +581,8 @@ def _compile(trees: list[ExprNode], params: tuple[str, ...], many: bool):
     call.at = at
     call.grid = grid
     call.enclose = enclose
+    # the program itself, for other evaluators of it (surface's refine.c)
+    call.ops, call.outputs = tuple(ops), tuple(outputs)
     return call
 
 

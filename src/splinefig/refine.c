@@ -1,10 +1,15 @@
-/* refine_contact's best-first search of two Bezier fits, compiled.
+/* Two compiled kernels of splinefig.surface: refine_contact's
+ * best-first search of two Bezier fits, and OcclusionTester's damped
+ * Newton solves over a surface's lowered program.
  *
  * splinefig.surface builds this file with the system C compiler the
- * first time a process reaches the search, and calls refine_search
- * through ctypes.  Every float operation is the Python loop's
- * (surface._piece, surface._halves and surface._best_first), in the
- * same order, so the two give the same bits:
+ * first time a process needs either, and calls refine_search and
+ * occlusion_newton through ctypes.  Each kernel gives the bits of the
+ * Python it replaces.
+ *
+ * The search (refine_search) does every float operation of the Python
+ * loop (surface._piece, surface._halves and surface._best_first), in
+ * the same order:
  *
  *  - box diagonals and heap keys come from py_hypot, a port of CPython's
  *    math.hypot for two arguments (vector_norm of Python 3.11: frexp
@@ -17,6 +22,23 @@
  *    child up to a leaf before sifting down, with keys compared as
  *    tuples compare, so the pops come in heapq's order even when a key
  *    is NaN.
+ *
+ * The solves (occlusion_newton) are OcclusionTester._newton line for
+ * line, with py_hypot for math.hypot, from every start of one covers
+ * query.  They run the surface's programs through program_run, which
+ * interprets the operation list expr._compile lowers (an evaluation
+ * procedure; Griewank & Walther, "Evaluating Derivatives", ch. 2) with
+ * the scalar call's IEEE operations and libm routines, and answers
+ * "raised" exactly where that call raises DomainError:
+ *
+ *  - / where the divisor is 0.0;
+ *  - sqrt, sin, cos, tan, exp and log where the result is NaN and the
+ *    argument is not, or the result is infinite and the argument finite
+ *    (CPython's math_1; log is m_log there, whose values C's log gives
+ *    but for the sign of a NaN);
+ *  - ^ where both inputs are finite and libm's pow is not (math.pow);
+ *  - +, -, *, neg and abs never;
+ *  - and where any output is not finite.
  *
  * Build with -ffp-contract=off and without -ffast-math: no a*b + c may
  * be fused or reordered.
@@ -342,4 +364,168 @@ int refine_search(const double *ctrl_a, long na, const double *ctrl_b, long nb,
     *npieces = n;
     release(pieces, bytes);
     return found;
+}
+
+
+/* an operation of a lowered program, as surface._OPCODES numbers them */
+enum {
+    OP_VAR, OP_CONST, OP_NEG, OP_ABS, OP_SQRT, OP_SIN, OP_COS, OP_TAN,
+    OP_EXP, OP_LOG, OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_POW
+};
+
+/* expr._compile's operation list: operation k is code[k] on the values
+ * of operations arg[2k] and arg[2k + 1]; a variable reads argument
+ * arg[2k] of the call, a constant is val[k].  The call gives the
+ * values of the nout operations out. */
+typedef struct {
+    long n;
+    const long *code;
+    const long *arg;
+    const double *val;
+    long nout;
+    const long *out;
+} Program;
+
+/* fn(x) as math_1 calls it: sets *raised where it raises */
+static double math_1(double (*fn)(double), double x, int *raised)
+{
+    double r = fn(x);
+    if ((isnan(r) && !isnan(x)) || (isinf(r) && isfinite(x)))
+        *raised = 1;
+    return r;
+}
+
+/* p's scalar call on args, its values in out[0:p->nout], with t[0:p->n]
+ * the scratch row: 0, or 1 where the call raises DomainError */
+int program_run(const Program *p, const double *args, double *out, double *t)
+{
+    long k;
+    for (k = 0; k < p->n; k++) {
+        const long *arg = p->arg + 2 * k;
+        double a = 0.0, b = 0.0, r;
+        int raised = 0;
+        if (p->code[k] > OP_CONST) {
+            a = t[arg[0]];
+            b = t[arg[1]];
+        }
+        switch (p->code[k]) {
+        case OP_VAR: r = args[arg[0]]; break;
+        case OP_CONST: r = p->val[k]; break;
+        case OP_NEG: r = -a; break;
+        case OP_ABS: r = fabs(a); break;
+        case OP_SQRT: r = math_1(sqrt, a, &raised); break;
+        case OP_SIN: r = math_1(sin, a, &raised); break;
+        case OP_COS: r = math_1(cos, a, &raised); break;
+        case OP_TAN: r = math_1(tan, a, &raised); break;
+        case OP_EXP: r = math_1(exp, a, &raised); break;
+        case OP_LOG: r = math_1(log, a, &raised); break;
+        case OP_ADD: r = a + b; break;
+        case OP_SUB: r = a - b; break;
+        case OP_MUL: r = a * b; break;
+        case OP_DIV:
+            raised = b == 0.0;
+            r = a / b;
+            break;
+        case OP_POW:
+            r = pow(a, b);
+            raised = isfinite(a) && isfinite(b) && !isfinite(r);
+            break;
+        default: return 1;
+        }
+        if (raised)
+            return 1;
+        t[k] = r;
+    }
+    for (k = 0; k < p->nout; k++) {
+        out[k] = t[p->out[k]];
+        if (!isfinite(out[k]))
+            return 1;
+    }
+    return 0;
+}
+
+/* the solve's fixed terms: lim the bounds (u low, u high, v low, v high)
+ * a step must stay within, tol the residual that ends it */
+typedef struct {
+    const Program *f, *df;
+    const double *lim;
+    double qx, qy, tol;
+    long max_iter;
+} Solve;
+
+/* OcclusionTester._newton from (uv[0], uv[1]): 1 with the root in uv,
+ * else 0 */
+static int newton(const Solve *s, double *uv, double *t)
+{
+    const double *lim = s->lim;
+    double u = uv[0], v = uv[1], xy[2], p[4], gx, gy, err;
+    long it;
+
+    if (program_run(s->f, (double[]){u, v}, xy, t))
+        return 0;
+    gx = xy[0] - s->qx;
+    gy = xy[1] - s->qy;
+    err = py_hypot(gx, gy);
+    for (it = 0; it < s->max_iter; it++) {
+        double det, du, dv, lam;
+        int stepped = 0;
+        if (err <= s->tol)
+            break;
+        if (program_run(s->df, (double[]){u, v}, p, t))
+            return 0;
+        det = p[0] * p[3] - p[1] * p[2];
+        if (fabs(det) < 1e-300)
+            return 0;
+        du = (p[3] * gx - p[1] * gy) / det;
+        dv = (p[0] * gy - p[2] * gx) / det;
+        for (lam = 1.0; lam >= 1.0 / 64.0; lam *= 0.5) {
+            double nu = u - lam * du, nv = v - lam * dv, ngx, ngy, nerr;
+            if (!(lim[0] <= nu && nu <= lim[1] && lim[2] <= nv && nv <= lim[3]))
+                continue;
+            if (program_run(s->f, (double[]){nu, nv}, xy, t)) {
+                ngx = ngy = INFINITY;
+            } else {
+                ngx = xy[0] - s->qx;
+                ngy = xy[1] - s->qy;
+            }
+            nerr = py_hypot(ngx, ngy);
+            if (nerr < err) {
+                u = nu;
+                v = nv;
+                gx = ngx;
+                gy = ngy;
+                err = nerr;
+                stepped = 1;
+                break;
+            }
+        }
+        if (!stepped)
+            return 0;
+    }
+    if (!(err <= s->tol))
+        return 0;
+    uv[0] = u;
+    uv[1] = v;
+    return 1;
+}
+
+/* OcclusionTester._newton toward (qx, qy) from each of the n starts
+ * uv[2k], uv[2k + 1], with f the surface's program of (X, Y) and df its
+ * program of (X_u, X_v, Y_u, Y_v): found[k] is 1 where start k
+ * converges, to the root it leaves in uv[2k], uv[2k + 1], else 0.
+ * Returns 0, or -1 when memory runs out. */
+int occlusion_newton(const Program *f, const Program *df, const double *lim,
+                     double qx, double qy, double tol, long max_iter, long n,
+                     double *uv, char *found)
+{
+    Solve s = {f, df, lim, qx, qy, tol, max_iter};
+    double *t = malloc(sizeof(double) * (size_t)(f->n > df->n ? f->n : df->n));
+    long k;
+
+    if (t == NULL)
+        return -1;
+    for (k = 0; k < n; k++)
+        found[k] = (char)newton(&s, uv + 2 * k, t);
+    free(t);
+    return 0;
 }

@@ -20,8 +20,10 @@ Larger depth means nearer the eye.  The drawing pipeline:
  3. cut the curves at the parameters where they were crossed (an
     outline crossing itself at both passes) and where each contact
     answer lies nearest, and decide each interval's visibility by a
-    depth test at its midpoint (a damped Newton solve finds every
-    surface point covering the midpoint);
+    depth test at its midpoint (damped Newton solves find every
+    surface point covering the midpoint; they run compiled from
+    refine.c, interpreting the surface's lowered program, where a C
+    compiler is found, and in Python otherwise, with the same bits);
  4. emit visible intervals solid and hidden ones dashed (or drop them).
 
 Everything is deterministic; the per-curve work items are independent
@@ -733,7 +735,55 @@ def _build_kernel():
     dll.refine_search.restype = ctypes.c_int
     dll.py_hypot.argtypes = [c_double, c_double]
     dll.py_hypot.restype = c_double
+    program = ctypes.POINTER(_Program)
+    dll.program_run.argtypes = [program, rows, rows, rows]
+    dll.program_run.restype = ctypes.c_int
+    dll.occlusion_newton.argtypes = [
+        program, program, rows, c_double, c_double, c_double, c_long, c_long,
+        rows, np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS"),
+    ]
+    dll.occlusion_newton.restype = ctypes.c_int
     return dll
+
+
+# refine.c's numbers for the operations of a lowered program; 0 and 1
+# are a variable and a constant
+_OPCODES = {
+    op: code for code, op in enumerate(
+        ("neg", "abs", "sqrt", "sin", "cos", "tan", "exp", "log", "+", "-", "*", "/", "^"),
+        start=2,
+    )
+}
+_LONG = np.dtype(ctypes.c_long)
+
+
+class _Program(ctypes.Structure):
+    """A compiled callable's program (its `ops` and `outputs`) as
+    refine.c's Program; it holds the arrays its pointers point into."""
+
+    _fields_ = [
+        ("n", ctypes.c_long), ("code", ctypes.c_void_p), ("arg", ctypes.c_void_p),
+        ("val", ctypes.c_void_p), ("nout", ctypes.c_long), ("out", ctypes.c_void_p),
+    ]
+
+    def __init__(self, call: Callable, params: tuple[str, ...]):
+        n = len(call.ops)
+        code = np.empty(n, dtype=_LONG)
+        arg = np.zeros((n, 2), dtype=_LONG)
+        val = np.zeros(n)
+        for k, (op, *args) in enumerate(call.ops):
+            if args:
+                code[k] = _OPCODES[op]
+                arg[k, : len(args)] = args
+            elif op.startswith("_v_"):
+                code[k], arg[k, 0] = 0, params.index(op[3:])
+            else:
+                code[k], val[k] = 1, float(op)
+        out = np.array(call.outputs, dtype=_LONG)
+        self._arrays = (code, arg, val, out)
+        super().__init__(
+            n, code.ctypes.data, arg.ctypes.data, val.ctypes.data, len(out), out.ctypes.data
+        )
 
 
 def _compiled_best_first(
@@ -886,7 +936,13 @@ def _locate_params(
 
 
 class OcclusionTester:
-    """Finds surface points covering a screen position by damped Newton."""
+    """Finds surface points covering a screen position by damped Newton
+    from the midpoint of each seed cell whose padded box holds it.
+
+    The solves of one `covers` call run compiled in one call of refine.c
+    where a C compiler is found (the surface's (X, Y) and partials
+    programs interpreted with the scalar call's operations), and in
+    Python (_newton) otherwise, with the same bits."""
 
     def __init__(self, s: ParametricSurface, proj: Projection):
         self.surface = s
@@ -894,12 +950,10 @@ class OcclusionTester:
         self.fxy = compile_many(_projected_exprs(s, proj), ("u", "v"))
         self.partials = compile_many(_projected_partials(s, proj), ("u", "v"))
 
-        # lists: Newton starts from floats, not numpy scalars that warn on overflow
         us = steps(*s.u_range, OCCLUSION_SEEDS)
         vs = steps(*s.v_range, OCCLUSION_SEEDS)
         gx, gy = self.fxy.grid(us, vs)
         gy[np.isnan(gx)] = np.nan  # a node is undefined when either is
-        self.us, self.vs = us, vs
         cx = np.stack([gx[:-1, :-1], gx[1:, :-1], gx[1:, 1:], gx[:-1, 1:]])
         cy = np.stack([gy[:-1, :-1], gy[1:, :-1], gy[1:, 1:], gy[:-1, 1:]])
         self.cell_ok = ~np.isnan(cx).any(axis=0) & ~np.isnan(cy).any(axis=0)
@@ -925,16 +979,24 @@ class OcclusionTester:
         self.xmax += pad
         self.ymin -= pad
         self.ymax += pad
-
-    def _newton(
-        self, q: tuple[float, float], u: float, v: float
-    ) -> tuple[float, float] | None:
-        s = self.surface
+        # each cell's midpoint, its Newton start, in np.argwhere's order
+        with np.errstate(over="ignore"):  # as float sums overflow, to inf
+            mid_u, mid_v = (0.5 * (w[:-1] + w[1:]) for w in map(np.array, (us, vs)))
+        self.starts = np.stack(np.meshgrid(mid_u, mid_v, indexing="ij"), axis=-1)
+        # the bounds a Newton step must stay within, and its tolerance
         ulo, uhi = s.u_range
         vlo, vhi = s.v_range
         mu = 0.05 * (uhi - ulo)
         mv = 0.05 * (vhi - vlo)
-        tol = NEWTON_TOL * (1.0 + self.scene_scale)
+        self.limits = np.array([ulo - mu, uhi + mu, vlo - mv, vhi + mv])
+        self.tol = NEWTON_TOL * (1.0 + self.scene_scale)
+        self.programs = tuple(_Program(f, ("u", "v")) for f in (self.fxy, self.partials))
+
+    def _newton(
+        self, q: tuple[float, float], u: float, v: float
+    ) -> tuple[float, float] | None:
+        u_lo, u_hi, v_lo, v_hi = self.limits.tolist()
+        tol = self.tol
         qx, qy = q
         try:
             x, y = self.fxy(u, v)
@@ -959,10 +1021,7 @@ class OcclusionTester:
             while lam >= 1.0 / 64.0:
                 nu = u - lam * du
                 nv = v - lam * dv
-                if (
-                    ulo - mu <= nu <= uhi + mu
-                    and vlo - mv <= nv <= vhi + mv
-                ):
+                if u_lo <= nu <= u_hi and v_lo <= nv <= v_hi:
                     try:
                         nx, ny = self.fxy(nu, nv)
                         ngx, ngy = nx - qx, ny - qy
@@ -978,6 +1037,24 @@ class OcclusionTester:
                 return None
         return (u, v) if err <= tol else None
 
+    def _solve(self, q: tuple[float, float], starts: np.ndarray) -> list:
+        """The root of each start (m, 2) that converges, in start order:
+        _newton from each, run by refine.c where it is loaded."""
+        kernel = _load_kernel()
+        if not kernel:
+            # floats, not numpy scalars that warn on overflow
+            solved = (self._newton(q, u, v) for u, v in starts.tolist())
+            return [root for root in solved if root is not None]
+        uv = starts.copy()
+        found = np.empty(len(uv), dtype=np.bool_)
+        f, df = map(ctypes.byref, self.programs)
+        qx, qy = q
+        if kernel.occlusion_newton(
+            f, df, self.limits, qx, qy, self.tol, NEWTON_MAX_ITER, len(uv), uv, found
+        ):
+            raise MemoryError("the occlusion solves ran out of memory")
+        return uv[found].tolist()
+
     def covers(
         self, q: tuple[float, float]
     ) -> tuple[list[tuple[float, float]], int]:
@@ -991,19 +1068,13 @@ class OcclusionTester:
             & (self.ymin <= qy)
             & (qy <= self.ymax)
         )
-        cells = np.argwhere(mask)
+        starts = self.starts[mask]
         roots: list[tuple[float, float]] = []
-        for i, j in cells.tolist():
-            u0 = 0.5 * (self.us[i] + self.us[i + 1])
-            v0 = 0.5 * (self.vs[j] + self.vs[j + 1])
-            root = self._newton(q, u0, v0)
-            if root is None:
-                continue
-            u, v = root
-            ulo, uhi = self.surface.u_range
-            vlo, vhi = self.surface.v_range
-            eps_u = 1e-9 * (uhi - ulo)
-            eps_v = 1e-9 * (vhi - vlo)
+        ulo, uhi = self.surface.u_range
+        vlo, vhi = self.surface.v_range
+        eps_u = 1e-9 * (uhi - ulo)
+        eps_v = 1e-9 * (vhi - vlo)
+        for u, v in self._solve(q, starts):
             if not (ulo - eps_u <= u <= uhi + eps_u and vlo - eps_v <= v <= vhi + eps_v):
                 continue
             u = min(max(u, ulo), uhi)
@@ -1011,7 +1082,7 @@ class OcclusionTester:
             if any(math.hypot(u - ru, v - rv) <= 1e-7 for ru, rv in roots):
                 continue
             roots.append((u, v))
-        return roots, len(cells)
+        return roots, len(starts)
 
 
 def classify_visibility(

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import struct
 import tracemalloc
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from splinefig import expr
+from splinefig import expr, surface
 from splinefig.expr import (
     FUNCTIONS,
     BinOp,
@@ -421,6 +422,55 @@ def same_shape_arrays(draw, edges=EDGE_VALUES) -> tuple[np.ndarray, np.ndarray]:
 )
 def test_property_at_matches_compile_fn_bit_for_bit(node, arrays):
     _assert_at_matches(compile_fn(node, ("x", "y")), *arrays)
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    """refine.c, loaded; the test is skipped where it cannot be built."""
+    dll = surface._load_kernel()
+    if not dll:
+        pytest.skip("no C compiler builds refine.c here")
+    return dll
+
+
+def _interpreted(kernel, f, args) -> list[bytes] | type:
+    """f's program run by refine.c's interpreter: the bits of its values,
+    or DomainError where it answers "raised"."""
+    out, scratch = np.empty(len(f.outputs)), np.empty(len(f.ops))
+    program = surface._Program(f, ("x", "y"))
+    if kernel.program_run(ctypes.byref(program), np.array(args, dtype=float), out, scratch):
+        return DomainError
+    return [_bits(value) for value in out.tolist()]
+
+
+def _called(f, args) -> list[bytes] | type:
+    try:
+        return [_bits(value) for value in f(*args)]
+    except DomainError:
+        return DomainError
+
+
+program_args = st.sampled_from(POW_VALUES) | st.floats(-10, 10)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(trees | pow_trees, min_size=1, max_size=3), program_args, program_args)
+# math_1's rules: sin(inf) and log(0) raise, log(-0.0) too, sqrt(-0.0)
+# is -0.0, and exp overflows
+@example([parse("sin(x*1e308)")], 10.0, 0.0)
+@example([parse("exp(1000)")], 0.0, 0.0)
+@example([parse("log(0)")], 0.0, 0.0)
+@example([Call("log", Const(-0.0))], 0.0, 0.0)
+@example([Call("sqrt", Const(-0.0))], 0.0, 0.0)
+# math.pow's: 0 to a negative power, a negative base to a fractional one
+@example([parse("0^-1")], 0.0, 0.0)
+@example([parse("(-8)^(1/3)")], 0.0, 0.0)
+# finite through an infinite and a NaN intermediate: 1/inf and nan^0
+@example([parse("1/(x*1e308)")], 10.0, 0.0)
+@example([parse("(x*1e308 - x*1e308)^0")], 10.0, 0.0)
+def test_property_kernel_interpreter_matches_the_scalar_call(kernel, nodes, x, y):
+    f = compile_many(nodes, ("x", "y"))
+    assert _interpreted(kernel, f, (x, y)) == _called(f, (x, y))
 
 
 @pytest.mark.parametrize(

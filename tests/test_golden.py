@@ -217,9 +217,22 @@ def test_surface_figure_digest(name, text, fmt, tmp_path, capsys):
 def test_surface_figure_digest_from_the_python_loop(
     name, text, fmt, tmp_path, capsys, monkeypatch
 ):
-    # refine_contact's search run in Python, as where no C compiler is
+    # refine_contact's search and the occlusion solves run in Python, as
+    # where no C compiler is
     monkeypatch.setattr(surface, "_kernel", False)
+    ran = []
+
+    def counted(loop: str, fn):
+        def wrapper(*args):
+            ran.append(loop)
+            return fn(*args)
+
+        return wrapper
+
+    for owner, loop in ((surface, "_best_first"), (surface.OcclusionTester, "_newton")):
+        monkeypatch.setattr(owner, loop, counted(loop, getattr(owner, loop)))
     test_surface_figure_digest(name, text, fmt, tmp_path, capsys)
+    assert set(ran) == {"_best_first", "_newton"}
 
 
 @pytest.mark.parametrize("view", VIEW_BOX)

@@ -5,6 +5,7 @@ import logging
 import math
 import shutil
 import struct
+import subprocess
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -1281,6 +1282,118 @@ def test_every_scene_site_gives_the_same_bits_on_both_paths(kernel, theta, phi):
         assert sites
         refined += sum(_same_on_both_paths(site).refined for site in sites)
     assert refined > 0
+
+
+def torus() -> ParametricSurface:
+    return ParametricSurface.from_strings(
+        "(2+cos(u))*cos(v)", "(2+cos(u))*sin(v)", "sin(u)",
+        (0.0, 2 * math.pi), (0.0, 2 * math.pi),
+    )
+
+
+def partial_domain() -> ParametricSurface:
+    """Undefined for v < 0.5, a quarter of its parameter rectangle."""
+    return ParametricSurface.from_strings("u", "v", "sqrt(v - 0.5) + u^2", (-1.0, 1.0), (0.0, 2.0))
+
+
+_COVERS_SURFACES = {
+    "paraboloid": paraboloid_surface, "mobius": mobius, "torus": torus, "partial": partial_domain,
+}
+_testers: dict[tuple, OcclusionTester] = {}
+
+
+def _tester(name: str, theta: float, phi: float) -> OcclusionTester:
+    key = (name, theta, phi)
+    if key not in _testers:
+        view = Projection(math.radians(theta), math.radians(phi))
+        _testers[key] = OcclusionTester(_COVERS_SURFACES[name](), view)
+    return _testers[key]
+
+
+def _same_covers(tester: OcclusionTester, q: tuple[float, float]) -> list:
+    """tester.covers(q), required to give the Python solves' roots, as
+    floats with the same bits, and candidate count."""
+    roots, candidates = tester.covers(q)
+    ref_roots, ref_candidates = _python_loop(tester.covers, q)
+    assert all(type(x) is float for root in roots + ref_roots for x in root)
+    assert [_bits(root) for root in roots] == [_bits(root) for root in ref_roots], q
+    assert candidates == ref_candidates, q
+    return roots
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_COVERS_SURFACES)),
+    st.sampled_from([(60, 25), (45, 40), (80, 15), (20, 5), (70, 60)]),
+    st.floats(-0.25, 1.25),
+    st.floats(-0.25, 1.25),
+)
+def test_property_covers_gives_the_same_roots_on_both_paths(kernel, name, view, fx, fy):
+    # q anywhere in the seed cells' padded boxes and a quarter beyond
+    tester = _tester(name, *view)
+    ok = tester.cell_ok
+    x0, x1 = tester.xmin[ok].min(), tester.xmax[ok].max()
+    y0, y1 = tester.ymin[ok].min(), tester.ymax[ok].max()
+    _same_covers(tester, (float(x0 + (x1 - x0) * fx), float(y0 + (y1 - y0) * fy)))
+
+
+def _scene_queries(
+    s: ParametricSurface, cfg: SceneConfig, view: Projection
+) -> list[tuple[OcclusionTester, tuple[float, float]]]:
+    """Every covers call of a scene: its tester and its point."""
+    queries = []
+    real = OcclusionTester.covers
+
+    def record(self, q):
+        queries.append((self, q))
+        return real(self, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(OcclusionTester, "covers", record)
+        build_surface_scene(s, view, cfg)
+    return queries
+
+
+# the corners and the centre of the benchmark's view box
+@pytest.mark.parametrize("theta, phi", [(40, 15), (40, 35), (80, 15), (80, 35), (60, 25)])
+def test_every_scene_query_gives_the_same_roots_on_both_paths(kernel, theta, phi):
+    view = Projection(math.radians(theta), math.radians(phi))
+    paraboloid = SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6)))
+    roots = 0
+    for s, cfg in ((paraboloid_surface(), paraboloid), (mobius(), SceneConfig())):
+        queries = _scene_queries(s, cfg, view)
+        assert queries
+        roots += sum(len(_same_covers(tester, q)) for tester, q in queries)
+    assert roots > 0
+
+
+def test_a_process_builds_refine_c_once(monkeypatch):
+    # both searches of a scene, and every later scene, share one build:
+    # a second would add about 0.15 s to every CLI scene
+    builds, used = [], {"refine_contact": 0, "covers": 0}
+    run, refine, covers = subprocess.run, surface.refine_contact, OcclusionTester.covers
+
+    def counted_run(argv, *args, **kwargs):
+        builds.append(argv[0])
+        return run(argv, *args, **kwargs)
+
+    def counted_refine(*args):
+        used["refine_contact"] += 1
+        return refine(*args)
+
+    def counted_covers(self, q):
+        used["covers"] += 1
+        return covers(self, q)
+
+    monkeypatch.setattr(subprocess, "run", counted_run)
+    monkeypatch.setattr(surface, "refine_contact", counted_refine)
+    monkeypatch.setattr(OcclusionTester, "covers", counted_covers)
+    monkeypatch.setattr(surface, "_kernel", None)  # as in a new process
+    cfg = SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6)))
+    build_surface_scene(paraboloid_surface(), VIEW, cfg)
+    build_surface_scene(mobius(), VIEW, SceneConfig())
+    assert builds == ["cc"]
+    assert used["refine_contact"] > 0 and used["covers"] > 0
 
 
 def test_each_piece_is_split_once_per_best_first_search(monkeypatch):
