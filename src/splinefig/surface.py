@@ -349,12 +349,13 @@ def _feet(
     broadcast against each other.
 
     Returns the clamped segment fractions t and the distances to the
-    feet; a zero-length segment has t = 0.  Each segment, and each
-    point's offset from its foot, is divided by a power of two (exactly)
-    before it is squared, so no square under- or overflows; where none
-    did unscaled, t and the distance are bit for bit those of the
-    unscaled formulas.  Every value is computed element by element, so
-    a pair gets the same bits in any batch.
+    feet; a zero-length segment has t = 0.  Each segment, each point's
+    offset from the segment's start and each point's offset from its
+    foot is divided by a power of two (exactly) before it is multiplied,
+    so no product under- or overflows; where none did unscaled, t and
+    the distance are bit for bit those of the unscaled formulas.  Every
+    value is computed element by element, so a pair gets the same bits
+    in any batch.
     """
     bx, by = a[..., 0], a[..., 1]
     sx, sy = b[..., 0] - bx, b[..., 1] - by
@@ -363,10 +364,17 @@ def _feet(
     unit_len2 = ux * ux + uy * uy
     unit_len2[unit_len2 == 0.0] = 1.0
     px, py = p[..., 0], p[..., 1]
-    # (d . seg) / |seg|^2 = (d . u) / |u|^2 / scale; a ratio past the
-    # double range lies far outside [0, 1] and clips like one inside
+    dx, dy = px - bx, py - by
+    d_scale = _pow2_scale(dx, dy)
+    # (d . seg) / |seg|^2 = (d / d_scale . u) / |u|^2 * d_scale / scale,
+    # the last factor applied as one exponent so that only the result
+    # is rounded out of the normal range; a ratio past the double range
+    # lies far outside [0, 1] and clips like one inside
     with np.errstate(over="ignore"):
-        t = ((px - bx) * ux + (py - by) * uy) / unit_len2 / scale
+        t = np.ldexp(
+            (dx / d_scale * ux + dy / d_scale * uy) / unit_len2,
+            np.frexp(d_scale)[1] - np.frexp(scale)[1],
+        )
     t = np.clip(t, 0.0, 1.0)
     ox = px - (bx + t * sx)
     oy = py - (by + t * sy)

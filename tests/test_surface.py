@@ -1505,9 +1505,10 @@ def test_flat_kernel_matches_bezier_subdivide_bit_for_bit(b):
 def _segment_dists_loop(poly: Polyline, q: Point2) -> list[tuple[float, float]]:
     """Reference: (param, distance) of q's foot on each segment, one at a time.
 
-    The fraction is the textbook projection on the segment divided by
-    2**e, its larger component's binary exponent (exact), so that its
-    squares neither under- nor overflow; the distance is math.hypot's.
+    The fraction is the textbook projection on the segment, with the
+    segment and q's offset from its start each divided by 2**e, its
+    larger component's binary exponent (exact), so that their products
+    neither under- nor overflow; the distance is math.hypot's.
     """
     out = []
     pts = vertices(poly)
@@ -1516,11 +1517,14 @@ def _segment_dists_loop(poly: Polyline, q: Point2) -> list[tuple[float, float]]:
         vx, vy = b.x - a.x, b.y - a.y
         e = math.frexp(max(abs(vx), abs(vy)))[1]
         ux, uy = math.ldexp(vx, -e), math.ldexp(vy, -e)
+        dx, dy = q.x - a.x, q.y - a.y
+        f = math.frexp(max(abs(dx), abs(dy)))[1]
+        wx, wy = math.ldexp(dx, -f), math.ldexp(dy, -f)
         L2 = ux * ux + uy * uy
         if L2 == 0.0:
             t = 0.0
         else:
-            t = math.ldexp(((q.x - a.x) * ux + (q.y - a.y) * uy) / L2, -e)
+            t = math.ldexp((wx * ux + wy * uy) / L2, f - e)
         t = max(0.0, min(1.0, t))
         p = Point2(a.x + vx * t, a.y + vy * t)
         out.append((i + t, p.dist(q)))
@@ -1552,6 +1556,12 @@ point = st.builds(Point2, coord, coord)
 @example([Point2(0.0, 0.0), Point2(1.0, 0.0)], Point2(0.5, 3e-168))
 # a segment 1.6e-208 long, whose squared length underflows
 @example([Point2(0.0, 0.0), Point2(1.6e-208, 0.0)], Point2(1.0, 0.0))
+# a point 5e-266 off a segment 4e-211 long, whose offset's product with
+# the segment underflows
+@example(
+    [Point2(3.80218313259032e-211, 5.169346527455722e-266), Point2(0.0, 0.0)],
+    Point2(3.80218313259032e-211, 0.0),
+)
 def test_locate_param_matches_the_scalar_loop(chain, q):
     chain = [p for k, p in enumerate(chain) if k == 0 or p != chain[k - 1]]
     assume(len(chain) >= 2)
@@ -1597,6 +1607,13 @@ def test_locate_params_in_blocks_gives_the_same_bits(monkeypatch):
         ([(2.0, 3.0), (2.0, 3.0)], (5.0, 7.0), 0.0, 5.0),
         # past the double range on the far side of a subnormal segment
         ([(0.0, 0.0), (1e-310, 0.0)], (1e300, 0.0), 1.0, 1e300),
+        # the third underflow case above: t correctly rounded
+        (
+            [(3.80218313259032e-211, 5.169346527455722e-266), (0.0, 0.0)],
+            (3.80218313259032e-211, 0.0),
+            1.8484394570041508e-110,
+            5.169346527455722e-266,
+        ),
     ],
 )
 def test_segment_feet_scale_exactly(chain, q, t, dist):
