@@ -1,11 +1,12 @@
-/* Two compiled kernels of splinefig.surface: refine_contact's
- * best-first search of two Bezier fits, and OcclusionTester's damped
- * Newton solves over a surface's lowered program.
+/* Three compiled kernels of splinefig.surface: refine_contact's
+ * best-first search of two Bezier fits, OcclusionTester.covers' damped
+ * Newton solves over a surface's lowered program, and
+ * intersect_projected's scan for crossing segments and contact sites.
  *
  * splinefig.surface builds this file with the system C compiler the
- * first time a process needs either, and calls refine_search and
- * occlusion_newton through ctypes.  Each kernel gives the bits of the
- * Python it replaces.
+ * first time a process needs any of them, and calls refine_search,
+ * occlusion_covers and intersect_scan through ctypes.  Each kernel
+ * gives the bits of the Python it replaces.
  *
  * The search (refine_search) does every float operation of the Python
  * loop (surface._piece, surface._halves and surface._best_first), in
@@ -23,13 +24,15 @@
  *    tuples compare, so the pops come in heapq's order even when a key
  *    is NaN.
  *
- * The solves (occlusion_newton) are OcclusionTester._newton line for
- * line, with py_hypot for math.hypot, from every start of one covers
- * query.  They run the surface's programs through program_run, which
- * interprets the operation list expr._compile lowers (an evaluation
- * procedure; Griewank & Walther, "Evaluating Derivatives", ch. 2) with
- * the scalar call's IEEE operations and libm routines, and answers
- * "raised" exactly where that call raises DomainError:
+ * The solves (occlusion_covers) are OcclusionTester._newton line for
+ * line, with py_hypot for math.hypot, from the start of every seed
+ * cell whose box holds the query, followed by covers' range check,
+ * clamp and 1e-7 dedup.  They run the surface's programs through
+ * program_run, which interprets the operation list expr._compile
+ * lowers (an evaluation procedure; Griewank & Walther, "Evaluating
+ * Derivatives", ch. 2) with the scalar call's IEEE operations and libm
+ * routines, and answers "raised" exactly where that call raises
+ * DomainError:
  *
  *  - / where the divisor is 0.0;
  *  - sqrt, sin, cos, tan, exp and log where the result is NaN and the
@@ -39,6 +42,22 @@
  *  - ^ where both inputs are finite and libm's pow is not (math.pow);
  *  - +, -, *, neg and abs never;
  *  - and where any output is not finite.
+ *
+ * The scan (intersect_scan) does the float operations of the numpy
+ * path (surface._meet, surface._feet and the box tests of
+ * surface._pair_blocks) element by element, in the same order:
+ *
+ *  - the same frexp and ldexp scaling, with frexp's exponent of 0, of
+ *    an infinity and of NaN taken as 0, as np.frexp gives it;
+ *  - maxima that are NaN where an argument is NaN, as np.maximum and
+ *    np.max give them, and a window minimum that fails the site test
+ *    where a listed distance is NaN, as np.min's NaN does;
+ *  - np.clip's clamp, which keeps NaN and -0.0.
+ *
+ * It finds the pairs whose boxes meet by the sort and sweep on x of
+ * _pair_blocks, so its time and memory grow with the curves and the
+ * pairs that meet, and it lists them in the numpy path's row-major
+ * order.
  *
  * Build with -ffp-contract=off and without -ffast-math: no a*b + c may
  * be fused or reordered.
@@ -509,23 +528,369 @@ static int newton(const Solve *s, double *uv, double *t)
     return 1;
 }
 
-/* OcclusionTester._newton toward (qx, qy) from each of the n starts
- * uv[2k], uv[2k + 1], with f the surface's program of (X, Y) and df its
- * program of (X_u, X_v, Y_u, Y_v): found[k] is 1 where start k
- * converges, to the root it leaves in uv[2k], uv[2k + 1], else 0.
- * Returns 0, or -1 when memory runs out. */
-int occlusion_newton(const Program *f, const Program *df, const double *lim,
-                     double qx, double qy, double tol, long max_iter, long n,
-                     double *uv, char *found)
+/* OcclusionTester's fixed terms: its n seed cells that are defined, in
+ * np.argwhere's order, with cell k's padded box box[4k:4k + 4] = (x
+ * low, x high, y low, y high) and its Newton start start[2k],
+ * start[2k + 1]; f the surface's program of (X, Y) and df its program
+ * of (X_u, X_v, Y_u, Y_v); lim the bounds a step must stay within;
+ * range[0:4] the parameter ranges (u low, u high, v low, v high) and
+ * range[4:8] those widened by 1e-9 of their spans, as covers keeps a
+ * root; tol the residual that ends a solve */
+typedef struct {
+    const Program *f, *df;
+    long n;
+    const double *box, *start, *lim, *range;
+    double tol;
+    long max_iter;
+} Tester;
+
+/* OcclusionTester.covers of (qx, qy): _newton from the start of each
+ * cell whose box holds the point, each root inside the widened ranges
+ * clamped to the ranges and kept unless within 1e-7 of one kept
+ * before, in start order.  The kept roots go to roots[0:2 * counts[0]],
+ * counts[1] is the count of cells tried.  Returns 0, or -1 when memory
+ * runs out. */
+int occlusion_covers(const Tester *c, double qx, double qy, double *roots, long *counts)
 {
-    Solve s = {f, df, lim, qx, qy, tol, max_iter};
-    double *t = malloc(sizeof(double) * (size_t)(f->n > df->n ? f->n : df->n));
-    long k;
+    Solve s = {c->f, c->df, c->lim, qx, qy, c->tol, c->max_iter};
+    const double *r = c->range;
+    double *t = malloc(sizeof(double) * (size_t)(c->f->n > c->df->n ? c->f->n : c->df->n));
+    long k, q, kept = 0, tried = 0;
 
     if (t == NULL)
         return -1;
-    for (k = 0; k < n; k++)
-        found[k] = (char)newton(&s, uv + 2 * k, t);
+    for (k = 0; k < c->n; k++) {
+        const double *b = c->box + 4 * k;
+        double uv[2] = {c->start[2 * k], c->start[2 * k + 1]}, u, v;
+        if (!(b[0] <= qx && qx <= b[1] && b[2] <= qy && qy <= b[3]))
+            continue;
+        tried++;
+        if (!newton(&s, uv, t))
+            continue;
+        u = uv[0];
+        v = uv[1];
+        if (!(r[4] <= u && u <= r[5] && r[6] <= v && v <= r[7]))
+            continue;
+        /* min(max(u, low), high), as Python's min and max pick */
+        u = r[0] > u ? r[0] : u;
+        u = r[1] < u ? r[1] : u;
+        v = r[2] > v ? r[2] : v;
+        v = r[3] < v ? r[3] : v;
+        for (q = 0; q < kept; q++)
+            if (py_hypot(u - roots[2 * q], v - roots[2 * q + 1]) <= 1e-7)
+                break;
+        if (q < kept)
+            continue;
+        roots[2 * kept] = u;
+        roots[2 * kept + 1] = v;
+        kept++;
+    }
     free(t);
+    counts[0] = kept;
+    counts[1] = tried;
+    return 0;
+}
+
+
+/* frexp's exponent of m, and 0 for 0, infinities and NaN, as np.frexp
+ * gives it */
+static int exponent(double m)
+{
+    int e = 0;
+    if (isfinite(m) && m != 0.0)
+        frexp(m, &e);
+    return e;
+}
+
+/* surface._pow2_scale: np.maximum gives NaN where either is NaN */
+static double pow2_scale(double x, double y)
+{
+    double m = isnan(x) || isnan(y) ? NAN : fmax(fabs(x), fabs(y));
+    return ldexp(1.0, exponent(m) - 1);
+}
+
+/* surface._feet of the point (px, py) on the segment (bx, by) ->
+ * (ex, ey): the clamped fraction in *t, the distance returned */
+static double foot(double px, double py, double bx, double by, double ex, double ey,
+                   double *t)
+{
+    double sx = ex - bx, sy = ey - by;
+    double scale = pow2_scale(sx, sy);
+    double ux = sx / scale, uy = sy / scale;
+    double unit_len2 = ux * ux + uy * uy;
+    double dx = px - bx, dy = py - by;
+    double d_scale = pow2_scale(dx, dy);
+    double f, ox, oy, r;
+    if (unit_len2 == 0.0)
+        unit_len2 = 1.0;
+    f = ldexp((dx / d_scale * ux + dy / d_scale * uy) / unit_len2,
+              exponent(d_scale) - exponent(scale));
+    /* np.clip: NaN stays, and so does -0.0 */
+    if (f < 0.0)
+        f = 0.0;
+    else if (f > 1.0)
+        f = 1.0;
+    *t = f;
+    ox = px - (bx + f * sx);
+    oy = py - (by + f * sy);
+    r = pow2_scale(ox, oy);
+    ox = ox / r;
+    oy = oy / r;
+    return sqrt(ox * ox + oy * oy) * r;
+}
+
+/* surface._meet of the lines p + t*r and q + s*w: t and s, a t that is
+ * not finite where they are parallel */
+static void meet(double px, double py, double rx, double ry, double qx, double qy,
+                 double wx, double wy, double *t, double *s)
+{
+    double v[6] = {rx, ry, wx, wy, qx - px, qy - py}, big = 0.0, denom;
+    int k, e, nan = 0;
+    for (k = 0; k < 6; k++) {
+        nan |= isnan(v[k]);
+        big = fabs(v[k]) > big ? fabs(v[k]) : big;
+    }
+    /* np.max is NaN where any is NaN, and frexp's exponent of NaN 0 */
+    e = nan ? 0 : -exponent(big);
+    for (k = 0; k < 6; k++)
+        v[k] = ldexp(v[k], e);
+    denom = v[0] * v[3] - v[1] * v[2];
+    *t = (v[4] * v[3] - v[5] * v[2]) / denom;
+    *s = (v[4] * v[1] - v[5] * v[0]) / denom;
+}
+
+/* a segment's closed box, as surface._segment_boxes gives it */
+typedef struct {
+    double lo[2], hi[2];
+} Box;
+
+static int box_of(const double *p, const double *q, Box *b)
+{
+    int k;
+    for (k = 0; k < 2; k++) {
+        if (isnan(p[k]) || isnan(q[k]))
+            return 0; /* no comparison with a NaN bound holds */
+        b->lo[k] = p[k] < q[k] ? p[k] : q[k];
+        b->hi[k] = p[k] > q[k] ? p[k] : q[k];
+    }
+    return 1;
+}
+
+/* b's segment boxes sorted by x low, for the sort and sweep of
+ * surface._pair_blocks (Shamos & Hoey, FOCS 1976): slot[k] holds one
+ * box and its segment's index, reach[k] the largest x high of slot[0]
+ * to slot[k].  A box with a NaN bound meets nothing and is left out. */
+typedef struct {
+    Box box;
+    long j;
+} Slot;
+
+typedef struct {
+    long n;
+    Slot *slot;
+    double *reach;
+} Sweep;
+
+static int by_x_low(const void *x, const void *y)
+{
+    double a = ((const Slot *)x)->box.lo[0], b = ((const Slot *)y)->box.lo[0];
+    return (a > b) - (a < b);
+}
+
+static int by_index(const void *x, const void *y)
+{
+    long a = *(const long *)x, b = *(const long *)y;
+    return (a > b) - (a < b);
+}
+
+/* the indices of the boxes of w that meet [lo, hi], ascending, in out */
+static long meeting(const Sweep *w, const double lo[2], const double hi[2], long *out)
+{
+    long a = 0, b = w->n, stop, k, n = 0;
+    /* the first box whose running x high reaches lo[0] ... */
+    while (a < b) {
+        long mid = a + (b - a) / 2;
+        if (w->reach[mid] >= lo[0])
+            b = mid;
+        else
+            a = mid + 1;
+    }
+    /* ... to the last whose x low is not past hi[0] */
+    stop = w->n;
+    for (b = a; b < stop;) {
+        long mid = b + (stop - b) / 2;
+        if (w->slot[mid].box.lo[0] > hi[0])
+            stop = mid;
+        else
+            b = mid + 1;
+    }
+    for (k = a; k < stop; k++) {
+        const Box *x = &w->slot[k].box;
+        if (lo[0] <= x->hi[0] && x->lo[0] <= hi[0] && lo[1] <= x->hi[1] && x->lo[1] <= hi[1])
+            out[n++] = w->slot[k].j;
+    }
+    if (n < 16) {
+        for (k = 1; k < n; k++) {
+            long j = out[k], q = k;
+            for (; q > 0 && out[q - 1] > j; q--)
+                out[q] = out[q - 1];
+            out[q] = j;
+        }
+    } else {
+        qsort(out, (size_t)n, sizeof *out, by_index);
+    }
+    return n;
+}
+
+/* a crossing of segment i of a with segment j of b: the fractions t
+ * along i and s along j, and the point a[i] + t * (a[i + 1] - a[i]) */
+typedef struct {
+    long i, j;
+    double t, s, x, y;
+} Hit;
+
+/* a contact site: vertex i of a lies dist from segment j of b, at the
+ * fraction t along j */
+typedef struct {
+    double dist;
+    long i, j;
+    double t;
+} Site;
+
+/* the listed pairs of vertex i: their segments j, ascending, their
+ * distances and their fractions */
+typedef struct {
+    long n, *j;
+    double *dist, *t;
+} Row;
+
+/* whether no listed pair of rows[0:nrows] within segments j - 2 to
+ * j + 2 lies nearer than dist: where one lies at NaN, np.min's NaN
+ * fails the test */
+static int lowest(const Row *rows, int nrows, long j, double dist)
+{
+    int r;
+    for (r = 0; r < nrows; r++) {
+        const Row *row = &rows[r];
+        long a = 0, b = row->n;
+        while (a < b) {
+            long mid = a + (b - a) / 2;
+            if (row->j[mid] < j - 2)
+                a = mid + 1;
+            else
+                b = mid;
+        }
+        for (; a < row->n && row->j[a] <= j + 2; a++)
+            if (!(dist <= row->dist[a]))
+                return 0;
+    }
+    return 1;
+}
+
+/* intersect_projected's scan of the polylines a (na points) and b (nb):
+ * the crossings of surface._meet, and with self_mode unset the contact
+ * sites of surface._contact_sites, with their float operations.
+ *
+ * Every pair of segment i of a and segment j of b whose boxes meet
+ * (j >= i + 2 with self_mode) whose lines meet at t and s in [0, 1] is
+ * a hit, in row-major order.  Every pair of vertex i of a and segment j
+ * of b whose boxes lie within 2*tol is listed, with the distance of
+ * the vertex to the segment; a listed pair under tol that no listed
+ * pair of vertex i +-2 and segment j +-2 lies nearer is a site, in
+ * row-major order.  Vertex i's pairs are held until those of i + 2 are
+ * in, so the memory grows with b's length, not with the pairs.
+ *
+ * The first hit_cap hits go to hits and the first site_cap sites to
+ * sites; counts[0] and counts[1] are the counts of all.  Returns 0, or
+ * -1 when memory runs out. */
+int intersect_scan(const double *a, long na, const double *b, long nb, int self_mode,
+                   double tol, Hit *hits, long hit_cap, Site *sites, long site_cap,
+                   long *counts)
+{
+    long m = nb - 1, rows_m = self_mode ? 0 : m, i, k, nh = 0, ns = 0;
+    /* the sweep, one row of candidates, and five rows of listed pairs */
+    size_t bytes = (size_t)m * (sizeof(Slot) + sizeof(double) + sizeof(long))
+                   + (size_t)(5 * rows_m) * (sizeof(long) + 2 * sizeof(double));
+    Slot *slot = grab(bytes);
+    Sweep w = {0, slot, (double *)(slot + m)};
+    long *near = (long *)(w.reach + m);
+    Row rows[5];
+    Box qb;
+    double pad = 2.0 * tol;
+
+    if (slot == NULL)
+        return -1;
+    for (k = 0; k < 5; k++) {
+        rows[k].j = near + m + k * rows_m;
+        rows[k].dist = (double *)(near + m + 5 * rows_m) + 2 * k * rows_m;
+        rows[k].t = rows[k].dist + rows_m;
+    }
+    for (k = 0; k < m; k++)
+        if (box_of(b + 2 * k, b + 2 * k + 2, &slot[w.n].box))
+            slot[w.n++].j = k;
+    qsort(slot, (size_t)w.n, sizeof *slot, by_x_low);
+    for (k = 0; k < w.n; k++) {
+        double x = slot[k].box.hi[0];
+        w.reach[k] = k > 0 && w.reach[k - 1] > x ? w.reach[k - 1] : x;
+    }
+
+    for (i = 0; i + 1 < na; i++) {
+        const double *p = a + 2 * i;
+        long n;
+        if (!box_of(p, p + 2, &qb))
+            continue;
+        n = meeting(&w, qb.lo, qb.hi, near);
+        for (k = 0; k < n; k++) {
+            long j = near[k];
+            const double *q = b + 2 * j;
+            double t, s;
+            if (self_mode && j < i + 2)
+                continue;
+            meet(p[0], p[1], p[2] - p[0], p[3] - p[1], q[0], q[1], q[2] - q[0], q[3] - q[1],
+                 &t, &s);
+            if (!(0.0 <= t && t <= 1.0 && 0.0 <= s && s <= 1.0))
+                continue;
+            if (nh < hit_cap)
+                hits[nh] = (Hit){i, j, t, s, p[0] + t * (p[2] - p[0]), p[1] + t * (p[3] - p[1])};
+            nh++;
+        }
+    }
+
+    if (!self_mode) {
+        /* vertex i's pairs, then the sites of vertex i - 2 */
+        for (i = 0; i < na + 2; i++) {
+            long c = i - 2;
+            if (i < na) {
+                const double *p = a + 2 * i;
+                double lo[2] = {p[0] - pad, p[1] - pad}, hi[2] = {p[0] + pad, p[1] + pad};
+                Row *row = &rows[i % 5];
+                row->n = 0;
+                if (!isnan(lo[0]) && !isnan(lo[1]) && !isnan(hi[0]) && !isnan(hi[1]))
+                    row->n = meeting(&w, lo, hi, row->j);
+                for (k = 0; k < row->n; k++) {
+                    const double *q = b + 2 * row->j[k];
+                    row->dist[k] = foot(p[0], p[1], q[0], q[1], q[2], q[3], &row->t[k]);
+                }
+            }
+            if (c >= 0 && c < na) {
+                long first = c > 2 ? c - 2 : 0, last = c + 2 < na - 1 ? c + 2 : na - 1;
+                Row window[5];
+                const Row *row = &rows[c % 5];
+                for (k = first; k <= last; k++)
+                    window[k - first] = rows[k % 5];
+                for (k = 0; k < row->n; k++) {
+                    if (!(row->dist[k] < tol)
+                        || !lowest(window, (int)(last - first + 1), row->j[k], row->dist[k]))
+                        continue;
+                    if (ns < site_cap)
+                        sites[ns] = (Site){row->dist[k], c, row->j[k], row->t[k]};
+                    ns++;
+                }
+            }
+        }
+    }
+    release(slot, bytes);
+    counts[0] = nh;
+    counts[1] = ns;
     return 0;
 }

@@ -12,18 +12,21 @@ Larger depth means nearer the eye.  The drawing pipeline:
  1. collect the curves to draw: parameter-rectangle boundaries, the
     silhouette (zero set of the projected Jacobian J(u,v), traced with
     the implicit machinery), iso-parameter wires, and the axes;
- 2. intersect each projected curve with the projected outline curves,
-    and refine each near-tangential contact to where local spline fits
+ 2. intersect each projected curve with the projected outline curves
+    (a sort and sweep of their segments' boxes finds the crossings and
+    the near-tangential contact sites; the scan runs compiled from
+    refine.c where a C compiler is found, and in numpy otherwise, with
+    the same bits), and refine each contact to where local spline fits
     of the two curves cross or come closest (refine_contact; its search
-    loop runs compiled from refine.c where a C compiler is found, and
-    in Python otherwise, with the same bits);
+    loop runs compiled from refine.c too, and in Python otherwise);
  3. cut the curves at the parameters where they were crossed (an
     outline crossing itself at both passes) and where each contact
     answer lies nearest, and decide each interval's visibility by a
     depth test at its midpoint (damped Newton solves find every
-    surface point covering the midpoint; they run compiled from
-    refine.c, interpreting the surface's lowered program, where a C
-    compiler is found, and in Python otherwise, with the same bits);
+    surface point covering the midpoint; they and their roots' checks
+    run compiled from refine.c, interpreting the surface's lowered
+    program, where a C compiler is found, and in Python otherwise, with
+    the same bits);
  4. emit visible intervals solid and hidden ones dashed (or drop them).
 
 Everything is deterministic; the per-curve work items are independent
@@ -482,21 +485,11 @@ def _contact_sites(pa: np.ndarray, pb: np.ndarray) -> list[tuple[float, int, int
     return sorted(sites)
 
 
-def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
-    """Transversal crossings of two polylines, with their parameters on
-    a, plus flagged contact sites.
-
-    A closest approach below CONTACT_TOL with no crossing nearby, or
-    more than 3 crossings inside a 5-vertex window, marks a site for
-    refinement.  With a is b the polyline is tested against itself
-    (adjacent segments skipped).  Segment pairs come from a sort and
-    sweep of their boxes (_pair_blocks), so the memory grows with the
-    curves' lengths and the pairs that meet, not with their product.
-    """
-    self_mode = a is b
-    own = 2 if self_mode else 1  # the passes of a crossing that lie on a
-    pa, pb = a.points, b.points
-    hits = []  # (i, j, t, s, x, y) of each segment pair that meets, row-major
+def _crossing_hits(pa: np.ndarray, pb: np.ndarray, self_mode: bool) -> list[tuple]:
+    """(i, j, t, s, x, y) of each pair of segment i of pa and segment j
+    of pb (j >= i + 2 in self mode) whose lines meet at fractions t and
+    s in [0, 1], at (x, y), in row-major order."""
+    hits = []
     for _, _, i, j in _pair_blocks(*_segment_boxes(pa), *_segment_boxes(pb)):
         if self_mode:
             # each pair once, and no segment against itself or a neighbour
@@ -508,6 +501,64 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
             on = (0.0 <= t) & (t <= 1.0) & (0.0 <= s) & (s <= 1.0)
             xy = p[on] + t[on, None] * r[on]
         hits.extend(zip(*(h.tolist() for h in (i[on], j[on], t[on], s[on], *xy.T))))
+    return hits
+
+
+# the rows refine.c's intersect_scan writes: a crossing hit and a contact site
+_LONG = np.dtype(ctypes.c_long)
+_HIT = np.dtype(
+    [("i", _LONG), ("j", _LONG), ("t", float), ("s", float), ("x", float), ("y", float)],
+    align=True,
+)
+_SITE = np.dtype([("dist", float), ("i", _LONG), ("j", _LONG), ("t", float)], align=True)
+SCAN_ROWS = 256  # hits and sites the first output buffers of a scan hold
+
+
+def _compiled_scan(
+    kernel, pa: np.ndarray, pb: np.ndarray, self_mode: bool
+) -> tuple[list[tuple], list[tuple]]:
+    """_crossing_hits and, unless in self mode, _contact_sites, run by
+    the loaded refine.c in one scan; a scan whose output outgrows the
+    buffers runs again into buffers of its size."""
+    counts = (ctypes.c_long * 2)()
+    caps = (SCAN_ROWS, SCAN_ROWS)
+    while True:
+        hits, sites = np.empty(caps[0], _HIT), np.empty(caps[1], _SITE)
+        if kernel.intersect_scan(
+            pa, len(pa), pb, len(pb), self_mode, CONTACT_TOL,
+            hits, caps[0], sites, caps[1], counts,
+        ):
+            raise SurfaceError("the intersection scan ran out of memory")
+        if counts[0] <= caps[0] and counts[1] <= caps[1]:
+            return hits[: counts[0]].tolist(), sorted(sites[: counts[1]].tolist())
+        caps = tuple(counts)
+
+
+def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
+    """Transversal crossings of two polylines, with their parameters on
+    a, plus flagged contact sites.
+
+    A closest approach below CONTACT_TOL with no crossing nearby, or
+    more than 3 crossings inside a 5-vertex window, marks a site for
+    refinement.  With a is b the polyline is tested against itself
+    (adjacent segments skipped).  Segment pairs come from a sort and
+    sweep of their boxes, so the memory grows with the curves' lengths
+    and the pairs that meet, not with their product.  The scan for
+    crossing segments and contact sites runs compiled (refine.c's
+    intersect_scan, one call per pair of curves) where a C compiler is
+    found, and in numpy (_crossing_hits, _contact_sites) otherwise, with
+    the same bits; the dedup, grouping and site filter below take
+    either's rows.
+    """
+    self_mode = a is b
+    own = 2 if self_mode else 1  # the passes of a crossing that lie on a
+    pa, pb = a.points, b.points
+    kernel = _load_kernel()
+    if kernel:
+        hits, sites = _compiled_scan(kernel, pa, pb, self_mode)
+    else:
+        hits = _crossing_hits(pa, pb, self_mode)
+        sites = [] if self_mode else _contact_sites(pa, pb)
 
     # the first of crossings within CROSSING_DEDUP_TOL of each other wins.
     # Kept ones are filed by cells of twice that side (spatial hashing,
@@ -551,7 +602,7 @@ def intersect_projected(a: Polyline, b: Polyline) -> IntersectionResult:
         # outline more than once, so the single global closest approach
         # is not enough); kept sites are filed by their vertex
         kept: dict[int, list[int]] = {}
-        for _, i, j, t in _contact_sites(pa, pb):
+        for _, i, j, t in sites:
             if any(abs(j - kj) < 6 for k in range(i - 5, i + 6) for kj in kept.get(k, ())):
                 continue
             if any(abs(crossings[m].ib - j) <= 5 for m in near(i)):
@@ -743,14 +794,19 @@ def _build_kernel():
     dll.refine_search.restype = ctypes.c_int
     dll.py_hypot.argtypes = [c_double, c_double]
     dll.py_hypot.restype = c_double
-    program = ctypes.POINTER(_Program)
-    dll.program_run.argtypes = [program, rows, rows, rows]
+    dll.program_run.argtypes = [ctypes.POINTER(_Program), rows, rows, rows]
     dll.program_run.restype = ctypes.c_int
-    dll.occlusion_newton.argtypes = [
-        program, program, rows, c_double, c_double, c_double, c_long, c_long,
-        rows, np.ctypeslib.ndpointer(np.bool_, flags="C_CONTIGUOUS"),
+    doubles, longs = ctypes.POINTER(c_double), ctypes.POINTER(c_long)
+    dll.occlusion_covers.argtypes = [
+        ctypes.POINTER(_Tester), c_double, c_double, doubles, longs,
     ]
-    dll.occlusion_newton.restype = ctypes.c_int
+    dll.occlusion_covers.restype = ctypes.c_int
+    dll.intersect_scan.argtypes = [
+        rows, c_long, rows, c_long, ctypes.c_int, c_double,
+        np.ctypeslib.ndpointer(_HIT, flags="C_CONTIGUOUS"), c_long,
+        np.ctypeslib.ndpointer(_SITE, flags="C_CONTIGUOUS"), c_long, longs,
+    ]
+    dll.intersect_scan.restype = ctypes.c_int
     return dll
 
 
@@ -762,7 +818,6 @@ _OPCODES = {
         start=2,
     )
 }
-_LONG = np.dtype(ctypes.c_long)
 
 
 class _Program(ctypes.Structure):
@@ -794,6 +849,27 @@ class _Program(ctypes.Structure):
         )
 
 
+class _Tester(ctypes.Structure):
+    """An OcclusionTester's fixed terms as refine.c's Tester: its programs,
+    its defined seed cells' boxes and Newton starts, and its bounds; it
+    holds the arrays its pointers point into."""
+
+    _fields_ = [
+        ("f", ctypes.POINTER(_Program)), ("df", ctypes.POINTER(_Program)),
+        ("n", ctypes.c_long), ("box", ctypes.c_void_p), ("start", ctypes.c_void_p),
+        ("lim", ctypes.c_void_p), ("range", ctypes.c_void_p),
+        ("tol", ctypes.c_double), ("max_iter", ctypes.c_long),
+    ]
+
+    def __init__(self, programs: tuple[_Program, _Program], box: np.ndarray,
+                 start: np.ndarray, lim: np.ndarray, bounds: np.ndarray, tol: float):
+        self._arrays = (programs, box, start, lim, bounds)
+        super().__init__(
+            *map(ctypes.pointer, programs), len(box), box.ctypes.data, start.ctypes.data,
+            lim.ctypes.data, bounds.ctypes.data, tol, NEWTON_MAX_ITER,
+        )
+
+
 def _compiled_best_first(
     kernel, pieces_a: list, pieces_b: list, sx: float, sy: float, tol: float
 ) -> tuple[tuple[float, list, list] | None, int]:
@@ -807,7 +883,7 @@ def _compiled_best_first(
         sx, sy, tol, REFINE_POPS, out, ctypes.byref(made),
     )
     if found < 0:
-        raise MemoryError("refine_contact's search ran out of memory")
+        raise SurfaceError("refine_contact's search ran out of memory")
     if not found:
         return None, made.value
     vals = out.tolist()
@@ -947,9 +1023,10 @@ class OcclusionTester:
     """Finds surface points covering a screen position by damped Newton
     from the midpoint of each seed cell whose padded box holds it.
 
-    The solves of one `covers` call run compiled in one call of refine.c
-    where a C compiler is found (the surface's (X, Y) and partials
-    programs interpreted with the scalar call's operations), and in
+    One `covers` call runs compiled in one call of refine.c where a C
+    compiler is found (the box test, the solves with the surface's (X,
+    Y) and partials programs interpreted with the scalar call's
+    operations, and the roots' range check, clamp and dedup), and in
     Python (_newton) otherwise, with the same bits."""
 
     def __init__(self, s: ParametricSurface, proj: Projection):
@@ -998,7 +1075,16 @@ class OcclusionTester:
         mv = 0.05 * (vhi - vlo)
         self.limits = np.array([ulo - mu, uhi + mu, vlo - mv, vhi + mv])
         self.tol = NEWTON_TOL * (1.0 + self.scene_scale)
-        self.programs = tuple(_Program(f, ("u", "v")) for f in (self.fxy, self.partials))
+        # covers keeps a root up to 1e-9 of each range's span past its ends
+        eps_u = 1e-9 * (uhi - ulo)
+        eps_v = 1e-9 * (vhi - vlo)
+        self.root_bounds = (ulo - eps_u, uhi + eps_u, vlo - eps_v, vhi + eps_v)
+        ok = self.cell_ok
+        box = np.column_stack([w[ok] for w in (self.xmin, self.xmax, self.ymin, self.ymax)])
+        programs = tuple(_Program(f, ("u", "v")) for f in (self.fxy, self.partials))
+        bounds = np.array([ulo, uhi, vlo, vhi, *self.root_bounds])
+        self._fixed = _Tester(programs, box, self.starts[ok], self.limits, bounds, self.tol)
+        self._roots = ctypes.c_double * (2 * len(box))  # room for a root per cell
 
     def _newton(
         self, q: tuple[float, float], u: float, v: float
@@ -1045,30 +1131,23 @@ class OcclusionTester:
                 return None
         return (u, v) if err <= tol else None
 
-    def _solve(self, q: tuple[float, float], starts: np.ndarray) -> list:
-        """The root of each start (m, 2) that converges, in start order:
-        _newton from each, run by refine.c where it is loaded."""
-        kernel = _load_kernel()
-        if not kernel:
-            # floats, not numpy scalars that warn on overflow
-            solved = (self._newton(q, u, v) for u, v in starts.tolist())
-            return [root for root in solved if root is not None]
-        uv = starts.copy()
-        found = np.empty(len(uv), dtype=np.bool_)
-        f, df = map(ctypes.byref, self.programs)
-        qx, qy = q
-        if kernel.occlusion_newton(
-            f, df, self.limits, qx, qy, self.tol, NEWTON_MAX_ITER, len(uv), uv, found
-        ):
-            raise MemoryError("the occlusion solves ran out of memory")
-        return uv[found].tolist()
-
     def covers(
         self, q: tuple[float, float]
     ) -> tuple[list[tuple[float, float]], int]:
         """All distinct (u, v) with projection q = (x, y), and the
-        candidate count."""
+        candidate count: the roots of the solves from the seed cells
+        whose boxes hold q, in the cells' order, each inside
+        self.root_bounds clamped to the parameter ranges, and dropped
+        within 1e-7 of one kept before.  One call of refine.c does it
+        where it is loaded, else _newton from each cell."""
         qx, qy = q
+        kernel = _load_kernel()
+        if kernel:
+            found, counts = self._roots(), (ctypes.c_long * 2)()
+            if kernel.occlusion_covers(ctypes.byref(self._fixed), qx, qy, found, counts):
+                raise SurfaceError("the occlusion solves ran out of memory")
+            flat = found[: 2 * counts[0]]
+            return list(zip(flat[0::2], flat[1::2])), counts[1]
         mask = (
             self.cell_ok
             & (self.xmin <= qx)
@@ -1080,10 +1159,14 @@ class OcclusionTester:
         roots: list[tuple[float, float]] = []
         ulo, uhi = self.surface.u_range
         vlo, vhi = self.surface.v_range
-        eps_u = 1e-9 * (uhi - ulo)
-        eps_v = 1e-9 * (vhi - vlo)
-        for u, v in self._solve(q, starts):
-            if not (ulo - eps_u <= u <= uhi + eps_u and vlo - eps_v <= v <= vhi + eps_v):
+        u_lo, u_hi, v_lo, v_hi = self.root_bounds
+        # floats, not numpy scalars that warn on overflow
+        for start in starts.tolist():
+            root = self._newton(q, *start)
+            if root is None:
+                continue
+            u, v = root
+            if not (u_lo <= u <= u_hi and v_lo <= v <= v_hi):
                 continue
             u = min(max(u, ulo), uhi)
             v = min(max(v, vlo), vhi)

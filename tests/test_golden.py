@@ -217,8 +217,8 @@ def test_surface_figure_digest(name, text, fmt, tmp_path, capsys):
 def test_surface_figure_digest_from_the_python_loop(
     name, text, fmt, tmp_path, capsys, monkeypatch
 ):
-    # refine_contact's search and the occlusion solves run in Python, as
-    # where no C compiler is
+    # the intersection scan runs in numpy, and refine_contact's search
+    # and the occlusion solves in Python, as where no C compiler is
     monkeypatch.setattr(surface, "_kernel", False)
     ran = []
 
@@ -229,10 +229,14 @@ def test_surface_figure_digest_from_the_python_loop(
 
         return wrapper
 
-    for owner, loop in ((surface, "_best_first"), (surface.OcclusionTester, "_newton")):
+    loops = (
+        (surface, "_crossing_hits"), (surface, "_contact_sites"),
+        (surface, "_best_first"), (surface.OcclusionTester, "_newton"),
+    )
+    for owner, loop in loops:
         monkeypatch.setattr(owner, loop, counted(loop, getattr(owner, loop)))
     test_surface_figure_digest(name, text, fmt, tmp_path, capsys)
-    assert set(ran) == {"_best_first", "_newton"}
+    assert set(ran) == {loop for _, loop in loops}
 
 
 @pytest.mark.parametrize("view", VIEW_BOX)

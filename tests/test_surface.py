@@ -760,11 +760,14 @@ def curve_pairs(draw) -> tuple[Polyline, Polyline]:
     block=1,
 )
 def test_property_intersect_matches_the_dense_reference(pair, block):
+    # compiled where refine.c is loaded, then in numpy
     a, b = pair
+    want = reference_intersect(a, b)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(surface, "FEET_BLOCK", block)
-        got = intersect_projected(a, b)
-    assert _answer(got) == reference_intersect(a, b)
+        assert _answer(intersect_projected(a, b)) == want
+        mp.setattr(surface, "_kernel", False)
+        assert _answer(intersect_projected(a, b)) == want
 
 
 def _scalar_meet(p, a, q, b):
@@ -1367,15 +1370,162 @@ def test_every_scene_query_gives_the_same_roots_on_both_paths(kernel, theta, phi
     assert roots > 0
 
 
+def _numpy_scan(pa, pb, self_mode: bool) -> tuple[list, list]:
+    """The numpy path's crossing hits and contact sites; the extremes
+    overflow its differences to inf, as Python floats do."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        hits = surface._crossing_hits(pa, pb, self_mode)
+        return hits, [] if self_mode else surface._contact_sites(pa, pb)
+
+
+# _meet_coord's extremes, and a fixed few that put vertices within
+# CONTACT_TOL of each other's segments
+_scan_coord = st.one_of(
+    _meet_coord,
+    st.sampled_from([0.0, -0.0, 0.01, -0.01, 0.015, 5e-324, -5e-324, 1e-310]),
+)
+
+
+@st.composite
+def scan_chains(draw):
+    """Two vertex chains (a, b) and the self mode: extreme coordinates,
+    a repeated vertex (a zero-length segment) and a NaN coordinate
+    among them, the chains scaled to another size, b a copy of a
+    shifted by a few CONTACT_TOL, or b a itself."""
+    rows = st.lists(st.tuples(_scan_coord, _scan_coord), min_size=2, max_size=12)
+    a, b = (np.array(draw(rows), dtype=float) for _ in range(2))
+    kind = draw(st.sampled_from(["free", "self", "shifted"]))
+    if kind == "shifted":
+        b = a + draw(st.sampled_from([0.0, 0.01, -0.03, 5e-324]))
+    for chain in (a, b):
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(chain) - 1))
+            chain[k] = chain[k - 1]
+        if draw(st.booleans()):
+            chain[draw(st.integers(0, len(chain) - 1)), draw(st.integers(0, 1))] = math.nan
+    k = draw(st.sampled_from([1.0, 1.0, 1e-300, 1e300]))
+    with np.errstate(over="ignore"):
+        a, b = a * k, b * k
+    return (a, a, True) if kind == "self" else (a, b, False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_chains())
+@example(
+    # a zero-length segment next to a subnormal one, and a NaN vertex
+    (
+        np.array([(0.0, 0.0), (0.0, 0.0), (5e-324, 0.0), (math.nan, 1.0)]),
+        np.array([(-0.0, 0.01), (1e-310, -0.01), (1e300, -1e300)]),
+        False,
+    )
+)
+# both vertices of a lie exactly CONTACT_TOL from b: no site
+@example((np.array([(0.0, 0.02), (1.0, 0.02)]), np.array([(0.0, 0.0), (1.0, 0.0)]), False))
+def test_property_scan_gives_the_numpy_bits_at_extremes(kernel, chains):
+    pa, pb, self_mode = chains
+    got = surface._compiled_scan(kernel, pa, pb, self_mode)
+    assert repr(got) == repr(_numpy_scan(pa, pb, self_mode))
+
+
+def _scene_scans(
+    s: ParametricSurface, cfg: SceneConfig, view: Projection
+) -> list[tuple[Polyline, Polyline]]:
+    """Every intersect_projected call of a scene: its two polylines."""
+    pairs = []
+    real = surface.intersect_projected
+
+    def record(a, b):
+        pairs.append((a, b))
+        return real(a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "intersect_projected", record)
+        build_surface_scene(s, view, cfg)
+    return pairs
+
+
+# the corners and the centre of the benchmark's view box
+@pytest.mark.parametrize("theta, phi", [(40, 15), (40, 35), (80, 15), (80, 35), (60, 25)])
+def test_every_scene_scan_gives_the_same_answer_on_both_paths(kernel, theta, phi):
+    view = Projection(math.radians(theta), math.radians(phi))
+    paraboloid = SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6)))
+    found = 0
+    for s, cfg in ((paraboloid_surface(), paraboloid), (mobius(), SceneConfig())):
+        pairs = _scene_scans(s, cfg, view)
+        assert pairs
+        for a, b in pairs:
+            got = _answer(intersect_projected(a, b))
+            assert got == _answer(_python_loop(intersect_projected, a, b))
+            found += got != ("[]", "[]", "[]")
+    assert found > 0
+
+
+def test_a_scan_outgrowing_its_buffers_runs_again(kernel, monkeypatch):
+    # a polyline against a copy of itself meets it at every vertex:
+    # about 2 hits and 2 sites a vertex, past the first buffers' rows
+    t = np.linspace(0.0, 2.0 * math.pi, 5000)
+    a = Polyline(np.column_stack((np.cos(t) * 3.0, np.sin(3.0 * t))))
+    b = Polyline(a.points.copy())
+    calls = []
+
+    class Counted:
+        def __getattr__(self, name):
+            return getattr(kernel, name)
+
+        def intersect_scan(self, *args):
+            calls.append(args[7])  # the hits' buffer rows
+            return kernel.intersect_scan(*args)
+
+    monkeypatch.setattr(surface, "_kernel", Counted())
+    hits, sites = surface._compiled_scan(kernel, a.points, b.points, False)
+    assert len(hits) > surface.SCAN_ROWS and len(sites) > surface.SCAN_ROWS
+    got = intersect_projected(a, b)
+    assert calls == [surface.SCAN_ROWS, len(hits)]
+    assert repr((hits, sites)) == repr(_numpy_scan(a.points, b.points, False))
+    assert _answer(got) == _answer(_python_loop(intersect_projected, a, b))
+
+
+class _OutOfMemory:
+    """refine.c with one entry point answering that memory ran out."""
+
+    def __init__(self, dll, name: str):
+        self.dll, self.name = dll, name
+
+    def __getattr__(self, name):
+        if name == self.name:
+            return lambda *args: -1
+        return getattr(self.dll, name)
+
+
+@pytest.mark.parametrize("entry", ["intersect_scan", "refine_search", "occlusion_covers"])
+def test_a_kernel_out_of_memory_is_reported(kernel, entry, tmp_path, monkeypatch, capsys):
+    from splinefig.cli import main
+
+    desc = tmp_path / "scene.surf"
+    desc.write_text(
+        "x = u*cos(v)\ny = u*sin(v)\nz = 4 - u^2\nu = 0, 2\nv = 0, 2*pi\n"
+        "wires_v = 0, pi/3, 2*pi/3, pi, 4*pi/3, 5*pi/3\n"
+    )
+    monkeypatch.setattr(surface, "_kernel", _OutOfMemory(kernel, entry))
+    assert main(["surface", str(desc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.rstrip().endswith("ran out of memory")
+
+
 def test_a_process_builds_refine_c_once(monkeypatch):
-    # both searches of a scene, and every later scene, share one build:
-    # a second would add about 0.15 s to every CLI scene
-    builds, used = [], {"refine_contact": 0, "covers": 0}
+    # the three kernels of a scene, and every later scene, share one
+    # build: a second would add about 0.15 s to every CLI scene
+    builds, used = [], {"intersect_projected": 0, "refine_contact": 0, "covers": 0}
     run, refine, covers = subprocess.run, surface.refine_contact, OcclusionTester.covers
+    scan = surface.intersect_projected
 
     def counted_run(argv, *args, **kwargs):
         builds.append(argv[0])
         return run(argv, *args, **kwargs)
+
+    def counted_scan(*args):
+        used["intersect_projected"] += 1
+        return scan(*args)
 
     def counted_refine(*args):
         used["refine_contact"] += 1
@@ -1386,6 +1536,7 @@ def test_a_process_builds_refine_c_once(monkeypatch):
         return covers(self, q)
 
     monkeypatch.setattr(subprocess, "run", counted_run)
+    monkeypatch.setattr(surface, "intersect_projected", counted_scan)
     monkeypatch.setattr(surface, "refine_contact", counted_refine)
     monkeypatch.setattr(OcclusionTester, "covers", counted_covers)
     monkeypatch.setattr(surface, "_kernel", None)  # as in a new process
@@ -1393,7 +1544,7 @@ def test_a_process_builds_refine_c_once(monkeypatch):
     build_surface_scene(paraboloid_surface(), VIEW, cfg)
     build_surface_scene(mobius(), VIEW, SceneConfig())
     assert builds == ["cc"]
-    assert used["refine_contact"] > 0 and used["covers"] > 0
+    assert all(used.values())
 
 
 def test_each_piece_is_split_once_per_best_first_search(monkeypatch):
@@ -1801,16 +1952,22 @@ class TestSceneStructure:
         # the wire u = 1.998 runs within CONTACT_TOL of the rim u = 2
         # all round; at 10000 samples a window test over every pair
         # below CONTACT_TOL at once peaked at about 400 MB
+        # (numpy's arrays on both paths; refine.c's own rows, about 180
+        # bytes per segment of the rim, are mapped outside tracemalloc)
         s = paraboloid_surface()
         wire = project_curve(wires(s, fixed_u=[1.998], samples=10000)[0], VIEW)
         (rim,) = (project_curve(c, VIEW) for c in boundary_curves(s, samples=10000))
-        tracemalloc.start()
-        try:
-            res = intersect_projected(wire, rim)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert res.contacts and peak < 40e6
+        for compiled in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                if not compiled:
+                    mp.setattr(surface, "_kernel", False)
+                tracemalloc.start()
+                try:
+                    res = intersect_projected(wire, rim)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert res.contacts and peak < 40e6
 
     def test_mobius_full_band_renders(self):
         scene, report = build_surface_scene(mobius(), VIEW, SceneConfig())
