@@ -1190,7 +1190,8 @@ def _scene_sites(
 
 
 def _python_loop(solve, *args):
-    """solve(*args) with refine_contact's pop loop run in Python."""
+    """solve(*args) without refine.c: the scan in numpy, the search and
+    the solves in Python."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(surface, "_kernel", False)
         return solve(*args)
@@ -1399,7 +1400,7 @@ def scan_chains(draw):
         b = a + draw(st.sampled_from([0.0, 0.01, -0.03, 5e-324]))
     for chain in (a, b):
         if draw(st.booleans()):
-            k = draw(st.integers(0, len(chain) - 1))
+            k = draw(st.integers(1, len(chain) - 1))
             chain[k] = chain[k - 1]
         if draw(st.booleans()):
             chain[draw(st.integers(0, len(chain) - 1)), draw(st.integers(0, 1))] = math.nan
