@@ -76,7 +76,7 @@ class Polyline:
     params: np.ndarray | None = None
 
     def __post_init__(self):
-        xy = np.array(xy_array(self.points))
+        xy = np.array(xy_array(self.points), order="C")  # rows as C code reads them
         if len(xy) < 2:
             raise ValueError("a polyline needs at least 2 points")
         if (xy[1:] == xy[:-1]).all(axis=1).any():

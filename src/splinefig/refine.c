@@ -1,16 +1,31 @@
-/* Three compiled kernels of splinefig.surface: refine_contact's
- * best-first search of two Bezier fits, OcclusionTester.covers' damped
- * Newton solves over a surface's lowered program, and
+/* Three compiled kernels of splinefig.surface: refine_contact whole
+ * (two window fits and their best-first search), OcclusionTester.covers'
+ * damped Newton solves over a surface's lowered program, and
  * intersect_projected's scan for crossing segments and contact sites.
  *
  * splinefig.surface builds this file with the system C compiler the
- * first time a process needs any of them, and calls refine_search,
+ * first time a process needs any of them, and calls refine_contact,
  * occlusion_covers and intersect_scan through ctypes.  Each kernel
  * gives the bits of the Python it replaces.
  *
- * The search (refine_search) does every float operation of the Python
- * loop (surface._piece, surface._halves and surface._best_first), in
- * the same order:
+ * refine_contact is surface.refine_contact in one call per contact
+ * site: it slices the two windows, fits each, applies the overlap
+ * bail-out (foot below, with a NaN distance failing it as np.min's NaN
+ * does), searches the fits best first and answers by the gap rule, the
+ * box midpoint, the chords' meet and the box test, as the Python path
+ * does.  A center outside its polyline is refused before anything is
+ * read.  The fit (oshima_fit, exported for its own test) has the float
+ * operations of spline.build_spline(..., closed=False) and
+ * _oshima_columns in the same order: the parabolic virtual end points
+ * (reflection for two points), chord norms by py_hypot, the unit
+ * chords' product where the norms' product underflows, cos theta = 1
+ * where one chord is zero or cos theta is NaN, then np.clip's clamp,
+ * c = 0 where the span is 0, and single-point rows; it refuses exactly
+ * where build_spline raises DegenerateGeometryError.
+ *
+ * The search does every float operation of the Python loop
+ * (surface._piece, surface._halves and surface._best_first), in the
+ * same order:
  *
  *  - box diagonals and heap keys come from py_hypot, a port of CPython's
  *    math.hypot for two arguments (vector_norm of Python 3.11: frexp
@@ -18,11 +33,20 @@
  *    Borges, "An Improved Algorithm for hypot(a,b)", arXiv:1904.09481),
  *    with the subnormal branch of the Python that builds it, which sets
  *    HYPOT_DIVIDES_BY_MAX to 1 before 3.12.  The C library's hypot rounds
- *    differently;
+ *    differently.  A normal maximum's exponent is read from its bits,
+ *    and the result is multiplied by 2**e rather than divided by 2**-e:
+ *    both round the same exact value;
  *  - the heap is heapq's: _siftdown, and _siftup moving the smaller
  *    child up to a leaf before sifting down, with keys compared as
  *    tuples compare, so the pops come in heapq's order even when a key
  *    is NaN.
+ *
+ * Most keys are never compared past their gap, and most pieces never
+ * pop, so the site's distance to a pair's overlap, a pure function of
+ * the pair's boxes and the site, is taken when the pair's gap first
+ * compares equal to another, and a piece's diagonal when a pair holding
+ * it first pops: every comparison, NaN included, decides as it would on
+ * keys taken up front, and an entry and a piece keep their sizes.
  *
  * The solves (occlusion_covers) are OcclusionTester._newton line for
  * line, with py_hypot for math.hypot, from the start of every seed
@@ -65,6 +89,7 @@
 
 #include <float.h>
 #include <math.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -130,31 +155,43 @@ static DoubleLength dl_mul(double x, double y)
 static double vector_norm(double x, double y, double max)
 {
     double vec[2] = {x, y};
-    double h, scale, csum = 1.0, frac1 = 0.0, frac2 = 0.0;
+    double h, scale, unscale = 0.0, csum = 1.0, frac1 = 0.0, frac2 = 0.0;
     DoubleLength pr, sm;
+    uint64_t bits;
     int max_e, i;
 
     if (max == 0.0)
         return max;
-    frexp(max, &max_e);
-    if (max_e < -1023) {
-        /* ldexp(1.0, -max_e) would overflow */
+    /* frexp's exponent of a normal max, read from its bits */
+    memcpy(&bits, &max, sizeof bits);
+    max_e = (int)(bits >> 52) - 1022;
+    if (-1022 < max_e && max_e <= 1022) {
+        /* 2**-max_e and 2**max_e are both normal: made from their bits */
+        bits = (uint64_t)(1023 - max_e) << 52;
+        memcpy(&scale, &bits, sizeof scale);
+        bits = (uint64_t)(1023 + max_e) << 52;
+        memcpy(&unscale, &bits, sizeof unscale);
+    } else {
+        frexp(max, &max_e);
+        if (max_e < -1023) {
+            /* ldexp(1.0, -max_e) would overflow */
 #if HYPOT_DIVIDES_BY_MAX
-        /* CPython 3.10 and 3.11: divide by max instead of scaling */
-        for (i = 0; i < 2; i++) {
-            double v = vec[i] / max;
-            double old = csum;
-            v = v * v;
-            csum += v;
-            frac1 += (old - csum) + v;
-        }
-        return max * sqrt(csum - 1.0 + frac1);
+            /* CPython 3.10 and 3.11: divide by max instead of scaling */
+            for (i = 0; i < 2; i++) {
+                double v = vec[i] / max;
+                double old = csum;
+                v = v * v;
+                csum += v;
+                frac1 += (old - csum) + v;
+            }
+            return max * sqrt(csum - 1.0 + frac1);
 #else
-        /* CPython 3.12 on: make subnormals normal */
-        return DBL_MIN * vector_norm(x / DBL_MIN, y / DBL_MIN, max / DBL_MIN);
+            /* CPython 3.12 on: make subnormals normal */
+            return DBL_MIN * vector_norm(x / DBL_MIN, y / DBL_MIN, max / DBL_MIN);
 #endif
+        }
+        scale = ldexp(1.0, -max_e);
     }
-    scale = ldexp(1.0, -max_e);
     for (i = 0; i < 2; i++) {
         double v = vec[i] * scale; /* lossless scaling */
         pr = dl_mul(v, v);         /* lossless squaring */
@@ -170,7 +207,8 @@ static double vector_norm(double x, double y, double max)
     frac1 += pr.lo;
     frac2 += sm.lo;
     h += (csum - 1.0 + (frac1 + frac2)) / (2.0 * h); /* correction */
-    return h / scale;
+    /* h * 2**max_e rounds the exact value h / 2**-max_e rounds */
+    return unscale != 0.0 ? h * unscale : h / scale;
 }
 
 /* math.hypot(x, y), bit for bit */
@@ -191,8 +229,9 @@ double py_hypot(double x, double y)
 }
 
 /* surface._piece's list: v[0:8] the control coordinates, v[8:12] their
- * box (xmin, ymin, xmax, ymax), v[12] its diagonal; half is the index
- * of the first of its halves once split, else -1 */
+ * box (xmin, ymin, xmax, ymax), v[12] its diagonal, or -1 until a pair
+ * holding it pops (a diagonal is never negative); half is the index of
+ * the first of its halves once split, else -1 */
 typedef struct {
     double v[13];
     long half;
@@ -214,10 +253,16 @@ static void make_piece(Piece *p, double x0, double y0, double x1, double y1,
     ymax = y1 > y0 ? y1 : y0;
     ymax = y2 > ymax ? y2 : ymax;
     ymax = y3 > ymax ? y3 : ymax;
-    double v[13] = {x0, y0, x1, y1, x2, y2, x3, y3, xmin, ymin, xmax, ymax,
-                    py_hypot(xmax - xmin, ymax - ymin)};
+    double v[13] = {x0, y0, x1, y1, x2, y2, x3, y3, xmin, ymin, xmax, ymax, -1.0};
     memcpy(p->v, v, sizeof v);
     p->half = -1;
+}
+
+static double diagonal(Piece *p)
+{
+    if (p->v[12] < 0.0)
+        p->v[12] = py_hypot(p->v[10] - p->v[8], p->v[11] - p->v[9]);
+    return p->v[12];
 }
 
 /* surface._halves: piece k split at t = 1/2 into pieces n and n + 1 */
@@ -243,29 +288,60 @@ static void split(Piece *pieces, long k, long n)
     pieces[k].half = n;
 }
 
-/* a heap entry: the key (gap, dist, tick) and the pair's pieces */
+/* a heap entry: the key (gap, dist, tick) and the pair's pieces, dist
+ * -1 until a comparison needs it (a distance is never negative) */
 typedef struct {
     double gap, dist;
     long tick, a, b;
 } Entry;
 
-/* (gap, dist, tick) < (gap, dist, tick) as Python's tuples compare */
-static int less(const Entry *x, const Entry *y)
+/* a search's pieces, its heap of size entries, the count of pushes and
+ * the seed */
+typedef struct {
+    Piece *pieces;
+    Entry *heap;
+    long size, tick;
+    double sx, sy;
+} Search;
+
+/* the seed's distance to the overlap of e's boxes, taken once */
+static double tie_key(const Search *s, Entry *e)
 {
+    if (e->dist < 0.0) {
+        const double *pa = s->pieces[e->a].v, *pb = s->pieces[e->b].v;
+        double lo = pa[8] > pb[8] ? pa[8] : pb[8];
+        double hi = pa[10] < pb[10] ? pa[10] : pb[10];
+        double fx = lo - s->sx > s->sx - hi ? lo - s->sx : s->sx - hi;
+        lo = pa[9] > pb[9] ? pa[9] : pb[9];
+        hi = pa[11] < pb[11] ? pa[11] : pb[11];
+        double fy = lo - s->sy > s->sy - hi ? lo - s->sy : s->sy - hi;
+        fx = 0.0 > fx ? 0.0 : fx;
+        fy = 0.0 > fy ? 0.0 : fy;
+        e->dist = py_hypot(fx, fy);
+    }
+    return e->dist;
+}
+
+/* (gap, dist, tick) < (gap, dist, tick) as Python's tuples compare */
+static int less(const Search *s, Entry *x, Entry *y)
+{
+    double dx, dy;
     if (!(x->gap == y->gap))
         return x->gap < y->gap;
-    if (!(x->dist == y->dist))
-        return x->dist < y->dist;
+    dx = tie_key(s, x);
+    dy = tie_key(s, y);
+    if (!(dx == dy))
+        return dx < dy;
     return x->tick < y->tick;
 }
 
 /* heapq._siftdown */
-static void sift_down(Entry *heap, long start, long pos)
+static void sift_down(Search *s, long start, long pos)
 {
-    Entry item = heap[pos];
+    Entry *heap = s->heap, item = heap[pos];
     while (pos > start) {
         long parent = (pos - 1) >> 1;
-        if (!less(&item, &heap[parent]))
+        if (!less(s, &item, &heap[parent]))
             break;
         heap[pos] = heap[parent];
         pos = parent;
@@ -274,27 +350,25 @@ static void sift_down(Entry *heap, long start, long pos)
 }
 
 /* heapq._siftup */
-static void sift_up(Entry *heap, long end, long pos)
+static void sift_up(Search *s, long pos)
 {
-    long start = pos;
-    Entry item = heap[pos];
-    long child = 2 * pos + 1;
-    while (child < end) {
-        if (child + 1 < end && !less(&heap[child], &heap[child + 1]))
+    Entry *heap = s->heap, item = heap[pos];
+    long start = pos, child = 2 * pos + 1;
+    while (child < s->size) {
+        if (child + 1 < s->size && !less(s, &heap[child], &heap[child + 1]))
             child++;
         heap[pos] = heap[child];
         pos = child;
         child = 2 * pos + 1;
     }
     heap[pos] = item;
-    sift_down(heap, start, pos);
+    sift_down(s, start, pos);
 }
 
 /* heapq.heappush of pieces a and b keyed as surface._best_first keys them */
-static void push(Entry *heap, long *size, long *tick, const Piece *pieces,
-                 long a, long b, double sx, double sy)
+static void push(Search *s, long a, long b)
 {
-    const double *pa = pieces[a].v, *pb = pieces[b].v;
+    const double *pa = s->pieces[a].v, *pb = s->pieces[b].v;
     /* the boxes' gap */
     double dx = pa[8] - pb[10], ex = pb[8] - pa[10];
     double dy = pa[9] - pb[11], ey = pb[9] - pa[11];
@@ -302,87 +376,63 @@ static void push(Entry *heap, long *size, long *tick, const Piece *pieces,
     dy = ey > dy ? ey : dy;
     dx = 0.0 > dx ? 0.0 : dx;
     dy = 0.0 > dy ? 0.0 : dy;
-    /* the seed's distance to the boxes' overlap */
-    double lo = pa[8] > pb[8] ? pa[8] : pb[8];
-    double hi = pa[10] < pb[10] ? pa[10] : pb[10];
-    double fx = lo - sx > sx - hi ? lo - sx : sx - hi;
-    lo = pa[9] > pb[9] ? pa[9] : pb[9];
-    hi = pa[11] < pb[11] ? pa[11] : pb[11];
-    double fy = lo - sy > sy - hi ? lo - sy : sy - hi;
-    fx = 0.0 > fx ? 0.0 : fx;
-    fy = 0.0 > fy ? 0.0 : fy;
-    Entry e = {py_hypot(dx, dy), py_hypot(fx, fy), (*tick)++, a, b};
-    heap[*size] = e;
-    sift_down(heap, 0, (*size)++);
+    s->heap[s->size] = (Entry){py_hypot(dx, dy), -1.0, s->tick++, a, b};
+    sift_down(s, 0, s->size++);
 }
 
 /* heapq.heappop */
-static Entry pop(Entry *heap, long *size)
+static Entry pop(Search *s)
 {
-    Entry last = heap[--*size];
-    if (*size == 0)
+    Entry last = s->heap[--s->size];
+    if (s->size == 0)
         return last;
-    Entry top = heap[0];
-    heap[0] = last;
-    sift_up(heap, *size, 0);
+    Entry top = s->heap[0];
+    s->heap[0] = last;
+    sift_up(s, 0);
     return top;
 }
 
-/* surface._best_first on the na pieces of ctrl_a and the nb of ctrl_b,
- * eight control coordinates each, with the seed (sx, sy): at most
- * budget pops.  Returns 1 when a pair of leaves pops, with its two
- * pieces' 13 values in out[0:13] and out[13:26] and its gap in out[26];
- * 0 when none does; -1 when memory runs out.  *npieces is the count of
- * pieces made, the initial ones and two for each split. */
-int refine_search(const double *ctrl_a, long na, const double *ctrl_b, long nb,
-                  double sx, double sy, double tol, long budget, double *out,
-                  long *npieces)
+/* surface._best_first on pieces[0:na] and pieces[na:na + nb] with the
+ * seed (sx, sy): at most budget pops, pieces and heap having room for
+ * na + nb + 2 * budget pieces and na * nb + 2 * budget entries (each
+ * pop splits at most one piece and pushes two pairs).  Returns 1 when a
+ * pair of leaves pops, with its entry in *won; else 0.  *made is the
+ * count of pieces the splits made. */
+static int best_first(Piece *pieces, long na, long nb, Entry *heap, double sx, double sy,
+                      double tol, long budget, Entry *won, long *made)
 {
-    /* each pop splits at most one piece and pushes two pairs */
-    size_t piece_bytes = (size_t)(na + nb + 2 * budget) * sizeof(Piece);
-    size_t bytes = piece_bytes + (size_t)(na * nb + 2 * budget) * sizeof(Entry);
-    Piece *pieces = grab(bytes);
-    Entry *heap = (Entry *)((char *)pieces + piece_bytes);
-    long n = 0, size = 0, tick = 0, k;
-    int found = 0;
+    Search s = {pieces, heap, 0, 0, sx, sy};
+    long n = na + nb, k;
 
-    if (pieces == NULL)
-        return -1;
-    for (k = 0; k < na + nb; k++) {
-        const double *c = k < na ? ctrl_a + 8 * k : ctrl_b + 8 * (k - na);
-        make_piece(&pieces[n++], c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]);
-    }
     for (k = 0; k < na * nb; k++)
-        push(heap, &size, &tick, pieces, k / nb, na + k % nb, sx, sy);
-    for (k = 0; k < budget && size > 0; k++) {
-        Entry e = pop(heap, &size);
+        push(&s, k / nb, na + k % nb);
+    for (k = 0; k < budget && s.size > 0; k++) {
+        Entry e = pop(&s);
         Piece *pa = &pieces[e.a], *pb = &pieces[e.b];
-        if (pa->v[12] < tol && pb->v[12] < tol) {
-            memcpy(out, pa->v, sizeof pa->v);
-            memcpy(out + 13, pb->v, sizeof pb->v);
-            out[26] = e.gap;
-            found = 1;
-            break;
+        double da = diagonal(pa), db = diagonal(pb);
+        if (da < tol && db < tol) {
+            *won = e;
+            *made = n - na - nb;
+            return 1;
         }
-        if (pa->v[12] >= pb->v[12]) {
+        if (da >= db) {
             if (pa->half < 0) {
                 split(pieces, e.a, n);
                 n += 2;
             }
-            push(heap, &size, &tick, pieces, pa->half, e.b, sx, sy);
-            push(heap, &size, &tick, pieces, pa->half + 1, e.b, sx, sy);
+            push(&s, pa->half, e.b);
+            push(&s, pa->half + 1, e.b);
         } else {
             if (pb->half < 0) {
                 split(pieces, e.b, n);
                 n += 2;
             }
-            push(heap, &size, &tick, pieces, e.a, pb->half, sx, sy);
-            push(heap, &size, &tick, pieces, e.a, pb->half + 1, sx, sy);
+            push(&s, e.a, pb->half);
+            push(&s, e.a, pb->half + 1);
         }
     }
-    *npieces = n;
-    release(pieces, bytes);
-    return found;
+    *made = n - na - nb;
+    return 0;
 }
 
 
@@ -893,4 +943,217 @@ int intersect_scan(const double *a, long na, const double *b, long nb, int self_
     counts[0] = nh;
     counts[1] = ns;
     return 0;
+}
+
+
+/* row k of the open fit's extended points: the virtual head, pts[0:n],
+ * the virtual tail */
+static const double *ext_row(const double *pts, long n, const double *head,
+                             const double *tail, long k)
+{
+    return k == 0 ? head : k == n + 1 ? tail : pts + 2 * (k - 1);
+}
+
+/* spline.build_spline(pts, OSHIMA, closed=False) of the n rows pts, with
+ * the float operations of build_spline and _oshima_columns in the same
+ * order: its n - 1 control rows (p0, c0, c1, p1) in ctrl[0:8 * (n - 1)],
+ * and 0; 1, writing nothing defined, where build_spline raises
+ * DegenerateGeometryError. */
+int oshima_fit(const double *pts, long n, double *ctrl)
+{
+    double head[2], tail[2], n1, n2 = 0.0;
+    long j, k;
+
+    if (n < 2)
+        return 1;
+    for (j = 1; j < n && pts[2 * j] == pts[0] && pts[2 * j + 1] == pts[1]; j++)
+        ;
+    if (j == n)
+        return 1; /* all input points coincide */
+    /* the parabola through the three end points continued a step, or
+     * the reflection when there are two */
+    for (k = 0; k < 2; k++) {
+        const double *end = pts + 2 * (n - 1) + k;
+        if (n >= 3) {
+            head[k] = pts[k] * 3.0 - pts[2 + k] * 3.0 + pts[4 + k];
+            tail[k] = end[0] * 3.0 - end[-2] * 3.0 + end[-4];
+        } else {
+            head[k] = pts[k] * 2.0 - pts[2 + k];
+            tail[k] = end[0] * 2.0 - end[-2];
+        }
+    }
+    for (j = 0; j < n - 1; j++) {
+        const double *pm1 = ext_row(pts, n, head, tail, j);
+        const double *pj = ext_row(pts, n, head, tail, j + 1);
+        const double *pjp1 = ext_row(pts, n, head, tail, j + 2);
+        const double *pjp2 = ext_row(pts, n, head, tail, j + 3);
+        double x1 = pjp1[0] - pm1[0], y1 = pjp1[1] - pm1[1];
+        double x2 = pjp2[0] - pj[0], y2 = pjp2[1] - pj[1];
+        double span, norm, cos_theta, ratio, c;
+        double *row = ctrl + 8 * j;
+        /* chord 2 of segment j is chord 1 of segment j + 1 */
+        n1 = j == 0 ? py_hypot(x1, y1) : n2;
+        n2 = py_hypot(x2, y2);
+        span = py_hypot(pjp1[0] - pj[0], pjp1[1] - pj[1]);
+        row[0] = pj[0];
+        row[1] = pj[1];
+        row[6] = pjp1[0];
+        row[7] = pjp1[1];
+        if (n1 == 0.0 && n2 == 0.0) {
+            if (!(pj[0] == pjp1[0] && pj[1] == pjp1[1]))
+                return 1; /* both chord vectors are zero */
+            /* four coincident points: the segment is that single point */
+            for (k = 2; k < 6; k++)
+                row[k] = pj[k % 2];
+            continue;
+        }
+        norm = n1 * n2;
+        cos_theta = (x1 * x2 + y1 * y2) / norm;
+        if (norm == 0.0) /* tiny chords: the unit chords' product does not underflow */
+            cos_theta = x1 / n1 * (x2 / n2) + y1 / n1 * (y2 / n2);
+        /* one chord zero: theta is taken as 0; NaN reads as 1 too */
+        if (n1 == 0.0 || n2 == 0.0 || isnan(cos_theta))
+            cos_theta = 1.0;
+        if (cos_theta < -1.0)
+            cos_theta = -1.0;
+        else if (cos_theta > 1.0)
+            cos_theta = 1.0;
+        ratio = 4.0 * span / (3.0 * (n1 + n2));
+        c = ratio / (1.0 + sqrt((1.0 + cos_theta) / 2.0));
+        if (span == 0.0)
+            c = 0.0;
+        row[2] = pj[0] + x1 * c;
+        row[3] = pj[1] + y1 * c;
+        row[4] = pjp1[0] + (pj[0] - pjp2[0]) * c;
+        row[5] = pjp1[1] + (pj[1] - pjp2[1]) * c;
+    }
+    return 0;
+}
+
+/* refine_contact's bail-out: whether every vertex of the window a (na
+ * rows) lies within lim of some segment of the window b (nb rows).  A
+ * NaN distance fails it, as np.min's NaN fails the test. */
+static int overlapping(const double *a, long na, const double *b, long nb, double lim)
+{
+    long i, j;
+    for (i = 0; i < na; i++) {
+        int near = 0;
+        for (j = 0; j + 1 < nb; j++) {
+            double t, d = foot(a[2 * i], a[2 * i + 1], b[2 * j], b[2 * j + 1], b[2 * j + 2],
+                               b[2 * j + 3], &t);
+            if (isnan(d))
+                return 0;
+            near |= d <= lim;
+        }
+        if (!near)
+            return 0;
+    }
+    return 1;
+}
+
+/* _in_boxes for one fit: whether (x, y) lies in the box around its n
+ * pieces, the extremes kept as Python's min and max keep them */
+static int in_box(double x, double y, const Piece *p, long n)
+{
+    double lo[2] = {p[0].v[8], p[0].v[9]}, hi[2] = {p[0].v[10], p[0].v[11]};
+    long k;
+    int c;
+    for (k = 1; k < n; k++)
+        for (c = 0; c < 2; c++) {
+            lo[c] = p[k].v[8 + c] < lo[c] ? p[k].v[8 + c] : lo[c];
+            hi[c] = p[k].v[10 + c] > hi[c] ? p[k].v[10 + c] : hi[c];
+        }
+    return lo[0] <= x && x <= hi[0] && lo[1] <= y && y <= hi[1];
+}
+
+/* the rows [*lo, *hi) of the window of half-width window around center
+ * in n rows, as the slice [max(0, center - window) : center + window + 1] */
+static void window_rows(long center, long window, long n, long *lo, long *hi)
+{
+    *lo = window < center ? center - window : 0;
+    *hi = window < n - center ? center + window + 1 : n;
+}
+
+/* surface.refine_contact of the polylines a (na rows) and b (nb) at the
+ * site (ca, cb), whole: the windows, their fits, the bail-out, the
+ * best-first search of at most budget pops and the answer, with the
+ * Python path's float operations.  Returns 1 with the refined point in
+ * point[0:2], 0 with the site's seed there, -1 when memory runs out,
+ * and -2, reading nothing, when a center lies outside its polyline or
+ * window is negative.  *made is the count of pieces the search's splits
+ * made, 0 where none ran. */
+int refine_contact(const double *a, long na, long ca, const double *b, long nb, long cb,
+                   long window, double tol, long budget, double *point, long *made)
+{
+    long a0, a1, b0, b1, ma, mb, k;
+    double span = 1e-12, mx, my;
+    size_t ctrl_bytes, piece_bytes, bytes;
+    double *ctrl;
+    Piece *pieces, *pa, *pb;
+    Entry won = {0};
+    int found;
+
+    if (ca < 0 || ca >= na || cb < 0 || cb >= nb || window < 0)
+        return -2;
+    point[0] = (a[2 * ca] + b[2 * cb]) * 0.5;
+    point[1] = (a[2 * ca + 1] + b[2 * cb + 1]) * 0.5;
+    *made = 0;
+    window_rows(ca, window, na, &a0, &a1);
+    window_rows(cb, window, nb, &b0, &b1);
+    ma = a1 - a0 - 1;
+    mb = b1 - b0 - 1;
+    if (ma < 1 || mb < 1)
+        return 0;
+    /* one mapping for the fits, the pieces and the heap */
+    ctrl_bytes = (size_t)(8 * (ma + mb)) * sizeof(double);
+    piece_bytes = (size_t)(ma + mb + 2 * budget) * sizeof(Piece);
+    bytes = ctrl_bytes + piece_bytes + (size_t)(ma * mb + 2 * budget) * sizeof(Entry);
+    ctrl = grab(bytes);
+    if (ctrl == NULL)
+        return -1;
+    pieces = (Piece *)((char *)ctrl + ctrl_bytes);
+    found = !oshima_fit(a + 2 * a0, ma + 1, ctrl) && !oshima_fit(b + 2 * b0, mb + 1, ctrl + 8 * ma)
+            /* overlapping windows (a curve drawn twice, grazing duplicates)
+             * never separate under subdivision */
+            && !overlapping(a + 2 * a0, ma + 1, b + 2 * b0, mb + 1, 10.0 * tol);
+    if (found) {
+        for (k = 0; k < ma + mb; k++) {
+            const double *c = ctrl + 8 * k;
+            make_piece(&pieces[k], c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]);
+        }
+        found = best_first(pieces, ma, mb, (Entry *)((char *)pieces + piece_bytes), point[0],
+                           point[1], tol, budget, &won, made);
+    }
+    if (found) {
+        /* a gap over a percent of the window size is no contact */
+        for (k = 0; k < ma; k++) {
+            const double *v = pieces[k].v;
+            span = v[10] - v[8] > span ? v[10] - v[8] : span;
+            span = v[11] - v[9] > span ? v[11] - v[9] : span;
+        }
+        found = !(won.gap > 0.01 * (1.0 + span));
+    }
+    if (found) {
+        pa = &pieces[won.a];
+        pb = &pieces[won.b];
+        mx = 0.25 * (pa->v[8] + pa->v[10] + pb->v[8] + pb->v[10]);
+        my = 0.25 * (pa->v[9] + pa->v[11] + pb->v[9] + pb->v[11]);
+        point[0] = mx;
+        point[1] = my;
+        if (won.gap == 0.0) {
+            /* where the lines through the chords meet (nowhere if parallel) */
+            double px = pa->v[0], py = pa->v[1], rx = pa->v[6] - px, ry = pa->v[7] - py;
+            double qx = pb->v[0], qy = pb->v[1], t, s, x, y;
+            meet(px, py, rx, ry, qx, qy, pb->v[6] - qx, pb->v[7] - qy, &t, &s);
+            x = px + t * rx;
+            y = py + t * ry;
+            if (py_hypot(x - mx, y - my) <= 10.0 * tol && in_box(x, y, pieces, ma)
+                && in_box(x, y, pieces + ma, mb)) {
+                point[0] = x;
+                point[1] = y;
+            }
+        }
+    }
+    release(ctrl, bytes);
+    return found;
 }

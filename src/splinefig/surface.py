@@ -17,8 +17,9 @@ Larger depth means nearer the eye.  The drawing pipeline:
     the near-tangential contact sites; the scan runs compiled from
     refine.c where a C compiler is found, and in numpy otherwise, with
     the same bits), and refine each contact to where local spline fits
-    of the two curves cross or come closest (refine_contact; its search
-    loop runs compiled from refine.c too, and in Python otherwise);
+    of the two curves cross or come closest (refine_contact; its fits,
+    search and answer run in one call of refine.c too, and in Python
+    otherwise);
  3. cut the curves at the parameters where they were crossed (an
     outline crossing itself at both passes) and where each contact
     answer lies nearest, and decide each interval's visibility by a
@@ -787,16 +788,15 @@ def _build_kernel():
         return False
     rows = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     c_long, c_double = ctypes.c_long, ctypes.c_double
-    dll.refine_search.argtypes = [
-        rows, c_long, rows, c_long, c_double, c_double, c_double, c_long,
-        rows, ctypes.POINTER(c_long),
+    doubles, longs = ctypes.POINTER(c_double), ctypes.POINTER(c_long)
+    dll.refine_contact.argtypes = [
+        rows, c_long, c_long, rows, c_long, c_long, c_long, c_double, c_long, doubles, longs,
     ]
-    dll.refine_search.restype = ctypes.c_int
+    dll.oshima_fit.argtypes = [rows, c_long, rows]
     dll.py_hypot.argtypes = [c_double, c_double]
     dll.py_hypot.restype = c_double
     dll.program_run.argtypes = [ctypes.POINTER(_Program), rows, rows, rows]
     dll.program_run.restype = ctypes.c_int
-    doubles, longs = ctypes.POINTER(c_double), ctypes.POINTER(c_long)
     dll.occlusion_covers.argtypes = [
         ctypes.POINTER(_Tester), c_double, c_double, doubles, longs,
     ]
@@ -870,26 +870,6 @@ class _Tester(ctypes.Structure):
         )
 
 
-def _compiled_best_first(
-    kernel, pieces_a: list, pieces_b: list, sx: float, sy: float, tol: float
-) -> tuple[tuple[float, list, list] | None, int]:
-    """_best_first run by the loaded refine.c, and the count of pieces
-    it made (the initial ones and two for each piece it split)."""
-    out = np.empty(27)
-    made = ctypes.c_long()
-    found = kernel.refine_search(
-        np.array([p[:8] for p in pieces_a]), len(pieces_a),
-        np.array([p[:8] for p in pieces_b]), len(pieces_b),
-        sx, sy, tol, REFINE_POPS, out, ctypes.byref(made),
-    )
-    if found < 0:
-        raise SurfaceError("refine_contact's search ran out of memory")
-    if not found:
-        return None, made.value
-    vals = out.tolist()
-    return (vals[26], vals[:13], vals[13:26]), made.value
-
-
 def refine_contact(
     a: Polyline,
     b: Polyline,
@@ -918,9 +898,21 @@ def refine_contact(
     the site is returned unrefined, as it is when REFINE_POPS pops find
     nothing.  A piece meets many partners as the search goes on, so it
     keeps its halves and is split once.
-    The pop loop runs compiled (refine.c) where a C compiler is found,
-    else in Python (_best_first); the two give the same bits.
+    Where a C compiler is found, all of this runs compiled, in one call
+    of refine.c, and in Python otherwise (_window_pieces, _best_first),
+    with the same bits.
     """
+    kernel = _load_kernel()
+    if kernel:
+        point, made = (ctypes.c_double * 2)(), ctypes.c_long()
+        found = kernel.refine_contact(
+            a.points, len(a.points), center_a, b.points, len(b.points), center_b,
+            window, tol, REFINE_POPS, point, made,
+        )
+        if found == -1:
+            raise SurfaceError("refine_contact's search ran out of memory")
+        if found >= 0:  # else a center lies outside its polyline: index it below
+            return RefinedContact(tuple(point), found == 1)
     (ax, ay), (bx, by) = a.points[center_a].tolist(), b.points[center_b].tolist()
     sx, sy = (ax + bx) * 0.5, (ay + by) * 0.5
     seed = (sx, sy)
@@ -936,11 +928,7 @@ def refine_contact(
     if (_feet(win_a[:, None], win_b[:-1], win_b[1:])[1].min(axis=1) <= 10.0 * tol).all():
         return RefinedContact(seed, False)
 
-    kernel = _load_kernel()
-    if kernel:
-        found, _ = _compiled_best_first(kernel, pieces_a, pieces_b, sx, sy, tol)
-    else:
-        found = _best_first(pieces_a, pieces_b, sx, sy, tol)
+    found = _best_first(pieces_a, pieces_b, sx, sy, tol)
     span = 1e-12
     for pa in pieces_a:
         span = max(span, pa[10] - pa[8], pa[11] - pa[9])

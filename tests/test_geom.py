@@ -112,6 +112,13 @@ class TestPolyline:
         with pytest.raises(ValueError):
             Polyline((Point2(0, 0),))
 
+    def test_rows_are_c_ordered(self):
+        # the compiled kernels read the vertices row after row
+        xy = np.asfortranarray([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        pl = Polyline(xy)
+        assert pl.points.flags.c_contiguous
+        assert pl.points.tolist() == xy.tolist()
+
 
 def _drop_repeats_reference(pts: list[Point2]) -> tuple[Point2, ...]:
     """The scalar rule: a point is kept unless it equals the one before."""

@@ -217,8 +217,8 @@ def test_surface_figure_digest(name, text, fmt, tmp_path, capsys):
 def test_surface_figure_digest_from_the_python_loop(
     name, text, fmt, tmp_path, capsys, monkeypatch
 ):
-    # the intersection scan runs in numpy, and refine_contact's search
-    # and the occlusion solves in Python, as where no C compiler is
+    # the intersection scan runs in numpy, and refine_contact's fits and
+    # search and the occlusion solves in Python, as where no C compiler is
     monkeypatch.setattr(surface, "_kernel", False)
     ran = []
 
@@ -230,7 +230,7 @@ def test_surface_figure_digest_from_the_python_loop(
         return wrapper
 
     loops = (
-        (surface, "_crossing_hits"), (surface, "_contact_sites"),
+        (surface, "_crossing_hits"), (surface, "_contact_sites"), (surface, "_window_pieces"),
         (surface, "_best_first"), (surface.OcclusionTester, "_newton"),
     )
     for owner, loop in loops:

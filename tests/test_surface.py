@@ -10,6 +10,7 @@ import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from itertools import count, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from splinefig.geom import Polyline, drop_repeats, split
 from splinefig import surface
 from splinefig.render import Style, emit_latex
 from splinefig.expr import DomainError, compile_fn, steps
-from splinefig.spline import SplineMethod, build_spline
+from splinefig.spline import DegenerateGeometryError, SplineMethod, build_spline
 from splinefig.surface import (
     REFINE_WINDOW,
     _feet,
@@ -1242,6 +1243,91 @@ def test_hypot_port_is_math_hypot_bit_for_bit(kernel):
         assert _bits([got]) == _bits([ref]) or math.isnan(got) and math.isnan(ref), (x, y)
 
 
+def test_refine_c_compiles_without_warnings(tmp_path):
+    # the flags of the build, with every warning an error, for both of
+    # math.hypot's subnormal branches
+    if not shutil.which("cc"):
+        pytest.skip("no C compiler here")
+    src = Path(surface.__file__).with_name("refine.c")
+    for by_max in (0, 1):
+        subprocess.run(
+            ["cc", "-O2", "-ffp-contract=off", f"-DHYPOT_DIVIDES_BY_MAX={by_max}",
+             "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
+             "-o", str(tmp_path / f"refine{by_max}.so"), str(src), "-lm"],
+            stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=60,
+        )
+
+
+# sizes from subnormal to 1e300, both zeros, and chords near 1e-170,
+# whose norms' product underflows
+_fit_coord = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300, -1e300, 1e-170, -1e-170, 3e-170, 5e-324]),
+)
+
+
+@st.composite
+def fit_windows(draw):
+    """2 to 13 rows for an open fit: free rows, a collinear run, a run
+    that turns back on itself, or small steps scaled to 1e-170 or 1e300;
+    perhaps with a row repeated (zero chords) and a NaN coordinate."""
+    n = draw(st.integers(2, 13))
+    kind = draw(st.sampled_from(["free", "collinear", "reversing", "scaled"]))
+    if kind == "free":
+        rows = np.array(draw(st.lists(st.tuples(_fit_coord, _fit_coord), min_size=n, max_size=n)))
+    elif kind == "scaled":
+        steps = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * 2), min_size=n, max_size=n))
+        rows = np.cumsum(np.array(steps, dtype=float), axis=0) * draw(
+            st.sampled_from([1e-170, 1e300])
+        )
+    else:
+        p, d = (np.array(draw(st.tuples(_fit_coord, _fit_coord))) for _ in range(2))
+        if kind == "collinear":
+            t = np.cumsum(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n)))
+        else:
+            t = np.abs(np.arange(n) - draw(st.integers(1, n - 1))).astype(float)
+        with np.errstate(all="ignore"):
+            rows = p + t[:, None] * d
+    if draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        rows[k] = rows[k - 1]
+    if draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1)), draw(st.integers(0, 1))] = math.nan
+    return np.ascontiguousarray(rows, dtype=float)
+
+
+def _compiled_fit(kernel, pts: np.ndarray) -> np.ndarray | None:
+    """refine.c's open fit of pts, its (n - 1, 4, 2) control rows; None
+    where it refuses."""
+    ctrl = np.empty((len(pts) - 1, 4, 2))
+    return None if kernel.oshima_fit(pts, len(pts), ctrl) else ctrl
+
+
+@settings(max_examples=500, deadline=None)
+@given(fit_windows())
+@example(np.array([(0.0, 0.0), (1e-170, 0.0), (2e-170, 1e-170)]))  # n1 * n2 underflows
+@example(np.array([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)]))  # a zero chord
+@example(np.array([(-0.0, 1.0), (-0.0, 1.0), (-0.0, 1.0), (1.0, 1.0)]))  # a single-point row
+@example(np.array([(1.0, 2.0), (1.0, 2.0)]))  # all coincide: refused
+@example(np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (1.0, 0.0), (2.0, 0.0)]))  # refused
+@example(np.array([(0.0, 0.0), (math.nan, 1.0), (2.0, 0.0), (3.0, 1.0)]))
+@example(np.array([(-0.0, 0.0), (1e300, -1e300), (-1e300, 1e300)]))
+@example(np.array([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (1.0, 0.0), (0.0, 0.0)]))  # turns back
+def test_property_compiled_fit_is_build_splines_bits(kernel, pts):
+    try:
+        want = build_spline(pts, method=SplineMethod.OSHIMA, closed=False).ctrl
+    except DegenerateGeometryError:
+        want = None
+    got = _compiled_fit(kernel, pts)
+    if want is None:
+        assert got is None
+    else:
+        # the same bits, or NaN where build_spline gives NaN
+        assert got is not None
+        same = (got.view(np.uint64) == want.view(np.uint64)) | np.isnan(got) & np.isnan(want)
+        assert same.all()
+
+
 def _same_on_both_paths(site) -> surface.RefinedContact:
     got = refine_contact(*site)
     ref = _python_loop(refine_contact, *site)
@@ -1262,21 +1348,80 @@ def nan_window_pairs(draw):
     return a, b, i, j, window, tol
 
 
+# a parabola and a line crossing it near x = -0.004, 12 vertices each
+_EDGE_A = _sampled(lambda x: x * x, -0.1, 0.02, 12)
+_EDGE_B = _sampled(lambda x: 0.002 + 0.5 * x, -0.1, 0.02, 12)
+
+
 @settings(max_examples=100, deadline=None)
-@given(window_pairs())
-def test_property_kernel_gives_the_python_loops_bits(kernel, pair):
+@given(pair=window_pairs(), centers=st.none())
+# the windows cut short at a polyline's first vertex, at its last
+# segment's start, and a window longer than either polyline
+@example(pair=("crossing", _EDGE_A, _EDGE_B, 6, 1e-7), centers=(0, 0))
+@example(pair=("crossing", _EDGE_A, _EDGE_B, 6, 1e-7), centers=(10, 10))
+@example(pair=("crossing", _EDGE_A, _EDGE_B, 40, 1e-7), centers=(5, 4))
+def test_property_kernel_gives_the_python_loops_bits(kernel, pair, centers):
+    # the site is the closest vertex pair unless an example names it
     _, a, b, window, tol = pair
-    _same_on_both_paths((a, b, *closest_pair(a, b), window, tol))
+    _same_on_both_paths((a, b, *(centers or closest_pair(a, b)), window, tol))
+
+
+def test_a_center_outside_its_polyline_is_indexed_as_python_indexes(kernel):
+    # refine.c reads nothing for such a center, and Python's indexing decides
+    a, b = _EDGE_A, _EDGE_B
+    for centers in ((-1, 3), (3, -12), (-3, -3)):
+        _same_on_both_paths((a, b, *centers))
+    for centers in ((12, 3), (3, 12), (-13, 0)):
+        with pytest.raises(IndexError):
+            refine_contact(a, b, *centers)
+        with pytest.raises(IndexError):
+            _python_loop(refine_contact, a, b, *centers)
+
+
+@pytest.mark.parametrize("axes", [(0, 1), (1, 0)])
+def test_a_gap_of_a_percent_of_the_window_size_is_a_contact(kernel, axes):
+    # parallel lines 0.01 * (1 + span) apart, span the longest side of
+    # a's pieces' boxes, 0.25 (b's are 0.5): that gap is a contact, the
+    # next float above it none; along x and along y
+    b = np.column_stack([np.arange(8) * 0.5, np.zeros(8)])
+    limit = 0.01 * (1.0 + 0.25)
+    for gap, refined in ((limit, True), (math.nextafter(limit, 1.0), False)):
+        a = np.column_stack([np.arange(8) * 0.25, np.full(8, gap)])
+        site = (Polyline(a[:, axes]), Polyline(b[:, axes]), 4, 2, REFINE_WINDOW, 1e-3)
+        assert _same_on_both_paths(site).refined == refined
+
+
+def test_windows_exactly_ten_tol_apart_bail_out(kernel):
+    # every vertex of a lies exactly 10*tol from b, which the bail-out
+    # takes as overlapping: past it, the search finds a gap of 10*tol,
+    # small enough to return refined
+    tol = 2.0**-10
+    xs = np.arange(8) * 0.125
+    a = Polyline(np.column_stack([xs, np.full(8, 10.0 * tol)]))
+    b = Polyline(np.column_stack([xs, np.zeros(8)]))
+    got = _same_on_both_paths((a, b, 4, 4, REFINE_WINDOW, tol))
+    assert got == surface.RefinedContact((0.5, 5.0 * tol), False)
+
+
+# a parabola and a stretch of it, the parabola's last vertex NaN: the
+# NaN distances keep the overlapping windows from bailing out
+_OVERLAP = np.column_stack([np.linspace(-0.3, 0.3, 13), np.linspace(-0.3, 0.3, 13) ** 2])
+_OVERLAP_NAN = _OVERLAP.copy()
+_OVERLAP_NAN[12, 1] = math.nan
 
 
 @settings(max_examples=100, deadline=None)
 @given(nan_window_pairs())
+@example((Polyline(_OVERLAP[4:9]), Polyline(_OVERLAP_NAN), 2, 6, REFINE_WINDOW, 1e-7))
 def test_property_kernel_gives_the_python_loops_bits_with_a_nan_vertex(kernel, site):
     # NaN keys compare false both ways: the pops follow heapq's order
     _same_on_both_paths(site)
 
 
-@pytest.mark.parametrize("theta, phi", [(60, 25), (45, 20), (70, 30)])
+# the corners and the centre of the benchmark's view box, and two more
+@pytest.mark.parametrize(
+    "theta, phi", [(40, 15), (40, 35), (80, 15), (80, 35), (60, 25), (45, 20), (70, 30)]
+)
 def test_every_scene_site_gives_the_same_bits_on_both_paths(kernel, theta, phi):
     view = Projection(math.radians(theta), math.radians(phi))
     paraboloid = SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6)))
@@ -1293,6 +1438,14 @@ def torus() -> ParametricSurface:
         "(2+cos(u))*cos(v)", "(2+cos(u))*sin(v)", "sin(u)",
         (0.0, 2 * math.pi), (0.0, 2 * math.pi),
     )
+
+
+def test_every_torus_site_gives_the_same_bits_on_both_paths(kernel):
+    view = Projection(math.radians(45), math.radians(40))
+    sites, _ = _scene_sites(torus(), SceneConfig(axes=False), view)
+    assert len(sites) == 6
+    for site in sites:
+        _same_on_both_paths(site)
 
 
 def partial_domain() -> ParametricSurface:
@@ -1498,7 +1651,7 @@ class _OutOfMemory:
         return getattr(self.dll, name)
 
 
-@pytest.mark.parametrize("entry", ["intersect_scan", "refine_search", "occlusion_covers"])
+@pytest.mark.parametrize("entry", ["intersect_scan", "refine_contact", "occlusion_covers"])
 def test_a_kernel_out_of_memory_is_reported(kernel, entry, tmp_path, monkeypatch, capsys):
     from splinefig.cli import main
 
@@ -1559,16 +1712,18 @@ def test_each_piece_is_split_once_per_best_first_search(monkeypatch):
         return halves(p)
 
     made = []
-    compiled = surface._compiled_best_first
+    dll = surface._load_kernel()
 
-    def counted_kernel(dll, pieces_a, pieces_b, *rest):
-        found, n = compiled(dll, pieces_a, pieces_b, *rest)
-        made.append(n - len(pieces_a) - len(pieces_b))
-        return found, n
+    class Counted:
+        def __getattr__(self, name):
+            return getattr(dll, name)
+
+        def refine_contact(self, *args):
+            found = dll.refine_contact(*args)
+            made.append(args[-1].value)  # the pieces the search's splits made
+            return found
 
     monkeypatch.setattr(surface, "_halves", counted)
-    monkeypatch.setattr(surface, "_compiled_best_first", counted_kernel)
-    dll = surface._load_kernel()
     total = 0
     for site in sites:
         del split[:], made[:]
@@ -1578,8 +1733,10 @@ def test_each_piece_is_split_once_per_best_first_search(monkeypatch):
         total += len(split)
         if dll:
             # the kernel makes two pieces for each piece the loop splits
-            refine_contact(*site)
-            assert sum(made) == 2 * len(split)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(surface, "_kernel", Counted())
+                refine_contact(*site)
+            assert made == [2 * len(split)]
     assert len(sites) == 15
     assert total > 0
 
