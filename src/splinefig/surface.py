@@ -911,7 +911,7 @@ def refine_contact(
         )
         if found == -1:
             raise SurfaceError("refine_contact's search ran out of memory")
-        if found >= 0:  # else a center lies outside its polyline: index it below
+        if found >= 0:  # else a center lies outside its polyline or window < 0
             return RefinedContact(tuple(point), found == 1)
     (ax, ay), (bx, by) = a.points[center_a].tolist(), b.points[center_b].tolist()
     sx, sy = (ax + bx) * 0.5, (ay + by) * 0.5
