@@ -35,7 +35,8 @@
  *    HYPOT_DIVIDES_BY_MAX to 1 before 3.12.  The C library's hypot rounds
  *    differently.  A normal maximum's exponent is read from its bits,
  *    and the result is multiplied by 2**e rather than divided by 2**-e:
- *    both round the same exact value;
+ *    both round the same exact value.  Where an argument is 0 it returns
+ *    the other, the value vector_norm rounds to exactly;
  *  - the heap is heapq's: _siftdown, and _siftup moving the smaller
  *    child up to a leaf before sifting down, with keys compared as
  *    tuples compare, so the pops come in heapq's order even when a key
@@ -46,7 +47,9 @@
  * the pair's boxes and the site, is taken when the pair's gap first
  * compares equal to another, and a piece's diagonal when a pair holding
  * it first pops: every comparison, NaN included, decides as it would on
- * keys taken up front, and an entry and a piece keep their sizes.
+ * keys taken up front.  A heap slot holds the gap and the push count
+ * alone (16 bytes a sift step moves); the distance and the pieces wait
+ * in a record per push, indexed by that count.
  *
  * The solves (occlusion_covers) are OcclusionTester._newton line for
  * line, with py_hypot for math.hypot, from the start of every seed
@@ -83,6 +86,15 @@
  * pairs that meet, and it lists them in the numpy path's row-major
  * order.
  *
+ * Each call mallocs its scratch memory and frees it before it returns,
+ * so no two calls, and no two threads, share any.  glibc serves a block
+ * of a search's size, once freed, again from the same thread's arena,
+ * whose pages stay resident: after its first search, a thread writes to
+ * no fresh page.  A fresh mmap per call, unmapped after it, cost about
+ * 229 minor page faults per search that spends its whole budget, and
+ * about 2330 per surface-scenes op against 26 with malloc; each munmap
+ * in a process with threads also costs cross-CPU TLB shootdowns.
+ *
  * Build with -ffp-contract=off and without -ffast-math: no a*b + c may
  * be fused or reordered.
  */
@@ -92,34 +104,6 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/mman.h>
-
-/* A search's memory is mapped for it and unmapped after it: blocks this
- * size freed to malloc stay resident in each pool thread's arena. */
-static void *grab(size_t bytes)
-{
-    void *p = mmap(NULL, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    return p == MAP_FAILED ? NULL : p;
-}
-
-static void release(void *p, size_t bytes)
-{
-    munmap(p, bytes);
-}
-#else
-static void *grab(size_t bytes)
-{
-    return malloc(bytes);
-}
-
-static void release(void *p, size_t bytes)
-{
-    (void)bytes;
-    free(p);
-}
-#endif
 
 typedef struct {
     double hi, lo;
@@ -151,7 +135,8 @@ static DoubleLength dl_mul(double x, double y)
     return (DoubleLength){z, zz};
 }
 
-/* the norm of (x, y), both finite, non-negative and at most max */
+/* the norm of (x, y), both finite, non-negative and at most max, which
+ * is not 0 */
 static double vector_norm(double x, double y, double max)
 {
     double vec[2] = {x, y};
@@ -160,8 +145,6 @@ static double vector_norm(double x, double y, double max)
     uint64_t bits;
     int max_e, i;
 
-    if (max == 0.0)
-        return max;
     /* frexp's exponent of a normal max, read from its bits */
     memcpy(&bits, &max, sizeof bits);
     max_e = (int)(bits >> 52) - 1022;
@@ -225,6 +208,9 @@ double py_hypot(double x, double y)
         return max;
     if (isnan(x) || isnan(y))
         return NAN;
+    /* vector_norm's value where an argument is 0: the other, exactly */
+    if (x == 0.0 || y == 0.0)
+        return max;
     return vector_norm(x, y, max);
 }
 
@@ -288,25 +274,35 @@ static void split(Piece *pieces, long k, long n)
     pieces[k].half = n;
 }
 
-/* a heap entry: the key (gap, dist, tick) and the pair's pieces, dist
- * -1 until a comparison needs it (a distance is never negative) */
+/* a heap slot: the pair's gap and its push count, tick, which indexes
+ * the pair's record */
 typedef struct {
-    double gap, dist;
-    long tick, a, b;
-} Entry;
+    double gap;
+    long tick;
+} Key;
 
-/* a search's pieces, its heap of size entries, the count of pushes and
- * the seed */
+/* a pushed pair: the seed's distance to its boxes' overlap, -1 until a
+ * comparison needs it (a distance is never negative), and its pieces */
+typedef struct {
+    double dist;
+    long a, b;
+} Pair;
+
+/* a search's pieces, its heap of size slots, its pairs in push order,
+ * the count of pushes and the seed */
 typedef struct {
     Piece *pieces;
-    Entry *heap;
+    Key *heap;
+    Pair *pairs;
     long size, tick;
     double sx, sy;
 } Search;
 
-/* the seed's distance to the overlap of e's boxes, taken once */
-static double tie_key(const Search *s, Entry *e)
+/* the seed's distance to the overlap of the boxes of pair tick, taken
+ * once */
+static double tie_key(const Search *s, long tick)
 {
+    Pair *e = &s->pairs[tick];
     if (e->dist < 0.0) {
         const double *pa = s->pieces[e->a].v, *pb = s->pieces[e->b].v;
         double lo = pa[8] > pb[8] ? pa[8] : pb[8];
@@ -323,13 +319,13 @@ static double tie_key(const Search *s, Entry *e)
 }
 
 /* (gap, dist, tick) < (gap, dist, tick) as Python's tuples compare */
-static int less(const Search *s, Entry *x, Entry *y)
+static int less(const Search *s, const Key *x, const Key *y)
 {
     double dx, dy;
     if (!(x->gap == y->gap))
         return x->gap < y->gap;
-    dx = tie_key(s, x);
-    dy = tie_key(s, y);
+    dx = tie_key(s, x->tick);
+    dy = tie_key(s, y->tick);
     if (!(dx == dy))
         return dx < dy;
     return x->tick < y->tick;
@@ -338,7 +334,7 @@ static int less(const Search *s, Entry *x, Entry *y)
 /* heapq._siftdown */
 static void sift_down(Search *s, long start, long pos)
 {
-    Entry *heap = s->heap, item = heap[pos];
+    Key *heap = s->heap, item = heap[pos];
     while (pos > start) {
         long parent = (pos - 1) >> 1;
         if (!less(s, &item, &heap[parent]))
@@ -352,7 +348,7 @@ static void sift_down(Search *s, long start, long pos)
 /* heapq._siftup */
 static void sift_up(Search *s, long pos)
 {
-    Entry *heap = s->heap, item = heap[pos];
+    Key *heap = s->heap, item = heap[pos];
     long start = pos, child = 2 * pos + 1;
     while (child < s->size) {
         if (child + 1 < s->size && !less(s, &heap[child], &heap[child + 1]))
@@ -376,59 +372,62 @@ static void push(Search *s, long a, long b)
     dy = ey > dy ? ey : dy;
     dx = 0.0 > dx ? 0.0 : dx;
     dy = 0.0 > dy ? 0.0 : dy;
-    s->heap[s->size] = (Entry){py_hypot(dx, dy), -1.0, s->tick++, a, b};
+    s->pairs[s->tick] = (Pair){-1.0, a, b};
+    s->heap[s->size] = (Key){py_hypot(dx, dy), s->tick++};
     sift_down(s, 0, s->size++);
 }
 
 /* heapq.heappop */
-static Entry pop(Search *s)
+static Key pop(Search *s)
 {
-    Entry last = s->heap[--s->size];
+    Key last = s->heap[--s->size];
     if (s->size == 0)
         return last;
-    Entry top = s->heap[0];
+    Key top = s->heap[0];
     s->heap[0] = last;
     sift_up(s, 0);
     return top;
 }
 
 /* surface._best_first on pieces[0:na] and pieces[na:na + nb] with the
- * seed (sx, sy): at most budget pops, pieces and heap having room for
- * na + nb + 2 * budget pieces and na * nb + 2 * budget entries (each
- * pop splits at most one piece and pushes two pairs).  Returns 1 when a
- * pair of leaves pops, with its entry in *won; else 0.  *made is the
- * count of pieces the splits made. */
-static int best_first(Piece *pieces, long na, long nb, Entry *heap, double sx, double sy,
-                      double tol, long budget, Entry *won, long *made)
+ * seed (sx, sy): at most budget pops, pieces having room for na + nb +
+ * 2 * budget pieces and heap and pairs for na * nb + 2 * budget pairs
+ * (each pop splits at most one piece and pushes two pairs).  Returns 1
+ * when a pair of leaves pops, with its gap in *gap and its record in
+ * *won; else 0.  *made is the count of pieces the splits made. */
+static int best_first(Piece *pieces, long na, long nb, Key *heap, Pair *pairs, double sx,
+                      double sy, double tol, long budget, double *gap, Pair *won, long *made)
 {
-    Search s = {pieces, heap, 0, 0, sx, sy};
+    Search s = {pieces, heap, pairs, 0, 0, sx, sy};
     long n = na + nb, k;
 
     for (k = 0; k < na * nb; k++)
         push(&s, k / nb, na + k % nb);
     for (k = 0; k < budget && s.size > 0; k++) {
-        Entry e = pop(&s);
-        Piece *pa = &pieces[e.a], *pb = &pieces[e.b];
+        Key e = pop(&s);
+        Pair p = pairs[e.tick];
+        Piece *pa = &pieces[p.a], *pb = &pieces[p.b];
         double da = diagonal(pa), db = diagonal(pb);
         if (da < tol && db < tol) {
-            *won = e;
+            *gap = e.gap;
+            *won = p;
             *made = n - na - nb;
             return 1;
         }
         if (da >= db) {
             if (pa->half < 0) {
-                split(pieces, e.a, n);
+                split(pieces, p.a, n);
                 n += 2;
             }
-            push(&s, pa->half, e.b);
-            push(&s, pa->half + 1, e.b);
+            push(&s, pa->half, p.b);
+            push(&s, pa->half + 1, p.b);
         } else {
             if (pb->half < 0) {
-                split(pieces, e.b, n);
+                split(pieces, p.b, n);
                 n += 2;
             }
-            push(&s, e.a, pb->half);
-            push(&s, e.a, pb->half + 1);
+            push(&s, p.a, pb->half);
+            push(&s, p.a, pb->half + 1);
         }
     }
     *made = n - na - nb;
@@ -861,7 +860,7 @@ int intersect_scan(const double *a, long na, const double *b, long nb, int self_
     /* the sweep, one row of candidates, and five rows of listed pairs */
     size_t bytes = (size_t)m * (sizeof(Slot) + sizeof(double) + sizeof(long))
                    + (size_t)(5 * rows_m) * (sizeof(long) + 2 * sizeof(double));
-    Slot *slot = grab(bytes);
+    Slot *slot = malloc(bytes);
     Sweep w = {0, slot, (double *)(slot + m)};
     long *near = (long *)(w.reach + m);
     Row rows[5];
@@ -939,7 +938,7 @@ int intersect_scan(const double *a, long na, const double *b, long nb, int self_
             }
         }
     }
-    release(slot, bytes);
+    free(slot);
     counts[0] = nh;
     counts[1] = ns;
     return 0;
@@ -1087,10 +1086,11 @@ int refine_contact(const double *a, long na, long ca, const double *b, long nb, 
 {
     long a0, a1, b0, b1, ma, mb, k;
     double span = 1e-12, mx, my;
-    size_t ctrl_bytes, piece_bytes, bytes;
-    double *ctrl;
+    size_t ctrl_bytes, piece_bytes, pushes;
+    double *ctrl, gap = 0.0;
     Piece *pieces, *pa, *pb;
-    Entry won = {0};
+    Key *heap;
+    Pair won = {0};
     int found;
 
     if (ca < 0 || ca >= na || cb < 0 || cb >= nb || window < 0)
@@ -1104,14 +1104,15 @@ int refine_contact(const double *a, long na, long ca, const double *b, long nb, 
     mb = b1 - b0 - 1;
     if (ma < 1 || mb < 1)
         return 0;
-    /* one mapping for the fits, the pieces and the heap */
+    /* one block for the fits, the pieces, the heap and the pairs */
     ctrl_bytes = (size_t)(8 * (ma + mb)) * sizeof(double);
     piece_bytes = (size_t)(ma + mb + 2 * budget) * sizeof(Piece);
-    bytes = ctrl_bytes + piece_bytes + (size_t)(ma * mb + 2 * budget) * sizeof(Entry);
-    ctrl = grab(bytes);
+    pushes = (size_t)(ma * mb + 2 * budget);
+    ctrl = malloc(ctrl_bytes + piece_bytes + pushes * (sizeof(Key) + sizeof(Pair)));
     if (ctrl == NULL)
         return -1;
     pieces = (Piece *)((char *)ctrl + ctrl_bytes);
+    heap = (Key *)((char *)pieces + piece_bytes);
     found = !oshima_fit(a + 2 * a0, ma + 1, ctrl) && !oshima_fit(b + 2 * b0, mb + 1, ctrl + 8 * ma)
             /* overlapping windows (a curve drawn twice, grazing duplicates)
              * never separate under subdivision */
@@ -1121,8 +1122,8 @@ int refine_contact(const double *a, long na, long ca, const double *b, long nb, 
             const double *c = ctrl + 8 * k;
             make_piece(&pieces[k], c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]);
         }
-        found = best_first(pieces, ma, mb, (Entry *)((char *)pieces + piece_bytes), point[0],
-                           point[1], tol, budget, &won, made);
+        found = best_first(pieces, ma, mb, heap, (Pair *)(heap + pushes), point[0], point[1],
+                           tol, budget, &gap, &won, made);
     }
     if (found) {
         /* a gap over a percent of the window size is no contact */
@@ -1131,7 +1132,7 @@ int refine_contact(const double *a, long na, long ca, const double *b, long nb, 
             span = v[10] - v[8] > span ? v[10] - v[8] : span;
             span = v[11] - v[9] > span ? v[11] - v[9] : span;
         }
-        found = !(won.gap > 0.01 * (1.0 + span));
+        found = !(gap > 0.01 * (1.0 + span));
     }
     if (found) {
         pa = &pieces[won.a];
@@ -1140,7 +1141,7 @@ int refine_contact(const double *a, long na, long ca, const double *b, long nb, 
         my = 0.25 * (pa->v[9] + pa->v[11] + pb->v[9] + pb->v[11]);
         point[0] = mx;
         point[1] = my;
-        if (won.gap == 0.0) {
+        if (gap == 0.0) {
             /* where the lines through the chords meet (nowhere if parallel) */
             double px = pa->v[0], py = pa->v[1], rx = pa->v[6] - px, ry = pa->v[7] - py;
             double qx = pb->v[0], qy = pb->v[1], t, s, x, y;
@@ -1154,6 +1155,6 @@ int refine_contact(const double *a, long na, long ca, const double *b, long nb, 
             }
         }
     }
-    release(ctrl, bytes);
+    free(ctrl);
     return found;
 }

@@ -771,6 +771,11 @@ def _load_kernel():
     return _kernel
 
 
+# refine.c's compiler command, up to HYPOT_DIVIDES_BY_MAX and the output:
+# no a*b + c may be fused or reordered
+_CC = ("cc", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+
+
 def _build_kernel():
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "refine.c")
     try:
@@ -779,8 +784,7 @@ def _build_kernel():
             # math.hypot's subnormal branch changed in CPython 3.12
             by_max = f"-DHYPOT_DIVIDES_BY_MAX={int(sys.version_info < (3, 12))}"
             subprocess.run(
-                ["cc", "-O2", "-ffp-contract=off", by_max, "-shared", "-fPIC",
-                 "-o", lib, src, "-lm"],
+                [*_CC, by_max, "-o", lib, src, "-lm"],
                 stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=60,
             )
             dll = ctypes.CDLL(lib)

@@ -1,4 +1,5 @@
 import copy
+import ctypes
 import gc
 import heapq
 import logging
@@ -1213,12 +1214,27 @@ def test_kernel_loads_where_a_compiler_is_found():
         assert surface._load_kernel()
 
 
+def _zero_pairs() -> list[tuple[float, float]]:
+    """44 048 pairs with an argument +-0: the other random bit patterns,
+    random subnormals or the specials, first and second."""
+    rng = np.random.default_rng(2020)
+    bits = rng.integers(0, 2**64, size=10_000, dtype=np.uint64)
+    # the sign bit and the fraction, the exponent field 0
+    tiny = rng.integers(0, 2**64, size=1_000, dtype=np.uint64) & np.uint64(0x800F_FFFF_FFFF_FFFF)
+    specials = [
+        0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.0, -3.0,
+        1.7976931348623157e308, math.inf, -math.inf, math.nan,
+    ]
+    others = [*bits.view(np.float64).tolist(), *tiny.view(np.float64).tolist(), *specials]
+    return [pair for y in others for z in (0.0, -0.0) for pair in ((z, y), (y, z))]
+
+
 def _hypot_batch() -> list[tuple[float, float]]:
-    """120 000 fixed pairs across the exponent range, then the specials.
+    """164 048 fixed pairs across the exponent range, then the specials.
 
     Random bit patterns (every exponent, subnormals, infinities, NaNs),
     pairs whose exponents differ by up to 60 (where both terms count),
-    and each pair of the specials."""
+    pairs with an argument +-0, and each pair of the specials."""
     rng = np.random.default_rng(2019)
     bits = rng.integers(0, 2**64, size=(40_000, 2), dtype=np.uint64)
     e = rng.integers(-1074, 1024, size=(80_000, 1)) + rng.integers(-30, 31, size=(80_000, 2))
@@ -1231,31 +1247,41 @@ def _hypot_batch() -> list[tuple[float, float]]:
     return [
         *map(tuple, bits.view(np.float64).tolist()),
         *map(tuple, near.tolist()),
+        *_zero_pairs(),
         *product(specials, repeat=2),
     ]
+
+
+def _assert_hypot_is_math_hypot(dll, pairs) -> None:
+    for x, y in pairs:
+        got, ref = dll.py_hypot(x, y), math.hypot(x, y)
+        assert _bits([got]) == _bits([ref]) or math.isnan(got) and math.isnan(ref), (x, y)
 
 
 def test_hypot_port_is_math_hypot_bit_for_bit(kernel):
     # the heap order hangs on these bits; the C library's hypot differs
     # from math.hypot on about one pair in a hundred
-    for x, y in _hypot_batch():
-        got, ref = kernel.py_hypot(x, y), math.hypot(x, y)
-        assert _bits([got]) == _bits([ref]) or math.isnan(got) and math.isnan(ref), (x, y)
+    _assert_hypot_is_math_hypot(kernel, _hypot_batch())
 
 
 def test_refine_c_compiles_without_warnings(tmp_path):
     # the flags of the build, with every warning an error, for both of
-    # math.hypot's subnormal branches
+    # math.hypot's subnormal branches; each build's shortcut for a zero
+    # argument gives math.hypot's bits, whichever branch this Python has
     if not shutil.which("cc"):
         pytest.skip("no C compiler here")
     src = Path(surface.__file__).with_name("refine.c")
     for by_max in (0, 1):
+        lib = tmp_path / f"refine{by_max}.so"
         subprocess.run(
-            ["cc", "-O2", "-ffp-contract=off", f"-DHYPOT_DIVIDES_BY_MAX={by_max}",
-             "-Wall", "-Wextra", "-Werror", "-shared", "-fPIC",
-             "-o", str(tmp_path / f"refine{by_max}.so"), str(src), "-lm"],
+            [*surface._CC, f"-DHYPOT_DIVIDES_BY_MAX={by_max}", "-Wall", "-Wextra", "-Werror",
+             "-o", str(lib), str(src), "-lm"],
             stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=60,
         )
+        dll = ctypes.CDLL(str(lib))
+        dll.py_hypot.argtypes = [ctypes.c_double, ctypes.c_double]
+        dll.py_hypot.restype = ctypes.c_double
+        _assert_hypot_is_math_hypot(dll, _zero_pairs())
 
 
 # sizes from subnormal to 1e300, both zeros, and chords near 1e-170,
