@@ -7,6 +7,7 @@ import math
 import shutil
 import struct
 import subprocess
+import sys
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -1215,8 +1216,8 @@ def test_kernel_loads_where_a_compiler_is_found():
 
 
 def _zero_pairs() -> list[tuple[float, float]]:
-    """44 048 pairs with an argument +-0: the other random bit patterns,
-    random subnormals or the specials, first and second."""
+    """44 048 pairs of +-0 and another argument, in either order: random
+    bit patterns, random subnormals and the specials."""
     rng = np.random.default_rng(2020)
     bits = rng.integers(0, 2**64, size=10_000, dtype=np.uint64)
     # the sign bit and the fraction, the exponent field 0
@@ -1800,6 +1801,61 @@ def test_budget_exhausting_searches_peak_no_higher_than_the_reference():
         assert python_peak <= peak(reference_refine_contact, site)
 
 
+def test_a_thread_reuses_its_search_memory(kernel):
+    # a search that spends its whole budget writes over about a megabyte:
+    # memory fresh to each call would fault in about 229 pages every time
+    resource = pytest.importorskip("resource")
+    cfg = SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6)))
+    sites, report = _scene_sites(paraboloid_surface(), cfg)
+    drawn = {
+        id(c.polyline): role for role in ("wires", "silhouettes") for c in getattr(report, role)
+    }
+
+    def pieces_made(a, b, center_a, center_b) -> int:
+        point, made = (ctypes.c_double * 2)(), ctypes.c_long()
+        found = kernel.refine_contact(
+            a.points, len(a.points), center_a, b.points, len(b.points), center_b,
+            REFINE_WINDOW, surface.REFINE_TOL, surface.REFINE_POPS, point, made,
+        )
+        return made.value if found == 0 else 0
+
+    site = next(
+        s for s in sites
+        if {drawn.get(id(s[0])), drawn.get(id(s[1]))} == {"wires", "silhouettes"}
+        and pieces_made(*s) > surface.REFINE_POPS
+    )
+    for _ in range(2):
+        refine_contact(*site)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(10):
+        assert not refine_contact(*site).refined
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+
+
+def test_searches_on_four_threads_give_the_serial_bits(kernel):
+    # each call has its own scratch memory, which no other thread sees
+    cfg = SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6)))
+    sites = [
+        *_scene_sites(paraboloid_surface(), cfg)[0], *_scene_sites(mobius(), SceneConfig())[0]
+    ]
+
+    def answer(site) -> tuple[list[bytes], bool]:
+        got = refine_contact(*site)
+        return _bits(got.point), got.refined
+
+    loop = [_python_loop(answer, site) for site in sites]
+    serial = [answer(site) for site in sites]
+    assert serial == loop
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            pooled = list(pool.map(answer, sites * 3, timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == serial * 3
+
+
 def _bits(xs) -> list[bytes]:
     return [struct.pack("<d", x) for x in xs]
 
@@ -2137,7 +2193,8 @@ class TestSceneStructure:
         # all round; at 10000 samples a window test over every pair
         # below CONTACT_TOL at once peaked at about 400 MB
         # (numpy's arrays on both paths; refine.c's own rows, about 180
-        # bytes per segment of the rim, are mapped outside tracemalloc)
+        # bytes per segment of the rim, come from C's malloc, which
+        # tracemalloc does not trace)
         s = paraboloid_surface()
         wire = project_curve(wires(s, fixed_u=[1.998], samples=10000)[0], VIEW)
         (rim,) = (project_curve(c, VIEW) for c in boundary_curves(s, samples=10000))
