@@ -37,10 +37,11 @@
  *    and the result is multiplied by 2**e rather than divided by 2**-e:
  *    both round the same exact value.  Where an argument is 0 it returns
  *    the other, the value vector_norm rounds to exactly;
- *  - the heap is heapq's: _siftdown, and _siftup moving the smaller
- *    child up to a leaf before sifting down, with keys compared as
- *    tuples compare, so the pops come in heapq's order even when a key
- *    is NaN.
+ *  - the pairs wait in a radix heap whose bucket 0 is heapq's heap:
+ *    _siftdown, and _siftup moving the smaller child up to a leaf
+ *    before sifting down, with keys compared as tuples compare, so the
+ *    pops come in heapq's order even when a key is NaN (best_first says
+ *    why the other buckets change no pop).
  *
  * Most keys are never compared past their gap, and most pieces never
  * pop, so the site's distance to a pair's overlap, a pure function of
@@ -48,8 +49,8 @@
  * compares equal to another, and a piece's diagonal when a pair holding
  * it first pops: every comparison, NaN included, decides as it would on
  * keys taken up front.  A heap slot holds the gap and the push count
- * alone (16 bytes a sift step moves); the distance and the pieces wait
- * in a record per push, indexed by that count.
+ * alone (16 bytes a sift step moves); the distance, the pieces and the
+ * bucket chain wait in a record per push, indexed by that count.
  *
  * The solves (occlusion_covers) are OcclusionTester._newton line for
  * line, with py_hypot for math.hypot, from the start of every seed
@@ -282,21 +283,35 @@ typedef struct {
 } Key;
 
 /* a pushed pair: the seed's distance to its boxes' overlap, -1 until a
- * comparison needs it (a distance is never negative), and its pieces */
+ * comparison needs it (a distance is never negative), its gap, its
+ * pieces, and the next pair in its bucket's chain */
 typedef struct {
-    double dist;
-    long a, b;
+    double dist, gap;
+    long a, b, next;
 } Pair;
 
-/* a search's pieces, its heap of size slots, its pairs in push order,
- * the count of pushes and the seed */
+/* a search's pieces, its bucket 0 of size slots, its pairs in push
+ * order, the count of pushes and the seed; the radix heap's last key,
+ * a mask with bit i set where the bucket i + 1 holds pairs, and the
+ * first pair of each such chain */
 typedef struct {
     Piece *pieces;
     Key *heap;
     Pair *pairs;
     long size, tick;
     double sx, sy;
+    uint64_t last, full;
+    long chain[64];
 } Search;
+
+/* a gap's bits as an unsigned integer: for gaps of +0 and up, in the
+ * order of the gaps */
+static uint64_t key_bits(double gap)
+{
+    uint64_t bits;
+    memcpy(&bits, &gap, sizeof bits);
+    return bits;
+}
 
 /* the seed's distance to the overlap of the boxes of pair tick, taken
  * once */
@@ -361,7 +376,25 @@ static void sift_up(Search *s, long pos)
     sift_down(s, start, pos);
 }
 
-/* heapq.heappush of pieces a and b keyed as surface._best_first keys them */
+/* pair tick into bucket 0 (heapq.heappush) if its gap's bits are at
+ * most last, else onto the chain of the bucket i + 1, bit i being the
+ * highest at which they differ from last */
+static void file(Search *s, long tick)
+{
+    Pair *e = &s->pairs[tick];
+    uint64_t bits = key_bits(e->gap);
+    if (bits <= s->last) {
+        s->heap[s->size] = (Key){e->gap, tick};
+        sift_down(s, 0, s->size++);
+    } else {
+        int i = 63 - __builtin_clzll(bits ^ s->last);
+        e->next = s->full >> i & 1 ? s->chain[i] : -1;
+        s->chain[i] = tick;
+        s->full |= (uint64_t)1 << i;
+    }
+}
+
+/* a push of pieces a and b keyed as surface._best_first keys them */
 static void push(Search *s, long a, long b)
 {
     const double *pa = s->pieces[a].v, *pb = s->pieces[b].v;
@@ -372,14 +405,29 @@ static void push(Search *s, long a, long b)
     dy = ey > dy ? ey : dy;
     dx = 0.0 > dx ? 0.0 : dx;
     dy = 0.0 > dy ? 0.0 : dy;
-    s->pairs[s->tick] = (Pair){-1.0, a, b};
-    s->heap[s->size] = (Key){py_hypot(dx, dy), s->tick++};
-    sift_down(s, 0, s->size++);
+    s->pairs[s->tick] = (Pair){-1.0, py_hypot(dx, dy), a, b, -1};
+    file(s, s->tick++);
 }
 
-/* heapq.heappop */
+/* heapq.heappop of bucket 0, refilled first if empty (and a bucket
+ * above holds pairs): the lowest such bucket's smallest gap becomes
+ * last, and each of its pairs is filed again */
 static Key pop(Search *s)
 {
+    if (s->size == 0) {
+        int i = __builtin_ctzll(s->full);
+        long t, next;
+        s->last = UINT64_MAX;
+        for (t = s->chain[i]; t >= 0; t = s->pairs[t].next) {
+            uint64_t bits = key_bits(s->pairs[t].gap);
+            s->last = bits < s->last ? bits : s->last;
+        }
+        s->full &= ~((uint64_t)1 << i);
+        for (t = s->chain[i]; t >= 0; t = next) {
+            next = s->pairs[t].next;
+            file(s, t);
+        }
+    }
     Key last = s->heap[--s->size];
     if (s->size == 0)
         return last;
@@ -394,16 +442,43 @@ static Key pop(Search *s)
  * 2 * budget pieces and heap and pairs for na * nb + 2 * budget pairs
  * (each pop splits at most one piece and pushes two pairs).  Returns 1
  * when a pair of leaves pops, with its gap in *gap and its record in
- * *won; else 0.  *made is the count of pieces the splits made. */
+ * *won; else 0.  *made is the count of pieces the splits made.
+ *
+ * The pairs wait in a radix heap (Ahuja, Mehlhorn, Orlin & Tarjan,
+ * "Faster algorithms for the shortest path problem", JACM 1990) keyed
+ * by their gaps' bits.  Its invariant: bucket 0, heapq's heap, holds
+ * every pair whose gap's bits are at most last; bucket i + 1 chains the
+ * pairs whose gap's bits exceed last and first differ from it at bit i.
+ * A pair in a lower bucket has the smaller gap, and every gap in bucket
+ * 0 is at most every gap above it, so bucket 0's least pair is the least
+ * of all.  When bucket 0 empties, the lowest bucket's smallest gap
+ * becomes last and that bucket's pairs are filed again, each into a
+ * lower bucket, those with that gap into bucket 0.  A pair pushed with
+ * a gap below last goes to bucket 0 too, so no pop rests on a split's
+ * gaps growing.
+ *
+ * So each pop takes the least pair, by less, of every pair waiting.
+ * Where each control point is finite and within +-2**1022, every box
+ * and seed coordinate is too, so every gap and distance is finite,
+ * (gap, dist, tick) orders the pairs strictly, and the least pair is
+ * the one heapq pops: the pops are heapq's, one for one.  Elsewhere NaN
+ * keys may compare false both ways and heapq's pops hang on its heap's
+ * shape, so last starts at all ones: every pair files into bucket 0,
+ * which is then heapq's heap, pop for pop. */
 static int best_first(Piece *pieces, long na, long nb, Key *heap, Pair *pairs, double sx,
                       double sy, double tol, long budget, double *gap, Pair *won, long *made)
 {
-    Search s = {pieces, heap, pairs, 0, 0, sx, sy};
+    Search s = {pieces, heap, pairs, 0, 0, sx, sy, 0, 0, {0}};
     long n = na + nb, k;
+    int c;
 
+    for (k = 0; k < n; k++)
+        for (c = 0; c < 8; c++)
+            if (!(fabs(pieces[k].v[c]) <= 0x1p1022))
+                s.last = UINT64_MAX;
     for (k = 0; k < na * nb; k++)
         push(&s, k / nb, na + k % nb);
-    for (k = 0; k < budget && s.size > 0; k++) {
+    for (k = 0; k < budget && (s.size > 0 || s.full); k++) {
         Key e = pop(&s);
         Pair p = pairs[e.tick];
         Piece *pa = &pieces[p.a], *pb = &pieces[p.b];

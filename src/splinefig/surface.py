@@ -12,16 +12,18 @@ Larger depth means nearer the eye.  The drawing pipeline:
  1. collect the curves to draw: parameter-rectangle boundaries, the
     silhouette (zero set of the projected Jacobian J(u,v), traced with
     the implicit machinery), iso-parameter wires, and the axes;
- 2. intersect each projected curve with the projected outline curves
-    (a sort and sweep of their segments' boxes finds the crossings and
-    the near-tangential contact sites; the scan runs compiled from
-    refine.c where a C compiler is found, and in numpy otherwise, with
-    the same bits), and refine each contact to where local spline fits
-    of the two curves cross or come closest (refine_contact; its fits,
-    search and answer run in one call of refine.c too, and in Python
-    otherwise);
- 3. cut the curves at the parameters where they were crossed (an
-    outline crossing itself at both passes) and where each contact
+ 2. intersect each projected curve with the projected outline curves,
+    in curve order (a sort and sweep of their segments' boxes finds the
+    crossings and the near-tangential contact sites; the scan runs
+    compiled from refine.c where a C compiler is found, and in numpy
+    otherwise, with the same bits), then refine all of the scene's
+    contacts at once on the process's pool of os.cpu_count() threads,
+    each to where local spline fits of the two curves cross or come
+    closest (refine_contact; its fits, search and answer run in one
+    call of refine.c, which releases the interpreter lock, and in
+    Python otherwise);
+ 3. per curve in order, cut it at the parameters where it was crossed
+    (an outline crossing itself at both passes) and where each contact
     answer lies nearest, and decide each interval's visibility by a
     depth test at its midpoint (damped Newton solves find every
     surface point covering the midpoint; they and their roots' checks
@@ -30,8 +32,9 @@ Larger depth means nearer the eye.  The drawing pipeline:
     the same bits);
  4. emit visible intervals solid and hidden ones dashed (or drop them).
 
-Everything is deterministic; the per-curve work items are independent
-and run through a thread pool.
+Everything is deterministic: only the contact searches run on the
+pool, each answer is a function of its site alone, and the answers are
+read back in site order.
 """
 
 from __future__ import annotations
@@ -140,12 +143,7 @@ class ParametricSurface:
 
     @classmethod
     def from_strings(
-        cls,
-        x: str,
-        y: str,
-        z: str,
-        u_range: tuple[float, float],
-        v_range: tuple[float, float],
+        cls, x: str, y: str, z: str, u_range: tuple[float, float], v_range: tuple[float, float]
     ) -> "ParametricSurface":
         return cls(parse(x), parse(y), parse(z), tuple(u_range), tuple(v_range))
 
@@ -178,15 +176,8 @@ class SpaceCurve:
 def _projected_exprs(s: ParametricSurface, proj: Projection) -> tuple[ExprNode, ExprNode]:
     st, ct, sf, cf = proj.trig
     x_expr = BinOp("+", BinOp("*", Const(-st), s.x), BinOp("*", Const(ct), s.y))
-    y_expr = BinOp(
-        "+",
-        BinOp(
-            "+",
-            BinOp("*", Const(-ct * sf), s.x),
-            BinOp("*", Const(-st * sf), s.y),
-        ),
-        BinOp("*", Const(cf), s.z),
-    )
+    y_xy = BinOp("+", BinOp("*", Const(-ct * sf), s.x), BinOp("*", Const(-st * sf), s.y))
+    y_expr = BinOp("+", y_xy, BinOp("*", Const(cf), s.z))
     return x_expr, y_expr
 
 
@@ -198,9 +189,7 @@ def _projected_partials(
     return tuple(diff(e, var) for e in (x_expr, y_expr) for var in ("u", "v"))
 
 
-def _jacobian_fn(
-    s: ParametricSurface, proj: Projection
-) -> Callable[[float, float], float]:
+def _jacobian_fn(s: ParametricSurface, proj: Projection) -> Callable[[float, float], float]:
     """J(u,v) = X_u Y_v - X_v Y_u, compiled (so with `grid`)."""
     xu, xv, yu, yv = _projected_partials(s, proj)
     jac = BinOp("-", BinOp("*", xu, yv), BinOp("*", xv, yu))
@@ -218,9 +207,7 @@ def _on_surface(
     return xyz[keep], np.column_stack((u, v))[keep]
 
 
-def silhouette(
-    s: ParametricSurface, proj: Projection, grid: int = 200
-) -> list[SpaceCurve]:
+def silhouette(s: ParametricSurface, proj: Projection, grid: int = 200) -> list[SpaceCurve]:
     """Fold curves of the projection: J(u, v) = 0 traced on a grid x grid scan."""
     cfg = TraceConfig(s.u_range, s.v_range, grid=grid)
     curves: list[SpaceCurve] = []
@@ -236,9 +223,7 @@ def silhouette(
     return curves
 
 
-def _edge_curve(
-    s: ParametricSurface, fixed: str, value: float, samples: int
-) -> SpaceCurve | None:
+def _edge_curve(s: ParametricSurface, fixed: str, value: float, samples: int) -> SpaceCurve | None:
     lo, hi = s.v_range if fixed == "u" else s.u_range
     ts = np.array(steps(lo, hi, samples))
     same = np.full_like(ts, value)
@@ -346,9 +331,7 @@ def _pow2_scale(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.ldexp(1.0, np.frexp(np.maximum(np.abs(x), np.abs(y)))[1] - 1)
 
 
-def _feet(
-    p: np.ndarray, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _feet(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Feet of the points p on the segments a -> b, rows (..., 2) that
     broadcast against each other.
 
@@ -753,6 +736,26 @@ def _best_first(
     return None
 
 
+_pool_lock, _pool = threading.Lock(), None  # the contact searches' pool once made
+
+
+def _search_pool() -> ThreadPoolExecutor:
+    """The process's pool for contact searches: os.cpu_count() workers,
+    made on first use, and again in a forked child, which has none of
+    its parent's threads."""
+    global _pool
+    with _pool_lock:
+        _pool = _pool or ThreadPoolExecutor(os.cpu_count())
+    return _pool
+
+
+def _forget_pool():
+    global _pool_lock, _pool
+    _pool_lock, _pool = threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 _kernel_lock = threading.Lock()
 _kernel = None  # refine.c once loaded; False where it cannot be built
 
@@ -903,8 +906,9 @@ def refine_contact(
     nothing.  A piece meets many partners as the search goes on, so it
     keeps its halves and is split once.
     Where a C compiler is found, all of this runs compiled, in one call
-    of refine.c, and in Python otherwise (_window_pieces, _best_first),
-    with the same bits.
+    of refine.c that releases the interpreter lock, its pairs waiting in
+    a radix heap that pops them as heapq does; in Python otherwise
+    (_window_pieces, _best_first), with the same bits.
     """
     kernel = _load_kernel()
     if kernel:
@@ -996,9 +1000,7 @@ def _sub_polyline(poly: Polyline, p0: float, p1: float) -> Polyline | None:
     return Polyline(pts) if len(pts) >= 2 else None
 
 
-def _locate_params(
-    poly: Polyline, points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _locate_params(poly: Polyline, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The nearest param on the polyline of each of the points (n, 2),
     and its distance: the first nearest segment's foot, found in blocks
     of about FEET_BLOCK point-segment pairs to bound the temporaries."""
@@ -1078,9 +1080,7 @@ class OcclusionTester:
         self._fixed = _Tester(programs, box, self.starts[ok], self.limits, bounds, self.tol)
         self._roots = ctypes.c_double * (2 * len(box))  # room for a root per cell
 
-    def _newton(
-        self, q: tuple[float, float], u: float, v: float
-    ) -> tuple[float, float] | None:
+    def _newton(self, q: tuple[float, float], u: float, v: float) -> tuple[float, float] | None:
         u_lo, u_hi, v_lo, v_hi = self.limits.tolist()
         tol = self.tol
         qx, qy = q
@@ -1123,9 +1123,7 @@ class OcclusionTester:
                 return None
         return (u, v) if err <= tol else None
 
-    def covers(
-        self, q: tuple[float, float]
-    ) -> tuple[list[tuple[float, float]], int]:
+    def covers(self, q: tuple[float, float]) -> tuple[list[tuple[float, float]], int]:
         """All distinct (u, v) with projection q = (x, y), and the
         candidate count: the roots of the solves from the seed cells
         whose boxes hold q, in the cells' order, each inside
@@ -1307,27 +1305,30 @@ def build_surface_scene(
     outlines = [p for role, _, p in projected if role in ("boundary", "silhouette")]
 
     tester = OcclusionTester(s, proj)
-
-    def work(item: tuple[str, str, Polyline]) -> VisibilityTaggedCurve:
-        _, label, poly = item
-        params: list[float] = []
-        answers: list[tuple[float, float]] = []
+    # the scans, on this thread in curve order; then every contact search
+    # of the scene at once on the process's pool (the compiled search
+    # releases the interpreter lock); then each curve's cuts and tags here
+    cuts: list[list[float]] = [[] for _ in projected]
+    sites = []  # (curve's index, curve, outline, curve's vertex, outline's vertex)
+    for k, (_, _, poly) in enumerate(projected):
         for op in outlines:
             res = intersect_projected(poly, op)
-            params.extend(res.params)
-            answers.extend(refine_contact(poly, op, c.ia, c.ib).point for c in res.contacts)
+            cuts[k].extend(res.params)
+            sites.extend((k, poly, op, c.ia, c.ib) for c in res.contacts)
+    answers: list[list[tuple[float, float]]] = [[] for _ in projected]
+    searched = _search_pool().map(lambda site: refine_contact(*site[1:]).point, sites)
+    for (k, *_), point in zip(sites, searched):
+        answers[k].append(point)
+    tagged = []
+    for (_, label, poly), params, points in zip(projected, cuts, answers):
         # a contact answer is a point: poly is cut where it lies nearest,
         # if that is near enough
-        located, dists = _locate_params(poly, np.array(answers, dtype=float).reshape(-1, 2))
+        located, dists = _locate_params(poly, np.array(points, dtype=float).reshape(-1, 2))
         params.extend(located[dists <= 0.05 * (1.0 + tester.scene_scale)].tolist())
-        return classify_visibility(poly, label, params, tester)
-
-    with ThreadPoolExecutor() as pool:
-        tagged = list(pool.map(work, projected))
+        tagged.append(classify_visibility(poly, label, params, tester))
 
     items: list[DrawItem] = []
     for tc in tagged:
-        # logged here, in curve order, not from the pool's threads
         if tc.newton_failed:
             log.warning(
                 "newton occlusion solve failed for %r; leaving interval visible",
@@ -1371,9 +1372,8 @@ class ContactDemoResult:
 
 
 def paraboloid_surface() -> ParametricSurface:
-    return ParametricSurface.from_strings(
-        "u*cos(v)", "u*sin(v)", "4-u^2", (0.0, 2.0), (0.0, 2.0 * math.pi)
-    )
+    xyz = ("u*cos(v)", "u*sin(v)", "4-u^2")
+    return ParametricSurface.from_strings(*xyz, (0.0, 2.0), (0.0, 2.0 * math.pi))
 
 
 def contact_demo(

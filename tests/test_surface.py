@@ -4,10 +4,13 @@ import gc
 import heapq
 import logging
 import math
+import multiprocessing
+import os
 import shutil
 import struct
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -1285,6 +1288,52 @@ def test_refine_c_compiles_without_warnings(tmp_path):
         _assert_hypot_is_math_hypot(dll, _zero_pairs())
 
 
+def _sanitized_workload() -> None:
+    """The radix heap's example sites, and every contact site and covers
+    query of both default scenes at the corners of the benchmark's view
+    box, through refine_contact and build_surface_scene."""
+    for site in _HEAP_SITES.values():
+        refine_contact(*site)
+    paraboloid = SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6)))
+    for theta, phi in ((40, 15), (40, 35), (80, 15), (80, 35)):
+        view = Projection(math.radians(theta), math.radians(phi))
+        build_surface_scene(paraboloid_surface(), view, paraboloid)
+        build_surface_scene(mobius(), view, SceneConfig())
+
+
+_UBSAN = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+
+
+def test_refine_c_is_clean_under_ubsan(tmp_path):
+    # the build's flags and the undefined behaviour sanitizer, which
+    # ends the process at the first __builtin_clzll(0), shift past the
+    # word or other undefined operation of any of the four kernels
+    if not shutil.which("cc"):
+        pytest.skip("no C compiler here")
+    probe = tmp_path / "probe.c"
+    probe.write_text("int twice(int x) { return x << 1; }\n")
+    try:
+        subprocess.run(
+            [*surface._CC, *_UBSAN, "-o", str(tmp_path / "probe.so"), str(probe)],
+            stdin=subprocess.DEVNULL, capture_output=True, check=True, timeout=60,
+        )
+    except subprocess.CalledProcessError:
+        pytest.skip("cc cannot link libubsan here")
+    code = (
+        "from splinefig import surface\n"
+        f"surface._CC = (*surface._CC, *{_UBSAN!r})\n"
+        "assert surface._load_kernel()\n"
+        "import test_surface\n"
+        "test_surface._sanitized_workload()\n"
+    )
+    here = Path(__file__).parent
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])},
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+
+
 # sizes from subnormal to 1e300, both zeros, and chords near 1e-170,
 # whose norms' product underflows
 _fit_coord = st.one_of(
@@ -1380,6 +1429,74 @@ _EDGE_A = _sampled(lambda x: x * x, -0.1, 0.02, 12)
 _EDGE_B = _sampled(lambda x: 0.002 + 0.5 * x, -0.1, 0.02, 12)
 
 
+def _rows(xs, ys) -> Polyline:
+    return Polyline(np.column_stack([np.asarray(xs, float), np.asarray(ys, float)]))
+
+
+# windows whose keys probe refine.c's radix heap, as sites (a, b,
+# center_a, center_b, window, tol); 13 vertices 1/8 apart in x
+_XS = np.arange(-6, 7) / 8.0
+_LOW_HALF = np.arange(13) < 6
+_BIG = np.arange(-4, 5) * 2.0**1020  # -2**1022 to 2**1022
+_BEYOND = np.where(_BIG == 2.0**1022, math.nextafter(2.0**1022, math.inf), _BIG)
+_HEAP_SITES = {
+    # mirror images about the seed's x = 0: pairs tie on gap and distance
+    "mirror": (_rows(_XS, _XS**2), _rows(_XS, np.full(13, 1 / 16)), 6, 6, 6, 1e-7),
+    # lines 0.75 and its next float apart (bits differing at bit 0 only),
+    # and 1 - 2**-53 and 1 apart (first differing at bit 52)
+    "ulp-bit-0": (
+        _rows(_XS, np.zeros(13)), _rows(_XS, np.where(_LOW_HALF, 0.75, math.nextafter(0.75, 1))),
+        6, 6, 6, 1e-3,
+    ),
+    "ulp-bit-52": (
+        _rows(_XS, np.zeros(13)), _rows(_XS, np.where(_LOW_HALF, math.nextafter(1, 0), 1.0)),
+        6, 6, 6, 1e-3,
+    ),
+    # gaps of 0 and of subnormals, a tol that no piece gets under
+    "subnormal": (
+        _rows(_XS, np.zeros(13)), _rows(_XS, np.where(_XS < 0.75, 4e-320, 0.0)), 6, 6, 6, 1e-322,
+    ),
+    # control points out to +-2**1022, where halving cannot overflow,
+    # and to the next float beyond, where the heap is heapq's alone
+    "2**1022": (_rows(_BIG, _BIG), _rows(_BIG, -_BIG), 4, 4, 6, 1e300),
+    "beyond": (_rows(_BEYOND, _BIG), _rows(_BIG, -_BIG), 4, 4, 6, 1e300),
+    # a parabola and its copy 10 above, 1/32 apart in x: the search spends
+    # its budget, bucket 0 empties 2493 times, and two gaps file at bit 0
+    "far-copy": (
+        _rows(_XS / 4, _XS**2 / 8), _rows(_XS / 4, _XS**2 / 8 + 10.0), 6, 6, 6, 1e-7,
+    ),
+    # the mirror images with a NaN vertex at an end, and an inf vertex
+    "mirror-nan": (
+        _rows(_XS, np.where(_XS == 0.75, math.nan, _XS**2)), _rows(_XS, np.full(13, 1 / 16)),
+        6, 6, 6, 1e-7,
+    ),
+    "inf": (_rows(_XS, np.where(_XS == 0.5, math.inf, _XS**2)), _EDGE_B, 6, 6, 6, 1e-7),
+}
+
+
+def _heap_example(name: str) -> dict:
+    a, b, center_a, center_b, window, tol = _HEAP_SITES[name]
+    return {"pair": (name, a, b, window, tol), "centers": (center_a, center_b)}
+
+
+def _same_search_on_both_paths(kernel, site) -> None:
+    """_same_on_both_paths, and the pieces refine.c's search makes: two
+    for each piece the Python loop splits."""
+    split = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "_halves", lambda p: split.append(p) or _halves(p))
+        ref = _python_loop(refine_contact, *site)
+    got = refine_contact(*site)
+    assert (_bits(got.point), got.refined) == (_bits(ref.point), ref.refined)
+    a, b, center_a, center_b, window, tol = site
+    point, made = (ctypes.c_double * 2)(), ctypes.c_long()
+    kernel.refine_contact(
+        a.points, len(a.points), center_a, b.points, len(b.points), center_b,
+        window, tol, surface.REFINE_POPS, point, made,
+    )
+    assert made.value == 2 * len(split)
+
+
 @settings(max_examples=100, deadline=None)
 @given(pair=window_pairs(), centers=st.none())
 # the windows cut short at a polyline's first vertex, at its last
@@ -1387,10 +1504,17 @@ _EDGE_B = _sampled(lambda x: 0.002 + 0.5 * x, -0.1, 0.02, 12)
 @example(pair=("crossing", _EDGE_A, _EDGE_B, 6, 1e-7), centers=(0, 0))
 @example(pair=("crossing", _EDGE_A, _EDGE_B, 6, 1e-7), centers=(10, 10))
 @example(pair=("crossing", _EDGE_A, _EDGE_B, 40, 1e-7), centers=(5, 4))
+@example(**_heap_example("mirror"))
+@example(**_heap_example("ulp-bit-0"))
+@example(**_heap_example("ulp-bit-52"))
+@example(**_heap_example("subnormal"))
+@example(**_heap_example("2**1022"))
+@example(**_heap_example("beyond"))
+@example(**_heap_example("far-copy"))
 def test_property_kernel_gives_the_python_loops_bits(kernel, pair, centers):
     # the site is the closest vertex pair unless an example names it
     _, a, b, window, tol = pair
-    _same_on_both_paths((a, b, *(centers or closest_pair(a, b)), window, tol))
+    _same_search_on_both_paths(kernel, (a, b, *(centers or closest_pair(a, b)), window, tol))
 
 
 def test_a_center_outside_its_polyline_is_indexed_as_python_indexes(kernel):
@@ -1440,9 +1564,12 @@ _OVERLAP_NAN[12, 1] = math.nan
 @settings(max_examples=100, deadline=None)
 @given(nan_window_pairs())
 @example((Polyline(_OVERLAP[4:9]), Polyline(_OVERLAP_NAN), 2, 6, REFINE_WINDOW, 1e-7))
+@example(_HEAP_SITES["inf"])
+@example(_HEAP_SITES["beyond"])
+@example(_HEAP_SITES["mirror-nan"])  # tied on gap and distance, a NaN vertex at an end
 def test_property_kernel_gives_the_python_loops_bits_with_a_nan_vertex(kernel, site):
     # NaN keys compare false both ways: the pops follow heapq's order
-    _same_on_both_paths(site)
+    _same_search_on_both_paths(kernel, site)
 
 
 # the corners and the centre of the benchmark's view box, and two more
@@ -1856,6 +1983,59 @@ def test_searches_on_four_threads_give_the_serial_bits(kernel):
     assert pooled == serial * 3
 
 
+def test_scenes_share_one_pool_of_at_most_cpu_count_workers(monkeypatch):
+    # a pool per scene started up to min(32, cores + 4) threads each time,
+    # and each thread's malloc arena kept its last search's pages
+    workers = []
+    search = surface.refine_contact
+
+    def counted(*args):
+        workers.append(threading.current_thread())
+        return search(*args)
+
+    monkeypatch.setattr(surface, "refine_contact", counted)
+    cfg = SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6)))
+    seen = []
+    for _ in range(5):
+        del workers[:]
+        build_surface_scene(paraboloid_surface(), VIEW, cfg)
+        assert workers
+        seen.append(set(workers))
+    used = set().union(*seen)
+    assert threading.main_thread() not in used
+    assert len(used) <= os.cpu_count()
+    # a pool closed with its scene would have joined its threads
+    assert all(thread.is_alive() for thread in used)
+
+
+def _paraboloid_latex() -> str:
+    cfg = SceneConfig(wires_v=tuple(k * math.pi / 3 for k in range(6)))
+    return emit_latex(build_surface_scene(paraboloid_surface(), VIEW, cfg)[0])
+
+
+def test_a_forked_child_draws_the_parents_bytes():
+    # the child has none of its parent's pool threads: a pool carried
+    # over would queue the child's searches for workers that never run
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:
+        pytest.skip("no fork here")
+    want = _paraboloid_latex()  # the parent's pool has its threads now
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=lambda: send.send(_paraboloid_latex()))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "the forked child's scene did not finish within 60 s"
+        assert recv.recv() == want
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+
+
 def _bits(xs) -> list[bytes]:
     return [struct.pack("<d", x) for x in xs]
 
@@ -2113,30 +2293,38 @@ class TestSceneStructure:
 
     def test_newton_warnings_come_in_curve_order(self, monkeypatch, caplog):
         # the solves on the rim and on one wire are made to fail, and the
-        # rim finishes last on the scene's pool, so a warning logged by
-        # the worker itself would come out of order
-        delay = {"boundary:u=2": 0.3, "wire:v=3.14159": 0.1}
-        real = surface.classify_visibility
+        # rim's contact searches, which run on the scene's pool, finish
+        # last, so a warning logged by a worker would come out of order
+        rim = project_curve(boundary_curves(paraboloid_surface(), samples=60)[0], VIEW)
+        search, classify = surface.refine_contact, surface.classify_visibility
+        failing = ("boundary:u=2", "wire:v=3.14159")
+        delayed = []
 
-        def failing_late(poly, label, params, tester):
-            time.sleep(delay.get(label, 0.0))
-            if label in delay:
+        def late(a, b, center_a, center_b):
+            if np.array_equal(a.points, rim.points):
+                delayed.append(threading.current_thread())
+                time.sleep(0.3)
+            return search(a, b, center_a, center_b)
+
+        def without_roots(poly, label, params, tester):
+            if label in failing:
                 tester = copy.copy(tester)
                 tester.covers = lambda q: ([], 1)  # candidate cells, no root
-            return real(poly, label, params, tester)
+            return classify(poly, label, params, tester)
 
-        monkeypatch.setattr(surface, "classify_visibility", failing_late)
+        monkeypatch.setattr(surface, "refine_contact", late)
+        monkeypatch.setattr(surface, "classify_visibility", without_roots)
         cfg = SceneConfig(wires_v=(0.0, math.pi), grid=80, samples=60)
         with caplog.at_level(logging.WARNING, logger="splinefig.surface"):
             _, report = build_surface_scene(paraboloid_surface(), VIEW, cfg)
+        assert delayed and threading.main_thread() not in delayed
         # the scene draws boundaries, silhouettes, wires, then extras
         drawn = (report.boundaries, report.silhouettes, report.wires, report.extras)
         failed = [tc.label for part in drawn for tc in part if tc.newton_failed]
-        logged = [
-            r.args[0] for r in caplog.records if "newton occlusion" in r.getMessage()
-        ]
-        assert failed == ["boundary:u=2", "wire:v=3.14159"]
-        assert logged == failed
+        records = [r for r in caplog.records if "newton occlusion" in r.getMessage()]
+        assert failed == list(failing)
+        assert [r.args[0] for r in records] == failed
+        assert {r.thread for r in records} == {threading.main_thread().ident}
 
     def test_self_crossing_outline_is_cut_at_both_passes(self):
         # this torus silhouette crosses itself at segment pairs (8, 85)
@@ -2172,9 +2360,13 @@ class TestSceneStructure:
             (0.01, 40e6),
         ],
     )
-    def test_readme_scene_memory_is_linear_in_samples(self, scale, limit, monkeypatch):
+    def test_readme_scene_memory_is_linear_in_samples(
+        self, scale, limit, monkeypatch, request
+    ):
         # one worker, so the peak does not depend on the host's core count
-        monkeypatch.setattr(surface, "ThreadPoolExecutor", lambda: ThreadPoolExecutor(1))
+        one = ThreadPoolExecutor(1)
+        monkeypatch.setattr(surface, "_pool", one)
+        request.addfinalizer(one.shutdown)
         s = ParametricSurface.from_strings(
             f"{scale}*u*cos(v)", f"{scale}*u*sin(v)", f"{scale}*(4-u^2)",
             (0.0, 2.0), (0.0, 2 * math.pi),
