@@ -1305,9 +1305,8 @@ def build_surface_scene(
     outlines = [p for role, _, p in projected if role in ("boundary", "silhouette")]
 
     tester = OcclusionTester(s, proj)
-    # the scans, on this thread in curve order; then every contact search
-    # of the scene at once on the process's pool (the compiled search
-    # releases the interpreter lock); then each curve's cuts and tags here
+    # only the searches go to the pool, all at once: the compiled search
+    # releases the interpreter lock, and the rest runs here in curve order
     cuts: list[list[float]] = [[] for _ in projected]
     sites = []  # (curve's index, curve, outline, curve's vertex, outline's vertex)
     for k, (_, _, poly) in enumerate(projected):
